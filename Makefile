@@ -22,9 +22,16 @@ check: static-check build test lint-smoke bench-smoke perf-smoke \
   chaos-smoke analyze-smoke sca-smoke serve-smoke
 
 # Type-check every library and executable (including ones @default would
-# skip); the dev env stanza promotes warnings to errors.
+# skip); the dev env stanza promotes warnings to errors. Fault simulation
+# in lib/core goes through the one entry point, Fsim.Engine: a direct
+# back-end detect call there fails the check (Diagnose's Fsim.Serial.trace
+# is allowed, since the engine has no trace entry).
 static-check:
 	dune build @check
+	@if grep -rnE 'Fsim\.(Parallel\.|Serial\.detect)' lib/core; then \
+	  echo "static-check: lib/core must call Fsim.Engine, not a back-end"; \
+	  exit 1; \
+	fi
 
 # `fst lint` over every example netlist with scan insertion must be clean
 # at error level; a seeded-defect netlist must fail; the --json rendering
@@ -88,22 +95,23 @@ resume-smoke: build
 	  { echo "resume-smoke: resumed report differs"; rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "resume-smoke: OK"
 
-# The full observability path: trace + metrics + events + heartbeat on a
-# small flow, then machine-validate every artifact with `fst jsonlint`.
+# The full observability path: the --obs-dir artifact set (trace,
+# metrics, events) plus the heartbeat on a small multicore flow, then
+# machine-validate every artifact with `fst jsonlint`.
 obs-smoke: build
 	@tmp=`mktemp -d`; \
-	$(FST_EXE) $(SMOKE_FLOW_MT) --trace $$tmp/trace.json \
-	  --metrics $$tmp/metrics.json --events $$tmp/events.jsonl \
+	$(FST_EXE) $(SMOKE_FLOW_MT) --obs-dir $$tmp/obs \
 	  --progress > /dev/null 2> $$tmp/stderr.txt || \
 	  { echo "obs-smoke: flow exited non-zero"; rm -rf $$tmp; exit 1; }; \
 	grep -q "^\[flow\]" $$tmp/stderr.txt || \
 	  { echo "obs-smoke: no heartbeat on stderr"; rm -rf $$tmp; exit 1; }; \
-	$(FST_EXE) jsonlint $$tmp/trace.json --expect traceEvents \
+	$(FST_EXE) jsonlint $$tmp/obs/trace.json --expect traceEvents \
 	  --expect '"cat":"phase"' || { rm -rf $$tmp; exit 1; }; \
-	$(FST_EXE) jsonlint $$tmp/metrics.json \
-	  --expect atpg.podem.backtracks --expect busy_frac || \
+	$(FST_EXE) jsonlint $$tmp/obs/metrics.prom \
+	  --expect atpg_podem_backtracks_total \
+	  --expect pool_domain0_busy_frac || \
 	  { rm -rf $$tmp; exit 1; }; \
-	$(FST_EXE) jsonlint $$tmp/events.jsonl --expect phase_start \
+	$(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start \
 	  --expect phase_end || { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "obs-smoke: OK"
 
@@ -113,8 +121,8 @@ obs-smoke: build
 noop-sink-smoke: build
 	@tmp=`mktemp -d`; \
 	$(FST_EXE) $(SMOKE_FLOW) | grep -v "CPU" > $$tmp/plain.txt; \
-	$(FST_EXE) $(SMOKE_FLOW) --trace $$tmp/t.json --metrics $$tmp/m.json \
-	  --events $$tmp/e.jsonl 2> /dev/null | grep -v "CPU" > $$tmp/obs.txt; \
+	$(FST_EXE) $(SMOKE_FLOW) --obs-dir $$tmp/obs \
+	  2> /dev/null | grep -v "CPU" > $$tmp/obs.txt; \
 	diff $$tmp/plain.txt $$tmp/obs.txt || \
 	  { echo "noop-sink-smoke: instrumented report differs"; \
 	    rm -rf $$tmp; exit 1; }; \
@@ -151,15 +159,16 @@ chaos-smoke: build
 	$(FST_EXE) gen --gates 300 --ffs 16 -o $$tmp/gen.net > /dev/null; \
 	for f in examples/data/counter4.net $$tmp/gen.net; do \
 	  for seed in 3 7; do \
+	    rm -rf $$tmp/obs; \
 	    out=`$(FST_EXE) flow $$f -c 1 -j 1 --keep-going \
 	      --chaos $$seed --chaos-p 0.08 \
-	      --events $$tmp/events.jsonl 2> /dev/null` || \
+	      --obs-dir $$tmp/obs 2> /dev/null` || \
 	      { echo "chaos-smoke: $$f seed=$$seed exited non-zero"; \
 	        rm -rf $$tmp; exit 1; }; \
 	    echo "$$out" | grep -q "chaos: invariant ok" || \
 	      { echo "chaos-smoke: $$f seed=$$seed invariant violated"; \
 	        rm -rf $$tmp; exit 1; }; \
-	    $(FST_EXE) jsonlint $$tmp/events.jsonl --expect phase_start \
+	    $(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start \
 	      --expect phase_end || { rm -rf $$tmp; exit 1; }; \
 	  done; \
 	  echo "chaos-smoke: `basename $$f` OK"; \

@@ -1,13 +1,13 @@
 (** PODEM test-pattern generation over a combinational
     {!Fst_netlist.View.t}.
 
-    Values are composite good/faulty pairs ({!Fst_logic.Dval.t}); decisions
-    are made only at free inputs, guided by SCOAP backtrace; implication is
-    three-valued resimulation, so it never conflicts and backtracking is
-    driven by objective failure (fault unexcitable, empty D-frontier, no
-    X-path). The search is complete unless a rare multi-site frontier case
-    forces a heuristic prune, in which case exhaustion reports {!Aborted}
-    rather than {!Untestable}. *)
+    Values are good/faulty pairs held as two {!Fst_logic.V3.t} arrays, one
+    per machine; decisions are made only at free inputs, guided by SCOAP
+    backtrace; implication is three-valued resimulation, so it never
+    conflicts and backtracking is driven by objective failure (fault
+    unexcitable, empty D-frontier, no X-path). The search is complete
+    unless a rare multi-site frontier case forces a heuristic prune, in
+    which case exhaustion reports {!Aborted} rather than {!Untestable}. *)
 
 open Fst_logic
 open Fst_netlist

@@ -37,18 +37,6 @@ let spec =
         Spec.flag_arg [ "--resume" ]
           ~doc:"Resume from the --checkpoint file if it matches this \
                 circuit, configuration and parameter set.";
-        Spec.value_arg [ "--trace" ] ~docv:"FILE"
-          ~doc:"Write a Chrome trace-event JSON file (open in Perfetto or \
-                chrome://tracing): spans for every phase, step-3 \
-                wave/group, per-domain pool chunk, and each ATPG call over \
-                1ms.";
-        Spec.value_arg [ "--metrics" ] ~docv:"FILE"
-          ~doc:"Write a JSON metrics snapshot (counters, gauges, \
-                histograms): ATPG totals, per-domain busy fractions, \
-                fault-simulation counts.";
-        Spec.value_arg [ "--events" ] ~docv:"FILE"
-          ~doc:"Write a JSONL structured event log: phase start/end, \
-                checkpoint writes, budget trips, abort records.";
         Spec.flag_arg [ "--progress" ]
           ~doc:"Print a one-line heartbeat to stderr (phase, faults \
                 done/total, detected, ETA).";
@@ -60,8 +48,7 @@ let spec =
           ~doc:"Write the full run-artifact set to DIR: trace.json \
                 (Perfetto), events.jsonl, metrics.prom (OpenMetrics), and \
                 run.json (per-phase wall, histogram quantiles, per-domain \
-                timelines, abort accounting) for fst analyze. Subsumes \
-                --trace/--metrics/--events.";
+                timelines, abort accounting) for fst analyze.";
         Spec.flag_arg [ "--no-sca" ]
           ~doc:"Disable phase-0 static analysis: no statically-proven \
                 untestable bucket and no implication hints for PODEM. \
@@ -108,28 +95,20 @@ let run p =
     Common.or_die
       (Common.insert_chains circuit (Spec.int p "--chains" ~default:1))
   in
-  let trace = Spec.string_opt p "--trace" in
-  let metrics = Spec.string_opt p "--metrics" in
-  let events = Spec.string_opt p "--events" in
-  let progress = Spec.flag p "--progress" in
-  let obs_dir = Spec.string_opt p "--obs-dir" in
-  let artifacts =
-    match obs_dir with
-    | Some dir ->
-      if trace <> None || metrics <> None || events <> None then
-        Common.or_die
-          (Error
-             "--obs-dir already writes trace.json/metrics.prom/events.jsonl; \
-              drop --trace/--metrics/--events");
-      Some (Fst_obs.Artifacts.create ~dir)
-    | None -> None
+  let progress =
+    if Spec.flag p "--progress" then Some (Fst_obs.Progress.create ())
+    else None
   in
-  let sink, finish_obs =
-    match artifacts with
-    | Some a ->
-      let pr = if progress then Some (Fst_obs.Progress.create ()) else None in
-      (Fst_obs.Artifacts.sink ?progress:pr a, fun () -> ())
-    | None -> Common.make_sink ~trace ~metrics ~events ~progress
+  let artifacts =
+    Option.map
+      (fun dir -> (dir, Fst_obs.Artifacts.create ~dir))
+      (Spec.string_opt p "--obs-dir")
+  in
+  let sink =
+    match (artifacts, progress) with
+    | Some (_, a), _ -> Fst_obs.Artifacts.sink ?progress a
+    | None, Some _ -> Fst_obs.Sink.create ?progress ()
+    | None, None -> Fst_obs.Sink.null
   in
   let on_error =
     match (Spec.flag p "--keep-going", Spec.flag p "--fail-fast") with
@@ -191,8 +170,8 @@ let run p =
               "chaos: invariant violated (%d accounted of %d hard faults)"
               accounted hard))
   end;
-  (match (artifacts, obs_dir) with
-   | Some a, Some dir ->
+  (match artifacts with
+   | Some (dir, a) ->
      let module J = Fst_obs.Json in
      let config_json =
        let head =
@@ -211,5 +190,5 @@ let run p =
        ~extra:[ ("flow", flow_accounting r) ]
        a;
      Printf.eprintf "obs: artifacts written to %s\n%!" dir
-   | _ -> finish_obs ());
+   | None -> ());
   0

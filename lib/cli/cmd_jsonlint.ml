@@ -1,6 +1,6 @@
 let spec =
   Spec.make ~name:"jsonlint"
-    ~summary:"Validate JSON/JSONL files written by --trace/--metrics/--events"
+    ~summary:"Validate JSON/JSONL output and --obs-dir artifacts"
     ~args:
       [
         Spec.value_arg [ "--expect" ] ~docv:"TEXT"

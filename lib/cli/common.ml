@@ -46,48 +46,6 @@ let or_die = function
     prerr_endline ("fst: " ^ e);
     exit 1
 
-(* Builds the observability sink requested on the command line, plus the
-   action that writes the collected data out once the flow is done. With
-   no observability flag the null sink is installed and the run stays
-   bit-identical to an uninstrumented one. *)
-let make_sink ~trace ~metrics ~events ~progress =
-  if trace = None && metrics = None && events = None && not progress then
-    (Fst_obs.Sink.null, fun () -> ())
-  else begin
-    let tr =
-      match trace with Some _ -> Some (Fst_obs.Trace.create ()) | None -> None
-    in
-    let ev_oc = Option.map (fun path -> (path, open_out path)) events in
-    let ev = Option.map (fun (_, oc) -> Fst_obs.Events.to_channel oc) ev_oc in
-    let pr = if progress then Some (Fst_obs.Progress.create ()) else None in
-    let sink = Fst_obs.Sink.create ?trace:tr ?events:ev ?progress:pr () in
-    let finish () =
-      (match (trace, tr) with
-       | Some path, Some tr ->
-         let oc = open_out path in
-         Fst_obs.Json.to_channel oc (Fst_obs.Trace.to_json tr);
-         close_out oc;
-         Printf.eprintf "trace: %d events written to %s\n%!"
-           (Fst_obs.Trace.event_count tr)
-           path
-       | _ -> ());
-      (match metrics with
-       | Some path ->
-         let oc = open_out path in
-         Fst_obs.Json.to_channel oc
-           (Fst_obs.Metrics.to_json sink.Fst_obs.Sink.metrics);
-         close_out oc;
-         Printf.eprintf "metrics: written to %s\n%!" path
-       | None -> ());
-      match ev_oc with
-      | Some (path, oc) ->
-        close_out oc;
-        Printf.eprintf "events: written to %s\n%!" path
-      | None -> ()
-    in
-    (sink, finish)
-  end
-
 (* One line on stderr saying exactly where a --resume run's state came
    from — primary checkpoint, the .prev last-good rotation, or (with the
    precise reason) nowhere. *)

@@ -1,7 +1,7 @@
 (** Helpers shared by the [fst] subcommands: circuit loading, scan
-    insertion with shift verification, sink construction, and the flag
-    specs that several commands share (so [fst flow] and [fst submit]
-    spell their common options identically). *)
+    insertion with shift verification, and the flag specs that several
+    commands share (so [fst flow] and [fst submit] spell their common
+    options identically). *)
 
 val read_circuit : string -> (Fst_netlist.Circuit.t, string) result
 
@@ -20,16 +20,6 @@ val insert_chains :
   (Fst_netlist.Circuit.t * Fst_tpi.Scan.config, string) result
 
 val or_die : ('a, string) result -> 'a
-
-(** Observability sink from the [--trace]/[--metrics]/[--events]/
-    [--progress] flags, plus the action that writes the collected data
-    out after the run. *)
-val make_sink :
-  trace:string option ->
-  metrics:string option ->
-  events:string option ->
-  progress:bool ->
-  Fst_obs.Sink.t * (unit -> unit)
 
 val print_resume :
   [ `Loaded of Fst_core.Checkpoint.source | `Failed of Fst_core.Checkpoint.error ] ->

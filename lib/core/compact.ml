@@ -1,7 +1,9 @@
 open Fst_fsim
 
 let coverage c ~faults ~observe ~blocks =
-  let outcome = Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli:blocks in
+  let outcome =
+    Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli:blocks
+  in
   Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0 outcome
 
 (* Reverse-order restoration: walking the set backwards with fault
@@ -11,7 +13,7 @@ let reverse_order c ~faults ~observe ~blocks =
   let n = List.length blocks in
   let reversed = List.rev blocks in
   let outcome =
-    Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli:reversed
+    Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli:reversed
   in
   let keeps = Array.make n false in
   let detected = ref 0 in

@@ -14,7 +14,7 @@ let build c ~faults ~observe ~blocks =
   let fails = Array.make n [] in
   List.iteri
     (fun b stim ->
-      let outcome = Fsim.Parallel.detect_all c ~faults ~observe stim in
+      let outcome = Fsim.Engine.detect_all c ~faults ~observe stim in
       Array.iteri
         (fun i o -> if o <> None then fails.(i) <- b :: fails.(i))
         outcome)
@@ -29,7 +29,7 @@ let observe_defect c d ~fault ~blocks =
   List.iteri
     (fun b stim ->
       match
-        Fsim.Parallel.detect_all c ~faults:[| fault |] ~observe:d.observe stim
+        Fsim.Engine.detect_all c ~faults:[| fault |] ~observe:d.observe stim
       with
       | [| Some _ |] -> fails := b :: !fails
       | _ -> ())

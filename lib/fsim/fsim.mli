@@ -128,8 +128,7 @@ module Event : sig
     (int * int) option array
 end
 
-(** A concrete back-end. [`Parallel] was called [`Bit_parallel] before the
-    engine selector became first-class. *)
+(** A concrete back-end. *)
 type backend = [ `Serial | `Parallel | `Event ]
 
 (** What callers select: a concrete back-end, or [`Auto] — faults are

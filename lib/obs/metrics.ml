@@ -191,7 +191,7 @@ let sorted_items t =
   List.sort (fun (a, _) (b, _) -> String.compare a b) items
 
 (* A typed point-in-time view of the registry, name-sorted: the one
-   structure the exporters (JSON, OpenMetrics, run.json) all consume. *)
+   structure the exporters (OpenMetrics, run.json) both consume. *)
 type hist_snapshot = {
   h_count : int;
   h_sum : float;
@@ -226,65 +226,3 @@ let snapshot t =
       in
       (n, v))
     (sorted_items t)
-
-let json_float f = if Float.is_finite f then Json.Float f else Json.Null
-
-let to_json t =
-  let items = sorted_items t in
-  let pick f = List.filter_map f items in
-  let counters =
-    pick (function n, C c -> Some (n, Json.Int (Counter.value c)) | _ -> None)
-  in
-  let gauges =
-    pick (function
-      | n, G g -> Some (n, json_float (Gauge.value g))
-      | _ -> None)
-  in
-  let fcounters =
-    pick (function
-      | n, F f -> Some (n, json_float (Fcounter.value f))
-      | _ -> None)
-  in
-  let histograms =
-    pick (function
-      | n, H h ->
-          let buckets =
-            List.map
-              (fun (ub, c) -> Json.List [ json_float ub; Json.Int c ])
-              (Histogram.buckets h)
-          in
-          Some
-            ( n,
-              Json.Obj
-                [
-                  ("count", Json.Int (Histogram.count h));
-                  ("min", json_float (Histogram.min_value h));
-                  ("max", json_float (Histogram.max_value h));
-                  ("buckets", Json.List buckets);
-                ] )
-      | _ -> None)
-  in
-  Json.Obj
-    [
-      ("counters", Json.Obj counters);
-      ("gauges", Json.Obj gauges);
-      ("fcounters", Json.Obj fcounters);
-      ("histograms", Json.Obj histograms);
-    ]
-
-let to_text t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (n, m) ->
-      match m with
-      | C c -> Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Counter.value c))
-      | G g -> Buffer.add_string buf (Printf.sprintf "%s %g\n" n (Gauge.value g))
-      | F f ->
-          Buffer.add_string buf (Printf.sprintf "%s %g\n" n (Fcounter.value f))
-      | H h ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s{count=%d,min=%g,max=%g}\n" n
-               (Histogram.count h) (Histogram.min_value h)
-               (Histogram.max_value h)))
-    (sorted_items t);
-  Buffer.contents buf

@@ -109,14 +109,5 @@ type snapshot_value =
 
 val snapshot : t -> (string * snapshot_value) list
 (** A typed point-in-time view of every registered metric, name-sorted —
-    the single structure the exporters (JSON, OpenMetrics text
-    exposition, run.json) consume. *)
-
-val to_json : t -> Json.t
-(** [{"counters": {...}, "gauges": {...}, "fcounters": {...},
-     "histograms": {name: {count, min, max, buckets: [[ub, n], ...]}}}],
-    keys sorted for determinism. *)
-
-val to_text : t -> string
-(** One ["name value"] line per metric, sorted; histograms render as
-    [name{count,min,max}]. *)
+    the single metrics representation: both exporters (the OpenMetrics
+    text exposition and run.json) consume it. *)

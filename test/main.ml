@@ -12,7 +12,6 @@ let () =
       ("checkpoint", Test_checkpoint.suite);
       ("obs", Test_obs.suite);
       ("analyze", Test_analyze.suite);
-      ("vcd", Test_vcd.suite);
       ("fault", Test_fault.suite);
       ("fsim", Test_fsim.suite);
       ("scoap", Test_scoap.suite);
@@ -35,4 +34,5 @@ let () =
       ("dictionary", Test_dictionary.suite);
       ("sca", Test_sca.suite);
       ("serve", Test_serve.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -98,21 +98,6 @@ let test_inverting_matches_eval () =
       | _ -> ())
     Gate.all
 
-let test_dval_calculus () =
-  let check name expected got =
-    Alcotest.check (Alcotest.testable Dval.pp Dval.equal) name expected got
-  in
-  check "and(d, 1) = d" Dval.d (Dval.eval Gate.And [| Dval.d; Dval.one |]);
-  check "and(d, 0) = 0" Dval.zero (Dval.eval Gate.And [| Dval.d; Dval.zero |]);
-  check "not d = d'" Dval.dbar (Dval.bnot Dval.d);
-  check "xor(d, d) = 0" Dval.zero (Dval.eval Gate.Xor [| Dval.d; Dval.d |]);
-  check "xor(d, d') = 1" Dval.one (Dval.eval Gate.Xor [| Dval.d; Dval.dbar |]);
-  Alcotest.(check bool) "d is effect" true (Dval.is_fault_effect Dval.d);
-  Alcotest.(check bool) "x is not effect" false (Dval.is_fault_effect Dval.x);
-  Alcotest.(check bool)
-    "and(d, x) undetermined" true
-    (Dval.has_x (Dval.eval Gate.And [| Dval.d; Dval.x |]))
-
 (* The packed 2-bit calculus agrees with V3 on every operand pair, and
    [detects] is exactly complementary-binary disagreement. *)
 let test_v3b_agrees_with_v3 () =
@@ -172,7 +157,6 @@ let suite =
     Alcotest.test_case "gate truth tables" `Quick test_gate_eval_truth_tables;
     Alcotest.test_case "controlling values" `Quick test_controlling_values;
     Alcotest.test_case "inversion parity" `Quick test_inverting_matches_eval;
-    Alcotest.test_case "d calculus" `Quick test_dval_calculus;
     Alcotest.test_case "v3b packed calculus" `Quick test_v3b_agrees_with_v3;
     Alcotest.test_case "gate name roundtrip" `Quick test_gate_string_roundtrip;
   ]

@@ -113,40 +113,6 @@ let prop_monotone =
       let before = out base and after = out refined in
       Array.for_all2 (fun a b -> V3.refines a b) after before)
 
-(* The event-driven engine matches the sweep engine cycle for cycle on
-   random circuits and stimuli. *)
-let prop_event_sim_equivalent =
-  Q.Test.make ~name:"event-driven simulation matches sweep simulation" ~count:25
-    (Q.map Int64.of_int (Q.int_bound 1000000))
-    (fun seed ->
-      let c = Helpers.small_seq_circuit ~gates:120 ~ffs:8 seed in
-      let rng = Fst_gen.Rng.create (Int64.add seed 5L) in
-      let sweep = Sim.create c in
-      let ev = Event_sim.create c in
-      let ok = ref true in
-      for _ = 1 to 12 do
-        Array.iter
-          (fun pi ->
-            let v =
-              match Fst_gen.Rng.int rng 3 with
-              | 0 -> V3.Zero
-              | 1 -> V3.One
-              | _ -> V3.X
-            in
-            Sim.set_input c sweep pi v;
-            Event_sim.set_input ev pi v)
-          c.Circuit.inputs;
-        Sim.eval_comb c sweep;
-        Event_sim.settle ev;
-        for net = 0 to Circuit.num_nets c - 1 do
-          if not (V3.equal (Sim.value sweep net) (Event_sim.value ev net)) then
-            ok := false
-        done;
-        Sim.clock c sweep;
-        Event_sim.clock ev
-      done;
-      !ok)
-
 (* A random stimulus of [cycles] cycles over the primary inputs. *)
 let random_stim rng (c : Circuit.t) cycles =
   Array.init cycles (fun _ ->
@@ -227,24 +193,11 @@ let prop_packed_trace_matches_scalar =
         blocks;
       !ok)
 
-let test_event_sim_activity () =
-  (* A stable circuit processes no events once settled. *)
-  let c, si, _ = shift3 () in
-  let ev = Event_sim.create c in
-  Event_sim.set_input ev si V3.One;
-  Event_sim.settle ev;
-  let before = Event_sim.events ev in
-  Event_sim.set_input ev si V3.One (* no change *);
-  Event_sim.settle ev;
-  Alcotest.(check int) "no new events" before (Event_sim.events ev)
-
 let suite =
   [
     Alcotest.test_case "shift register" `Quick test_shift_register;
-    Helpers.qcheck prop_event_sim_equivalent;
     Helpers.qcheck prop_compiled_equals_interpreted;
     Helpers.qcheck prop_packed_trace_matches_scalar;
-    Alcotest.test_case "event-driven activity" `Quick test_event_sim_activity;
     Alcotest.test_case "comb eval" `Quick test_comb_eval;
     Alcotest.test_case "const nets" `Quick test_const_nets;
     Alcotest.test_case "set_input guard" `Quick test_set_input_guard;
