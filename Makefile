@@ -2,7 +2,7 @@
 
 .PHONY: all build test check static-check lint-smoke bench-smoke \
   perf-smoke degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
-  engine-matrix chaos-smoke analyze-smoke sca-smoke serve-smoke clean
+  chaos-smoke analyze-smoke sca-smoke serve-smoke clean
 
 all: build
 
@@ -18,8 +18,8 @@ test:
 # example netlist, and exercise the budget-degradation, checkpoint/resume,
 # and observability CLI paths.
 check: static-check build test lint-smoke bench-smoke perf-smoke \
-  degradation-smoke resume-smoke obs-smoke noop-sink-smoke engine-matrix \
-  chaos-smoke analyze-smoke sca-smoke serve-smoke
+  degradation-smoke resume-smoke obs-smoke noop-sink-smoke chaos-smoke \
+  analyze-smoke sca-smoke serve-smoke
 
 # Type-check every library and executable (including ones @default would
 # skip); the dev env stanza promotes warnings to errors. Fault simulation
@@ -127,28 +127,6 @@ noop-sink-smoke: build
 	  { echo "noop-sink-smoke: instrumented report differs"; \
 	    rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "noop-sink-smoke: OK"
-
-# Every fault-simulation back-end must print the identical flow report
-# (timing lines filtered) on a real example and on a generated mid-size
-# circuit: the engine selector is a pure performance knob.
-engine-matrix: build
-	@tmp=`mktemp -d`; \
-	$(FST_EXE) gen --gates 400 --ffs 24 -o $$tmp/gen.net > /dev/null; \
-	for f in examples/data/counter4.net $$tmp/gen.net; do \
-	  for e in serial parallel event auto; do \
-	    $(FST_EXE) flow $$f -c 1 -j 1 --engine $$e | grep -v "CPU" \
-	      > $$tmp/`basename $$f`.$$e.txt || \
-	      { echo "engine-matrix: $$f --engine $$e failed"; \
-	        rm -rf $$tmp; exit 1; }; \
-	  done; \
-	  for e in parallel event auto; do \
-	    diff $$tmp/`basename $$f`.serial.txt $$tmp/`basename $$f`.$$e.txt || \
-	      { echo "engine-matrix: $$f: $$e differs from serial"; \
-	        rm -rf $$tmp; exit 1; }; \
-	  done; \
-	  echo "engine-matrix: `basename $$f` identical across engines"; \
-	done; \
-	rm -rf $$tmp; echo "engine-matrix: OK"
 
 # Seeded chaos injection under --keep-going must still produce a full
 # report whose buckets partition the hard faults (the flow self-checks

@@ -26,25 +26,6 @@ type completed = { prep : prepared; flow : Flow.result }
 let scale = Fst_gen.Suite.scale_from_env ()
 let flow_config = Config.(default |> with_dist_floor_scale scale)
 
-(* [--engine NAME] after the subcommand picks the fault-sim engine for the
-   multicore benchmark columns (and is stamped into the BENCH_*.json docs). *)
-let bench_engine =
-  lazy
-    (let rec find i =
-       if i >= Array.length Sys.argv - 1 then None
-       else if Sys.argv.(i) = "--engine" then Some Sys.argv.(i + 1)
-       else find (i + 1)
-     in
-     match find 1 with
-     | None -> `Auto
-     | Some name -> (
-       match Config.engine_of_string name with
-       | Some e -> e
-       | None ->
-         failwith
-           (Printf.sprintf "unknown engine %S (expected one of %s)" name
-              (String.concat "|" Config.engine_names))))
-
 let prepare (entry : Fst_gen.Suite.entry) =
   let before = Fst_gen.Gen.generate entry.Fst_gen.Suite.profile in
   let scanned, config =
@@ -672,9 +653,9 @@ let ablate_rtpg () =
 (* ------------------------------------------------------------------ *)
 (* Fault-simulation engine comparison, recorded as BENCH_fsim.json so  *)
 (* the perf trajectory is tracked across PRs. serial/event/parallel    *)
-(* are timed on the SAME one-group fault subset at jobs=1 — so         *)
-(* parallel_s <= serial_s is an apples-to-apples invariant — while the *)
-(* Auto engine runs the full collapsed fault set at jobs=1 and jobs=N. *)
+(* are called directly on the SAME one-group fault subset at jobs=1 —  *)
+(* so parallel_s <= serial_s is an apples-to-apples invariant — while  *)
+(* Fsim.Engine ("auto") runs the full fault set at jobs=1 and jobs=N.  *)
 (* [fsim --check] re-measures and fails on a >20% serial/event         *)
 (* regression against the committed file or any parallel_s > serial_s. *)
 (* ------------------------------------------------------------------ *)
@@ -754,15 +735,15 @@ let fsim_measure ~jobs ~with_auto =
         let serial_faults =
           Array.sub faults 0 (min (Array.length faults) F.Parallel.max_group)
         in
-        let one engine =
+        let one (module E : F.ENGINE) =
           wall (fun () ->
-              F.Engine.detect_dropping ~engine ~jobs:1 prep.scanned
-                ~faults:serial_faults ~observe ~stimuli)
+              E.detect_dropping prep.scanned ~faults:serial_faults ~observe
+                ~stimuli)
         in
-        let rs, serial_s = one `Serial in
-        let re, event_s = one `Event in
+        let rs, serial_s = one (module F.Serial) in
+        let re, event_s = one (module F.Event) in
         if rs <> re then failwith (name ^ ": event fsim diverged from serial");
-        let rp, parallel_s = one `Parallel in
+        let rp, parallel_s = one (module F.Parallel) in
         if rs <> rp then
           failwith (name ^ ": parallel fsim diverged from serial");
         let auto1_s, autoj_s =
@@ -770,9 +751,8 @@ let fsim_measure ~jobs ~with_auto =
           else begin
             let full j =
               wall (fun () ->
-                  F.Engine.detect_dropping
-                    ~engine:(Lazy.force bench_engine) ~jobs:j prep.scanned
-                    ~faults ~observe ~stimuli)
+                  F.Engine.detect_dropping ~jobs:j prep.scanned ~faults
+                    ~observe ~stimuli)
             in
             let r1, auto1_s = full 1 in
             let rn, autoj_s = full jobs in
@@ -823,13 +803,13 @@ let fsim_measure ~jobs ~with_auto =
     let observe = prep.scanned.Circuit.outputs in
     let rs, ser =
       wall (fun () ->
-          Fst_fsim.Fsim.Engine.detect_dropping ~engine:`Serial ~jobs:1
-            prep.scanned ~faults:short ~observe ~stimuli)
+          Fst_fsim.Fsim.Serial.detect_dropping prep.scanned ~faults:short
+            ~observe ~stimuli)
     in
     let re, ev =
       wall (fun () ->
-          Fst_fsim.Fsim.Engine.detect_dropping ~engine:`Event ~jobs:1
-            prep.scanned ~faults:short ~observe ~stimuli)
+          Fst_fsim.Fsim.Event.detect_dropping prep.scanned ~faults:short
+            ~observe ~stimuli)
     in
     if rs <> re then failwith (name ^ ": event fsim diverged from serial");
     (name, n, max_cone, ser, ev)
@@ -842,10 +822,8 @@ let fsim_bench () =
   let t =
     Table.create
       ~title:
-        (Printf.sprintf
-           "Fault-simulation engines (engine=%s; serial/event/parallel on \
-            one 62-fault group at jobs=1, auto on the full set)"
-           (Config.engine_to_string (Lazy.force bench_engine)))
+        "Fault-simulation engines (serial/event/parallel on one 62-fault \
+         group at jobs=1, auto on the full set)"
       [
         ("name", Table.Left);
         ("#faults", Table.Right);
@@ -882,9 +860,8 @@ let fsim_bench () =
     (la_ser /. Float.max 1e-9 la_ev);
   let oc = open_out "BENCH_fsim.json" in
   Printf.fprintf oc
-    "{\n  \"scale\": %.3f,\n  \"jobs\": %d,\n  \"engine\": %S,\n  \"circuits\": ["
-    scale jobs
-    (Config.engine_to_string (Lazy.force bench_engine));
+    "{\n  \"scale\": %.3f,\n  \"jobs\": %d,\n  \"circuits\": ["
+    scale jobs;
   List.iteri
     (fun i r ->
       Printf.fprintf oc
@@ -1046,9 +1023,7 @@ let flow_bench () =
     let metrics = M.create () in
     let sink = Fst_obs.Sink.create ~metrics () in
     let cfg =
-      Config.(
-        flow_config |> with_jobs jobs |> with_sink sink
-        |> with_engine (Lazy.force bench_engine))
+      Config.(flow_config |> with_jobs jobs |> with_sink sink)
     in
     let t0 = Unix.gettimeofday () in
     let flow = Flow.run ~config:cfg prep.scanned prep.config in
@@ -1138,7 +1113,6 @@ let flow_bench () =
       [
         ("scale", J.Float scale);
         ("jobs", J.Int jobs);
-        ("engine", J.String (Config.engine_to_string (Lazy.force bench_engine)));
         ( "circuits",
           J.List
             (List.map
@@ -1580,7 +1554,7 @@ let usage () =
   print_endline
     "usage: main.exe \
      [table1|table2|table3|fig5|ablate-alt|ablate-dist|ablate-trunc|ablate-order|ablate-compact|ablate-rtpg|coverage|fsim|flow|sca|serve|micro|all] \
-     [--engine NAME] [fsim --check]"
+     [fsim --check]"
 
 let () =
   let target = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

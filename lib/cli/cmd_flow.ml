@@ -9,7 +9,6 @@ let spec =
         Common.name_arg;
         Common.scale_arg;
         Common.chains_arg;
-        Common.engine_arg;
         Common.jobs_arg;
         Spec.value_arg [ "--time-budget" ] ~docv:"S"
           ~doc:"Wall-clock budget for the whole flow, in seconds. When a \
@@ -51,8 +50,8 @@ let spec =
                 timelines, abort accounting) for fst analyze.";
         Spec.flag_arg [ "--no-sca" ]
           ~doc:"Disable phase-0 static analysis: no statically-proven \
-                untestable bucket and no implication hints for PODEM. \
-                Every hard fault goes through ATPG, as in the seed flow.";
+                untestable bucket. Every hard fault goes through ATPG, as \
+                in the seed flow.";
       ]
     ~pos:Common.file_pos ()
 
@@ -118,19 +117,14 @@ let run p =
     | false, false -> None
   in
   let cfg =
-    Common.or_die
-      (Config.of_cli ~engine:(Common.get_engine p)
-         ~jobs:(Spec.int p "--jobs" ~default:0)
-         ~scale
-         ?time_budget:(Spec.float_opt p "--time-budget")
-         ?on_error
-         ~preflight:(Spec.flag p "--preflight")
-         ~sink ())
-  in
-  let cfg =
-    if Spec.flag p "--no-sca" then
-      Config.(cfg |> with_sca_prune false |> with_sca_implications false)
-    else cfg
+    Config.of_cli
+      ~jobs:(Spec.int p "--jobs" ~default:0)
+      ~scale
+      ?time_budget:(Spec.float_opt p "--time-budget")
+      ?on_error
+      ~preflight:(Spec.flag p "--preflight")
+      ~sink ()
+    |> Config.with_sca_prune (not (Spec.flag p "--no-sca"))
   in
   let checkpoint = Spec.string_opt p "--checkpoint" in
   let resume = Spec.flag p "--resume" in

@@ -11,14 +11,13 @@ let spec =
           Common.name_arg;
           Common.scale_arg;
           Common.chains_arg;
-          Common.engine_arg;
           Common.jobs_arg;
           Spec.value_arg [ "--kind" ] ~docv:"KIND"
             ~doc:"Job kind: flow (default), lint, or sca.";
           Spec.value_arg [ "--config" ] ~docv:"PATH"
             ~doc:"Flow configuration as a Config JSON file (the format \
                   printed by flow event logs); overrides \
-                  --engine/-j/--time-budget/--scale.";
+                  -j/--time-budget/--scale.";
           Spec.value_arg [ "--time-budget" ] ~docv:"S"
             ~doc:"Wall-clock budget for the job, in seconds (the daemon \
                   may cap it further).";
@@ -91,12 +90,11 @@ let config_of p =
        ship its canonical JSON — the server re-reads it with
        Config.of_json, the exact inverse. *)
     let cfg =
-      Common.or_die
-        (Fst_core.Config.of_cli ~engine:(Common.get_engine p)
-           ~jobs:(Spec.int p "--jobs" ~default:0)
-           ~scale:(Spec.float p "--scale" ~default:1.0)
-           ?time_budget:(Spec.float_opt p "--time-budget")
-           ())
+      Fst_core.Config.of_cli
+        ~jobs:(Spec.int p "--jobs" ~default:0)
+        ~scale:(Spec.float p "--scale" ~default:1.0)
+        ?time_budget:(Spec.float_opt p "--time-budget")
+        ()
     in
     Fst_core.Config.to_json cfg
 

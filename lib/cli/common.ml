@@ -81,13 +81,6 @@ let jobs_arg =
     ~doc:"Domains for fault simulation and grouped sequential ATPG (0 = one \
           per recommended core; 1 = single-core flow)."
 
-let engine_arg =
-  Spec.value_arg [ "--engine" ] ~docv:"ENGINE"
-    ~doc:"Fault-simulation engine: serial (one faulty machine at a time), \
-          parallel (62-way bit-parallel), event (event-driven incremental \
-          on a shared good trace), or auto (per fault by static fanout-cone \
-          size). Every choice computes identical results."
-
 let file_pos =
   Spec.Pos
     { docv = "FILE"; doc = "Netlist file (ISCAS'89-like syntax).";
@@ -97,10 +90,3 @@ let file_pos_required =
   Spec.Pos
     { docv = "FILE"; doc = "Netlist file (ISCAS'89-like syntax).";
       required = true; all = false }
-
-let get_engine p =
-  let e = Option.value ~default:"auto" (Spec.string_opt p "--engine") in
-  if List.mem e Fst_core.Config.engine_names then e
-  else
-    Spec.usage_error "unknown engine %S (expected one of: %s)" e
-      (String.concat ", " Fst_core.Config.engine_names)

@@ -32,9 +32,5 @@ val name_arg : Spec.arg
 val chains_arg : Spec.arg
 val out_arg : Spec.arg
 val jobs_arg : Spec.arg
-val engine_arg : Spec.arg
 val file_pos : Spec.pos
 val file_pos_required : Spec.pos
-
-(** [engine] validated against {!Fst_core.Config.engine_names}. *)
-val get_engine : Spec.parsed -> string

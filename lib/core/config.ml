@@ -3,11 +3,9 @@ module Budget = Fst_exec.Budget
 module Sink = Fst_obs.Sink
 module Json = Fst_obs.Json
 
-type engine = Fst_fsim.Fsim.selector
 type on_error = [ `Fail_fast | `Keep_going ]
 
 type t = {
-  engine : engine;
   jobs : int;
   dist_floor_scale : float;
   comb_backtrack : int;
@@ -16,17 +14,11 @@ type t = {
   frames : int list;
   final_frames : int list;
   truncate_blocks : float option;
-  capture_curve : bool;
   random_blocks : int;
   random_seed : int64;
-  weighted_random : bool;
   seq_fault_seconds : float;
   final_fault_seconds : float;
-  scan_backtrack : int;
-  scan_random_blocks : int;
-  scan_random_seed : int64;
   sca_prune : bool;
-  sca_implications : bool;
   time_budget : float option;
   on_error : on_error;
   sink : Sink.t;
@@ -35,7 +27,6 @@ type t = {
 
 let default =
   {
-    engine = `Auto;
     jobs = Pool.default_jobs ();
     dist_floor_scale = 1.0;
     comb_backtrack = 200;
@@ -44,24 +35,17 @@ let default =
     frames = [ 1; 2; 4 ];
     final_frames = [ 1; 2; 4; 8 ];
     truncate_blocks = None;
-    capture_curve = true;
     random_blocks = 32;
     random_seed = 0x5EEDL;
-    weighted_random = false;
     seq_fault_seconds = 0.5;
     final_fault_seconds = 2.0;
-    scan_backtrack = 200;
-    scan_random_blocks = 32;
-    scan_random_seed = 0xCAFEL;
     sca_prune = true;
-    sca_implications = false;
     time_budget = None;
     on_error = `Fail_fast;
     sink = Sink.null;
     preflight = false;
   }
 
-let with_engine engine t = { t with engine }
 let with_jobs jobs t = { t with jobs = max 1 jobs }
 let with_dist_floor_scale dist_floor_scale t = { t with dist_floor_scale }
 let with_comb_backtrack comb_backtrack t = { t with comb_backtrack }
@@ -70,42 +54,18 @@ let with_final_backtrack final_backtrack t = { t with final_backtrack }
 let with_frames frames t = { t with frames }
 let with_final_frames final_frames t = { t with final_frames }
 let with_truncate_blocks truncate_blocks t = { t with truncate_blocks }
-let with_capture_curve capture_curve t = { t with capture_curve }
 let with_random_blocks random_blocks t = { t with random_blocks }
 let with_random_seed random_seed t = { t with random_seed }
-let with_weighted_random weighted_random t = { t with weighted_random }
 let with_seq_fault_seconds seq_fault_seconds t = { t with seq_fault_seconds }
 
 let with_final_fault_seconds final_fault_seconds t =
   { t with final_fault_seconds }
 
-let with_scan_backtrack scan_backtrack t = { t with scan_backtrack }
-
-let with_scan_random_blocks scan_random_blocks t =
-  { t with scan_random_blocks }
-
-let with_scan_random_seed scan_random_seed t = { t with scan_random_seed }
 let with_sca_prune sca_prune t = { t with sca_prune }
-let with_sca_implications sca_implications t = { t with sca_implications }
 let with_time_budget time_budget t = { t with time_budget }
 let with_on_error on_error t = { t with on_error }
 let with_sink sink t = { t with sink }
 let with_preflight preflight t = { t with preflight }
-
-let engine_to_string : engine -> string = function
-  | `Serial -> "serial"
-  | `Parallel -> "parallel"
-  | `Event -> "event"
-  | `Auto -> "auto"
-
-let engine_of_string = function
-  | "serial" -> Some `Serial
-  | "parallel" -> Some `Parallel
-  | "event" -> Some `Event
-  | "auto" -> Some `Auto
-  | _ -> None
-
-let engine_names = [ "serial"; "parallel"; "event"; "auto" ]
 
 let on_error_to_string : on_error -> string = function
   | `Fail_fast -> "fail-fast"
@@ -117,10 +77,9 @@ let on_error_of_string = function
   | _ -> None
 
 (* The semantic fingerprint covers exactly the knobs that change what a
-   flow computes. Engine (every back-end is result-identical), jobs
-   (step-2 identical, step-3 totals identical), sink/preflight (pure
-   observers) and time_budget/on_error (degradation policy) are all
-   excluded, so a cached artifact produced by any engine at any
+   flow computes. Jobs (step-2 identical, step-3 totals identical),
+   sink/preflight (pure observers) and time_budget/on_error (degradation
+   policy) are all excluded, so a cached artifact produced at any
    parallelism satisfies a lookup from any other. *)
 let fingerprint t =
   let key =
@@ -131,13 +90,9 @@ let fingerprint t =
       t.frames,
       t.final_frames,
       t.truncate_blocks,
-      (t.capture_curve, t.random_blocks, t.random_seed, t.weighted_random),
-      ( t.seq_fault_seconds,
-        t.final_fault_seconds,
-        t.scan_backtrack,
-        t.scan_random_blocks,
-        t.scan_random_seed ),
-      (t.sca_prune, t.sca_implications) )
+      (t.random_blocks, t.random_seed),
+      (t.seq_fault_seconds, t.final_fault_seconds),
+      t.sca_prune )
   in
   Digest.to_hex (Digest.string (Marshal.to_string key []))
 
@@ -146,40 +101,31 @@ let budget t =
   | None -> Budget.unlimited
   | Some s -> Budget.of_seconds s
 
-let of_cli ?(engine = "auto") ?(jobs = 0) ?(scale = 1.0) ?time_budget
-    ?on_error ?(preflight = false) ?(sink = Sink.null) () =
-  match engine_of_string engine with
-  | None ->
-    Error
-      (Printf.sprintf "unknown engine %S (expected one of: %s)" engine
-         (String.concat ", " engine_names))
-  | Some e ->
-    let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
-    (* Budgeted runs default to keep-going: a run that is already
-       prepared to ship partial coverage under a deadline should not
-       throw the partial result away over one poison fault group. An
-       explicit flag always wins. *)
-    let on_error =
-      match on_error with
-      | Some p -> p
-      | None -> if time_budget <> None then `Keep_going else `Fail_fast
-    in
-    Ok
-      {
-        default with
-        engine = e;
-        jobs;
-        dist_floor_scale = scale;
-        time_budget;
-        on_error;
-        preflight;
-        sink;
-      }
+let of_cli ?(jobs = 0) ?(scale = 1.0) ?time_budget ?on_error
+    ?(preflight = false) ?(sink = Sink.null) () =
+  let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
+  (* Budgeted runs default to keep-going: a run that is already prepared
+     to ship partial coverage under a deadline should not throw the
+     partial result away over one poison fault group. An explicit flag
+     always wins. *)
+  let on_error =
+    match on_error with
+    | Some p -> p
+    | None -> if time_budget <> None then `Keep_going else `Fail_fast
+  in
+  {
+    default with
+    jobs;
+    dist_floor_scale = scale;
+    time_budget;
+    on_error;
+    preflight;
+    sink;
+  }
 
 let to_json t =
   Json.Obj
     [
-      ("engine", Json.String (engine_to_string t.engine));
       ("jobs", Json.Int t.jobs);
       ("dist_floor_scale", Json.Float t.dist_floor_scale);
       ("comb_backtrack", Json.Int t.comb_backtrack);
@@ -192,18 +138,11 @@ let to_json t =
         match t.truncate_blocks with
         | None -> Json.Null
         | Some f -> Json.Float f );
-      ("capture_curve", Json.Bool t.capture_curve);
       ("random_blocks", Json.Int t.random_blocks);
       ("random_seed", Json.String (Printf.sprintf "0x%Lx" t.random_seed));
-      ("weighted_random", Json.Bool t.weighted_random);
       ("seq_fault_seconds", Json.Float t.seq_fault_seconds);
       ("final_fault_seconds", Json.Float t.final_fault_seconds);
-      ("scan_backtrack", Json.Int t.scan_backtrack);
-      ("scan_random_blocks", Json.Int t.scan_random_blocks);
-      ( "scan_random_seed",
-        Json.String (Printf.sprintf "0x%Lx" t.scan_random_seed) );
       ("sca_prune", Json.Bool t.sca_prune);
-      ("sca_implications", Json.Bool t.sca_implications);
       ( "time_budget",
         match t.time_budget with None -> Json.Null | Some s -> Json.Float s
       );
@@ -256,16 +195,6 @@ let ( let* ) = Result.bind
 
 let set_field t k v =
   match k with
-  | "engine" -> (
-    match v with
-    | Json.String s -> (
-      match engine_of_string s with
-      | Some e -> Ok { t with engine = e }
-      | None ->
-        Error
-          (Printf.sprintf "config: unknown engine %S (expected one of: %s)" s
-             (String.concat ", " engine_names)))
-    | _ -> Error "config: \"engine\" expects a string")
   | "jobs" ->
     let* i = d_int k v in
     Ok (with_jobs i t)
@@ -290,39 +219,21 @@ let set_field t k v =
   | "truncate_blocks" ->
     let* o = d_float_opt k v in
     Ok { t with truncate_blocks = o }
-  | "capture_curve" ->
-    let* b = d_bool k v in
-    Ok { t with capture_curve = b }
   | "random_blocks" ->
     let* i = d_int k v in
     Ok { t with random_blocks = i }
   | "random_seed" ->
     let* s = d_int64 k v in
     Ok { t with random_seed = s }
-  | "weighted_random" ->
-    let* b = d_bool k v in
-    Ok { t with weighted_random = b }
   | "seq_fault_seconds" ->
     let* f = d_float k v in
     Ok { t with seq_fault_seconds = f }
   | "final_fault_seconds" ->
     let* f = d_float k v in
     Ok { t with final_fault_seconds = f }
-  | "scan_backtrack" ->
-    let* i = d_int k v in
-    Ok { t with scan_backtrack = i }
-  | "scan_random_blocks" ->
-    let* i = d_int k v in
-    Ok { t with scan_random_blocks = i }
-  | "scan_random_seed" ->
-    let* s = d_int64 k v in
-    Ok { t with scan_random_seed = s }
   | "sca_prune" ->
     let* b = d_bool k v in
     Ok { t with sca_prune = b }
-  | "sca_implications" ->
-    let* b = d_bool k v in
-    Ok { t with sca_implications = b }
   | "time_budget" ->
     let* o = d_float_opt k v in
     Ok { t with time_budget = o }
@@ -353,7 +264,7 @@ let of_json = function
   | _ -> Error "config: expected a JSON object"
 
 let equal_semantic a b =
-  a.engine = b.engine && a.jobs = b.jobs
+  a.jobs = b.jobs
   && a.dist_floor_scale = b.dist_floor_scale
   && a.comb_backtrack = b.comb_backtrack
   && a.seq_backtrack = b.seq_backtrack
@@ -361,17 +272,11 @@ let equal_semantic a b =
   && a.frames = b.frames
   && a.final_frames = b.final_frames
   && a.truncate_blocks = b.truncate_blocks
-  && a.capture_curve = b.capture_curve
   && a.random_blocks = b.random_blocks
   && a.random_seed = b.random_seed
-  && a.weighted_random = b.weighted_random
   && a.seq_fault_seconds = b.seq_fault_seconds
   && a.final_fault_seconds = b.final_fault_seconds
-  && a.scan_backtrack = b.scan_backtrack
-  && a.scan_random_blocks = b.scan_random_blocks
-  && a.scan_random_seed = b.scan_random_seed
   && a.sca_prune = b.sca_prune
-  && a.sca_implications = b.sca_implications
   && a.time_budget = b.time_budget
   && a.on_error = b.on_error
   && a.preflight = b.preflight

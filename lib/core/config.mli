@@ -1,43 +1,36 @@
 (** One configuration record for the whole flow.
 
-    [Config.t] collapses every knob — the flow and scan-ATPG parameters,
-    the fault-sim engine choice, the wall-clock budget and the
-    observability sink — into a single value built from {!default} with
-    functional [with_*] setters:
+    [Config.t] collapses every knob a caller sets — the flow parameters,
+    the parallelism, the wall-clock budget and the observability sink —
+    into a single value built from {!default} with functional [with_*]
+    setters:
 
     {[
       let cfg =
         Config.(
-          default |> with_jobs 8 |> with_engine `Event
+          default |> with_jobs 8 |> with_seq_backtrack 800
           |> with_time_budget (Some 120.0))
       in
       Flow.run ~config:cfg scanned scan_config
     ]}
 
-    Everything in the record except [sink], [preflight] and [time_budget]
-    is {e semantic}: it changes what the flow computes, and is part of the
-    checkpoint fingerprint ({!Flow.run}). The engine selector is also
-    non-semantic — every engine returns bit-identical results
-    ({!Fst_fsim.Fsim.selector}) — so checkpoints stay valid across engine
-    changes. *)
-
-(** The fault-simulation engine selector ({!Fst_fsim.Fsim.selector}):
-    [`Serial], [`Parallel], [`Event], or [`Auto] (per-fault choice by
-    static cone size). *)
-type engine = Fst_fsim.Fsim.selector
+    Everything in the record except [jobs], [sink], [preflight],
+    [time_budget] and [on_error] is {e semantic}: it changes what the flow
+    computes, and is part of {!fingerprint}.
+    The fault-simulation back-end is not a knob: {!Fst_fsim.Fsim.Engine}
+    picks it per fault, and every back-end returns bit-identical
+    results. *)
 
 (** Failure policy for fault groups and engine calls during a flow:
     [`Fail_fast] (the default) re-raises the first failure after the
     queue drains — exactly the historical contract; [`Keep_going]
     quarantines failed work into the {e failed} bucket of the abort
     accounting and completes everything else, so a poison fault group
-    costs its own coverage and nothing more. Like [engine], this is a
-    policy knob, not a semantic one: it is excluded from the checkpoint
-    fingerprint. *)
+    costs its own coverage and nothing more. This is a policy knob, not a
+    semantic one: it is excluded from the checkpoint fingerprint. *)
 type on_error = [ `Fail_fast | `Keep_going ]
 
 type t = {
-  engine : engine;  (** fault-sim back-end selector (default [`Auto]) *)
   jobs : int;  (** worker domains for fsim/ATPG pools *)
   dist_floor_scale : float;
       (** scales the paper's [LARGE_DIST]/[MED_DIST]/[DIST] floors *)
@@ -48,24 +41,14 @@ type t = {
   final_frames : int list;  (** time-frame ladder, step-3 finals *)
   truncate_blocks : float option;
       (** keep only this fraction of step-2 scan blocks *)
-  capture_curve : bool;  (** record the fault-coverage curve *)
   random_blocks : int;  (** random scan blocks appended in step 2 *)
   random_seed : int64;  (** seed for those blocks *)
-  weighted_random : bool;  (** bias random blocks by SCOAP *)
   seq_fault_seconds : float;  (** per-fault deadline, step-3 groups *)
   final_fault_seconds : float;  (** per-fault deadline, step-3 finals *)
-  scan_backtrack : int;  (** PODEM backtrack limit, {!Scan_atpg} *)
-  scan_random_blocks : int;  (** random capture blocks, {!Scan_atpg} *)
-  scan_random_seed : int64;  (** seed for those blocks *)
   sca_prune : bool;
       (** phase-0 static analysis ({!Fst_sca.Sca}): prune statically
           proven untestable faults before step-2 ATPG (default [true];
           the proven faults land in [Flow.result.untestable_static]) *)
-  sca_implications : bool;
-      (** feed the static implication graph to PODEM as pruning hints
-          (default [false]: hints preserve completeness but can steer
-          PODEM to a different — equally valid — test, so runs are no
-          longer bit-identical to hint-free ones) *)
   time_budget : float option;
       (** whole-flow wall-clock budget in seconds ([None] = unlimited) *)
   on_error : on_error;  (** failure policy (default [`Fail_fast]) *)
@@ -74,10 +57,8 @@ type t = {
 }
 
 (** The defaults every knob documents; identical to the historical
-    flow and scan-ATPG parameter defaults, with [engine = `Auto]. *)
+    flow parameter defaults. *)
 val default : t
-
-val with_engine : engine -> t -> t
 
 (** Clamped to at least 1. *)
 val with_jobs : int -> t -> t
@@ -89,28 +70,15 @@ val with_final_backtrack : int -> t -> t
 val with_frames : int list -> t -> t
 val with_final_frames : int list -> t -> t
 val with_truncate_blocks : float option -> t -> t
-val with_capture_curve : bool -> t -> t
 val with_random_blocks : int -> t -> t
 val with_random_seed : int64 -> t -> t
-val with_weighted_random : bool -> t -> t
 val with_seq_fault_seconds : float -> t -> t
 val with_final_fault_seconds : float -> t -> t
-val with_scan_backtrack : int -> t -> t
-val with_scan_random_blocks : int -> t -> t
-val with_scan_random_seed : int64 -> t -> t
 val with_sca_prune : bool -> t -> t
-val with_sca_implications : bool -> t -> t
 val with_time_budget : float option -> t -> t
 val with_on_error : on_error -> t -> t
 val with_sink : Fst_obs.Sink.t -> t -> t
 val with_preflight : bool -> t -> t
-
-(** CLI spellings of the engine selector: ["serial"], ["parallel"],
-    ["event"], ["auto"]. *)
-val engine_to_string : engine -> string
-
-val engine_of_string : string -> engine option
-val engine_names : string list
 
 (** ["fail-fast"] / ["keep-going"] — the CLI spellings. *)
 val on_error_to_string : on_error -> string
@@ -118,11 +86,11 @@ val on_error_to_string : on_error -> string
 val on_error_of_string : string -> on_error option
 
 (** [fingerprint t] is a stable hex digest of the {e semantic} knobs
-    only — everything that changes what the flow computes. [engine]
-    (result-identical back-ends), [jobs] (result-identical parallelism),
-    [sink]/[preflight] (pure observers) and [time_budget]/[on_error]
-    (degradation policy) are excluded, so two configurations that must
-    produce bit-identical reports share a fingerprint. This is the
+    only — everything that changes what the flow computes. [jobs]
+    (result-identical parallelism), [sink]/[preflight] (pure observers)
+    and [time_budget]/[on_error] (degradation policy) are excluded, so two
+    configurations that must produce bit-identical reports share a
+    fingerprint. This is the
     Config half of the {!Fst_serve.Cache} content address, and the
     Config contribution to the {!Flow} checkpoint fingerprint (which
     additionally ties in [jobs] and the circuit). *)
@@ -139,14 +107,11 @@ val equal_semantic : t -> t -> bool
 val budget : t -> Fst_exec.Budget.t
 
 (** [of_cli ()] builds a configuration from the command-line surface:
-    engine by name, [jobs <= 0] meaning "all cores", the distance-floor
-    [scale], optional time budget, failure policy, preflight flag and
-    sink. When [on_error] is not given it defaults to [`Keep_going] for
+    [jobs <= 0] meaning "all cores", the distance-floor [scale], optional
+    time budget, failure policy, preflight flag and sink. When [on_error] is not given it defaults to [`Keep_going] for
     budgeted runs (a deadline-bound run should ship its partial
-    coverage, not die on one poison group) and [`Fail_fast] otherwise.
-    [Error] on an unknown engine name. *)
+    coverage, not die on one poison group) and [`Fail_fast] otherwise. *)
 val of_cli :
-  ?engine:string ->
   ?jobs:int ->
   ?scale:float ->
   ?time_budget:float ->
@@ -154,9 +119,9 @@ val of_cli :
   ?preflight:bool ->
   ?sink:Fst_obs.Sink.t ->
   unit ->
-  (t, string) result
+  t
 
-(** Every semantic field (plus [engine], [jobs], [time_budget] and
+(** Every semantic field (plus [jobs], [time_budget], [on_error] and
     [preflight]) as JSON — echoed into flow event logs so a result is
     attributable to its configuration. The [sink] itself is not
     serializable and is omitted. *)

@@ -362,7 +362,7 @@ let phase_obs (sink : Sink.t) name f =
 (* --- Step 2: combinational ATPG + sequential fault simulation ---------- *)
 
 let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
-    ~static_flag ~impossible view scoap scanned config ~hard_faults =
+    ~static_flag view scoap scanned config ~hard_faults =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
   let dl = Budget.deadline budget Budget.Step2_atpg in
@@ -388,7 +388,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
              (fun () ->
                Podem.run ~backtrack_limit:cfg.Config.comb_backtrack
                  ~should_abort:(fun () -> Clock.expired dl)
-                 ~scoap ~impossible view ~faults:[ hard_faults.(!i) ])
+                 ~scoap view ~faults:[ hard_faults.(!i) ])
          with
          | Podem.Test assignment, stats ->
            add_podem_stats acct stats;
@@ -438,11 +438,9 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
      the same fault-simulation pass. The free inputs of the scan-mode view
      are exactly the loadable state plus the usable pins. *)
   let random_block rng =
-    let vector =
-      if cfg.Config.weighted_random then Rtpg.weighted rng view
-      else Rtpg.uniform rng view
+    let ff_values, pi_values =
+      split_assignment scanned (Rtpg.uniform rng view)
     in
-    let ff_values, pi_values = split_assignment scanned vector in
     Sequences.of_comb_test scanned config ~ff_values ~pi_values
   in
   let rng = Fst_gen.Rng.create cfg.Config.random_seed in
@@ -467,7 +465,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     rng_state = Fst_gen.Rng.state rng;
   }
 
-let fsim_step2 ~(cfg : Config.t) ~engine ~budget ~acct ~failed_flag
+let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
     ~static_flag scanned ~hard_faults ~(plan : plan) =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
@@ -511,8 +509,8 @@ let fsim_step2 ~(cfg : Config.t) ~engine ~budget ~acct ~failed_flag
         let alive = Array.sub pending 0 !n_pending in
         let faults = Array.map (fun k -> sim_faults.(k)) alive in
         let simulate_block () =
-          Fsim.Engine.detect_all ~obs:sink ~engine ~jobs:cfg.Config.jobs
-            scanned ~faults ~observe:scanned.Circuit.outputs blocks_arr.(!b)
+          Fsim.Engine.detect_all ~obs:sink ~jobs:cfg.Config.jobs scanned
+            ~faults ~observe:scanned.Circuit.outputs blocks_arr.(!b)
         in
         match
           if keep_going then Retry.run simulate_block
@@ -577,21 +575,18 @@ let fsim_step2 ~(cfg : Config.t) ~engine ~budget ~acct ~failed_flag
        | None -> ())
     simulate;
   let curve =
-    if not cfg.Config.capture_curve then [||]
-    else begin
-      let per_block = Array.make (nb + 1) 0 in
-      Array.iter
-        (function
-          | Some (block, _) -> per_block.(block + 1) <- per_block.(block + 1) + 1
-          | None -> ())
-        outcome;
-      let acc = ref 0 in
-      Array.mapi
-        (fun i d ->
-          acc := !acc + d;
-          (i, !acc))
-        per_block
-    end
+    let per_block = Array.make (nb + 1) 0 in
+    Array.iter
+      (function
+        | Some (block, _) -> per_block.(block + 1) <- per_block.(block + 1) + 1
+        | None -> ())
+      outcome;
+    let acc = ref 0 in
+    Array.mapi
+      (fun i d ->
+        acc := !acc + d;
+        (i, !acc))
+      per_block
   in
   let n_detected =
     Array.fold_left (fun a b -> if b then a + 1 else a) 0 detected
@@ -667,7 +662,7 @@ type step3_state = {
 
 (* Fault-simulates a realized sequence against every still-alive remaining
    fault and retires the detections; returns the detected indices. *)
-let retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults ~stim =
+let retire_detections ~sink ~jobs st scanned ~remaining_faults ~stim =
   let alive_ids =
     Hashtbl.fold (fun i () acc -> i :: acc) st.alive [] |> List.sort Int.compare
   in
@@ -675,7 +670,7 @@ let retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults ~stim =
     Array.of_list (List.map (fun i -> remaining_faults.(i)) alive_ids)
   in
   let outcome =
-    Fsim.Engine.detect_all ~obs:sink ~engine ~jobs scanned ~faults:faults_arr
+    Fsim.Engine.detect_all ~obs:sink ~jobs scanned ~faults:faults_arr
       ~observe:scanned.Circuit.outputs stim
   in
   let hits = ref [] in
@@ -711,9 +706,9 @@ let plan_sequence ~sink scanned config ~remaining_faults ~bounds ~positions
   | Seq.Seq_test test, stats ->
     (Some (Sequences.of_seq_test scanned config test), stats)
 
-let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
-    ~failed_flag ~impossible ~progress ~save_progress scanned config ~classify
-    ~hard_index ~remaining ~view ~scoap =
+let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
+    ~progress ~save_progress scanned config ~classify ~hard_index ~remaining
+    ~view ~scoap =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
   let dl3 = Budget.deadline budget Budget.Step3 in
@@ -788,12 +783,12 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
   let retire ~jobs stim =
     if not keep_going then
       ignore
-        (retire_detections ~sink ~engine ~jobs st scanned ~remaining_faults
+        (retire_detections ~sink ~jobs st scanned ~remaining_faults
            ~stim)
     else
       match
         Retry.run (fun () ->
-            retire_detections ~sink ~engine ~jobs st scanned
+            retire_detections ~sink ~jobs st scanned
               ~remaining_faults ~stim)
       with
       | Stdlib.Ok _ -> ()
@@ -904,7 +899,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
                   | Some stim, stats ->
                     add_seq_stats acct stats;
                     ignore
-                      (retire_detections ~sink ~engine ~jobs:1 st scanned
+                      (retire_detections ~sink ~jobs:1 st scanned
                          ~remaining_faults ~stim)
                 end)
               targets);
@@ -1090,7 +1085,7 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
                  (fun () ->
                    Podem.run ~backtrack_limit:cfg.Config.final_backtrack
                      ~should_abort:(fun () -> Clock.expired dl_fin)
-                     ~scoap ~impossible view ~faults:[ fault ])
+                     ~scoap view ~faults:[ fault ])
              with
              | Podem.Untestable, stats ->
                add_podem_stats acct stats;
@@ -1154,7 +1149,6 @@ let run_step3 ~(cfg : Config.t) ~engine ~budget ~acct ~aborted_flag
 let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     ?on_checkpoint ?on_resume scanned config =
   let cfg = match cfg with Some c -> c | None -> Config.default in
-  let engine = cfg.Config.engine in
   let budget =
     match budget with Some b -> b | None -> Config.budget cfg
   in
@@ -1278,45 +1272,30 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
   (* Phase 0 (static): ternary constant propagation, the implication graph
      and the fault-independent untestability proofs ({!Fst_sca.Sca}) over
      the scan-mode model. Pure and deterministic, so the checkpointed
-     summary and a fresh recomputation always agree; the analysis object
-     itself is rebuilt only when the PODEM hints are wanted. *)
-  let sca_enabled = cfg.Config.sca_prune || cfg.Config.sca_implications in
+     summary and a fresh recomputation always agree. *)
   let sca =
-    if not sca_enabled then None
+    if not cfg.Config.sca_prune then None
     else
       match ck.c_sca with
-      | Some s when not cfg.Config.sca_implications -> Some (None, s)
-      | cached ->
+      | Some s -> Some s
+      | None ->
         phase_obs sink "sca" (fun () ->
             let t = Fst_sca.Sca.analyze view ~faults:hard_faults in
-            let static_flag = Array.make n_hard false in
-            if cfg.Config.sca_prune then begin
-              let tbl = Hashtbl.create 64 in
-              List.iter
-                (fun (u : Fst_sca.Sca.untestable) ->
-                  Hashtbl.replace tbl u.Fst_sca.Sca.fault ())
-                t.Fst_sca.Sca.untestable;
-              Array.iteri
-                (fun i f -> if Hashtbl.mem tbl f then static_flag.(i) <- true)
-                hard_faults
-            end;
+            let tbl = Hashtbl.create 64 in
+            List.iter
+              (fun (u : Fst_sca.Sca.untestable) ->
+                Hashtbl.replace tbl u.Fst_sca.Sca.fault ())
+              t.Fst_sca.Sca.untestable;
+            let static_flag = Array.map (Hashtbl.mem tbl) hard_faults in
             let s = { static_flag; sca_stats = t.Fst_sca.Sca.stats } in
-            if cached = None then begin
-              ck.c_sca <- Some s;
-              save "sca"
-            end;
-            Some (Some t, s))
+            ck.c_sca <- Some s;
+            save "sca";
+            Some s)
   in
   let static_flag =
     match sca with
-    | Some (_, s) -> s.static_flag
+    | Some s -> s.static_flag
     | None -> Array.make n_hard false
-  in
-  let impossible =
-    match sca with
-    | Some (Some t, _) when cfg.Config.sca_implications ->
-      Fst_sca.Sca.impossible t
-    | _ -> fun _ _ -> false
   in
   (* Phase 2a: combinational ATPG over the hard faults. *)
   let plan =
@@ -1327,7 +1306,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
           let p =
             plan_step2 ~cfg ~budget ~acct:ck.acct
               ~aborted_flag:ck.aborted_flag ~failed_flag:ck.failed_flag
-              ~static_flag ~impossible view scoap scanned config ~hard_faults
+              ~static_flag view scoap scanned config ~hard_faults
           in
           ck.c_plan <- Some p;
           save "step2-atpg";
@@ -1340,7 +1319,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step2-fsim" (fun () ->
           let step2, remaining =
-            fsim_step2 ~cfg ~engine ~budget ~acct:ck.acct
+            fsim_step2 ~cfg ~budget ~acct:ck.acct
               ~failed_flag:ck.failed_flag ~static_flag scanned ~hard_faults
               ~plan
           in
@@ -1362,9 +1341,9 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step3" (fun () ->
           let step3, undetected_idx, aborted_idx, untestable3_idx =
-            run_step3 ~cfg ~engine ~budget ~acct:ck.acct
+            run_step3 ~cfg ~budget ~acct:ck.acct
               ~aborted_flag:ck.aborted_flag ~failed_flag:ck.failed_flag
-              ~impossible ~progress:ck.c_s3
+              ~progress:ck.c_s3
               ~save_progress:(fun p ->
                 ck.c_s3 <- Some p;
                 save "step3-wave")
@@ -1421,7 +1400,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     set_c "flow.failed_faults" (List.length failed_faults);
     match sca with
     | None -> ()
-    | Some (_, s) ->
+    | Some s ->
       set_c "sca.constants" s.sca_stats.Fst_sca.Sca.constants;
       set_c "sca.implications" s.sca_stats.Fst_sca.Sca.implications;
       set_c "sca.learned" s.sca_stats.Fst_sca.Sca.learned;

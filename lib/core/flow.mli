@@ -142,8 +142,8 @@ type result = {
     executes the flow on an already-scanned circuit.
 
     [config] is the unified {!Config.t} (default {!Config.default}): every
-    flow knob, the fault-simulation engine selector, the wall-clock budget
-    and the observability sink in one value; with a live sink the effective
+    flow knob, the parallelism, the wall-clock budget and the
+    observability sink in one value; with a live sink the effective
     configuration is echoed as a ["config"] event. [jobs = 1] reproduces
     the single-core flow exactly; step-2 results are identical for every
     [jobs] value, and in step 3 [jobs > 1] plans the sequential-ATPG groups

@@ -26,12 +26,14 @@ type result = {
 let functional_view (scanned : Circuit.t) (config : Scan.config) =
   View.scan_mode scanned ~constraints:[ (config.Scan.scan_mode, V3.Zero) ] ()
 
+(* PODEM backtrack limit, and the seeded random capture blocks appended
+   after the deterministic tests. *)
+let backtrack = 200
+let random_blocks = 32
+let random_seed = 0xCAFEL
+
 let run ?(config = Config.default) ?(deadline = Clock.never) scanned
     scan_config ~already_detected =
-  let engine = config.Config.engine in
-  let backtrack = config.Config.scan_backtrack in
-  let random_blocks = config.Config.scan_random_blocks in
-  let random_seed = config.Config.scan_random_seed in
   let jobs = config.Config.jobs in
   let on_error = config.Config.on_error in
   let sink = config.Config.sink in
@@ -110,7 +112,7 @@ let run ?(config = Config.default) ?(deadline = Clock.never) scanned
   let engine_failed = ref false in
   let outcome =
     let simulate () =
-      Fsim.Engine.detect_dropping ~obs:sink ~engine ~jobs scanned
+      Fsim.Engine.detect_dropping ~obs:sink ~jobs scanned
         ~faults:targets ~observe:scanned.Circuit.outputs ~stimuli:blocks
     in
     if not keep_going then simulate ()

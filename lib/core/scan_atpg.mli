@@ -35,13 +35,13 @@ type result = {
 
 (** [run ?config ?deadline scanned config ~already_detected] tests the
     functional logic through the scan chain. [config] is the unified
-    {!Config.t} (default {!Config.default}); this phase reads its
-    [scan_backtrack] / [scan_random_blocks] / [scan_random_seed] knobs plus
-    [engine], [jobs], [on_error] ([`Keep_going] isolates per-fault ATPG
-    failures — the fault lands in [failed] unless another sequence detects
-    it — and retries the fault-simulation pass, quarantining every
-    unproven fault when it permanently fails) and [sink] (a phase span, a
-    progress heartbeat during ATPG, and fault-simulation metrics).
+    {!Config.t} (default {!Config.default}); this phase reads its [jobs],
+    [on_error] ([`Keep_going] isolates per-fault ATPG failures — the fault
+    lands in [failed] unless another sequence detects it — and retries the
+    fault-simulation pass, quarantining every unproven fault when it
+    permanently fails) and [sink] (a phase span, a progress heartbeat
+    during ATPG, and fault-simulation metrics). The PODEM backtrack limit
+    (200) and the 32 random capture blocks (seed [0xCAFE]) are fixed.
     [already_detected] lists faults credited to the chain-testing phase
     (dropped from the target list and counted as covered in {!coverage}).
     A tripped [deadline] (default {!Fst_exec.Clock.never}) skips the

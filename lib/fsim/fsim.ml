@@ -726,7 +726,7 @@ module Parallel = struct
     in
     let groups = (nf + max_group - 1) / max_group in
     (* The union of a seed-sorted group's cones stays within a small
-       multiple of a member cone (same inflation factor as the Auto cost
+       multiple of a member cone (same inflation factor as the {!Engine} cost
        model), capped by the netlist itself. *)
     let union = min cc.Compiled.n_slots (8 * (sum_cones / nf)) in
     sum_cones * max_cycles < groups * union * total_cycles
@@ -989,15 +989,13 @@ module Event = struct
       blocks;
     result
 
-  (* [on_fault] reports per-(fault, block) event and cycle-activity counts
-     — the hook {!Engine} feeds into the [fsim.event.*] histograms. *)
-  let detect_all_stats ?on_fault c ~faults ~observe stim =
+  let detect_all c ~faults ~observe stim =
     let cc = Cc.get c in
     let cstim = Compiled.compile_stim cc stim in
-    run_all ?on_fault (create_ctx cc) ~faults ~obs:(obs_slots cc observe)
+    run_all (create_ctx cc) ~faults ~obs:(obs_slots cc observe)
       (Compiled.trace cc cstim)
 
-  let detect_dropping_stats ?on_fault c ~faults ~observe ~stimuli =
+  let detect_dropping c ~faults ~observe ~stimuli =
     let cc = Cc.get c in
     let blocks =
       Array.of_list
@@ -1007,23 +1005,10 @@ module Event = struct
              (cstim, Compiled.trace cc cstim))
            stimuli)
     in
-    run_dropping ?on_fault (create_ctx cc) ~faults
-      ~obs:(obs_slots cc observe) blocks
-
-  let detect_all c ~faults ~observe stim =
-    detect_all_stats ?on_fault:None c ~faults ~observe stim
-
-  let detect_dropping c ~faults ~observe ~stimuli =
-    detect_dropping_stats ?on_fault:None c ~faults ~observe ~stimuli
+    run_dropping (create_ctx cc) ~faults ~obs:(obs_slots cc observe) blocks
 end
 
 type backend = [ `Serial | `Parallel | `Event ]
-type selector = [ backend | `Auto ]
-
-let engine : backend -> (module ENGINE) = function
-  | `Serial -> (module Serial)
-  | `Parallel -> (module Parallel)
-  | `Event -> (module Event)
 
 module Engine = struct
   module Pool = Fst_exec.Pool
@@ -1066,7 +1051,7 @@ module Engine = struct
               (float_of_int reconv /. float_of_int active))
     end
 
-  (* {2 The [`Auto] cost model}
+  (* {2 The cost model}
 
      All costs are in {e units} of one scalar compiled gate evaluation.
      Per fault over [cycles] simulated cycles:
@@ -1139,7 +1124,7 @@ module Engine = struct
         (c_plane *. union *. float_of_int cycles *. float_of_int groups)
     end
 
-  (* [plan c ~faults ~cycles] is the [`Auto] decision list: faults are
+  (* [plan c ~faults ~cycles] is the decision list: faults are
      split by capped cone size (small cones -> event-driven, large ->
      bit-parallel), then each partition is guarded — if its modeled cost
      exceeds running the same faults serially, it falls back to [`Serial].
@@ -1191,20 +1176,6 @@ module Engine = struct
     let n = (nf + size - 1) / size in
     Array.init n (fun k ->
         Array.sub faults (k * size) (min size (nf - (k * size))))
-
-  (* Modeled cost of running [faults] on an explicitly selected backend —
-     feeds the pool's minimum-work threshold. *)
-  let backend_units c ~backend ~cycles faults =
-    let cc = Cc.get c in
-    match backend with
-    | `Serial -> serial_units cc ~cycles (Array.length faults)
-    | `Event | `Parallel ->
-      let cap = auto_cone_cap c in
-      let sizes = Fault.cone_sizes ~cap c faults in
-      let indices = Array.init (Array.length faults) (fun i -> i) in
-      (match backend with
-       | `Event -> event_units ~cycles sizes indices
-       | `Parallel | `Serial -> parallel_units cc ~cycles sizes indices)
 
   let total_cycles_all stim = Array.length stim
 
@@ -1284,7 +1255,7 @@ module Engine = struct
     in
     run parts |> Array.to_list |> Array.concat
 
-  (* Runs [`Auto]'s planned decisions through [run] and merges the
+  (* Runs the planned decisions through [run] and merges the
      results back into input order. *)
   let run_plan run c ~faults ~cycles =
     match plan c ~faults ~cycles with
@@ -1307,42 +1278,28 @@ module Engine = struct
     match Fst_exec.Chaos.point Fst_exec.Chaos.Engine with
     | `Ok | `Cancel -> ()
 
-  let detect_all ?(obs = Sink.null) ?(engine = `Auto) ?(jobs = 1) c ~faults
-      ~observe stim =
+  let detect_all ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe stim =
     chaos_entry ();
     let jobs = max 1 jobs in
     observe_call obs "detect_all" ~faults (fun () ->
         if Array.length faults = 0 then [||]
         else
-          let cycles = total_cycles_all stim in
-          match (engine : selector) with
-          | #backend as backend ->
-            let work = backend_units c ~backend ~cycles faults in
-            run_detect_all ~obs ~backend ~jobs ~work c ~faults ~observe stim
-          | `Auto ->
-            run_plan
-              (fun backend work fs ->
-                run_detect_all ~obs ~backend ~jobs ~work c ~faults:fs
-                  ~observe stim)
-              c ~faults ~cycles)
+          run_plan
+            (fun backend work fs ->
+              run_detect_all ~obs ~backend ~jobs ~work c ~faults:fs ~observe
+                stim)
+            c ~faults ~cycles:(total_cycles_all stim))
 
-  let detect_dropping ?(obs = Sink.null) ?(engine = `Auto) ?(jobs = 1) c
-      ~faults ~observe ~stimuli =
+  let detect_dropping ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe
+      ~stimuli =
     chaos_entry ();
     let jobs = max 1 jobs in
     observe_call obs "detect_dropping" ~faults (fun () ->
         if Array.length faults = 0 then [||]
         else
-          let cycles = total_cycles_dropping stimuli in
-          match (engine : selector) with
-          | #backend as backend ->
-            let work = backend_units c ~backend ~cycles faults in
-            run_detect_dropping ~obs ~backend ~jobs ~work c ~faults
-              ~observe ~stimuli
-          | `Auto ->
-            run_plan
-              (fun backend work fs ->
-                run_detect_dropping ~obs ~backend ~jobs ~work c ~faults:fs
-                  ~observe ~stimuli)
-              c ~faults ~cycles)
+          run_plan
+            (fun backend work fs ->
+              run_detect_dropping ~obs ~backend ~jobs ~work c ~faults:fs
+                ~observe ~stimuli)
+            c ~faults ~cycles:(total_cycles_dropping stimuli))
 end

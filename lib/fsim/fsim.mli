@@ -11,10 +11,9 @@
     interface: {!Serial} (one faulty machine at a time, the reference),
     {!Parallel} (62 faulty machines per pass, bit-parallel) and {!Event}
     (one fault at a time as a sparse divergence overlay on a shared
-    fault-free trace, event-driven). {!Engine} dispatches on a first-class
-    {!selector} — including [`Auto], which picks a back-end per fault by
-    static cone size — and shards the fault list across a domain pool
-    ({!Fst_exec.Pool}) when [jobs > 1]. *)
+    fault-free trace, event-driven). {!Engine} picks a back-end per fault
+    by static cone size ({!Engine.plan}) and shards the fault list across
+    a domain pool ({!Fst_exec.Pool}) when [jobs > 1]. *)
 
 open Fst_logic
 open Fst_netlist
@@ -103,52 +102,22 @@ end
     the fault's active region inside its static fanout cone
     ({!Fst_fault.Fault.cone}) — a quiescent or reconverged cycle is O(1).
     Detection and dropping semantics are bit-identical to {!Serial}. *)
-module Event : sig
-  include ENGINE
-
-  (** Like {!val:detect_all} / {!val:detect_dropping}, additionally calling
-      [on_fault] once per simulated (fault, block) with the number of gate
-      evaluations ([events]), cycles with any divergence ([active]) and
-      active cycles whose state divergence died out ([reconv]). *)
-
-  val detect_all_stats :
-    ?on_fault:(events:int -> active:int -> reconv:int -> unit) ->
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimulus ->
-    int option array
-
-  val detect_dropping_stats :
-    ?on_fault:(events:int -> active:int -> reconv:int -> unit) ->
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimuli:stimulus list ->
-    (int * int) option array
-end
+module Event : ENGINE
 
 (** A concrete back-end. *)
 type backend = [ `Serial | `Parallel | `Event ]
 
-(** What callers select: a concrete back-end, or [`Auto] — faults are
-    partitioned by static cone size ([`Event] for small cones,
-    [`Parallel] for large), and each partition falls back to [`Serial]
-    if its modeled cost would exceed the serial cost of the same faults
-    (see {!Engine.plan}). Every choice returns identical results; the
-    selector only moves wall-clock time. *)
-type selector = [ backend | `Auto ]
-
-(** [engine b] is the back-end as a first-class {!ENGINE}. *)
-val engine : backend -> (module ENGINE)
-
-(** Engine selection plus multicore dispatch. With [jobs = 1] (the
-    default) these call the chosen back-end(s) directly and behave exactly
-    like them; with [jobs > 1] the fault list is sharded into back-end-sized
-    chunks (whole 62-wide groups for [`Parallel]) that run on a domain
-    pool, and the per-shard results are merged back in input order — the
-    result is identical for every [jobs] value and every {!selector}
-    because faulty machines never interact. *)
+(** Back-end selection plus multicore dispatch. Faults are partitioned by
+    static cone size ([`Event] for small cones, [`Parallel] for large),
+    and each partition falls back to [`Serial] if its modeled cost would
+    exceed the serial cost of the same faults ({!plan}). Every back-end
+    returns identical results, so the choice only moves wall-clock time.
+    With [jobs = 1] (the default) the chosen back-ends run in the caller;
+    with [jobs > 1] the fault list is sharded into back-end-sized chunks
+    (whole 62-wide groups for [`Parallel]) that run on a domain pool, and
+    the per-shard results are merged back in input order — the result is
+    identical for every [jobs] value because faulty machines never
+    interact. *)
 module Engine : sig
   (** With a live [obs] sink each call counts
       [fsim.<entry>.calls] / [.faults], fills a [.call_s] duration
@@ -160,7 +129,7 @@ module Engine : sig
       single branch per call — the inner simulation loops are never
       touched. *)
 
-  (** One [`Auto] scheduling decision: run the faults at [indices] (into
+  (** One scheduling decision: run the faults at [indices] (into
       the caller's fault array) on [backend], at a modeled cost of
       [units] scalar gate evaluations. *)
   type decision = {
@@ -169,7 +138,7 @@ module Engine : sig
     units : int;
   }
 
-  (** [plan c ~faults ~cycles] is the [`Auto] cost model made
+  (** [plan c ~faults ~cycles] is the cost model made
       inspectable: the decision list partitions the fault indices, and
       every decision's modeled [units] is guaranteed not to exceed the
       modeled serial cost of the same faults — a partition whose
@@ -183,7 +152,6 @@ module Engine : sig
 
   val detect_all :
     ?obs:Fst_obs.Sink.t ->
-    ?engine:selector ->
     ?jobs:int ->
     Circuit.t ->
     faults:Fault.t array ->
@@ -193,7 +161,6 @@ module Engine : sig
 
   val detect_dropping :
     ?obs:Fst_obs.Sink.t ->
-    ?engine:selector ->
     ?jobs:int ->
     Circuit.t ->
     faults:Fault.t array ->

@@ -6,7 +6,7 @@
     rendering, the scan-chain count, the {!Fst_core.Config.fingerprint}
     of the semantic configuration, and the artifact kind. Two users
     submitting the same circuit with configs that differ only in
-    engine/jobs/sink/budget knobs hash to the same key, so the second
+    jobs/sink/budget knobs hash to the same key, so the second
     submit is served without re-running anything; any semantic config
     edit or any netlist edit (beyond comments/whitespace, which the
     canonical rendering strips) changes the key.

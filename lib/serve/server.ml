@@ -18,9 +18,12 @@ type conn = {
   mutable alive : bool;
 }
 
-let send_line conn line =
+(* [still] is checked under the connection's write lock, right before the
+   frame goes out: a frame whose reason lapsed while it waited for the lock
+   is dropped. *)
+let send_line ?(still = fun () -> true) conn line =
   Mutex.lock conn.wlock;
-  (if conn.alive then
+  (if conn.alive && still () then
      try
        output_string conn.oc line;
        output_char conn.oc '\n';
@@ -28,7 +31,7 @@ let send_line conn line =
      with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false);
   Mutex.unlock conn.wlock
 
-let send conn json = send_line conn (Json.to_string json)
+let send ?still conn json = send_line ?still conn (Json.to_string json)
 
 (* --- jobs -------------------------------------------------------------- *)
 
@@ -79,7 +82,7 @@ let create ?(workers = 1) ?jobs_cap ?job_budget ?cache ?(hb_interval = 1.0)
        | None -> Fst_exec.Pool.default_jobs ());
     job_budget;
     served_cache = (match cache with Some c -> c | None -> Cache.create ());
-    hb_interval = Float.max 0.05 hb_interval;
+    hb_interval = Float.max 1e-4 hb_interval;
     log;
     lock = Mutex.create ();
     wake = Condition.create ();
@@ -540,35 +543,37 @@ let serve_conn t fd =
 
 (* --- heartbeats --------------------------------------------------------- *)
 
+(* A heartbeat is written only while its job is still [Running], checked
+   under the connection's write lock: [finish] marks the job terminal
+   before it sends the result frame, so no heartbeat can follow that frame
+   onto the connection. Lock order is write lock, then [t.lock]; nothing
+   takes a write lock while holding [t.lock]. *)
 let rec heartbeat_loop t =
   Thread.delay t.hb_interval;
-  let stop =
-    let running =
-      locked t (fun () ->
-          if t.stop then None
-          else
-            Some
-              (Hashtbl.fold
-                 (fun _ job acc ->
-                   match (job.state, job.subscriber) with
-                   | Protocol.Running, Some conn when job.submit.Protocol.wait
-                     ->
-                     (job.id, job.started_at, conn) :: acc
-                   | _ -> acc)
-                 t.jobs []))
-    in
-    match running with
-    | None -> true
-    | Some jobs ->
-      List.iter
-        (fun (id, started, conn) ->
-          send conn
-            (Protocol.heartbeat ~job:id ~state:Protocol.Running
-               ~elapsed_s:(Clock.now () -. started)))
-        jobs;
-      false
+  let running =
+    locked t (fun () ->
+        if t.stop then None
+        else
+          Some
+            (Hashtbl.fold
+               (fun _ job acc ->
+                 match (job.state, job.subscriber) with
+                 | Protocol.Running, Some conn when job.submit.Protocol.wait ->
+                   (job, conn) :: acc
+                 | _ -> acc)
+               t.jobs []))
   in
-  if not stop then heartbeat_loop t
+  match running with
+  | None -> ()
+  | Some jobs ->
+    List.iter
+      (fun (job, conn) ->
+        send conn
+          ~still:(fun () -> locked t (fun () -> job.state = Protocol.Running))
+          (Protocol.heartbeat ~job:job.id ~state:Protocol.Running
+             ~elapsed_s:(Clock.now () -. job.started_at)))
+      jobs;
+    heartbeat_loop t
 
 (* --- listener ----------------------------------------------------------- *)
 

@@ -31,8 +31,9 @@ type t
     which is clamped to [jobs_cap] (default
     {!Fst_exec.Pool.default_jobs}[ ()]). [job_budget] caps every job's
     wall-clock budget in seconds (a client asking for more, or for no
-    budget at all, gets this cap). [hb_interval] (default 1s) paces the
-    heartbeat frames of waiting submits. [log], when given, receives
+    budget at all, gets this cap). [hb_interval] (default 1s, at least
+    1e-4 s) paces the heartbeat frames of waiting submits; no heartbeat
+    follows a job's result frame. [log], when given, receives
     one server-side event per job transition ([job_submitted],
     [job_started], [job_done], [cache_hit], ...) — the daemon's own
     observability channel, reusing the flow's event-log machinery. *)

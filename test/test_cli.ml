@@ -26,25 +26,36 @@ let run_fst args =
   in
   (code, stderr)
 
-(* [--obs-dir] is the flow's one artifact writer, so [--metrics] is an
-   unknown option: it must fail in the parser with the usage error (exit
-   2, usage line on stderr) before any work starts or any file is
-   written. *)
+(* Removed options fail in the parser with the usage error (exit 2, usage
+   line on stderr) before any work starts, any file is written or any
+   daemon is contacted: [--metrics] ([--obs-dir] is the flow's one
+   artifact writer) and [--engine] (the fault-simulation back-end is
+   picked per fault, not by the caller). *)
 let test_flow_rejects_metrics () =
-  let out = Filename.concat (Filename.get_temp_dir_name ()) "fst-cli-x.json" in
-  let code, stderr =
-    run_fst [ "flow"; "-n"; "s1423"; "--scale"; "0.05"; "--metrics"; out ]
+  let rejects cmd args ~option =
+    let code, stderr = run_fst (cmd :: args) in
+    Alcotest.(check int) (cmd ^ " " ^ option ^ ": usage-error exit code") 2 code;
+    Alcotest.(check bool)
+      ("structured error: " ^ stderr)
+      true
+      (Helpers.contains_substring
+         ~needle:(Printf.sprintf "fst %s: unknown option %s" cmd option)
+         stderr
+      && Helpers.contains_substring ~needle:("usage: fst " ^ cmd) stderr);
+    Alcotest.(check bool) "no exception escaped" false
+      (Helpers.contains_substring ~needle:"exception" stderr)
   in
-  Alcotest.(check int) "usage-error exit code" 2 code;
-  Alcotest.(check bool)
-    ("structured error: " ^ stderr)
-    true
-    (Helpers.contains_substring ~needle:"fst flow: unknown option --metrics"
-       stderr
-    && Helpers.contains_substring ~needle:"usage: fst flow" stderr);
-  Alcotest.(check bool) "no exception escaped" false
-    (Helpers.contains_substring ~needle:"exception" stderr);
-  Alcotest.(check bool) "nothing written" false (Sys.file_exists out)
+  let out = Filename.concat (Filename.get_temp_dir_name ()) "fst-cli-x.json" in
+  rejects "flow"
+    [ "-n"; "s1423"; "--scale"; "0.05"; "--metrics"; out ]
+    ~option:"--metrics";
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists out);
+  rejects "flow"
+    [ "-n"; "s1423"; "--scale"; "0.05"; "--engine"; "auto" ]
+    ~option:"--engine";
+  rejects "submit"
+    [ "-n"; "s1423"; "--scale"; "0.05"; "--engine"; "auto" ]
+    ~option:"--engine"
 
 let suite =
   [

@@ -122,6 +122,21 @@ let random_workload seed =
   in
   (c, chosen, List.init 3 (fun _ -> block ()))
 
+(* Up to two large-cone faults on a small circuit, under random stimuli: a
+   62-lane group would cost more than two serial passes, so
+   {!Fsim.Engine.plan} demotes that partition to [`Serial]. *)
+let demoted_workload () =
+  let c, _, stimuli = random_workload 11L in
+  let universe = Fault.universe c in
+  let sizes = Fault.cone_sizes c universe in
+  let big = ref [] in
+  Array.iteri
+    (fun i s ->
+      if s > max 8 (Circuit.num_nets c / 16) && List.length !big < 2 then
+        big := universe.(i) :: !big)
+    sizes;
+  (c, Array.of_list !big, stimuli)
+
 (* Every back-end implements the same ENGINE semantics: identical
    per-fault detection cycles and drop blocks/cycles on both engine
    operations. [Event] must be bit-identical to [Serial], including where
@@ -139,10 +154,13 @@ let prop_engines_agree =
       in
       ser_all = Fsim.Parallel.detect_all c ~faults:chosen ~observe stim
       && ser_all = Fsim.Event.detect_all c ~faults:chosen ~observe stim
+      && ser_all = Fsim.Engine.detect_all c ~faults:chosen ~observe stim
       && ser_drop
          = Fsim.Parallel.detect_dropping c ~faults:chosen ~observe ~stimuli
       && ser_drop
-         = Fsim.Event.detect_dropping c ~faults:chosen ~observe ~stimuli)
+         = Fsim.Event.detect_dropping c ~faults:chosen ~observe ~stimuli
+      && ser_drop
+         = Fsim.Engine.detect_dropping c ~faults:chosen ~observe ~stimuli)
 
 (* Cone soundness: under any fault, a net outside the fault's static
    fanout cone never diverges from the fault-free machine — the envelope
@@ -175,29 +193,25 @@ let prop_cone_soundness =
           !ok)
         chosen)
 
-(* Multicore dispatch and engine selection are invisible: any [jobs]
-   value gives the single-core result, for every selector (including
-   [`Auto]'s per-fault split) and both engine operations. *)
+(* Multicore dispatch is invisible: any [jobs] value gives the
+   single-core result on both engine operations, for every back-end the
+   plan picks — the random workload splits into event-driven and
+   bit-parallel partitions, the demoted workload runs serially. *)
 let prop_jobs_invariant =
   Q.Test.make ~name:"engine jobs>1 agrees with jobs=1" ~count:15
     (Q.pair
        (Q.map Int64.of_int (Q.int_bound 100000))
        (Q.int_range 2 6))
     (fun (seed, jobs) ->
-      let c, chosen, stimuli = random_workload seed in
-      let observe = c.Circuit.outputs in
-      let stim = List.hd stimuli in
       List.for_all
-        (fun engine ->
-          Fsim.Engine.detect_all ~engine ~jobs:1 c ~faults:chosen ~observe
-            stim
-          = Fsim.Engine.detect_all ~engine ~jobs c ~faults:chosen ~observe
-              stim
-          && Fsim.Engine.detect_dropping ~engine ~jobs:1 c ~faults:chosen
-               ~observe ~stimuli
-             = Fsim.Engine.detect_dropping ~engine ~jobs c ~faults:chosen
-                 ~observe ~stimuli)
-        [ `Serial; `Parallel; `Event; `Auto ])
+        (fun (c, faults, stimuli) ->
+          let observe = c.Circuit.outputs in
+          let stim = List.hd stimuli in
+          Fsim.Engine.detect_all ~jobs:1 c ~faults ~observe stim
+          = Fsim.Engine.detect_all ~jobs c ~faults ~observe stim
+          && Fsim.Engine.detect_dropping ~jobs:1 c ~faults ~observe ~stimuli
+             = Fsim.Engine.detect_dropping ~jobs c ~faults ~observe ~stimuli)
+        [ random_workload seed; demoted_workload () ])
 
 (* The pattern-parallel packed dropping path (lanes = stimulus blocks)
    returns exactly the serial block-scan answer: the lowest detecting
@@ -212,7 +226,7 @@ let prop_packed_dropping_agrees =
       = Fsim.Parallel.detect_dropping_packed c ~faults:chosen ~observe
           ~stimuli)
 
-(* The [`Auto] plan's serial guard: whatever the workload, no decision's
+(* The engine plan's serial guard: whatever the workload, no decision's
    modeled cost may exceed running the same faults serially, and the
    decisions partition the fault list. Checked on the s38417 suite
    profile (scaled), whose mix of huge and tiny cones exercises both
@@ -244,26 +258,17 @@ let test_plan_serial_guard () =
   let ds = check_plan c ~faults ~cycles in
   Alcotest.(check bool) "s38417 profile plans at least one decision" true
     (List.length ds >= 1);
-  (* A couple of large-cone faults on a small circuit: a 62-lane group
-     would cost more than two serial passes, so the guard must demote
-     that partition to [`Serial]. *)
-  let c2 = Helpers.small_seq_circuit ~gates:60 ~ffs:6 11L in
-  let sizes = Fault.cone_sizes c2 (Fault.universe c2) in
-  let big = ref [] in
-  Array.iteri
-    (fun i s ->
-      if s > max 8 (Circuit.num_nets c2 / 16) && List.length !big < 2 then
-        big := (Fault.universe c2).(i) :: !big)
-    sizes;
-  match !big with
-  | [] -> () (* no large cones in this circuit: nothing to demote *)
-  | faults2 ->
-    let ds2 = check_plan c2 ~faults:(Array.of_list faults2) ~cycles:10 in
-    List.iter
-      (fun d ->
-        Alcotest.(check bool) "tiny workload never picks parallel" true
-          (d.Fsim.Engine.backend <> `Parallel))
-      ds2
+  (* The demoted workload: the guard must never leave its large-cone
+     faults on the bit-parallel back-end. *)
+  let c2, faults2, _ = demoted_workload () in
+  Alcotest.(check bool) "demoted workload has large-cone faults" true
+    (Array.length faults2 > 0);
+  let ds2 = check_plan c2 ~faults:faults2 ~cycles:10 in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "tiny workload never picks parallel" true
+        (d.Fsim.Engine.backend <> `Parallel))
+    ds2
 
 let test_detect_dropping_blocks () =
   let c, si, en, ff0, _g, _ff1 = small_chain () in

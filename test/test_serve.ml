@@ -8,7 +8,7 @@ module Json = Fst_obs.Json
 (* --- cache-key semantics ------------------------------------------------ *)
 
 (* The semantic fingerprint is the cache's notion of "same run": knobs
-   that change only how the flow executes (engine, parallelism, sinks,
+   that change only how the flow executes (parallelism, sinks,
    budgets, error policy, preflight) must not move it; knobs that change
    what the flow computes must. *)
 let test_fingerprint_invariant () =
@@ -20,16 +20,9 @@ let test_fingerprint_invariant () =
   same "time_budget excluded" Config.(default |> with_time_budget (Some 5.0));
   same "preflight excluded" Config.(default |> with_preflight false);
   same "sink excluded" Config.(default |> with_sink Fst_obs.Sink.null);
-  (match Config.on_error_of_string "keep-going" with
+  match Config.on_error_of_string "keep-going" with
   | Some p -> same "on_error excluded" Config.(default |> with_on_error p)
-  | None -> Alcotest.fail "on_error_of_string keep-going");
-  List.iter
-    (fun name ->
-      match Config.engine_of_string name with
-      | Some e -> same ("engine excluded: " ^ name)
-          Config.(default |> with_engine e)
-      | None -> Alcotest.fail ("engine_of_string " ^ name))
-    Config.engine_names
+  | None -> Alcotest.fail "on_error_of_string keep-going"
 
 let test_fingerprint_sensitive () =
   let base = Config.fingerprint Config.default in
@@ -341,6 +334,90 @@ let test_serve_cancel () =
       | Ok _ | Error _ -> Alcotest.fail "status after cancel failed");
       Client.close c)
 
+(* No frame for a job may follow its result frame: the client reads the
+   next request's reply right after a result, so one late heartbeat puts
+   the connection out of step for good. Two workers serve two connections
+   of waiting cache-hit submits, so a heartbeat round usually covers two
+   running jobs, and a tiny heartbeat interval keeps it racing every
+   job's completion. *)
+let test_serve_no_heartbeat_after_result () =
+  let kind j =
+    match Json.member "kind" j with Some (Json.String k) -> k | _ -> ""
+  in
+  let dir = temp_dir "fst-hb" in
+  let addr = Protocol.Unix_sock (Filename.concat dir "sock") in
+  let server =
+    Server.create ~workers:2 ~jobs_cap:1 ~hb_interval:1e-4 ~addr ()
+  in
+  let thread = Server.start server in
+  let submit =
+    {
+      Protocol.kind = Protocol.Flow;
+      netlist =
+        Fst_netlist.Netfile.to_string
+          (Helpers.small_seq_circuit ~gates:20 ~ffs:2 5L);
+      name = "hb";
+      chains = 1;
+      config = quick_config_json;
+      wait = true;
+      tenant = "t1";
+    }
+  in
+  (* One client's run: [n] submits on one connection, then a ping whose
+     reply must be the very next frame. Returns the first violation. *)
+  let client n =
+    let c = connect_retry addr in
+    let rec go i =
+      if i > n then
+        match Client.request c Protocol.Ping with
+        | Ok j when kind j = "pong" -> None
+        | Ok j -> Some ("ping answered by " ^ Json.to_string j)
+        | Error e -> Some ("ping: " ^ e)
+      else
+        let frames = ref [] in
+        match
+          Client.submit ~on_frame:(fun l -> frames := l :: !frames) c submit
+        with
+        | Error e -> Some (Printf.sprintf "submit %d: %s" i e)
+        | Ok o -> (
+          let foreign =
+            List.find_opt
+              (fun l ->
+                Json.member "job" (Json.of_string l)
+                <> Some (Json.String o.Client.job))
+              !frames
+          in
+          match (foreign, !frames) with
+          | Some l, _ -> Some (Printf.sprintf "submit %d: stray frame %s" i l)
+          | None, last :: _ when kind (Json.of_string last) = "result" ->
+            go (i + 1)
+          | None, _ -> Some (Printf.sprintf "submit %d: no final result" i))
+    in
+    let r = go 1 in
+    Client.close c;
+    r
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () ->
+      (* Warm the cache first so every concurrent submit is a hit. *)
+      (match client 1 with
+       | None -> ()
+       | Some e -> Alcotest.fail ("cold submit: " ^ e));
+      let results = Array.make 2 None in
+      let threads =
+        List.init 2 (fun k ->
+            Thread.create (fun () -> results.(k) <- client 300) ())
+      in
+      List.iter Thread.join threads;
+      Array.iter
+        (function
+          | None -> ()
+          | Some e -> Alcotest.fail ("reply stream out of step: " ^ e))
+        results)
+
 let suite =
   [
     Alcotest.test_case "fingerprint ignores execution knobs" `Quick
@@ -357,4 +434,6 @@ let suite =
     Alcotest.test_case "serve end-to-end with cache hits" `Quick
       test_serve_end_to_end;
     Alcotest.test_case "serve cancel" `Quick test_serve_cancel;
+    Alcotest.test_case "serve sends no heartbeat after a result" `Quick
+      test_serve_no_heartbeat_after_result;
   ]
