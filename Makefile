@@ -24,8 +24,8 @@ check: static-check build test lint-smoke bench-smoke perf-smoke \
 # Type-check every library and executable (including ones @default would
 # skip); the dev env stanza promotes warnings to errors. Fault simulation
 # in lib/core goes through the one entry point, Fsim.Engine: a direct
-# back-end detect call there fails the check (Diagnose's Fsim.Serial.trace
-# is allowed, since the engine has no trace entry).
+# Parallel or Serial detect call there fails the check (Diagnose's
+# Fsim.Serial.trace is allowed, since the engine has no trace entry).
 static-check:
 	dune build @check
 	@if grep -rnE 'Fsim\.(Parallel\.|Serial\.detect)' lib/core; then \
@@ -58,11 +58,12 @@ lint-smoke: build
 bench-smoke:
 	FST_SCALE=0.02 dune exec -- bench/main.exe micro
 
-# Scaled-down fault-sim perf gate: re-measures the engine columns and
-# fails if bit-parallel is ever slower than serial on the same faults
-# (the committed BENCH_fsim.json is generated at a larger scale, so the
-# >20% regression comparison only arms when scales match — here the
-# structural invariants still hold and bench/ rot is caught).
+# Scaled-down fault-sim perf gate: re-measures the serial and parallel
+# columns and fails if they disagree or bit-parallel is ever slower than
+# serial on the same faults (the committed BENCH_fsim.json is generated
+# at a larger scale, so the >20% serial regression comparison only arms
+# when scales match — here the invariants still hold and bench/ rot is
+# caught).
 perf-smoke:
 	FST_SCALE=0.02 dune exec -- bench/main.exe fsim --check
 

@@ -651,13 +651,13 @@ let ablate_rtpg () =
 
 (* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)
-(* Fault-simulation engine comparison, recorded as BENCH_fsim.json so  *)
-(* the perf trajectory is tracked across PRs. serial/event/parallel    *)
-(* are called directly on the SAME one-group fault subset at jobs=1 —  *)
-(* so parallel_s <= serial_s is an apples-to-apples invariant — while  *)
-(* Fsim.Engine ("auto") runs the full fault set at jobs=1 and jobs=N.  *)
-(* [fsim --check] re-measures and fails on a >20% serial/event         *)
-(* regression against the committed file or any parallel_s > serial_s. *)
+(* Fault-simulation engine comparison, recorded as BENCH_fsim.json so *)
+(* the perf trajectory is tracked across PRs. serial and parallel are *)
+(* called directly on the SAME one-group fault subset at jobs=1 — so  *)
+(* parallel_s <= serial_s is an apples-to-apples invariant — while    *)
+(* Fsim.Engine ("auto") runs the full fault set at jobs=1 and jobs=N. *)
+(* [fsim --check] re-measures and fails on a >20% serial regression   *)
+(* against the committed file or any parallel_s > serial_s.           *)
 (* ------------------------------------------------------------------ *)
 
 let fsim_jobs () =
@@ -674,7 +674,6 @@ type fsim_row = {
   fr_serial_faults : int;
   fr_cycles : int;
   fr_serial_s : float;
-  fr_event_s : float;
   fr_parallel_s : float;
   fr_auto1_s : float; (* negative when the Auto columns were skipped *)
   fr_autoj_s : float;
@@ -709,7 +708,11 @@ let fsim_workload prep =
   :: List.init 8 (fun _ -> random_block ())
 
 let fsim_measure ~jobs ~with_auto =
+  (* Every timed column starts from a settled heap, so a major GC slice
+     owed by the previous column's allocation is not billed to the next
+     one (at smoke scale a column takes well under a millisecond). *)
   let wall f =
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
@@ -729,9 +732,9 @@ let fsim_measure ~jobs ~with_auto =
         in
         let observe = prep.scanned.Circuit.outputs in
         let module F = Fst_fsim.Fsim in
-        (* Serial is ~62x the work per fault: time the single-machine
-           engine columns on one group's worth of faults so they stay
-           affordable at every scale and comparable across engines. *)
+        (* Serial is ~62x the work per fault: time both engine columns
+           on one group's worth of faults so serial stays affordable at
+           every scale and the two stay comparable. *)
         let serial_faults =
           Array.sub faults 0 (min (Array.length faults) F.Parallel.max_group)
         in
@@ -741,8 +744,6 @@ let fsim_measure ~jobs ~with_auto =
                 ~stimuli)
         in
         let rs, serial_s = one (module F.Serial) in
-        let re, event_s = one (module F.Event) in
-        if rs <> re then failwith (name ^ ": event fsim diverged from serial");
         let rp, parallel_s = one (module F.Parallel) in
         if rs <> rp then
           failwith (name ^ ": parallel fsim diverged from serial");
@@ -767,69 +768,27 @@ let fsim_measure ~jobs ~with_auto =
           fr_serial_faults = Array.length serial_faults;
           fr_cycles = cycles;
           fr_serial_s = serial_s;
-          fr_event_s = event_s;
           fr_parallel_s = parallel_s;
           fr_auto1_s = auto1_s;
           fr_autoj_s = autoj_s;
         })
       (Lazy.force prepared_suite)
   in
-  (* The event engine's home turf: the largest circuit with the faults
-     whose static cones are shortest, so nearly every cycle is quiescent
-     for the faulty machine. Serial still walks the whole circuit each
-     cycle; event only touches the cone. *)
-  let low_activity =
-    let prep =
-      List.fold_left
-        (fun best p ->
-          if Circuit.gate_count p.before > Circuit.gate_count best.before then p
-          else best)
-        (List.hd (Lazy.force prepared_suite))
-        (Lazy.force prepared_suite)
-    in
-    let name = prep.entry.Fst_gen.Suite.profile.Fst_gen.Gen.name in
-    Printf.eprintf "[fsim] low-activity workload on %s...\n%!" name;
-    let faults =
-      Fst_fault.Fault.collapse prep.scanned
-        (Fst_fault.Fault.universe prep.scanned)
-    in
-    let sizes = Fst_fault.Fault.cone_sizes prep.scanned faults in
-    let order = Array.init (Array.length faults) (fun i -> i) in
-    Array.sort (fun a b -> Int.compare sizes.(a) sizes.(b)) order;
-    let n = min (Array.length faults) Fst_fsim.Fsim.Parallel.max_group in
-    let short = Array.map (fun i -> faults.(i)) (Array.sub order 0 n) in
-    let max_cone = if n = 0 then 0 else sizes.(order.(n - 1)) in
-    let stimuli = fsim_workload prep in
-    let observe = prep.scanned.Circuit.outputs in
-    let rs, ser =
-      wall (fun () ->
-          Fst_fsim.Fsim.Serial.detect_dropping prep.scanned ~faults:short
-            ~observe ~stimuli)
-    in
-    let re, ev =
-      wall (fun () ->
-          Fst_fsim.Fsim.Event.detect_dropping prep.scanned ~faults:short
-            ~observe ~stimuli)
-    in
-    if rs <> re then failwith (name ^ ": event fsim diverged from serial");
-    (name, n, max_cone, ser, ev)
-  in
-  (rows, low_activity)
+  rows
 
 let fsim_bench () =
   let jobs = fsim_jobs () in
-  let rows, low_activity = fsim_measure ~jobs ~with_auto:true in
+  let rows = fsim_measure ~jobs ~with_auto:true in
   let t =
     Table.create
       ~title:
-        "Fault-simulation engines (serial/event/parallel on one 62-fault \
+        "Fault-simulation engines (serial/parallel on one 62-fault \
          group at jobs=1, auto on the full set)"
       [
         ("name", Table.Left);
         ("#faults", Table.Right);
         ("cycles", Table.Right);
         ("serial", Table.Right);
-        ("event", Table.Right);
         ("parallel", Table.Right);
         ("auto j=1", Table.Right);
         (Printf.sprintf "auto j=%d" jobs, Table.Right);
@@ -844,7 +803,6 @@ let fsim_bench () =
           Table.cell_int r.fr_faults;
           Table.cell_int r.fr_cycles;
           Table.cell_seconds r.fr_serial_s;
-          Table.cell_seconds r.fr_event_s;
           Table.cell_seconds r.fr_parallel_s;
           Table.cell_seconds r.fr_auto1_s;
           Table.cell_seconds r.fr_autoj_s;
@@ -852,12 +810,6 @@ let fsim_bench () =
         ])
     rows;
   Table.print t;
-  let la_name, la_n, la_cone, la_ser, la_ev = low_activity in
-  Printf.printf
-    "low-activity workload (%s, %d short-cone faults, cone <= %d nets): \
-     serial %.3fs, event %.3fs (%.2fx)\n"
-    la_name la_n la_cone la_ser la_ev
-    (la_ser /. Float.max 1e-9 la_ev);
   let oc = open_out "BENCH_fsim.json" in
   Printf.fprintf oc
     "{\n  \"scale\": %.3f,\n  \"jobs\": %d,\n  \"circuits\": ["
@@ -866,20 +818,14 @@ let fsim_bench () =
     (fun i r ->
       Printf.fprintf oc
         "%s\n    { \"name\": %S, \"faults\": %d, \"serial_faults\": %d, \
-         \"cycles\": %d, \"serial_s\": %.6f, \"event_s\": %.6f, \
-         \"parallel_s\": %.6f, \"auto1_s\": %.6f, \"auto_jobs_s\": %.6f, \
-         \"auto_speedup\": %.3f }"
+         \"cycles\": %d, \"serial_s\": %.6f, \"parallel_s\": %.6f, \
+         \"auto1_s\": %.6f, \"auto_jobs_s\": %.6f, \"auto_speedup\": %.3f }"
         (if i = 0 then "" else ",")
         r.fr_name r.fr_faults r.fr_serial_faults r.fr_cycles r.fr_serial_s
-        r.fr_event_s r.fr_parallel_s r.fr_auto1_s r.fr_autoj_s
+        r.fr_parallel_s r.fr_auto1_s r.fr_autoj_s
         (fsim_speedup r))
     rows;
-  Printf.fprintf oc
-    "\n  ],\n  \"low_activity\": { \"name\": %S, \"faults\": %d, \
-     \"max_cone\": %d, \"serial_s\": %.6f, \"event_s\": %.6f, \
-     \"event_speedup\": %.3f }\n}\n"
-    la_name la_n la_cone la_ser la_ev
-    (la_ser /. Float.max 1e-9 la_ev);
+  output_string oc "\n  ]\n}\n";
   close_out oc;
   Printf.printf "wrote BENCH_fsim.json (%d circuits, jobs=%d)\n"
     (List.length rows) jobs
@@ -887,14 +833,14 @@ let fsim_bench () =
 (* [fsim --check]: re-measure the per-engine columns (the full-set Auto
    columns are skipped — the gate is about engine regressions, not
    wall-clock on the whole fault set) and fail when bit-parallel is
-   slower than serial on the same faults, or when serial/event regressed
-   more than 20% against the committed BENCH_fsim.json. The numeric
+   slower than serial on the same faults, or when serial regressed more
+   than 20% against the committed BENCH_fsim.json. The numeric
    comparison only applies when the committed scale and jobs match this
    run's; the parallel-never-slower invariant is checked always, on both
    the fresh and the committed numbers. *)
 let fsim_check () =
   let jobs = fsim_jobs () in
-  let rows, _ = fsim_measure ~jobs ~with_auto:false in
+  let rows = fsim_measure ~jobs ~with_auto:false in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   List.iter
@@ -953,18 +899,14 @@ let fsim_check () =
                 synthetic runs; 100µs floor keeps degenerate sub-µs
                 circuits from producing noise verdicts. *)
              let module A = Fst_obs.Analyze in
-             let committed_ser = fnum (J.member "serial_s" c)
-             and committed_ev = fnum (J.member "event_s" c) in
+             let committed_ser = fnum (J.member "serial_s" c) in
              if Float.is_nan committed_ser then
-               err "%s: committed serial_s missing" r.fr_name;
-             if Float.is_nan committed_ev then
-               err "%s: committed event_s missing" r.fr_name;
-             if not (Float.is_nan committed_ser || Float.is_nan committed_ev)
-             then begin
-               let mk ser ev =
+               err "%s: committed serial_s missing" r.fr_name
+             else begin
+               let mk ser =
                  {
                    A.wall_s = 0.0;
-                   phases = [ ("serial", ser); ("event", ev) ];
+                   phases = [ ("serial", ser) ];
                    counters = [];
                    gauges = [];
                    histograms = [];
@@ -975,8 +917,7 @@ let fsim_check () =
                in
                let entries =
                  A.diff ~threshold:0.20 ~min_s:1e-4
-                   (mk committed_ser committed_ev)
-                   (mk r.fr_serial_s r.fr_event_s)
+                   (mk committed_ser) (mk r.fr_serial_s)
                in
                List.iter
                  (fun (e : A.diff_entry) ->

@@ -17,9 +17,8 @@
     Everything in the record except [jobs], [sink], [preflight],
     [time_budget] and [on_error] is {e semantic}: it changes what the flow
     computes, and is part of {!fingerprint}.
-    The fault-simulation back-end is not a knob: {!Fst_fsim.Fsim.Engine}
-    picks it per fault, and every back-end returns bit-identical
-    results. *)
+    The fault simulator is not a knob: {!Fst_fsim.Fsim.Engine} has one
+    back-end. *)
 
 (** Failure policy for fault groups and engine calls during a flow:
     [`Fail_fast] (the default) re-raises the first failure after the

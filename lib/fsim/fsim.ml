@@ -573,6 +573,7 @@ module Parallel = struct
     end;
     result
 
+  (* [blocks] holds the good rows of each stimulus block. *)
   let run_dropping ctx ~faults ~obs blocks =
     let nf = Array.length faults in
     let result = Array.make nf None in
@@ -580,7 +581,7 @@ module Parallel = struct
       ref (group_order ctx.cc faults (Array.init nf (fun i -> i)))
     in
     Array.iteri
-      (fun block (_cstim, rows) ->
+      (fun block rows ->
         let np = Array.length !pending in
         if np > 0 then begin
           let pos = ref 0 in
@@ -692,6 +693,9 @@ module Parallel = struct
     done;
     List.rev !chunks
 
+  (* Groups of at most [max_group] faults needed for [nf] faults. *)
+  let n_groups nf = (nf + max_group - 1) / max_group
+
   (* The packed path pays one plane trace of every block up front and
      then replays every fault's own cone over [max_cycles] packed
      cycles; the fault-grouped path sweeps each ≤62-wide group's union
@@ -699,7 +703,7 @@ module Parallel = struct
      too few to fill groups or their cones are small — with wide cones
      (a 62-fault group unioning to the whole netlist) the per-fault
      replay costs an order of magnitude more, so the choice is made on
-     the modeled plane-eval counts, not on fault count alone. The plane
+     estimated plane-eval counts, not on fault count alone. The plane
      snapshots also cost 16 bytes per slot per cycle — past a memory
      bound the fault-grouped path is used regardless. *)
   let packed_worthwhile (cc : Compiled.t) ~faults ~stims =
@@ -724,12 +728,28 @@ module Parallel = struct
       Array.fold_left ( + ) 0
         (Fault.cone_sizes cc.Compiled.circuit faults)
     in
-    let groups = (nf + max_group - 1) / max_group in
-    (* The union of a seed-sorted group's cones stays within a small
-       multiple of a member cone (same inflation factor as the {!Engine} cost
-       model), capped by the netlist itself. *)
+    let groups = n_groups nf in
+    (* Grouping by cone seed keeps the union of a group's cones within a
+       small multiple (taken as 8) of a member cone, capped by the
+       netlist itself. *)
     let union = min cc.Compiled.n_slots (8 * (sum_cones / nf)) in
     sum_cones * max_cycles < groups * union * total_cycles
+
+  (* The one packed-or-grouped switch of dropping simulation. It decides
+     on the whole fault list, records the good traces the chosen path
+     needs, and returns the runner for any subset of those faults. The
+     traces are immutable, so pool domains may share the runner. *)
+  let dropping cc ~faults ~stims =
+    if packed_worthwhile cc ~faults ~stims then
+      let chunks = pack_chunks cc stims in
+      fun ctx ~faults ~obs -> run_dropping_packed ctx ~faults ~obs chunks
+    else
+      let blocks =
+        Array.map
+          (fun stim -> Compiled.trace cc (Compiled.compile_stim cc stim))
+          stims
+      in
+      fun ctx ~faults ~obs -> run_dropping ctx ~faults ~obs blocks
 
   let detect_all c ~faults ~observe stim =
     let cc = Cc.get c in
@@ -745,270 +765,9 @@ module Parallel = struct
 
   let detect_dropping c ~faults ~observe ~stimuli =
     let cc = Cc.get c in
-    let stims = Array.of_list stimuli in
-    if packed_worthwhile cc ~faults ~stims then
-      run_dropping_packed (ctx cc) ~faults ~obs:(obs_slots cc observe)
-        (pack_chunks cc stims)
-    else
-      let blocks =
-        Array.map
-          (fun stim ->
-            let cstim = Compiled.compile_stim cc stim in
-            (cstim, Compiled.trace cc cstim))
-          stims
-      in
-      run_dropping (ctx cc) ~faults ~obs:(obs_slots cc observe) blocks
+    dropping cc ~faults ~stims:(Array.of_list stimuli) (ctx cc) ~faults
+      ~obs:(obs_slots cc observe)
 end
-
-module Event = struct
-  (* Event-driven single-fault simulation as a sparse overlay on the
-     shared good trace: only slots whose value diverges from the good
-     machine are stored, and only gates reached by a divergence event are
-     evaluated. Cost is proportional to the fault's active cone, not the
-     netlist. *)
-
-  type ctx = {
-    cc : Compiled.t;
-    div : Bytes.t; (* per slot: value currently diverges from the row *)
-    bad : Bytes.t; (* faulty code where [div] is set *)
-    queued : Bytes.t; (* per gate: scheduled this cycle *)
-    pending : int list array; (* scheduled gate indices, by level *)
-    ff_queued : Bytes.t; (* per flip-flop: clock candidate *)
-  }
-
-  let create_ctx (cc : Compiled.t) =
-    {
-      cc;
-      div = Bytes.make (cc.Compiled.n_slots + 1) '\000';
-      bad = Bytes.make (cc.Compiled.n_slots + 1) '\000';
-      queued = Bytes.make (max 1 cc.Compiled.n_gates) '\000';
-      pending = Array.make (cc.Compiled.depth + 2) [];
-      ff_queued = Bytes.make (max 1 cc.Compiled.n_ffs) '\000';
-    }
-
-  type stats = { mutable events : int; mutable active : int;
-                 mutable reconv : int }
-
-  (* Runs one fault over the good trace [rows]; returns its first
-     detection cycle and accumulates event/activity counts into [st]. *)
-  let detect_rows ctx ~fault ~obs rows st =
-    let cc = ctx.cc in
-    let stem_slot, stem_code, bgate, bpool, bff, bcode =
-      match (fault : Fault.t) with
-      | { Fault.site = Fault.Stem n; stuck } ->
-        ( cc.Compiled.perm.(n),
-          (if stuck then V3b.one else V3b.zero), -1, -1, -1, 0 )
-      | { Fault.site = Fault.Branch { node; pin }; stuck } ->
-        let s = cc.Compiled.perm.(node) in
-        let code = if stuck then V3b.one else V3b.zero in
-        let k = Compiled.slot_gate cc s in
-        if k >= 0 then (-1, 0, k, cc.Compiled.fanin_off.(k) + pin, -1, code)
-        else (-1, 0, -1, -1, cc.Compiled.ff_of_slot.(s), code)
-    in
-    let { div; bad; queued; pending; ff_queued; _ } = ctx in
-    let fanin = cc.Compiled.fanin in
-    let n_cycles = Array.length rows in
-    let row = ref rows.(0) in
-    (* The faulty value of slot [o] (no pin override). *)
-    let raw o =
-      if o = stem_slot then stem_code
-      else if Bytes.unsafe_get div o <> '\000' then
-        Char.code (Bytes.unsafe_get bad o)
-      else Compiled.get !row o
-    in
-    (* Fanin reader; pool indices are gate-unique, so the single branch
-       override test covers the one faulted pin. *)
-    let read i =
-      if i = bpool then bcode else raw (Array.unsafe_get fanin i)
-    in
-    let touched = ref [] in (* combinational slots marked [div] this cycle *)
-    let div_ffs = ref [] in (* FF output slots divergent entering this cycle *)
-    let ff_cand = ref [] in (* flip-flop indices whose data may diverge *)
-    let max_lev = ref 0 in
-    let schedule s' =
-      let k = Compiled.slot_gate cc s' in
-      if k >= 0 then begin
-        if Bytes.get queued k = '\000' && s' <> stem_slot then begin
-          Bytes.set queued k '\001';
-          let l = cc.Compiled.slot_level.(s') in
-          pending.(l) <- k :: pending.(l);
-          if l > !max_lev then max_lev := l
-        end
-      end
-      else
-        let f = cc.Compiled.ff_of_slot.(s') in
-        if f >= 0 && Bytes.get ff_queued f = '\000' then begin
-          Bytes.set ff_queued f '\001';
-          ff_cand := f :: !ff_cand
-        end
-    in
-    let announce s =
-      for i = cc.Compiled.fanout_off.(s) to cc.Compiled.fanout_off.(s + 1) - 1
-      do
-        schedule cc.Compiled.fanout.(i)
-      done
-    in
-    let result = ref None in
-    let t = ref 0 in
-    while !result = None && !t < n_cycles do
-      row := rows.(!t);
-      let stem_live =
-        stem_slot >= 0 && stem_code <> Compiled.get !row stem_slot
-      in
-      List.iter announce !div_ffs;
-      if stem_live then announce stem_slot;
-      if bgate >= 0 then schedule (Compiled.gate_slot cc bgate);
-      (if bff >= 0 && Bytes.get ff_queued bff = '\000' then begin
-         Bytes.set ff_queued bff '\001';
-         ff_cand := bff :: !ff_cand
-       end);
-      (* Settle: levels strictly ascend (every gate fanin is lower-level),
-         so one pass evaluates each scheduled gate exactly once. *)
-      let lev = ref 1 in
-      while !lev <= !max_lev do
-        let rec drain = function
-          | [] -> ()
-          | k :: rest ->
-            Bytes.set queued k '\000';
-            st.events <- st.events + 1;
-            let nv = Compiled.eval_gate_via cc ~read k in
-            let s = Compiled.gate_slot cc k in
-            if nv <> Compiled.get !row s then begin
-              Bytes.set bad s (Char.chr nv);
-              if Bytes.get div s = '\000' then begin
-                Bytes.set div s '\001';
-                touched := s :: !touched
-              end;
-              announce s
-            end;
-            drain rest
-        in
-        let l = pending.(!lev) in
-        pending.(!lev) <- [];
-        drain l;
-        incr lev
-      done;
-      max_lev := 0;
-      (* Observation: only a divergent slot can complement-detect. *)
-      if stem_live || !touched <> [] || !div_ffs <> [] then begin
-        st.active <- st.active + 1;
-        let no = Array.length obs in
-        let k = ref 0 in
-        while !result = None && !k < no do
-          let o = Array.unsafe_get obs !k in
-          if V3b.detects ~good:(Compiled.get !row o) ~faulty:(raw o) then
-            result := Some !t;
-          incr k
-        done
-      end;
-      if !result = None then begin
-        (* Clock: recompute flip-flop divergence for the next cycle. The
-           candidates are every currently divergent flip-flop, every
-           flip-flop whose data slot was announced during settle, and the
-           branch-faulted flip-flop (its data pin is permanently
-           overridden). A clamped stem flip-flop carries no state. *)
-        List.iter
-          (fun s ->
-            let f = cc.Compiled.ff_of_slot.(s) in
-            if Bytes.get ff_queued f = '\000' then begin
-              Bytes.set ff_queued f '\001';
-              ff_cand := f :: !ff_cand
-            end)
-          !div_ffs;
-        (if bff >= 0 && Bytes.get ff_queued bff = '\000' then begin
-           Bytes.set ff_queued bff '\001';
-           ff_cand := bff :: !ff_cand
-         end);
-        let next = ref [] in
-        List.iter
-          (fun f ->
-            Bytes.set ff_queued f '\000';
-            let s = cc.Compiled.ff_slot.(f) in
-            if s <> stem_slot then begin
-              let d = cc.Compiled.ff_data.(f) in
-              let bv = if f = bff then bcode else raw d in
-              if bv = Compiled.get !row d then Bytes.set div s '\000'
-              else begin
-                Bytes.set div s '\001';
-                Bytes.set bad s (Char.chr bv);
-                next := s :: !next
-              end
-            end)
-          !ff_cand;
-        ff_cand := [];
-        (if (stem_live || !touched <> [] || !div_ffs <> []) && !next = []
-         then st.reconv <- st.reconv + 1);
-        div_ffs := !next;
-        List.iter (fun s -> Bytes.set div s '\000') !touched;
-        touched := [];
-        incr t
-      end
-    done;
-    (* Scrub scratch state for the next fault (pending/queued are already
-       clean: settle always completes before observation). *)
-    List.iter (fun s -> Bytes.set div s '\000') !touched;
-    List.iter (fun s -> Bytes.set div s '\000') !div_ffs;
-    List.iter (fun f -> Bytes.set ff_queued f '\000') !ff_cand;
-    !result
-
-  let run_all ?on_fault ctx ~faults ~obs rows =
-    Array.map
-      (fun fault ->
-        let st = { events = 0; active = 0; reconv = 0 } in
-        let r = detect_rows ctx ~fault ~obs rows st in
-        (match on_fault with
-         | Some f -> f ~events:st.events ~active:st.active ~reconv:st.reconv
-         | None -> ());
-        r)
-      faults
-
-  let run_dropping ?on_fault ctx ~faults ~obs blocks =
-    let nf = Array.length faults in
-    let result = Array.make nf None in
-    let pending = Array.init nf (fun i -> i) in
-    let n_pending = ref nf in
-    Array.iteri
-      (fun block (_cstim, rows) ->
-        if !n_pending > 0 then begin
-          let kept = ref 0 in
-          for k = 0 to !n_pending - 1 do
-            let i = pending.(k) in
-            let st = { events = 0; active = 0; reconv = 0 } in
-            (match detect_rows ctx ~fault:faults.(i) ~obs rows st with
-             | Some t -> result.(i) <- Some (block, t)
-             | None ->
-               pending.(!kept) <- i;
-               incr kept);
-            match on_fault with
-            | Some f ->
-              f ~events:st.events ~active:st.active ~reconv:st.reconv
-            | None -> ()
-          done;
-          n_pending := !kept
-        end)
-      blocks;
-    result
-
-  let detect_all c ~faults ~observe stim =
-    let cc = Cc.get c in
-    let cstim = Compiled.compile_stim cc stim in
-    run_all (create_ctx cc) ~faults ~obs:(obs_slots cc observe)
-      (Compiled.trace cc cstim)
-
-  let detect_dropping c ~faults ~observe ~stimuli =
-    let cc = Cc.get c in
-    let blocks =
-      Array.of_list
-        (List.map
-           (fun stim ->
-             let cstim = Compiled.compile_stim cc stim in
-             (cstim, Compiled.trace cc cstim))
-           stimuli)
-    in
-    run_dropping (create_ctx cc) ~faults ~obs:(obs_slots cc observe) blocks
-end
-
-type backend = [ `Serial | `Parallel | `Event ]
 
 module Engine = struct
   module Pool = Fst_exec.Pool
@@ -1017,7 +776,7 @@ module Engine = struct
 
   (* One branch when the sink is off; handle resolution and the clock
      read only happen on live sinks. The inner simulation loops in
-     [Serial]/[Parallel]/[Event] are never touched. *)
+     [Parallel] are never touched. *)
   let observe_call (obs : Sink.t) name ~faults f =
     if not obs.Sink.enabled then f ()
     else begin
@@ -1034,241 +793,35 @@ module Engine = struct
       r
     end
 
-  (* Per-(fault, block) event counts and reconvergence rates (reconverged /
-     active cycles), observed only on live sinks. The histograms are
-     domain-safe, so the hook may run inside pool tasks. *)
-  let event_stats (obs : Sink.t) =
-    if not obs.Sink.enabled then None
-    else begin
-      let m = obs.Sink.metrics in
-      let h_events = Metrics.histogram m "fsim.event.events" in
-      let h_reconv = Metrics.histogram m "fsim.event.reconv_rate" in
-      Some
-        (fun ~events ~active ~reconv ->
-          Metrics.Histogram.observe h_events (float_of_int events);
-          if active > 0 then
-            Metrics.Histogram.observe h_reconv
-              (float_of_int reconv /. float_of_int active))
-    end
-
-  (* {2 The cost model}
-
-     All costs are in {e units} of one scalar compiled gate evaluation.
-     Per fault over [cycles] simulated cycles:
-
-     - serial: the whole netlist settles every cycle against the shared
-       good rows — [n_gates * cycles].
-     - event: only the active cone is evaluated; the static cone
-       over-approximates it and events are cheaper than a full sweep's
-       amortized gate (no stores outside the overlay), hence the [<1]
-       constant — but every cycle a fault stays live also pays a fixed
-       bookkeeping floor (observation scan, queue upkeep) that dominates
-       for tiny cones — [(c_event_cycle + c_event * cone) * cycles].
-     - parallel: a 62-lane group sweeps the {e union} cone of its
-       members once per cycle; a plane gate eval costs several scalar
-       ones (override lookups, flag checks, two-rail ops), and grouping
-       by seed slot keeps the union within a small multiple of a member
-       cone — per group
-       [c_plane * min (n_gates, union_inflation * cone) * cycles].
-
-     The constants were calibrated against [bench/main.exe fsim] runs on
-     the ISCAS'89 suite (on s38417: parallel measured ~5x serial per
-     fault => c_plane ~ 62/5; event ~9x => the per-cycle floor): they
-     only need to be right within a factor of ~2 for the partition (and
-     the serial guard) to pick the winner. *)
-
-  let c_event = 0.35
-  let c_event_cycle = 30.0
-  let c_plane = 12.0
-  let union_inflation = 8.0
-
-  (* A fault whose static cone is at most this many nets goes to the
-     event back-end; larger cones amortize better in a 62-wide group. *)
-  let auto_cone_cap (c : Circuit.t) = max 8 (Circuit.num_nets c / 16)
-
-  type decision = {
-    backend : backend;
-    indices : int array; (* positions in the input fault array *)
-    units : int; (* modeled cost of running [indices] on [backend] *)
-  }
-
-  let serial_units (cc : Compiled.t) ~cycles n =
-    n * max 1 cc.Compiled.n_gates * cycles
-
-  let event_units ~cycles sizes indices =
-    let u = ref 0.0 in
-    Array.iter
-      (fun i ->
-        u :=
-          !u
-          +. ((c_event_cycle +. (c_event *. float_of_int sizes.(i)))
-              *. float_of_int cycles))
-      indices;
-    int_of_float !u
-
-  (* Group-based: a group sweeps its union cone once per cycle whether it
-     carries 2 lanes or 62, so the cost is per group, not per fault —
-     that is exactly what makes underfilled groups lose to serial. *)
-  let parallel_units (cc : Compiled.t) ~cycles sizes indices =
-    let n = Array.length indices in
-    if n = 0 then 0
-    else begin
-      let ng = max 1 cc.Compiled.n_gates in
-      let groups = (n + Parallel.max_group - 1) / Parallel.max_group in
-      let mean =
-        Array.fold_left (fun a i -> a +. float_of_int sizes.(i)) 0.0 indices
-        /. float_of_int n
-      in
-      let union = Float.min (float_of_int ng) (union_inflation *. mean) in
-      int_of_float
-        (c_plane *. union *. float_of_int cycles *. float_of_int groups)
-    end
-
-  (* [plan c ~faults ~cycles] is the decision list: faults are
-     split by capped cone size (small cones -> event-driven, large ->
-     bit-parallel), then each partition is guarded — if its modeled cost
-     exceeds running the same faults serially, it falls back to [`Serial].
-     The union of [indices] over all decisions is exactly the input
-     index range, and every decision's [units] is by construction at most
-     the serial cost of its faults. *)
-  let plan c ~faults ~cycles =
-    let cc = Cc.get c in
-    let cap = auto_cone_cap c in
-    let sizes = Fault.cone_sizes ~cap c faults in
-    let small = ref [] and large = ref [] in
-    Array.iteri
-      (fun i s -> if s <= cap then small := i :: !small
-        else large := i :: !large)
-      sizes;
-    let small = Array.of_list (List.rev !small) in
-    let large = Array.of_list (List.rev !large) in
-    let guard backend units indices =
-      if Array.length indices = 0 then None
-      else
-        let s = serial_units cc ~cycles (Array.length indices) in
-        if units > s then Some { backend = `Serial; indices; units = s }
-        else Some { backend; indices; units }
-    in
-    List.filter_map Fun.id
-      [
-        guard `Event (event_units ~cycles sizes small) small;
-        guard `Parallel (parallel_units cc ~cycles sizes large) large;
-      ]
-
-  (* Shard size per pool task: whole 62-wide groups for the bit-parallel
-     back-end (so sharding never splits a group), single faults grouped
-     for the per-fault back-ends; about four shards per domain feeds the
-     work-stealing queue without shrinking groups. Sized for the workers
-     that will actually run (the pool clamps [jobs] to the core count) —
-     over-sharding for phantom domains only multiplies underfilled tail
-     groups and per-shard setup. *)
-  let shard_size ~backend ~jobs nf =
-    let target = max 1 (min jobs (Pool.default_jobs ()) * 4) in
-    match backend with
-    | `Serial | `Event -> max 1 ((nf + target - 1) / target)
-    | `Parallel ->
-      let groups = (nf + Parallel.max_group - 1) / Parallel.max_group in
-      Parallel.max_group * max 1 ((groups + target - 1) / target)
-
-  let shards ~backend ~jobs faults =
+  (* Pool tasks are whole 62-wide groups, so sharding never splits a
+     group; about four shards per domain feeds the work-stealing queue
+     without shrinking groups. Sized for the workers that will actually
+     run (the pool clamps [jobs] to the core count) — over-sharding for
+     phantom domains only multiplies underfilled tail groups and
+     per-shard setup. *)
+  let shards ~jobs faults =
     let nf = Array.length faults in
-    let size = shard_size ~backend ~jobs nf in
+    let target = max 1 (min jobs (Pool.default_jobs ()) * 4) in
+    let groups = Parallel.n_groups nf in
+    let size = Parallel.max_group * max 1 ((groups + target - 1) / target) in
     let n = (nf + size - 1) / size in
     Array.init n (fun k ->
         Array.sub faults (k * size) (min size (nf - (k * size))))
 
-  let total_cycles_all stim = Array.length stim
-
-  let total_cycles_dropping stimuli =
-    List.fold_left (fun acc s -> acc + Array.length s) 0 stimuli
-
-  (* Dispatch [faults] to [backend] across the pool: good trace computed
-     once on the caller and shared read-only; per-domain engine contexts
-     created lazily and reused across that domain's shards. *)
-  let run_detect_all ~obs ~backend ~jobs ~work c ~faults ~observe stim =
-    let cc = Cc.get c in
-    let cstim = Compiled.compile_stim cc stim in
-    let rows = Compiled.trace cc cstim in
-    let obs_s = obs_slots cc observe in
-    let parts = shards ~backend ~jobs faults in
-    let run =
-      match backend with
-      | `Serial ->
-        Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-          ~init:(fun () -> Serial.ctx cc)
-          (fun ctx fs -> Serial.run_all ctx ~faults:fs ~obs:obs_s rows cstim)
-      | `Parallel ->
-        Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-          ~init:(fun () -> Parallel.ctx cc)
-          (fun ctx fs -> Parallel.run_all ctx ~faults:fs ~obs:obs_s rows)
-      | `Event ->
-        let on_fault = event_stats obs in
-        Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-          ~init:(fun () -> Event.create_ctx cc)
-          (fun ctx fs -> Event.run_all ?on_fault ctx ~faults:fs ~obs:obs_s
-              rows)
+  (* Runs [f] over the shards of [faults] on the pool, with one
+     [Parallel] context per domain, and concatenates the per-shard
+     results back into input order. The pool's minimum-work estimate is
+     in gate evaluations: at most one whole-netlist sweep per group per
+     cycle, so tiny workloads run in the caller even with [jobs > 1]. *)
+  let run ~obs ~jobs (cc : Compiled.t) ~faults ~cycles f =
+    let work =
+      Parallel.n_groups (Array.length faults) * max 1 cc.Compiled.n_gates
+      * cycles
     in
-    run parts |> Array.to_list |> Array.concat
-
-  let run_detect_dropping ~obs ~backend ~jobs ~work c ~faults ~observe
-      ~stimuli =
-    let cc = Cc.get c in
-    let obs_s = obs_slots cc observe in
-    let stims = Array.of_list stimuli in
-    let parts = shards ~backend ~jobs faults in
-    let blocks () =
-      Array.map
-        (fun stim ->
-          let cstim = Compiled.compile_stim cc stim in
-          (cstim, Compiled.trace cc cstim))
-        stims
-    in
-    let run =
-      match backend with
-      | `Serial ->
-        let blocks = blocks () in
-        Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-          ~init:(fun () -> Serial.ctx cc)
-          (fun ctx fs -> Serial.run_dropping ctx ~faults:fs ~obs:obs_s blocks)
-      | `Parallel ->
-        if Parallel.packed_worthwhile cc ~faults ~stims then begin
-          let chunks = Parallel.pack_chunks cc stims in
-          Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-            ~init:(fun () -> Parallel.ctx cc)
-            (fun ctx fs ->
-              Parallel.run_dropping_packed ctx ~faults:fs ~obs:obs_s chunks)
-        end
-        else begin
-          let blocks = blocks () in
-          Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-            ~init:(fun () -> Parallel.ctx cc)
-            (fun ctx fs ->
-              Parallel.run_dropping ctx ~faults:fs ~obs:obs_s blocks)
-        end
-      | `Event ->
-        let blocks = blocks () in
-        let on_fault = event_stats obs in
-        Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-          ~init:(fun () -> Event.create_ctx cc)
-          (fun ctx fs ->
-            Event.run_dropping ?on_fault ctx ~faults:fs ~obs:obs_s blocks)
-    in
-    run parts |> Array.to_list |> Array.concat
-
-  (* Runs the planned decisions through [run] and merges the
-     results back into input order. *)
-  let run_plan run c ~faults ~cycles =
-    match plan c ~faults ~cycles with
-    | [ d ] -> run d.backend d.units faults
-    | ds ->
-      let out = Array.make (Array.length faults) None in
-      List.iter
-        (fun d ->
-          let fs = Array.map (fun i -> faults.(i)) d.indices in
-          let rs = run d.backend d.units fs in
-          Array.iteri (fun k i -> out.(i) <- rs.(k)) d.indices)
-        ds;
-      out
+    Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
+      ~init:(fun () -> Parallel.ctx cc)
+      f (shards ~jobs faults)
+    |> Array.to_list |> Array.concat
 
   (* Chaos hook at every engine entry: a [Raise] injection here exercises
      the callers' retry/containment paths; [Cancel] has no local meaning
@@ -1283,12 +836,13 @@ module Engine = struct
     let jobs = max 1 jobs in
     observe_call obs "detect_all" ~faults (fun () ->
         if Array.length faults = 0 then [||]
-        else
-          run_plan
-            (fun backend work fs ->
-              run_detect_all ~obs ~backend ~jobs ~work c ~faults:fs ~observe
-                stim)
-            c ~faults ~cycles:(total_cycles_all stim))
+        else begin
+          let cc = Cc.get c in
+          let rows = Compiled.trace cc (Compiled.compile_stim cc stim) in
+          let obs_s = obs_slots cc observe in
+          run ~obs ~jobs cc ~faults ~cycles:(Array.length stim)
+            (fun ctx fs -> Parallel.run_all ctx ~faults:fs ~obs:obs_s rows)
+        end)
 
   let detect_dropping ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe
       ~stimuli =
@@ -1296,10 +850,13 @@ module Engine = struct
     let jobs = max 1 jobs in
     observe_call obs "detect_dropping" ~faults (fun () ->
         if Array.length faults = 0 then [||]
-        else
-          run_plan
-            (fun backend work fs ->
-              run_detect_dropping ~obs ~backend ~jobs ~work c ~faults:fs
-                ~observe ~stimuli)
-            c ~faults ~cycles:(total_cycles_dropping stimuli))
+        else begin
+          let cc = Cc.get c in
+          let stims = Array.of_list stimuli in
+          let runner = Parallel.dropping cc ~faults ~stims in
+          let obs_s = obs_slots cc observe in
+          run ~obs ~jobs cc ~faults
+            ~cycles:(Array.fold_left (fun a s -> a + Array.length s) 0 stims)
+            (fun ctx fs -> runner ctx ~faults:fs ~obs:obs_s)
+        end)
 end

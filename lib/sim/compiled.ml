@@ -14,12 +14,10 @@
      gate_op        one opcode byte per gate (AND/OR/XOR base + invert bit)
      fanin_off/     the fanin lists of all gates, flattened into one pool
      fanin          of slot ids (CSR layout)
-     level_off      gates of combinational level [l] are the gate index
-                    range [level_off.(l), level_off.(l+1))
      ff_slot/       the flip-flop next-state map: ff [k] latches the value
      ff_data        of slot [ff_data.(k)] into slot [ff_slot.(k)]
-     fanout_off/    the consumer lists of all slots (CSR), for event-driven
-     fanout         scheduling and static cone walks
+     fanout_off/    the consumer lists of all slots (CSR), for static cone
+     fanout         walks
 
    Net values are stored one byte per slot ([Bytes.t]) using the branch-free
    [V3b] 2-bit codes, so a full value vector of a 10k-net circuit is 10kB —
@@ -35,14 +33,11 @@ type t = {
   n_slots : int;
   n_level0 : int;
   n_gates : int;
-  depth : int;
   perm : int array;
   net_of : int array;
   gate_op : int array;
   fanin_off : int array;
   fanin : int array;
-  level_off : int array;
-  slot_level : int array;
   n_ffs : int;
   ff_slot : int array;
   ff_data : int array;
@@ -121,21 +116,6 @@ let of_circuit (c : Circuit.t) =
         Array.iteri (fun p f -> fanin.(o + p) <- perm.(f)) fi
       | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> assert false)
     gates;
-  let depth = Circuit.depth c in
-  let level_off = Array.make (depth + 2) n_gates in
-  (* Gates are sorted by level; record the first gate index of each level. *)
-  let prev = ref 0 in
-  Array.iteri
-    (fun k i ->
-      let l = c.Circuit.level.(i) in
-      while !prev <= l do
-        level_off.(!prev) <- k;
-        incr prev
-      done)
-    gates;
-  (* Levels past the last gate's keep the default [n_gates]. *)
-  let slot_level = Array.make n 0 in
-  Array.iteri (fun k i -> slot_level.(n_level0 + k) <- c.Circuit.level.(i)) gates;
   let dffs = c.Circuit.dffs in
   let n_ffs = Array.length dffs in
   let ff_slot = Array.map (fun ff -> perm.(ff)) dffs in
@@ -180,14 +160,11 @@ let of_circuit (c : Circuit.t) =
     n_slots = n;
     n_level0;
     n_gates;
-    depth;
     perm;
     net_of;
     gate_op;
     fanin_off;
     fanin;
-    level_off;
-    slot_level;
     n_ffs;
     ff_slot;
     ff_data;
@@ -263,33 +240,6 @@ let eval_range cc ?(fanin = cc.fanin) (v : Bytes.t) ~lo ~hi =
 
 let eval cc ?fanin v = eval_range cc ?fanin v ~lo:0 ~hi:cc.n_gates
 
-(* Evaluate one gate (by gate index) and return its code; used by the
-   event-driven overlay, which reads fanins through its own divergence
-   view. [read] maps a fanin position in the pool to a code. *)
-let eval_gate_via cc ~read k =
-  let o = cc.fanin_off.(k) and o_hi = cc.fanin_off.(k + 1) in
-  match cc.gate_op.(k) with
-  | 0 | 1 ->
-    let acc = ref V3b.and_unit in
-    for i = o to o_hi - 1 do
-      acc := V3b.band !acc (read i)
-    done;
-    if cc.gate_op.(k) = 0 then !acc else V3b.bnot !acc
-  | 2 | 3 ->
-    let acc = ref V3b.or_unit in
-    for i = o to o_hi - 1 do
-      acc := V3b.bor !acc (read i)
-    done;
-    if cc.gate_op.(k) = 2 then !acc else V3b.bnot !acc
-  | 4 | 5 ->
-    let acc = ref V3b.xor_unit in
-    for i = o to o_hi - 1 do
-      acc := V3b.bxor !acc (read i)
-    done;
-    if cc.gate_op.(k) = 4 then !acc else V3b.bnot !acc
-  | 6 -> read o
-  | _ -> V3b.bnot (read o)
-
 (* Latch every flip-flop's data value, then publish simultaneously. The
    two passes keep FF-to-FF chains (scan paths) correct. *)
 let clock cc (v : Bytes.t) (latch : Bytes.t) =
@@ -304,9 +254,9 @@ let clock cc (v : Bytes.t) (latch : Bytes.t) =
 (* ---- the good-trace recorder ------------------------------------------- *)
 
 (* One fault-free sweep of the whole stimulus, recording the post-eval
-   value vector of every cycle. Row [t] is what every overlay engine
-   diverges from at cycle [t]; rows are immutable once recorded and safe
-   to share read-only across domains. *)
+   value vector of every cycle. Row [t] is what every fault-simulation
+   kernel compares against at cycle [t]; rows are immutable once recorded
+   and safe to share read-only across domains. *)
 let trace cc (stim : cstim) =
   let v = make_vec cc in
   let latch = Bytes.make (max 1 cc.n_ffs) '\000' in

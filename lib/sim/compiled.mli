@@ -6,9 +6,9 @@
     order, then gates follow level by level (ties broken by net id), so
     gate [k]'s output lives at slot [n_level0 + k] and a left-to-right
     sweep of the gate arrays is automatically levelized. Gate structure is
-    stored as contiguous int arrays (opcode per gate, fanin CSR, per-level
-    gate ranges, FF next-state map, fanout CSR), and net values as one
-    {!V3b} code byte per slot in a [Bytes.t].
+    stored as contiguous int arrays (opcode per gate, fanin CSR, FF
+    next-state map, fanout CSR), and net values as one {!V3b} code byte
+    per slot in a [Bytes.t].
 
     Every value vector has length [n_slots + 1]: the spare slot [n_slots]
     is caller-owned scratch (the fault simulator stores a stuck constant
@@ -23,7 +23,6 @@ type t = private {
   n_slots : int;  (** number of nets *)
   n_level0 : int;  (** slots [0 .. n_level0-1] are inputs/consts/FFs *)
   n_gates : int;
-  depth : int;  (** deepest combinational level *)
   perm : int array;  (** net id -> slot *)
   net_of : int array;  (** slot -> net id *)
   gate_op : int array;
@@ -32,10 +31,6 @@ type t = private {
           function. *)
   fanin_off : int array;  (** length [n_gates+1]; CSR offsets into fanin *)
   fanin : int array;  (** flattened fanin slots of all gates *)
-  level_off : int array;
-      (** length [depth+2]; gates of level [l] are gate indices
-          [level_off.(l) .. level_off.(l+1) - 1] *)
-  slot_level : int array;  (** combinational level per slot (0 for level-0) *)
   n_ffs : int;
   ff_slot : int array;  (** flip-flop k's output slot *)
   ff_data : int array;  (** flip-flop k's data (next-state) slot *)
@@ -80,11 +75,6 @@ val eval_range : t -> ?fanin:int array -> Bytes.t -> lo:int -> hi:int -> unit
 
 (** Full combinational settle: [eval_range ~lo:0 ~hi:n_gates]. *)
 val eval : t -> ?fanin:int array -> Bytes.t -> unit
-
-(** [eval_gate_via cc ~read k] evaluates gate [k] alone, reading each
-    fanin through [read : pool_index -> code] — the event-driven overlay
-    supplies a divergence-aware reader. *)
-val eval_gate_via : t -> read:(int -> V3b.code) -> int -> V3b.code
 
 (** [clock cc v latch] latches every flip-flop's data value then publishes
     simultaneously ([latch] is caller scratch of length >= [n_ffs]). Does

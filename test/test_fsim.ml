@@ -101,13 +101,14 @@ let prop_serial_parallel_agree =
         chosen;
       !ok)
 
-(* One random workload reused by the engine-interface properties. *)
-let random_workload seed =
+(* One random workload reused by the engine-interface properties: up to
+   [n] faults drawn from the universe, and three random stimulus blocks. *)
+let random_workload ?(n = 100) seed =
   let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 seed in
   let rng = Fst_gen.Rng.create (Int64.add seed 7L) in
   let faults = Fault.universe c in
   let chosen =
-    Array.init (min 100 (Array.length faults)) (fun _ ->
+    Array.init (min n (Array.length faults)) (fun _ ->
         Fst_gen.Rng.pick rng faults)
   in
   let block () =
@@ -122,49 +123,41 @@ let random_workload seed =
   in
   (c, chosen, List.init 3 (fun _ -> block ()))
 
-(* Up to two large-cone faults on a small circuit, under random stimuli: a
-   62-lane group would cost more than two serial passes, so
-   {!Fsim.Engine.plan} demotes that partition to [`Serial]. *)
-let demoted_workload () =
-  let c, _, stimuli = random_workload 11L in
-  let universe = Fault.universe c in
-  let sizes = Fault.cone_sizes c universe in
-  let big = ref [] in
-  Array.iteri
-    (fun i s ->
-      if s > max 8 (Circuit.num_nets c / 16) && List.length !big < 2 then
-        big := universe.(i) :: !big)
-    sizes;
-  (c, Array.of_list !big, stimuli)
+(* The engine-interface workloads cover both dropping branches. Four
+   faults over three blocks take the pattern-packed branch (on all but a
+   few seeds, where the cones span most of the circuit); the default 100
+   and a list longer than two groups (more than 2 x 62 faults) take the
+   fault-grouped one. *)
+let workloads seed =
+  [ random_workload ~n:4 seed; random_workload seed;
+    random_workload ~n:150 seed ]
 
-(* Every back-end implements the same ENGINE semantics: identical
-   per-fault detection cycles and drop blocks/cycles on both engine
-   operations. [Event] must be bit-identical to [Serial], including where
-   (block, cycle) each fault drops. *)
+(* Every implementation of the ENGINE semantics gives identical per-fault
+   detection cycles and drop (block, cycle) pairs on both operations;
+   [Serial] is the reference. *)
 let prop_engines_agree =
-  Q.Test.make ~name:"serial, bit-parallel and event engines agree" ~count:15
+  Q.Test.make ~name:"serial, bit-parallel and engine results agree" ~count:15
     (Q.map Int64.of_int (Q.int_bound 100000))
     (fun seed ->
-      let c, chosen, stimuli = random_workload seed in
-      let observe = c.Circuit.outputs in
-      let stim = List.hd stimuli in
-      let ser_all = Fsim.Serial.detect_all c ~faults:chosen ~observe stim in
-      let ser_drop =
-        Fsim.Serial.detect_dropping c ~faults:chosen ~observe ~stimuli
-      in
-      ser_all = Fsim.Parallel.detect_all c ~faults:chosen ~observe stim
-      && ser_all = Fsim.Event.detect_all c ~faults:chosen ~observe stim
-      && ser_all = Fsim.Engine.detect_all c ~faults:chosen ~observe stim
-      && ser_drop
-         = Fsim.Parallel.detect_dropping c ~faults:chosen ~observe ~stimuli
-      && ser_drop
-         = Fsim.Event.detect_dropping c ~faults:chosen ~observe ~stimuli
-      && ser_drop
-         = Fsim.Engine.detect_dropping c ~faults:chosen ~observe ~stimuli)
+      List.for_all
+        (fun (c, faults, stimuli) ->
+          let observe = c.Circuit.outputs in
+          let stim = List.hd stimuli in
+          let ser_all = Fsim.Serial.detect_all c ~faults ~observe stim in
+          let ser_drop =
+            Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli
+          in
+          ser_all = Fsim.Parallel.detect_all c ~faults ~observe stim
+          && ser_all = Fsim.Engine.detect_all c ~faults ~observe stim
+          && ser_drop
+             = Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli
+          && ser_drop = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli)
+        (workloads seed))
 
 (* Cone soundness: under any fault, a net outside the fault's static
    fanout cone never diverges from the fault-free machine — the envelope
-   the event-driven back-end relies on to skip work. *)
+   that lets the bit-parallel groups read every out-of-cone net off the
+   shared good trace. *)
 let prop_cone_soundness =
   Q.Test.make ~name:"nets outside the static cone never diverge" ~count:15
     (Q.map Int64.of_int (Q.int_bound 100000))
@@ -194,9 +187,8 @@ let prop_cone_soundness =
         chosen)
 
 (* Multicore dispatch is invisible: any [jobs] value gives the
-   single-core result on both engine operations, for every back-end the
-   plan picks — the random workload splits into event-driven and
-   bit-parallel partitions, the demoted workload runs serially. *)
+   single-core result on both engine operations, on both dropping
+   branches. *)
 let prop_jobs_invariant =
   Q.Test.make ~name:"engine jobs>1 agrees with jobs=1" ~count:15
     (Q.pair
@@ -211,7 +203,7 @@ let prop_jobs_invariant =
           = Fsim.Engine.detect_all ~jobs c ~faults ~observe stim
           && Fsim.Engine.detect_dropping ~jobs:1 c ~faults ~observe ~stimuli
              = Fsim.Engine.detect_dropping ~jobs c ~faults ~observe ~stimuli)
-        [ random_workload seed; demoted_workload () ])
+        (workloads seed))
 
 (* The pattern-parallel packed dropping path (lanes = stimulus blocks)
    returns exactly the serial block-scan answer: the lowest detecting
@@ -225,50 +217,6 @@ let prop_packed_dropping_agrees =
       Fsim.Serial.detect_dropping c ~faults:chosen ~observe ~stimuli
       = Fsim.Parallel.detect_dropping_packed c ~faults:chosen ~observe
           ~stimuli)
-
-(* The engine plan's serial guard: whatever the workload, no decision's
-   modeled cost may exceed running the same faults serially, and the
-   decisions partition the fault list. Checked on the s38417 suite
-   profile (scaled), whose mix of huge and tiny cones exercises both
-   partitions, and on a tiny workload where the guard must demote the
-   bit-parallel partition to serial. *)
-let test_plan_serial_guard () =
-  let entry = Fst_gen.Suite.find ~scale:0.02 "s38417" in
-  let c = Fst_gen.Gen.generate entry.Fst_gen.Suite.profile in
-  let faults = Fault.collapse c (Fault.universe c) in
-  let cycles = 200 in
-  let check_plan c ~faults ~cycles =
-    let ds = Fsim.Engine.plan c ~faults ~cycles in
-    let serial_of n = n * max 1 (Circuit.gate_count c) * cycles in
-    let seen = Array.make (Array.length faults) 0 in
-    List.iter
-      (fun d ->
-        Array.iter (fun i -> seen.(i) <- seen.(i) + 1) d.Fsim.Engine.indices;
-        Alcotest.(check bool)
-          (Printf.sprintf "units %d <= serial %d" d.Fsim.Engine.units
-             (serial_of (Array.length d.Fsim.Engine.indices)))
-          true
-          (d.Fsim.Engine.units
-           <= serial_of (Array.length d.Fsim.Engine.indices)))
-      ds;
-    Alcotest.(check bool) "decisions partition the faults" true
-      (Array.for_all (fun n -> n = 1) seen);
-    ds
-  in
-  let ds = check_plan c ~faults ~cycles in
-  Alcotest.(check bool) "s38417 profile plans at least one decision" true
-    (List.length ds >= 1);
-  (* The demoted workload: the guard must never leave its large-cone
-     faults on the bit-parallel back-end. *)
-  let c2, faults2, _ = demoted_workload () in
-  Alcotest.(check bool) "demoted workload has large-cone faults" true
-    (Array.length faults2 > 0);
-  let ds2 = check_plan c2 ~faults:faults2 ~cycles:10 in
-  List.iter
-    (fun d ->
-      Alcotest.(check bool) "tiny workload never picks parallel" true
-        (d.Fsim.Engine.backend <> `Parallel))
-    ds2
 
 let test_detect_dropping_blocks () =
   let c, si, en, ff0, _g, _ff1 = small_chain () in
@@ -302,7 +250,5 @@ let suite =
     Helpers.qcheck prop_cone_soundness;
     Helpers.qcheck prop_jobs_invariant;
     Helpers.qcheck prop_packed_dropping_agrees;
-    Alcotest.test_case "auto plan never beats itself with serial" `Quick
-      test_plan_serial_guard;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;
   ]
