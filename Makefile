@@ -2,7 +2,7 @@
 
 .PHONY: all build test check static-check lint-smoke bench-smoke \
   perf-smoke degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
-  chaos-smoke analyze-smoke sca-smoke serve-smoke clean
+  chaos-smoke analyze-smoke sca-smoke serve-smoke perf-ab clean
 
 all: build
 
@@ -254,6 +254,16 @@ serve-smoke: build
 	wait $$pid || { echo "serve-smoke: daemon exited non-zero"; \
 	  rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "serve-smoke: OK"
+
+# A/B run of the repository benchmark against a parent revision: PAIRS
+# alternating runs of perfbench on each side, then per end-to-end metric
+# each side's median and quartiles and the pairs the working tree wins.
+#   make perf-ab PARENT=<rev> WORKLOAD=fsim-tail PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= fsim-tail
+PAIRS ?= 10
+perf-ab:
+	sh bench/perf-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 clean:
 	dune clean

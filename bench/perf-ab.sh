@@ -1,0 +1,123 @@
+#!/bin/sh
+# A/B run of the repository benchmark: the working tree against a parent
+# revision, on one workload.
+#
+#   sh bench/perf-ab.sh PARENT WORKLOAD [PAIRS]
+#   make perf-ab PARENT=<rev> WORKLOAD=<name> PAIRS=10
+#
+# PARENT is checked out into a temporary git worktree (under $TMPDIR,
+# removed on exit). Pair k runs `perfbench/run.sh --seed k --trace 0` once
+# on each side, for the run_seconds BENCHMARK.json fixes; odd pairs run
+# the parent first, even pairs the working tree first. For every
+# end-to-end metric BENCHMARK.json declares, the summary gives each
+# side's median and quartiles, the pairs the working tree wins (ties
+# count for neither side), and whether that is a gain by the rule the
+# benchmark uses: wins in at least nine tenths of the pairs, and medians
+# further apart than the parent's interquartile range.
+set -eu
+
+if [ $# -lt 2 ]; then
+  echo "usage: sh bench/perf-ab.sh PARENT WORKLOAD [PAIRS]" >&2
+  exit 2
+fi
+parent=$1
+workload=$2
+pairs=${3:-10}
+root=$(cd "$(dirname "$0")/.." && pwd)
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")
+rev=$(git -C "$root" rev-parse --short "$parent")
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf-ab.XXXXXX")
+cleanup() {
+  git -C "$root" worktree remove --force "$tmp/parent" 2>/dev/null || true
+  git -C "$root" worktree prune
+  rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+git -C "$root" worktree add --detach --quiet "$tmp/parent" "$parent"
+
+# "name better" for each end-to-end metric (the entries carrying a bound).
+sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound".*/\1 \2/p' \
+  "$root/BENCHMARK.json" > "$tmp/metrics"
+
+# run SIDE DIR PAIR: one benchmark run, appended to $tmp/results as
+# "pair side metric value" lines plus a "pair side correct 0|1" line.
+run() {
+  line=$(cd "$2" && sh perfbench/run.sh --workload "$workload" --seed "$3" \
+    --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || line=
+  case $line in
+    *'"correct":true'*) ok=1 ;;
+    *) ok=0 ;;
+  esac
+  echo "$3 $1 correct $ok" >> "$tmp/results"
+  while read -r name _; do
+    v=$(printf '%s\n' "$line" |
+      sed -n "s/.*\"$name\":{\"value\":\([^,}]*\).*/\1/p")
+    if [ -n "$v" ]; then echo "$3 $1 $name $v" >> "$tmp/results"; fi
+  done < "$tmp/metrics"
+  echo "perf-ab: pair $3 $1 correct=$ok" \
+    "$(grep "^$3 $1 " "$tmp/results" | grep -v correct |
+      awk '{printf "%s=%s ", $3, $4}')" >&2
+}
+
+: > "$tmp/results"
+k=1
+while [ "$k" -le "$pairs" ]; do
+  if [ $((k % 2)) -eq 1 ]; then
+    run parent "$tmp/parent" "$k"
+    run change "$root" "$k"
+  else
+    run change "$root" "$k"
+    run parent "$tmp/parent" "$k"
+  fi
+  k=$((k + 1))
+done
+
+echo "perf-ab: $workload, $pairs pairs of ${seconds}s runs," \
+  "parent $rev vs working tree"
+awk -v pairs="$pairs" '
+  FNR == NR { better[$1] = $2; order[++nm] = $1; next }
+  $3 == "correct" { ok[$2] += $4; next }
+  { v[$3, $2, $1] = $4; n[$3, $2]++; vals[$3, $2] = vals[$3, $2] " " $4 }
+  # Quantile q of the sorted values a[1..m], linear interpolation.
+  function quant(a, m, q,   h, lo) {
+    h = (m - 1) * q + 1; lo = int(h)
+    return lo >= m ? a[m] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+  }
+  function stats(key, out,   a, m, i, j, t) {
+    m = split(substr(vals[key], 2), a, " ")
+    for (i = 2; i <= m; i++)
+      for (j = i; j > 1 && a[j - 1] + 0 > a[j] + 0; j--) {
+        t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+      }
+    out["med"] = quant(a, m, 0.5)
+    out["q1"] = quant(a, m, 0.25)
+    out["q3"] = quant(a, m, 0.75)
+  }
+  END {
+    printf "%-20s %-6s %-30s %-30s %-6s %-9s %s\n", "metric", "better",
+      "parent median [q1, q3]", "change median [q1, q3]", "wins",
+      "delta", "gain"
+    for (i = 1; i <= nm; i++) {
+      m = order[i]
+      if (n[m, "parent"] == 0 || n[m, "change"] == 0) continue
+      stats(m SUBSEP "parent", p); stats(m SUBSEP "change", c)
+      wins = 0
+      for (k = 1; k <= pairs; k++) {
+        if (!((m, "parent", k) in v) || !((m, "change", k) in v)) continue
+        a = v[m, "parent", k] + 0; b = v[m, "change", k] + 0
+        if ((better[m] == "lower" && b < a) || (better[m] == "higher" && b > a))
+          wins++
+      }
+      delta = p["med"] == 0 ? 0 : 100 * (c["med"] - p["med"]) / p["med"]
+      diff = c["med"] - p["med"]; if (diff < 0) diff = -diff
+      gain = (wins >= 0.9 * pairs && diff > p["q3"] - p["q1"]) ? "yes" : "no"
+      printf "%-20s %-6s %-30s %-30s %-6s %-9s %s\n", m, better[m],
+        sprintf("%.4g [%.4g, %.4g]", p["med"], p["q1"], p["q3"]),
+        sprintf("%.4g [%.4g, %.4g]", c["med"], c["q1"], c["q3"]),
+        wins "/" pairs, sprintf("%+.1f%%", delta), gain
+    }
+    printf "correct: parent %d/%d, change %d/%d\n", ok["parent"], pairs,
+      ok["change"], pairs
+  }
+' "$tmp/metrics" "$tmp/results"

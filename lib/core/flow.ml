@@ -465,115 +465,85 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     rng_state = Fst_gen.Rng.state rng;
   }
 
-let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
-    ~static_flag scanned ~hard_faults ~(plan : plan) =
-  let sink = cfg.Config.sink in
-  let keep_going = cfg.Config.on_error = `Keep_going in
-  let dl = Budget.deadline budget Budget.Step2_fsim in
-  let t1 = Clock.now () in
+type windows = {
+  outcome : (int * int) option array;
+  curve : (int * int) array;
+  late : bool;
+  failed : int array;
+}
+
+(* Step-2 fault simulation steps by windows of up to [max_group] blocks:
+   one dropping engine call per window on the faults still pending, so
+   the good machine of a window is recorded once (pattern-packed, the
+   engine's choice) instead of once per block. Cross-block dropping makes
+   every fault's first detecting (block, cycle) the same as a per-block
+   scan. The budget is polled between windows, so a tripped deadline
+   keeps every detection made so far. *)
+let fsim_windows ~sink ~jobs ~keep_going ~budget_left ~failed_before c
+    ~faults blocks =
+  let nf = Array.length faults in
+  let nb = Array.length blocks in
+  let outcome = Array.make nf None in
+  let failed = ref [||] in
   let n_hit = ref 0 in
-  let n = Array.length hard_faults in
-  let untestable_set = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace untestable_set i ()) plan.untestable2;
-  (* Untestable faults — PODEM-proven and statically proven alike — are
-     excluded from simulation: they cannot be detected and would waste
-     machine slots. *)
-  let simulate =
-    Array.of_list
-      (List.filter
-         (fun i -> (not (Hashtbl.mem untestable_set i)) && not static_flag.(i))
-         (List.init n (fun i -> i)))
-  in
-  let sim_faults = Array.map (fun i -> hard_faults.(i)) simulate in
-  let ns = Array.length simulate in
-  let outcome = Array.make ns None in
-  (* Block-at-a-time fault simulation with cross-block dropping — the same
-     results as a single [detect_dropping] pass, but the budget is checked
-     between blocks so a tripped deadline keeps every detection made so
-     far. *)
-  let blocks_arr = Array.of_list plan.blocks in
-  let nb = Array.length blocks_arr in
   (* Undetected faults are kept as a prefix of [pending], compacted in
-     place after each block — no per-block rescans of the whole list. *)
-  let pending = Array.init ns (fun k -> k) in
-  let n_pending = ref ns in
-  let b = ref 0 and stopped = ref false in
-  while !b < nb && not !stopped do
-    if Clock.expired dl then begin
-      stopped := true;
-      acct.s2f_late <- true
-    end
+     place after each window — no per-window rescans of the whole list. *)
+  let pending = Array.init nf (fun k -> k) in
+  let n_pending = ref nf in
+  let b = ref 0 and late = ref false in
+  while !b < nb && !n_pending > 0 && not !late do
+    if budget_left () < 0.0 then late := true
     else begin
-      if !n_pending = 0 then stopped := true
-      else begin
-        let alive = Array.sub pending 0 !n_pending in
-        let faults = Array.map (fun k -> sim_faults.(k)) alive in
-        let simulate_block () =
-          Fsim.Engine.detect_all ~obs:sink ~jobs:cfg.Config.jobs scanned
-            ~faults ~observe:scanned.Circuit.outputs blocks_arr.(!b)
-        in
-        match
-          if keep_going then Retry.run simulate_block
-          else Stdlib.Ok (simulate_block ())
-        with
-        | Stdlib.Error (e, _bt) ->
-          (* Cohort containment: cross-block fault dropping means a lost
-             block could have changed every still-pending fault's
-             downstream outcome, so a permanently failing engine call
-             quarantines the whole pending cohort and ends the phase —
-             detections already made stay trustworthy. *)
-          for j = 0 to !n_pending - 1 do
-            failed_flag.(simulate.(pending.(j))) <- true
-          done;
-          acct.s2f_failed <- acct.s2f_failed + !n_pending;
-          n_pending := 0;
-          stopped := true;
-          Sink.event sink ~kind:"cohort_failed"
-            [
-              ("phase", Json.String "step2-fsim");
-              ("faults", Json.Int acct.s2f_failed);
-              ("error", Json.String (Printexc.to_string e));
-            ]
-        | Stdlib.Ok res ->
-          Array.iteri
-            (fun j k ->
-              match res.(j) with
-              | Some t ->
-                outcome.(k) <- Some (!b, t);
-                (* A detection supersedes an earlier step-2 quarantine:
-                   the fault is provably covered. *)
-                failed_flag.(simulate.(k)) <- false;
-                incr n_hit
-              | None -> ())
-            alive;
-          let kept = ref 0 in
-          for j = 0 to !n_pending - 1 do
-            let k = pending.(j) in
-            if outcome.(k) = None then begin
+      let w = min Fsim.Engine.max_group (nb - !b) in
+      let alive = Array.sub pending 0 !n_pending in
+      let simulate_window () =
+        Fsim.Engine.detect_dropping ~obs:sink ~jobs c
+          ~faults:(Array.map (fun k -> faults.(k)) alive)
+          ~observe:c.Circuit.outputs
+          ~stimuli:(Array.to_list (Array.sub blocks !b w))
+      in
+      match
+        if keep_going then Retry.run simulate_window
+        else Stdlib.Ok (simulate_window ())
+      with
+      | Stdlib.Error (e, _bt) ->
+        (* Cohort containment: cross-block fault dropping means a lost
+           window could have changed every still-pending fault's
+           downstream outcome, so a permanently failing engine call
+           quarantines the whole pending cohort and ends the phase —
+           detections already made stay trustworthy. *)
+        failed := alive;
+        n_pending := 0;
+        Sink.event sink ~kind:"cohort_failed"
+          [
+            ("phase", Json.String "step2-fsim");
+            ("faults", Json.Int (Array.length alive));
+            ("error", Json.String (Printexc.to_string e));
+          ]
+      | Stdlib.Ok res ->
+        let kept = ref 0 in
+        Array.iteri
+          (fun j k ->
+            match res.(j) with
+            | Some (lb, t) ->
+              outcome.(k) <- Some (!b + lb, t);
+              incr n_hit
+            | None ->
               pending.(!kept) <- k;
-              incr kept
-            end
-          done;
-          n_pending := !kept;
-          incr b;
-          if sink.Sink.enabled then begin
-            Metrics.Counter.incr
-              (Metrics.counter sink.Sink.metrics "flow.step2.blocks");
-            Sink.tick sink ~phase:"step2-fsim" ~done_:!b ~total:nb
-              ~detected:!n_hit
-              ~failed:(acct.s2a_failed + acct.s2f_failed)
-              ~budget_left:(Clock.remaining dl) ()
-          end
-      end
+              incr kept)
+          alive;
+        n_pending := !kept;
+        b := !b + w;
+        if sink.Sink.enabled then begin
+          Metrics.Counter.add
+            (Metrics.counter sink.Sink.metrics "flow.step2.blocks")
+            w;
+          Sink.tick sink ~phase:"step2-fsim" ~done_:!b ~total:nb
+            ~detected:!n_hit ~failed:failed_before
+            ~budget_left:(budget_left ()) ()
+        end
     end
   done;
-  let fsim_seconds = Clock.now () -. t1 in
-  let detected = Array.make n false in
-  Array.iteri
-    (fun k i -> match outcome.(k) with
-       | Some _ -> detected.(i) <- true
-       | None -> ())
-    simulate;
   let curve =
     let per_block = Array.make (nb + 1) 0 in
     Array.iter
@@ -588,6 +558,47 @@ let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
         (i, !acc))
       per_block
   in
+  { outcome; curve; late = !late; failed = !failed }
+
+let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
+    ~static_flag scanned ~hard_faults ~(plan : plan) =
+  let dl = Budget.deadline budget Budget.Step2_fsim in
+  let t1 = Clock.now () in
+  let n = Array.length hard_faults in
+  let untestable_set = Hashtbl.create 64 in
+  List.iter (fun i -> Hashtbl.replace untestable_set i ()) plan.untestable2;
+  (* Untestable faults — PODEM-proven and statically proven alike — are
+     excluded from simulation: they cannot be detected and would waste
+     machine slots. *)
+  let simulate =
+    Array.of_list
+      (List.filter
+         (fun i -> (not (Hashtbl.mem untestable_set i)) && not static_flag.(i))
+         (List.init n (fun i -> i)))
+  in
+  let blocks = Array.of_list plan.blocks in
+  let w =
+    fsim_windows ~sink:cfg.Config.sink ~jobs:cfg.Config.jobs
+      ~keep_going:(cfg.Config.on_error = `Keep_going)
+      ~budget_left:(fun () -> Clock.remaining dl)
+      ~failed_before:acct.s2a_failed scanned
+      ~faults:(Array.map (fun i -> hard_faults.(i)) simulate)
+      blocks
+  in
+  if w.late then acct.s2f_late <- true;
+  Array.iter (fun k -> failed_flag.(simulate.(k)) <- true) w.failed;
+  acct.s2f_failed <- acct.s2f_failed + Array.length w.failed;
+  let fsim_seconds = Clock.now () -. t1 in
+  let detected = Array.make n false in
+  Array.iteri
+    (fun k i -> match w.outcome.(k) with
+       | Some _ ->
+         detected.(i) <- true;
+         (* A detection supersedes an earlier step-2 quarantine: the
+            fault is provably covered. *)
+         failed_flag.(i) <- false
+       | None -> ())
+    simulate;
   let n_detected =
     Array.fold_left (fun a b -> if b then a + 1 else a) 0 detected
   in
@@ -613,10 +624,10 @@ let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
       detected = n_detected;
       untestable = n_untestable;
       undetected = n - n_detected - n_untestable - n_static;
-      vectors = nb;
+      vectors = Array.length blocks;
       atpg_seconds = plan.plan_atpg_seconds;
       fsim_seconds;
-      curve;
+      curve = w.curve;
     },
     !remaining )
 

@@ -186,6 +186,45 @@ val run :
   Scan.config ->
   result
 
+(** {2 Step-2 fault simulation} *)
+
+type windows = {
+  outcome : (int * int) option array;
+      (** per fault: the first detecting (block, cycle), or [None] *)
+  curve : (int * int) array;
+      (** (vectors simulated, cumulative detected) for 0 .. all blocks —
+          the {!step2} [curve] *)
+  late : bool;  (** the budget ran out before every block was simulated *)
+  failed : int array;
+      (** faults still pending when a window's engine call failed for
+          good under [keep_going] (the quarantined cohort), ascending *)
+}
+
+(** [fsim_windows c ~faults blocks] is step 2's sequential fault
+    simulation of [blocks], in order, with cross-block fault dropping:
+    one {!Fst_fsim.Fsim.Engine.detect_dropping} call per window of up to
+    {!Fst_fsim.Fsim.Engine.max_group} blocks on the faults still
+    pending, observed at the primary outputs. [outcome] equals one
+    dropping pass over all blocks, for every [jobs].
+
+    [budget_left] is polled before each window; once it is negative the
+    loop stops with [late] set, keeping the detections of the windows
+    already run. With [keep_going] an engine call is retried ({!Fst_exec.Retry}), and one that keeps
+    failing ends the loop with its pending faults in [failed]; without it
+    the exception propagates. A live [sink] counts [flow.step2.blocks],
+    emits a heartbeat per window (showing [failed_before] quarantined
+    faults) and a [cohort_failed] event. *)
+val fsim_windows :
+  sink:Fst_obs.Sink.t ->
+  jobs:int ->
+  keep_going:bool ->
+  budget_left:(unit -> float) ->
+  failed_before:int ->
+  Circuit.t ->
+  faults:Fault.t array ->
+  Fst_fsim.Fsim.stimulus array ->
+  windows
+
 (** [total_faults r], [affecting r]: Table-2/3 denominators. *)
 val total_faults : result -> int
 

@@ -25,25 +25,48 @@ end
    ([Fst_sim.Compiled]): flat levelized arrays, byte-coded values, no
    per-node dispatch. Compilation is cheap but not free, so the last
    compiled circuit is cached (keyed by physical equality — circuits are
-   immutable once frozen). The mutex makes the cache safe to hit from
-   pool domains; the compiled form itself is immutable and shared
-   read-only. *)
+   immutable once frozen), together with a per-seed memo table the
+   pattern-packed path fills with each cone seed's good-trace read set.
+   The mutex makes the cache safe to hit from pool domains; the compiled
+   form itself is immutable and shared read-only. *)
 module Cc = struct
   let lock = Mutex.create ()
-  let cache : (Circuit.t * Compiled.t) option ref = ref None
+
+  let cache : (Circuit.t * Compiled.t * (int, int array) Hashtbl.t) option ref
+      =
+    ref None
 
   let get c =
     Mutex.lock lock;
     let cc =
       match !cache with
-      | Some (c', cc) when c' == c -> cc
+      | Some (c', cc, _) when c' == c -> cc
       | Some _ | None ->
         let cc = Compiled.of_circuit c in
-        cache := Some (c, cc);
+        cache := Some (c, cc, Hashtbl.create 64);
         cc
     in
     Mutex.unlock lock;
     cc
+
+  (* [memo cc seed f] is [f seed], computed once per seed of the cached
+     compiled circuit ([f] must not reenter the cache). A circuit that
+     has meanwhile been evicted just computes. *)
+  let memo cc seed f =
+    Mutex.lock lock;
+    let v =
+      match !cache with
+      | Some (_, cc', tbl) when cc' == cc -> (
+        match Hashtbl.find_opt tbl seed with
+        | Some v -> v
+        | None ->
+          let v = f seed in
+          Hashtbl.add tbl seed v;
+          v)
+      | Some _ | None -> f seed
+    in
+    Mutex.unlock lock;
+    v
 end
 
 let obs_slots (cc : Compiled.t) observe =
@@ -612,6 +635,7 @@ module Parallel = struct
 
   let run_fault_packed ctx (packed : Compiled.Planes.packed) ~obs_all fault =
     let lanes = packed.Compiled.Planes.lanes in
+    let col = packed.Compiled.Planes.col in
     let faults = Array.make lanes fault in
     let g = make_group ctx ~obs_all faults in
     let result = ref None in
@@ -627,14 +651,13 @@ module Parallel = struct
         if !alive <> 0 then begin
           let r1 = packed.Compiled.Planes.rows1.(!t) in
           let r0 = packed.Compiled.Planes.rows0.(!t) in
-          let g1 s = Array.unsafe_get r1 s
-          and g0 s = Array.unsafe_get r0 s in
+          let g1 s = r1.(col.(s)) and g0 s = r0.(col.(s)) in
           sweep ctx g ~g1 ~g0;
           (* Per-lane detection against the per-lane good planes. *)
           let hits = ref 0 in
           Array.iter
             (fun o ->
-              let g1 = r1.(o) and g0 = r0.(o) in
+              let g1 = g1 o and g0 = g0 o in
               hits :=
                 !hits
                 lor ((g1 land ctx.zeros.(o)) lor (g0 land ctx.ones.(o)))
@@ -679,15 +702,58 @@ module Parallel = struct
       chunks;
     result
 
-  (* Packed good traces per chunk of at most [max_group] blocks. *)
-  let pack_chunks (cc : Compiled.t) (stims : stimulus array) =
+  (* The good-trace slots [run_fault_packed] reads for a fault whose cone
+     seed is slot [seed], besides the observed ones: the read boundary of
+     its cone, and a level-0 stem slot that is not a flip-flop (injected
+     on top of the good value). Both depend on the seed alone — a stem
+     and a branch fault with the same seed share the cone, and a level-0
+     seed with fanin pins is a flip-flop. *)
+  let read_set ctx fault =
+    let g = make_group ctx ~obs_all:[||] [| fault |] in
+    let stems =
+      Array.of_list
+        (List.filter_map
+           (fun (s, _, _) ->
+             if ctx.cc.Compiled.ff_of_slot.(s) < 0 then Some s else None)
+           (Array.to_list g.stems0))
+    in
+    drop_group ctx g;
+    Array.append g.boundary stems
+
+  (* The columns a packed trace must record for [faults]: the union of
+     their (memoized) read sets and the observed slots, ascending. *)
+  let packed_cols (cc : Compiled.t) ~faults ~obs =
+    let ctx = lazy (ctx cc) in
+    let mark = Bytes.make (cc.Compiled.n_slots + 1) '\000' in
+    let cols = ref [] in
+    let add s =
+      if Bytes.get mark s = '\000' then begin
+        Bytes.set mark s '\001';
+        cols := s :: !cols
+      end
+    in
+    Array.iter add obs;
+    Array.iter
+      (fun f ->
+        let seed = cc.Compiled.perm.(Fault.seed f) in
+        Array.iter add
+          (Cc.memo cc seed (fun _ -> read_set (Lazy.force ctx) f)))
+      faults;
+    let a = Array.of_list !cols in
+    Array.sort Int.compare a;
+    a
+
+  (* Packed good traces per chunk of at most [max_group] blocks, each
+     recording only the columns [faults] read. *)
+  let pack_chunks (cc : Compiled.t) ~faults ~obs (stims : stimulus array) =
+    let cols = packed_cols cc ~faults ~obs in
     let nb = Array.length stims in
     let chunks = ref [] in
     let base = ref 0 in
     while !base < nb do
       let w = min max_group (nb - !base) in
       chunks :=
-        (!base, Compiled.Planes.trace_packed cc (Array.sub stims !base w))
+        (!base, Compiled.Planes.trace_packed cc ~cols (Array.sub stims !base w))
         :: !chunks;
       base := !base + w
     done;
@@ -698,20 +764,21 @@ module Parallel = struct
 
   (* The packed path pays one plane trace of every block up front and
      then replays every fault's own cone over [max_cycles] packed
-     cycles; the fault-grouped path sweeps each ≤62-wide group's union
-     cone over every block's cycles. Packing wins when the faults are
-     too few to fill groups or their cones are small — with wide cones
-     (a 62-fault group unioning to the whole netlist) the per-fault
-     replay costs an order of magnitude more, so the choice is made on
-     estimated plane-eval counts, not on fault count alone. The plane
-     snapshots also cost 16 bytes per slot per cycle — past a memory
-     bound the fault-grouped path is used regardless. *)
+     cycles of each chunk of [max_group] blocks; the fault-grouped path
+     sweeps each ≤62-wide group's union cone over every block's cycles.
+     Packing wins when the faults per block are few or their cones are
+     small, whatever the length of the fault list — with wide cones (a
+     62-fault group unioning to the whole netlist) the per-fault replay
+     costs an order of magnitude more, so the choice is made on
+     estimated plane-eval counts, not on fault count. The plane
+     snapshots cost at most 16 bytes per slot per cycle (only the read
+     columns are recorded) — past a memory bound on that the
+     fault-grouped path is used regardless. *)
   let packed_worthwhile (cc : Compiled.t) ~faults ~stims =
     let nf = Array.length faults in
     let nb = Array.length stims in
     nb > 1
     && nf > 0
-    && nf <= 2 * max_group
     &&
     let max_cycles =
       Array.fold_left (fun m s -> max m (Array.length s)) 0 stims
@@ -733,23 +800,26 @@ module Parallel = struct
        small multiple (taken as 8) of a member cone, capped by the
        netlist itself. *)
     let union = min cc.Compiled.n_slots (8 * (sum_cones / nf)) in
-    sum_cones * max_cycles < groups * union * total_cycles
+    sum_cones * max_cycles * n_groups nb < groups * union * total_cycles
 
   (* The one packed-or-grouped switch of dropping simulation. It decides
      on the whole fault list, records the good traces the chosen path
      needs, and returns the runner for any subset of those faults. The
      traces are immutable, so pool domains may share the runner. *)
-  let dropping cc ~faults ~stims =
+  let dropping cc ~faults ~obs ~stims =
     if packed_worthwhile cc ~faults ~stims then
-      let chunks = pack_chunks cc stims in
-      fun ctx ~faults ~obs -> run_dropping_packed ctx ~faults ~obs chunks
+      let chunks = pack_chunks cc ~faults ~obs stims in
+      fun ctx faults -> run_dropping_packed ctx ~faults ~obs chunks
     else
       let blocks =
         Array.map
           (fun stim -> Compiled.trace cc (Compiled.compile_stim cc stim))
           stims
       in
-      fun ctx ~faults ~obs -> run_dropping ctx ~faults ~obs blocks
+      fun ctx faults -> run_dropping ctx ~faults ~obs blocks
+
+  let packs c ~faults ~stimuli =
+    packed_worthwhile (Cc.get c) ~faults ~stims:(Array.of_list stimuli)
 
   let detect_all c ~faults ~observe stim =
     let cc = Cc.get c in
@@ -759,14 +829,14 @@ module Parallel = struct
 
   let detect_dropping_packed c ~faults ~observe ~stimuli =
     let cc = Cc.get c in
-    let stims = Array.of_list stimuli in
-    run_dropping_packed (ctx cc) ~faults ~obs:(obs_slots cc observe)
-      (pack_chunks cc stims)
+    let obs = obs_slots cc observe in
+    run_dropping_packed (ctx cc) ~faults ~obs
+      (pack_chunks cc ~faults ~obs (Array.of_list stimuli))
 
   let detect_dropping c ~faults ~observe ~stimuli =
     let cc = Cc.get c in
-    dropping cc ~faults ~stims:(Array.of_list stimuli) (ctx cc) ~faults
-      ~obs:(obs_slots cc observe)
+    dropping cc ~faults ~obs:(obs_slots cc observe)
+      ~stims:(Array.of_list stimuli) (ctx cc) faults
 end
 
 module Engine = struct
@@ -774,11 +844,15 @@ module Engine = struct
   module Sink = Fst_obs.Sink
   module Metrics = Fst_obs.Metrics
 
+  let max_group = Parallel.max_group
+
   (* One branch when the sink is off; handle resolution and the clock
-     read only happen on live sinks. The inner simulation loops in
-     [Parallel] are never touched. *)
-  let observe_call (obs : Sink.t) name ~faults f =
-    if not obs.Sink.enabled then f ()
+     read only happen on live sinks. A call is two stages — [trace]
+     records the good machine, [simulate] runs the faults against it —
+     and a live sink traces each as a child span of the call's. The inner
+     simulation loops in [Parallel] are never touched. *)
+  let observe_call (obs : Sink.t) name ~faults ~trace ~simulate =
+    if not obs.Sink.enabled then simulate (trace ())
     else begin
       let m = obs.Sink.metrics in
       Metrics.Counter.incr (Metrics.counter m ("fsim." ^ name ^ ".calls"));
@@ -786,7 +860,12 @@ module Engine = struct
         (Metrics.counter m ("fsim." ^ name ^ ".faults"))
         (Array.length faults);
       let t0 = Fst_exec.Clock.now () in
-      let r = Sink.span obs ~name:("fsim." ^ name) ~cat:"fsim" f in
+      let r =
+        Sink.span obs ~name:("fsim." ^ name) ~cat:"fsim" (fun () ->
+            let good = Sink.span obs ~name:"fsim.trace" ~cat:"fsim" trace in
+            Sink.span obs ~name:"fsim.simulate" ~cat:"fsim" (fun () ->
+                simulate good))
+      in
       Metrics.Histogram.observe
         (Metrics.histogram m ("fsim." ^ name ^ ".call_s"))
         (Fst_exec.Clock.now () -. t0);
@@ -831,32 +910,39 @@ module Engine = struct
     match Fst_exec.Chaos.point Fst_exec.Chaos.Engine with
     | `Ok | `Cancel -> ()
 
+  (* An empty fault list records no trace and simulates nothing. *)
   let detect_all ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe stim =
     chaos_entry ();
     let jobs = max 1 jobs in
-    observe_call obs "detect_all" ~faults (fun () ->
-        if Array.length faults = 0 then [||]
-        else begin
+    observe_call obs "detect_all" ~faults
+      ~trace:(fun () ->
+        if Array.length faults = 0 then None
+        else
           let cc = Cc.get c in
-          let rows = Compiled.trace cc (Compiled.compile_stim cc stim) in
+          Some (cc, Compiled.trace cc (Compiled.compile_stim cc stim)))
+      ~simulate:(function
+        | None -> [||]
+        | Some (cc, rows) ->
           let obs_s = obs_slots cc observe in
           run ~obs ~jobs cc ~faults ~cycles:(Array.length stim)
-            (fun ctx fs -> Parallel.run_all ctx ~faults:fs ~obs:obs_s rows)
-        end)
+            (fun ctx fs -> Parallel.run_all ctx ~faults:fs ~obs:obs_s rows))
 
   let detect_dropping ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe
       ~stimuli =
     chaos_entry ();
     let jobs = max 1 jobs in
-    observe_call obs "detect_dropping" ~faults (fun () ->
-        if Array.length faults = 0 then [||]
-        else begin
+    let stims = Array.of_list stimuli in
+    observe_call obs "detect_dropping" ~faults
+      ~trace:(fun () ->
+        if Array.length faults = 0 then None
+        else
           let cc = Cc.get c in
-          let stims = Array.of_list stimuli in
-          let runner = Parallel.dropping cc ~faults ~stims in
-          let obs_s = obs_slots cc observe in
+          let obs = obs_slots cc observe in
+          Some (cc, Parallel.dropping cc ~faults ~obs ~stims))
+      ~simulate:(function
+        | None -> [||]
+        | Some (cc, runner) ->
           run ~obs ~jobs cc ~faults
             ~cycles:(Array.fold_left (fun a s -> a + Array.length s) 0 stims)
-            (fun ctx fs -> runner ctx ~faults:fs ~obs:obs_s)
-        end)
+            runner)
 end

@@ -79,18 +79,29 @@ module Parallel : sig
 
   (** Pattern-parallel variant of [detect_dropping]: the {e lanes} are
       stimulus blocks instead of faults — the fault-free machine is
-      packed once over up to {!max_group} blocks and each fault replays
-      its cone against all blocks simultaneously, returning the
-      lowest-index detecting block and its first cycle, exactly like the
-      serial block scan. Wins when there are few faults and many blocks
-      (the tail of a drop-simulation run); [detect_dropping] switches to
-      it automatically in that regime. *)
+      packed once per chunk of up to {!max_group} blocks and each fault
+      replays its cone against all blocks of a chunk simultaneously,
+      returning the lowest-index detecting block and its first cycle,
+      exactly like the serial block scan. The packed trace records only
+      the columns the faults read (each cone's read boundary, a level-0
+      stem slot, the observed slots); each cone seed's read set is
+      memoized with the cached compiled circuit. Wins when the faults
+      are few per block — a fault list of any length over a window of
+      many blocks, such as step 2 of the flow; [detect_dropping] switches
+      to it automatically when the estimated plane evaluations say so. *)
   val detect_dropping_packed :
     Circuit.t ->
     faults:Fault.t array ->
     observe:int array ->
     stimuli:stimulus list ->
     (int * int) option array
+
+  (** Whether [detect_dropping] takes the pattern-packed branch on these
+      faults and stimuli: it does when replaying each fault's cone over
+      every chunk of {!max_group} blocks is estimated to cost fewer plane
+      evaluations than sweeping each fault group's union cone over every
+      block. *)
+  val packs : Circuit.t -> faults:Fault.t array -> stimuli:stimulus list -> bool
 end
 
 (** The fault-simulation entry point: {!Parallel} plus multicore
@@ -103,10 +114,18 @@ end
 module Engine : sig
   (** With a live [obs] sink each call counts
       [fsim.<entry>.calls] / [.faults], fills a [.call_s] duration
-      histogram, emits a trace span, and threads the sink into the pool
-      (per-domain busy accounting). With the default
+      histogram, emits an [fsim.<entry>] trace span with two child spans
+      — [fsim.trace] (recording the good machine: the scalar trace, or
+      the packed traces of a pattern-parallel dropping call) and
+      [fsim.simulate] (the faults against it) — and threads the sink into
+      the pool (per-domain busy accounting). With the default
       {!Fst_obs.Sink.null} the instrumentation is a single branch per
       call — the inner simulation loops are never touched. *)
+
+  (** {!Parallel.max_group}: a dropping call over at most this many
+      blocks records each good trace in one packed pass, so callers that
+      poll between calls step by windows of this width. *)
+  val max_group : int
 
   val detect_all :
     ?obs:Fst_obs.Sink.t ->

@@ -89,6 +89,12 @@ type prop = {
       (* source reads as permanent X: a binary value there is absurd *)
   mutable trail : (int * V3.t * reason) list;
   q : int Queue.t;
+  pos : int array;  (* topological position of each net *)
+  learn_base : int list;
+      (* ascending topological positions of the gates the base leaves
+         unjustified (at their controlled output, no fanin at the
+         controlling value): with the gates on the trail, the only ones
+         {!recursive_learn} can pick *)
 }
 
 let assign p n v reason =
@@ -221,6 +227,8 @@ let make_prop (view : View.t) =
       uncontrollable;
       trail = [];
       q = Queue.create ();
+      pos = Array.make n (-1);
+      learn_base = [];
     }
   in
   (* cannot conflict: values are only derived forward from the (single
@@ -232,7 +240,21 @@ let make_prop (view : View.t) =
   (* promote the fixpoint to the permanent base *)
   Array.blit p.work 0 p.base 0 n;
   p.trail <- [];
-  (p, reasons)
+  let topo = c.Circuit.topo in
+  Array.iteri (fun k i -> p.pos.(i) <- k) topo;
+  let learn_base = ref [] in
+  for k = Array.length topo - 1 downto 0 do
+    match Circuit.node c topo.(k) with
+    | Circuit.Gate (g, fan) -> (
+      match Gate.controlling g with
+      | Some ctrl
+        when V3.equal p.base.(topo.(k)) (Gate.controlled_output g)
+             && not (Array.exists (fun i -> V3.equal p.base.(i) ctrl) fan) ->
+        learn_base := k :: !learn_base
+      | _ -> ())
+    | _ -> ()
+  done;
+  ({ p with learn_base = !learn_base }, reasons)
 
 let compute_def_binary (view : View.t) base =
   let c = view.View.circuit in
@@ -306,6 +328,25 @@ let entry_of p in_cone (f : Fault.t) =
         (match !found with Some b -> Blocked b | None -> Net node))
     | Circuit.Dff _ | Circuit.Input | Circuit.Const _ -> Obs)
 
+(* [entry_of] with an empty cone, resolved once per fault up to the
+   state-dependent reads: a branch fault on a gate with a controlling
+   value is blocked by any other pin forced to it. *)
+type cheap_entry =
+  | Cheap_obs
+  | Cheap_net of int
+  | Cheap_pin of { node : int; pin : int; fan : int array; ctrl : V3.t }
+
+let cheap_entry c (f : Fault.t) =
+  match f.Fault.site with
+  | Fault.Stem s -> Cheap_net s
+  | Fault.Branch { node; pin } -> (
+    match Circuit.node c node with
+    | Circuit.Gate (g, fan) -> (
+      match Gate.controlling g with
+      | None -> Cheap_net node
+      | Some ctrl -> Cheap_pin { node; pin; fan; ctrl })
+    | Circuit.Dff _ | Circuit.Input | Circuit.Const _ -> Cheap_obs)
+
 (* Sound, cone-aware cut search: explore every net the effect could
    reach; collect the blocked gates on the frontier. [None] when an
    observation point is reachable. *)
@@ -345,40 +386,113 @@ let blocked_cut p obs_src in_cone seen entry =
   List.iter (fun w -> seen.(w) <- false) !cleanup;
   result
 
-(* Fault-independent observability marker under the current assignment:
-   [scratch.(w)] = an effect at [w] might reach an observation point,
-   ignoring cones. Only used to filter FIRE candidates; the sound
-   per-fault check is [blocked_cut]. *)
-let cheap_obs_ok p obs_src scratch =
+(* Fault-independent observability marker: an effect at net [w] might
+   reach an observation point, ignoring cones, when [w] drives an
+   unblocked pin (no other pin forced to the controlling value) of a
+   gate that is an observation source or itself marked. Only used to
+   filter FIRE candidates; the sound per-fault check is [blocked_cut].
+
+   Kept as support counts: [cnt.(w)] is the number of such pins [w]
+   drives, so [w] is marked when it is positive. The base assignment's
+   counts are computed once. A branch only forces more pins, so it only
+   takes support away: [obs_retract] walks back from the gates next to
+   the trail in reverse topological order, and [obs_restore] returns the
+   counts to the base. *)
+type obs_support = {
+  obs_src : bool array;
+  base_cnt : int array;
+  cnt : int array;
+  mutable retracted : int list;
+}
+
+(* The number of [fan]'s pins forced to [g]'s controlling value under
+   [values], and the last of them; a pin is unblocked when no other pin
+   is forced. *)
+let forced_pins (values : V3.t array) g fan =
+  match Gate.controlling g with
+  | None -> (0, -1)
+  | Some ctrl ->
+    let n_forced = ref 0 and forced = ref (-1) in
+    for q = 0 to Array.length fan - 1 do
+      if V3.equal values.(fan.(q)) ctrl then begin
+        incr n_forced;
+        forced := q
+      end
+    done;
+    (!n_forced, !forced)
+
+let unblocked (n_forced, forced) q =
+  n_forced = 0 || (n_forced = 1 && forced = q)
+
+let obs_support p obs_src =
   let c = p.c in
-  Array.fill scratch 0 (Array.length scratch) false;
+  let cnt = Array.make (Circuit.num_nets c) 0 in
   let topo = c.Circuit.topo in
   for k = Array.length topo - 1 downto 0 do
     let i = topo.(k) in
     match Circuit.node c i with
-    | Circuit.Gate (g, fan) when scratch.(i) || obs_src.(i) ->
-      let forced_ctrl q =
-        match Gate.controlling g with
-        | None -> false
-        | Some ctrl -> V3.equal p.work.(fan.(q)) ctrl
-      in
+    | Circuit.Gate (g, fan) when cnt.(i) > 0 || obs_src.(i) ->
+      let forced = forced_pins p.base g fan in
       Array.iteri
-        (fun q k ->
-          if not scratch.(k) then begin
-            let blocked = ref false in
-            Array.iteri
-              (fun q' _ -> if q' <> q && forced_ctrl q' then blocked := true)
-              fan;
-            if not !blocked then scratch.(k) <- true
-          end)
+        (fun q w -> if unblocked forced q then cnt.(w) <- cnt.(w) + 1)
         fan
     | _ -> ()
   done;
-  scratch
+  { obs_src; base_cnt = Array.copy cnt; cnt; retracted = [] }
+
+module Int_set = Set.Make (Int)
+
+(* Each gate is settled once: support only flows from a gate to its
+   fanins, which come earlier in topological order. *)
+let obs_retract p o =
+  let c = p.c in
+  let topo = c.Circuit.topo in
+  let pending = ref Int_set.empty in
+  let push w =
+    match Circuit.node c w with
+    | Circuit.Gate _ -> pending := Int_set.add p.pos.(w) !pending
+    | _ -> ()
+  in
+  List.iter (fun (n, _, _) -> Array.iter push c.Circuit.fanout.(n)) p.trail;
+  while not (Int_set.is_empty !pending) do
+    let k = Int_set.max_elt !pending in
+    pending := Int_set.remove k !pending;
+    let i = topo.(k) in
+    match Circuit.node c i with
+    | Circuit.Gate (g, fan) ->
+      let was = o.base_cnt.(i) > 0 || o.obs_src.(i) in
+      if was then begin
+        let is = o.cnt.(i) > 0 || o.obs_src.(i) in
+        let forced0 = forced_pins p.base g fan
+        and forced = forced_pins p.work g fan in
+        Array.iteri
+          (fun q w ->
+            if unblocked forced0 q && not (is && unblocked forced q) then begin
+              o.cnt.(w) <- o.cnt.(w) - 1;
+              o.retracted <- w :: o.retracted;
+              if o.cnt.(w) = 0 then push w
+            end)
+          fan
+      end
+    | _ -> ()
+  done
+
+let obs_restore o =
+  List.iter (fun w -> o.cnt.(w) <- o.cnt.(w) + 1) o.retracted;
+  o.retracted <- []
 
 (* ------------------------------------------------------------------ *)
 (* Depth-1 recursive learning                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* Net sets as bitsets over net indices. *)
+let bit_mem bits w =
+  Char.code (Bytes.get bits (w lsr 3)) land (1 lsl (w land 7)) <> 0
+
+let bit_add bits w =
+  let b = w lsr 3 in
+  let byte = Char.code (Bytes.get bits b) lor (1 lsl (w land 7)) in
+  Bytes.set bits b (Char.chr byte)
 
 let stuck_value (f : Fault.t) = V3.of_bool f.Fault.stuck
 let max_learn_gates = 2
@@ -394,11 +508,26 @@ let recursive_learn p =
   let learned = ref 0 in
   let picked = ref 0 in
   let topo = c.Circuit.topo in
-  let n_topo = Array.length topo in
-  let k = ref 0 in
-  while !picked < max_learn_gates && !k < n_topo do
-    let j = topo.(!k) in
-    incr k;
+  (* An unjustified gate sits at a binary value, so the scan in
+     topological order visits only the base candidates and the gates
+     assigned since the base, past position [after]. *)
+  let candidates after =
+    let assigned =
+      List.filter_map
+        (fun (n, _, _) ->
+          let k = p.pos.(n) in
+          if k > after then Some k else None)
+        p.trail
+    in
+    List.merge Int.compare
+      (List.filter (fun k -> k > after) p.learn_base)
+      (List.sort Int.compare assigned)
+  in
+  let next = ref (candidates (-1)) in
+  while !picked < max_learn_gates && !next <> [] do
+    let k = List.hd !next in
+    next := List.tl !next;
+    let j = topo.(k) in
     match Circuit.node c j with
     | Circuit.Gate (g, fan) -> (
       match Gate.controlling g with
@@ -433,11 +562,14 @@ let recursive_learn p =
                     (match !common with
                     | None -> !branch
                     | Some prev ->
+                      (* a trail holds each net once, so [prev] is a map *)
+                      let prev_v = Hashtbl.create 64 in
+                      List.iter (fun (n, v) -> Hashtbl.replace prev_v n v) prev;
                       List.filter
                         (fun (n, v) ->
-                          List.exists
-                            (fun (n', v') -> n = n' && V3.equal v v')
-                            prev)
+                          match Hashtbl.find_opt prev_v n with
+                          | Some v' -> V3.equal v v'
+                          | None -> false)
                         !branch)
               end
               else undo_to p mark
@@ -455,7 +587,8 @@ let recursive_learn p =
                 incr learned
               end)
             fixes;
-          settle p)
+          settle p;
+          next := candidates k)
       | _ -> ())
     | _ -> ()
   done;
@@ -529,7 +662,6 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
     end
   done;
   let seen = Array.make n false in
-  let obs_scratch = Array.make n false in
   let proofs = Array.make nf None in
   let n_proven = ref 0 in
   let prove i pr =
@@ -538,21 +670,40 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
       incr n_proven
     end
   in
-  (* cone membership, cached per fault seed *)
+  (* Cone membership ([Fault.cone]'s nets: everything reachable from the
+     fault's seed through the fanout), walked once per seed and cached
+     as a bitset: a near-whole-netlist cone costs n/8 bytes instead of a
+     sorted array of n ints. *)
+  let stack = Array.make n 0 in
+  let walk seed =
+    let bits = Bytes.make ((n + 7) / 8) '\000' in
+    let top = ref 0 in
+    let visit w =
+      if not (bit_mem bits w) then begin
+        bit_add bits w;
+        stack.(!top) <- w;
+        incr top
+      end
+    in
+    visit seed;
+    while !top > 0 do
+      decr top;
+      Array.iter visit c.Circuit.fanout.(stack.(!top))
+    done;
+    bits
+  in
   let cone_cache = Hashtbl.create 64 in
   let with_cone f k =
-    let key = Fault.seed f in
-    let cone =
-      match Hashtbl.find_opt cone_cache key with
-      | Some cone -> cone
+    let seed = Fault.seed f in
+    let bits =
+      match Hashtbl.find_opt cone_cache seed with
+      | Some bits -> bits
       | None ->
-        let cone = Fault.cone c f in
-        Hashtbl.replace cone_cache key cone;
-        cone
+        let bits = walk seed in
+        Hashtbl.replace cone_cache seed bits;
+        bits
     in
-    let in_cone = Array.make n false in
-    Array.iter (fun w -> in_cone.(w) <- true) cone;
-    k (fun w -> in_cone.(w))
+    k (bit_mem bits)
   in
   (* --- pass 1: base constants alone -------------------------------- *)
   Array.iteri
@@ -568,19 +719,32 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
   (* --- pass 2: one propagation per literal -------------------------- *)
   let succ = Array.make (2 * n) [] in
   let learned_total = ref 0 in
-  let blocked0 = Bytes.make (max nf 1) '\000' in
+  (* Pass 2 proves nothing, so the faults open for FIRE are fixed here. *)
+  let open_faults =
+    List.filter (fun i -> proofs.(i) = None) (List.init nf Fun.id)
+  in
+  (* The open faults blocked under the current net's 0-branch, in
+     ascending order; only they can become FIRE candidates. *)
+  let blocked0 = ref [] in
   let fire_candidates = ref [] in
   (* cheap, cone-unaware "is detection blocked" filter under the current
      branch assignment *)
-  let no_cone _ = false in
-  let cheap_blocked obs_ok f =
-    let s = Fault.site_net c f in
-    V3.equal p.work.(s) (stuck_value f)
+  let cheap = Array.map (cheap_entry c) faults in
+  let obs = obs_support p obs_src in
+  let obs_ok w = obs.cnt.(w) > 0 in
+  let cheap_blocked i =
+    let f = faults.(i) in
+    V3.equal p.work.(Fault.site_net c f) (stuck_value f)
     ||
-    match entry_of p no_cone f with
-    | Obs -> false
-    | Blocked _ -> true
-    | Net e -> not obs_ok.(e)
+    match cheap.(i) with
+    | Cheap_obs -> false
+    | Cheap_net e -> not (obs_ok e)
+    | Cheap_pin { node; pin; fan; ctrl } ->
+      let blocked = ref false in
+      for q = 0 to Array.length fan - 1 do
+        if q <> pin && V3.equal p.work.(fan.(q)) ctrl then blocked := true
+      done;
+      !blocked || not (obs_ok node)
   in
   for m = 0 to n - 1 do
     if (not (V3.is_binary base.(m))) && not p.uncontrollable.(m) then begin
@@ -625,26 +789,25 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
           edges p.trail;
           (* FIRE filter under this branch (state still applied) *)
           if def_binary.(m) && !n_proven < nf then begin
-            let obs_ok = cheap_obs_ok p obs_src obs_scratch in
-            Array.iteri
-              (fun i f ->
-                if proofs.(i) = None && cheap_blocked obs_ok f then
-                  if value then begin
-                    if Bytes.get blocked0 i = '\001' then
-                      fire_candidates := (m, i) :: !fire_candidates
-                  end
-                  else Bytes.set blocked0 i '\001')
-              faults
+            let tested = if value then !blocked0 else open_faults in
+            if tested <> [] then begin
+              obs_retract p obs;
+              let blocked = List.filter cheap_blocked tested in
+              obs_restore obs;
+              if not value then blocked0 := blocked
+              else if blocked <> [] then
+                fire_candidates := (m, blocked) :: !fire_candidates
+            end
           end;
           undo_to p mark;
           true
         end
       in
-      if nf > 0 then Bytes.fill blocked0 0 nf '\000';
+      blocked0 := [];
       let ok0 = branch false in
       (* a conflicting 0-branch blocks every fault vacuously: candidates
          are whatever the 1-branch blocks *)
-      if (not ok0) && def_binary.(m) then Bytes.fill blocked0 0 nf '\001';
+      if (not ok0) && def_binary.(m) then blocked0 := open_faults;
       ignore (branch true : bool)
     end
   done;
@@ -727,35 +890,49 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
     end
   done;
   (* --- pass 3: verify FIRE candidates soundly ----------------------- *)
-  let verify_branch m value f in_cone =
+  (* Each branch of [m] is assumed once for all of [m]'s candidates:
+     [evidence] gives, in order, the faults of [is] the branch excludes. *)
+  let evidence m value is =
     let mark = p.trail in
     let ev =
       if not (try_assume p [ (m, V3.of_bool value, Assumed) ]) then
-        Some Conflict
-      else begin
-        let s = Fault.site_net c f in
-        if V3.equal p.work.(s) (stuck_value f) then
-          Some (Excitation (stuck_value f))
-        else
-          match blocked_cut p obs_src in_cone seen (entry_of p in_cone f) with
-          | Some cut -> Some (Cut cut)
-          | None -> None
-      end
+        List.map (fun i -> (i, Conflict)) is
+      else
+        List.filter_map
+          (fun i ->
+            let f = faults.(i) in
+            let s = Fault.site_net c f in
+            if V3.equal p.work.(s) (stuck_value f) then
+              Some (i, Excitation (stuck_value f))
+            else
+              with_cone f (fun in_cone ->
+                  match
+                    blocked_cut p obs_src in_cone seen (entry_of p in_cone f)
+                  with
+                  | Some cut -> Some (i, Cut cut)
+                  | None -> None))
+          is
     in
     undo_to p mark;
     ev
   in
   List.iter
-    (fun (m, i) ->
-      if proofs.(i) = None then
-        let f = faults.(i) in
-        with_cone f (fun in_cone ->
-            match verify_branch m false f in_cone with
-            | None -> ()
-            | Some if0 -> (
-              match verify_branch m true f in_cone with
-              | None -> ()
-              | Some if1 -> prove i (Fire { m; if0; if1 }))))
+    (fun (m, candidates) ->
+      match List.filter (fun i -> proofs.(i) = None) candidates with
+      | [] -> ()
+      | open_ ->
+        let ev0 = evidence m false open_ in
+        let ev1 = evidence m true (List.map fst ev0) in
+        (* [ev1] is a subsequence of [ev0] *)
+        let rec fire ev0 ev1 =
+          match (ev0, ev1) with
+          | (i, if0) :: r0, (j, if1) :: r1 when i = j ->
+            prove i (Fire { m; if0; if1 });
+            fire r0 r1
+          | _ :: r0, _ -> fire r0 ev1
+          | [], _ -> ()
+        in
+        fire ev0 ev1)
     (List.rev !fire_candidates);
   (* --- pass 4: detection-necessary literals ------------------------- *)
   (* Every test must set the site net opposite to the stuck value, and a

@@ -473,28 +473,32 @@ module Planes = struct
     done
 
   (* Pattern-parallel good trace: lane [b] simulates stimulus block [b]
-     (up to word width lanes per sweep), and row [t] snapshots the planes
-     after cycle [t]'s evaluation. A lane whose block is shorter than the
-     longest one keeps ticking harmlessly; readers mask it with
-     [lane_len]. One full-netlist plane sweep replaces [lanes] scalar
-     sweeps when recording the good machine over the alternating /
-     converted sequence sets. *)
+     (up to word width lanes per sweep), and row [t] snapshots, after
+     cycle [t]'s evaluation, the planes of the [cols] slots only — the
+     columns the caller's readers will look up. One full-netlist plane
+     sweep replaces [lanes] scalar sweeps, and a row costs one word pair
+     per column instead of one per slot. A lane whose block is shorter
+     than the longest one keeps ticking harmlessly; readers mask it with
+     [lane_len]. *)
   type packed = {
     lanes : int;
     cycles : int;
     lane_len : int array;
+    col : int array;
     rows1 : int array array;
     rows0 : int array array;
   }
 
   let max_lanes = Sys.int_size - 1
 
-  let trace_packed cc (stims : Sim.stimulus array) =
+  let trace_packed cc ~cols (stims : Sim.stimulus array) =
     let lanes = Array.length stims in
     if lanes = 0 || lanes > max_lanes then
       invalid_arg "Compiled.Planes.trace_packed: bad lane count";
     let lane_len = Array.map Array.length stims in
     let cycles = Array.fold_left max 0 lane_len in
+    let col = Array.make (cc.n_slots + 1) (-1) in
+    Array.iteri (fun j s -> col.(s) <- j) cols;
     let pv = make cc ~lanes in
     let l1 = Array.make (max 1 cc.n_ffs) 0 in
     let l0 = Array.make (max 1 cc.n_ffs) 0 in
@@ -509,9 +513,9 @@ module Planes = struct
               stim.(t))
         stims;
       eval cc pv;
-      rows1.(t) <- Array.copy pv.ones;
-      rows0.(t) <- Array.copy pv.zeros;
+      rows1.(t) <- Array.map (fun s -> Array.unsafe_get pv.ones s) cols;
+      rows0.(t) <- Array.map (fun s -> Array.unsafe_get pv.zeros s) cols;
       clock cc pv ~l1 ~l0
     done;
-    { lanes; cycles; lane_len; rows1; rows0 }
+    { lanes; cycles; lane_len; col; rows1; rows0 }
 end

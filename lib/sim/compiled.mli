@@ -144,19 +144,24 @@ module Planes : sig
   val clock : t -> vec -> l1:int array -> l0:int array -> unit
 
   (** Pattern-parallel good trace: lane [b] simulates stimulus block [b].
-      Row [t] of [rows1]/[rows0] is the plane snapshot after cycle [t]'s
-      settle; lanes past their own block length keep ticking and must be
-      masked by the reader using [lane_len]. *)
+      Only the [cols] slots are recorded: row [t] of [rows1]/[rows0]
+      holds, at index [col.(s)], the planes of slot [s] after cycle [t]'s
+      settle ([col.(s) = -1] for a slot that was not recorded). Lanes past
+      their own block length keep ticking and must be masked by the
+      reader using [lane_len]. *)
   type packed = {
     lanes : int;
     cycles : int;  (** max block length *)
     lane_len : int array;
+    col : int array;  (** slot -> row index, or [-1]; length [n_slots + 1] *)
     rows1 : int array array;
     rows0 : int array array;
   }
 
   val max_lanes : int
 
-  (** Raises [Invalid_argument] on 0 or more than [max_lanes] blocks. *)
-  val trace_packed : t -> Sim.stimulus array -> packed
+  (** [trace_packed cc ~cols stims] records the [cols] slots (distinct
+      slot ids) of every cycle. Raises [Invalid_argument] on 0 or more
+      than [max_lanes] blocks. *)
+  val trace_packed : t -> cols:int array -> Sim.stimulus array -> packed
 end

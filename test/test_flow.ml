@@ -511,6 +511,135 @@ let test_chaos_kill_and_resume_deterministic () =
     (fault_names scanned reference.Flow.undetected)
     (fault_names scanned resumed.Flow.undetected)
 
+(* --- step-2 windows ------------------------------------------------------ *)
+
+module Fsim = Fst_fsim.Fsim
+module Sink = Fst_obs.Sink
+
+(* A random step-2 workload: up to 100 faults of a small sequential
+   circuit and [nb] random stimulus blocks of 2 to 6 cycles, so the
+   lanes of a packed window end at different cycles. *)
+let window_workload seed nb =
+  let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 seed in
+  let rng = Fst_gen.Rng.create (Int64.add seed 13L) in
+  let universe = Fst_fault.Fault.universe c in
+  let faults =
+    Array.init (min 100 (Array.length universe)) (fun _ ->
+        Fst_gen.Rng.pick rng universe)
+  in
+  let block () =
+    Array.init
+      (2 + Fst_gen.Rng.int rng 5)
+      (fun _ ->
+        Array.to_list c.Circuit.inputs
+        |> List.map (fun pi ->
+               ( pi,
+                 match Fst_gen.Rng.int rng 4 with
+                 | 0 -> Fst_logic.V3.X
+                 | 1 -> Fst_logic.V3.Zero
+                 | _ -> Fst_logic.V3.One )))
+  in
+  (c, faults, Array.init nb (fun _ -> block ()))
+
+let unlimited () = infinity
+
+(* The reference: one serial dropping pass over every block. *)
+let serial_outcome c faults blocks =
+  Fsim.Serial.detect_dropping c ~faults ~observe:c.Circuit.outputs
+    ~stimuli:(Array.to_list blocks)
+
+(* Figure 5 from per-fault outcomes: after [i] blocks, the faults whose
+   detecting block is below [i]. *)
+let reference_curve nb outcome =
+  Array.init (nb + 1) (fun i ->
+      ( i,
+        Array.fold_left
+          (fun a o -> match o with Some (b, _) when b < i -> a + 1 | _ -> a)
+          0 outcome ))
+
+(* Windows of 62 blocks give the per-fault (block, cycle) and the curve
+   of one serial pass over all blocks, for block counts around the
+   window width and for every [jobs]. *)
+let prop_windows_match_serial =
+  Q.Test.make ~name:"step-2 windows agree with one serial dropping pass"
+    ~count:6
+    (Q.map Int64.of_int (Q.int_bound 100000))
+    (fun seed ->
+      List.for_all
+        (fun nb ->
+          let c, faults, blocks = window_workload seed nb in
+          let want = serial_outcome c faults blocks in
+          List.for_all
+            (fun jobs ->
+              let w =
+                Flow.fsim_windows ~sink:Sink.null ~jobs ~keep_going:false
+                  ~budget_left:unlimited ~failed_before:0 c ~faults blocks
+              in
+              w.Flow.outcome = want
+              && w.Flow.curve = reference_curve nb want
+              && (not w.Flow.late) && w.Flow.failed = [||])
+            [ 1; 2 ])
+        [ 1; 61; 62; 63; 125 ])
+
+(* What the first window alone detects: the serial outcome cut at
+   [blocks] blocks. *)
+let cut blocks outcome =
+  Array.map
+    (function Some (b, _) as o when b < blocks -> o | Some _ | None -> None)
+    outcome
+
+(* A budget that runs out after the first window keeps that window's
+   detections, simulates nothing further, and reports the phase late. *)
+let test_windows_budget_after_first () =
+  let c, faults, blocks = window_workload 5L 125 in
+  let polls = ref 0 in
+  let budget_left () =
+    incr polls;
+    if !polls = 1 then 1.0 else -1.0
+  in
+  let w = Flow.fsim_windows ~sink:Sink.null ~jobs:1 ~keep_going:false ~budget_left
+      ~failed_before:0 c ~faults blocks in
+  let first = cut Fsim.Engine.max_group (serial_outcome c faults blocks) in
+  Alcotest.(check int) "polled before windows 1 and 2" 2 !polls;
+  Alcotest.(check bool) "late" true w.Flow.late;
+  Alcotest.(check bool) "first window's detections kept" true
+    (w.Flow.outcome = first);
+  Alcotest.(check bool) "something was detected" true
+    (Array.exists Option.is_some first)
+
+(* A chaos [Raise] on every attempt of window [k]'s engine call fails
+   that window for good: exactly the faults still pending at window [k]
+   are quarantined, and the earlier windows' detections stay. *)
+let test_windows_chaos_contained () =
+  let c, faults, blocks = window_workload 5L 125 in
+  let want = serial_outcome c faults blocks in
+  List.iter
+    (fun k ->
+      (* One engine hit per window, three attempts under [Retry]. *)
+      Chaos.install
+        (List.init 3 (fun a ->
+             { Chaos.site = Chaos.Engine; at = k + a; action = Chaos.Raise }));
+      let w =
+        Fun.protect ~finally:Chaos.clear (fun () ->
+            Flow.fsim_windows ~sink:Sink.null ~jobs:1 ~keep_going:true
+              ~budget_left:unlimited ~failed_before:0 c ~faults blocks)
+      in
+      let kept = cut (k * Fsim.Engine.max_group) want in
+      let pending =
+        Array.of_list
+          (List.filter
+             (fun i -> kept.(i) = None)
+             (List.init (Array.length faults) Fun.id))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "window %d: earlier detections kept" k)
+        true (w.Flow.outcome = kept);
+      Alcotest.(check (array int))
+        (Printf.sprintf "window %d: pending faults failed" k)
+        pending w.Flow.failed;
+      Alcotest.(check bool) "not late" false w.Flow.late)
+    [ 0; 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "flow bookkeeping" `Quick test_flow_bookkeeping;
@@ -534,4 +663,9 @@ let suite =
       test_corrupt_checkpoint_resume;
     Alcotest.test_case "chaos kill/corrupt/resume is deterministic" `Quick
       test_chaos_kill_and_resume_deterministic;
+    Helpers.qcheck prop_windows_match_serial;
+    Alcotest.test_case "step-2 budget trips after the first window" `Quick
+      test_windows_budget_after_first;
+    Alcotest.test_case "step-2 failed window quarantines its pending cohort"
+      `Quick test_windows_chaos_contained;
   ]

@@ -101,6 +101,18 @@ let prop_serial_parallel_agree =
         chosen;
       !ok)
 
+(* A random 12-cycle stimulus block over [c]'s inputs, X on a quarter
+   of the values. *)
+let random_block rng (c : Circuit.t) =
+  Array.init 12 (fun _ ->
+      Array.to_list c.Circuit.inputs
+      |> List.map (fun pi ->
+             ( pi,
+               match Fst_gen.Rng.int rng 4 with
+               | 0 -> V3.X
+               | 1 -> V3.Zero
+               | _ -> V3.One )))
+
 (* One random workload reused by the engine-interface properties: up to
    [n] faults drawn from the universe, and three random stimulus blocks. *)
 let random_workload ?(n = 100) seed =
@@ -111,17 +123,7 @@ let random_workload ?(n = 100) seed =
     Array.init (min n (Array.length faults)) (fun _ ->
         Fst_gen.Rng.pick rng faults)
   in
-  let block () =
-    Array.init 12 (fun _ ->
-        Array.to_list c.Circuit.inputs
-        |> List.map (fun pi ->
-               ( pi,
-                 match Fst_gen.Rng.int rng 4 with
-                 | 0 -> V3.X
-                 | 1 -> V3.Zero
-                 | _ -> V3.One )))
-  in
-  (c, chosen, List.init 3 (fun _ -> block ()))
+  (c, chosen, List.init 3 (fun _ -> random_block rng c))
 
 (* The engine-interface workloads cover both dropping branches. Four
    faults over three blocks take the pattern-packed branch (on all but a
@@ -218,6 +220,39 @@ let prop_packed_dropping_agrees =
       = Fsim.Parallel.detect_dropping_packed c ~faults:chosen ~observe
           ~stimuli)
 
+(* The dropping switch counts the chunks of [max_group] blocks the
+   packed path replays every fault over. The 186 widest-cone faults of a
+   fixed circuit (cones of 70 of its 80 nets on average) go packed over
+   62 blocks, one chunk, and fault-grouped over 63, two chunks. Either
+   way both dropping entry points give the serial answer. *)
+let test_dropping_branch_counts_chunks () =
+  let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 2L in
+  let rng = Fst_gen.Rng.create 9L in
+  let universe = Fault.universe c in
+  let sizes = Fault.cone_sizes c universe in
+  let order = Array.init (Array.length universe) (fun i -> i) in
+  Array.stable_sort (fun i j -> compare sizes.(j) sizes.(i)) order;
+  let faults = Array.init 186 (fun k -> universe.(order.(k))) in
+  let observe = c.Circuit.outputs in
+  List.iter
+    (fun (nb, packed) ->
+      let stimuli = List.init nb (fun _ -> random_block rng c) in
+      Alcotest.(check bool)
+        (Printf.sprintf "packed over %d blocks" nb)
+        packed
+        (Fsim.Parallel.packs c ~faults ~stimuli);
+      let serial = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
+      Alcotest.(check bool)
+        (Printf.sprintf "parallel = serial over %d blocks" nb)
+        true
+        (Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli = serial);
+      Alcotest.(check bool)
+        (Printf.sprintf "engine -j 2 = serial over %d blocks" nb)
+        true
+        (Fsim.Engine.detect_dropping ~jobs:2 c ~faults ~observe ~stimuli
+         = serial))
+    [ (62, true); (63, false) ]
+
 let test_detect_dropping_blocks () =
   let c, si, en, ff0, _g, _ff1 = small_chain () in
   let faults =
@@ -251,4 +286,6 @@ let suite =
     Helpers.qcheck prop_jobs_invariant;
     Helpers.qcheck prop_packed_dropping_agrees;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;
+    Alcotest.test_case "dropping branch counts block chunks" `Quick
+      test_dropping_branch_counts_chunks;
   ]

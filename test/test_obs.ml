@@ -313,6 +313,40 @@ let test_live_sink_is_pure_observer () =
     (Helpers.contains_substring ~needle:"\"kind\":\"phase_start\""
        (Buffer.contents buf))
 
+(* A traced flow splits every fault-simulation engine call into its
+   good-trace and simulation layers: one [fsim.trace] and one
+   [fsim.simulate] child span per [fsim.<entry>] span. *)
+let test_engine_child_spans () =
+  let scanned, config = scan_small 11L in
+  let trace = Trace.create () in
+  let sink = Sink.create ~trace () in
+  ignore
+    (Flow.run
+       ~config:Config.(quick_config |> with_jobs 1 |> with_sink sink)
+       scanned config);
+  let names =
+    match Json.member "traceEvents" (Trace.to_json trace) with
+    | Some (Json.List evs) ->
+      List.filter_map
+        (fun e ->
+          match Json.member "name" e with
+          | Some (Json.String n) -> Some n
+          | _ -> None)
+        evs
+    | _ -> []
+  in
+  let count p = List.length (List.filter p names) in
+  let calls =
+    count (fun n -> n = "fsim.detect_all" || n = "fsim.detect_dropping")
+  in
+  Alcotest.(check bool) "engine calls traced" true (calls > 0);
+  Alcotest.(check bool) "a windowed dropping call" true
+    (count (String.equal "fsim.detect_dropping") > 0);
+  Alcotest.(check int) "one fsim.trace per call" calls
+    (count (String.equal "fsim.trace"));
+  Alcotest.(check int) "one fsim.simulate per call" calls
+    (count (String.equal "fsim.simulate"))
+
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
@@ -330,4 +364,6 @@ let suite =
     Alcotest.test_case "events jsonl" `Quick test_events_jsonl;
     Alcotest.test_case "live sink is a pure observer" `Quick
       test_live_sink_is_pure_observer;
+    Alcotest.test_case "engine calls carry trace/simulate spans" `Quick
+      test_engine_child_spans;
   ]
