@@ -1,7 +1,7 @@
 # Convenience targets for local development and CI.
 
 .PHONY: all build test check static-check lint-smoke bench-smoke \
-  perf-smoke degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
+  degradation-smoke resume-smoke obs-smoke noop-sink-smoke \
   chaos-smoke analyze-smoke sca-smoke serve-smoke perf-ab clean
 
 all: build
@@ -14,11 +14,12 @@ test:
 
 # Full local gate: compile everything (all warnings fatal in dev, see the
 # root dune env stanza), run the test suite, then smoke-run the micro
-# benchmark at a tiny scale so bench/ rot is caught early, lint every
+# benchmark at a tiny scale so bench/ rot is caught early (it ends with
+# the fault-simulation back-end gate, see bench-smoke), lint every
 # example netlist, and exercise the budget-degradation, checkpoint/resume,
 # and observability CLI paths.
-check: static-check build test lint-smoke bench-smoke perf-smoke \
-  degradation-smoke resume-smoke obs-smoke noop-sink-smoke chaos-smoke \
+check: static-check build test lint-smoke bench-smoke degradation-smoke \
+  resume-smoke obs-smoke noop-sink-smoke chaos-smoke \
   analyze-smoke sca-smoke serve-smoke
 
 # Type-check every library and executable (including ones @default would
@@ -55,17 +56,13 @@ lint-smoke: build
 	  { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "lint-smoke: OK"
 
+# The micro benchmarks at smoke scale, then the fault-simulation
+# back-end gate: on every suite circuit Fsim.Serial and Fsim.Parallel
+# run detect_dropping on the same one-group fault subset of a
+# step-2-shaped workload; micro exits 1 if they disagree or Parallel is
+# slower than Serial.
 bench-smoke:
 	FST_SCALE=0.02 dune exec -- bench/main.exe micro
-
-# Scaled-down fault-sim perf gate: re-measures the serial and parallel
-# columns and fails if they disagree or bit-parallel is ever slower than
-# serial on the same faults (the committed BENCH_fsim.json is generated
-# at a larger scale, so the >20% serial regression comparison only arms
-# when scales match — here the invariants still hold and bench/ rot is
-# caught).
-perf-smoke:
-	FST_SCALE=0.02 dune exec -- bench/main.exe fsim --check
 
 FST_EXE := ./_build/default/bin/fst.exe
 SMOKE_FLOW := flow -n s1423 --scale 0.25 -j 1

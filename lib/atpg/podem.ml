@@ -20,10 +20,6 @@ type engine = {
   branch_stuck : (int * V3.t) list array; (* per node: (pin, stuck) *)
   mutable branch_pins : (int * int) list; (* all branch-fault (node, pin) *)
   sites : (int * V3.t) list; (* (source net, stuck) for excitation *)
-  impossible : int -> V3.t -> bool;
-      (* statically proven unreachable literals (Fst_sca hints); pruning
-         them keeps the search exhaustive because a [true] answer is a
-         theorem about every assignment *)
   obs_target : bool array; (* per net: source of an observation point *)
   visit_stamp : int array;
   mutable stamp : int;
@@ -33,7 +29,7 @@ type engine = {
   mutable implications : int;
 }
 
-let make_engine ?(impossible = fun _ _ -> false) view ~scoap ~faults =
+let make_engine view ~scoap ~faults =
   let c = view.View.circuit in
   let n = Circuit.num_nets c in
   let e =
@@ -48,7 +44,6 @@ let make_engine ?(impossible = fun _ _ -> false) view ~scoap ~faults =
       branch_stuck = Array.make n [];
       branch_pins = [];
       sites = [];
-      impossible;
       obs_target = Array.make n false;
       visit_stamp = Array.make n (-1);
       stamp = 0;
@@ -235,15 +230,12 @@ let propagation_objective e i =
           let v =
             match noncontrolling g with
             | V3.X ->
-              let cheap =
-                if e.m.Scoap.cc0.(f) <= e.m.Scoap.cc1.(f) then V3.Zero
-                else V3.One
-              in
-              if e.impossible f cheap then V3.bnot cheap else cheap
+              if e.m.Scoap.cc0.(f) <= e.m.Scoap.cc1.(f) then V3.Zero
+              else V3.One
             | v -> v
           in
           let cost = Scoap.cc e.m f v in
-          if cost < Scoap.infinite && not (e.impossible f v) then
+          if cost < Scoap.infinite then
             match !best with
             | Some (_, _, c0) when c0 >= cost -> ()
             | Some _ | None -> best := Some (f, v, cost)
@@ -259,9 +251,7 @@ let objective e =
     in
     let viable =
       List.filter
-        (fun (net, stuck) ->
-          Scoap.cc e.m net (V3.bnot stuck) < Scoap.infinite
-          && not (e.impossible net (V3.bnot stuck)))
+        (fun (net, stuck) -> Scoap.cc e.m net (V3.bnot stuck) < Scoap.infinite)
         unexcited
     in
     match viable with
@@ -318,8 +308,7 @@ let rec backtrace e net v =
           Array.to_list fi
           |> List.filter (fun f ->
                  V3.equal (good e f) V3.X
-                 && Scoap.cc e.m f needed < Scoap.infinite
-                 && not (e.impossible f needed))
+                 && Scoap.cc e.m f needed < Scoap.infinite)
         in
         let pick cmp =
           List.fold_left
@@ -368,7 +357,6 @@ let rec backtrace e net v =
              in
              if V3.equal needed V3.X then None
              else if Scoap.cc e.m f needed >= Scoap.infinite then None
-             else if e.impossible f needed then None
              else backtrace e f needed)))
 
 type decision = { pi : int; mutable flipped : bool }
@@ -381,12 +369,11 @@ let extract_test e =
   done;
   !acc
 
-let run ?(backtrack_limit = 1000) ?should_abort ?scoap ?impossible view
-    ~faults =
+let run ?(backtrack_limit = 1000) ?should_abort ?scoap view ~faults =
   let scoap =
     match scoap with Some s -> s | None -> Fst_testability.Scoap.compute view
   in
-  let e = make_engine ?impossible view ~scoap ~faults in
+  let e = make_engine view ~scoap ~faults in
   let stack = ref [] in
   let rec step () =
     imply e;
@@ -428,17 +415,7 @@ let run ?(backtrack_limit = 1000) ?should_abort ?scoap ?impossible view
           step ()
         end
   in
-  let result =
-    (* every excitation literal statically impossible: untestable with no
-       search at all *)
-    if
-      e.sites <> []
-      && List.for_all
-           (fun (net, stuck) -> e.impossible net (V3.bnot stuck))
-           e.sites
-    then Untestable
-    else step ()
-  in
+  let result = step () in
   ( result,
     {
       backtracks = e.backtracks;

@@ -34,20 +34,11 @@ type stats = { backtracks : int; decisions : int; implications : int }
     {!Fst_exec.Pool.token}, so one stuck target cannot pin a domain past
     its budget.
     @param scoap computed from [view] when not supplied (pass it when
-    running many faults on one view).
-    @param impossible static-implication hints ([impossible net v] = the
-    good machine provably never holds [net = v], e.g.
-    [Fst_sca.Sca.impossible]). Used to discard excitation sites, backtrace
-    candidates and propagation objectives early; when every excitation
-    literal is impossible the fault is reported {!Untestable} with no
-    search. Because a [true] answer must be a theorem, pruning preserves
-    completeness — but it can steer the search to a {e different} test, so
-    flows that require bit-identical results leave it off. *)
+    running many faults on one view). *)
 val run :
   ?backtrack_limit:int ->
   ?should_abort:(unit -> bool) ->
   ?scoap:Fst_testability.Scoap.t ->
-  ?impossible:(int -> V3.t -> bool) ->
   View.t ->
   faults:Fault.t list ->
   result * stats

@@ -8,13 +8,9 @@ let spec =
     ~args:
       [
         Spec.value_arg [ "--baseline" ] ~docv:"PATH"
-          ~doc:"Compare against PATH: another --obs-dir directory, a \
-                run.json file, or a BENCH_flow.json (picks the circuit \
-                matching the current run; see --circuit). Exits 1 when any \
-                gated metric regresses past the threshold.";
-        Spec.value_arg [ "--circuit" ] ~docv:"NAME"
-          ~doc:"Circuit to select from a BENCH_flow.json baseline (default: \
-                the current run's circuit).";
+          ~doc:"Compare against PATH: another --obs-dir directory or its \
+                run.json file. Exits 1 when any gated metric regresses \
+                past the threshold.";
         Spec.flag_arg [ "--json" ]
           ~doc:"Emit the diff as JSON instead of the human report.";
         Spec.value_arg [ "--fail-on-regression" ] ~docv:"PCT"
@@ -31,44 +27,11 @@ let spec =
            required = true; all = false })
     ()
 
-(* A baseline argument can be an artifact directory, a run.json file, or
-   a BENCH_flow.json (whose circuit is picked to match the current run's
-   config, multicore variant preferred, overridable with --circuit). *)
-let load_baseline path ~circuit ~(cur : Analyze.run) =
+(* A baseline argument is an artifact directory or a run.json file. *)
+let load_baseline path =
   if Sys.file_exists path && Sys.is_directory path then
     Result.map fst (Analyze.load_dir path)
-  else
-    match Analyze.load_run path with
-    | Ok r -> Ok r
-    | Error run_err -> (
-      match Analyze.load_bench path with
-      | Error _ -> Error run_err
-      | Ok runs -> (
-        let name =
-          match circuit with
-          | Some c -> Some c
-          | None -> (
-            match Fst_obs.Json.member "circuit" cur.Analyze.config with
-            | Some (Fst_obs.Json.String c) -> Some c
-            | _ -> None)
-        in
-        match name with
-        | None ->
-          Error
-            (path
-             ^ ": bench baseline needs --circuit NAME (current run.json \
-                names no circuit)")
-        | Some c -> (
-          match
-            ( List.assoc_opt (c ^ "/multicore") runs,
-              List.assoc_opt (c ^ "/serial") runs )
-          with
-          | Some r, _ | None, Some r -> Ok r
-          | None, None ->
-            Error
-              (Printf.sprintf "%s: no circuit %S in bench baseline (have: %s)"
-                 path c
-                 (String.concat ", " (List.map fst runs))))))
+  else Analyze.load_run path
 
 let run p =
   let dir = List.hd (Spec.positional p) in
@@ -86,10 +49,7 @@ let run p =
     else print_string (Analyze.render_report ~k:top cur spans);
     0
   | Some b ->
-    let base =
-      Common.or_die
-        (load_baseline b ~circuit:(Spec.string_opt p "--circuit") ~cur)
-    in
+    let base = Common.or_die (load_baseline b) in
     let entries = Analyze.diff ~threshold:(threshold /. 100.0) base cur in
     if json_out then (
       Fst_obs.Json.to_channel stdout (Analyze.diff_to_json entries);

@@ -110,13 +110,23 @@ let run p =
             if Spec.flag p "--no-scan" then
               Lint.run ~lines ~file:path ~waivers circuit
             else
-              let scanned, config =
-                Tpi.insert
-                  ~options:{ Tpi.default_options with Tpi.chains }
-                  circuit
-              in
-              Lint.run ~lines ~file:path ~config ~dynamic:true ~waivers
-                scanned
+              match Tpi.insert_checked ~chains circuit with
+              | Error (Tpi.No_flip_flops as e) ->
+                let d =
+                  Diagnostic.make ~rule:"E-SCAN-SHAPE"
+                    ~severity:Diagnostic.Error
+                    ~loc:{ Diagnostic.no_loc with Diagnostic.file = Some path }
+                    (Tpi.insert_error_message e
+                     ^ " (--no-scan lints the netlist alone)")
+                in
+                { Lint.circuit = raw.Netfile.raw_name; diagnostics = [ d ];
+                  waived = []; errors = 1; warnings = 0; infos = 0 }
+              | Ok (scanned, config)
+              | Error (Tpi.Shift_broken (scanned, config, _)) ->
+                (* The dynamic check re-runs the shift test and reports
+                   each failed position as an E-SCAN-SHIFT diagnostic. *)
+                Lint.run ~lines ~file:path ~config ~dynamic:true ~waivers
+                  scanned
         end
     in
     match (Spec.flag p "--update-waiver", waiver_path) with

@@ -10,7 +10,9 @@ let run p =
   let file = List.hd (Spec.positional p) in
   let chains = Spec.int p "--chains" ~default:1 in
   let circuit = Common.or_die (Common.read_circuit file) in
-  let scanned, config = Common.or_die (Common.insert_chains circuit chains) in
+  let scanned, config =
+    Common.or_die (Common.insert_chains ~file circuit chains)
+  in
   Format.printf "%a@.%a@." Circuit.pp_stats scanned
     (Scan.pp_config scanned) config;
   let oh = Tpi.overhead scanned config ~before:circuit in

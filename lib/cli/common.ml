@@ -21,13 +21,13 @@ let load ~name ~scale ~file =
         (Printf.sprintf "unknown suite circuit %S (see `fst gen --list`)" n))
   | None, None -> Error "pass a netlist FILE or --name CIRCUIT"
 
-let insert_chains circuit chains =
-  let scanned, config =
-    Tpi.insert ~options:{ Tpi.default_options with Tpi.chains } circuit
-  in
-  match Scan.verify_shift scanned config with
-  | Ok () -> Ok (scanned, config)
-  | Error errs ->
+let insert_chains ?file circuit chains =
+  let source = Option.value ~default:circuit.Circuit.name file in
+  match Tpi.insert_checked ~chains circuit with
+  | Ok sc -> Ok sc
+  | Error (Tpi.No_flip_flops as e) ->
+    Error (source ^ ": " ^ Tpi.insert_error_message e)
+  | Error (Tpi.Shift_broken (scanned, _, errs)) ->
     (* Render dynamic shift failures through the lint diagnostic machinery,
        one compiler-style line each, same as `fst lint` output. *)
     List.iter
@@ -37,8 +37,8 @@ let insert_chains circuit chains =
              (Fst_lint.Diagnostic.of_shift_error scanned e)))
       errs;
     Error
-      (Printf.sprintf "scan chain verification failed (%d position(s))"
-         (List.length errs))
+      (Printf.sprintf "%s: scan chain verification failed (%d position(s))"
+         source (List.length errs))
 
 let or_die = function
   | Ok v -> v

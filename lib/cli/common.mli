@@ -12,9 +12,11 @@ val load :
   file:string option ->
   (Fst_netlist.Circuit.t, string) result
 
-(** TPI insertion followed by the dynamic shift check; failures are
-    rendered to stderr through the lint diagnostic machinery. *)
+(** {!Fst_tpi.Tpi.insert_checked}; shift failures are rendered to stderr
+    through the lint diagnostic machinery. The error message starts with
+    [file] (default: the circuit's name). *)
 val insert_chains :
+  ?file:string ->
   Fst_netlist.Circuit.t ->
   int ->
   (Fst_netlist.Circuit.t * Fst_tpi.Scan.config, string) result

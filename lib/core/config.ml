@@ -168,11 +168,16 @@ let d_bool k = function
   | Json.Bool b -> Ok b
   | _ -> Error (Printf.sprintf "config: %S expects a boolean" k)
 
-let d_int_list k = function
+(* Frame counts are range-checked here, like [random_blocks] below, so a
+   served job never starts with a value the flow would trip over. *)
+let d_frames k = function
   | Json.List l ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | Json.Int i :: rest -> go (i :: acc) rest
+      | Json.Int i :: rest when i >= 1 -> go (i :: acc) rest
+      | Json.Int i :: _ ->
+        Error
+          (Printf.sprintf "config: %S entries must be >= 1, got %d" k i)
       | _ :: _ ->
         Error (Printf.sprintf "config: %S expects a list of integers" k)
     in
@@ -211,17 +216,18 @@ let set_field t k v =
     let* i = d_int k v in
     Ok { t with final_backtrack = i }
   | "frames" ->
-    let* l = d_int_list k v in
+    let* l = d_frames k v in
     Ok { t with frames = l }
   | "final_frames" ->
-    let* l = d_int_list k v in
+    let* l = d_frames k v in
     Ok { t with final_frames = l }
   | "truncate_blocks" ->
     let* o = d_float_opt k v in
     Ok { t with truncate_blocks = o }
   | "random_blocks" ->
     let* i = d_int k v in
-    Ok { t with random_blocks = i }
+    if i >= 0 then Ok { t with random_blocks = i }
+    else Error (Printf.sprintf "config: %S must be >= 0, got %d" k i)
   | "random_seed" ->
     let* s = d_int64 k v in
     Ok { t with random_seed = s }

@@ -130,7 +130,9 @@ val to_json : t -> Fst_obs.Json.t
     emits is accepted (with the same spelling and type), absent keys
     take their {!default}, and an unknown key is rejected with an
     [Error] naming it — a mistyped knob in a [submit] payload must fail
-    loudly, not silently run with defaults. Numeric fields additionally
+    loudly, not silently run with defaults. Values the flow cannot run
+    are rejected the same way: [frames]/[final_frames] entries below 1
+    and a negative [random_blocks]. Numeric fields additionally
     accept JSON integers where {!to_json} emits floats. The returned
     config always carries the null sink; round-trip:
     [of_json (to_json c)] equals [c] up to [sink]

@@ -447,79 +447,6 @@ let diff ?(threshold = 0.20) ?(min_s = 0.001) (base : run) (cur : run) =
 let regressions entries =
   List.filter (fun e -> e.d_gated && e.d_verdict = Regression) entries
 
-(* ---- BENCH_flow.json baselines --------------------------------------- *)
-
-(* A pseudo-run from one circuit variant of bench/main.ml's
-   BENCH_flow.json, so `fst analyze --baseline BENCH_flow.json` can gate
-   against the committed numbers. Keys are "<circuit>/<serial|multicore>". *)
-
-(* Pre-PR-8 bench files used bare counter names; map them to the
-   canonical registry names so diffs line up either way. *)
-let bench_counter_aliases =
-  [
-    ("podem_runs", "atpg.podem.runs");
-    ("podem_backtracks", "atpg.podem.backtracks");
-    ("podem_decisions", "atpg.podem.decisions");
-    ("podem_implications", "atpg.podem.implications");
-    ("seq_runs", "atpg.seq.runs");
-    ("seq_backtracks", "atpg.seq.backtracks");
-    ("fsim_calls", "fsim.detect_all.calls");
-    ("fsim_faults", "fsim.detect_all.faults");
-    ("step2_blocks", "flow.step2.blocks");
-  ]
-
-let canonical_counters kvs =
-  List.map
-    (fun (k, v) ->
-      (Option.value ~default:k (List.assoc_opt k bench_counter_aliases), v))
-    kvs
-
-let runs_of_bench j =
-  match Json.member "circuits" j with
-  | Some (Json.List cs) ->
-      List.concat_map
-        (fun c ->
-          let name =
-            match Json.member "name" c with
-            | Some (Json.String s) -> s
-            | _ -> "?"
-          in
-          List.filter_map
-            (fun variant ->
-              match Json.member variant c with
-              | Some v ->
-                  let wall =
-                    Option.value ~default:Float.nan
-                      (Option.bind (Json.member "wall_s" v) num)
-                  in
-                  Some
-                    ( name ^ "/" ^ variant,
-                      {
-                        wall_s = wall;
-                        phases = obj_nums (Json.member "phases" v);
-                        counters =
-                          canonical_counters
-                            (obj_ints (Json.member "counters" v));
-                        gauges = [];
-                        histograms = [];
-                        domains = [];
-                        segs = [];
-                        config = Json.Null;
-                      } )
-              | None -> None)
-            [ "serial"; "multicore" ])
-        cs
-  | _ -> []
-
-let load_bench path =
-  match Json.of_string (read_file path) with
-  | exception Sys_error e -> Error e
-  | exception Json.Parse_error e -> Error (path ^ ": " ^ e)
-  | j -> (
-      match runs_of_bench j with
-      | [] -> Error (path ^ ": no circuits found (not a BENCH_flow.json?)")
-      | rs -> Ok rs)
-
 (* ---- rendering ------------------------------------------------------- *)
 
 let pf = Printf.sprintf

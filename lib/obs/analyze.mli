@@ -2,7 +2,7 @@
 
     Everything here operates on parsed values — the only I/O is in the
     [load_*] helpers — so tests drive the analyses with synthetic runs
-    and spans. Consumed by [fst analyze] and by the bench's perf gate. *)
+    and spans. Consumed by [fst analyze]. *)
 
 (** {1 Parsed run.json} *)
 
@@ -115,14 +115,6 @@ val diff : ?threshold:float -> ?min_s:float -> run -> run -> diff_entry list
 
 val regressions : diff_entry list -> diff_entry list
 (** The gated [Regression] entries; nonempty ⇒ [fst analyze] exits 1. *)
-
-(** {1 BENCH_flow.json baselines} *)
-
-val runs_of_bench : Json.t -> (string * run) list
-(** Pseudo-runs from a [BENCH_flow.json], keyed
-    ["<circuit>/<serial|multicore>"]. *)
-
-val load_bench : string -> ((string * run) list, string) result
 
 (** {1 Rendering} *)
 

@@ -97,7 +97,6 @@ let create ?(workers = 1) ?jobs_cap ?job_budget ?cache ?(hb_interval = 1.0)
     stop = false;
   }
 
-let cache t = t.served_cache
 
 let log_event t kind fields =
   match t.log with
@@ -143,17 +142,6 @@ let queue_position t job =
     !pos
 
 (* --- job execution ----------------------------------------------------- *)
-
-let insert_chains circuit chains =
-  let scanned, config =
-    Tpi.insert ~options:{ Tpi.default_options with Tpi.chains } circuit
-  in
-  match Scan.verify_shift scanned config with
-  | Ok () -> Ok (scanned, config)
-  | Error errs ->
-    Error
-      (String.concat "; "
-         (List.map (fun e -> Scan.shift_error_message scanned e) errs))
 
 type outcome = Succeeded | Errored
 
@@ -248,8 +236,8 @@ let execute t job =
         Succeeded )
     | None -> (
       match
-        match insert_chains circuit chains with
-        | Error e -> failwith e
+        match Tpi.insert_checked ~chains circuit with
+        | Error e -> failwith (Tpi.insert_error_message e)
         | Ok (scanned, scancfg) -> (
           match s.Protocol.kind with
           | Protocol.Lint -> run_lint scanned scancfg

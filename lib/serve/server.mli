@@ -54,11 +54,9 @@ val create :
     handler (a client hanging up mid-stream must not kill the daemon). *)
 val run : t -> unit
 
-(** [start t] is {!run} on a fresh thread (for tests and benchmarks
-    embedding the daemon in-process). *)
+(** [start t] is {!run} on a fresh thread (for tests embedding the
+    daemon in-process). *)
 val start : t -> Thread.t
 
 (** Programmatic {!Protocol.Shutdown}: stop accepting, drain, return. *)
 val shutdown : t -> unit
-
-val cache : t -> Cache.t

@@ -503,6 +503,25 @@ let insert ?(options = default_options) (c : Circuit.t) =
       mux_segments = st.mux_segments;
     } )
 
+type insert_error =
+  | No_flip_flops
+  | Shift_broken of Circuit.t * Scan.config * Scan.shift_error list
+
+let insert_checked ~chains c =
+  if Circuit.dff_count c = 0 then Error No_flip_flops
+  else
+    let scanned, config =
+      insert ~options:{ default_options with chains } c
+    in
+    match Scan.verify_shift scanned config with
+    | Ok () -> Ok (scanned, config)
+    | Error errs -> Error (Shift_broken (scanned, config, errs))
+
+let insert_error_message = function
+  | No_flip_flops -> "circuit has no flip-flops: nothing to scan"
+  | Shift_broken (scanned, _, errs) ->
+    String.concat "; " (List.map (Scan.shift_error_message scanned) errs)
+
 type overhead = {
   extra_gates : int;
   dedicated_routes : int;

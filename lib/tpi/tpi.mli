@@ -45,6 +45,22 @@ val default_options : options
     original net ids preserved) together with its {!Scan.config}. *)
 val insert : ?options:options -> Circuit.t -> Circuit.t * Scan.config
 
+(** Why {!insert_checked} produced no usable scan design. *)
+type insert_error =
+  | No_flip_flops
+  | Shift_broken of Circuit.t * Scan.config * Scan.shift_error list
+      (** the scanned circuit and its config, and every chain position
+          that {!Scan.verify_shift} saw fail to load *)
+
+(** [insert_checked ~chains c] is {!insert} with [chains] chains and the
+    default options, followed by {!Scan.verify_shift}: the one scan
+    insertion every front end (CLI, lint, service) goes through. *)
+val insert_checked :
+  chains:int -> Circuit.t -> (Circuit.t * Scan.config, insert_error) result
+
+(** One line; shift failures are joined with ["; "]. *)
+val insert_error_message : insert_error -> string
+
 (** Area accounting relative to the pre-scan circuit. *)
 type overhead = {
   extra_gates : int;  (** gates added (test points, muxes, inverter) *)

@@ -103,6 +103,38 @@ let contains_substring ~needle hay =
   let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
   at 0
 
+(* dune runs the suite from _build/default/test; the test stanza depends
+   on the executable, so it is built before the suite starts. *)
+let fst_exe = Filename.concat (Filename.concat ".." "bin") "fst.exe"
+
+(* Run the [fst] executable with [args], returning the exit code and
+   everything it wrote to stdout and to stderr. *)
+let run_fst args =
+  let capture () =
+    let path = Filename.temp_file "fst-cli" ".out" in
+    (path, Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600)
+  in
+  let out_path, out = capture () and err_path, err = capture () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let pid =
+    Unix.create_process fst_exe (Array.of_list ("fst" :: args)) null out err
+  in
+  List.iter Unix.close [ out; err; null ];
+  let _, status = Unix.waitpid [] pid in
+  let slurp path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    s
+  in
+  let code =
+    match status with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (code, slurp out_path, slurp err_path)
+
 (* Deterministic qcheck registration: a fixed random state keeps the suite
    reproducible run to run. *)
 let qcheck test =

@@ -154,30 +154,6 @@ let test_counters_informational () =
   let e = List.find (fun e -> e.A.d_key = "counter:atpg.podem.runs") entries in
   Alcotest.(check bool) "counter not gated" false e.A.d_gated
 
-(* --- bench baselines --------------------------------------------------- *)
-
-let test_runs_of_bench_aliases () =
-  let doc =
-    Json.of_string
-      {|{"circuits":[{"name":"s1423",
-          "serial":{"wall_s":1.0,
-            "phases":{"step3":0.5},
-            "counters":{"podem_runs":7,"fsim_calls":3}},
-          "multicore":{"wall_s":0.8,
-            "phases":{"step3":0.4},
-            "counters":{"atpg.podem.runs":7}}}]}|}
-  in
-  let runs = A.runs_of_bench doc in
-  Alcotest.(check int) "two variants" 2 (List.length runs);
-  let ser = List.assoc "s1423/serial" runs in
-  Alcotest.(check (option int)) "legacy name mapped" (Some 7)
-    (List.assoc_opt "atpg.podem.runs" ser.A.counters);
-  Alcotest.(check (option int)) "fsim alias mapped" (Some 3)
-    (List.assoc_opt "fsim.detect_all.calls" ser.A.counters);
-  let mc = List.assoc "s1423/multicore" runs in
-  Alcotest.(check (option int)) "canonical name kept" (Some 7)
-    (List.assoc_opt "atpg.podem.runs" mc.A.counters)
-
 (* --- utilization & self time ------------------------------------------- *)
 
 let seg wid t0 t1 stolen = { Timeline.wid; label = "w"; t0; t1; stolen }
@@ -299,6 +275,46 @@ let test_artifacts_round_trip () =
         Alcotest.(check int) "self-diff has no regressions" 0
           (List.length (A.regressions (A.diff run run))))
 
+(* `fst analyze --baseline` takes an artifact directory or its fst-run/1
+   run.json and nothing else: a file in the retired bench-summary shape
+   fails with the run.json schema error (exit 1), and the circuit
+   selector option that went with it is unknown (exit 2). *)
+let test_cli_baseline_is_run_json () =
+  with_temp_dir (fun dir ->
+      let obs = Filename.concat dir "obs" in
+      Unix.mkdir dir 0o700;
+      Artifacts.write
+        ~config:(Json.Obj [ ("circuit", Json.String "s1423") ])
+        (Artifacts.create ~dir:obs);
+      let bench = Filename.concat dir "bench.json" in
+      let oc = open_out bench in
+      output_string oc
+        {|{"scale":0.1,"jobs":8,"circuits":[{"name":"s1423",
+            "serial":{"wall_s":1.0,"phases":{"step3":0.5},
+              "counters":{"atpg.podem.runs":7}}}]}|};
+      close_out oc;
+      let code, _, stderr =
+        Helpers.run_fst [ "analyze"; obs; "--baseline"; bench ]
+      in
+      Alcotest.(check int) "bench-shaped baseline: exit code" 1 code;
+      Alcotest.(check bool)
+        ("run.json schema error: " ^ stderr)
+        true
+        (Helpers.contains_substring ~needle:(bench ^ ": run.json") stderr);
+      let selector = "--" ^ "circuit" in
+      let code, _, stderr =
+        Helpers.run_fst
+          [ "analyze"; obs; "--baseline"; obs; selector; "s1423" ]
+      in
+      Alcotest.(check int) (selector ^ ": usage-error exit code") 2 code;
+      Alcotest.(check bool)
+        ("unknown option: " ^ stderr)
+        true
+        (Helpers.contains_substring
+           ~needle:("fst analyze: unknown option " ^ selector) stderr);
+      let code, _, _ = Helpers.run_fst [ "analyze"; obs; "--baseline"; obs ] in
+      Alcotest.(check int) "obs-dir baseline still accepted" 0 code)
+
 let test_validate_run_rejects () =
   (match Artifacts.validate_run (Json.Obj [ ("schema", Json.String "x") ]) with
   | Ok () -> Alcotest.fail "bad schema accepted"
@@ -360,7 +376,6 @@ let suite =
     Alcotest.test_case "diff regression gate" `Quick test_diff_regression_gate;
     Alcotest.test_case "counters are informational" `Quick
       test_counters_informational;
-    Alcotest.test_case "bench baseline aliases" `Quick test_runs_of_bench_aliases;
     Alcotest.test_case "utilization and idle gaps" `Quick test_utilization_gaps;
     Alcotest.test_case "self time nesting" `Quick test_self_times_nesting;
     Alcotest.test_case "openmetrics round trip" `Quick
@@ -369,5 +384,7 @@ let suite =
       test_openmetrics_rejects;
     Alcotest.test_case "artifacts round trip" `Quick test_artifacts_round_trip;
     Alcotest.test_case "validate_run rejects" `Quick test_validate_run_rejects;
+    Alcotest.test_case "cli baseline is an obs dir or run.json" `Quick
+      test_cli_baseline_is_run_json;
     Helpers.qcheck prop_obs_dir_pure_observer;
   ]

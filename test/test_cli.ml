@@ -1,31 +1,5 @@
 (* The [fst] executable's argument handling, driven as a subprocess. *)
 
-(* dune runs the suite from _build/default/test; the test stanza depends
-   on the executable, so it is built before the suite starts. *)
-let fst_exe = Filename.concat (Filename.concat ".." "bin") "fst.exe"
-
-(* Run [fst args], returning the exit code and everything on stderr. *)
-let run_fst args =
-  let err_path = Filename.temp_file "fst-cli" ".err" in
-  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process fst_exe (Array.of_list ("fst" :: args)) null null err
-  in
-  Unix.close err;
-  Unix.close null;
-  let _, status = Unix.waitpid [] pid in
-  let ic = open_in_bin err_path in
-  let stderr = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove err_path;
-  let code =
-    match status with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
-  in
-  (code, stderr)
-
 (* Removed options fail in the parser with the usage error (exit 2, usage
    line on stderr) before any work starts, any file is written or any
    daemon is contacted: [--metrics] ([--obs-dir] is the flow's one
@@ -33,7 +7,7 @@ let run_fst args =
    picked per fault, not by the caller). *)
 let test_flow_rejects_metrics () =
   let rejects cmd args ~option =
-    let code, stderr = run_fst (cmd :: args) in
+    let code, _, stderr = Helpers.run_fst (cmd :: args) in
     Alcotest.(check int) (cmd ^ " " ^ option ^ ": usage-error exit code") 2 code;
     Alcotest.(check bool)
       ("structured error: " ^ stderr)
@@ -57,8 +31,45 @@ let test_flow_rejects_metrics () =
     [ "-n"; "s1423"; "--scale"; "0.05"; "--engine"; "auto" ]
     ~option:"--engine"
 
+(* A netlist without flip-flops has nothing to scan: every command that
+   inserts chains reports it as an error naming the file (exit 1), and
+   `fst lint` as an error diagnostic, never as an escaped exception. *)
+let test_no_flip_flops () =
+  let file = Filename.temp_file "fst-cli-noff" ".net" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+      let oc = open_out file in
+      output_string oc "INPUT(a)\nOUTPUT(a)\n";
+      close_out oc;
+      let no_exception what stderr =
+        Alcotest.(check bool) (what ^ ": no exception escaped: " ^ stderr)
+          false
+          (Helpers.contains_substring ~needle:"xception" stderr)
+      in
+      List.iter
+        (fun cmd ->
+          let code, _, stderr = Helpers.run_fst [ cmd; file; "-c"; "1" ] in
+          Alcotest.(check int) (cmd ^ ": exit code") 1 code;
+          Alcotest.(check bool)
+            (cmd ^ ": error names the file: " ^ stderr)
+            true
+            (Helpers.contains_substring
+               ~needle:("fst: " ^ file ^ ": circuit has no flip-flops")
+               stderr);
+          no_exception cmd stderr)
+        [ "flow"; "sca"; "tpi"; "alt" ];
+      let code, stdout, stderr = Helpers.run_fst [ "lint"; file; "-c"; "1" ] in
+      Alcotest.(check int) "lint: exit code" 1 code;
+      Alcotest.(check bool)
+        ("lint: error diagnostic: " ^ stdout)
+        true
+        (Helpers.contains_substring ~needle:"E-SCAN-SHAPE" stdout
+        && Helpers.contains_substring ~needle:"no flip-flops" stdout);
+      no_exception "lint" stderr)
+
 let suite =
   [
+    Alcotest.test_case "netlist without flip-flops is a clean error" `Quick
+      test_no_flip_flops;
     Alcotest.test_case "flow rejects --metrics as unknown option" `Quick
       test_flow_rejects_metrics;
   ]

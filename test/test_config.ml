@@ -117,6 +117,22 @@ let test_of_json_errors () =
   rejected "unknown key" (Fst_obs.Json.Obj [ ("warp_factor", Fst_obs.Json.Int 9) ]);
   rejected "wrong type" (Fst_obs.Json.Obj [ ("jobs", Fst_obs.Json.String "two") ]);
   rejected "not an object" (Fst_obs.Json.List []);
+  (* Out-of-range values fail at decode with an error naming the key,
+     instead of failing a served job deep inside the flow. *)
+  List.iter
+    (fun (k, v) ->
+      match Config.of_json (Fst_obs.Json.Obj [ (k, v) ]) with
+      | Ok _ -> Alcotest.failf "%s out of range: accepted" k
+      | Error e ->
+        if not (Helpers.contains_substring ~needle:(Printf.sprintf "%S" k) e)
+        then Alcotest.failf "%s out of range: error %S does not name it" k e)
+    Fst_obs.Json.
+      [
+        ("frames", List [ Int 0 ]);
+        ("frames", List [ Int 1; Int (-1) ]);
+        ("final_frames", List [ Int (-2) ]);
+        ("random_blocks", Int (-5));
+      ];
   (* Keys of knobs that no longer exist are unknown keys like any other,
      and the error names the key. *)
   List.iter

@@ -281,6 +281,28 @@ let test_serve_end_to_end () =
           when List.assoc_opt "kind" kvs = Some (Json.String "error") ->
           ()
         | _ -> Alcotest.fail "status on unknown job must error"));
+      (* A netlist with nothing to scan and an out-of-range config value
+         are job errors with a readable message, not escaped exceptions. *)
+      let job_error what submit ~needle =
+        match Client.submit c submit with
+        | Ok _ -> Alcotest.failf "%s: accepted" what
+        | Error e ->
+          Alcotest.(check bool) (what ^ ": " ^ e) true
+            (Helpers.contains_substring ~needle e
+            && not
+                 (List.exists
+                    (fun raw -> Helpers.contains_substring ~needle:raw e)
+                    [ "xception"; "Invalid_argument"; "Assert" ]))
+      in
+      job_error "no flip-flops"
+        { submit with Protocol.netlist = "INPUT(a)\nOUTPUT(a)\n" }
+        ~needle:"no flip-flops";
+      job_error "frames [0]"
+        {
+          submit with
+          Protocol.config = Json.Obj [ ("frames", Json.List [ Json.Int 0 ]) ];
+        }
+        ~needle:"config: \"frames\"";
       Client.close c)
 
 let test_serve_cancel () =
