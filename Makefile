@@ -129,23 +129,27 @@ noop-sink-smoke: build
 # Seeded chaos injection under --keep-going must still produce a full
 # report whose buckets partition the hard faults (the flow self-checks
 # and prints `chaos: invariant ok`), on a real example and a generated
-# circuit, and the structured event log must stay machine-valid.
+# circuit, at one and two jobs (step-3 retirement runs on pool domains,
+# so waves wider than one group need their own gate), and the
+# structured event log must stay machine-valid.
 chaos-smoke: build
 	@tmp=`mktemp -d`; \
 	$(FST_EXE) gen --gates 300 --ffs 16 -o $$tmp/gen.net > /dev/null; \
 	for f in examples/data/counter4.net $$tmp/gen.net; do \
 	  for seed in 3 7; do \
-	    rm -rf $$tmp/obs; \
-	    out=`$(FST_EXE) flow $$f -c 1 -j 1 --keep-going \
-	      --chaos $$seed --chaos-p 0.08 \
-	      --obs-dir $$tmp/obs 2> /dev/null` || \
-	      { echo "chaos-smoke: $$f seed=$$seed exited non-zero"; \
-	        rm -rf $$tmp; exit 1; }; \
-	    echo "$$out" | grep -q "chaos: invariant ok" || \
-	      { echo "chaos-smoke: $$f seed=$$seed invariant violated"; \
-	        rm -rf $$tmp; exit 1; }; \
-	    $(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start \
-	      --expect phase_end || { rm -rf $$tmp; exit 1; }; \
+	    for j in 1 2; do \
+	      rm -rf $$tmp/obs; \
+	      out=`$(FST_EXE) flow $$f -c 1 -j $$j --keep-going \
+	        --chaos $$seed --chaos-p 0.08 \
+	        --obs-dir $$tmp/obs 2> /dev/null` || \
+	        { echo "chaos-smoke: $$f seed=$$seed -j $$j exited non-zero"; \
+	          rm -rf $$tmp; exit 1; }; \
+	      echo "$$out" | grep -q "chaos: invariant ok" || \
+	        { echo "chaos-smoke: $$f seed=$$seed -j $$j invariant violated"; \
+	          rm -rf $$tmp; exit 1; }; \
+	      $(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start \
+	        --expect phase_end || { rm -rf $$tmp; exit 1; }; \
+	    done; \
 	  done; \
 	  echo "chaos-smoke: `basename $$f` OK"; \
 	done; \

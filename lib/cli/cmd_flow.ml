@@ -18,10 +18,13 @@ let spec =
           ~doc:"Contain failures instead of dying on the first exception: \
                 transient errors are retried, poison tasks are quarantined \
                 into a failed bucket, and the flow always produces a \
-                report. The default for budgeted runs (--time-budget).";
+                report. Without failures the report is the same as \
+                under --fail-fast. The default for budgeted runs \
+                (--time-budget).";
         Spec.flag_arg [ "--fail-fast" ]
-          ~doc:"Propagate the first failure immediately (the default for \
-                unbudgeted runs). Conflicts with --keep-going.";
+          ~doc:"Stop at the first failure and exit with its error, the \
+                same at every --jobs (the default for unbudgeted runs). \
+                Conflicts with --keep-going.";
         Spec.value_arg [ "--chaos" ] ~docv:"SEED"
           ~doc:"Arm the deterministic chaos harness with the plan derived \
                 from SEED: seeded exception/delay/cancel injections at \

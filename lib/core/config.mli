@@ -21,12 +21,14 @@
     back-end. *)
 
 (** Failure policy for fault groups and engine calls during a flow:
-    [`Fail_fast] (the default) re-raises the first failure after the
-    queue drains — exactly the historical contract; [`Keep_going]
-    quarantines failed work into the {e failed} bucket of the abort
-    accounting and completes everything else, so a poison fault group
-    costs its own coverage and nothing more. This is a policy knob, not a
-    semantic one: it is excluded from the checkpoint fingerprint. *)
+    [`Fail_fast] (the default) retries nothing and re-raises the first
+    failure, a step-3 group task's own exception at every [jobs];
+    [`Keep_going] retries transient failures, quarantines what still
+    fails into the {e failed} bucket of the abort accounting and
+    completes everything else, so a poison fault group costs its own
+    coverage and nothing more. Both policies run the same schedule, so
+    with no failure they produce the same result. This is a policy knob,
+    not a semantic one: it is excluded from the checkpoint fingerprint. *)
 type on_error = [ `Fail_fast | `Keep_going ]
 
 type t = {

@@ -671,11 +671,12 @@ type step3_state = {
   alive : (int, unit) Hashtbl.t; (* remaining-fault index -> alive *)
 }
 
-(* Fault-simulates a realized sequence against every still-alive remaining
-   fault and retires the detections; returns the detected indices. *)
-let retire_detections ~sink ~jobs st scanned ~remaining_faults ~stim =
+(* Fault-simulates a realized sequence against every fault in [alive]
+   (remaining-fault indices), removes the detections from it and returns
+   them. *)
+let retire_detections ~sink ~jobs alive scanned ~remaining_faults ~stim =
   let alive_ids =
-    Hashtbl.fold (fun i () acc -> i :: acc) st.alive [] |> List.sort Int.compare
+    Hashtbl.fold (fun i () acc -> i :: acc) alive [] |> List.sort Int.compare
   in
   let faults_arr =
     Array.of_list (List.map (fun i -> remaining_faults.(i)) alive_ids)
@@ -684,17 +685,19 @@ let retire_detections ~sink ~jobs st scanned ~remaining_faults ~stim =
     Fsim.Engine.detect_all ~obs:sink ~jobs scanned ~faults:faults_arr
       ~observe:scanned.Circuit.outputs stim
   in
-  let hits = ref [] in
-  List.iteri
+  List.filteri
     (fun k i ->
       match outcome.(k) with
       | Some _ ->
-        Hashtbl.remove st.alive i;
-        st.detected3 <- st.detected3 + 1;
-        hits := i :: !hits
-      | None -> ())
-    alive_ids;
-  !hits
+        Hashtbl.remove alive i;
+        true
+      | None -> false)
+    alive_ids
+
+(* What one attempted step-3 target produced: an ATPG abort ([late] when
+   the step-3 budget had already expired), or the faults its realized
+   sequence detected. *)
+type target_outcome = Aborted of { late : bool } | Realized of int list
 
 (* Sequential-ATPG planning for one fault: realize a detecting sequence on
    the bounded model, without touching any shared state (safe to run on a
@@ -784,39 +787,35 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
   let flag_idx i = aborted_flag.(remaining_arr.(i)) <- true in
   let fail_idx i = failed_flag.(remaining_arr.(i)) <- true in
   let token = Pool.token () in
-  (* Set when an engine call inside a commit (retirement fault-sim)
-     permanently fails under [`Keep_going]. *)
+  (* The failure policy as a retry policy: under [`Fail_fast] nothing is
+     retried and the first failure is re-raised; under [`Keep_going]
+     transient failures are retried and a permanent one is contained. *)
+  let policy = if keep_going then Retry.default else Retry.no_retry in
+  (* Set when a finals retirement engine call permanently fails under
+     [`Keep_going]. *)
   let engine_poisoned = ref false in
-  (* Retirement with the failure policy applied: under [`Fail_fast] the
-     engine call propagates exceptions exactly as before; under
-     [`Keep_going] it is retried, and a permanent failure poisons the
-     surrounding cohort instead of raising. *)
-  let retire ~jobs stim =
-    if not keep_going then
-      ignore
-        (retire_detections ~sink ~jobs st scanned ~remaining_faults
-           ~stim)
-    else
-      match
-        Retry.run (fun () ->
-            retire_detections ~sink ~jobs st scanned
-              ~remaining_faults ~stim)
-      with
-      | Stdlib.Ok _ -> ()
-      | Stdlib.Error (e, _bt) ->
-        engine_poisoned := true;
-        Sink.event sink ~kind:"engine_failed"
-          [
-            ("phase", Json.String "step3");
-            ("error", Json.String (Printexc.to_string e));
-          ]
+  let retire_final stim =
+    match
+      Retry.run ~policy (fun () ->
+          retire_detections ~sink ~jobs:cfg.Config.jobs st.alive scanned
+            ~remaining_faults ~stim)
+    with
+    | Stdlib.Ok hits -> st.detected3 <- st.detected3 + List.length hits
+    | Stdlib.Error (e, bt) ->
+      if not keep_going then Printexc.raise_with_backtrace e bt;
+      engine_poisoned := true;
+      Sink.event sink ~kind:"engine_failed"
+        [
+          ("phase", Json.String "finals");
+          ("error", Json.String (Printexc.to_string e));
+        ]
   in
-  (* Cohort containment: once a group's planning task or a retirement
-     engine call permanently fails, every still-alive fault's downstream
-     outcome is suspect (the missing stimuli would have retired an
-     unknowable subset of them), so the whole remaining cohort moves to
-     the failed bucket. Retries make this a last resort, and the
-     already-committed detections stay trustworthy. *)
+  (* Cohort containment: once a group's task (planning or retirement) or
+     a finals retirement engine call permanently fails, every still-alive
+     fault's downstream outcome is suspect (the missing stimuli would
+     have retired an unknowable subset of them), so the whole remaining
+     cohort moves to the failed bucket. Retries make this a last resort,
+     and the already-committed detections stay trustworthy. *)
   let cohort_fail phase =
     let alive_ids =
       Hashtbl.fold (fun i () acc -> i :: acc) st.alive []
@@ -868,67 +867,71 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     done;
     cursor := n_groups
   in
+  (* One pool task per group, run against the alive set as of the wave's
+     start: the group's targets are attacked in order, and each realized
+     sequence is retired against a task-local copy of that set, so a
+     member an earlier target already detected is never planned. *)
+  let plan_group (bounds, targets) =
+    let alive = Hashtbl.copy st.alive in
+    List.filter_map
+      (fun fp ->
+        let i = fp.Group.index in
+        if not (Hashtbl.mem alive i) then None
+        else begin
+          let dlf =
+            Budget.fault_deadline budget Budget.Step3
+              cfg.Config.seq_fault_seconds
+          in
+          let stim, stats =
+            plan_sequence ~sink scanned config ~remaining_faults ~bounds
+              ~positions ~frames:cfg.Config.frames
+              ~backtrack:cfg.Config.seq_backtrack
+              ~should_abort:(fun () ->
+                Clock.expired dlf || Pool.cancelled token)
+              i
+          in
+          let outcome =
+            match stim with
+            | None -> Aborted { late = Clock.expired dl3 }
+            | Some stim ->
+              Realized
+                (retire_detections ~sink ~jobs:1 alive scanned
+                   ~remaining_faults ~stim)
+          in
+          Some (i, stats, outcome)
+        end)
+      targets
+  in
+  (* Commits one group's results on the main domain: only faults still
+     alive are credited, so a fault two groups of one wave both detect
+     counts once. *)
+  let commit_group results =
+    st.group_circuits <- st.group_circuits + 1;
+    List.iter
+      (fun (i, stats, outcome) ->
+        add_seq_stats acct stats;
+        match outcome with
+        | Aborted { late } ->
+          acct.s3_aborts <- acct.s3_aborts + 1;
+          if late && Hashtbl.mem st.alive i then flag_idx i
+        | Realized hits ->
+          List.iter
+            (fun h ->
+              if Hashtbl.mem st.alive h then begin
+                Hashtbl.remove st.alive h;
+                st.detected3 <- st.detected3 + 1
+              end)
+            hits)
+      results
+  in
+  (* Waves of up to [jobs] groups with an alive target. The groups of a
+     wave are planned on the pool and committed in group order on the
+     main domain, so the result for a fixed [jobs] is deterministic; at
+     [jobs = 1] every group sees all earlier detections. A tripped budget
+     cancels the wave's unclaimed groups cooperatively. *)
   while !cursor < n_groups do
     if Clock.expired dl3 || Pool.cancelled token then drain_cancelled ()
-    else if cfg.Config.jobs <= 1 && not keep_going then begin
-      (* One core, fail-fast: the original fully-dropped order — every
-         realized sequence retires faults before the next target is even
-         attacked. One group per wave, checkpointed after commit.
-         [`Keep_going] always takes the wave path below (even on one
-         core) so that failed groups are isolated per task; the planned
-         stimuli are identical, only intra-group dropping is coarser. *)
-      let group = groups.(!cursor) in
-      let group_no = !cursor in
-      incr cursor;
-      let bounds = Group.bounds_of_group group in
-      let targets = targets_of group in
-      if any_alive targets then begin
-        st.group_circuits <- st.group_circuits + 1;
-        Sink.span sink
-          ~name:(Printf.sprintf "step3.group%d" group_no)
-          ~cat:"step3"
-          (fun () ->
-            List.iter
-              (fun fp ->
-                let i = fp.Group.index in
-                if Hashtbl.mem st.alive i then begin
-                  let dlf =
-                    Budget.fault_deadline budget Budget.Step3
-                      cfg.Config.seq_fault_seconds
-                  in
-                  match
-                    plan_sequence ~sink scanned config ~remaining_faults
-                      ~bounds ~positions ~frames:cfg.Config.frames
-                      ~backtrack:cfg.Config.seq_backtrack
-                      ~should_abort:(fun () -> Clock.expired dlf)
-                      i
-                  with
-                  | None, stats ->
-                    add_seq_stats acct stats;
-                    acct.s3_aborts <- acct.s3_aborts + 1;
-                    if Clock.expired dl3 then flag_idx i
-                  | Some stim, stats ->
-                    add_seq_stats acct stats;
-                    ignore
-                      (retire_detections ~sink ~jobs:1 st scanned
-                         ~remaining_faults ~stim)
-                end)
-              targets);
-        checkpoint_wave ();
-        if sink.Sink.enabled then
-          Sink.tick sink ~phase:"step3" ~done_:!cursor ~total:n_groups
-            ~detected:st.detected3 ~budget_left:(Clock.remaining dl3) ()
-      end
-    end
     else begin
-      (* Multicore: waves of up to [jobs] groups. Planning (sequential ATPG
-         on the group's bounded model) runs on the pool against a snapshot
-         of the alive set; realized sequences are then committed in group
-         order on the main domain, so the merge order — and hence the
-         result for a fixed [jobs] — is deterministic. Fault dropping still
-         happens between waves and at commit time, only not between the
-         groups of one wave. A tripped budget cancels the wave's unclaimed
-         groups cooperatively. *)
       let jobs = cfg.Config.jobs in
       let wave_no = !cursor in
       let wave = ref [] in
@@ -940,32 +943,8 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
           wave := (Group.bounds_of_group group, targets) :: !wave
       done;
       let wave_arr = Array.of_list (List.rev !wave) in
-      let snapshot = Hashtbl.copy st.alive in
-      let plan_group (bounds, targets) =
-        List.map
-          (fun fp ->
-            let i = fp.Group.index in
-            if not (Hashtbl.mem snapshot i) then (i, None, false, None)
-            else begin
-              let dlf =
-                Budget.fault_deadline budget Budget.Step3
-                  cfg.Config.seq_fault_seconds
-              in
-              match
-                plan_sequence ~sink scanned config ~remaining_faults
-                  ~bounds ~positions ~frames:cfg.Config.frames
-                  ~backtrack:cfg.Config.seq_backtrack
-                  ~should_abort:(fun () ->
-                    Clock.expired dlf || Pool.cancelled token)
-                  i
-              with
-              | None, stats -> (i, None, true, Some stats)
-              | Some stim, stats -> (i, Some stim, false, Some stats)
-            end)
-          targets
-      in
-      (* The group's model was never built: its alive members were
-         denied their attempt. *)
+      (* The group's task never ran: its alive members were denied their
+         attempt. *)
       let commit_cancelled w =
         let _, targets = wave_arr.(w) in
         let alive_targets =
@@ -979,67 +958,34 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
           List.iter (fun fp -> flag_idx fp.Group.index) alive_targets
         end
       in
-      let commit_done results =
-        st.group_circuits <- st.group_circuits + 1;
-        List.iter
-          (fun (i, stim_opt, atpg_aborted, stats_opt) ->
-            (match stats_opt with
-             | Some stats -> add_seq_stats acct stats
-             | None -> ());
-            match stim_opt with
-            | Some stim -> if Hashtbl.mem st.alive i then retire ~jobs stim
-            | None ->
-              if atpg_aborted then begin
-                acct.s3_aborts <- acct.s3_aborts + 1;
-                if Clock.expired dl3 && Hashtbl.mem st.alive i then
-                  flag_idx i
-              end)
-          results
-      in
       let wave_poisoned = ref false in
-      (* Results — including the ATPG statistics gathered on the pool
-         domains — are committed on the main domain, in wave order, so
-         the totals in [acct] are deterministic for a fixed [jobs]. *)
       Sink.span sink
         ~name:(Printf.sprintf "step3.wave@%d" wave_no)
         ~cat:"step3"
         (fun () ->
-          if not keep_going then
-            let plans =
-              Pool.map_cancellable ~obs:sink ~label:"step3" ~jobs ~chunk:1
-                ~token ~deadline:dl3 plan_group wave_arr
-            in
-            Array.iteri
-              (fun w outcome ->
-                match outcome with
-                | Pool.Cancelled -> commit_cancelled w
-                | Pool.Done results -> commit_done results)
-              plans
-          else
-            let plans =
-              Pool.map_cancellable_isolated ~obs:sink ~label:"step3" ~jobs
-                ~chunk:1 ~token ~deadline:dl3 plan_group wave_arr
-            in
-            Array.iteri
-              (fun w outcome ->
-                match outcome with
-                | Pool.Task.Cancelled ->
-                  (* With budget left, cancellation can only come from an
-                     injected [Cancel]: that is a failure, not an abort. *)
-                  if Clock.expired dl3 then commit_cancelled w
-                  else wave_poisoned := true
-                | Pool.Task.Failed (e, _bt) ->
-                  acct.s3_failed_groups <- acct.s3_failed_groups + 1;
-                  wave_poisoned := true;
-                  Sink.event sink ~kind:"group_failed"
-                    [
-                      ("phase", Json.String "step3");
-                      ("wave", Json.Int wave_no);
-                      ("error", Json.String (Printexc.to_string e));
-                    ]
-                | Pool.Task.Ok results -> commit_done results)
-              plans);
-      if !wave_poisoned || !engine_poisoned then begin
+          Pool.map_cancellable_isolated ~obs:sink ~label:"step3" ~jobs
+            ~chunk:1 ~retry:policy ~token ~deadline:dl3 plan_group wave_arr
+          |> Array.iteri (fun w outcome ->
+                 match outcome with
+                 | Pool.Task.Ok results -> commit_group results
+                 | Pool.Task.Failed (e, bt) ->
+                   if not keep_going then Printexc.raise_with_backtrace e bt;
+                   acct.s3_failed_groups <- acct.s3_failed_groups + 1;
+                   wave_poisoned := true;
+                   Sink.event sink ~kind:"group_failed"
+                     [
+                       ("phase", Json.String "step3");
+                       ("wave", Json.Int wave_no);
+                       ("error", Json.String (Printexc.to_string e));
+                     ]
+                 | Pool.Task.Cancelled ->
+                   (* Under [`Keep_going] with budget left, cancellation can
+                      only come from an injected [Cancel]: that is a
+                      failure, not an abort. *)
+                   if keep_going && not (Clock.expired dl3) then
+                     wave_poisoned := true
+                   else commit_cancelled w));
+      if !wave_poisoned then begin
         cohort_fail `Step3;
         cursor := n_groups
       end;
@@ -1077,7 +1023,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
       if Clock.expired dl_fin then flag_idx i
     | Some stim, stats ->
       add_seq_stats acct stats;
-      retire ~jobs:cfg.Config.jobs stim
+      retire_final stim
   in
   List.iter
     (fun i ->
@@ -1114,7 +1060,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                let stim =
                  Sequences.of_comb_test scanned config ~ff_values ~pi_values
                in
-               retire ~jobs:cfg.Config.jobs stim;
+               retire_final stim;
                if Hashtbl.mem st.alive i && not !engine_poisoned then
                  attack_final i footprints.(i)
              | Podem.Aborted, stats ->

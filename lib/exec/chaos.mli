@@ -18,9 +18,9 @@
 
 (** Injection sites, i.e. classes of hook points:
     [Pool_task] fires inside each isolated pool task body (see
-    {!Pool.map_isolated}); [Engine] at each fault-simulation engine
-    entry call ({!Fst_fsim.Fsim.Engine}); [Ckpt_save] / [Ckpt_load]
-    around checkpoint writes and reads. *)
+    {!Pool.map_cancellable_isolated}); [Engine] at each fault-simulation
+    engine entry call ({!Fst_fsim.Fsim.Engine}); [Ckpt_save] /
+    [Ckpt_load] around checkpoint writes and reads. *)
 type site = Pool_task | Engine | Ckpt_save | Ckpt_load
 
 (** What a firing hook does: [Raise] raises {!Injected}; [Delay s]

@@ -8,8 +8,6 @@ let token () = Atomic.make false
 let cancel t = Atomic.set t true
 let cancelled t = Atomic.get t
 
-type 'a outcome = Done of 'a | Cancelled
-
 module Sink = Fst_obs.Sink
 module Metrics = Fst_obs.Metrics
 module Timeline = Fst_obs.Timeline
@@ -33,6 +31,12 @@ let retire_worker (obs : Sink.t) k ~busy ~wall =
     (Metrics.gauge m (Printf.sprintf "pool.domain%d.busy_frac" k))
     (if wt > 0.0 then bt /. wt else 0.0)
 
+(* True on a domain while it runs pool tasks. A map nested inside a task
+   (step 3's per-group fault simulation) runs within that task's chunk,
+   whose span, segment and busy time already cover it, so it records no
+   pool accounting of its own. *)
+let in_task = Domain.DLS.new_key (fun () -> false)
+
 (* Work-stealing task loop. The index space is split into one contiguous
    range per worker, each with its own atomic claim cursor: a worker
    claims [chunk] indices at a time from its own cursor (uncontended in
@@ -48,7 +52,11 @@ let retire_worker (obs : Sink.t) k ~busy ~wall =
 let run_tasks ~obs ~label ~jobs ~chunk ~stop n
     (run_one : wid:int -> int -> unit) =
   if n > 0 then begin
-    let live = obs.Sink.enabled in
+    let nested = Domain.DLS.get in_task in
+    let live = obs.Sink.enabled && not nested in
+    Domain.DLS.set in_task true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set in_task nested)
+    @@ fun () ->
     if jobs <= 1 then begin
       let t0 = if live then Clock.now () else 0.0 in
       let i = ref 0 in
@@ -86,6 +94,7 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
         else None
       in
       let worker k =
+        Domain.DLS.set in_task true;
         let wall0 = if live then Clock.now () else 0.0 in
         let busy = ref 0.0 in
         (* Claims one chunk from [victim]'s range; [None] when dry. *)
@@ -229,67 +238,9 @@ let map_array_init ?(obs = Sink.null) ?(label = "map") ?chunk ?work ~jobs
       slots
   end
 
-let map_array ?obs ?label ?chunk ?work ~jobs f xs =
-  map_array_init ?obs ?label ?chunk ?work ~jobs
-    ~init:(fun () -> ())
-    (fun () x -> f x)
-    xs
-
-let mapi_array ?obs ?label ?chunk ?work ~jobs f xs =
-  let indexed = Array.mapi (fun i x -> (i, x)) xs in
-  map_array ?obs ?label ?chunk ?work ~jobs (fun (i, x) -> f i x) indexed
-
-let map_list ?obs ?label ?chunk ?work ~jobs f xs =
-  Array.to_list (map_array ?obs ?label ?chunk ?work ~jobs f (Array.of_list xs))
-
-exception Task_failed of int * exn
-
-let () =
-  Printexc.register_printer (function
-    | Task_failed (i, e) ->
-      Some (Printf.sprintf "Task_failed(%d, %s)" i (Printexc.to_string e))
-    | _ -> None)
-
-let map_cancellable ?(obs = Sink.null) ?(label = "map") ?chunk ?work
-    ?token:tok ?(deadline = Clock.never) ~jobs f xs =
-  let n = Array.length xs in
-  let jobs = effective_jobs ?work ~jobs n in
-  let tok = match tok with Some t -> t | None -> token () in
-  let slots = Array.make n None in
-  let run_one ~wid:_ i =
-    slots.(i) <-
-      Some
-        (match f xs.(i) with
-         | y -> Ok y
-         | exception e ->
-           (* A failing task drains the queue: unclaimed work stays
-              [Cancelled] and the first failure (in input order) is
-              re-raised after the join. *)
-           cancel tok;
-           Error (e, Printexc.get_raw_backtrace ()))
-  in
-  let stop () = cancelled tok || Clock.expired deadline in
-  run_tasks ~obs ~label ~jobs ~chunk:(chunk_of ?chunk ~jobs n) ~stop n run_one;
-  (* Wrapped in [Task_failed] so callers learn which input failed
-     without string-matching backtraces; the original backtrace is
-     preserved on the re-raise. *)
-  for i = 0 to n - 1 do
-    match slots.(i) with
-    | Some (Error (e, bt)) ->
-      Printexc.raise_with_backtrace (Task_failed (i, e)) bt
-    | Some (Ok _) | None -> ()
-  done;
-  Array.map
-    (function
-      | Some (Ok y) -> Done y
-      | None -> Cancelled
-      | Some (Error _) -> assert false)
-    slots
-
 (* --- fault-isolated maps ------------------------------------------------ *)
 
-(* Namespaced so [Ok]/[Cancelled] never shadow stdlib [Ok] or
-   [outcome]'s [Cancelled] at use sites. *)
+(* Namespaced so [Ok] never shadows stdlib [Ok] at use sites. *)
 module Task = struct
   type 'a outcome =
     | Ok of 'a
@@ -368,6 +319,3 @@ let map_cancellable_isolated ?(obs = Sink.null) ?(label = "map") ?chunk
   let stop () = cancelled tok || Clock.expired deadline in
   run_tasks ~obs ~label ~jobs ~chunk:(chunk_of ?chunk ~jobs n) ~stop n run_one;
   Array.map (function Some o -> o | None -> Task.Cancelled) slots
-
-let map_isolated ?obs ?label ?chunk ?work ?retry ~jobs f xs =
-  map_cancellable_isolated ?obs ?label ?chunk ?work ?retry ~jobs f xs

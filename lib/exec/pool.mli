@@ -1,5 +1,7 @@
 (** A stdlib-only work-stealing domain pool (OCaml 5 [Domain], no
-    domainslib).
+    domainslib), with one map per production caller: {!map_array_init}
+    for the fault simulator's shards and {!map_cancellable_isolated} for
+    step 3's per-group sequential-ATPG tasks.
 
     The task index space is split into one contiguous range per worker,
     each with a private atomic claim cursor: workers claim chunks from
@@ -7,9 +9,7 @@
     ranges once theirs runs dry, so a domain that finishes early keeps
     the others' backlog moving instead of idling. Results are merged back
     in input order regardless of completion order, so output is
-    deterministic for any [jobs] value. If any task raises, the exception
-    of the lowest-index failing task is re-raised (with its backtrace) on
-    the calling domain.
+    deterministic for any [jobs] value.
 
     [jobs <= 1] runs everything sequentially on the calling domain — no
     domains are spawned and behavior is exactly that of [Array.map]. The
@@ -54,11 +54,6 @@ val token : unit -> token
 val cancel : token -> unit
 val cancelled : token -> bool
 
-(** Outcome of one task under cancellation: either its result, or
-    [Cancelled] because the queue was drained (token tripped, deadline
-    expired, or an earlier task failed) before the task was claimed. *)
-type 'a outcome = Done of 'a | Cancelled
-
 (** {1 Observability}
 
     Every map takes an optional [obs] sink ({!Fst_obs.Sink}, default
@@ -73,30 +68,23 @@ type 'a outcome = Done of 'a | Cancelled
     {!Fst_obs.Timeline}, every executed chunk is additionally recorded
     as a [{wid; label; t0; t1; stolen}] segment (the jobs ≤ 1 path
     records one segment for the whole run), which is what feeds
-    per-domain utilization and idle-gap analysis in [run.json]. With
-    the null sink the only cost is one branch per chunk claim. *)
+    per-domain utilization and idle-gap analysis in [run.json]. A map
+    called from inside another map's task records none of this: the
+    enclosing chunk already covers its time. With the null sink the
+    only cost is one branch per chunk claim. *)
 
-(** [map_array ~jobs f xs] is [Array.map f xs], computed on up to [jobs]
-    domains. [chunk] overrides the work-queue claim granularity (default:
-    about four chunks per domain); [work] is the caller's estimate of the
-    total cost (see {!min_work}). If any task raises, every claimed task
-    still runs to completion and the lowest-index failure is re-raised. *)
-val map_array :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map_array_init ~jobs ~init f xs] is {!map_array} with a per-domain
-    context: [init ()] runs at most once on each participating domain
-    (lazily, on first claim) and its result is passed to every task that
-    domain runs. Use it to reuse expensive domain-local scratch — e.g. a
-    fault simulator's good-trace buffers — across the tasks of one
-    domain without sharing mutable state between domains. *)
+(** [map_array_init ~jobs ~init f xs] is [Array.map (f ctx) xs],
+    computed on up to [jobs] domains, with a per-domain context [ctx]:
+    [init ()] runs at most once on each participating domain (lazily, on
+    first claim) and its result is passed to every task that domain
+    runs. Use it to reuse expensive domain-local scratch — e.g. a fault
+    simulator's good-trace buffers — across the tasks of one domain
+    without sharing mutable state between domains. [chunk] overrides the
+    work-queue claim granularity (default: about four chunks per
+    domain); [work] is the caller's estimate of the total cost (see
+    {!min_work}). If any task raises, every claimed task still runs to
+    completion and the exception of the lowest-index failing task is
+    re-raised (with its backtrace) on the calling domain. *)
 val map_array_init :
   ?obs:Fst_obs.Sink.t ->
   ?label:string ->
@@ -108,67 +96,17 @@ val map_array_init :
   'a array ->
   'b array
 
-(** [mapi_array] is {!map_array} with the input index. *)
-val mapi_array :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  jobs:int ->
-  (int -> 'a -> 'b) ->
-  'a array ->
-  'b array
+(** {1 Fault-isolated map}
 
-(** [map_list ~jobs f xs] is [List.map f xs] via {!map_array}. *)
-val map_list :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-
-(** Raised by {!map_cancellable} in place of a task's own exception: the
-    [int] is the input index of the lowest-index failing task, so callers
-    can attribute the failure without string-matching backtraces. The
-    original exception is the payload and its backtrace is preserved on
-    the re-raise. *)
-exception Task_failed of int * exn
-
-(** [map_cancellable ~jobs f xs] is {!map_array} with cooperative
-    cancellation: the queue stops being claimed once [token] is cancelled
-    or [deadline] expires, and every unclaimed slot comes back
-    [Cancelled], in input order. A raising task cancels the token (so the
-    rest of the queue drains) and the lowest-index recorded failure is
-    re-raised after the join, wrapped in {!Task_failed} with its input
-    index. With [jobs <= 1] the stop condition is checked between
-    consecutive tasks, so the [Done] prefix is exactly the tasks that ran
-    — fully deterministic. *)
-val map_cancellable :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  ?token:token ->
-  ?deadline:Clock.deadline ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b outcome array
-
-(** {1 Fault-isolated maps}
-
-    The isolated variants never let one task's failure touch its
-    siblings: instead of the fail-fast drain-and-re-raise contract, each
-    task gets its own {!task_outcome} slot. Failures classified
+    The isolated map never lets one task's failure touch its siblings:
+    each task gets its own {!Task.outcome} slot. Failures classified
     transient by the {!Retry} policy are retried in place (bounded,
     deterministic backoff through the policy's injectable sleep);
     failures that survive the attempt budget are {e quarantined} — the
     exception and backtrace land in the task's own [Failed] slot and the
-    queue keeps going. Results merge in input order, so [jobs <= 1] with
-    no failures is bit-identical to {!map_array}.
+    queue keeps going. Results merge in input order. A caller that wants
+    fail-fast semantics passes {!Retry.no_retry} and re-raises the first
+    [Failed] slot itself.
 
     With a live sink, each region additionally counts
     [pool.<label>.retries] (total extra attempts) and
@@ -184,8 +122,7 @@ val map_cancellable :
 (** Per-task outcome of an isolated map, in input order: the task's
     result, its final failure after retries (quarantined), or
     [Cancelled] because the queue was drained before it was claimed.
-    Namespaced in a submodule so the constructors never shadow stdlib
-    [Ok] or {!outcome}'s [Cancelled]. *)
+    Namespaced in a submodule so [Ok] never shadows stdlib [Ok]. *)
 module Task : sig
   type 'a outcome =
     | Ok of 'a
@@ -193,25 +130,14 @@ module Task : sig
     | Cancelled
 end
 
-(** [map_isolated ~jobs f xs] maps with per-task fault isolation and no
-    external cancellation: slots are only [Cancelled] if a chaos [Cancel]
-    injection trips the internal token. [retry] defaults to
-    {!Retry.default}. *)
-val map_isolated :
-  ?obs:Fst_obs.Sink.t ->
-  ?label:string ->
-  ?chunk:int ->
-  ?work:int ->
-  ?retry:Retry.policy ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b Task.outcome array
-
-(** [map_cancellable_isolated] is {!map_isolated} with the cooperative
-    cancellation of {!map_cancellable}: unclaimed slots come back
-    [Cancelled] once [token] trips or [deadline] expires, but a failing
-    task is quarantined in its own slot instead of draining the queue. *)
+(** [map_cancellable_isolated ~jobs f xs] maps [f] over [xs] with
+    per-task fault isolation and cooperative cancellation: the queue
+    stops being claimed once [token] is cancelled or [deadline] expires,
+    and every unclaimed slot comes back [Cancelled], in input order. With
+    [jobs <= 1] the stop condition is checked between consecutive tasks,
+    so the non-[Cancelled] prefix is exactly the tasks that ran. A
+    failing task is quarantined in its own slot and never drains the
+    queue. [retry] defaults to {!Retry.default}. *)
 val map_cancellable_isolated :
   ?obs:Fst_obs.Sink.t ->
   ?label:string ->

@@ -60,3 +60,25 @@ val start : t -> Thread.t
 
 (** Programmatic {!Protocol.Shutdown}: stop accepting, drain, return. *)
 val shutdown : t -> unit
+
+(** {1 Frame reads}
+
+    Every connection reads its JSONL frames through a bounded {!reader}:
+    a frame longer than {!max_frame_bytes} is discarded as it arrives,
+    answered with a protocol [error] naming the cap, and the connection
+    keeps serving. Exposed so the bound can be tested with a small cap. *)
+
+(** The per-frame cap of a served connection, in bytes (16 MiB, far
+    above the largest suite netlist's submit frame). *)
+val max_frame_bytes : int
+
+type reader
+
+(** [reader ic] reads frames from [ic]. *)
+val reader : in_channel -> reader
+
+(** [read_frame ~cap r] is the next newline-terminated frame without its
+    newline ([`Frame]; a final unterminated line counts), [`Too_long]
+    when it exceeded [cap] bytes (the rest of that line is consumed and
+    dropped, never buffered), or [`Eof]. *)
+val read_frame : cap:int -> reader -> [ `Frame of string | `Too_long | `Eof ]

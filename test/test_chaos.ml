@@ -91,7 +91,8 @@ let test_pool_retry_absorbs_one_shot () =
     [ { Chaos.site = Chaos.Pool_task; at = 1; action = Chaos.Raise } ]
     (fun () ->
       let got =
-        Pool.map_isolated ~jobs:1 ~retry:fast_retry Fun.id [| 0; 1; 2; 3 |]
+        Pool.map_cancellable_isolated ~jobs:1 ~retry:fast_retry Fun.id
+          [| 0; 1; 2; 3 |]
       in
       Array.iteri
         (fun i o ->
@@ -110,7 +111,8 @@ let test_pool_repeated_injection_quarantines () =
          { Chaos.site = Chaos.Pool_task; at; action = Chaos.Raise }))
     (fun () ->
       let got =
-        Pool.map_isolated ~jobs:1 ~retry:fast_retry Fun.id [| 0; 1; 2 |]
+        Pool.map_cancellable_isolated ~jobs:1 ~retry:fast_retry Fun.id
+          [| 0; 1; 2 |]
       in
       Array.iteri
         (fun i o ->

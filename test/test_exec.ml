@@ -6,6 +6,13 @@ exception Boom of int
 
 let squares n = Array.init n (fun i -> i)
 
+(* [Array.map f xs] on the pool: its context-passing map with no
+   context. *)
+let map ?obs ?label ?chunk ?work ~jobs f xs =
+  Pool.map_array_init ?obs ?label ?chunk ?work ~jobs ~init:ignore
+    (fun () -> f)
+    xs
+
 let test_deterministic_order () =
   List.iter
     (fun jobs ->
@@ -13,28 +20,18 @@ let test_deterministic_order () =
         (fun n ->
           let xs = squares n in
           let expect = Array.map (fun x -> x * x) xs in
-          let got = Pool.map_array ~jobs (fun x -> x * x) xs in
+          let got = map ~jobs (fun x -> x * x) xs in
           Alcotest.(check (array int))
             (Printf.sprintf "jobs=%d n=%d" jobs n)
             expect got)
         [ 0; 1; 2; 3; 7; 63; 200 ])
     [ 1; 2; 4; 8 ]
 
-let test_map_list () =
-  Alcotest.(check (list int))
-    "map_list" [ 2; 4; 6 ]
-    (Pool.map_list ~jobs:4 (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Alcotest.(check (list int)) "empty" [] (Pool.map_list ~jobs:4 Fun.id [])
-
-let test_mapi () =
-  let got = Pool.mapi_array ~jobs:3 (fun i x -> (i * 10) + x) [| 5; 6; 7 |] in
-  Alcotest.(check (array int)) "mapi" [| 5; 16; 27 |] got
-
 let test_exception_propagates () =
   List.iter
     (fun jobs ->
       match
-        Pool.map_array ~jobs
+        map ~jobs
           (fun x -> if x mod 5 = 3 then raise (Boom x) else x)
           (squares 40)
       with
@@ -45,9 +42,9 @@ let test_exception_propagates () =
 
 let test_chunk_override () =
   let xs = squares 17 in
-  let got = Pool.map_array ~chunk:1 ~jobs:4 (fun x -> x + 1) xs in
+  let got = map ~chunk:1 ~jobs:4 (fun x -> x + 1) xs in
   Alcotest.(check (array int)) "chunk=1" (Array.map (fun x -> x + 1) xs) got;
-  let got = Pool.map_array ~chunk:100 ~jobs:4 (fun x -> x + 1) xs in
+  let got = map ~chunk:100 ~jobs:4 (fun x -> x + 1) xs in
   Alcotest.(check (array int))
     "chunk>n" (Array.map (fun x -> x + 1) xs) got
 
@@ -56,7 +53,7 @@ let test_chunk_override () =
 let test_order_independent_of_duration () =
   let n = 24 in
   let got =
-    Pool.map_array ~jobs:4
+    map ~jobs:4
       (fun i ->
         (* Earlier indices spin longer, so completion order is reversed. *)
         let spin = (n - i) * 2000 in
@@ -71,12 +68,12 @@ let test_order_independent_of_duration () =
   Alcotest.(check (array int)) "input order" (squares n) got
 
 let prop_matches_sequential =
-  Q.Test.make ~name:"pool map_array = Array.map for any jobs" ~count:50
+  Q.Test.make ~name:"pool map_array_init = Array.map for any jobs" ~count:50
     Q.(pair (int_bound 7) (list_of_size (Gen.int_bound 50) small_int))
     (fun (jobs, xs) ->
       let xs = Array.of_list xs in
       let f x = (x * 31) lxor 5 in
-      Pool.map_array ~jobs:(jobs + 1) f xs = Array.map f xs)
+      map ~jobs:(jobs + 1) f xs = Array.map f xs)
 
 (* --- work stealing, min-work fallback, per-domain contexts ------------- *)
 
@@ -97,7 +94,7 @@ let test_steal_unblocks_stuck_owner () =
   let obs = Fst_obs.Sink.create ~metrics () in
   let flag = Atomic.make false in
   let got =
-    Pool.map_array ~obs ~label:"steal" ~jobs:2 ~chunk:1
+    map ~obs ~label:"steal" ~jobs:2 ~chunk:1
       (fun x ->
         if x = 0 then
           while not (Atomic.get flag) do
@@ -124,7 +121,7 @@ let test_min_work_runs_in_caller () =
   let self = Domain.self () in
   let ran_here = Atomic.make true in
   let got =
-    Pool.map_array ~jobs:8 ~work:(Pool.min_work - 1)
+    map ~jobs:8 ~work:(Pool.min_work - 1)
       (fun x ->
         if Domain.self () <> self then Atomic.set ran_here false;
         x + 1)
@@ -144,7 +141,7 @@ let test_min_work_runs_in_caller () =
     let first = Atomic.make None in
     let deadline = Clock.after 10.0 in
     ignore
-      (Pool.map_array ~jobs:4 ~chunk:1 ~work:Pool.min_work
+      (map ~jobs:4 ~chunk:1 ~work:Pool.min_work
          (fun x ->
            let me = Domain.self () in
            (match Atomic.get first with
@@ -171,7 +168,7 @@ let test_jobs_clamped_to_cores () =
     then note me
   in
   let got =
-    Pool.map_array ~jobs:64 ~chunk:1
+    map ~jobs:64 ~chunk:1
       (fun x ->
         note (Domain.self ());
         x + 3)
@@ -220,26 +217,63 @@ let test_map_array_init_context_per_domain () =
        (squares 5));
   Alcotest.(check int) "jobs=1 creates one context" 1 !count
 
+(* A map called from inside another map's task (step 3's per-group fault
+   simulation) records no pool accounting of its own: the enclosing
+   chunk's segment and busy time already cover it. *)
+let test_nested_map_not_double_counted () =
+  List.iter
+    (fun jobs ->
+      let timeline = Fst_obs.Timeline.create () in
+      let metrics = Fst_obs.Metrics.create () in
+      let obs = Fst_obs.Sink.create ~metrics ~timeline () in
+      let got =
+        Pool.map_cancellable_isolated ~obs ~label:"outer" ~jobs ~chunk:1
+          (fun x ->
+            Array.fold_left ( + ) 0
+              (map ~obs ~label:"inner" ~jobs:1 (fun y -> x * y) (squares 4)))
+          (squares 6)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "results jobs=%d" jobs)
+        true
+        (Array.for_all2
+           (fun o x -> o = Pool.Task.Ok (6 * x))
+           got (squares 6));
+      let labels =
+        List.sort_uniq String.compare
+          (List.map
+             (fun (s : Fst_obs.Timeline.seg) -> s.Fst_obs.Timeline.label)
+             (Fst_obs.Timeline.segments timeline))
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "only the outer map is on the timeline jobs=%d" jobs)
+        [ "outer" ] labels)
+    [ 1; 2 ]
+
 (* --- cooperative cancellation ------------------------------------------ *)
 
 let test_cancellable_no_stop () =
   List.iter
     (fun jobs ->
-      let got = Pool.map_cancellable ~jobs (fun x -> x * x) (squares 30) in
+      let got =
+        Pool.map_cancellable_isolated ~jobs (fun x -> x * x) (squares 30)
+      in
       Alcotest.(check (array int))
         (Printf.sprintf "all done jobs=%d" jobs)
         (Array.map (fun x -> x * x) (squares 30))
         (Array.map
-           (function Pool.Done y -> y | Pool.Cancelled -> -1)
+           (function
+             | Pool.Task.Ok y -> y
+             | Pool.Task.Failed _ | Pool.Task.Cancelled -> -1)
            got))
     [ 1; 4 ]
 
-(* Sequential path: the stop flag is checked between tasks, so the [Done]
+(* Sequential path: the stop flag is checked between tasks, so the [Ok]
    prefix is exactly the tasks that ran before the cancel. *)
 let test_cancel_exact_prefix () =
   let tok = Pool.token () in
   let got =
-    Pool.map_cancellable ~jobs:1 ~token:tok
+    Pool.map_cancellable_isolated ~jobs:1 ~token:tok
       (fun x ->
         if x = 5 then Pool.cancel tok;
         x * 2)
@@ -247,7 +281,9 @@ let test_cancel_exact_prefix () =
   in
   Array.iteri
     (fun i o ->
-      let expect = if i <= 5 then Pool.Done (i * 2) else Pool.Cancelled in
+      let expect =
+        if i <= 5 then Pool.Task.Ok (i * 2) else Pool.Task.Cancelled
+      in
       Alcotest.(check bool) (Printf.sprintf "slot %d" i) true (o = expect))
     got
 
@@ -255,14 +291,14 @@ let test_expired_deadline_drains_everything () =
   List.iter
     (fun jobs ->
       let got =
-        Pool.map_cancellable ~jobs ~deadline:(Clock.after (-1.0))
+        Pool.map_cancellable_isolated ~jobs ~deadline:(Clock.after (-1.0))
           (fun x -> x)
           (squares 20)
       in
       Alcotest.(check bool)
         (Printf.sprintf "all cancelled jobs=%d" jobs)
         true
-        (Array.for_all (fun o -> o = Pool.Cancelled) got))
+        (Array.for_all (fun o -> o = Pool.Task.Cancelled) got))
     [ 1; 2; 4 ]
 
 (* Tasks that block until the deadline expires: the claimed ones finish,
@@ -270,7 +306,7 @@ let test_expired_deadline_drains_everything () =
 let test_blocking_tasks_respect_deadline () =
   let deadline = Clock.after 0.05 in
   let got =
-    Pool.map_cancellable ~jobs:2 ~chunk:1 ~deadline
+    Pool.map_cancellable_isolated ~jobs:2 ~chunk:1 ~deadline
       (fun x ->
         while not (Clock.expired deadline) do
           Domain.cpu_relax ()
@@ -280,7 +316,10 @@ let test_blocking_tasks_respect_deadline () =
   in
   let done_count =
     Array.fold_left
-      (fun n o -> match o with Pool.Done _ -> n + 1 | Pool.Cancelled -> n)
+      (fun n o ->
+        match o with
+        | Pool.Task.Ok _ -> n + 1
+        | Pool.Task.Failed _ | Pool.Task.Cancelled -> n)
       0 got
   in
   (* Only the tasks claimed before the deadline ran (at most one per
@@ -293,38 +332,18 @@ let test_blocking_tasks_respect_deadline () =
   Array.iteri
     (fun i o ->
       match o with
-      | Pool.Done v ->
+      | Pool.Task.Ok v ->
         Alcotest.(check int) (Printf.sprintf "slot %d value" i) i v;
         Alcotest.(check bool)
           (Printf.sprintf "slot %d is a range head" i)
           true
           (i = 0 || i = 3)
-      | Pool.Cancelled -> ())
+      | Pool.Task.Failed _ -> Alcotest.failf "slot %d failed" i
+      | Pool.Task.Cancelled -> ())
     got
 
-(* A raising task cancels the shared token (draining the queue) and its
-   exception is re-raised after the join, wrapped in [Task_failed] with
-   the failing task's input index. *)
-let test_failing_task_cancels_token () =
-  List.iter
-    (fun jobs ->
-      let tok = Pool.token () in
-      (match
-         Pool.map_cancellable ~jobs ~chunk:1 ~token:tok
-           (fun x -> if x = 7 then raise (Boom x) else x)
-           (squares 40)
-       with
-       | _ -> Alcotest.failf "jobs=%d: expected Task_failed" jobs
-       | exception Pool.Task_failed (i, Boom v) ->
-         Alcotest.(check int) "failure index" 7 i;
-         Alcotest.(check int) "failure payload" 7 v);
-      Alcotest.(check bool)
-        (Printf.sprintf "token tripped jobs=%d" jobs)
-        true (Pool.cancelled tok))
-    [ 1; 2; 8 ]
-
 (* Fault injection: wherever the cancel lands and whatever [jobs] is, every
-   [Done] slot carries the result for its own input (partial results are in
+   [Ok] slot carries the result for its own input (partial results are in
    input order), and the task that tripped the token always completed. *)
 let prop_cancel_partial_results_ordered =
   Q.Test.make ~name:"cancellation keeps partial results in input order"
@@ -335,7 +354,7 @@ let prop_cancel_partial_results_ordered =
       let cancel_at = cancel_at mod n in
       let tok = Pool.token () in
       let got =
-        Pool.map_cancellable ~jobs ~token:tok
+        Pool.map_cancellable_isolated ~jobs ~token:tok
           (fun x ->
             if x = cancel_at then Pool.cancel tok;
             (x * 13) lxor 3)
@@ -344,32 +363,16 @@ let prop_cancel_partial_results_ordered =
       let ok =
         ref
           (Array.length got = n
-          && got.(cancel_at) = Pool.Done ((cancel_at * 13) lxor 3))
+          && got.(cancel_at) = Pool.Task.Ok ((cancel_at * 13) lxor 3))
       in
       Array.iteri
         (fun i o ->
           match o with
-          | Pool.Done y -> if y <> (i * 13) lxor 3 then ok := false
-          | Pool.Cancelled -> ())
+          | Pool.Task.Ok y -> if y <> (i * 13) lxor 3 then ok := false
+          | Pool.Task.Failed _ -> ok := false
+          | Pool.Task.Cancelled -> ())
         got;
       !ok)
-
-(* Fault injection: a raising task at a random position always surfaces its
-   own exception, and the sequential path records the exact prefix. *)
-let prop_raise_drains_queue =
-  Q.Test.make ~name:"raising task drains the queue deterministically"
-    ~count:100
-    Q.(pair (int_bound 40) (int_bound 40))
-    (fun (n, boom_at) ->
-      let n = n + 1 in
-      let boom_at = boom_at mod n in
-      match
-        Pool.map_cancellable ~jobs:1
-          (fun x -> if x = boom_at then raise (Boom x) else x)
-          (squares n)
-      with
-      | _ -> false
-      | exception Pool.Task_failed (i, Boom v) -> i = boom_at && v = boom_at)
 
 (* --- fault-isolated maps ------------------------------------------------ *)
 
@@ -381,7 +384,9 @@ let fast_retry = { Retry.default with Retry.sleep = (fun _ -> ()) }
 let test_isolated_all_ok () =
   List.iter
     (fun jobs ->
-      let got = Pool.map_isolated ~jobs (fun x -> x * x) (squares 20) in
+      let got =
+        Pool.map_cancellable_isolated ~jobs (fun x -> x * x) (squares 20)
+      in
       Array.iteri
         (fun i o ->
           Alcotest.(check bool)
@@ -397,7 +402,7 @@ let test_isolated_poison_quarantined () =
   List.iter
     (fun jobs ->
       let got =
-        Pool.map_isolated ~jobs ~retry:Retry.no_retry
+        Pool.map_cancellable_isolated ~jobs ~retry:Retry.no_retry
           (fun x -> if x mod 7 = 3 then raise (Boom x) else x)
           (squares 20)
       in
@@ -426,7 +431,7 @@ let test_isolated_retry_transient () =
     { fast_retry with Retry.attempts = 3; transient = (fun _ -> true) }
   in
   let got =
-    Pool.map_isolated ~jobs:1 ~retry:policy
+    Pool.map_cancellable_isolated ~jobs:1 ~retry:policy
       (fun x ->
         tries.(x) <- tries.(x) + 1;
         if x = 4 && tries.(x) < 3 then raise (Boom x) else x)
@@ -448,7 +453,7 @@ let test_isolated_retry_exhausted () =
     { fast_retry with Retry.attempts = 2; transient = (fun _ -> true) }
   in
   let got =
-    Pool.map_isolated ~jobs:1 ~retry:policy
+    Pool.map_cancellable_isolated ~jobs:1 ~retry:policy
       (fun x ->
         if x = 2 then begin
           incr tries;
@@ -495,7 +500,9 @@ let prop_isolated_matches_map =
       let jobs = jobs + 1 in
       let xs = squares n in
       let expect = Array.map (fun x -> (x * 31) lxor 5) xs in
-      let got = Pool.map_isolated ~jobs (fun x -> (x * 31) lxor 5) xs in
+      let got =
+        Pool.map_cancellable_isolated ~jobs (fun x -> (x * 31) lxor 5) xs
+      in
       Array.length got = n
       && Array.for_all2 (fun o e -> o = Pool.Task.Ok e) got expect)
 
@@ -510,7 +517,7 @@ let prop_isolated_poison_set =
       let jobs = jobs + 1 and n = n + 1 in
       let poison i = (mask lsr (i mod 10)) land 1 = 1 in
       let got =
-        Pool.map_isolated ~jobs ~retry:Retry.no_retry
+        Pool.map_cancellable_isolated ~jobs ~retry:Retry.no_retry
           (fun x -> if poison x then raise (Boom x) else x)
           (squares n)
       in
@@ -527,8 +534,6 @@ let suite =
   [
     Alcotest.test_case "deterministic merge order" `Quick
       test_deterministic_order;
-    Alcotest.test_case "map_list" `Quick test_map_list;
-    Alcotest.test_case "mapi_array" `Quick test_mapi;
     Alcotest.test_case "exception propagation" `Quick
       test_exception_propagates;
     Alcotest.test_case "chunk override" `Quick test_chunk_override;
@@ -543,6 +548,8 @@ let suite =
       test_jobs_clamped_to_cores;
     Alcotest.test_case "map_array_init context per domain" `Quick
       test_map_array_init_context_per_domain;
+    Alcotest.test_case "nested map is not double counted" `Quick
+      test_nested_map_not_double_counted;
     Alcotest.test_case "cancellable without stop = map" `Quick
       test_cancellable_no_stop;
     Alcotest.test_case "cancel gives exact sequential prefix" `Quick
@@ -551,10 +558,7 @@ let suite =
       test_expired_deadline_drains_everything;
     Alcotest.test_case "blocking tasks respect deadline" `Quick
       test_blocking_tasks_respect_deadline;
-    Alcotest.test_case "failing task cancels token" `Quick
-      test_failing_task_cancels_token;
     Helpers.qcheck prop_cancel_partial_results_ordered;
-    Helpers.qcheck prop_raise_drains_queue;
     Alcotest.test_case "isolated map all ok" `Quick test_isolated_all_ok;
     Alcotest.test_case "isolated map quarantines poison" `Quick
       test_isolated_poison_quarantined;

@@ -294,14 +294,31 @@ let partition_holds r =
     + List.length r.Flow.undetected
     + List.length r.Flow.aborted + List.length r.Flow.failed
 
-(* With chaos off, [`Keep_going] at jobs=1 is bit-identical to the
-   fail-fast seed path: the wave-structured step 3 commits exactly the
-   same stimuli, it only isolates differently on failure. *)
+(* With chaos off, [`Keep_going] at jobs=1 is bit-identical to
+   [`Fail_fast]: both policies run the one step-3 schedule and differ
+   only in what they do with a failure. The fixture has a step-3 group
+   with a member that an earlier target's sequence detects, so
+   intra-group dropping is exercised; the per-fault deadlines are lifted
+   so that no deadline can make the runs differ. *)
 let test_keep_going_chaos_off_identical () =
-  let scanned, config = scan_small 7L in
-  let ff = Flow.run ~config:Config.(quick_config |> with_jobs 1) scanned config in
-  let kg = Flow.run ~config:keep_going_config scanned config in
+  let scanned, config = scan_small ~chains:3 9L in
+  let cfg =
+    Config.(
+      quick_config |> with_jobs 1 |> with_comb_backtrack 0
+      |> with_random_blocks 1
+      |> with_seq_fault_seconds 3600.0
+      |> with_final_fault_seconds 3600.0)
+  in
+  let ff = Flow.run ~config:cfg scanned config in
+  let kg =
+    Flow.run ~config:(Config.with_on_error `Keep_going cfg) scanned config
+  in
+  Alcotest.(check bool) "step 3 detects" true (ff.Flow.step3.Flow.detected > 0);
   Alcotest.(check bool) "counts identical" true (counts kg = counts ff);
+  Alcotest.(check bool) "atpg counters identical" true
+    (kg.Flow.atpg = ff.Flow.atpg);
+  Alcotest.(check bool) "abort accounting identical" true
+    (kg.Flow.aborts = ff.Flow.aborts);
   Alcotest.(check (list string)) "undetected identical"
     (fault_names scanned ff.Flow.undetected)
     (fault_names scanned kg.Flow.undetected);
@@ -311,6 +328,27 @@ let test_keep_going_chaos_off_identical () =
   Alcotest.(check (list string)) "no failed bucket" []
     (fault_names scanned kg.Flow.failed);
   Alcotest.(check int) "accounting agrees" 0 kg.Flow.aborts.Flow.failed_faults
+
+(* Under [`Fail_fast] a failing step-3 task surfaces its own exception,
+   whatever the wave width. *)
+let test_fail_fast_raises_task_exception () =
+  let scanned, config = scan_small 7L in
+  List.iter
+    (fun jobs ->
+      let cfg =
+        Config.(
+          quick_config |> with_jobs jobs |> with_comb_backtrack 1
+          |> with_random_blocks 2)
+      in
+      Chaos.install
+        [ { Chaos.site = Chaos.Pool_task; at = 0; action = Chaos.Raise } ];
+      match
+        Fun.protect ~finally:Chaos.clear (fun () ->
+            Flow.run ~config:cfg scanned config)
+      with
+      | _ -> Alcotest.failf "jobs=%d: the flow did not fail" jobs
+      | exception Chaos.Injected _ -> ())
+    [ 1; 2 ]
 
 (* QCheck generator for chaos plans, with free shrinking to a minimal
    failing injection set via the list shrinker. *)
@@ -658,6 +696,8 @@ let suite =
       test_checkpoint_fingerprint_mismatch;
     Alcotest.test_case "keep-going without chaos is bit-identical" `Quick
       test_keep_going_chaos_off_identical;
+    Alcotest.test_case "fail-fast step 3 raises the task's exception" `Quick
+      test_fail_fast_raises_task_exception;
     Helpers.qcheck prop_chaos_invariant_and_agreement;
     Alcotest.test_case "corrupt-checkpoint resume recovers via .prev" `Quick
       test_corrupt_checkpoint_resume;

@@ -77,8 +77,8 @@ let test_counter_parallel_exact () =
   let r = M.create () in
   let c = M.counter r "hits" in
   ignore
-    (Pool.map_array ~jobs:8
-       (fun k ->
+    (Pool.map_array_init ~jobs:8 ~init:ignore
+       (fun () k ->
          for _ = 1 to k do
            M.Counter.incr c
          done;
@@ -120,8 +120,8 @@ let prop_histogram_merge_order_independent =
         Array.of_list (go [] values)
       in
       let locals =
-        Pool.map_array ~jobs
-          (fun vs ->
+        Pool.map_array_init ~jobs ~init:ignore
+          (fun () vs ->
             let h = M.Histogram.create () in
             List.iter (M.Histogram.observe h) vs;
             h)
@@ -145,7 +145,10 @@ let test_histogram_shared_parallel () =
   Array.iter (M.Histogram.observe serial) values;
   let r = M.create () in
   let h = M.histogram r "shared" in
-  ignore (Pool.map_array ~jobs:8 (fun v -> M.Histogram.observe h v) values);
+  ignore
+    (Pool.map_array_init ~jobs:8 ~init:ignore
+       (fun () v -> M.Histogram.observe h v)
+       values);
   Alcotest.(check bool) "shared = serial" true
     (hist_fingerprint h = hist_fingerprint serial)
 

@@ -440,6 +440,80 @@ let test_serve_no_heartbeat_after_result () =
           | Some e -> Alcotest.fail ("reply stream out of step: " ^ e))
         results)
 
+(* --- bounded frame reads ------------------------------------------------- *)
+
+(* The reader on a pipe, with a small cap: an over-cap line (here one that
+   spans several of the reader's 64 KiB chunks) comes back [`Too_long]
+   and is consumed in full, so the frames around it are intact. *)
+let test_read_frame_bounded () =
+  let rd, wr = Unix.pipe () in
+  let writer =
+    Thread.create
+      (fun () ->
+        let oc = Unix.out_channel_of_descr wr in
+        output_string oc "ping\n12345678\n";
+        output_string oc (String.make 200_000 'y');
+        output_string oc "\n123456789\nafter\nlast";
+        close_out oc)
+      ()
+  in
+  let r = Server.reader (Unix.in_channel_of_descr rd) in
+  let frames = List.init 7 (fun _ -> Server.read_frame ~cap:8 r) in
+  Thread.join writer;
+  Unix.close rd;
+  let show = function
+    | `Frame s -> "frame " ^ s
+    | `Too_long -> "too long"
+    | `Eof -> "eof"
+  in
+  Alcotest.(check (list string))
+    "frames"
+    [
+      "frame ping"; "frame 12345678"; "too long"; "too long"; "frame after";
+      "frame last"; "eof";
+    ]
+    (List.map show frames)
+
+(* An oversized frame gets an error naming the cap, and the same
+   connection still answers a ping. *)
+let test_serve_oversized_frame () =
+  let dir = temp_dir "fst-frame" in
+  let path = Filename.concat dir "sock" in
+  let server =
+    Server.create ~workers:1 ~jobs_cap:1 ~addr:(Protocol.Unix_sock path) ()
+  in
+  let thread = Server.start server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () ->
+      Client.close (connect_retry (Protocol.Unix_sock path));
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let oc = Unix.out_channel_of_descr fd in
+      let ic = Unix.in_channel_of_descr fd in
+      let chunk = String.make 65536 'x' in
+      for _ = 0 to (Server.max_frame_bytes / 65536) do
+        output_string oc chunk
+      done;
+      output_string oc "\n";
+      output_string oc
+        (Json.to_string (Protocol.request_to_json Protocol.Ping) ^ "\n");
+      flush oc;
+      let error = Json.of_string (input_line ic) in
+      let pong = Json.of_string (input_line ic) in
+      Unix.close fd;
+      Alcotest.(check bool)
+        ("over-cap frame is an error naming the cap: " ^ Json.to_string error)
+        true
+        (Json.member "kind" error = Some (Json.String "error")
+        && Helpers.contains_substring
+             ~needle:(string_of_int Server.max_frame_bytes)
+             (Json.to_string error));
+      Alcotest.(check bool) "connection still serves" true
+        (Json.member "kind" pong = Some (Json.String "pong")))
+
 let suite =
   [
     Alcotest.test_case "fingerprint ignores execution knobs" `Quick
@@ -458,4 +532,8 @@ let suite =
     Alcotest.test_case "serve cancel" `Quick test_serve_cancel;
     Alcotest.test_case "serve sends no heartbeat after a result" `Quick
       test_serve_no_heartbeat_after_result;
+    Alcotest.test_case "frame reads are bounded" `Quick
+      test_read_frame_bounded;
+    Alcotest.test_case "serve survives an oversized frame" `Quick
+      test_serve_oversized_frame;
   ]
