@@ -27,10 +27,16 @@ check: static-check build test lint-smoke bench-smoke degradation-smoke \
 # in lib/core goes through the one entry point, Fsim.Engine: a direct
 # Parallel or Serial detect call there fails the check (Diagnose's
 # Fsim.Serial.trace is allowed, since the engine has no trace entry).
+# The frozen PODEM oracle is a test reference only: lib/ or bin/ naming
+# Podem_oracle fails the check.
 static-check:
 	dune build @check
 	@if grep -rnE 'Fsim\.(Parallel\.|Serial\.detect)' lib/core; then \
 	  echo "static-check: lib/core must call Fsim.Engine, not a back-end"; \
+	  exit 1; \
+	fi
+	@if grep -rn 'Podem_oracle' lib bin; then \
+	  echo "static-check: Podem_oracle is a test reference, not for lib/ or bin/"; \
 	  exit 1; \
 	fi
 

@@ -3,11 +3,15 @@
 
     Values are good/faulty pairs held as two {!Fst_logic.V3.t} arrays, one
     per machine; decisions are made only at free inputs, guided by SCOAP
-    backtrace; implication is three-valued resimulation, so it never
-    conflicts and backtracking is driven by objective failure (fault
-    unexcitable, empty D-frontier, no X-path). The search is complete
-    unless a rare multi-site frontier case forces a heuristic prune, in
-    which case exhaustion reports {!Aborted} rather than {!Untestable}. *)
+    backtrace. Implication is three-valued and event-driven: after one
+    full sweep, each step re-evaluates only the fanout cones of the inputs
+    whose assignment changed, in level order. It never conflicts, so
+    backtracking is driven by objective failure (fault unexcitable, empty
+    D-frontier, no X-path). Frontier gates are tried in observability
+    order and their X-paths searched lazily, only as far as the choice of
+    objective needs them. The search is complete unless a rare multi-site
+    frontier case forces a heuristic prune, in which case exhaustion
+    reports {!Aborted} rather than {!Untestable}. *)
 
 open Fst_logic
 open Fst_netlist
@@ -20,7 +24,33 @@ type result =
   | Untestable  (** proven: no input assignment detects the fault *)
   | Aborted  (** backtrack limit exceeded or completeness lost *)
 
-type stats = { backtracks : int; decisions : int; implications : int }
+(** Why a search stopped; every run stops for exactly one reason. *)
+type stop =
+  | Found  (** a test was found ({!Test}) *)
+  | Exhausted  (** the complete search space held no test ({!Untestable}) *)
+  | Backtrack_limit  (** [backtrack_limit] reached ({!Aborted}) *)
+  | Dead_end
+      (** exhausted after a backtrace dead end cost completeness
+          ({!Aborted}) *)
+  | Frontier_prune
+      (** exhausted after a reachable D-frontier yielded no objective
+          ({!Aborted}) *)
+  | Abort_hook  (** [should_abort] returned true ({!Aborted}) *)
+
+val all_stops : stop list
+
+(** Position of a reason in {!all_stops}. *)
+val stop_index : stop -> int
+
+(** Snake-case name, as used in metric names. *)
+val stop_name : stop -> string
+
+type stats = {
+  backtracks : int;
+  decisions : int;
+  implications : int;  (** calls to implication, one per search step *)
+  stop : stop;
+}
 
 (** [run view ~faults] searches for a test detecting the fault injected at
     all the given sites simultaneously (a multi-site list models the same

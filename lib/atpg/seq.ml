@@ -7,7 +7,7 @@ type test = {
 }
 
 type result = Seq_test of test | Seq_aborted
-type stats = { runs : int; backtracks : int }
+type stats = { runs : int; backtracks : int; stops : int array }
 
 let test_of_assignment u frames assignment =
   let init_state = ref [] in
@@ -23,13 +23,19 @@ let test_of_assignment u frames assignment =
 let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
     ~frames_list ~backtrack_limit =
   let runs = ref 0 and backtracks = ref 0 in
+  let stops = Array.make (List.length Podem.all_stops) 0 in
   let aborting () =
     match should_abort with None -> false | Some f -> f ()
   in
+  let stats () = { runs = !runs; backtracks = !backtracks; stops } in
+  let add (st : Podem.stats) =
+    backtracks := !backtracks + st.Podem.backtracks;
+    let k = Podem.stop_index st.Podem.stop in
+    stops.(k) <- stops.(k) + 1
+  in
   let rec try_frames = function
-    | [] -> (Seq_aborted, { runs = !runs; backtracks = !backtracks })
-    | _ :: _ when aborting () ->
-      (Seq_aborted, { runs = !runs; backtracks = !backtracks })
+    | [] -> (Seq_aborted, stats ())
+    | _ :: _ when aborting () -> (Seq_aborted, stats ())
     | frames :: rest -> (
       let u =
         Unroll.build c ~frames ~constraints ~controllable_ff ~observable_ff
@@ -38,11 +44,10 @@ let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
       incr runs;
       match Podem.run ~backtrack_limit ?should_abort u.Unroll.view ~faults with
       | Podem.Test assignment, st ->
-        backtracks := !backtracks + st.Podem.backtracks;
-        ( Seq_test (test_of_assignment u frames assignment),
-          { runs = !runs; backtracks = !backtracks } )
+        add st;
+        (Seq_test (test_of_assignment u frames assignment), stats ())
       | (Podem.Untestable | Podem.Aborted), st ->
-        backtracks := !backtracks + st.Podem.backtracks;
+        add st;
         try_frames rest)
   in
   try_frames frames_list

@@ -22,7 +22,13 @@ type test = {
 
 type result = Seq_test of test | Seq_aborted
 
-type stats = { runs : int; backtracks : int }
+type stats = {
+  runs : int;
+  backtracks : int;
+  stops : int array;
+      (** per {!Podem.stop_index}: how many of the [runs] stopped for that
+          reason *)
+}
 
 (** @param should_abort cooperative abort hook: polled before each frame
     count and between PODEM backtracks, so a tripped wall-clock deadline

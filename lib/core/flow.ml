@@ -176,13 +176,26 @@ let fresh_acct () =
     s_backtracks = 0;
   }
 
-let add_podem_stats acct (s : Podem.stats) =
+(* PODEM stop reasons go straight to the sink as [atpg.stop.<reason>]
+   counters: they explain the search and are kept out of [acct], so the
+   report and the checkpoint layout do not carry them. *)
+let count_stop (sink : Sink.t) stop n =
+  if sink.Sink.enabled && n > 0 then
+    Metrics.Counter.add
+      (Metrics.counter sink.Sink.metrics ("atpg.stop." ^ Podem.stop_name stop))
+      n
+
+let add_podem_stats ~sink acct (s : Podem.stats) =
+  count_stop sink s.Podem.stop 1;
   acct.p_runs <- acct.p_runs + 1;
   acct.p_backtracks <- acct.p_backtracks + s.Podem.backtracks;
   acct.p_decisions <- acct.p_decisions + s.Podem.decisions;
   acct.p_implications <- acct.p_implications + s.Podem.implications
 
-let add_seq_stats acct (s : Seq.stats) =
+let add_seq_stats ~sink acct (s : Seq.stats) =
+  List.iter
+    (fun stop -> count_stop sink stop s.Seq.stops.(Podem.stop_index stop))
+    Podem.all_stops;
   acct.s_runs <- acct.s_runs + s.Seq.runs;
   acct.s_backtracks <- acct.s_backtracks + s.Seq.backtracks
 
@@ -391,17 +404,17 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                  ~scoap view ~faults:[ hard_faults.(!i) ])
          with
          | Podem.Test assignment, stats ->
-           add_podem_stats acct stats;
+           add_podem_stats ~sink acct stats;
            incr n_tests;
            let ff_values, pi_values = split_assignment scanned assignment in
            blocks :=
              Sequences.of_comb_test scanned config ~ff_values ~pi_values
              :: !blocks
          | Podem.Untestable, stats ->
-           add_podem_stats acct stats;
+           add_podem_stats ~sink acct stats;
            untestable := !i :: !untestable
          | Podem.Aborted, stats ->
-           add_podem_stats acct stats;
+           add_podem_stats ~sink acct stats;
            acct.s2a_aborts <- acct.s2a_aborts + 1;
            (* A deadline-tripped abort (as opposed to a backtrack-limit one)
               means the fault was denied its full attempt. *)
@@ -909,7 +922,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     st.group_circuits <- st.group_circuits + 1;
     List.iter
       (fun (i, stats, outcome) ->
-        add_seq_stats acct stats;
+        add_seq_stats ~sink acct stats;
         match outcome with
         | Aborted { late } ->
           acct.s3_aborts <- acct.s3_aborts + 1;
@@ -1018,11 +1031,11 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
         i
     with
     | None, stats ->
-      add_seq_stats acct stats;
+      add_seq_stats ~sink acct stats;
       acct.fin_aborts <- acct.fin_aborts + 1;
       if Clock.expired dl_fin then flag_idx i
     | Some stim, stats ->
-      add_seq_stats acct stats;
+      add_seq_stats ~sink acct stats;
       retire_final stim
   in
   List.iter
@@ -1045,12 +1058,12 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                      ~scoap view ~faults:[ fault ])
              with
              | Podem.Untestable, stats ->
-               add_podem_stats acct stats;
+               add_podem_stats ~sink acct stats;
                Hashtbl.remove st.alive i;
                st.untestable3 <- st.untestable3 + 1;
                untestable_idx3 := i :: !untestable_idx3
              | Podem.Test assignment, stats ->
-               add_podem_stats acct stats;
+               add_podem_stats ~sink acct stats;
                (* The larger budget found a combinational test that step 2
                   missed; realize and confirm it sequentially before falling
                   back to the restricted sequential model. *)
@@ -1064,7 +1077,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                if Hashtbl.mem st.alive i && not !engine_poisoned then
                  attack_final i footprints.(i)
              | Podem.Aborted, stats ->
-               add_podem_stats acct stats;
+               add_podem_stats ~sink acct stats;
                if Clock.expired dl_fin then
                  acct.p_ab_deadline <- acct.p_ab_deadline + 1
                else acct.p_ab_limit <- acct.p_ab_limit + 1;
@@ -1103,8 +1116,24 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
 
 (* --- orchestration ------------------------------------------------------ *)
 
+(* OCaml 5.1 scales each major slice's work by the total heap size,
+   garbage included, so at the runtime's default space overhead (120) a
+   heap left large by one phase collects the next phase's garbage more
+   lazily, and the peak heap ratchets upwards over consecutive flows in
+   one process. On s38417 at scale 0.058 (fsim-tail) the peak was 3.6M
+   words in the first flow and 4.3M to 5.2M in the second, with under 1M
+   words live. At 80 the second and third flows peak within 1.5 MB of
+   the first. *)
+let space_overhead = 80
+
+let lower_space_overhead () =
+  let g = Gc.get () in
+  if g.Gc.space_overhead > space_overhead then
+    Gc.set { g with Gc.space_overhead }
+
 let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     ?on_checkpoint ?on_resume scanned config =
+  lower_space_overhead ();
   let cfg = match cfg with Some c -> c | None -> Config.default in
   let budget =
     match budget with Some b -> b | None -> Config.budget cfg

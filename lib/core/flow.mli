@@ -173,7 +173,11 @@ type result = {
     ({!Checkpoint.Primary} or the [.prev] last-good rotation), [`Failed
     err] says exactly why no state could be loaded
     ({!Checkpoint.error}: missing, corrupt, fingerprint or version
-    mismatch) before the flow starts fresh. *)
+    mismatch) before the flow starts fresh.
+
+    [run] lowers the process's GC [space_overhead] to 80 when it is
+    higher, and leaves it there: at the OCaml 5.1 default (120) the peak
+    major heap grows from one flow to the next in a long-lived process. *)
 val run :
   ?config:Config.t ->
   ?budget:Fst_exec.Budget.t ->

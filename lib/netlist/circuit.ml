@@ -38,8 +38,10 @@ let validate ~nodes ~net_names ~outputs =
       if Hashtbl.mem seen name then malformed "duplicate net name %S" name;
       Hashtbl.add seen name i)
     net_names;
-  let check_net ctx id =
-    if id < 0 || id >= n then malformed "%s references bad net %d" ctx id
+  let bad id = id < 0 || id >= n in
+  (* The message is formatted only when a check fails. *)
+  let check_net kind at id =
+    if bad id then malformed "%s at net %d references bad net %d" kind at id
   in
   Array.iteri
     (fun i nd ->
@@ -49,10 +51,12 @@ let validate ~nodes ~net_names ~outputs =
         if not (Gate.arity_ok g (Array.length fi)) then
           malformed "gate %s at net %d has %d fanins" (Gate.to_string g) i
             (Array.length fi);
-        Array.iter (check_net (Printf.sprintf "gate at net %d" i)) fi
-      | Dff d -> check_net (Printf.sprintf "dff at net %d" i) d)
+        Array.iter (check_net "gate" i) fi
+      | Dff d -> check_net "dff" i d)
     nodes;
-  Array.iter (check_net "output list") outputs
+  Array.iter
+    (fun id -> if bad id then malformed "output list references bad net %d" id)
+    outputs
 
 (* Strongly-connected components of the gate subgraph (iterative Tarjan;
    sources break cycles, a gate reading itself is a one-node cycle). Each

@@ -1,6 +1,6 @@
 module Json = Fst_obs.Json
 
-type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+type t = { fd : Unix.file_descr; r : Protocol.reader; oc : out_channel }
 
 let connect addr =
   let domain, sockaddr =
@@ -11,7 +11,11 @@ let connect addr =
   in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   Unix.connect fd sockaddr;
-  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  {
+    fd;
+    r = Protocol.reader (Unix.in_channel_of_descr fd);
+    oc = Unix.out_channel_of_descr fd;
+  }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -21,9 +25,13 @@ let send t req =
   flush t.oc
 
 let recv_line t =
-  match input_line t.ic with
-  | line -> Ok line
-  | exception (End_of_file | Sys_error _) ->
+  match Protocol.read_frame ~cap:Protocol.max_frame_bytes t.r with
+  | `Frame line -> Ok line
+  | `Too_long ->
+    Error
+      (Printf.sprintf "reply exceeds the %d-byte frame cap"
+         Protocol.max_frame_bytes)
+  | `Eof | (exception (Sys_error _ | Unix.Unix_error _)) ->
     Error "connection closed by server"
 
 let recv t =

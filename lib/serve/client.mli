@@ -1,5 +1,8 @@
 (** Minimal blocking client for the [fst serve] protocol — what
-    [fst submit] and the service benchmark are built on. *)
+    [fst submit] and the service benchmark are built on. Replies are read
+    through {!Protocol.read_frame}: a reply frame longer than
+    {!Protocol.max_frame_bytes} is discarded as it arrives and reported
+    as an [Error]. *)
 
 type t
 

@@ -18,6 +18,53 @@ let addr_of_spec ~socket ~port =
   | Some _, Some _ -> Error "--socket and --port conflict; pick one"
   | None, None -> Error "pass --socket PATH or --port N"
 
+(* Frames are read through a bounded reader on both ends: a line longer
+   than the cap is discarded as it streams in, so a peer that never sends
+   a newline cannot grow the reader's heap. The largest suite netlist's submit
+   frame at --scale 1.0 is under 1 MB. *)
+let max_frame_bytes = 16 * 1024 * 1024
+
+type reader = {
+  ic : in_channel;
+  buf : Bytes.t;
+  mutable lo : int;  (* [buf.[lo..hi-1]] is read but not yet consumed *)
+  mutable hi : int;
+}
+
+let reader ic = { ic; buf = Bytes.create 65536; lo = 0; hi = 0 }
+
+let read_frame ~cap r =
+  let line = Buffer.create 256 in
+  let rec go over =
+    if r.lo = r.hi then begin
+      r.lo <- 0;
+      r.hi <- input r.ic r.buf 0 (Bytes.length r.buf)
+    end;
+    if r.hi = 0 then
+      if over then `Too_long
+      else if Buffer.length line > 0 then `Frame (Buffer.contents line)
+      else `Eof
+    else begin
+      let nl = ref r.lo in
+      while !nl < r.hi && Bytes.get r.buf !nl <> '\n' do
+        incr nl
+      done;
+      let len = !nl - r.lo in
+      let over = over || Buffer.length line + len > cap in
+      if over then Buffer.reset line
+      else Buffer.add_subbytes line r.buf r.lo len;
+      if !nl < r.hi then begin
+        r.lo <- !nl + 1;
+        if over then `Too_long else `Frame (Buffer.contents line)
+      end
+      else begin
+        r.lo <- r.hi;
+        go over
+      end
+    end
+  in
+  go false
+
 type job_kind = Flow | Lint | Sca
 
 let job_kind_to_string = function Flow -> "flow" | Lint -> "lint" | Sca -> "sca"

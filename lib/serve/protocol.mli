@@ -29,6 +29,26 @@ val addr_to_string : addr -> string
 val addr_of_spec :
   socket:string option -> port:int option -> (addr, string) result
 
+(** {2 Frame reads}
+
+    Both ends read their JSONL frames through a bounded {!reader}, so a
+    peer that never sends a newline cannot grow the reader's heap. *)
+
+(** The per-frame cap in bytes (16 MiB, far above the largest suite
+    netlist's submit frame). *)
+val max_frame_bytes : int
+
+type reader
+
+(** [reader ic] reads frames from [ic]. *)
+val reader : in_channel -> reader
+
+(** [read_frame ~cap r] is the next newline-terminated frame without its
+    newline ([`Frame]; a final unterminated line counts), [`Too_long]
+    when it exceeded [cap] bytes (the rest of that line is consumed and
+    dropped, never buffered), or [`Eof]. *)
+val read_frame : cap:int -> reader -> [ `Frame of string | `Too_long | `Eof ]
+
 (** What a submitted job runs: the full flow, the static analyzer, or
     the netlist/scan-DFT linter. Each caches its own artifact kind. *)
 type job_kind = Flow | Lint | Sca

@@ -33,53 +33,6 @@ let send_line ?(still = fun () -> true) conn line =
 
 let send ?still conn json = send_line ?still conn (Json.to_string json)
 
-(* Frames are read through a bounded reader: a line longer than the cap
-   is discarded as it streams in, so a peer that never sends a newline
-   cannot grow the daemon's heap. The largest suite netlist's submit
-   frame at --scale 1.0 is under 1 MB. *)
-let max_frame_bytes = 16 * 1024 * 1024
-
-type reader = {
-  ic : in_channel;
-  buf : Bytes.t;
-  mutable lo : int;  (* [buf.[lo..hi-1]] is read but not yet consumed *)
-  mutable hi : int;
-}
-
-let reader ic = { ic; buf = Bytes.create 65536; lo = 0; hi = 0 }
-
-let read_frame ~cap r =
-  let line = Buffer.create 256 in
-  let rec go over =
-    if r.lo = r.hi then begin
-      r.lo <- 0;
-      r.hi <- input r.ic r.buf 0 (Bytes.length r.buf)
-    end;
-    if r.hi = 0 then
-      if over then `Too_long
-      else if Buffer.length line > 0 then `Frame (Buffer.contents line)
-      else `Eof
-    else begin
-      let nl = ref r.lo in
-      while !nl < r.hi && Bytes.get r.buf !nl <> '\n' do
-        incr nl
-      done;
-      let len = !nl - r.lo in
-      let over = over || Buffer.length line + len > cap in
-      if over then Buffer.reset line
-      else Buffer.add_subbytes line r.buf r.lo len;
-      if !nl < r.hi then begin
-        r.lo <- !nl + 1;
-        if over then `Too_long else `Frame (Buffer.contents line)
-      end
-      else begin
-        r.lo <- r.hi;
-        go over
-      end
-    end
-  in
-  go false
-
 (* --- jobs -------------------------------------------------------------- *)
 
 type job = {
@@ -561,16 +514,16 @@ let serve_conn t fd =
     { oc = Unix.out_channel_of_descr fd; wlock = Mutex.create ();
       alive = true }
   in
-  let r = reader (Unix.in_channel_of_descr fd) in
+  let r = Protocol.reader (Unix.in_channel_of_descr fd) in
   let rec loop () =
-    match read_frame ~cap:max_frame_bytes r with
+    match Protocol.read_frame ~cap:Protocol.max_frame_bytes r with
     | exception (Sys_error _ | Unix.Unix_error _) -> ()
     | `Eof -> ()
     | `Too_long ->
       send conn
         (Protocol.error
            (Printf.sprintf "frame exceeds the %d-byte cap; discarded"
-              max_frame_bytes));
+              Protocol.max_frame_bytes));
       if conn.alive then loop ()
     | `Frame line ->
       if String.trim line <> "" then handle t conn line;

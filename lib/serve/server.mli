@@ -20,7 +20,12 @@
 
     A waiting submit streams the job's flow events (phase boundaries,
     checkpoints, abort records — the {!Fst_obs.Sink} event channel) plus
-    rate-limited heartbeats back over its connection. *)
+    rate-limited heartbeats back over its connection.
+
+    Every connection reads its frames through {!Protocol.read_frame}: a
+    frame longer than {!Protocol.max_frame_bytes} is discarded as it
+    arrives, answered with a protocol [error] naming the cap, and the
+    connection keeps serving. *)
 
 type t
 
@@ -60,25 +65,3 @@ val start : t -> Thread.t
 
 (** Programmatic {!Protocol.Shutdown}: stop accepting, drain, return. *)
 val shutdown : t -> unit
-
-(** {1 Frame reads}
-
-    Every connection reads its JSONL frames through a bounded {!reader}:
-    a frame longer than {!max_frame_bytes} is discarded as it arrives,
-    answered with a protocol [error] naming the cap, and the connection
-    keeps serving. Exposed so the bound can be tested with a small cap. *)
-
-(** The per-frame cap of a served connection, in bytes (16 MiB, far
-    above the largest suite netlist's submit frame). *)
-val max_frame_bytes : int
-
-type reader
-
-(** [reader ic] reads frames from [ic]. *)
-val reader : in_channel -> reader
-
-(** [read_frame ~cap r] is the next newline-terminated frame without its
-    newline ([`Frame]; a final unterminated line counts), [`Too_long]
-    when it exceeded [cap] bytes (the rest of that line is consumed and
-    dropped, never buffered), or [`Eof]. *)
-val read_frame : cap:int -> reader -> [ `Frame of string | `Too_long | `Eof ]

@@ -678,6 +678,23 @@ let test_windows_chaos_contained () =
       Alcotest.(check bool) "not late" false w.Flow.late)
     [ 0; 1; 2 ]
 
+(* [Flow.run] lowers a higher GC space overhead to 80 and keeps a lower
+   one; the suite's own setting is restored afterwards. *)
+let test_run_lowers_space_overhead () =
+  let scanned, config = scan_small ~gates:60 ~ffs:4 3L in
+  let saved = Gc.get () in
+  let after o =
+    Gc.set { (Gc.get ()) with Gc.space_overhead = o };
+    ignore (Flow.run ~config:quick_config scanned config);
+    (Gc.get ()).Gc.space_overhead
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Gc.set { (Gc.get ()) with Gc.space_overhead = saved.Gc.space_overhead })
+    (fun () ->
+      Alcotest.(check int) "120 lowered" 80 (after 120);
+      Alcotest.(check int) "50 kept" 50 (after 50))
+
 let suite =
   [
     Alcotest.test_case "flow bookkeeping" `Quick test_flow_bookkeeping;
@@ -708,4 +725,6 @@ let suite =
       test_windows_budget_after_first;
     Alcotest.test_case "step-2 failed window quarantines its pending cohort"
       `Quick test_windows_chaos_contained;
+    Alcotest.test_case "run lowers the GC space overhead" `Quick
+      test_run_lowers_space_overhead;
   ]

@@ -60,6 +60,22 @@ let test_unconnected_dff_rejected () =
    | exception Circuit.Malformed _ -> ()
    | _ -> Alcotest.fail "expected Malformed")
 
+(* The bad-reference messages name the referencing node and the bad net. *)
+let test_bad_reference_messages () =
+  let message nodes outputs =
+    let net_names = Array.mapi (fun i _ -> Printf.sprintf "n%d" i) nodes in
+    match Circuit.make ~name:"bad" ~nodes ~net_names ~outputs with
+    | exception Circuit.Malformed m -> m
+    | _ -> Alcotest.fail "expected Malformed"
+  in
+  Alcotest.(check string) "gate fanin"
+    "gate at net 1 references bad net 7"
+    (message [| Circuit.Input; Circuit.Gate (Gate.And, [| 0; 7 |]) |] [||]);
+  Alcotest.(check string) "dff data" "dff at net 1 references bad net -1"
+    (message [| Circuit.Input; Circuit.Dff (-1) |] [||]);
+  Alcotest.(check string) "output" "output list references bad net 2"
+    (message [| Circuit.Input |] [| 2 |])
+
 let test_duplicate_name_rejected () =
   let b = Builder.create () in
   let _ = Builder.add_input ~name:"a" b in
@@ -154,6 +170,7 @@ let suite =
     Alcotest.test_case "combinational cycle rejected" `Quick test_comb_cycle_rejected;
     Alcotest.test_case "dff loop allowed" `Quick test_dff_loop_allowed;
     Alcotest.test_case "unconnected dff rejected" `Quick test_unconnected_dff_rejected;
+    Alcotest.test_case "bad reference messages" `Quick test_bad_reference_messages;
     Alcotest.test_case "duplicate name rejected" `Quick test_duplicate_name_rejected;
     Alcotest.test_case "fanout" `Quick test_fanout;
     Alcotest.test_case "levels" `Quick test_levels;

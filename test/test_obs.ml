@@ -312,6 +312,14 @@ let test_live_sink_is_pure_observer () =
   Alcotest.(check int) "podem counter matches report"
     loud.Flow.atpg.Flow.podem_runs
     (M.Counter.value (M.counter metrics "atpg.podem.runs"));
+  Alcotest.(check int) "one stop reason per PODEM search"
+    (loud.Flow.atpg.Flow.podem_runs + loud.Flow.atpg.Flow.seq_runs)
+    (List.fold_left
+       (fun acc stop ->
+         acc
+         + M.Counter.value
+             (M.counter metrics ("atpg.stop." ^ Fst_atpg.Podem.stop_name stop)))
+       0 Fst_atpg.Podem.all_stops);
   Alcotest.(check bool) "event log has phase markers" true
     (Helpers.contains_substring ~needle:"\"kind\":\"phase_start\""
        (Buffer.contents buf))

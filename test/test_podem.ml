@@ -137,6 +137,152 @@ let test_stats_accounting () =
   let _, st = Podem.run (comb_view c) ~faults:[ fault ] in
   Alcotest.(check bool) "implied at least once" true (st.Podem.implications >= 1)
 
+(* --- identity with the frozen full-sweep search ------------------------- *)
+
+(* [Podem_oracle] is the search as it was before implication became
+   event-driven and X-path checks lazy. The current search must make the
+   same decisions: the same result and test, and the same backtrack,
+   decision and implication counts, at every backtrack limit. *)
+let agrees_with_oracle ~scoap view faults =
+  List.for_all
+    (fun limit ->
+      let r, st = Podem.run ~backtrack_limit:limit ~scoap view ~faults in
+      let ro, so =
+        Podem_oracle.run ~backtrack_limit:limit ~scoap view ~faults
+      in
+      (match (r, ro) with
+       | Podem.Test a, Podem_oracle.Test b -> a = b
+       | Podem.Untestable, Podem_oracle.Untestable
+       | Podem.Aborted, Podem_oracle.Aborted -> true
+       | (Podem.Test _ | Podem.Untestable | Podem.Aborted), _ -> false)
+      && st.Podem.backtracks = so.Podem_oracle.backtracks
+      && st.Podem.decisions = so.Podem_oracle.decisions
+      && st.Podem.implications = so.Podem_oracle.implications)
+    [ 1; 4; 50 ]
+
+let prop_comb_matches_oracle =
+  Q.Test.make ~name:"podem = oracle on comb views"
+    ~count:20
+    (Q.map Int64.of_int (Q.int_bound 1000000))
+    (fun seed ->
+      let rng = Fst_gen.Rng.create seed in
+      let c = Helpers.random_comb_circuit rng ~inputs:6 ~gates:24 in
+      let view = comb_view c in
+      let scoap = Fst_testability.Scoap.compute view in
+      Array.for_all
+        (fun f -> agrees_with_oracle ~scoap view [ f ])
+        (Fault.collapse c (Fault.universe c)))
+
+(* Unrolled models with random controllable and observable flip-flop
+   sets: every fault is multi-site, one site per frame. *)
+let unrolled_models seed =
+  let c = Helpers.small_seq_circuit ~gates:40 ~ffs:6 seed in
+  let rng = Fst_gen.Rng.create (Int64.add seed 1L) in
+  let ff_set () =
+    let chosen = Array.make (Circuit.num_nets c) false in
+    Array.iter (fun ff -> chosen.(ff) <- Fst_gen.Rng.bool rng) c.Circuit.dffs;
+    fun ff -> chosen.(ff)
+  in
+  let controllable_ff = ff_set () in
+  let observable_ff = ff_set () in
+  ( c,
+    List.map
+      (fun frames ->
+        Unroll.build c ~frames ~constraints:[] ~controllable_ff ~observable_ff)
+      [ 1; 2; 3; 4 ] )
+
+let prop_unrolled_matches_oracle =
+  Q.Test.make ~name:"podem = oracle on unrolled models"
+    ~count:4
+    (Q.map Int64.of_int (Q.int_bound 1000000))
+    (fun seed ->
+      let c, models = unrolled_models seed in
+      let faults = Fault.collapse c (Fault.universe c) in
+      List.for_all
+        (fun u ->
+          let view = u.Unroll.view in
+          let scoap = Fst_testability.Scoap.compute view in
+          Array.for_all
+            (fun f -> agrees_with_oracle ~scoap view (Unroll.map_fault u f))
+            faults)
+        models)
+
+(* --- stop reasons -------------------------------------------------------- *)
+
+(* Each run stops for one reason, and the reason agrees with the result:
+   a test is [Found], a proof [Exhausted], every abort one of the rest.
+   Two hand-built cases reach four reasons; with the unrolled models of a
+   few seeds every reason is reached. *)
+let test_stop_reasons () =
+  let counts = Array.make (List.length Podem.all_stops) 0 in
+  let record ?should_abort ?(backtrack_limit = 50) view faults =
+    let r, st = Podem.run ~backtrack_limit ?should_abort view ~faults in
+    let consistent =
+      match (r, st.Podem.stop) with
+      | Podem.Test _, Podem.Found | Podem.Untestable, Podem.Exhausted -> true
+      | ( Podem.Aborted,
+          ( Podem.Backtrack_limit | Podem.Dead_end | Podem.Frontier_prune
+          | Podem.Abort_hook ) ) ->
+        true
+      | (Podem.Test _ | Podem.Untestable | Podem.Aborted), _ -> false
+    in
+    Alcotest.(check bool)
+      ("reason matches result: " ^ Podem.stop_name st.Podem.stop)
+      true consistent;
+    let k = Podem.stop_index st.Podem.stop in
+    counts.(k) <- counts.(k) + 1;
+    st.Podem.stop
+  in
+  let expect what stop got =
+    Alcotest.(check string) what (Podem.stop_name stop) (Podem.stop_name got)
+  in
+  (* y = OR(a, NOT a): y s-a-1 is redundant, so every search for it
+     backtracks; the hook and a zero limit stop it first. *)
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let na = Builder.add_gate ~name:"na" b Gate.Not [ a ] in
+  let y = Builder.add_gate ~name:"y" b Gate.Or [ a; na ] in
+  Builder.mark_output b y;
+  let redundant = comb_view (Builder.freeze b) in
+  let sa1 = [ { Fault.site = Fault.Stem y; stuck = true } ] in
+  expect "redundant" Podem.Exhausted (record redundant sa1);
+  expect "zero limit" Podem.Backtrack_limit
+    (record ~backtrack_limit:0 redundant sa1);
+  expect "hook" Podem.Abort_hook
+    (record ~should_abort:(fun () -> true) redundant sa1);
+  (* y = AND(a, q) with q an uncontrollable flip-flop output: a s-a-0
+     reaches the observed frontier gate y, whose side input has no
+     justifiable value, so the frontier is pruned. *)
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let q = Builder.add_dff_placeholder ~name:"q" b in
+  let y = Builder.add_gate ~name:"y" b Gate.And [ a; q ] in
+  Builder.connect_dff b ~ff:q ~data:y;
+  Builder.mark_output b y;
+  let c = Builder.freeze b in
+  expect "uncontrollable side input" Podem.Frontier_prune
+    (record
+       (View.make c ~free:[ a ] ~fixed:[] ~observe:[ View.Onet y ])
+       [ { Fault.site = Fault.Stem a; stuck = false } ]);
+  List.iter
+    (fun seed ->
+      let c, models = unrolled_models seed in
+      let faults = Fault.collapse c (Fault.universe c) in
+      List.iter
+        (fun u ->
+          Array.iter
+            (fun f -> ignore (record u.Unroll.view (Unroll.map_fault u f)))
+            faults)
+        models)
+    [ 1L; 2L; 3L ];
+  List.iter
+    (fun stop ->
+      Alcotest.(check bool)
+        (Podem.stop_name stop ^ " reached")
+        true
+        (counts.(Podem.stop_index stop) > 0))
+    Podem.all_stops
+
 let suite =
   [
     Alcotest.test_case "and gate test" `Quick test_and_gate_test;
@@ -146,4 +292,7 @@ let suite =
     Helpers.qcheck prop_podem_vs_brute_force;
     Alcotest.test_case "multi-site injection" `Quick test_multi_site;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+    Helpers.qcheck prop_comb_matches_oracle;
+    Helpers.qcheck prop_unrolled_matches_oracle;
+    Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
   ]

@@ -100,6 +100,10 @@ let test_seq_finds_shift_register_fault () =
   with
   | Seq.Seq_test test, stats ->
     Alcotest.(check bool) "at least one run" true (stats.Seq.runs >= 1);
+    Alcotest.(check int) "one stop reason per run" stats.Seq.runs
+      (Array.fold_left ( + ) 0 stats.Seq.stops);
+    Alcotest.(check int) "the last run found the test" 1
+      stats.Seq.stops.(Podem.stop_index Podem.Found);
     let stim = Sequences.of_seq_test scanned config test in
     (match
        Fst_fsim.Fsim.Serial.detect scanned ~fault

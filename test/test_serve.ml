@@ -457,8 +457,8 @@ let test_read_frame_bounded () =
         close_out oc)
       ()
   in
-  let r = Server.reader (Unix.in_channel_of_descr rd) in
-  let frames = List.init 7 (fun _ -> Server.read_frame ~cap:8 r) in
+  let r = Protocol.reader (Unix.in_channel_of_descr rd) in
+  let frames = List.init 7 (fun _ -> Protocol.read_frame ~cap:8 r) in
   Thread.join writer;
   Unix.close rd;
   let show = function
@@ -473,6 +473,54 @@ let test_read_frame_bounded () =
       "frame last"; "eof";
     ]
     (List.map show frames)
+
+(* The client reads replies through the same bound: a peer that answers
+   with an over-cap line gets an error naming the cap, not an unbounded
+   buffer, and the next reply on the connection is intact. *)
+let test_client_reply_bounded () =
+  let dir = temp_dir "fst-client" in
+  let path = Filename.concat dir "sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        ignore (input_line ic);
+        let chunk = String.make 65536 'x' in
+        for _ = 0 to Protocol.max_frame_bytes / 65536 do
+          output_string oc chunk
+        done;
+        output_string oc "\n";
+        output_string oc (Json.to_string (Protocol.pong ()) ^ "\n");
+        flush oc;
+        ignore (input_line ic);
+        Unix.close fd)
+      ()
+  in
+  let client = Client.connect (Protocol.Unix_sock path) in
+  let first = Client.request client Protocol.Ping in
+  let second = Client.request client Protocol.Ping in
+  Thread.join peer;
+  Client.close client;
+  Unix.close listener;
+  (match first with
+   | Ok j -> Alcotest.fail ("over-cap reply accepted: " ^ Json.to_string j)
+   | Error e ->
+     Alcotest.(check bool)
+       ("error names the cap: " ^ e)
+       true
+       (Helpers.contains_substring
+          ~needle:(string_of_int Protocol.max_frame_bytes)
+          e));
+  match second with
+  | Ok j ->
+    Alcotest.(check bool) "next reply intact" true
+      (Json.member "kind" j = Some (Json.String "pong"))
+  | Error e -> Alcotest.fail ("next reply lost: " ^ e)
 
 (* An oversized frame gets an error naming the cap, and the same
    connection still answers a ping. *)
@@ -494,7 +542,7 @@ let test_serve_oversized_frame () =
       let oc = Unix.out_channel_of_descr fd in
       let ic = Unix.in_channel_of_descr fd in
       let chunk = String.make 65536 'x' in
-      for _ = 0 to (Server.max_frame_bytes / 65536) do
+      for _ = 0 to (Protocol.max_frame_bytes / 65536) do
         output_string oc chunk
       done;
       output_string oc "\n";
@@ -509,7 +557,7 @@ let test_serve_oversized_frame () =
         true
         (Json.member "kind" error = Some (Json.String "error")
         && Helpers.contains_substring
-             ~needle:(string_of_int Server.max_frame_bytes)
+             ~needle:(string_of_int Protocol.max_frame_bytes)
              (Json.to_string error));
       Alcotest.(check bool) "connection still serves" true
         (Json.member "kind" pong = Some (Json.String "pong")))
@@ -534,6 +582,8 @@ let suite =
       test_serve_no_heartbeat_after_result;
     Alcotest.test_case "frame reads are bounded" `Quick
       test_read_frame_bounded;
+    Alcotest.test_case "client reply reads are bounded" `Quick
+      test_client_reply_bounded;
     Alcotest.test_case "serve survives an oversized frame" `Quick
       test_serve_oversized_frame;
   ]
