@@ -27,16 +27,30 @@ check: static-check build test lint-smoke bench-smoke degradation-smoke \
 # in lib/core goes through the one entry point, Fsim.Engine: a direct
 # Parallel or Serial detect call there fails the check (Diagnose's
 # Fsim.Serial.trace is allowed, since the engine has no trace entry).
-# The frozen PODEM oracle is a test reference only: lib/ or bin/ naming
-# Podem_oracle fails the check.
+# The frozen PODEM search and the interpreted good-machine simulator are
+# test references only: lib/ or bin/ naming Podem_oracle or Sim_oracle
+# fails the check. So does a lib/ module that no other .ml/.mli file in
+# lib/, bin/ or bench/ names: a module only tests or examples call has
+# no production caller and is deleted.
 static-check:
 	dune build @check
 	@if grep -rnE 'Fsim\.(Parallel\.|Serial\.detect)' lib/core; then \
 	  echo "static-check: lib/core must call Fsim.Engine, not a back-end"; \
 	  exit 1; \
 	fi
-	@if grep -rn 'Podem_oracle' lib bin; then \
-	  echo "static-check: Podem_oracle is a test reference, not for lib/ or bin/"; \
+	@if grep -rnE 'Podem_oracle|Sim_oracle' lib bin; then \
+	  echo "static-check: the oracles are test references, not for lib/ or bin/"; \
+	  exit 1; \
+	fi
+	@dead=""; \
+	for f in lib/*/*.ml; do \
+	  m=`basename $$f .ml`; \
+	  M=`echo $$m | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'`; \
+	  grep -rlw --include='*.ml' --include='*.mli' "$$M" lib bin bench \
+	    | grep -qv "^`dirname $$f`/$$m\.mli*$$" || dead="$$dead $$M"; \
+	done; \
+	if [ -n "$$dead" ]; then \
+	  echo "static-check: lib/ modules with no caller in lib/, bin/ or bench/:$$dead"; \
 	  exit 1; \
 	fi
 

@@ -55,47 +55,5 @@ let () =
     print_newline ()
   done;
   Printf.printf "located %d / %d injected chain defects (top candidate, +/-1 position)\n"
-    !hits trials;
+    !hits trials
 
-  (* Logic defects are diagnosed the cause-effect way: build a fault
-     dictionary over a test set, observe the failing die's pass/fail
-     signature, rank candidates by signature distance. *)
-  print_newline ();
-  let view =
-    Fst_netlist.View.scan_mode scanned ~constraints:config.Scan.constraints ()
-  in
-  let blocks =
-    List.init 24 (fun _ ->
-        let ff_values, pi_values =
-          List.partition
-            (fun (net, _) -> Circuit.is_dff scanned net)
-            (Fst_atpg.Rtpg.uniform rng view)
-        in
-        Sequences.of_comb_test scanned config ~ff_values ~pi_values)
-  in
-  let faults = Fst_fault.Fault.collapse scanned (Fst_fault.Fault.universe scanned) in
-  let dict =
-    Dictionary.build scanned ~faults ~observe:scanned.Circuit.outputs ~blocks
-  in
-  Printf.printf
-    "fault dictionary: %d faults x %d sequences, %d distinguishable signature classes\n"
-    (Array.length faults) (Dictionary.num_blocks dict)
-    (Dictionary.distinguishable dict);
-  (* Pick a defect this test set actually catches (escapes exist: e.g.
-     scan-mode-only logic under a random functional-looking set). *)
-  let rec pick tries =
-    let target = Fst_gen.Rng.int rng (Array.length faults) in
-    let observed =
-      Dictionary.observe_defect scanned dict ~fault:faults.(target) ~blocks
-    in
-    if observed = [] && tries > 0 then pick (tries - 1) else (target, observed)
-  in
-  let target, observed = pick 20 in
-  (match Dictionary.rank dict ~observed with
-   | (best, 0) :: _ when observed <> [] ->
-     Printf.printf "injected logic defect %s; best dictionary match: %s\n"
-       (Fault.to_string scanned faults.(target))
-       (Fault.to_string scanned faults.(best))
-   | _ ->
-     Printf.printf "injected logic defect %s produced no failing sequence (escape)\n"
-       (Fault.to_string scanned faults.(target)))

@@ -24,7 +24,7 @@ let run p =
   in
   let scanned, config =
     Common.or_die
-      (Common.insert_chains ?file circuit (Spec.int p "--chains" ~default:1))
+      (Common.insert_chains ?file circuit (Common.chains p))
   in
   let position = Spec.int p "--position" ~default:(-1) in
   let ch = config.Scan.chains.(0) in

@@ -95,7 +95,7 @@ let run p =
   in
   let scanned, config =
     Common.or_die
-      (Common.insert_chains ?file circuit (Spec.int p "--chains" ~default:1))
+      (Common.insert_chains ?file circuit (Common.chains p))
   in
   let progress =
     if Spec.flag p "--progress" then Some (Fst_obs.Progress.create ())

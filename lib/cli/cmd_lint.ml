@@ -63,7 +63,7 @@ let run p =
       | [ f ] -> f
       | _ -> Common.or_die (Error "pass a netlist FILE (or --rules)")
     in
-    let chains = Spec.int p "--chains" ~default:1 in
+    let chains = Common.chains p in
     let waiver_path = Spec.string_opt p "--waiver" in
     let waivers =
       match waiver_path with

@@ -33,7 +33,7 @@ let run p =
   in
   let scanned, config =
     Common.or_die
-      (Common.insert_chains ?file circuit (Spec.int p "--chains" ~default:1))
+      (Common.insert_chains ?file circuit (Common.chains p))
   in
   let faults =
     Fst_fault.Fault.collapse scanned (Fst_fault.Fault.universe scanned)

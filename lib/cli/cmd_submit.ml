@@ -116,7 +116,7 @@ let run p =
         Protocol.kind;
         netlist;
         name;
-        chains = Spec.int p "--chains" ~default:1;
+        chains = Common.chains p;
         config = config_of p;
         wait = not (Spec.flag p "--no-wait");
         tenant = Option.value ~default:"anon" (Spec.string_opt p "--tenant");

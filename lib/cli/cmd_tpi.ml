@@ -8,7 +8,7 @@ let spec =
 
 let run p =
   let file = List.hd (Spec.positional p) in
-  let chains = Spec.int p "--chains" ~default:1 in
+  let chains = Common.chains p in
   let circuit = Common.or_die (Common.read_circuit file) in
   let scanned, config =
     Common.or_die (Common.insert_chains ~file circuit chains)

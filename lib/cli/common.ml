@@ -73,6 +73,10 @@ let chains_arg =
   Spec.value_arg [ "-c"; "--chains" ] ~docv:"N"
     ~doc:"Number of scan chains to build (default 1)."
 
+let chains p =
+  let n = Spec.int p "--chains" ~default:1 in
+  if n < 1 then Spec.usage_error "--chains expects N >= 1, got %d" n else n
+
 let out_arg =
   Spec.value_arg [ "-o"; "--output" ] ~docv:"FILE" ~doc:"Output netlist file."
 

@@ -32,6 +32,9 @@ val print_resume :
 val scale_arg : Spec.arg
 val name_arg : Spec.arg
 val chains_arg : Spec.arg
+
+(** The [--chains] value (default 1); below 1 is a usage error. *)
+val chains : Spec.parsed -> int
 val out_arg : Spec.arg
 val jobs_arg : Spec.arg
 val file_pos : Spec.pos

@@ -168,16 +168,27 @@ let d_bool k = function
   | Json.Bool b -> Ok b
   | _ -> Error (Printf.sprintf "config: %S expects a boolean" k)
 
-(* Frame counts are range-checked here, like [random_blocks] below, so a
-   served job never starts with a value the flow would trip over. *)
+(* Upper bounds on the sizes a decoded config can ask for: each frame
+   count is one unrolled copy of the circuit, each random block one
+   fault-simulated sequence. Far above the defaults (8 and 32). *)
+let max_frames = 64
+let max_random_blocks = 10_000
+
+let in_range k ~lo ~hi i =
+  if i >= lo && i <= hi then Ok i
+  else Error (Printf.sprintf "config: %S must be in [%d, %d], got %d" k lo hi i)
+
+(* Frame counts and [random_blocks] are range-checked here, so a served
+   job never starts with a value the flow would trip over or that would
+   make it allocate without bound. *)
 let d_frames k = function
   | Json.List l ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | Json.Int i :: rest when i >= 1 -> go (i :: acc) rest
-      | Json.Int i :: _ ->
-        Error
-          (Printf.sprintf "config: %S entries must be >= 1, got %d" k i)
+      | Json.Int i :: rest -> (
+        match in_range k ~lo:1 ~hi:max_frames i with
+        | Ok i -> go (i :: acc) rest
+        | Error _ as e -> e)
       | _ :: _ ->
         Error (Printf.sprintf "config: %S expects a list of integers" k)
     in
@@ -225,9 +236,8 @@ let set_field t k v =
     let* o = d_float_opt k v in
     Ok { t with truncate_blocks = o }
   | "random_blocks" ->
-    let* i = d_int k v in
-    if i >= 0 then Ok { t with random_blocks = i }
-    else Error (Printf.sprintf "config: %S must be >= 0, got %d" k i)
+    let* i = Result.bind (d_int k v) (in_range k ~lo:0 ~hi:max_random_blocks) in
+    Ok { t with random_blocks = i }
   | "random_seed" ->
     let* s = d_int64 k v in
     Ok { t with random_seed = s }

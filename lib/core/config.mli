@@ -133,8 +133,9 @@ val to_json : t -> Fst_obs.Json.t
     take their {!default}, and an unknown key is rejected with an
     [Error] naming it — a mistyped knob in a [submit] payload must fail
     loudly, not silently run with defaults. Values the flow cannot run
-    are rejected the same way: [frames]/[final_frames] entries below 1
-    and a negative [random_blocks]. Numeric fields additionally
+    or could not bound are rejected the same way: [frames]/[final_frames]
+    entries outside [1, 64] and [random_blocks] outside [0, 10000] (each
+    frame is one unrolled copy of the circuit). Numeric fields additionally
     accept JSON integers where {!to_json} emits floats. The returned
     config always carries the null sink; round-trip:
     [of_json (to_json c)] equals [c] up to [sink]

@@ -1,5 +1,6 @@
 open Fst_logic
 open Fst_netlist
+open Fst_sim
 open Fst_fsim
 open Fst_tpi
 
@@ -196,28 +197,27 @@ let hypotheses_for (ch : Scan.chain) =
          in
          base @ skips))
 
-(* Accumulated primary-input values per cycle (assignments persist). *)
-let input_values c stim =
-  let current = Hashtbl.create 16 in
-  Array.map
-    (fun assigns ->
-      List.iter (fun (n, v) -> Hashtbl.replace current n v) assigns;
-      Array.map
-        (fun pi ->
-          (pi, Option.value ~default:V3.X (Hashtbl.find_opt current pi)))
-        c.Circuit.inputs)
-    stim
+(* The good machine's full value vector at every capture cycle (after the
+   settle, before the clock edge); an empty vector at the other cycles. *)
+let capture_rows (cc : Compiled.t) plan =
+  let cstim = Compiled.compile_stim cc plan.stim in
+  let v = Compiled.make_vec cc in
+  let latch = Bytes.create (max 1 cc.Compiled.n_ffs) in
+  Array.mapi
+    (fun t assigns ->
+      Compiled.apply v assigns;
+      Compiled.eval cc v;
+      let row = if plan.captures.(t) then Bytes.copy v else Bytes.empty in
+      Compiled.clock cc v latch;
+      row)
+    cstim
 
 let diagnose_with_plan c config ~plan ~observed =
   let verdicts = ref [] in
-  let pis_at = input_values c plan.stim in
-  (* Good-machine values of every flip-flop at every cycle, for the hybrid
-     capture evaluation. *)
-  let all_ffs = c.Circuit.dffs in
-  let good_all = Fsim.Serial.trace c ~fault:None ~observe:all_ffs plan.stim in
-  let ff_index = Hashtbl.create 64 in
-  Array.iteri (fun i ff -> Hashtbl.replace ff_index ff i) all_ffs;
-  let sim = Fst_sim.Sim.create c in
+  let cc = Compiled.of_circuit c in
+  let slot n = cc.Compiled.perm.(n) in
+  let rows = capture_rows cc plan in
+  let hybrid = Compiled.make_vec cc in
   Array.iteri
     (fun k ch ->
       let stream = stream_of ch plan.stim in
@@ -228,24 +228,18 @@ let diagnose_with_plan c config ~plan ~observed =
         | Circuit.Dff d -> d
         | Circuit.Input | Circuit.Const _ | Circuit.Gate _ -> assert false
       in
-      (* Functional capture over the hybrid state: flip-flops outside the
-         hypothesis region take their good-machine values; positions from
-         [p0] on take the modeled faulty values. *)
+      (* Functional capture over the hybrid state: inputs and flip-flops
+         outside the hypothesis region take their good-machine values;
+         positions from [p0] on take the modeled faulty values. *)
       let capture_row ~t ~state ~p0 =
-        Array.iter
-          (fun (pi, v) -> Fst_sim.Sim.set_input c sim pi v)
-          pis_at.(t);
+        Bytes.blit rows.(t) 0 hybrid 0 (Bytes.length hybrid);
         Array.iteri
-          (fun i ff ->
-            Fst_sim.Sim.set_ff c sim ff good_all.(t).(i))
-          all_ffs;
-        Array.iteri
-          (fun q ff -> if q >= p0 then Fst_sim.Sim.set_ff c sim ff state.(q))
+          (fun q ff ->
+            if q >= p0 then Compiled.set hybrid (slot ff) (V3b.of_v3 state.(q)))
           ch.Scan.ffs;
-        Fst_sim.Sim.eval_comb c sim;
-        fun q -> Fst_sim.Sim.value sim (data_net_of q)
+        Compiled.eval cc hybrid;
+        fun q -> V3b.to_v3 (Compiled.get hybrid (slot (data_net_of q)))
       in
-      ignore ff_index;
       let healthy = Array.mapi (fun t _ -> good.(len - 1).(t)) stream in
       let mism, _ = score ~predicted:healthy ~observed:observed.(k) in
       if mism > 0 then

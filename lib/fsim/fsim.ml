@@ -3,7 +3,7 @@ open Fst_netlist
 open Fst_sim
 open Fst_fault
 
-type stimulus = Sim.stimulus
+type stimulus = Compiled.stimulus
 
 module type ENGINE = sig
   val detect_all :

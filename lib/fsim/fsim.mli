@@ -18,7 +18,7 @@ open Fst_logic
 open Fst_netlist
 open Fst_fault
 
-type stimulus = Fst_sim.Sim.stimulus
+type stimulus = Fst_sim.Compiled.stimulus
 
 (** The whole-workload interface every fault-simulation back-end provides.
     Results are per input fault, in input order, independent of back-end

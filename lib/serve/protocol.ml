@@ -183,6 +183,10 @@ let submit_of_json j =
   in
   let* name = opt_string j "name" ~default:"netlist" in
   let* chains = opt_int j "chains" ~default:1 in
+  let* chains =
+    if chains >= 1 then Ok chains
+    else Error (Printf.sprintf "\"chains\" must be >= 1, got %d" chains)
+  in
   let config =
     match Json.member "config" j with Some c -> c | None -> Json.Obj []
   in

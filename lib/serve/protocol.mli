@@ -60,7 +60,7 @@ type submit = {
   kind : job_kind;
   netlist : string;  (** netlist text, ISCAS'89-like syntax *)
   name : string;  (** circuit name for reports *)
-  chains : int;  (** scan chains to insert *)
+  chains : int;  (** scan chains to insert, >= 1 *)
   config : Fst_obs.Json.t;
       (** semantic flow configuration ({!Fst_core.Config.of_json});
           [Obj []] means all defaults *)

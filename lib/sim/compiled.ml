@@ -1,8 +1,8 @@
 (* One-time compilation of a [Circuit.t] into a flat, levelized,
    cache-friendly representation shared by every simulation kernel.
 
-   The interpreted machines ([Sim], the pre-refactor fault simulators)
-   dispatch on a per-node variant and chase per-gate fanin arrays; on big
+   An interpreted machine dispatches on a per-node variant and chases
+   per-gate fanin arrays; on big
    circuits that costs a branchy match plus two pointer loads per gate per
    cycle. The compiled form replaces all of it with contiguous int arrays:
 
@@ -174,12 +174,14 @@ let of_circuit (c : Circuit.t) =
     init;
   }
 
-(* ---- compiled stimuli -------------------------------------------------- *)
+(* ---- stimuli ----------------------------------------------------------- *)
+
+type stimulus = (int * V3.t) list array
 
 (* One packed int per assignment: [(slot lsl 2) lor code]. *)
 type cstim = int array array
 
-let compile_stim cc (stim : Sim.stimulus) : cstim =
+let compile_stim cc (stim : stimulus) : cstim =
   Array.map
     (fun assigns ->
       Array.of_list
@@ -491,7 +493,7 @@ module Planes = struct
 
   let max_lanes = Sys.int_size - 1
 
-  let trace_packed cc ~cols (stims : Sim.stimulus array) =
+  let trace_packed cc ~cols (stims : stimulus array) =
     let lanes = Array.length stims in
     if lanes = 0 || lanes > max_lanes then
       invalid_arg "Compiled.Planes.trace_packed: bad lane count";

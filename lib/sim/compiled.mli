@@ -50,12 +50,16 @@ val gate_slot : t -> int -> int
     slots. *)
 val slot_gate : t -> int -> int
 
-(** {2 Compiled stimuli} *)
+(** {2 Stimuli} *)
+
+(** A test stimulus: per clock cycle, assignments to nets (usually primary
+    inputs). Unassigned nets hold their previous value, starting from [X]. *)
+type stimulus = (int * V3.t) list array
 
 (** Per cycle, packed assignments [(slot lsl 2) lor code]. *)
 type cstim = int array array
 
-val compile_stim : t -> Sim.stimulus -> cstim
+val compile_stim : t -> stimulus -> cstim
 
 (** {2 Scalar kernel}
 
@@ -163,5 +167,5 @@ module Planes : sig
   (** [trace_packed cc ~cols stims] records the [cols] slots (distinct
       slot ids) of every cycle. Raises [Invalid_argument] on 0 or more
       than [max_lanes] blocks. *)
-  val trace_packed : t -> cols:int array -> Sim.stimulus array -> packed
+  val trace_packed : t -> cols:int array -> stimulus array -> packed
 end

@@ -26,11 +26,22 @@ type config = {
   mux_segments : int;
 }
 
+(* A compiled machine with the scan-mode constraints applied. *)
+let constrained c config =
+  let cc = Compiled.of_circuit c in
+  let v = Compiled.make_vec cc in
+  List.iter
+    (fun (n, x) -> Compiled.set v cc.Compiled.perm.(n) (V3b.of_v3 x))
+    config.constraints;
+  (cc, v)
+
+let value (cc : Compiled.t) v n =
+  V3b.to_v3 (Compiled.get v cc.Compiled.perm.(n))
+
 let scan_mode_values c config =
-  let st = Sim.create c in
-  List.iter (fun (n, v) -> Sim.set_input c st n v) config.constraints;
-  Sim.eval_comb c st;
-  Array.copy (Sim.values st)
+  let cc, v = constrained c config in
+  Compiled.eval cc v;
+  Array.init (Circuit.num_nets c) (value cc v)
 
 let chain_locations c config =
   let locs = Array.make (Circuit.num_nets c) [] in
@@ -97,8 +108,8 @@ let shift_error_message c e =
 let check_bit k = (k * 7 / 3) land 1 = 1
 
 let verify_shift c config =
-  let st = Sim.create c in
-  List.iter (fun (n, v) -> Sim.set_input c st n v) config.constraints;
+  let cc, st = constrained c config in
+  let latch = Bytes.create (max 1 cc.Compiled.n_ffs) in
   let streams =
     Array.map
       (fun ch ->
@@ -118,17 +129,17 @@ let verify_shift c config =
         let len = Array.length ch.ffs in
         (* Align streams so every chain finishes loading at [max_len]. *)
         let v = if t < max_len - len then V3.X else stream.(t - (max_len - len)) in
-        Sim.set_input c st ch.scan_in v)
+        Compiled.set st cc.Compiled.perm.(ch.scan_in) (V3b.of_v3 v))
       streams;
-    Sim.eval_comb c st;
-    Sim.clock c st
+    Compiled.eval cc st;
+    Compiled.clock cc st latch
   done;
   let errors = ref [] in
   Array.iter
     (fun (ch, desired, _) ->
       Array.iteri
         (fun p ff ->
-          let got = Sim.value st ff in
+          let got = value cc st ff in
           if not (V3.equal got desired.(p)) then
             errors :=
               {

@@ -440,8 +440,11 @@ let shuffle seed ffs =
   done;
   arr
 
+(* At most one chain per flip-flop: a larger request yields the same
+   partition, so [chains] is clamped before anything is sized by it. *)
 let partition_ffs dffs chains =
   let n = Array.length dffs in
+  let chains = max 1 (min chains n) in
   let per = (n + chains - 1) / chains in
   List.init chains (fun k ->
       let lo = k * per in
@@ -480,7 +483,7 @@ let insert ?(options = default_options) (c : Circuit.t) =
     | Shuffled seed -> shuffle seed c.Circuit.dffs
   in
   let greedy = options.ordering = Greedy_functional in
-  let parts = partition_ffs dffs (max 1 options.chains) in
+  let parts = partition_ffs dffs options.chains in
   let chains =
     List.mapi
       (fun index ffs ->
@@ -567,7 +570,7 @@ let full_scan ?(chains = 1) (c : Circuit.t) =
       fanout_valid = false;
     }
   in
-  let parts = partition_ffs c.Circuit.dffs (max 1 chains) in
+  let parts = partition_ffs c.Circuit.dffs chains in
   let chains =
     List.mapi
       (fun index ffs ->

@@ -27,7 +27,9 @@ type ordering =
   | Shuffled of int64  (** a seeded random permutation *)
 
 type options = {
-  chains : int;  (** number of scan chains to build *)
+  chains : int;
+      (** number of scan chains to build; below 1 acts as 1, above the
+          flip-flop count as one chain per flip-flop *)
   justify_depth : int;
       (** recursion budget for justifying a side input from primary inputs
           before falling back to a test point *)

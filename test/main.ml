@@ -31,7 +31,6 @@ let () =
       ("report", Test_report.suite);
       ("compact", Test_compact.suite);
       ("diagnose", Test_diagnose.suite);
-      ("dictionary", Test_dictionary.suite);
       ("sca", Test_sca.suite);
       ("serve", Test_serve.suite);
       ("cli", Test_cli.suite);

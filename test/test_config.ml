@@ -132,6 +132,9 @@ let test_of_json_errors () =
         ("frames", List [ Int 1; Int (-1) ]);
         ("final_frames", List [ Int (-2) ]);
         ("random_blocks", Int (-5));
+        ("frames", List [ Int 1; Int 65 ]);
+        ("final_frames", List [ Int 1_000_000_000 ]);
+        ("random_blocks", Int 10_001);
       ];
   (* Keys of knobs that no longer exist are unknown keys like any other,
      and the error names the key. *)

@@ -14,23 +14,23 @@ let equivalent a b ~seed ~cycles =
                (Circuit.net_name a pi, V3.of_bool (Fst_gen.Rng.bool rng))))
   in
   let run (c : Circuit.t) =
-    let st = Fst_sim.Sim.create c in
+    let st = Sim_oracle.create c in
     let trace = ref [] in
     Array.iter
       (fun assigns ->
         List.iter
           (fun (name, v) ->
-            Fst_sim.Sim.set_input c st (Circuit.find_net c name) v)
+            Sim_oracle.set_input c st (Circuit.find_net c name) v)
           assigns;
-        Fst_sim.Sim.eval_comb c st;
-        let outs = Array.map (fun o -> Fst_sim.Sim.value st o) c.Circuit.outputs in
+        Sim_oracle.eval_comb c st;
+        let outs = Array.map (fun o -> Sim_oracle.value st o) c.Circuit.outputs in
         let ffs =
           Array.to_list c.Circuit.dffs
-          |> List.map (fun ff -> (Circuit.net_name c ff, Fst_sim.Sim.value st ff))
+          |> List.map (fun ff -> (Circuit.net_name c ff, Sim_oracle.value st ff))
           |> List.sort compare
         in
         trace := (Array.to_list outs, ffs) :: !trace;
-        Fst_sim.Sim.clock c st)
+        Sim_oracle.clock c st)
       stream;
     List.rev !trace
   in

@@ -31,18 +31,18 @@ let test_capture_loads_and_captures () =
   in
   let stim = Sequences.of_capture_test scanned config ~ff_values ~pi_values:[] in
   let l = Sequences.max_chain_length config in
-  let st = Fst_sim.Sim.create scanned in
+  let st = Sim_oracle.create scanned in
   Array.iteri
     (fun t assigns ->
-      List.iter (fun (n, v) -> Fst_sim.Sim.set_input scanned st n v) assigns;
-      Fst_sim.Sim.eval_comb scanned st;
+      List.iter (fun (n, v) -> Sim_oracle.set_input scanned st n v) assigns;
+      Sim_oracle.eval_comb scanned st;
       if t = l then
         (* The loaded state is in place at the capture cycle. *)
         List.iter
           (fun (ff, v) ->
-            Helpers.check_v3 "state loaded" v (Fst_sim.Sim.value st ff))
+            Helpers.check_v3 "state loaded" v (Sim_oracle.value st ff))
           ff_values;
-      Fst_sim.Sim.clock scanned st)
+      Sim_oracle.clock scanned st)
     stim
 
 (* End-to-end: chain test first, then the logic test; combined coverage is

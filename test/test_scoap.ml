@@ -88,15 +88,15 @@ let prop_cc_finite_iff_achievable =
       let n = Array.length inputs in
       let achievable = Array.make (Circuit.num_nets c) (false, false) in
       for code = 0 to (1 lsl n) - 1 do
-        let st = Fst_sim.Sim.create c in
+        let st = Sim_oracle.create c in
         Array.iteri
           (fun k pi ->
-            Fst_sim.Sim.set_input c st pi (V3.of_bool (code land (1 lsl k) <> 0)))
+            Sim_oracle.set_input c st pi (V3.of_bool (code land (1 lsl k) <> 0)))
           inputs;
-        Fst_sim.Sim.eval_comb c st;
+        Sim_oracle.eval_comb c st;
         for net = 0 to Circuit.num_nets c - 1 do
           let z, o = achievable.(net) in
-          match Fst_sim.Sim.value st net with
+          match Sim_oracle.value st net with
           | V3.Zero -> achievable.(net) <- (true, o)
           | V3.One -> achievable.(net) <- (z, true)
           | V3.X -> ()

@@ -9,14 +9,14 @@ let scan_small ?(gates = 120) ?(ffs = 8) ?(chains = 2) seed =
   Tpi.insert ~options:{ Tpi.default_options with Tpi.chains; justify_depth = 4 } c
 
 let run_stim c stim =
-  let st = Fst_sim.Sim.create c in
+  let st = Sim_oracle.create c in
   let trace = ref [] in
   Array.iter
     (fun assigns ->
-      List.iter (fun (n, v) -> Fst_sim.Sim.set_input c st n v) assigns;
-      Fst_sim.Sim.eval_comb c st;
-      trace := Array.copy (Fst_sim.Sim.values st) :: !trace;
-      Fst_sim.Sim.clock c st)
+      List.iter (fun (n, v) -> Sim_oracle.set_input c st n v) assigns;
+      Sim_oracle.eval_comb c st;
+      trace := Array.copy (Sim_oracle.values st) :: !trace;
+      Sim_oracle.clock c st)
     stim;
   Array.of_list (List.rev !trace)
 

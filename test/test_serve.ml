@@ -151,6 +151,43 @@ let test_protocol_rejects () =
   Alcotest.(check bool) "submit documented" true
     (List.mem_assoc "submit" Protocol.commands)
 
+(* A submit's chain count is bounded before anything is sized by it: below
+   1 is a decode error naming the key, and a huge count decodes and builds
+   the same scan design as one chain per flip-flop, without a billion-entry
+   partition list. *)
+let test_submit_chains_bounded () =
+  let submit chains =
+    Json.Obj
+      [
+        ("v", Json.Int Protocol.version);
+        ("cmd", Json.String "submit");
+        ("netlist", Json.String "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n");
+        ("chains", Json.Int chains);
+      ]
+  in
+  List.iter
+    (fun n ->
+      match Protocol.request_of_json (submit n) with
+      | Ok _ -> Alcotest.failf "chains %d: accepted" n
+      | Error e ->
+        if not (Helpers.contains_substring ~needle:"\"chains\"" e) then
+          Alcotest.failf "chains %d: error %S does not name the key" n e)
+    [ 0; -4 ];
+  let huge = 1_000_000_000 in
+  (match Protocol.request_of_json (submit huge) with
+   | Ok (Protocol.Submit { chains; _ }) ->
+     Alcotest.(check int) "huge count decodes" huge chains
+   | Ok _ | Error _ -> Alcotest.fail "huge chain count not decoded as a submit");
+  let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 7L in
+  let design chains =
+    match Fst_tpi.Tpi.insert_checked ~chains c with
+    | Ok (scanned, config) -> (Fst_netlist.Netfile.to_string scanned, config)
+    | Error e -> Alcotest.fail (Fst_tpi.Tpi.insert_error_message e)
+  in
+  let want = design (Fst_netlist.Circuit.dff_count c) in
+  Alcotest.(check bool) "huge count = one chain per flip-flop" true
+    (design huge = want)
+
 (* --- end-to-end: in-process daemon over a unix socket ------------------- *)
 
 let quick_config_json =
@@ -575,6 +612,8 @@ let suite =
     Alcotest.test_case "protocol round-trips" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol rejects malformed" `Quick
       test_protocol_rejects;
+    Alcotest.test_case "submit chain counts are bounded" `Quick
+      test_submit_chains_bounded;
     Alcotest.test_case "serve end-to-end with cache hits" `Quick
       test_serve_end_to_end;
     Alcotest.test_case "serve cancel" `Quick test_serve_cancel;

@@ -17,9 +17,9 @@ let test_shift_register () =
   let c, si, ff2 = shift3 () in
   let observed = ref [] in
   let pattern = [| V3.One; V3.Zero; V3.Zero; V3.One; V3.One; V3.X |] in
-  Sim.run c ~cycles:(Array.length pattern)
+  Sim_oracle.run c ~cycles:(Array.length pattern)
     ~stimulus:(fun t -> [ (si, pattern.(t)) ])
-    ~observe:(fun _ st -> observed := Sim.value st ff2 :: !observed);
+    ~observe:(fun _ st -> observed := Sim_oracle.value st ff2 :: !observed);
   let got = Array.of_list (List.rev !observed) in
   (* Output lags input by three cycles; initial state is X. *)
   Helpers.check_v3 "t0" V3.X got.(0);
@@ -34,11 +34,11 @@ let test_comb_eval () =
   let y = Builder.add_gate ~name:"y" b Gate.Nand [ a; bb ] in
   Builder.mark_output b y;
   let c = Builder.freeze b in
-  let st = Sim.create c in
-  Sim.set_input c st a V3.One;
-  Sim.set_input c st bb V3.One;
-  Sim.eval_comb c st;
-  Helpers.check_v3 "nand(1,1)" V3.Zero (Sim.value st y)
+  let st = Sim_oracle.create c in
+  Sim_oracle.set_input c st a V3.One;
+  Sim_oracle.set_input c st bb V3.One;
+  Sim_oracle.eval_comb c st;
+  Helpers.check_v3 "nand(1,1)" V3.Zero (Sim_oracle.value st y)
 
 let test_const_nets () =
   let b = Builder.create () in
@@ -47,15 +47,15 @@ let test_const_nets () =
   let y = Builder.add_gate ~name:"y" b Gate.And [ k; a ] in
   Builder.mark_output b y;
   let c = Builder.freeze b in
-  let st = Sim.create c in
-  Sim.set_input c st a V3.Zero;
-  Sim.eval_comb c st;
-  Helpers.check_v3 "and(1,0)" V3.Zero (Sim.value st y)
+  let st = Sim_oracle.create c in
+  Sim_oracle.set_input c st a V3.Zero;
+  Sim_oracle.eval_comb c st;
+  Helpers.check_v3 "and(1,0)" V3.Zero (Sim_oracle.value st y)
 
 let test_set_input_guard () =
   let c, _si, ff2 = shift3 () in
-  let st = Sim.create c in
-  match Sim.set_input c st ff2 V3.One with
+  let st = Sim_oracle.create c in
+  match Sim_oracle.set_input c st ff2 V3.One with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument"
 
@@ -69,13 +69,13 @@ let test_simultaneous_latch () =
   Builder.connect_dff b ~ff:ff1 ~data:ff0;
   Builder.mark_output b ff0;
   let c = Builder.freeze b in
-  let st = Sim.create c in
-  Sim.set_ff c st ff0 V3.One;
-  Sim.set_ff c st ff1 V3.Zero;
-  Sim.eval_comb c st;
-  Sim.clock c st;
-  Helpers.check_v3 "ff0 got old ff1" V3.Zero (Sim.value st ff0);
-  Helpers.check_v3 "ff1 got old ff0" V3.One (Sim.value st ff1)
+  let st = Sim_oracle.create c in
+  Sim_oracle.set_ff c st ff0 V3.One;
+  Sim_oracle.set_ff c st ff1 V3.Zero;
+  Sim_oracle.eval_comb c st;
+  Sim_oracle.clock c st;
+  Helpers.check_v3 "ff0 got old ff1" V3.Zero (Sim_oracle.value st ff0);
+  Helpers.check_v3 "ff1 got old ff0" V3.One (Sim_oracle.value st ff1)
 
 (* Monotonicity: refining an X primary input to a binary value never
    changes an output that was already binary. *)
@@ -105,10 +105,10 @@ let prop_monotone =
           base
       in
       let out values =
-        let st = Sim.create c in
-        Array.iter (fun (pi, v) -> Sim.set_input c st pi v) values;
-        Sim.eval_comb c st;
-        Sim.outputs c st
+        let st = Sim_oracle.create c in
+        Array.iter (fun (pi, v) -> Sim_oracle.set_input c st pi v) values;
+        Sim_oracle.eval_comb c st;
+        Sim_oracle.outputs c st
       in
       let before = out base and after = out refined in
       Array.for_all2 (fun a b -> V3.refines a b) after before)
@@ -127,19 +127,19 @@ let random_stim rng (c : Circuit.t) cycles =
 (* The interpreted machine's trace for cross-checking: per cycle, the
    post-settle value of every net. *)
 let interpreted_trace (c : Circuit.t) stim =
-  let st = Sim.create c in
+  let st = Sim_oracle.create c in
   let rows = ref [] in
   Array.iter
     (fun assigns ->
-      List.iter (fun (pi, v) -> Sim.set_input c st pi v) assigns;
-      Sim.eval_comb c st;
-      rows := Array.copy (Sim.values st) :: !rows;
-      Sim.clock c st)
+      List.iter (fun (pi, v) -> Sim_oracle.set_input c st pi v) assigns;
+      Sim_oracle.eval_comb c st;
+      rows := Array.copy (Sim_oracle.values st) :: !rows;
+      Sim_oracle.clock c st)
     stim;
   Array.of_list (List.rev !rows)
 
 (* The compiled levelized kernel is bit-identical to the interpreted
-   [Sim] machine: same value on every net of every cycle. *)
+   [Sim_oracle] machine: same value on every net of every cycle. *)
 let prop_compiled_equals_interpreted =
   Q.Test.make ~name:"compiled kernel matches interpreted machine" ~count:40
     (Q.map Int64.of_int (Q.int_bound 1000000))

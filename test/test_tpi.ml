@@ -105,19 +105,19 @@ let test_scan_in_stream_parity () =
   let desired = Array.init len (fun p -> V3.of_bool (p mod 2 = 0)) in
   let stream = Scan.scan_in_stream ch ~values:desired in
   (* Simulate the stream and compare against the desired state. *)
-  let st = Fst_sim.Sim.create scanned in
-  List.iter (fun (n, v) -> Fst_sim.Sim.set_input scanned st n v) config.Scan.constraints;
+  let st = Sim_oracle.create scanned in
+  List.iter (fun (n, v) -> Sim_oracle.set_input scanned st n v) config.Scan.constraints;
   for t = 0 to len - 1 do
-    Fst_sim.Sim.set_input scanned st ch.Scan.scan_in stream.(t);
-    Fst_sim.Sim.eval_comb scanned st;
-    Fst_sim.Sim.clock scanned st
+    Sim_oracle.set_input scanned st ch.Scan.scan_in stream.(t);
+    Sim_oracle.eval_comb scanned st;
+    Sim_oracle.clock scanned st
   done;
   Array.iteri
     (fun p ff ->
       Helpers.check_v3
         (Printf.sprintf "position %d" p)
         desired.(p)
-        (Fst_sim.Sim.value st ff))
+        (Sim_oracle.value st ff))
     ch.Scan.ffs
 
 let test_chain_locations_cover () =
@@ -229,6 +229,92 @@ let test_no_flip_flops_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* The oracle's shift check: the pattern and stream alignment of
+   [Scan.verify_shift] (position [p] of chain [i] loads bit
+   [((p + i) * 7 / 3) land 1]), driven through the interpreted machine.
+   Returns every position that failed to load, in chain then position
+   order. *)
+let oracle_shift_failures c (config : Scan.config) =
+  let st = Sim_oracle.create c in
+  List.iter (fun (n, v) -> Sim_oracle.set_input c st n v) config.Scan.constraints;
+  let desired ch =
+    Array.init (Array.length ch.Scan.ffs) (fun p ->
+        V3.of_bool ((p + ch.Scan.index) * 7 / 3 land 1 = 1))
+  in
+  let max_len =
+    Array.fold_left (fun m ch -> max m (Array.length ch.Scan.ffs)) 0 config.Scan.chains
+  in
+  for t = 0 to max_len - 1 do
+    Array.iter
+      (fun ch ->
+        let len = Array.length ch.Scan.ffs in
+        let stream = Scan.scan_in_stream ch ~values:(desired ch) in
+        let v = if t < max_len - len then V3.X else stream.(t - (max_len - len)) in
+        Sim_oracle.set_input c st ch.Scan.scan_in v)
+      config.Scan.chains;
+    Sim_oracle.eval_comb c st;
+    Sim_oracle.clock c st
+  done;
+  List.concat_map
+    (fun ch ->
+      let want = desired ch in
+      List.filter_map
+        (fun p ->
+          let ff = ch.Scan.ffs.(p) in
+          let got = Sim_oracle.value st ff in
+          if V3.equal got want.(p) then None
+          else Some (ch.Scan.index, p, ff, want.(p), got))
+        (List.init (Array.length ch.Scan.ffs) Fun.id))
+    (Array.to_list config.Scan.chains)
+
+(* The compiled scan-mode settle and shift check agree with the
+   interpreted oracle net by net and position by position, under random
+   subsets of the scan-mode constraints plus random values on other
+   inputs, and with a wrong-parity segment seeded into chain 0. *)
+let prop_scan_matches_oracle =
+  Q.Test.make ~name:"scan-mode values and shift check match the oracle"
+    ~count:30
+    (Q.triple (Q.map Int64.of_int (Q.int_bound 1000000)) (Q.int_range 1 3)
+       (Q.int_bound 1000))
+    (fun (seed, chains, salt) ->
+      let c = Helpers.small_seq_circuit ~gates:90 ~ffs:7 seed in
+      let scanned, config = Tpi.insert ~options:(options chains) c in
+      let rng = Fst_gen.Rng.create (Int64.of_int (salt + 5)) in
+      let coin () = Fst_gen.Rng.bool rng in
+      let others =
+        Array.to_list scanned.Circuit.inputs
+        |> List.filter (fun pi -> not (List.mem_assoc pi config.Scan.constraints))
+        |> List.map (fun pi ->
+               (pi, List.nth Helpers.all_v3 (Fst_gen.Rng.int rng 3)))
+      in
+      let constraints =
+        List.filter (fun _ -> coin ()) (config.Scan.constraints @ others)
+      in
+      let chains = Array.copy config.Scan.chains in
+      if Fst_gen.Rng.int rng 3 = 0 then begin
+        let ch = chains.(0) in
+        let segments = Array.copy ch.Scan.segments in
+        segments.(0) <-
+          { segments.(0) with Scan.invert = not segments.(0).Scan.invert };
+        chains.(0) <- { ch with Scan.segments }
+      end;
+      let config = { config with Scan.constraints; chains } in
+      let st = Sim_oracle.create scanned in
+      List.iter (fun (n, v) -> Sim_oracle.set_input scanned st n v) constraints;
+      Sim_oracle.eval_comb scanned st;
+      let values = Scan.scan_mode_values scanned config in
+      let got =
+        match Scan.verify_shift scanned config with
+        | Ok () -> []
+        | Error es ->
+          List.map
+            (fun e ->
+              Scan.(e.se_chain, e.se_position, e.se_net, e.se_expected, e.se_got))
+            es
+      in
+      Array.for_all2 V3.equal values (Sim_oracle.values st)
+      && got = oracle_shift_failures scanned config)
+
 let suite =
   [
     Alcotest.test_case "figure2 insertion" `Quick test_figure2_insertion;
@@ -237,6 +323,7 @@ let suite =
     Helpers.qcheck prop_segments_consistent;
     Alcotest.test_case "side pins forced" `Quick test_scan_mode_values_force_sides;
     Alcotest.test_case "scan-in stream parity" `Quick test_scan_in_stream_parity;
+    Helpers.qcheck prop_scan_matches_oracle;
     Alcotest.test_case "chain locations cover" `Quick test_chain_locations_cover;
     Alcotest.test_case "full-scan baseline" `Quick test_full_scan_baseline;
     Helpers.qcheck prop_orderings_shift;

@@ -27,32 +27,32 @@ let prop_unroll_matches_sequential =
               c.Circuit.inputs)
       in
       (* Sequential reference. *)
-      let st = Fst_sim.Sim.create c in
-      Array.iter (fun (ff, v) -> Fst_sim.Sim.set_ff c st ff v) init;
+      let st = Sim_oracle.create c in
+      Array.iter (fun (ff, v) -> Sim_oracle.set_ff c st ff v) init;
       let seq_values = Array.make frames [||] in
       for f = 0 to frames - 1 do
-        Array.iter (fun (pi, v) -> Fst_sim.Sim.set_input c st pi v) stim_frames.(f);
-        Fst_sim.Sim.eval_comb c st;
-        seq_values.(f) <- Array.copy (Fst_sim.Sim.values st);
-        Fst_sim.Sim.clock c st
+        Array.iter (fun (pi, v) -> Sim_oracle.set_input c st pi v) stim_frames.(f);
+        Sim_oracle.eval_comb c st;
+        seq_values.(f) <- Array.copy (Sim_oracle.values st);
+        Sim_oracle.clock c st
       done;
       (* Unrolled evaluation. *)
       let uc = u.Unroll.view.View.circuit in
-      let ust = Fst_sim.Sim.create uc in
+      let ust = Sim_oracle.create uc in
       Array.iter
-        (fun (ff, v) -> Fst_sim.Sim.set_input uc ust u.Unroll.net_at.(0).(ff) v)
+        (fun (ff, v) -> Sim_oracle.set_input uc ust u.Unroll.net_at.(0).(ff) v)
         init;
       for f = 0 to frames - 1 do
         Array.iter
-          (fun (pi, v) -> Fst_sim.Sim.set_input uc ust u.Unroll.net_at.(f).(pi) v)
+          (fun (pi, v) -> Sim_oracle.set_input uc ust u.Unroll.net_at.(f).(pi) v)
           stim_frames.(f)
       done;
-      Fst_sim.Sim.eval_comb uc ust;
+      Sim_oracle.eval_comb uc ust;
       let ok = ref true in
       for f = 0 to frames - 1 do
         for net = 0 to Circuit.num_nets c - 1 do
           let expect = seq_values.(f).(net) in
-          let got = Fst_sim.Sim.value ust u.Unroll.net_at.(f).(net) in
+          let got = Sim_oracle.value ust u.Unroll.net_at.(f).(net) in
           if not (V3.equal got expect) then ok := false
         done
       done;
