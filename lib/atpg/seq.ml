@@ -1,4 +1,6 @@
 open Fst_logic
+module Clock = Fst_exec.Clock
+module Scoap = Fst_testability.Scoap
 
 type test = {
   frames : int;
@@ -7,7 +9,13 @@ type test = {
 }
 
 type result = Seq_test of test | Seq_aborted
-type stats = { runs : int; backtracks : int; stops : int array }
+type stats = {
+  runs : int;
+  backtracks : int;
+  stops : int array;
+  build_s : float;
+  search_s : float;
+}
 
 let test_of_assignment u frames assignment =
   let init_state = ref [] in
@@ -23,11 +31,26 @@ let test_of_assignment u frames assignment =
 let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
     ~frames_list ~backtrack_limit =
   let runs = ref 0 and backtracks = ref 0 in
+  let build_s = ref 0.0 and search_s = ref 0.0 in
+  let timed acc f =
+    let t0 = Clock.now () in
+    let r = f () in
+    acc := !acc +. (Clock.now () -. t0);
+    r
+  in
   let stops = Array.make (List.length Podem.all_stops) 0 in
   let aborting () =
     match should_abort with None -> false | Some f -> f ()
   in
-  let stats () = { runs = !runs; backtracks = !backtracks; stops } in
+  let stats () =
+    {
+      runs = !runs;
+      backtracks = !backtracks;
+      stops;
+      build_s = !build_s;
+      search_s = !search_s;
+    }
+  in
   let add (st : Podem.stats) =
     backtracks := !backtracks + st.Podem.backtracks;
     let k = Podem.stop_index st.Podem.stop in
@@ -37,12 +60,21 @@ let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
     | [] -> (Seq_aborted, stats ())
     | _ :: _ when aborting () -> (Seq_aborted, stats ())
     | frames :: rest -> (
-      let u =
-        Unroll.build c ~frames ~constraints ~controllable_ff ~observable_ff
+      let u, scoap =
+        timed build_s (fun () ->
+            let u =
+              Unroll.build c ~frames ~constraints ~controllable_ff
+                ~observable_ff
+            in
+            (u, Scoap.compute u.Unroll.view))
       in
       let faults = Unroll.map_fault u fault in
       incr runs;
-      match Podem.run ~backtrack_limit ?should_abort u.Unroll.view ~faults with
+      match
+        timed search_s (fun () ->
+            Podem.run ~backtrack_limit ?should_abort ~scoap u.Unroll.view
+              ~faults)
+      with
       | Podem.Test assignment, st ->
         add st;
         (Seq_test (test_of_assignment u frames assignment), stats ())

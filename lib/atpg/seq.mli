@@ -28,6 +28,8 @@ type stats = {
   stops : int array;
       (** per {!Podem.stop_index}: how many of the [runs] stopped for that
           reason *)
+  build_s : float;  (** wall seconds building models: unrolling and SCOAP *)
+  search_s : float;  (** wall seconds in the PODEM searches *)
 }
 
 (** @param should_abort cooperative abort hook: polled before each frame

@@ -8,6 +8,8 @@ let spec =
     ~summary:"Statically analyze a netlist and its scan-DFT configuration"
     ~args:
       [
+        Common.name_arg;
+        Common.scale_arg;
         Common.chains_arg;
         Spec.flag_arg [ "--no-scan" ]
           ~doc:"Structural and testability rules only; skip TPI insertion \
@@ -42,11 +44,13 @@ let fail_on_of p =
   | s ->
     Spec.usage_error "--fail-on expects error, warning or none, got %S" s
 
-(* Lint a netlist file: raw-parse first so duplicate definitions and
-   combinational cycles are all reported (elaboration would abort on the
-   first); when the raw netlist is clean, elaborate, optionally insert the
-   scan chains, and run the full rule set with the dynamic shift check
-   cross-checking the static sensitization analysis. *)
+(* Lint a netlist file or a suite circuit (a file wins over a name): raw-
+   parse first so duplicate definitions and combinational cycles are all
+   reported (elaboration would abort on the first); when the raw netlist
+   is clean, elaborate, optionally insert the scan chains, and run the
+   full rule set with the dynamic shift check cross-checking the static
+   sensitization analysis. A suite circuit is raw-parsed from its rendered
+   text, so the raw rules run on it too; its diagnostics name no file. *)
 let run p =
   if Spec.flag p "--rules" then begin
     List.iter
@@ -58,10 +62,25 @@ let run p =
     0
   end
   else begin
-    let path =
-      match Spec.positional p with
-      | [ f ] -> f
-      | _ -> Common.or_die (Error "pass a netlist FILE (or --rules)")
+    let file = match Spec.positional p with [ f ] -> Some f | _ -> None in
+    let label, raw_name, read_text =
+      match (file, Spec.string_opt p "--name") with
+      | Some path, _ ->
+        ( path,
+          Filename.(remove_extension (basename path)),
+          fun () ->
+            let ic = open_in_bin path in
+            let text = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            text )
+      | None, name ->
+        let circuit =
+          Common.or_die
+            (Common.load ~name ~scale:(Spec.float p "--scale" ~default:1.0)
+               ~file:None)
+        in
+        (circuit.Circuit.name, circuit.Circuit.name, fun () ->
+          Netfile.to_string circuit)
     in
     let chains = Common.chains p in
     let waiver_path = Spec.string_opt p "--waiver" in
@@ -72,29 +91,22 @@ let run p =
     in
     let parse_diag message =
       Diagnostic.make ~rule:"E-NET-PARSE" ~severity:Diagnostic.Error
-        ~loc:{ Diagnostic.no_loc with Diagnostic.file = Some path }
+        ~loc:{ Diagnostic.no_loc with Diagnostic.file = file }
         message
     in
     let report =
-      match
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Netfile.parse_raw
-          ~name:Filename.(remove_extension (basename path))
-          ~file:path text
-      with
+      match Netfile.parse_raw ~name:raw_name ?file (read_text ()) with
       | exception Sys_error e ->
-        { Lint.circuit = path; diagnostics = [ parse_diag e ]; waived = [];
+        { Lint.circuit = label; diagnostics = [ parse_diag e ]; waived = [];
           errors = 1; warnings = 0; infos = 0 }
       | exception Netfile.Parse_error { file = _; line; message } ->
         let d =
           Diagnostic.make ~rule:"E-NET-PARSE" ~severity:Diagnostic.Error
-            ~loc:{ Diagnostic.no_loc with Diagnostic.file = Some path;
+            ~loc:{ Diagnostic.no_loc with Diagnostic.file = file;
                    line = Some line }
             message
         in
-        { Lint.circuit = path; diagnostics = [ d ]; waived = [];
+        { Lint.circuit = label; diagnostics = [ d ]; waived = [];
           errors = 1; warnings = 0; infos = 0 }
       | raw ->
         let pre = Lint.run_raw ~waivers raw in
@@ -108,14 +120,14 @@ let run p =
           | circuit ->
             let lines = raw.Netfile.raw_lines in
             if Spec.flag p "--no-scan" then
-              Lint.run ~lines ~file:path ~waivers circuit
+              Lint.run ~lines ?file ~waivers circuit
             else
               match Tpi.insert_checked ~chains circuit with
               | Error (Tpi.No_flip_flops as e) ->
                 let d =
                   Diagnostic.make ~rule:"E-SCAN-SHAPE"
                     ~severity:Diagnostic.Error
-                    ~loc:{ Diagnostic.no_loc with Diagnostic.file = Some path }
+                    ~loc:{ Diagnostic.no_loc with Diagnostic.file = file }
                     (Tpi.insert_error_message e
                      ^ " (--no-scan lints the netlist alone)")
                 in
@@ -125,7 +137,7 @@ let run p =
               | Error (Tpi.Shift_broken (scanned, config, _)) ->
                 (* The dynamic check re-runs the shift test and reports
                    each failed position as an E-SCAN-SHIFT diagnostic. *)
-                Lint.run ~lines ~file:path ~config ~dynamic:true ~waivers
+                Lint.run ~lines ?file ~config ~dynamic:true ~waivers
                   scanned
         end
     in

@@ -3,15 +3,21 @@ open Fst_tpi
 
 let spec =
   Spec.make ~name:"tpi" ~summary:"Insert functional scan chains (TPI)"
-    ~args:[ Common.chains_arg; Common.out_arg ]
-    ~pos:Common.file_pos_required ()
+    ~args:
+      [ Common.name_arg; Common.scale_arg; Common.chains_arg; Common.out_arg ]
+    ~pos:Common.file_pos ()
 
 let run p =
-  let file = List.hd (Spec.positional p) in
+  let file = match Spec.positional p with [ f ] -> Some f | _ -> None in
   let chains = Common.chains p in
-  let circuit = Common.or_die (Common.read_circuit file) in
+  let circuit =
+    Common.or_die
+      (Common.load ~name:(Spec.string_opt p "--name")
+         ~scale:(Spec.float p "--scale" ~default:1.0)
+         ~file)
+  in
   let scanned, config =
-    Common.or_die (Common.insert_chains ~file circuit chains)
+    Common.or_die (Common.insert_chains ?file circuit chains)
   in
   Format.printf "%a@.%a@." Circuit.pp_stats scanned
     (Scan.pp_config scanned) config;

@@ -177,8 +177,10 @@ let fresh_acct () =
   }
 
 (* PODEM stop reasons go straight to the sink as [atpg.stop.<reason>]
-   counters: they explain the search and are kept out of [acct], so the
-   report and the checkpoint layout do not carry them. *)
+   counters, and step 3's model-build and search seconds as the
+   [atpg.seq.build_s] and [atpg.seq.search_s] fcounters: they explain the
+   search and are kept out of [acct], so the report and the checkpoint
+   layout do not carry them. *)
 let count_stop (sink : Sink.t) stop n =
   if sink.Sink.enabled && n > 0 then
     Metrics.Counter.add
@@ -196,6 +198,13 @@ let add_seq_stats ~sink acct (s : Seq.stats) =
   List.iter
     (fun stop -> count_stop sink stop s.Seq.stops.(Podem.stop_index stop))
     Podem.all_stops;
+  if sink.Sink.enabled then begin
+    let add name v =
+      Metrics.Fcounter.add (Metrics.fcounter sink.Sink.metrics name) v
+    in
+    add "atpg.seq.build_s" s.Seq.build_s;
+    add "atpg.seq.search_s" s.Seq.search_s
+  end;
   acct.s_runs <- acct.s_runs + s.Seq.runs;
   acct.s_backtracks <- acct.s_backtracks + s.Seq.backtracks
 

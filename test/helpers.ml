@@ -98,10 +98,17 @@ let brute_force_detectable (c : Circuit.t) (fault : Fst_fault.Fault.t) =
   done;
   !detected
 
-let contains_substring ~needle hay =
+(* The index of the first occurrence of [needle] in [hay]. *)
+let find_substring ~needle hay =
   let n = String.length needle and h = String.length hay in
-  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  let rec at i =
+    if i + n > h then None
+    else if String.sub hay i n = needle then Some i
+    else at (i + 1)
+  in
   at 0
+
+let contains_substring ~needle hay = find_substring ~needle hay <> None
 
 (* dune runs the suite from _build/default/test; the test stanza depends
    on the executable, so it is built before the suite starts. *)

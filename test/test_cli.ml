@@ -66,8 +66,57 @@ let test_no_flip_flops () =
         && Helpers.contains_substring ~needle:"no flip-flops" stdout);
       no_exception "lint" stderr)
 
+(* `fst lint` and `fst tpi` take a suite circuit by name, as `flow` and
+   `sca` do, and agree with the same circuit written to a file by
+   `fst gen`. Lint diagnostics on a named circuit carry no file, so only
+   what follows the location is compared. *)
+let test_lint_tpi_by_name () =
+  let file = Filename.temp_file "fst-cli-s1423" ".net" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+      let suite = [ "-n"; "s1423"; "--scale"; "0.05" ] in
+      let ok what (code, stdout, stderr) =
+        Alcotest.(check int) (what ^ ": exit code; " ^ stderr) 0 code;
+        stdout
+      in
+      ignore (ok "gen" (Helpers.run_fst ([ "gen" ] @ suite @ [ "-o"; file ])));
+      (* Each diagnostic from its severity on; the summary line is dropped. *)
+      let from_severity line =
+        List.filter_map
+          (fun sev -> Helpers.find_substring ~needle:sev line)
+          [ "error "; "warning "; "info " ]
+        |> List.sort compare
+        |> function
+        | [] -> None
+        | i :: _ -> Some (String.sub line i (String.length line - i))
+      in
+      let lint args =
+        String.split_on_char '\n'
+          (ok "lint" (Helpers.run_fst ([ "lint"; "-c"; "2" ] @ args)))
+        |> List.filter_map from_severity
+      in
+      let by_name = lint suite and by_file = lint [ file ] in
+      Alcotest.(check bool) "lint by name reports findings" true
+        (List.length by_name > 1);
+      Alcotest.(check (list string)) "lint: name = file" by_file by_name;
+      Alcotest.(check (list string)) "lint: a file wins over a name" by_file
+        (lint [ file; "-n"; "s5378" ]);
+      (* The report starts with the circuit name, which a file takes from
+         its base name. *)
+      let tpi args =
+        let out = ok "tpi" (Helpers.run_fst ([ "tpi"; "-c"; "2" ] @ args)) in
+        let i = String.index out ':' in
+        String.sub out i (String.length out - i)
+      in
+      Alcotest.(check string) "tpi: name = file" (tpi [ file ]) (tpi suite);
+      let code, _, stderr = Helpers.run_fst [ "tpi"; "-n"; "nope" ] in
+      Alcotest.(check int) "tpi: unknown name exit code" 1 code;
+      Alcotest.(check bool) ("tpi: unknown name: " ^ stderr) true
+        (Helpers.contains_substring ~needle:"unknown suite circuit" stderr))
+
 let suite =
   [
+    Alcotest.test_case "lint and tpi take a suite circuit by name" `Quick
+      test_lint_tpi_by_name;
     Alcotest.test_case "netlist without flip-flops is a clean error" `Quick
       test_no_flip_flops;
     Alcotest.test_case "flow rejects --metrics as unknown option" `Quick

@@ -324,6 +324,28 @@ let test_live_sink_is_pure_observer () =
     (Helpers.contains_substring ~needle:"\"kind\":\"phase_start\""
        (Buffer.contents buf))
 
+(* Step 3's model-build and search seconds reach the sink as fcounters. *)
+let test_seq_seconds_in_sink () =
+  let scanned, config = scan_small 1L in
+  let metrics = M.create () in
+  let sink = Sink.create ~metrics () in
+  let r =
+    Flow.run
+      ~config:Config.(quick_config |> with_jobs 1 |> with_sink sink)
+      scanned config
+  in
+  let seconds name =
+    match List.assoc_opt name (M.snapshot metrics) with
+    | Some (M.Fcounter_v s) -> s
+    | _ -> -1.0
+  in
+  Alcotest.(check bool) "step 3 ran a search" true
+    (r.Flow.atpg.Flow.seq_runs > 0);
+  Alcotest.(check bool) "build seconds recorded" true
+    (seconds "atpg.seq.build_s" > 0.0);
+  Alcotest.(check bool) "search seconds recorded" true
+    (seconds "atpg.seq.search_s" > 0.0)
+
 (* A traced flow splits every fault-simulation engine call into its
    good-trace and simulation layers: one [fsim.trace] and one
    [fsim.simulate] child span per [fsim.<entry>] span. *)
@@ -375,6 +397,8 @@ let suite =
     Alcotest.test_case "events jsonl" `Quick test_events_jsonl;
     Alcotest.test_case "live sink is a pure observer" `Quick
       test_live_sink_is_pure_observer;
+    Alcotest.test_case "step-3 seconds reach the sink" `Quick
+      test_seq_seconds_in_sink;
     Alcotest.test_case "engine calls carry trace/simulate spans" `Quick
       test_engine_child_spans;
   ]

@@ -160,6 +160,9 @@ let agrees_with_oracle ~scoap view faults =
       && st.Podem.implications = so.Podem_oracle.implications)
     [ 1; 4; 50 ]
 
+(* Every collapsed fault alone, then each with a random partner from the
+   whole universe, so branch faults on several gates, or on two pins of
+   one gate, meet in one search. *)
 let prop_comb_matches_oracle =
   Q.Test.make ~name:"podem = oracle on comb views"
     ~count:20
@@ -169,9 +172,80 @@ let prop_comb_matches_oracle =
       let c = Helpers.random_comb_circuit rng ~inputs:6 ~gates:24 in
       let view = comb_view c in
       let scoap = Fst_testability.Scoap.compute view in
-      Array.for_all
-        (fun f -> agrees_with_oracle ~scoap view [ f ])
-        (Fault.collapse c (Fault.universe c)))
+      let universe = Fault.universe c in
+      let faults = Fault.collapse c universe in
+      Array.for_all (fun f -> agrees_with_oracle ~scoap view [ f ]) faults
+      && Array.for_all
+           (fun f ->
+             agrees_with_oracle ~scoap view
+               [ f; Fst_gen.Rng.pick rng universe ])
+           faults)
+
+(* The frontier is enumerated from the consumers of effect nets and the
+   branch-faulted gates, then filtered pin by pin. Two hand-built cases
+   sit where the two views differ. *)
+
+(* g2 = OR(a, c) and g1 = AND(a, b), both observed, with the branch g1.a
+   s-a-1 and a s-a-0. The search excites the last-listed site first, so
+   a = 1: the net a carries an effect, but g1's pin reads the stuck 1,
+   equal to a's good value. g1 consumes an effect net and still is no
+   frontier gate, so the test goes through g2 and leaves b alone (were g1
+   in the frontier, it would come first: same observability, higher
+   net). *)
+let test_masking_branch_matches_oracle () =
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let bi = Builder.add_input ~name:"b" b in
+  let ci = Builder.add_input ~name:"c" b in
+  let g2 = Builder.add_gate ~name:"g2" b Gate.Or [ a; ci ] in
+  let g1 = Builder.add_gate ~name:"g1" b Gate.And [ a; bi ] in
+  Builder.mark_output b g1;
+  Builder.mark_output b g2;
+  let c = Builder.freeze b in
+  let view = comb_view c in
+  let scoap = Fst_testability.Scoap.compute view in
+  let faults =
+    [
+      { Fault.site = Fault.Branch { node = g1; pin = 0 }; stuck = true };
+      { Fault.site = Fault.Stem a; stuck = false };
+    ]
+  in
+  Alcotest.(check bool) "same search as the oracle" true
+    (agrees_with_oracle ~scoap view faults);
+  match Podem.run ~scoap view ~faults with
+  | Podem.Test assignment, _ ->
+    Alcotest.(check bool) "excites a = 1, propagates through g2 (c = 0)"
+      true
+      (List.mem (a, V3.One) assignment && List.mem (ci, V3.Zero) assignment);
+    Alcotest.(check bool) "b untouched" false (List.mem_assoc bi assignment)
+  | (Podem.Untestable | Podem.Aborted), _ -> Alcotest.fail "expected a test"
+
+(* y = AND(n, d) with n = NOT a, and the branch y.n s-a-0 as the only
+   fault. With a = 0 the pin reads 0 against n's good 1: an effect that no
+   net carries, so only the branch-faulted gate can enter the frontier.
+   A second consumer of n keeps the branch a real fanout branch. *)
+let test_branch_only_effect_matches_oracle () =
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let d = Builder.add_input ~name:"d" b in
+  let n = Builder.add_gate ~name:"n" b Gate.Not [ a ] in
+  let y = Builder.add_gate ~name:"y" b Gate.And [ n; d ] in
+  let z = Builder.add_gate ~name:"z" b Gate.Buf [ n ] in
+  Builder.mark_output b y;
+  Builder.mark_output b z;
+  let c = Builder.freeze b in
+  let view = comb_view c in
+  let scoap = Fst_testability.Scoap.compute view in
+  let fault = { Fault.site = Fault.Branch { node = y; pin = 0 }; stuck = false } in
+  Alcotest.(check bool) "same search as the oracle" true
+    (agrees_with_oracle ~scoap view [ fault ]);
+  match Podem.run ~scoap view ~faults:[ fault ] with
+  | Podem.Test assignment, _ ->
+    Alcotest.(check bool) "test detects" true
+      (run_assignment_detects c fault assignment);
+    Alcotest.(check bool) "side input d = 1" true
+      (List.mem (d, V3.One) assignment)
+  | (Podem.Untestable | Podem.Aborted), _ -> Alcotest.fail "expected a test"
 
 (* Unrolled models with random controllable and observable flip-flop
    sets: every fault is multi-site, one site per frame. *)
@@ -293,6 +367,10 @@ let suite =
     Alcotest.test_case "multi-site injection" `Quick test_multi_site;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Helpers.qcheck prop_comb_matches_oracle;
+    Alcotest.test_case "masking branch = oracle" `Quick
+      test_masking_branch_matches_oracle;
+    Alcotest.test_case "branch-only effect = oracle" `Quick
+      test_branch_only_effect_matches_oracle;
     Helpers.qcheck prop_unrolled_matches_oracle;
     Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
   ]

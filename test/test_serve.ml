@@ -599,6 +599,84 @@ let test_serve_oversized_frame () =
       Alcotest.(check bool) "connection still serves" true
         (Json.member "kind" pong = Some (Json.String "pong")))
 
+(* Hostile frames on a live connection: a frame that is not JSON and a
+   JSON frame with an unknown command each get an [error] frame, and a
+   submit on the same connection is still served to its result. *)
+let test_serve_hostile_frames () =
+  let dir = temp_dir "fst-hostile" in
+  let path = Filename.concat dir "sock" in
+  let server =
+    Server.create ~workers:1 ~jobs_cap:1 ~addr:(Protocol.Unix_sock path) ()
+  in
+  let thread = Server.start server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () ->
+      Client.close (connect_retry (Protocol.Unix_sock path));
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let oc = Unix.out_channel_of_descr fd in
+      let ic = Unix.in_channel_of_descr fd in
+      let send line =
+        output_string oc (line ^ "\n");
+        flush oc
+      in
+      let kind j =
+        match Json.member "kind" j with Some (Json.String k) -> k | _ -> "?"
+      in
+      let expect_error what =
+        let reply = Json.of_string (input_line ic) in
+        Alcotest.(check string)
+          (what ^ " is an error: " ^ Json.to_string reply)
+          "error" (kind reply);
+        reply
+      in
+      send "{not json";
+      let garbage = expect_error "non-JSON frame" in
+      Alcotest.(check bool) "says the request is not JSON" true
+        (Helpers.contains_substring ~needle:"not JSON"
+           (Json.to_string garbage));
+      send
+        (Json.to_string
+           (Json.Obj
+              [
+                ("v", Json.Int Protocol.version);
+                ("cmd", Json.String "launch");
+              ]));
+      let unknown = expect_error "unknown command" in
+      Alcotest.(check bool) "names the unknown command" true
+        (Helpers.contains_substring ~needle:"launch"
+           (Json.to_string unknown));
+      let netlist =
+        Fst_netlist.Netfile.to_string
+          (Helpers.small_seq_circuit ~gates:20 ~ffs:3 5L)
+      in
+      send
+        (Json.to_string
+           (Protocol.request_to_json
+              (Protocol.Submit
+                 {
+                   Protocol.kind = Protocol.Lint;
+                   netlist;
+                   name = "small";
+                   chains = 1;
+                   config = Json.Obj [];
+                   wait = true;
+                   tenant = "t1";
+                 })));
+      let rec until_result kinds =
+        let reply = Json.of_string (input_line ic) in
+        match kind reply with
+        | "result" -> List.rev ("result" :: kinds)
+        | "error" -> Alcotest.fail ("submit failed: " ^ Json.to_string reply)
+        | k -> until_result (k :: kinds)
+      in
+      let kinds = until_result [] in
+      Unix.close fd;
+      Alcotest.(check string) "submit acknowledged" "ack" (List.hd kinds))
+
 let suite =
   [
     Alcotest.test_case "fingerprint ignores execution knobs" `Quick
@@ -625,4 +703,6 @@ let suite =
       test_client_reply_bounded;
     Alcotest.test_case "serve survives an oversized frame" `Quick
       test_serve_oversized_frame;
+    Alcotest.test_case "serve answers hostile frames and keeps serving"
+      `Quick test_serve_hostile_frames;
   ]
