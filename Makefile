@@ -279,7 +279,7 @@ serve-smoke: build
 # A/B run of the repository benchmark against a parent revision: PAIRS
 # alternating runs of perfbench on each side, then per end-to-end metric
 # each side's median and quartiles and the pairs the working tree wins.
-#   make perf-ab PARENT=<rev> WORKLOAD=fsim-tail PAIRS=10
+#   make perf-ab PARENT=<rev or checkout dir> WORKLOAD=fsim-tail PAIRS=10
 PARENT ?= HEAD
 WORKLOAD ?= fsim-tail
 PAIRS ?= 10

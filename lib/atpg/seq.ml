@@ -15,7 +15,13 @@ type stats = {
   stops : int array;
   build_s : float;
   search_s : float;
+  models_built : int;
 }
+
+(* Models already built for one set of run parameters, by frame count. *)
+type memo = { mutable models : (int * (Unroll.t * Scoap.t)) list }
+
+let memo () = { models = [] }
 
 let test_of_assignment u frames assignment =
   let init_state = ref [] in
@@ -28,10 +34,11 @@ let test_of_assignment u frames assignment =
     assignment;
   { frames; init_state = !init_state; pi_frames }
 
-let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
-    ~frames_list ~backtrack_limit =
+let run ?should_abort ?memo c ~constraints ~controllable_ff ~observable_ff
+    ~fault ~frames_list ~backtrack_limit =
   let runs = ref 0 and backtracks = ref 0 in
   let build_s = ref 0.0 and search_s = ref 0.0 in
+  let models_built = ref 0 in
   let timed acc f =
     let t0 = Clock.now () in
     let r = f () in
@@ -49,6 +56,7 @@ let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
       stops;
       build_s = !build_s;
       search_s = !search_s;
+      models_built = !models_built;
     }
   in
   let add (st : Podem.stats) =
@@ -56,18 +64,30 @@ let run ?should_abort c ~constraints ~controllable_ff ~observable_ff ~fault
     let k = Podem.stop_index st.Podem.stop in
     stops.(k) <- stops.(k) + 1
   in
+  let build frames =
+    timed build_s (fun () ->
+        incr models_built;
+        let u =
+          Unroll.build c ~frames ~constraints ~controllable_ff ~observable_ff
+        in
+        (u, Scoap.compute u.Unroll.view))
+  in
+  let model frames =
+    match memo with
+    | None -> build frames
+    | Some m -> (
+      match List.assoc_opt frames m.models with
+      | Some model -> model
+      | None ->
+        let model = build frames in
+        m.models <- (frames, model) :: m.models;
+        model)
+  in
   let rec try_frames = function
     | [] -> (Seq_aborted, stats ())
     | _ :: _ when aborting () -> (Seq_aborted, stats ())
     | frames :: rest -> (
-      let u, scoap =
-        timed build_s (fun () ->
-            let u =
-              Unroll.build c ~frames ~constraints ~controllable_ff
-                ~observable_ff
-            in
-            (u, Scoap.compute u.Unroll.view))
-      in
+      let u, scoap = model frames in
       let faults = Unroll.map_fault u fault in
       incr runs;
       match

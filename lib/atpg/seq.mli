@@ -30,14 +30,29 @@ type stats = {
           reason *)
   build_s : float;  (** wall seconds building models: unrolling and SCOAP *)
   search_s : float;  (** wall seconds in the PODEM searches *)
+  models_built : int;
+      (** unrolled models built (each with its SCOAP); a model taken
+          from the [memo] is not counted *)
 }
+
+(** The models (unrolled circuit plus its SCOAP) built by earlier runs,
+    by frame count. A memo may only be shared by runs on the same
+    circuit with the same [constraints], [controllable_ff] and
+    [observable_ff]; {!Podem} only reads a model, so a shared model
+    gives the same search as a fresh one. *)
+type memo
+
+val memo : unit -> memo
 
 (** @param should_abort cooperative abort hook: polled before each frame
     count and between PODEM backtracks, so a tripped wall-clock deadline
     or a cancellation token ({!Fst_exec.Pool.token}) stops the search
-    promptly instead of letting one target pin a domain. *)
+    promptly instead of letting one target pin a domain.
+    @param memo takes each frame count's model from the memo, building
+    and adding it on a miss; without one every frame count is built. *)
 val run :
   ?should_abort:(unit -> bool) ->
+  ?memo:memo ->
   Circuit.t ->
   constraints:(int * V3.t) list ->
   controllable_ff:(int -> bool) ->

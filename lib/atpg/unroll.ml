@@ -29,9 +29,10 @@ let build (c : Circuit.t) ~frames ~constraints ~controllable_ff ~observable_ff =
   let origin_of = Hashtbl.create 64 in
   let free = ref [] in
   for f = 0 to frames - 1 do
+    let suffix = "@" ^ string_of_int f in
     for i = 0 to n - 1 do
       let id = (f * n) + i in
-      names.(id) <- Printf.sprintf "%s@%d" (Circuit.net_name c i) f;
+      names.(id) <- Circuit.net_name c i ^ suffix;
       let node =
         match Circuit.node c i with
         | Circuit.Input -> (
@@ -67,7 +68,7 @@ let build (c : Circuit.t) ~frames ~constraints ~controllable_ff ~observable_ff =
         | Circuit.Input | Circuit.Const _ | Circuit.Gate _ -> assert false
       in
       nodes.(id) <- Circuit.Gate (Gate.Buf, [| net_at.(frames - 1).(data) |]);
-      names.(id) <- Printf.sprintf "%s@cap" (Circuit.net_name c ff);
+      names.(id) <- Circuit.net_name c ff ^ "@cap";
       capture_of.(ff) <- id)
     observable_ffs;
   (* Observation points: every frame's primary outputs; the state an

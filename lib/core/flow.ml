@@ -177,10 +177,11 @@ let fresh_acct () =
   }
 
 (* PODEM stop reasons go straight to the sink as [atpg.stop.<reason>]
-   counters, and step 3's model-build and search seconds as the
-   [atpg.seq.build_s] and [atpg.seq.search_s] fcounters: they explain the
-   search and are kept out of [acct], so the report and the checkpoint
-   layout do not carry them. *)
+   counters, step 3's model count as the [atpg.seq.models] counter, and
+   its model-build and search seconds as the [atpg.seq.build_s] and
+   [atpg.seq.search_s] fcounters: they explain the search and are kept
+   out of [acct], so the report and the checkpoint layout do not carry
+   them. *)
 let count_stop (sink : Sink.t) stop n =
   if sink.Sink.enabled && n > 0 then
     Metrics.Counter.add
@@ -203,7 +204,10 @@ let add_seq_stats ~sink acct (s : Seq.stats) =
       Metrics.Fcounter.add (Metrics.fcounter sink.Sink.metrics name) v
     in
     add "atpg.seq.build_s" s.Seq.build_s;
-    add "atpg.seq.search_s" s.Seq.search_s
+    add "atpg.seq.search_s" s.Seq.search_s;
+    Metrics.Counter.add
+      (Metrics.counter sink.Sink.metrics "atpg.seq.models")
+      s.Seq.models_built
   end;
   acct.s_runs <- acct.s_runs + s.Seq.runs;
   acct.s_backtracks <- acct.s_backtracks + s.Seq.backtracks
@@ -725,16 +729,19 @@ type target_outcome = Aborted of { late : bool } | Realized of int list
    the bounded model, without touching any shared state (safe to run on a
    pool domain). [should_abort] folds the per-fault wall-clock deadline
    with the wave's cancellation token, so one stuck target cannot pin a
-   domain past its budget. *)
+   domain past its budget. [memo] holds the models of earlier targets
+   with the same [bounds]; without one, each model is built for this
+   target and dropped after it. *)
 let plan_sequence ~sink scanned config ~remaining_faults ~bounds ~positions
-    ~frames ~backtrack ~should_abort target_idx =
+    ~frames ~backtrack ~should_abort ?memo target_idx =
   let controllable, observable = predicates_of_bounds positions bounds in
   let fault = remaining_faults.(target_idx) in
   match
     timed_atpg sink
       (Printf.sprintf "seq[%d]" target_idx)
       (fun () ->
-        Seq.run ~should_abort scanned ~constraints:config.Scan.constraints
+        Seq.run ~should_abort ?memo scanned
+          ~constraints:config.Scan.constraints
           ~controllable_ff:controllable ~observable_ff:observable ~fault
           ~frames_list:frames ~backtrack_limit:backtrack)
   with
@@ -892,9 +899,11 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
   (* One pool task per group, run against the alive set as of the wave's
      start: the group's targets are attacked in order, and each realized
      sequence is retired against a task-local copy of that set, so a
-     member an earlier target already detected is never planned. *)
+     member an earlier target already detected is never planned. All
+     targets share the group's bounds, so they share its models too. *)
   let plan_group (bounds, targets) =
     let alive = Hashtbl.copy st.alive in
+    let memo = Seq.memo () in
     List.filter_map
       (fun fp ->
         let i = fp.Group.index in
@@ -910,7 +919,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
               ~backtrack:cfg.Config.seq_backtrack
               ~should_abort:(fun () ->
                 Clock.expired dlf || Pool.cancelled token)
-              i
+              ~memo i
           in
           let outcome =
             match stim with
@@ -1026,6 +1035,10 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
   let finals =
     Hashtbl.fold (fun i () acc -> i :: acc) st.alive [] |> List.sort Int.compare
   in
+  (* A final target's models are built for it and dropped after it. A
+     memo over consecutive targets with equal spans would keep every
+     frame count's model live at once (1 + 2 + 4 + 8 frames by default,
+     nearly twice the largest model alone) and raise the peak heap. *)
   let attack_final i fp =
     let dlf =
       Budget.fault_deadline budget Budget.Finals

@@ -285,6 +285,7 @@ module Parallel = struct
     flag : Bytes.t; (* slot has maintained (possibly divergent) planes *)
     mark : Bytes.t; (* scratch for boundary dedup in [make_group] *)
     ov : ov option array; (* per gate; populated per group, then cleared *)
+    prog : int array; (* the current group's cone plane program *)
   }
 
   let ctx (cc : Compiled.t) =
@@ -297,6 +298,7 @@ module Parallel = struct
       flag = Bytes.make (cc.Compiled.n_slots + 1) '\000';
       mark = Bytes.make (cc.Compiled.n_slots + 1) '\000';
       ov = Array.make (max 1 cc.Compiled.n_gates) None;
+      prog = Array.make (Compiled.program_words cc) 0;
     }
 
   type group = {
@@ -305,6 +307,7 @@ module Parallel = struct
     stems0 : (int * int * int) array; (* level-0 stem slot, m1, m0 *)
     ff_ov : (int * int * int) list; (* position in cone_ffs, m1, m0 *)
     cone_gates : int array; (* ascending = levelized *)
+    prog_len : int; (* words of [ctx.prog] holding the cone's program *)
     cone_ffs : int array;
     boundary : int array; (* out-of-cone slots the sweep/tick read *)
     obs : int array; (* observed slots with maintained planes *)
@@ -420,6 +423,17 @@ module Parallel = struct
     Array.iter (fun k -> add cc.Compiled.ff_data.(k)) cone_ffs;
     let boundary = Array.of_list !bl in
     Array.iter (fun s -> Bytes.set ctx.mark s '\000') boundary;
+    (* The cone's plane program, written over the previous group's in the
+       context's buffer: override-carrying gates become markers that
+       [sweep] evaluates on the boxed path. *)
+    let prog_len =
+      Array.fold_left
+        (fun pos k ->
+          match ctx.ov.(k) with
+          | None -> Compiled.emit cc ctx.prog pos k
+          | Some _ -> Compiled.emit_override ctx.prog pos k)
+        0 cone_gates
+    in
     let obs =
       Array.of_list
         (List.filter
@@ -427,7 +441,7 @@ module Parallel = struct
            (Array.to_list obs_all))
     in
     { w; full; stems0 = Array.of_list !stems0_l; ff_ov = !ff_ov;
-      cone_gates; cone_ffs; boundary; obs }
+      cone_gates; prog_len; cone_ffs; boundary; obs }
 
   let drop_group ctx g =
     Array.iter
@@ -448,8 +462,9 @@ module Parallel = struct
      ones/zeros planes of a slot with no maintained planes — the shared
      good trace row here, the packed good planes in the pattern path.
      They are only called on the precomputed read boundary, materialized
-     into the plane arrays up front; the gate loop itself runs on direct
-     array indexing with no closure call per fanin. *)
+     into the plane arrays up front, so the cone's plane program
+     ([make_group]) runs on direct array loads with no closure call per
+     fanin. *)
   let sweep ctx g ~g1 ~g0 =
     let cc = ctx.cc in
     let ones = ctx.ones and zeros = ctx.zeros in
@@ -471,33 +486,26 @@ module Parallel = struct
         ones.(s) <- (b1 land keep) lor m1;
         zeros.(s) <- (b0 land keep) lor m0)
       g.stems0;
-    let res1 = ref 0 and res0 = ref 0 in
-    let ng = Array.length g.cone_gates in
-    for j = 0 to ng - 1 do
-      let k = Array.unsafe_get g.cone_gates j in
-      (match Array.unsafe_get ctx.ov k with
-       | None ->
-         Compiled.Planes.eval_gate_into cc ~full ~ones ~zeros k ~res1 ~res0
-       | Some o ->
-         (* Rare: a gate carrying stem/branch overrides takes the boxed
-            path. *)
-         let fanin = cc.Compiled.fanin in
-         let read i =
-           let f = Array.unsafe_get fanin i in
-           List.fold_left
-             (fun acc (idx, m1, m0) ->
-               if idx = i then merge ~m1 ~m0 acc else acc)
-             (Array.unsafe_get ones f, Array.unsafe_get zeros f)
-             o.branch
-         in
-         let v = Compiled.Planes.eval_gate_via cc ~full ~read k in
-         let v1, v0 = merge ~m1:o.stem_m1 ~m0:o.stem_m0 v in
-         res1 := v1;
-         res0 := v0);
-      let s = cc.Compiled.n_level0 + k in
-      Array.unsafe_set ones s !res1;
-      Array.unsafe_set zeros s !res0
-    done
+    (* Rare: a gate carrying stem/branch overrides takes the boxed
+       path. *)
+    let override k =
+      let o = Option.get (Array.unsafe_get ctx.ov k) in
+      let fanin = cc.Compiled.fanin in
+      let read i =
+        let f = Array.unsafe_get fanin i in
+        List.fold_left
+          (fun acc (idx, m1, m0) ->
+            if idx = i then merge ~m1 ~m0 acc else acc)
+          (Array.unsafe_get ones f, Array.unsafe_get zeros f)
+          o.branch
+      in
+      let v = Compiled.Planes.eval_gate_via cc ~full ~read k in
+      let v1, v0 = merge ~m1:o.stem_m1 ~m0:o.stem_m0 v in
+      let s = Compiled.gate_slot cc k in
+      ones.(s) <- v1;
+      zeros.(s) <- v0
+    in
+    Compiled.Planes.run ctx.prog ~len:g.prog_len ~full ~ones ~zeros ~override
 
   (* Clock the cone flip-flops: latch all, apply branch overrides, then
      publish simultaneously. Unmaintained data slots are in the read

@@ -45,6 +45,7 @@ type t = {
   fanout_off : int array;
   fanout : int array;
   init : Bytes.t;
+  plane_prog : int array;
 }
 
 let opcode = function
@@ -59,6 +60,35 @@ let opcode = function
 
 let gate_slot cc k = cc.n_level0 + k
 let slot_gate cc s = if s >= cc.n_level0 then s - cc.n_level0 else -1
+
+(* ---- plane programs --------------------------------------------------- *)
+
+(* The bit-plane kernel runs a flat int program: per gate, in sweep
+   order, [op; dst; n; fanin_1 .. fanin_n] with [op] the base function
+   shifted left once (AND 0, OR 2, XOR 4) plus the inversion bit — a BUF
+   is a one-input AND, a NOT a one-input NAND — [dst] the output slot and
+   the fanins as slot ids. A gate the caller evaluates itself (the fault
+   simulator's override-carrying gates) is written as the two words
+   [op_override; k] instead. No gate needs more than [3 + n] words, so
+   [program_words] bounds any program over a subset of the gates. *)
+let op_override = 8
+
+let program_words cc = (3 * cc.n_gates) + cc.fanin_off.(cc.n_gates)
+
+let emit cc prog pos k =
+  let o = cc.fanin_off.(k) in
+  let n = cc.fanin_off.(k + 1) - o in
+  let op = cc.gate_op.(k) in
+  prog.(pos) <- (if op >= 6 then op - 6 else op);
+  prog.(pos + 1) <- cc.n_level0 + k;
+  prog.(pos + 2) <- n;
+  Array.blit cc.fanin o prog (pos + 3) n;
+  pos + 3 + n
+
+let emit_override prog pos k =
+  prog.(pos) <- op_override;
+  prog.(pos + 1) <- k;
+  pos + 2
 
 let of_circuit (c : Circuit.t) =
   let n = Circuit.num_nets c in
@@ -155,24 +185,34 @@ let of_circuit (c : Circuit.t) =
       | Circuit.Const v -> Bytes.set init perm.(i) (Char.chr (V3b.of_v3 v))
       | Circuit.Input | Circuit.Gate _ | Circuit.Dff _ -> ())
     nodes;
-  {
-    circuit = c;
-    n_slots = n;
-    n_level0;
-    n_gates;
-    perm;
-    net_of;
-    gate_op;
-    fanin_off;
-    fanin;
-    n_ffs;
-    ff_slot;
-    ff_data;
-    ff_of_slot;
-    fanout_off;
-    fanout;
-    init;
-  }
+  let cc =
+    {
+      circuit = c;
+      n_slots = n;
+      n_level0;
+      n_gates;
+      perm;
+      net_of;
+      gate_op;
+      fanin_off;
+      fanin;
+      n_ffs;
+      ff_slot;
+      ff_data;
+      ff_of_slot;
+      fanout_off;
+      fanout;
+      init;
+      plane_prog = [||];
+    }
+  in
+  (* The whole-netlist plane program, in gate (= levelized) order. *)
+  let prog = Array.make (program_words cc) 0 in
+  let len = ref 0 in
+  for k = 0 to n_gates - 1 do
+    len := emit cc prog !len k
+  done;
+  { cc with plane_prog = prog }
 
 (* ---- stimuli ----------------------------------------------------------- *)
 
@@ -340,14 +380,9 @@ module Planes = struct
     if code = V3b.one then pv.ones.(s) <- pv.ones.(s) lor bit
     else if code = V3b.zero then pv.zeros.(s) <- pv.zeros.(s) lor bit
 
-  let broadcast pv code =
-    if code = V3b.one then (pv.full, 0)
-    else if code = V3b.zero then (0, pv.full)
-    else (0, 0)
-
   (* Plane evaluation of gate [k] reading fanins through [read]
-     (pool index -> (ones, zeros)); shared by the full sweep here and the
-     cone-clipped group kernel in [Fst_fsim]. *)
+     (pool index -> (ones, zeros)): the boxed path the fault simulator
+     takes on its rare override-carrying gates. *)
   let eval_gate_via cc ~full ~read k =
     let o = cc.fanin_off.(k) and o_hi = cc.fanin_off.(k + 1) in
     match cc.gate_op.(k) with
@@ -382,84 +417,64 @@ module Planes = struct
       let po, pz = read o in
       (pz, po)
 
-  (* Allocation-free direct variant of [eval_gate_via] for hot sweeps:
-     fanin planes are read straight out of the full-length [ones]/[zeros]
-     slot arrays — no reader closure per fanin (an indirect call the
-     compiler cannot inline) and no tuple per read (a minor-heap block
-     each). Cone-clipped callers materialize the cone's out-of-cone
-     boundary slots into the arrays once per cycle first, which is what
-     lets every fanin read collapse to two array loads. *)
-  let eval_gate_into cc ~full ~ones ~zeros k ~res1 ~res0 =
-    let fanin = cc.fanin in
-    let o = cc.fanin_off.(k) and o_hi = cc.fanin_off.(k + 1) in
-    match cc.gate_op.(k) with
-    | 0 | 1 ->
-      let one = ref full and zero = ref 0 in
-      for i = o to o_hi - 1 do
-        let f = Array.unsafe_get fanin i in
-        one := !one land Array.unsafe_get ones f;
-        zero := !zero lor Array.unsafe_get zeros f
-      done;
-      if cc.gate_op.(k) = 0 then begin
-        res1 := !one;
-        res0 := !zero
+  (* Runs the first [len] words of a plane program (see [emit]) over the
+     slot planes [ones]/[zeros]; [override k] evaluates a gate written
+     with [emit_override]. The loop reads nothing but the program and
+     the planes. *)
+  let run prog ~len ~full ~ones ~zeros ~override =
+    let pc = ref 0 in
+    while !pc < len do
+      let p = !pc in
+      let op = Array.unsafe_get prog p in
+      if op = op_override then begin
+        override (Array.unsafe_get prog (p + 1));
+        pc := p + 2
       end
       else begin
-        res1 := !zero;
-        res0 := !one
+        let dst = Array.unsafe_get prog (p + 1) in
+        let lo = p + 3 in
+        let hi = lo + Array.unsafe_get prog (p + 2) in
+        let one = ref 0 and zero = ref 0 in
+        (match op lsr 1 with
+         | 0 ->
+           one := full;
+           for i = lo to hi - 1 do
+             let f = Array.unsafe_get prog i in
+             one := !one land Array.unsafe_get ones f;
+             zero := !zero lor Array.unsafe_get zeros f
+           done
+         | 1 ->
+           zero := full;
+           for i = lo to hi - 1 do
+             let f = Array.unsafe_get prog i in
+             one := !one lor Array.unsafe_get ones f;
+             zero := !zero land Array.unsafe_get zeros f
+           done
+         | _ ->
+           zero := full;
+           for i = lo to hi - 1 do
+             let f = Array.unsafe_get prog i in
+             let po = Array.unsafe_get ones f
+             and pz = Array.unsafe_get zeros f in
+             let o' = (!one land pz) lor (!zero land po) in
+             zero := (!one land po) lor (!zero land pz);
+             one := o'
+           done);
+        if op land 1 = 0 then begin
+          Array.unsafe_set ones dst !one;
+          Array.unsafe_set zeros dst !zero
+        end
+        else begin
+          Array.unsafe_set ones dst !zero;
+          Array.unsafe_set zeros dst !one
+        end;
+        pc := hi
       end
-    | 2 | 3 ->
-      let one = ref 0 and zero = ref full in
-      for i = o to o_hi - 1 do
-        let f = Array.unsafe_get fanin i in
-        one := !one lor Array.unsafe_get ones f;
-        zero := !zero land Array.unsafe_get zeros f
-      done;
-      if cc.gate_op.(k) = 2 then begin
-        res1 := !one;
-        res0 := !zero
-      end
-      else begin
-        res1 := !zero;
-        res0 := !one
-      end
-    | 4 | 5 ->
-      let one = ref 0 and zero = ref full in
-      for i = o to o_hi - 1 do
-        let f = Array.unsafe_get fanin i in
-        let po = Array.unsafe_get ones f
-        and pz = Array.unsafe_get zeros f in
-        let o' = (!one land pz) lor (!zero land po) in
-        let z' = (!one land po) lor (!zero land pz) in
-        one := o';
-        zero := z'
-      done;
-      if cc.gate_op.(k) = 4 then begin
-        res1 := !one;
-        res0 := !zero
-      end
-      else begin
-        res1 := !zero;
-        res0 := !one
-      end
-    | 6 ->
-      let f = Array.unsafe_get fanin o in
-      res1 := Array.unsafe_get ones f;
-      res0 := Array.unsafe_get zeros f
-    | _ ->
-      let f = Array.unsafe_get fanin o in
-      res1 := Array.unsafe_get zeros f;
-      res0 := Array.unsafe_get ones f
+    done
 
   let eval cc pv =
-    let ones = pv.ones and zeros = pv.zeros in
-    let res1 = ref 0 and res0 = ref 0 in
-    for k = 0 to cc.n_gates - 1 do
-      eval_gate_into cc ~full:pv.full ~ones ~zeros k ~res1 ~res0;
-      let s = cc.n_level0 + k in
-      Array.unsafe_set ones s !res1;
-      Array.unsafe_set zeros s !res0
-    done
+    run cc.plane_prog ~len:(Array.length cc.plane_prog) ~full:pv.full
+      ~ones:pv.ones ~zeros:pv.zeros ~override:(fun _ -> assert false)
 
   let clock cc pv ~l1 ~l0 =
     let data = cc.ff_data and slot = cc.ff_slot in

@@ -13,7 +13,13 @@
     Every value vector has length [n_slots + 1]: the spare slot [n_slots]
     is caller-owned scratch (the fault simulator stores a stuck constant
     there and redirects one fanin pool entry at it to model a branch
-    fault). *)
+    fault).
+
+    The bit-plane kernel ({!Planes}) runs a flat {e plane program}: per
+    gate, in sweep order, the words [op; dst; n; fanin_1 .. fanin_n]. A
+    whole-netlist program is built once here ([plane_prog]); the fault
+    simulator writes the program of each fault group's cone into a
+    buffer of its own with {!emit}. *)
 
 open Fst_logic
 open Fst_netlist
@@ -39,6 +45,8 @@ type t = private {
   fanout : int array;  (** flattened consumer slots of all slots *)
   init : Bytes.t;
       (** power-on vector: constants set, everything else [V3b.x] *)
+  plane_prog : int array;
+      (** every gate's plane instruction ({!emit}), in gate order *)
 }
 
 val of_circuit : Circuit.t -> t
@@ -101,6 +109,27 @@ val trace : t -> cstim -> Bytes.t array
     machine under a fault whose effect enters at [seeds]. *)
 val cone_slots : t -> seeds:int array -> int array
 
+(** {2 Plane programs}
+
+    One instruction per gate: [op; dst; n; fanin_1 .. fanin_n], where
+    [op] is the base function times two (AND 0, OR 2, XOR 4) plus the
+    output inversion bit (a BUF is written as a one-input AND, a NOT as a
+    one-input NAND), [dst] the gate's output slot and the fanins slot
+    ids. A gate the caller evaluates itself is written as a two-word
+    marker instead ({!emit_override}). *)
+
+(** An upper bound on the words of any program over the gates of the
+    circuit, each at most once: [3 * n_gates] plus the fanin pool. *)
+val program_words : t -> int
+
+(** [emit cc prog pos k] writes gate [k]'s instruction at [prog.(pos)]
+    and returns the position after it. *)
+val emit : t -> int array -> int -> int -> int
+
+(** [emit_override prog pos k] writes the two-word marker of gate [k]
+    and returns the position after it. *)
+val emit_override : int array -> int -> int -> int
+
 (** {2 Bit-plane kernel}
 
     Word-level three-valued planes for packed simulation: per slot, bit
@@ -113,10 +142,6 @@ module Planes : sig
   val make : t -> lanes:int -> vec
   val set_lane : vec -> int -> V3b.code -> bit:int -> unit
 
-  (** [broadcast pv code] is the [(ones, zeros)] word pair of [code]
-      replicated across all lanes. *)
-  val broadcast : vec -> V3b.code -> int * int
-
   (** [eval_gate_via cc ~full ~read k] evaluates gate [k] on planes,
       reading fanin pool index [i] through [read i = (ones, zeros)].
       Used on the rare override-carrying gates of the cone-clipped
@@ -124,24 +149,22 @@ module Planes : sig
   val eval_gate_via :
     t -> full:int -> read:(int -> int * int) -> int -> int * int
 
-  (** Allocation-free direct variant for hot sweeps: gate [k]'s fanin
-      planes are read straight out of the full-length (>= [n_slots + 1])
-      [ones]/[zeros] slot arrays and the result planes land in
-      [res1]/[res0]. The reader closure above costs an uninlinable
-      indirect call plus a boxed pair per fanin read; this one is two
-      array loads. Cone-clipped callers must materialize every
-      out-of-cone slot the gate reads into the arrays first. *)
-  val eval_gate_into :
-    t ->
+  (** [run prog ~len ~full ~ones ~zeros ~override] executes the first
+      [len] words of a plane program in order, reading and writing the
+      slot planes [ones]/[zeros] (length >= [n_slots + 1]); [full] is
+      the all-lanes mask. The marker of gate [k] calls [override k],
+      which must write gate [k]'s output planes itself. Every slot the
+      program reads must hold its planes before the call. *)
+  val run :
+    int array ->
+    len:int ->
     full:int ->
     ones:int array ->
     zeros:int array ->
-    int ->
-    res1:int ref ->
-    res0:int ref ->
+    override:(int -> unit) ->
     unit
 
-  (** Full-netlist plane settle (no faults). *)
+  (** Full-netlist plane settle (no faults): runs [plane_prog]. *)
   val eval : t -> vec -> unit
 
   (** Plane clock; [l1]/[l0] are caller scratch of length >= [n_ffs]. *)

@@ -110,9 +110,13 @@ let find_substring ~needle hay =
 
 let contains_substring ~needle hay = find_substring ~needle hay <> None
 
-(* dune runs the suite from _build/default/test; the test stanza depends
-   on the executable, so it is built before the suite starts. *)
-let fst_exe = Filename.concat (Filename.concat ".." "bin") "fst.exe"
+(* The suite runs as _build/default/test/main.exe and the test stanza
+   depends on _build/default/bin/fst.exe, so it is built first. The path
+   is taken from the suite's own executable, not from the working
+   directory, so the suite can run from anywhere. *)
+let fst_exe =
+  let build = Filename.dirname (Filename.dirname Sys.executable_name) in
+  Filename.concat (Filename.concat build "bin") "fst.exe"
 
 (* Run the [fst] executable with [args], returning the exit code and
    everything it wrote to stdout and to stderr. *)

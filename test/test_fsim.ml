@@ -253,6 +253,113 @@ let test_dropping_branch_counts_chunks () =
          = serial))
     [ (62, true); (63, false) ]
 
+(* One [Parallel] context runs the groups of a call one after another,
+   each over the previous group's program buffer and override table. The
+   fault list is built so that the groups have different cones and the
+   middle one carries overrides where they are hardest: 62 faults whose
+   cone seeds are level-0 stems (group 1), then 62 faults on a random
+   multi-input gate [g0] and on the first and last gates of its cone —
+   stem and branch faults of both polarities, [g0]'s repeated over
+   several lanes — so the cone program starts and ends with an override
+   marker (group 2), then faults seeded past that cone (group 3). Every
+   operation must give the [Serial] answer and the answer of one fresh
+   context per group. *)
+let override_workload seed =
+  let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 seed in
+  let cc = Fst_sim.Compiled.of_circuit c in
+  let rng = Fst_gen.Rng.create (Int64.add seed 11L) in
+  let slot f = cc.Fst_sim.Compiled.perm.(Fault.seed f) in
+  let gate_pins n =
+    match c.Circuit.nodes.(n) with
+    | Circuit.Gate (_, fi) -> Array.length fi
+    | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> 0
+  in
+  let multi =
+    Array.of_list
+      (List.filter
+         (fun n -> gate_pins n >= 2)
+         (List.init (Circuit.num_nets c) (fun n -> n)))
+  in
+  let g0 = Fst_gen.Rng.pick rng multi in
+  let cone_gates =
+    List.filter
+      (fun s -> Fst_sim.Compiled.slot_gate cc s >= 0)
+      (Array.to_list
+         (Fst_sim.Compiled.cone_slots cc
+            ~seeds:[| cc.Fst_sim.Compiled.perm.(g0) |]))
+  in
+  let net_of s = cc.Fst_sim.Compiled.net_of.(s) in
+  let first = net_of (List.hd cone_gates)
+  and last = net_of (List.nth cone_gates (List.length cone_gates - 1)) in
+  let on_gate n =
+    List.concat_map
+      (fun stuck ->
+        { Fault.site = Fault.Stem n; stuck }
+        :: List.init (gate_pins n) (fun pin ->
+               { Fault.site = Fault.Branch { node = n; pin }; stuck }))
+      [ false; true ]
+  in
+  let cycle_to k l = Array.init k (fun i -> List.nth l (i mod List.length l)) in
+  let specials =
+    Array.append
+      (Array.of_list (on_gate first @ on_gate last))
+      (cycle_to 62 (on_gate g0))
+  in
+  let specials = Array.sub specials 0 62 in
+  let universe = Fault.universe c in
+  let stems0 =
+    List.filter
+      (fun f ->
+        Fst_sim.Compiled.slot_gate cc (slot f) < 0
+        && match f.Fault.site with Fault.Stem _ -> true | Fault.Branch _ -> false)
+      (Array.to_list universe)
+  in
+  let above =
+    List.filter (fun f -> slot f > slot (List.hd (on_gate last)))
+      (Array.to_list universe)
+  in
+  let groups =
+    [ cycle_to 62 stems0; specials;
+      Array.of_list (List.filteri (fun i _ -> i < 40) above) ]
+  in
+  (c, groups, List.init 3 (fun _ -> random_block rng c))
+
+let prop_ctx_reuse_across_groups =
+  Q.Test.make ~name:"one context over consecutive override groups" ~count:12
+    (Q.map Int64.of_int (Q.int_bound 100000))
+    (fun seed ->
+      let c, groups, stimuli = override_workload seed in
+      let faults = Array.concat groups in
+      let observe = c.Circuit.outputs in
+      let stim = List.hd stimuli and one_block = [ List.hd stimuli ] in
+      (* A fresh context per group: one call per group. One block keeps
+         [detect_dropping] on the fault-grouped path. *)
+      let per_group f = Array.concat (List.map f groups) in
+      let all = Fsim.Serial.detect_all c ~faults ~observe stim in
+      let grouped =
+        Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli:one_block
+      in
+      let packed = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
+      (not (Fsim.Parallel.packs c ~faults ~stimuli:one_block))
+      && all = Fsim.Parallel.detect_all c ~faults ~observe stim
+      && all
+         = per_group (fun faults ->
+               Fsim.Parallel.detect_all c ~faults ~observe stim)
+      && grouped
+         = Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli:one_block
+      && grouped
+         = per_group (fun faults ->
+               Fsim.Parallel.detect_dropping c ~faults ~observe
+                 ~stimuli:one_block)
+      && packed
+         = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli
+      && packed
+         = Array.map
+             (fun f ->
+               (Fsim.Parallel.detect_dropping_packed c ~faults:[| f |]
+                  ~observe ~stimuli).(0))
+             faults)
+
 let test_detect_dropping_blocks () =
   let c, si, en, ff0, _g, _ff1 = small_chain () in
   let faults =
@@ -285,6 +392,7 @@ let suite =
     Helpers.qcheck prop_cone_soundness;
     Helpers.qcheck prop_jobs_invariant;
     Helpers.qcheck prop_packed_dropping_agrees;
+    Helpers.qcheck prop_ctx_reuse_across_groups;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;
     Alcotest.test_case "dropping branch counts block chunks" `Quick
       test_dropping_branch_counts_chunks;

@@ -324,7 +324,9 @@ let test_live_sink_is_pure_observer () =
     (Helpers.contains_substring ~needle:"\"kind\":\"phase_start\""
        (Buffer.contents buf))
 
-(* Step 3's model-build and search seconds reach the sink as fcounters. *)
+(* Step 3's model-build and search seconds reach the sink as fcounters,
+   and its model count as a counter: at least one model, and no more
+   than one per search run, since a group's targets share theirs. *)
 let test_seq_seconds_in_sink () =
   let scanned, config = scan_small 1L in
   let metrics = M.create () in
@@ -344,7 +346,10 @@ let test_seq_seconds_in_sink () =
   Alcotest.(check bool) "build seconds recorded" true
     (seconds "atpg.seq.build_s" > 0.0);
   Alcotest.(check bool) "search seconds recorded" true
-    (seconds "atpg.seq.search_s" > 0.0)
+    (seconds "atpg.seq.search_s" > 0.0);
+  let models = M.Counter.value (M.counter metrics "atpg.seq.models") in
+  Alcotest.(check bool) "models counted" true
+    (models > 0 && models <= r.Flow.atpg.Flow.seq_runs)
 
 (* A traced flow splits every fault-simulation engine call into its
    good-trace and simulation layers: one [fsim.trace] and one

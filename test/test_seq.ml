@@ -80,6 +80,71 @@ let prop_seq_tests_are_real =
          budgets are small here.) *)
       !confirmed = !checked)
 
+(* Models shared through a memo are only read, so every search over
+   them is the search over freshly built ones: on random scan chains,
+   random per-chain bounds and random frame lists within 1-4, each
+   collapsed fault gets the same result, test, backtracks and stop
+   reasons either way, and the shared memo builds each frame count once. *)
+let prop_memo_matches_fresh_builds =
+  Q.Test.make ~name:"a shared model memo gives the fresh-build search"
+    ~count:6
+    (Q.map Int64.of_int (Q.int_bound 1000000))
+    (fun seed ->
+      let scanned, config = scan_small ~gates:60 ~ffs:6 seed in
+      let rng = Fst_gen.Rng.create (Int64.add seed 5L) in
+      let bounds =
+        List.filter_map
+          (fun ch ->
+            let len = Array.length ch.Scan.ffs in
+            if Fst_gen.Rng.bool rng then None
+            else
+              Some
+                ( ch.Scan.index,
+                  (Fst_gen.Rng.int rng (len + 1), Fst_gen.Rng.int rng (len + 1))
+                ))
+          (Array.to_list config.Scan.chains)
+      in
+      let position = Hashtbl.create 16 in
+      Array.iter
+        (fun ch ->
+          Array.iteri
+            (fun pos ff -> Hashtbl.replace position ff (ch.Scan.index, pos))
+            ch.Scan.ffs)
+        config.Scan.chains;
+      let within pick ff =
+        match Hashtbl.find_opt position ff with
+        | None -> false
+        | Some (chain, pos) -> (
+          match List.assoc_opt chain bounds with
+          | None -> true
+          | Some b -> pick b pos)
+      in
+      let frames_list =
+        List.init (1 + Fst_gen.Rng.int rng 3) (fun _ ->
+            1 + Fst_gen.Rng.int rng 4)
+      in
+      let memo = Seq.memo () in
+      let run ?memo fault =
+        Seq.run ?memo scanned ~constraints:config.Scan.constraints
+          ~controllable_ff:(within (fun (m, _) pos -> pos < m))
+          ~observable_ff:(within (fun (_, o) pos -> pos >= o))
+          ~fault ~frames_list ~backtrack_limit:30
+      in
+      let built = ref 0 in
+      let same =
+        Array.for_all
+          (fun fault ->
+            let r, s = run ~memo fault and r', s' = run fault in
+            built := !built + s.Seq.models_built;
+            r = r'
+            && s.Seq.runs = s'.Seq.runs
+            && s.Seq.backtracks = s'.Seq.backtracks
+            && s.Seq.stops = s'.Seq.stops
+            && s'.Seq.models_built = s'.Seq.runs)
+          (Fault.collapse scanned (Fault.universe scanned))
+      in
+      same && !built <= List.length (List.sort_uniq compare frames_list))
+
 let test_seq_finds_shift_register_fault () =
   (* In a plain shift register scanned by TPI, any chain fault has an easy
      sequential test when the whole chain is controllable/observable. *)
@@ -133,6 +198,7 @@ let test_deadline_aborts () =
 let suite =
   [
     Helpers.qcheck prop_seq_tests_are_real;
+    Helpers.qcheck prop_memo_matches_fresh_builds;
     Alcotest.test_case "shift-register fault" `Quick test_seq_finds_shift_register_fault;
     Alcotest.test_case "deadline aborts" `Quick test_deadline_aborts;
   ]
