@@ -672,14 +672,28 @@ let fsim_workload prep =
 
 let fsim_gate () =
   let module F = Fst_fsim.Fsim in
-  (* Each timed run starts from a settled heap, so a major GC slice owed
-     by the previous run's allocation is not billed to the next one (at
-     smoke scale a run takes well under a millisecond). *)
-  let wall f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  (* [race a b] times [a] and [b] alternately, [repeats] times each, and
+     judges each by its fastest run: at smoke scale a run takes well under
+     a millisecond, so one reading is at the mercy of whatever else the
+     host is doing, and alternating spreads a busy spell over both sides.
+     Each timed run starts from a settled heap, so a major GC slice owed
+     by the previous run's allocation is not billed to the next one. *)
+  let repeats = 5 in
+  let race a b =
+    let wall f =
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      (r, Unix.gettimeofday () -. t0)
+    in
+    let ra, ta = wall a in
+    let rb, tb = wall b in
+    let best_a = ref ta and best_b = ref tb in
+    for _ = 2 to repeats do
+      best_a := Float.min !best_a (snd (wall a));
+      best_b := Float.min !best_b (snd (wall b))
+    done;
+    (ra, !best_a, rb, !best_b)
   in
   let errors =
     List.concat_map
@@ -696,12 +710,12 @@ let fsim_gate () =
         in
         let stimuli = fsim_workload prep in
         let observe = prep.scanned.Circuit.outputs in
-        let one (module E : F.ENGINE) =
-          wall (fun () ->
-              E.detect_dropping prep.scanned ~faults ~observe ~stimuli)
+        let one (module E : F.ENGINE) () =
+          E.detect_dropping prep.scanned ~faults ~observe ~stimuli
         in
-        let rs, serial_s = one (module F.Serial) in
-        let rp, parallel_s = one (module F.Parallel) in
+        let rs, serial_s, rp, parallel_s =
+          race (one (module F.Serial)) (one (module F.Parallel))
+        in
         Printf.printf
           "fsim gate %-8s %3d faults  serial %.6fs  parallel %.6fs\n" name
           (Array.length faults) serial_s parallel_s;

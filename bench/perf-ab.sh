@@ -16,9 +16,10 @@
 # the rule the benchmark uses: wins in at least nine tenths of the
 # pairs, and medians further apart than the parent's interquartile
 # range. Last, one `--trace 1` seed-1 run per side prints its step-2
-# fault-simulation and step-3 shares of the flow time and whether it
-# passed: a traced run that breaks the workload's phase-share guard
-# reads correct=0.
+# fault-simulation and step-3 shares of the flow time (on serve-mix also
+# the median cache-hit latency and the p99 latency over all requests)
+# and whether it passed: a traced run that breaks the workload's
+# phase-share guard reads correct=0.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -142,15 +143,21 @@ traced() {
     *'"correct":true'*) ok=1 ;;
     *) ok=0 ;;
   esac
+  serve=
+  if [ "$workload" = serve-mix ]; then
+    serve=" serve.hit_p50_ms=$(num "$line" serve.hit_p50_ms %.2f)"
+    serve="$serve serve.latency_p99_ms=$(num "$line" serve.latency_p99_ms)"
+  fi
   echo "traced seed 1 $1" \
-    "step2-fsim_pct=$(pct "$line" flow.step2-fsim_pct)" \
-    "step3_pct=$(pct "$line" flow.step3_pct) correct=$ok"
+    "step2-fsim_pct=$(num "$line" flow.step2-fsim_pct)" \
+    "step3_pct=$(num "$line" flow.step3_pct)$serve correct=$ok"
 }
-# pct LINE NAME: metric NAME of a result line, to one decimal.
-pct() {
+# num LINE NAME [FORMAT]: metric NAME of a result line, printed with
+# FORMAT (default one decimal).
+num() {
   printf '%s\n' "$1" |
     sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" |
-    awk '{ printf "%.1f", $1 }'
+    awk -v f="${3:-%.1f}" '{ printf f, $1 }'
 }
 traced parent "$parent_dir"
 traced change "$root"

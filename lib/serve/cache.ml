@@ -1,10 +1,13 @@
 module Json = Fst_obs.Json
+module Netfile = Fst_netlist.Netfile
 
-type entry = { value : Json.t; mutable used : int }
+type entry = { value : string; mutable used : int }
 
 type t = {
   lock : Mutex.t;
-  table : (string, entry) Hashtbl.t;
+  table : (string, entry) Hashtbl.t;  (* key -> payload JSON text *)
+  texts : (string, entry) Hashtbl.t;
+      (* MD5 of (name, netlist text) -> netlist_hash of its parse *)
   dir : string option;
   max_entries : int;
   mutable tick : int;  (* LRU clock: bumped on every hit and insert *)
@@ -16,6 +19,7 @@ type t = {
 
 type stats = {
   entries : int;
+  texts : int;
   hits : int;
   misses : int;
   inserts : int;
@@ -30,6 +34,7 @@ let create ?dir ?(max_entries = 512) () =
   {
     lock = Mutex.create ();
     table = Hashtbl.create 64;
+    texts = Hashtbl.create 64;
     dir;
     max_entries = max 1 max_entries;
     tick = 0;
@@ -40,7 +45,7 @@ let create ?dir ?(max_entries = 512) () =
   }
 
 let netlist_hash circuit =
-  Digest.to_hex (Digest.string (Fst_netlist.Netfile.to_string circuit))
+  Digest.to_hex (Digest.string (Netfile.to_string circuit))
 
 let key ~kind ~netlist ~chains ~config_fp =
   Digest.to_hex
@@ -53,25 +58,64 @@ let locked t f =
 
 let disk_path t k = Option.map (fun d -> Filename.concat d (k ^ ".json")) t.dir
 
-(* Evict the least-recently-used entries until the map fits. O(n) scan
-   per eviction; the map is small (hundreds of reports). *)
-let evict_to_fit t =
-  while Hashtbl.length t.table > t.max_entries do
+let touch t e =
+  t.tick <- t.tick + 1;
+  e.used <- t.tick
+
+let insert t table k v =
+  t.tick <- t.tick + 1;
+  Hashtbl.replace table k { value = v; used = t.tick }
+
+(* Evict the least-recently-used entries of [table] until it fits, and
+   return how many went. O(n) scan per eviction; the map is small
+   (hundreds of reports). *)
+let evict_to_fit t table =
+  let evicted = ref 0 in
+  while Hashtbl.length table > t.max_entries do
     let victim =
       Hashtbl.fold
         (fun k e acc ->
           match acc with
           | Some (_, used) when used <= e.used -> acc
           | _ -> Some (k, e.used))
-        t.table None
+        table None
     in
     match victim with
     | Some (k, _) ->
-      Hashtbl.remove t.table k;
-      t.evictions <- t.evictions + 1
+      Hashtbl.remove table k;
+      incr evicted
     | None -> ()
-  done
+  done;
+  !evicted
 
+(* The text's 16-byte digest leads, so no (name, text) pair spells
+   another, and the text itself is never copied. *)
+let text_digest ~name text = Digest.string (Digest.string text ^ name)
+
+let netlist_key t ~name text =
+  let d = text_digest ~name text in
+  let known =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.texts d with
+        | Some e ->
+          touch t e;
+          Some e.value
+        | None -> None)
+  in
+  match known with
+  | Some h -> (h, lazy (Netfile.parse_string ~name text))
+  | None ->
+    (* Parsed outside the lock; a text that raises is never recorded. *)
+    let circuit = Netfile.parse_string ~name text in
+    let h = netlist_hash circuit in
+    locked t (fun () ->
+        insert t t.texts d h;
+        ignore (evict_to_fit t t.texts));
+    (h, Lazy.from_val circuit)
+
+(* A disk copy is parsed once before it is served, so a corrupt or
+   truncated file is a miss, and served as its compact rendering, so a
+   hand-edited file cannot put a newline into a result frame. *)
 let read_disk path =
   match open_in_bin path with
   | exception Sys_error _ -> None
@@ -82,23 +126,22 @@ let read_disk path =
         (fun () -> really_input_string ic (in_channel_length ic))
     in
     (match Json.of_string text with
-     | j -> Some j
+     | j -> Some (Json.to_string j)
      | exception Json.Parse_error _ -> None)
 
-let write_disk path v =
+let write_disk path text =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Json.to_channel oc v);
+    (fun () -> output_string oc text);
   Sys.rename tmp path
 
 let find t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
       | Some e ->
-        t.tick <- t.tick + 1;
-        e.used <- t.tick;
+        touch t e;
         t.hits <- t.hits + 1;
         Some e.value
       | None -> (
@@ -107,9 +150,8 @@ let find t k =
            persistence across restarts. *)
         match Option.map read_disk (disk_path t k) with
         | Some (Some v) ->
-          t.tick <- t.tick + 1;
-          Hashtbl.replace t.table k { value = v; used = t.tick };
-          evict_to_fit t;
+          insert t t.table k v;
+          t.evictions <- t.evictions + evict_to_fit t t.table;
           t.hits <- t.hits + 1;
           Some v
         | _ ->
@@ -118,10 +160,9 @@ let find t k =
 
 let add t k v =
   locked t (fun () ->
-      t.tick <- t.tick + 1;
-      Hashtbl.replace t.table k { value = v; used = t.tick };
+      insert t t.table k v;
       t.inserts <- t.inserts + 1;
-      evict_to_fit t;
+      t.evictions <- t.evictions + evict_to_fit t t.table;
       match disk_path t k with
       | Some path -> ( try write_disk path v with Sys_error _ -> ())
       | None -> ())
@@ -130,6 +171,7 @@ let stats t =
   locked t (fun () ->
       {
         entries = Hashtbl.length t.table;
+        texts = Hashtbl.length t.texts;
         hits = t.hits;
         misses = t.misses;
         inserts = t.inserts;
@@ -140,6 +182,7 @@ let stats_to_json s =
   Json.Obj
     [
       ("entries", Json.Int s.entries);
+      ("texts", Json.Int s.texts);
       ("hits", Json.Int s.hits);
       ("misses", Json.Int s.misses);
       ("inserts", Json.Int s.inserts);

@@ -254,15 +254,17 @@ let heartbeat ~job ~state ~elapsed_s =
     ]
 
 let result ~job ~job_kind ~cached ~elapsed_s ~payload =
-  Json.Obj
-    [
-      ("kind", Json.String "result");
-      ("job", Json.String job);
-      ("job_kind", Json.String (job_kind_to_string job_kind));
-      ("cached", Json.Bool cached);
-      ("elapsed_s", Json.Float elapsed_s);
-      ("payload", payload);
-    ]
+  [
+    Printf.sprintf
+      "{\"kind\":\"result\",\"job\":%s,\"job_kind\":\"%s\",\
+       \"cached\":%b,\"elapsed_s\":%s,\"payload\":"
+      (Json.to_string (Json.String job))
+      (job_kind_to_string job_kind)
+      cached
+      (Json.to_string (Json.Float elapsed_s));
+    payload;
+    "}";
+  ]
 
 let status ~job ~state ~position =
   Json.Obj

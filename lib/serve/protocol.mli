@@ -109,8 +109,12 @@ val result :
   job_kind:job_kind ->
   cached:bool ->
   elapsed_s:float ->
-  payload:Fst_obs.Json.t ->
-  Fst_obs.Json.t
+  payload:string ->
+  string list
+(** [result ~job ~job_kind ~cached ~elapsed_s ~payload] is the [result]
+    frame as the pieces written back to back: its head, [payload] (the
+    artifact's compact JSON text, the very string passed in, not a
+    copy), and the closing brace. *)
 
 val status :
   job:string -> state:state -> position:int option -> Fst_obs.Json.t

@@ -18,28 +18,32 @@ type conn = {
   mutable alive : bool;
 }
 
-(* [still] is checked under the connection's write lock, right before the
-   frame goes out: a frame whose reason lapsed while it waited for the lock
-   is dropped. *)
-let send_line ?(still = fun () -> true) conn line =
+(* A frame is written as its pieces back to back, then a newline, so a
+   result frame's payload goes out as the cached string itself. [still]
+   is checked under the connection's write lock, right before the frame
+   goes out: a frame whose reason lapsed while it waited for the lock is
+   dropped. *)
+let send_frame ?(still = fun () -> true) conn pieces =
   Mutex.lock conn.wlock;
   (if conn.alive && still () then
      try
-       output_string conn.oc line;
+       List.iter (output_string conn.oc) pieces;
        output_char conn.oc '\n';
        flush conn.oc
      with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false);
   Mutex.unlock conn.wlock
 
-let send ?still conn json = send_line ?still conn (Json.to_string json)
+let send ?still conn json = send_frame ?still conn [ Json.to_string json ]
 
 (* --- jobs -------------------------------------------------------------- *)
 
 type job = {
   id : string;
-  submit : Protocol.submit;
+  mutable submit : Protocol.submit;  (* its netlist text is dropped once
+                                        the job has finished *)
   mutable state : Protocol.state;
-  mutable response : Json.t option;  (* the final frame, once finished *)
+  mutable response : string list option;
+      (* the final frame's pieces, once finished *)
   mutable budget : Budget.t option;  (* set while running; cancellable *)
   mutable cancel_requested : bool;
   mutable subscriber : conn option;  (* streams events when [wait] *)
@@ -58,6 +62,8 @@ type t = {
   wake : Condition.t;  (* new work, or shutdown *)
   done_c : Condition.t;  (* some job reached a terminal state *)
   jobs : (string, job) Hashtbl.t;
+  finished : string Queue.t;
+      (* ids of the finished jobs still in [jobs], oldest first *)
   tenants : (string, job Queue.t) Hashtbl.t;
   (* Fair share: tenants take strict turns. [rr] holds every tenant ever
      seen, in first-submit order; the scheduler rotates it one step per
@@ -88,6 +94,7 @@ let create ?(workers = 1) ?jobs_cap ?job_budget ?cache ?(hb_interval = 1.0)
     wake = Condition.create ();
     done_c = Condition.create ();
     jobs = Hashtbl.create 64;
+    finished = Queue.create ();
     tenants = Hashtbl.create 8;
     rr = [];
     next_id = 0;
@@ -200,33 +207,37 @@ let run_sca scanned (scancfg : Scan.config) =
   let a = Fst_sca.Sca.analyze view ~faults in
   (Fst_sca.Sca.to_json a, true)
 
-(* Runs on a worker thread. Parses, consults the cache, executes on a
-   miss, caches clean results, and builds the final response frame. *)
+let error_frame job exn =
+  [ Json.to_string (Protocol.error ~job:job.id (job_failure exn)) ]
+
+(* Runs on a worker thread. Keys the netlist (a text seen before is not
+   parsed again), consults the cache, executes on a miss, renders the
+   payload once, caches clean results, and builds the final response
+   frame around the payload text. *)
 let execute t job =
   let s = job.submit in
   let chains = max 1 s.Protocol.chains in
   match
-    let circuit = Netfile.parse_string ~name:s.Protocol.name s.Protocol.netlist in
+    let netlist, circuit =
+      Cache.netlist_key t.served_cache ~name:s.Protocol.name
+        s.Protocol.netlist
+    in
     let cfg =
       match Config.of_json s.Protocol.config with
       | Ok c -> c
       | Error e -> failwith e
     in
-    (circuit, cfg)
+    (netlist, circuit, cfg)
   with
-  | exception exn -> (Protocol.error ~job:job.id (job_failure exn), Errored)
-  | circuit, cfg -> (
+  | exception exn -> (error_frame job exn, Errored)
+  | netlist, circuit, cfg -> (
     let kind_s = Protocol.job_kind_to_string s.Protocol.kind in
     let config_fp =
       match s.Protocol.kind with
       | Protocol.Flow -> Config.fingerprint cfg
       | Protocol.Lint | Protocol.Sca -> "-"
     in
-    let key =
-      Cache.key ~kind:kind_s
-        ~netlist:(Cache.netlist_hash circuit)
-        ~chains ~config_fp
-    in
+    let key = Cache.key ~kind:kind_s ~netlist ~chains ~config_fp in
     match Cache.find t.served_cache key with
     | Some payload ->
       log_event t "cache_hit" [ ("job", Json.String job.id); ("key", Json.String key) ];
@@ -236,7 +247,7 @@ let execute t job =
         Succeeded )
     | None -> (
       match
-        match Tpi.insert_checked ~chains circuit with
+        match Tpi.insert_checked ~chains (Lazy.force circuit) with
         | Error e -> failwith (Tpi.insert_error_message e)
         | Ok (scanned, scancfg) -> (
           match s.Protocol.kind with
@@ -249,15 +260,16 @@ let execute t job =
                 Fst_obs.Sink.create
                   ~events:
                     (Events.to_callback (fun line ->
-                         send_line conn
-                           (Protocol.event_frame ~job:job.id ~line)))
+                         send_frame conn
+                           [ Protocol.event_frame ~job:job.id ~line ]))
                   ()
               | _ -> Fst_obs.Sink.null
             in
             run_flow t job sink cfg scanned scancfg)
       with
-      | exception exn -> (Protocol.error ~job:job.id (job_failure exn), Errored)
+      | exception exn -> (error_frame job exn, Errored)
       | payload, clean ->
+        let payload = Json.to_string payload in
         if clean && not job.cancel_requested then
           Cache.add t.served_cache key payload;
         let elapsed_s = Clock.now () -. job.started_at in
@@ -265,14 +277,23 @@ let execute t job =
             ~elapsed_s ~payload,
           Succeeded )))
 
+(* The daemon remembers at most this many finished jobs; [status] and
+   [result] on an older one answer [unknown job]. *)
+let max_finished_jobs = 1024
+
 let finish t job response terminal =
   let subscriber =
     locked t (fun () ->
         job.response <- Some response;
         job.state <- terminal;
         job.budget <- None;
+        job.submit <- { job.submit with Protocol.netlist = "" };
         t.completed <- t.completed + 1;
         t.running <- t.running - 1;
+        Queue.push job.id t.finished;
+        while Queue.length t.finished > max_finished_jobs do
+          Hashtbl.remove t.jobs (Queue.pop t.finished)
+        done;
         Condition.broadcast t.done_c;
         job.subscriber)
   in
@@ -282,7 +303,7 @@ let finish t job response terminal =
       ("state", Json.String (Protocol.state_to_string job.state));
     ];
   match subscriber with
-  | Some conn when job.submit.Protocol.wait -> send conn response
+  | Some conn when job.submit.Protocol.wait -> send_frame conn response
   | _ -> ()
 
 let rec worker_loop t =
@@ -305,7 +326,9 @@ let rec worker_loop t =
          cancel handler; just account and notify. *)
       t.running <- t.running + 1;
       Mutex.unlock t.lock;
-      finish t job (Protocol.error ~job:job.id "cancelled") Protocol.Cancelled;
+      finish t job
+        [ Json.to_string (Protocol.error ~job:job.id "cancelled") ]
+        Protocol.Cancelled;
       worker_loop t
     end
     else begin
@@ -428,7 +451,7 @@ let handle_result t conn id =
           job.response)
     in
     (match response with
-     | Some r -> send conn r
+     | Some r -> send_frame conn r
      | None -> send conn (Protocol.error ~job:id "cancelled"))
 
 let handle_stats t conn =

@@ -16,7 +16,14 @@
     submitted netlist + semantic config have been seen before; only
     clean, complete runs (no budget exhaustion, no quarantined or
     aborted faults, not cancelled) are inserted, so a cache hit is
-    always bit-identical to what a fresh full run would report.
+    always bit-identical to what a fresh full run would report. A hit
+    costs a digest of the submitted text and two lookups
+    ({!Cache.netlist_key}, {!Cache.find}); its result frame carries the
+    cached payload text as is.
+
+    A finished job keeps its response but not its netlist text, and the
+    daemon remembers at most 1,024 finished jobs: [status]/[result] on an
+    older one answers [unknown job].
 
     A waiting submit streams the job's flow events (phase boundaries,
     checkpoints, abort records — the {!Fst_obs.Sink} event channel) plus

@@ -71,14 +71,14 @@ let test_cache_key () =
 
 let test_cache_lru () =
   let c = Cache.create ~max_entries:2 () in
-  Cache.add c "k1" (Json.Int 1);
-  Cache.add c "k2" (Json.Int 2);
+  Cache.add c "k1" "1";
+  Cache.add c "k2" "2";
   (* Touch k1 so k2 is the least-recently-used entry. *)
   ignore (Cache.find c "k1");
-  Cache.add c "k3" (Json.Int 3);
+  Cache.add c "k3" "3";
   Alcotest.(check bool) "k2 evicted" true (Cache.find c "k2" = None);
-  Alcotest.(check bool) "k1 kept" true (Cache.find c "k1" = Some (Json.Int 1));
-  Alcotest.(check bool) "k3 kept" true (Cache.find c "k3" = Some (Json.Int 3));
+  Alcotest.(check bool) "k1 kept" true (Cache.find c "k1" = Some "1");
+  Alcotest.(check bool) "k3 kept" true (Cache.find c "k3" = Some "3");
   let s = Cache.stats c in
   Alcotest.(check int) "evictions" 1 s.Cache.evictions;
   Alcotest.(check int) "entries" 2 s.Cache.entries
@@ -92,16 +92,40 @@ let temp_dir prefix =
 let test_cache_disk () =
   let dir = temp_dir "fst-cache" in
   let c1 = Cache.create ~dir () in
-  Cache.add c1 "deadbeef" (Json.Obj [ ("x", Json.Int 42) ]);
+  Cache.add c1 "deadbeef" "{\"x\":42}";
   (* A fresh cache over the same directory starts cold in memory but
      warm on disk: the find must fall through and count as a hit. *)
   let c2 = Cache.create ~dir () in
   (match Cache.find c2 "deadbeef" with
-  | Some (Json.Obj [ ("x", Json.Int 42) ]) -> ()
+  | Some "{\"x\":42}" -> ()
   | _ -> Alcotest.fail "disk fallback did not replay the artifact");
   let s = Cache.stats c2 in
   Alcotest.(check int) "disk fallback is a hit" 1 s.Cache.hits;
   Alcotest.(check bool) "miss not counted" true (s.Cache.misses = 0)
+
+(* A disk copy is validated before it is served: a truncated file is a
+   miss, and a hand-edited one that is still JSON is served as its compact
+   one-line rendering, never with a newline that would split a frame. *)
+let test_cache_disk_corrupt () =
+  let dir = temp_dir "fst-corrupt" in
+  let c1 = Cache.create ~dir () in
+  Cache.add c1 "k1" "{\"x\":1}";
+  Cache.add c1 "k2" "{\"y\":[1,2]}";
+  let overwrite k text =
+    let oc = open_out_bin (Filename.concat dir (k ^ ".json")) in
+    output_string oc text;
+    close_out oc
+  in
+  overwrite "k1" "{\"x\":";
+  overwrite "k2" "{ \"y\" : [ 1,\n 2 ] }\n";
+  let c2 = Cache.create ~dir () in
+  Alcotest.(check (option string)) "truncated file is a miss" None
+    (Cache.find c2 "k1");
+  Alcotest.(check (option string)) "edited file is served compact"
+    (Some "{\"y\":[1,2]}") (Cache.find c2 "k2");
+  let s = Cache.stats c2 in
+  Alcotest.(check (pair int int)) "hits, misses" (1, 1)
+    (s.Cache.hits, s.Cache.misses)
 
 (* --- protocol ----------------------------------------------------------- *)
 
@@ -208,8 +232,10 @@ let connect_retry addr =
   in
   go 100
 
-let test_serve_end_to_end () =
-  let dir = temp_dir "fst-serve" in
+(* [f] on a connection to an in-process daemon over a fresh unix socket;
+   the daemon is shut down when [f] returns. *)
+let with_client prefix f =
+  let dir = temp_dir prefix in
   let addr = Protocol.Unix_sock (Filename.concat dir "sock") in
   let server = Server.create ~workers:1 ~jobs_cap:1 ~addr () in
   let thread = Server.start server in
@@ -218,6 +244,147 @@ let test_serve_end_to_end () =
       Server.shutdown server;
       Thread.join thread)
     (fun () ->
+      let c = connect_retry addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c))
+
+let small_submit ?(kind = Protocol.Lint) ?(name = "small") netlist =
+  {
+    Protocol.kind;
+    netlist;
+    name;
+    chains = 1;
+    config = quick_config_json;
+    wait = true;
+    tenant = "t1";
+  }
+
+let small_netlist seed =
+  Fst_netlist.Netfile.to_string
+    (Helpers.small_seq_circuit ~gates:30 ~ffs:3 seed)
+
+(* A waiting submit's outcome and the raw bytes of its result frame's
+   payload: everything between the head's ["payload":] and the closing
+   brace. *)
+let submit_raw c submit =
+  let last = ref "" in
+  match Client.submit ~on_frame:(fun l -> last := l) c submit with
+  | Error e -> Alcotest.fail ("submit: " ^ e)
+  | Ok o -> (
+    let tag = ",\"payload\":" in
+    match Helpers.find_substring ~needle:tag !last with
+    | None -> Alcotest.fail ("no payload in the result frame " ^ !last)
+    | Some i ->
+      let start = i + String.length tag in
+      (o, String.sub !last start (String.length !last - 1 - start)))
+
+let cache_stat c k =
+  match Client.request c Protocol.Stats with
+  | Ok j -> (
+    match Option.bind (Json.member "cache" j) (Json.member k) with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "stats frame without cache.%s" k)
+  | Error e -> Alcotest.fail ("stats: " ^ e)
+
+(* A hit writes the bytes its miss rendered, for every job kind, and those
+   bytes are the compact rendering of the payload the client parsed. *)
+let test_serve_hit_bytes () =
+  with_client "fst-bytes" (fun c ->
+      List.iter
+        (fun kind ->
+          let what = Protocol.job_kind_to_string kind in
+          let submit = small_submit ~kind (small_netlist 11L) in
+          let miss, miss_raw = submit_raw c submit in
+          let hit, hit_raw = submit_raw c submit in
+          Alcotest.(check (pair bool bool)) (what ^ ": miss, then hit")
+            (false, true) (miss.Client.cached, hit.Client.cached);
+          Alcotest.(check string) (what ^ ": hit bytes = miss bytes")
+            miss_raw hit_raw;
+          Alcotest.(check string) (what ^ ": payload is compact JSON")
+            (Json.to_string miss.Client.payload) miss_raw)
+        [ Protocol.Lint; Protocol.Sca; Protocol.Flow ])
+
+(* The remembered netlist hash is keyed by the text and the circuit name:
+   a reformatted text with the same canonical form still hits, and the
+   same text under another name (which the canonical rendering carries)
+   misses. *)
+let test_serve_text_memo () =
+  with_client "fst-memo" (fun c ->
+      let text = small_netlist 12L in
+      let reformatted =
+        "# the same circuit, reformatted\n\n"
+        ^ String.concat "\n"
+            (List.map
+               (fun l -> if l = "" then l else "   " ^ l ^ "  \n# note")
+               (String.split_on_char '\n' text))
+      in
+      let cached submit =
+        match Client.submit c submit with
+        | Ok o -> o.Client.cached
+        | Error e -> Alcotest.fail ("submit: " ^ e)
+      in
+      Alcotest.(check bool) "first submit misses" false
+        (cached (small_submit text));
+      Alcotest.(check bool) "reformatted text hits" true
+        (cached (small_submit reformatted));
+      Alcotest.(check bool) "same text, another name misses" false
+        (cached (small_submit ~name:"other" text));
+      Alcotest.(check bool) "repeat hits" true (cached (small_submit text));
+      Alcotest.(check int) "three (name, text) pairs remembered" 3
+        (cache_stat c "texts"))
+
+(* A text that fails to parse is parsed on every submit: each gets the
+   same error, and nothing about it is remembered. *)
+let test_serve_parse_error_not_memoised () =
+  with_client "fst-bad" (fun c ->
+      let bad = small_submit "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n" in
+      let error () =
+        match Client.submit c bad with
+        | Ok _ -> Alcotest.fail "a netlist that does not parse was accepted"
+        | Error e -> e
+      in
+      let first = error () in
+      Alcotest.(check bool) ("names the parse error: " ^ first) true
+        (Helpers.contains_substring ~needle:"parse error" first);
+      Alcotest.(check (list string)) "same error every time" [ first; first ]
+        [ error (); error () ];
+      Alcotest.(check int) "nothing remembered" 0 (cache_stat c "texts");
+      ignore (submit_raw c (small_submit (small_netlist 13L)));
+      Alcotest.(check int) "a parsed text is remembered" 1
+        (cache_stat c "texts"))
+
+(* The job table keeps at most 1,024 finished jobs: once one more has
+   finished, the oldest is an unknown job to [status] and [result], and
+   the next oldest is still known. *)
+let test_serve_job_table_bounded () =
+  with_client "fst-jobs" (fun c ->
+      let submit = small_submit (small_netlist 14L) in
+      let ids =
+        List.init 1025 (fun _ ->
+            match Client.submit c submit with
+            | Ok o -> o.Client.job
+            | Error e -> Alcotest.fail ("submit: " ^ e))
+      in
+      let reply req =
+        match Client.request c req with
+        | Ok j -> (
+          match (Json.member "kind" j, Json.member "message" j) with
+          | Some (Json.String "error"), Some (Json.String m) -> m
+          | _, _ -> (
+            match Json.member "state" j with
+            | Some (Json.String s) -> s
+            | _ -> Json.to_string j))
+        | Error e -> Alcotest.fail e
+      in
+      let oldest = List.hd ids and next = List.nth ids 1 in
+      Alcotest.(check string) "oldest status" "unknown job"
+        (reply (Protocol.Status oldest));
+      Alcotest.(check string) "oldest result" "unknown job"
+        (reply (Protocol.Result oldest));
+      Alcotest.(check string) "next oldest status" "done"
+        (reply (Protocol.Status next)))
+
+let test_serve_end_to_end () =
+  with_client "fst-serve" (fun c ->
       let netlist =
         Fst_netlist.Netfile.to_string
           (Helpers.small_seq_circuit ~gates:40 ~ffs:4 3L)
@@ -233,7 +400,6 @@ let test_serve_end_to_end () =
           tenant = "t1";
         }
       in
-      let c = connect_retry addr in
       (match Client.request c Protocol.Ping with
       | Ok (Json.Obj kvs) ->
         Alcotest.(check bool) "pong" true
@@ -339,19 +505,10 @@ let test_serve_end_to_end () =
           submit with
           Protocol.config = Json.Obj [ ("frames", Json.List [ Json.Int 0 ]) ];
         }
-        ~needle:"config: \"frames\"";
-      Client.close c)
+        ~needle:"config: \"frames\"")
 
 let test_serve_cancel () =
-  let dir = temp_dir "fst-cancel" in
-  let addr = Protocol.Unix_sock (Filename.concat dir "sock") in
-  let server = Server.create ~workers:1 ~jobs_cap:1 ~addr () in
-  let thread = Server.start server in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.shutdown server;
-      Thread.join thread)
-    (fun () ->
+  with_client "fst-cancel" (fun c ->
       let netlist =
         Fst_netlist.Netfile.to_string
           (Helpers.small_seq_circuit ~gates:200 ~ffs:12 9L)
@@ -367,7 +524,6 @@ let test_serve_cancel () =
           tenant = "t1";
         }
       in
-      let c = connect_retry addr in
       let job =
         match Client.submit c submit with
         | Ok o -> o.Client.job
@@ -390,8 +546,7 @@ let test_serve_cancel () =
         in
         Alcotest.(check bool) "cancelled job reaches a terminal state" true
           terminal
-      | Ok _ | Error _ -> Alcotest.fail "status after cancel failed");
-      Client.close c)
+      | Ok _ | Error _ -> Alcotest.fail "status after cancel failed"))
 
 (* No frame for a job may follow its result frame: the client reads the
    next request's reply right after a result, so one late heartbeat puts
@@ -687,6 +842,8 @@ let suite =
     Alcotest.test_case "cache key separates inputs" `Quick test_cache_key;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru;
     Alcotest.test_case "cache disk fallback" `Quick test_cache_disk;
+    Alcotest.test_case "corrupt disk copy is not served" `Quick
+      test_cache_disk_corrupt;
     Alcotest.test_case "protocol round-trips" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol rejects malformed" `Quick
       test_protocol_rejects;
@@ -695,6 +852,14 @@ let suite =
     Alcotest.test_case "serve end-to-end with cache hits" `Quick
       test_serve_end_to_end;
     Alcotest.test_case "serve cancel" `Quick test_serve_cancel;
+    Alcotest.test_case "cache hit writes the miss's payload bytes" `Quick
+      test_serve_hit_bytes;
+    Alcotest.test_case "netlist memo keys on name and text" `Quick
+      test_serve_text_memo;
+    Alcotest.test_case "unparsable netlist is never remembered" `Quick
+      test_serve_parse_error_not_memoised;
+    Alcotest.test_case "job table keeps 1024 finished jobs" `Quick
+      test_serve_job_table_bounded;
     Alcotest.test_case "serve sends no heartbeat after a result" `Quick
       test_serve_no_heartbeat_after_result;
     Alcotest.test_case "frame reads are bounded" `Quick
