@@ -278,13 +278,15 @@ serve-smoke: build
 
 # A/B run of the repository benchmark against a parent revision: PAIRS
 # alternating runs of perfbench on each side, then per end-to-end metric
-# each side's median and quartiles and the pairs the working tree wins.
+# each side's median and quartiles and the pairs the working tree wins,
+# then traced runs of seeds 1 to SEEDS with the phase-share guard.
 #   make perf-ab PARENT=<rev or checkout dir> WORKLOAD=fsim-tail PAIRS=10
 PARENT ?= HEAD
 WORKLOAD ?= fsim-tail
 PAIRS ?= 10
+SEEDS ?= 5
 perf-ab:
-	sh bench/perf-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+	sh bench/perf-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEEDS)
 
 clean:
 	dune clean

@@ -2,8 +2,8 @@
 # A/B run of the repository benchmark: the working tree against a parent
 # revision, on one workload.
 #
-#   sh bench/perf-ab.sh PARENT WORKLOAD [PAIRS]
-#   make perf-ab PARENT=<rev> WORKLOAD=<name> PAIRS=10
+#   sh bench/perf-ab.sh PARENT WORKLOAD [PAIRS [SEEDS]]
+#   make perf-ab PARENT=<rev> WORKLOAD=<name> PAIRS=10 SEEDS=5
 #
 # PARENT is checked out into a temporary git worktree (under $TMPDIR,
 # removed on exit); a PARENT that is a directory is taken as a checkout
@@ -15,20 +15,25 @@
 # tree wins (ties count for neither side), and whether that is a gain by
 # the rule the benchmark uses: wins in at least nine tenths of the
 # pairs, and medians further apart than the parent's interquartile
-# range. Last, one `--trace 1` seed-1 run per side prints its step-2
+# range. Last, `--trace 1` runs of seeds 1 to SEEDS (default 5) on each
+# side, alternating which side runs first. Each prints its step-2
 # fault-simulation and step-3 shares of the flow time (on serve-mix also
 # the median cache-hit latency and the p99 latency over all requests)
 # and whether it passed: a traced run that breaks the workload's
-# phase-share guard reads correct=0.
+# phase-share guard reads correct=0. A summary gives each side's minimum
+# and median share of the phase the workload stresses (step-2 fsim on
+# fsim-tail, step 3 on atpg-chains; serve-mix has no guard) and its
+# count of correct traced runs.
 set -eu
 
 if [ $# -lt 2 ]; then
-  echo "usage: sh bench/perf-ab.sh PARENT WORKLOAD [PAIRS]" >&2
+  echo "usage: sh bench/perf-ab.sh PARENT WORKLOAD [PAIRS [SEEDS]]" >&2
   exit 2
 fi
 parent=$1
 workload=$2
 pairs=${3:-10}
+seeds=${4:-5}
 root=$(cd "$(dirname "$0")/.." && pwd)
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf-ab.XXXXXX")
@@ -135,9 +140,10 @@ awk -v pairs="$pairs" '
   }
 ' "$tmp/metrics" "$tmp/results"
 
-# traced SIDE DIR: the phase shares and the verdict of one traced run.
+# traced SIDE DIR SEED: the phase shares and the verdict of one traced
+# run, printed and appended to $tmp/traced as "side correct [share]".
 traced() {
-  line=$(cd "$2" && sh perfbench/run.sh --workload "$workload" --seed 1 \
+  line=$(cd "$2" && sh perfbench/run.sh --workload "$workload" --seed "$3" \
     --seconds "$seconds" --trace 1 2>/dev/null | tail -n 1) || line=
   case $line in
     *'"correct":true'*) ok=1 ;;
@@ -148,9 +154,10 @@ traced() {
     serve=" serve.hit_p50_ms=$(num "$line" serve.hit_p50_ms %.2f)"
     serve="$serve serve.latency_p99_ms=$(num "$line" serve.latency_p99_ms)"
   fi
-  echo "traced seed 1 $1" \
+  echo "traced seed $3 $1" \
     "step2-fsim_pct=$(num "$line" flow.step2-fsim_pct)" \
     "step3_pct=$(num "$line" flow.step3_pct)$serve correct=$ok"
+  echo "$1 $ok $(num "$line" "$stressed" %.4f)" >> "$tmp/traced"
 }
 # num LINE NAME [FORMAT]: metric NAME of a result line, printed with
 # FORMAT (default one decimal).
@@ -159,5 +166,41 @@ num() {
     sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" |
     awk -v f="${3:-%.1f}" '{ printf f, $1 }'
 }
-traced parent "$parent_dir"
-traced change "$root"
+case $workload in
+  fsim-tail) stressed=flow.step2-fsim_pct ;;
+  atpg-chains) stressed=flow.step3_pct ;;
+  *) stressed= ;;
+esac
+: > "$tmp/traced"
+k=1
+while [ "$k" -le "$seeds" ]; do
+  if [ $((k % 2)) -eq 1 ]; then
+    traced parent "$parent_dir" "$k"
+    traced change "$root" "$k"
+  else
+    traced change "$root" "$k"
+    traced parent "$parent_dir" "$k"
+  fi
+  k=$((k + 1))
+done
+awk -v seeds="$seeds" -v stressed="${stressed#flow.}" '
+  { n[$1]++; ok[$1] += $2; if ($3 != "") v[$1, n[$1]] = $3 }
+  END {
+    for (s = 1; s <= 2; s++) {
+      side = s == 1 ? "parent" : "change"
+      m = 0
+      for (i = 1; i <= n[side]; i++)
+        if ((side, i) in v) a[++m] = v[side, i] + 0
+      for (i = 2; i <= m; i++)
+        for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
+          t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+        }
+      share = ""
+      if (stressed != "" && m > 0) {
+        med = m % 2 ? a[(m + 1) / 2] : (a[m / 2] + a[m / 2 + 1]) / 2
+        share = sprintf(" %s min %.1f median %.1f,", stressed, a[1], med)
+      }
+      printf "traced %s:%s correct %d/%d\n", side, share, ok[side], seeds
+    }
+  }
+' "$tmp/traced"

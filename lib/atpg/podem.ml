@@ -45,7 +45,10 @@ type stats = {
    implication is event-driven: only the fanout cones of the free inputs
    assigned since the last call are re-evaluated, in level order. Per-net
    flags, stamps, assignments and stem faults are bytes, to keep each
-   search's allocation small. *)
+   search's allocation small. The nets carrying a fault effect are kept
+   as a set that [update] maintains: the first [n_effects] entries of
+   [effects], with each member's index in [effect_at], so adding and
+   removing a net are O(1) and no search step scans every net. *)
 type engine = {
   view : View.t;
   c : Circuit.t;
@@ -58,6 +61,11 @@ type engine = {
   mutable branches : (int * int * V3.t) list; (* (node, pin, stuck) *)
   sites : (int * V3.t) list; (* (source net, stuck) for excitation *)
   obs_target : Bytes.t; (* per net: source of an observation point *)
+  obs_net : Bytes.t; (* per net: observed directly ([View.Onet]) *)
+  obs_pins : (int * int) array; (* [View.Opin] points: (node, pin) *)
+  effects : int array; (* the first [n_effects] hold the effect nets *)
+  effect_at : int array; (* per net: its index in [effects], or -1 *)
+  mutable n_effects : int;
   visit_stamp : Bytes.t; (* per net: last X-path stamp that reached it *)
   mutable stamp : int; (* 1 to 255; the marks are cleared on wrap-around *)
   mutable dirty : int list; (* free inputs assigned since the last [imply] *)
@@ -94,6 +102,17 @@ let make_engine view ~scoap ~faults =
       branches = [];
       sites = [];
       obs_target = Bytes.make n '\000';
+      obs_net = Bytes.make n '\000';
+      obs_pins =
+        Array.of_list
+          (List.filter_map
+             (function
+               | View.Opin { node; pin } -> Some (node, pin)
+               | View.Onet _ -> None)
+             (Array.to_list view.View.observe));
+      effects = Array.make n 0;
+      effect_at = Array.make n (-1);
+      n_effects = 0;
       visit_stamp = Bytes.make n '\000';
       stamp = 0;
       dirty = [];
@@ -121,7 +140,11 @@ let make_engine view ~scoap ~faults =
     faults;
   let e = { e with sites = !sites } in
   Array.iter
-    (fun op -> Bytes.set e.obs_target (View.obs_source_net view op) '\001')
+    (fun op ->
+      Bytes.set e.obs_target (View.obs_source_net view op) '\001';
+      match op with
+      | View.Onet n -> Bytes.set e.obs_net n '\001'
+      | View.Opin _ -> ())
     view.View.observe;
   e
 
@@ -189,8 +212,27 @@ let eval_plane g fi plane node overrides =
   | Gate.Not -> V3.bnot (read plane node overrides 0 fi.(0))
   | Gate.Buf -> read plane node overrides 0 fi.(0)
 
-(* Recomputes both planes of net [i] from its node; true when either
+(* Adds net [i] to the effect set or removes it, after its values
    changed. *)
+let track e i =
+  let k = e.effect_at.(i) in
+  if net_effect e i then begin
+    if k < 0 then begin
+      e.effect_at.(i) <- e.n_effects;
+      e.effects.(e.n_effects) <- i;
+      e.n_effects <- e.n_effects + 1
+    end
+  end
+  else if k >= 0 then begin
+    let last = e.effects.(e.n_effects - 1) in
+    e.effects.(k) <- last;
+    e.effect_at.(last) <- k;
+    e.effect_at.(i) <- -1;
+    e.n_effects <- e.n_effects - 1
+  end
+
+(* Recomputes both planes of net [i] from its node and keeps the effect
+   set up to date; true when either plane changed. *)
 let update e i =
   let old_good = e.vgood.(i) and old_fault = e.vfault.(i) in
   (match e.c.Circuit.nodes.(i) with
@@ -207,7 +249,11 @@ let update e i =
   (match get3 e.stem_stuck i with
    | V3.X -> ()
    | stuck -> e.vfault.(i) <- stuck);
-  not (V3.equal old_good e.vgood.(i) && V3.equal old_fault e.vfault.(i))
+  let changed =
+    not (V3.equal old_good e.vgood.(i) && V3.equal old_fault e.vfault.(i))
+  in
+  if changed then track e i;
+  changed
 
 (* Queues the gate consumers of net [n] in their level buckets. Flip-flop
    consumers are skipped: a flip-flop output is a source. *)
@@ -254,21 +300,22 @@ let assign e pi v =
   set3 e.assigned pi v;
   e.dirty <- pi :: e.dirty
 
-let obs_effect e = function
-  | View.Onet n -> net_effect e n
-  | View.Opin { node; pin } ->
-    is_effect_at_pin e node pin (Circuit.fanins e.c node).(pin)
-
-let detected e = Array.exists (fun op -> obs_effect e op) e.view.View.observe
-
 (* Nets carrying a fault effect on their own (stem faults, propagated
-   effects): one pass per search step. *)
-let effect_nets e =
-  let acc = ref [] in
-  for n = 0 to Array.length e.vgood - 1 do
-    if net_effect e n then acc := n :: !acc
-  done;
-  !acc
+   effects), in no particular order. *)
+let effect_nets e = List.init e.n_effects (fun k -> e.effects.(k))
+
+(* An effect net observed directly, or an effect read by an observed
+   pin. *)
+let detected e =
+  let rec at_net k =
+    k < e.n_effects
+    && (Bytes.get e.obs_net e.effects.(k) <> '\000' || at_net (k + 1))
+  in
+  at_net 0
+  || Array.exists
+       (fun (node, pin) ->
+         is_effect_at_pin e node pin (Circuit.fanins e.c node).(pin))
+       e.obs_pins
 
 (* An excited branch fault whose effect has not yet passed its gate lives
    only on a consumer pin. *)
@@ -289,7 +336,9 @@ let feeds_effect e i fi =
    some input: the classic D-frontier, in descending net order. A pin reads
    an effect only from an effect net ([effects]) or through a branch fault,
    so the candidates are the consumers of [effects] and the branch-faulted
-   gates; the pin-level test then drops those whose pin masks the effect. *)
+   gates. A gate with no branch fault reads its fanins as they are, so it
+   sees the effect of the net it consumes; on a branch-faulted gate the
+   pin-level test drops it when its pin masks the effect. *)
 let frontier e effects =
   let consumers acc n =
     Array.fold_left (fun acc i -> i :: acc) acc e.c.Circuit.fanout.(n)
@@ -302,7 +351,9 @@ let frontier e effects =
   List.filter
     (fun i ->
       match e.c.Circuit.nodes.(i) with
-      | Circuit.Gate (_, fi) -> net_has_x e i && feeds_effect e i fi
+      | Circuit.Gate (_, fi) ->
+        net_has_x e i
+        && (Bytes.get e.branched i = '\000' || feeds_effect e i fi)
       | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> false)
     (List.sort_uniq (fun a b -> Int.compare b a) candidates)
 
@@ -376,8 +427,7 @@ let propagation_objective e i =
 let incomplete e why = if e.exhaustion = Exhausted then e.exhaustion <- why
 
 let objective e =
-  let effects = effect_nets e in
-  if effects = [] && not (branch_effect e) then
+  if e.n_effects = 0 && not (branch_effect e) then
     (* Fault not excited anywhere: drive some site to the opposite value. *)
     let unexcited =
       List.filter (fun (net, _) -> V3.equal (good e net) V3.X) e.sites
@@ -399,7 +449,7 @@ let objective e =
     let gates =
       List.stable_sort
         (fun a b -> Int.compare e.m.Scoap.obs.(a) e.m.Scoap.obs.(b))
-        (frontier e effects)
+        (frontier e (effect_nets e))
     in
     next_stamp e;
     let reaches i =
@@ -569,3 +619,20 @@ let run ?(backtrack_limit = 1000) ?should_abort ?scoap view ~faults =
       implications = e.implications;
       stop;
     } )
+
+module Probe = struct
+  type t = engine
+
+  let create ?scoap view ~faults =
+    let scoap =
+      match scoap with Some s -> s | None -> Fst_testability.Scoap.compute view
+    in
+    make_engine view ~scoap ~faults
+
+  let assign = assign
+  let imply = imply
+  let good e n = e.vgood.(n)
+  let faulty e n = e.vfault.(n)
+  let effect_nets = effect_nets
+  let detected = detected
+end

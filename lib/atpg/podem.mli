@@ -75,3 +75,21 @@ val run :
   View.t ->
   faults:Fault.t list ->
   result * stats
+
+(** The search's implication engine, driven one step at a time, for tests
+    that compare the effect set implication maintains with a full scan. *)
+module Probe : sig
+  type t
+
+  val create :
+    ?scoap:Fst_testability.Scoap.t -> View.t -> faults:Fault.t list -> t
+
+  (* [assign] sets a free input ([X] unassigns it); [faulty] applies stem
+     faults, not branch faults; [effect_nets] is in no particular order. *)
+  val assign : t -> int -> V3.t -> unit
+  val imply : t -> unit
+  val good : t -> int -> V3.t
+  val faulty : t -> int -> V3.t
+  val effect_nets : t -> int list
+  val detected : t -> bool
+end

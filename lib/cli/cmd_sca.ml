@@ -68,7 +68,7 @@ let run p =
         "proven untestable";
         Table.cell_int_pct s.Fst_sca.Sca.untestable ~of_:s.Fst_sca.Sca.targets;
       ];
-    Table.row tbl [ "CPU"; Table.cell_seconds s.Fst_sca.Sca.seconds ];
+    Table.row tbl [ "wall"; Table.cell_seconds s.Fst_sca.Sca.seconds ];
     Table.print tbl;
     List.iter
       (fun (u : Fst_sca.Sca.untestable) ->

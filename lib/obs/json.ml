@@ -59,27 +59,27 @@ let to_channel oc t = output_string oc (to_string t)
 
 exception Parse_error of string
 
-(* A small recursive-descent parser over the string, tracking position. *)
+(* A small recursive-descent parser over the string, tracking position.
+   It reads by index; a string with no escape is one substring, and the
+   escape-free runs of the others are copied whole. *)
 type state = { s : string; mutable pos : int }
 
 let fail st msg =
   raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
 
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
+let at st c = st.pos < String.length st.s && st.s.[st.pos] = c
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+let skip_ws st =
+  while
+    st.pos < String.length st.s
+    && match st.s.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    advance st
+  done
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
+  if at st c then advance st else fail st (Printf.sprintf "expected '%c'" c)
 
 let literal st word value =
   let n = String.length word in
@@ -99,86 +99,72 @@ let utf8_of_code buf code =
     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F))))
 
+(* The end of the escape-free run starting at [i]. *)
+let rec plain s i =
+  if i < String.length s && s.[i] <> '"' && s.[i] <> '\\' then plain s (i + 1)
+  else i
+
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
+  let s = st.s in
+  let stop = plain s st.pos in
+  if stop < String.length s && s.[stop] = '"' then begin
+    let v = String.sub s st.pos (stop - st.pos) in
+    st.pos <- stop + 1;
+    v
+  end
+  else begin
+    let buf = Buffer.create (stop - st.pos + 16) in
+    let rec go () =
+      let stop = plain s st.pos in
+      Buffer.add_substring buf s st.pos (stop - st.pos);
+      st.pos <- stop;
+      if stop = String.length s then fail st "unterminated string"
+      else if s.[stop] = '"' then begin
         advance st;
         Buffer.contents buf
-    | Some '\\' -> (
+      end
+      else begin
+        (* a backslash *)
         advance st;
-        match peek st with
-        | Some '"' ->
-            advance st;
-            Buffer.add_char buf '"';
-            go ()
-        | Some '\\' ->
-            advance st;
-            Buffer.add_char buf '\\';
-            go ()
-        | Some '/' ->
-            advance st;
-            Buffer.add_char buf '/';
-            go ()
-        | Some 'n' ->
-            advance st;
-            Buffer.add_char buf '\n';
-            go ()
-        | Some 'r' ->
-            advance st;
-            Buffer.add_char buf '\r';
-            go ()
-        | Some 't' ->
-            advance st;
-            Buffer.add_char buf '\t';
-            go ()
-        | Some 'b' ->
-            advance st;
-            Buffer.add_char buf '\b';
-            go ()
-        | Some 'f' ->
-            advance st;
-            Buffer.add_char buf '\012';
-            go ()
-        | Some 'u' ->
-            advance st;
-            if st.pos + 4 > String.length st.s then fail st "truncated \\u"
-            else begin
-              let hex = String.sub st.s st.pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail st "bad \\u escape"
-              in
-              st.pos <- st.pos + 4;
-              utf8_of_code buf code;
-              go ()
-            end
-        | _ -> fail st "bad escape")
-    | Some c ->
+        if st.pos = String.length s then fail st "bad escape";
+        let c = s.[st.pos] in
         advance st;
-        Buffer.add_char buf c;
+        (match c with
+         | '"' | '\\' | '/' -> Buffer.add_char buf c
+         | 'n' -> Buffer.add_char buf '\n'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'u' ->
+           if st.pos + 4 > String.length s then fail st "truncated \\u";
+           let code =
+             try int_of_string ("0x" ^ String.sub s st.pos 4)
+             with _ -> fail st "bad \\u escape"
+           in
+           st.pos <- st.pos + 4;
+           utf8_of_code buf code
+         | _ ->
+           st.pos <- st.pos - 1;
+           fail st "bad escape");
         go ()
-  in
-  go ()
+      end
+    in
+    go ()
+  end
 
 let parse_number st =
   let start = st.pos in
-  let is_num_char c =
-    match c with
+  while
+    st.pos < String.length st.s
+    &&
+    match st.s.[st.pos] with
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
-  in
-  let rec go () =
-    match peek st with
-    | Some c when is_num_char c ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
+  do
+    advance st
+  done;
   let text = String.sub st.s start (st.pos - start) in
   match int_of_string_opt text with
   | Some i -> Int i
@@ -189,36 +175,35 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some 'n' -> literal st "null" Null
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some '"' -> String (parse_string st)
-  | Some '[' ->
+  if st.pos = String.length st.s then fail st "unexpected end of input";
+  match st.s.[st.pos] with
+  | 'n' -> literal st "null" Null
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | '"' -> String (parse_string st)
+  | '[' ->
       advance st;
       skip_ws st;
-      if peek st = Some ']' then (
+      if at st ']' then (
         advance st;
         List [])
       else
         let rec items acc =
           let v = parse_value st in
           skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              items (v :: acc)
-          | Some ']' ->
-              advance st;
-              List.rev (v :: acc)
-          | _ -> fail st "expected ',' or ']'"
+          if at st ',' then (
+            advance st;
+            items (v :: acc))
+          else if at st ']' then (
+            advance st;
+            List.rev (v :: acc))
+          else fail st "expected ',' or ']'"
         in
         List (items [])
-  | Some '{' ->
+  | '{' ->
       advance st;
       skip_ws st;
-      if peek st = Some '}' then (
+      if at st '}' then (
         advance st;
         Obj [])
       else
@@ -229,18 +214,17 @@ let rec parse_value st =
           expect st ':';
           let v = parse_value st in
           skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              pairs ((k, v) :: acc)
-          | Some '}' ->
-              advance st;
-              List.rev ((k, v) :: acc)
-          | _ -> fail st "expected ',' or '}'"
+          if at st ',' then (
+            advance st;
+            pairs ((k, v) :: acc))
+          else if at st '}' then (
+            advance st;
+            List.rev ((k, v) :: acc))
+          else fail st "expected ',' or '}'"
         in
         Obj (pairs [])
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected '%c'" c)
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail st (Printf.sprintf "unexpected '%c'" c)
 
 let of_string s =
   let st = { s; pos = 0 } in

@@ -2,6 +2,7 @@ open Fst_logic
 open Fst_netlist
 open Fst_fault
 module J = Fst_obs.Json
+module Clock = Fst_exec.Clock
 
 type reason =
   | Tied
@@ -76,44 +77,80 @@ end)
 
 exception Contradiction
 
-(* Shared mutable propagation state. [work] refines [base] between
-   [undo_to] calls; the trail records every assignment made after the base
-   fixpoint. Each net appears at most once on the trail (values only go
-   X -> binary), which is what makes [undo_to] restoring base values
-   correct. *)
+(* Shared mutable propagation state, allocation-free per implication.
+   [work] refines [base] between [undo_to] calls. The trail holds every
+   net assigned after the base fixpoint, oldest first, in
+   [trail.(0 .. top - 1)]; a mark is a trail length. Each net appears at
+   most once on the trail (values only go X -> binary), which is what
+   makes [undo_to] restoring base values correct, and bounds the trail
+   and the FIFO [queue] by the net count. An assignment's reason is two
+   ints per net: [why_pin] is a pin for [Backward], else one of the
+   negative codes below, and [why_node] the gate. *)
 type prop = {
   c : Circuit.t;
   base : V3.t array;
   work : V3.t array;
   uncontrollable : bool array;
       (* source reads as permanent X: a binary value there is absurd *)
-  mutable trail : (int * V3.t * reason) list;
-  q : int Queue.t;
+  trail : int array;
+  mutable top : int;
+  why_node : int array;
+  why_pin : int array;
+  queue : int array;  (* nets to settle: [queue.(head .. tail - 1)] *)
+  mutable head : int;
+  mutable tail : int;
   pos : int array;  (* topological position of each net *)
-  learn_base : int list;
+  learn_base : int array;
       (* ascending topological positions of the gates the base leaves
          unjustified (at their controlled output, no fanin at the
          controlling value): with the gates on the trail, the only ones
          {!recursive_learn} can pick *)
+  stamp : int array;  (* per net: branch-intersection generation *)
+  stamp_v : V3.t array;  (* per net: its value in the first branch *)
+  mutable gen : int;
+  fixes : int array;  (* the last consistent branch, oldest first *)
 }
 
-let assign p n v reason =
+let why_forward = -1
+let why_tied = -2
+let why_assumed = -3
+let why_learned = -4
+
+let assign p n v node pin =
   if V3.is_binary v then begin
     let cur = p.work.(n) in
     if V3.equal cur v then ()
     else if V3.is_binary cur || p.uncontrollable.(n) then raise Contradiction
     else begin
       p.work.(n) <- v;
-      p.trail <- (n, v, reason) :: p.trail;
-      Queue.add n p.q
+      p.trail.(p.top) <- n;
+      p.top <- p.top + 1;
+      p.why_node.(n) <- node;
+      p.why_pin.(n) <- pin;
+      p.queue.(p.tail) <- n;
+      p.tail <- p.tail + 1
     end
   end
 
-let eval_fanins p fan = Array.map (fun k -> p.work.(k)) fan
+(* [Gate.eval] in place over the values [w] of [fan], except that pin
+   [skip] reads [sv]. *)
+let eval_gate w g fan skip sv =
+  let op, unit =
+    match g with
+    | Gate.And | Gate.Nand -> (V3.band, V3.One)
+    | Gate.Or | Gate.Nor -> (V3.bor, V3.Zero)
+    | Gate.Xor | Gate.Xnor | Gate.Not | Gate.Buf -> (V3.bxor, V3.Zero)
+  in
+  let acc = ref unit in
+  for k = 0 to Array.length fan - 1 do
+    acc := op !acc (if k = skip then sv else w.(fan.(k)))
+  done;
+  if Gate.inverting g then V3.bnot !acc else !acc
 
 (* Forward: the gate's output follows from its fanins (a conflict with an
    already-known output surfaces inside [assign]). *)
-let forward p j g fan = assign p j (Gate.eval g (eval_fanins p fan)) (Forward j)
+let forward p j g fan =
+  assign p j (eval_gate p.work g fan (-1) V3.X) j why_forward
 
 (* Backward: the gate's output is known; justify what must hold at its
    fanins. Unit-solves the last unknown input for every gate type, and
@@ -123,76 +160,70 @@ let backward p j g fan =
   let v = p.work.(j) in
   if V3.is_binary v then begin
     let unknown = ref (-1) and n_unknown = ref 0 in
-    Array.iteri
-      (fun q k ->
-        if not (V3.is_binary p.work.(k)) then begin
-          unknown := q;
-          incr n_unknown
-        end)
-      fan;
+    for q = 0 to Array.length fan - 1 do
+      if not (V3.is_binary p.work.(fan.(q))) then begin
+        unknown := q;
+        incr n_unknown
+      end
+    done;
     if !n_unknown = 0 then begin
-      if not (V3.equal (Gate.eval g (eval_fanins p fan)) v) then
+      if not (V3.equal (eval_gate p.work g fan (-1) V3.X) v) then
         raise Contradiction
     end
     else if !n_unknown = 1 then begin
       let q = !unknown in
-      let vals = eval_fanins p fan in
-      vals.(q) <- V3.Zero;
-      let ok0 = V3.equal (Gate.eval g vals) v in
-      vals.(q) <- V3.One;
-      let ok1 = V3.equal (Gate.eval g vals) v in
-      match ok0, ok1 with
-      | true, true -> ()
-      | true, false -> assign p fan.(q) V3.Zero (Backward { node = j; pin = q })
-      | false, true -> assign p fan.(q) V3.One (Backward { node = j; pin = q })
-      | false, false -> raise Contradiction
+      let ok0 = V3.equal (eval_gate p.work g fan q V3.Zero) v in
+      let ok1 = V3.equal (eval_gate p.work g fan q V3.One) v in
+      if ok0 && not ok1 then assign p fan.(q) V3.Zero j q
+      else if ok1 && not ok0 then assign p fan.(q) V3.One j q
+      else if not (ok0 || ok1) then raise Contradiction
     end
     else
       match Gate.controlling g with
       | Some ctrl when V3.equal v (V3.bnot (Gate.controlled_output g)) ->
-        Array.iteri
-          (fun q k ->
-            if not (V3.is_binary p.work.(k)) then
-              assign p k (V3.bnot ctrl) (Backward { node = j; pin = q }))
-          fan
+        for q = 0 to Array.length fan - 1 do
+          let k = fan.(q) in
+          if not (V3.is_binary p.work.(k)) then assign p k (V3.bnot ctrl) j q
+        done
       | _ -> ()
   end
 
 let settle p =
-  while not (Queue.is_empty p.q) do
-    let n = Queue.pop p.q in
-    (match Circuit.node p.c n with
+  let nodes = p.c.Circuit.nodes in
+  while p.head < p.tail do
+    let n = p.queue.(p.head) in
+    p.head <- p.head + 1;
+    (match nodes.(n) with
     | Circuit.Gate (g, fan) -> backward p n g fan
     | _ -> ());
-    Array.iter
-      (fun j ->
-        match Circuit.node p.c j with
-        | Circuit.Gate (g, fan) ->
-          forward p j g fan;
-          backward p j g fan
-        | _ -> ())
-      p.c.Circuit.fanout.(n)
-  done
+    let fo = p.c.Circuit.fanout.(n) in
+    for k = 0 to Array.length fo - 1 do
+      let j = fo.(k) in
+      match nodes.(j) with
+      | Circuit.Gate (g, fan) ->
+        forward p j g fan;
+        backward p j g fan
+      | _ -> ()
+    done
+  done;
+  p.head <- 0;
+  p.tail <- 0
 
-(* Undo trail entries down to (physical) [mark], restoring base values. *)
+(* Undo trail entries down to [mark], restoring base values. *)
 let undo_to p mark =
-  let rec go l =
-    if l != mark then
-      match l with
-      | (n, _, _) :: tl ->
-        p.work.(n) <- p.base.(n);
-        go tl
-      | [] -> assert false
-  in
-  go p.trail;
-  p.trail <- mark;
-  Queue.clear p.q
+  for k = mark to p.top - 1 do
+    let n = p.trail.(k) in
+    p.work.(n) <- p.base.(n)
+  done;
+  p.top <- mark;
+  p.head <- 0;
+  p.tail <- 0
 
-(* Run [assumptions] on top of the current state; on conflict the partial
+(* Assume [net = v] on top of the current state; on conflict the partial
    trail is left for the caller to undo. *)
-let try_assume p assumptions =
+let assume p net v =
   match
-    List.iter (fun (n, v, r) -> assign p n v r) assumptions;
+    assign p net v net why_assumed;
     settle p
   with
   | () -> true
@@ -206,40 +237,55 @@ let make_prop (view : View.t) =
   let c = view.View.circuit in
   let n = Circuit.num_nets c in
   let uncontrollable = Array.make n false in
-  let seeds = ref [] in
-  for i = 0 to n - 1 do
-    match Circuit.node c i with
-    | Circuit.Const v ->
-      if V3.is_binary v then seeds := (i, v, Tied) :: !seeds
-      else uncontrollable.(i) <- true
-    | Circuit.Input | Circuit.Dff _ -> (
-      match view.View.fixed.(i) with
-      | Some v when V3.is_binary v -> seeds := (i, v, Tied) :: !seeds
-      | Some _ -> uncontrollable.(i) <- true
-      | None -> if not view.View.free.(i) then uncontrollable.(i) <- true)
-    | Circuit.Gate _ -> ()
-  done;
   let p =
     {
       c;
       base = Array.make n V3.X;
       work = Array.make n V3.X;
       uncontrollable;
-      trail = [];
-      q = Queue.create ();
+      trail = Array.make n 0;
+      top = 0;
+      why_node = Array.make n 0;
+      why_pin = Array.make n 0;
+      queue = Array.make n 0;
+      head = 0;
+      tail = 0;
       pos = Array.make n (-1);
-      learn_base = [];
+      learn_base = [||];
+      stamp = Array.make n 0;
+      stamp_v = Array.make n V3.X;
+      gen = 0;
+      fixes = Array.make n 0;
     }
   in
   (* cannot conflict: values are only derived forward from the (single
      driver per net) seeds *)
-  let ok = try_assume p !seeds in
-  assert ok;
+  for i = n - 1 downto 0 do
+    match Circuit.node c i with
+    | Circuit.Const v ->
+      if V3.is_binary v then assign p i v i why_tied
+      else uncontrollable.(i) <- true
+    | Circuit.Input | Circuit.Dff _ -> (
+      match view.View.fixed.(i) with
+      | Some v when V3.is_binary v -> assign p i v i why_tied
+      | Some _ -> uncontrollable.(i) <- true
+      | None -> if not view.View.free.(i) then uncontrollable.(i) <- true)
+    | Circuit.Gate _ -> ()
+  done;
+  settle p;
   let reasons = Array.make n None in
-  List.iter (fun (i, _, r) -> reasons.(i) <- Some r) p.trail;
+  for k = 0 to p.top - 1 do
+    let i = p.trail.(k) in
+    let node = p.why_node.(i) and pin = p.why_pin.(i) in
+    reasons.(i) <-
+      Some
+        (if pin >= 0 then Backward { node; pin }
+         else if pin = why_forward then Forward node
+         else Tied)
+  done;
   (* promote the fixpoint to the permanent base *)
   Array.blit p.work 0 p.base 0 n;
-  p.trail <- [];
+  p.top <- 0;
   let topo = c.Circuit.topo in
   Array.iteri (fun k i -> p.pos.(i) <- k) topo;
   let learn_base = ref [] in
@@ -254,7 +300,7 @@ let make_prop (view : View.t) =
       | _ -> ())
     | _ -> ()
   done;
-  ({ p with learn_base = !learn_base }, reasons)
+  ({ p with learn_base = Array.of_list !learn_base }, reasons)
 
 let compute_def_binary (view : View.t) base =
   let c = view.View.circuit in
@@ -284,25 +330,24 @@ let compute_obs_src (view : View.t) =
 (* Fault-effect blocking                                               *)
 (* ------------------------------------------------------------------ *)
 
-exception Observable
-
 type entry = Net of int | Blocked of blocker | Obs
 
-(* A pin of gate [j] blocks every fault effect entering [j] when its side
-   net is forced to the controlling value and lies outside the fault's
-   cone (an in-cone side could carry the effect itself and re-open the
-   path). *)
-let blocker_of p in_cone j g fan =
+(* The first pin of gate [j] other than [skip] whose side net is forced to
+   the controlling value and lies outside the fault's cone: it blocks
+   every fault effect entering [j] (an in-cone side could carry the
+   effect itself and re-open the path). *)
+let rec blocker_from p in_cone j fan skip ctrl q =
+  if q = Array.length fan then None
+  else
+    let k = fan.(q) in
+    if q <> skip && V3.equal p.work.(k) ctrl && not (in_cone k) then
+      Some { node = j; pin = q; side = k; ctrl }
+    else blocker_from p in_cone j fan skip ctrl (q + 1)
+
+let blocker_of p in_cone j g fan skip =
   match Gate.controlling g with
   | None -> None
-  | Some ctrl ->
-    let found = ref None in
-    Array.iteri
-      (fun q k ->
-        if !found = None && V3.equal p.work.(k) ctrl && not (in_cone k) then
-          found := Some { node = j; pin = q; side = k; ctrl })
-      fan;
-    !found
+  | Some ctrl -> blocker_from p in_cone j fan skip ctrl 0
 
 (* Where the fault effect enters the net graph under the current
    assignment. A branch fault must first pass its own gate; [Obs] is the
@@ -313,78 +358,57 @@ let entry_of p in_cone (f : Fault.t) =
   | Fault.Branch { node; pin } -> (
     match Circuit.node p.c node with
     | Circuit.Gate (g, fan) -> (
-      match Gate.controlling g with
-      | None -> Net node
-      | Some ctrl ->
-        let found = ref None in
-        Array.iteri
-          (fun q k ->
-            if
-              !found = None && q <> pin
-              && V3.equal p.work.(k) ctrl
-              && not (in_cone k)
-            then found := Some { node; pin = q; side = k; ctrl })
-          fan;
-        (match !found with Some b -> Blocked b | None -> Net node))
+      match blocker_of p in_cone node g fan pin with
+      | Some b -> Blocked b
+      | None -> Net node)
     | Circuit.Dff _ | Circuit.Input | Circuit.Const _ -> Obs)
 
-(* [entry_of] with an empty cone, resolved once per fault up to the
-   state-dependent reads: a branch fault on a gate with a controlling
-   value is blocked by any other pin forced to it. *)
-type cheap_entry =
-  | Cheap_obs
-  | Cheap_net of int
-  | Cheap_pin of { node : int; pin : int; fan : int array; ctrl : V3.t }
+(* Scratch for {!blocked_cut}: a net is explored in the current search
+   when its [seen] stamp equals [search]; [stack] holds the nets left to
+   expand. *)
+type cut_scratch = { seen : int array; stack : int array; mutable search : int }
 
-let cheap_entry c (f : Fault.t) =
-  match f.Fault.site with
-  | Fault.Stem s -> Cheap_net s
-  | Fault.Branch { node; pin } -> (
-    match Circuit.node c node with
-    | Circuit.Gate (g, fan) -> (
-      match Gate.controlling g with
-      | None -> Cheap_net node
-      | Some ctrl -> Cheap_pin { node; pin; fan; ctrl })
-    | Circuit.Dff _ | Circuit.Input | Circuit.Const _ -> Cheap_obs)
+let cut_scratch n =
+  { seen = Array.make n 0; stack = Array.make n 0; search = 0 }
+
+let by_pin a b =
+  let d = Int.compare a.node b.node in
+  if d <> 0 then d else Int.compare a.pin b.pin
 
 (* Sound, cone-aware cut search: explore every net the effect could
    reach; collect the blocked gates on the frontier. [None] when an
-   observation point is reachable. *)
-let blocked_cut p obs_src in_cone seen entry =
-  let cut = ref [] in
-  let cleanup = ref [] in
-  let rec go w =
-    if not seen.(w) then begin
-      seen.(w) <- true;
-      cleanup := w :: !cleanup;
-      if obs_src.(w) then raise Observable;
-      Array.iter
-        (fun j ->
+   observation point is reachable. Which nets are explored and which
+   gates block does not depend on the order of exploration. *)
+let blocked_cut p obs_src in_cone s entry =
+  match entry with
+  | Obs -> None
+  | Blocked b -> Some [ b ]
+  | Net e ->
+    s.search <- s.search + 1;
+    let search = s.search in
+    let cut = ref [] and top = ref 1 and observable = ref false in
+    s.seen.(e) <- search;
+    s.stack.(0) <- e;
+    while (not !observable) && !top > 0 do
+      decr top;
+      let w = s.stack.(!top) in
+      if obs_src.(w) then observable := true
+      else
+        let fo = p.c.Circuit.fanout.(w) in
+        for k = 0 to Array.length fo - 1 do
+          let j = fo.(k) in
           match Circuit.node p.c j with
-          | Circuit.Gate (g, fan) ->
-            if not seen.(j) then (
-              match blocker_of p in_cone j g fan with
-              | None -> go j
-              | Some b -> cut := b :: !cut)
-          | _ -> ())
-        p.c.Circuit.fanout.(w)
-    end
-  in
-  let result =
-    match entry with
-    | Obs -> None
-    | Blocked b -> Some [ b ]
-    | Net e -> (
-      match go e with
-      | () ->
-        Some
-          (List.sort_uniq
-             (fun a b -> Stdlib.compare (a.node, a.pin) (b.node, b.pin))
-             !cut)
-      | exception Observable -> None)
-  in
-  List.iter (fun w -> seen.(w) <- false) !cleanup;
-  result
+          | Circuit.Gate (g, fan) when s.seen.(j) <> search -> (
+            match blocker_of p in_cone j g fan (-1) with
+            | None ->
+              s.seen.(j) <- search;
+              s.stack.(!top) <- j;
+              incr top
+            | Some b -> cut := b :: !cut)
+          | _ -> ()
+        done
+    done;
+    if !observable then None else Some (List.sort_uniq by_pin !cut)
 
 (* Fault-independent observability marker: an effect at net [w] might
    reach an observation point, ignoring cones, when [w] drives an
@@ -396,90 +420,114 @@ let blocked_cut p obs_src in_cone seen entry =
    drives, so [w] is marked when it is positive. The base assignment's
    counts are computed once. A branch only forces more pins, so it only
    takes support away: [obs_retract] walks back from the gates next to
-   the trail in reverse topological order, and [obs_restore] returns the
-   counts to the base. *)
+   the trail level by level, from the highest, through per-level buckets
+   of pending gates, and [obs_restore] returns the counts to the base
+   from the [retracted] stack. *)
 type obs_support = {
   obs_src : bool array;
   base_cnt : int array;
   cnt : int array;
-  mutable retracted : int list;
+  retracted : int array;  (* one entry per pin, so never overflows *)
+  mutable n_retracted : int;
+  bucket : int array;  (* per level: the first pending gate, or -1 *)
+  next : int array;  (* per net: the next pending gate of its level *)
+  pending : Bytes.t;  (* per net: in a bucket *)
+  mutable top_level : int;
 }
 
-(* The number of [fan]'s pins forced to [g]'s controlling value under
-   [values], and the last of them; a pin is unblocked when no other pin
-   is forced. *)
-let forced_pins (values : V3.t array) g fan =
+(* Which pins of [fan] are unblocked under [values]: -1 all of them (no
+   pin is forced to [g]'s controlling value), [q] only pin [q] (the one
+   forced pin), -2 none. *)
+let unblocked_pins (values : V3.t array) g fan =
   match Gate.controlling g with
-  | None -> (0, -1)
+  | None -> -1
   | Some ctrl ->
-    let n_forced = ref 0 and forced = ref (-1) in
+    let code = ref (-1) in
     for q = 0 to Array.length fan - 1 do
-      if V3.equal values.(fan.(q)) ctrl then begin
-        incr n_forced;
-        forced := q
-      end
+      if V3.equal values.(fan.(q)) ctrl then
+        code := if !code = -1 then q else -2
     done;
-    (!n_forced, !forced)
+    !code
 
-let unblocked (n_forced, forced) q =
-  n_forced = 0 || (n_forced = 1 && forced = q)
+let unblocked code q = code = -1 || code = q
 
 let obs_support p obs_src =
   let c = p.c in
-  let cnt = Array.make (Circuit.num_nets c) 0 in
+  let n = Circuit.num_nets c in
+  let cnt = Array.make n 0 in
   let topo = c.Circuit.topo in
   for k = Array.length topo - 1 downto 0 do
     let i = topo.(k) in
     match Circuit.node c i with
     | Circuit.Gate (g, fan) when cnt.(i) > 0 || obs_src.(i) ->
-      let forced = forced_pins p.base g fan in
+      let code = unblocked_pins p.base g fan in
       Array.iteri
-        (fun q w -> if unblocked forced q then cnt.(w) <- cnt.(w) + 1)
+        (fun q w -> if unblocked code q then cnt.(w) <- cnt.(w) + 1)
         fan
     | _ -> ()
   done;
-  { obs_src; base_cnt = Array.copy cnt; cnt; retracted = [] }
-
-module Int_set = Set.Make (Int)
+  {
+    obs_src;
+    base_cnt = Array.copy cnt;
+    cnt;
+    retracted =
+      Array.make
+        (Array.fold_left (fun a fo -> a + Array.length fo) 0 c.Circuit.fanout)
+        0;
+    n_retracted = 0;
+    bucket = Array.make (1 + Array.fold_left max 0 c.Circuit.level) (-1);
+    next = Array.make n (-1);
+    pending = Bytes.make n '\000';
+    top_level = 0;
+  }
 
 (* Each gate is settled once: support only flows from a gate to its
-   fanins, which come earlier in topological order. *)
+   fanins, which sit at lower levels. *)
 let obs_retract p o =
   let c = p.c in
-  let topo = c.Circuit.topo in
-  let pending = ref Int_set.empty in
   let push w =
     match Circuit.node c w with
-    | Circuit.Gate _ -> pending := Int_set.add p.pos.(w) !pending
+    | Circuit.Gate _ when Bytes.get o.pending w = '\000' ->
+      let l = c.Circuit.level.(w) in
+      Bytes.set o.pending w '\001';
+      o.next.(w) <- o.bucket.(l);
+      o.bucket.(l) <- w;
+      o.top_level <- max o.top_level l
     | _ -> ()
   in
-  List.iter (fun (n, _, _) -> Array.iter push c.Circuit.fanout.(n)) p.trail;
-  while not (Int_set.is_empty !pending) do
-    let k = Int_set.max_elt !pending in
-    pending := Int_set.remove k !pending;
-    let i = topo.(k) in
-    match Circuit.node c i with
-    | Circuit.Gate (g, fan) ->
-      let was = o.base_cnt.(i) > 0 || o.obs_src.(i) in
-      if was then begin
+  for t = 0 to p.top - 1 do
+    Array.iter push c.Circuit.fanout.(p.trail.(t))
+  done;
+  for l = o.top_level downto 0 do
+    while o.bucket.(l) >= 0 do
+      let i = o.bucket.(l) in
+      o.bucket.(l) <- o.next.(i);
+      Bytes.set o.pending i '\000';
+      match Circuit.node c i with
+      | Circuit.Gate (g, fan) when o.base_cnt.(i) > 0 || o.obs_src.(i) ->
         let is = o.cnt.(i) > 0 || o.obs_src.(i) in
-        let forced0 = forced_pins p.base g fan
-        and forced = forced_pins p.work g fan in
-        Array.iteri
-          (fun q w ->
-            if unblocked forced0 q && not (is && unblocked forced q) then begin
-              o.cnt.(w) <- o.cnt.(w) - 1;
-              o.retracted <- w :: o.retracted;
-              if o.cnt.(w) = 0 then push w
-            end)
-          fan
-      end
-    | _ -> ()
-  done
+        let code0 = unblocked_pins p.base g fan
+        and code = unblocked_pins p.work g fan in
+        for q = 0 to Array.length fan - 1 do
+          if unblocked code0 q && not (is && unblocked code q) then begin
+            let w = fan.(q) in
+            o.cnt.(w) <- o.cnt.(w) - 1;
+            o.retracted.(o.n_retracted) <- w;
+            o.n_retracted <- o.n_retracted + 1;
+            if o.cnt.(w) = 0 then push w
+          end
+        done
+      | _ -> ()
+    done
+  done;
+  o.top_level <- 0
 
 let obs_restore o =
-  List.iter (fun w -> o.cnt.(w) <- o.cnt.(w) + 1) o.retracted;
-  o.retracted <- []
+  for k = 0 to o.n_retracted - 1 do
+    let w = o.retracted.(k) in
+    o.cnt.(w) <- o.cnt.(w) + 1
+  done;
+  o.n_retracted <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Depth-1 recursive learning                                          *)
@@ -497,109 +545,105 @@ let bit_add bits w =
 let stuck_value (f : Fault.t) = V3.of_bool f.Fault.stuck
 let max_learn_gates = 2
 
-(* Pick up to [max_learn_gates] unjustified gates (output at the
-   controlled value, no input at the controlling value, >= 2 unknown
-   inputs). Every way to justify one is tried; assignments common to all
+(* Gate [j] is unjustified: its output at the controlled value, no input
+   at the controlling value, >= 2 unknown inputs. *)
+let unjustified p j =
+  match Circuit.node p.c j with
+  | Circuit.Gate (g, fan) -> (
+    match Gate.controlling g with
+    | Some ctrl when V3.equal p.work.(j) (Gate.controlled_output g) ->
+      let unknown = ref 0 and forced = ref false in
+      for q = 0 to Array.length fan - 1 do
+        let v = p.work.(fan.(q)) in
+        if V3.equal v ctrl then forced := true
+        else if not (V3.is_binary v) then incr unknown
+      done;
+      (not !forced) && !unknown >= 2
+    | _ -> false)
+  | _ -> false
+
+(* The lowest topological position past [after] of an unjustified gate,
+   or [max_int]. An unjustified gate sits at a binary value, so only the
+   base candidates and the gates assigned since the base can qualify. *)
+let next_unjustified p after =
+  let topo = p.c.Circuit.topo in
+  let best = ref max_int in
+  for t = 0 to p.top - 1 do
+    let k = p.pos.(p.trail.(t)) in
+    if k > after && k < !best && unjustified p topo.(k) then best := k
+  done;
+  let lb = p.learn_base in
+  let i = ref 0 in
+  while !i < Array.length lb && lb.(!i) < !best do
+    let k = lb.(!i) in
+    if k > after && unjustified p topo.(k) then best := k else incr i
+  done;
+  !best
+
+(* Pick up to [max_learn_gates] unjustified gates, in topological order.
+   Every way to justify one is tried; assignments common to all
    consistent justifications are learned into the current state. No
    consistent justification at all means the state is contradictory.
-   Returns the number of learned assignments. *)
+   Returns the number of learned assignments.
+
+   The intersection is kept in stamps: after each consistent branch, a
+   net is still common when its [stamp] holds the current generation,
+   and [stamp_v] holds its value. The learned assignments are made in
+   the last consistent branch's trail order. *)
 let recursive_learn p =
-  let c = p.c in
-  let learned = ref 0 in
-  let picked = ref 0 in
-  let topo = c.Circuit.topo in
-  (* An unjustified gate sits at a binary value, so the scan in
-     topological order visits only the base candidates and the gates
-     assigned since the base, past position [after]. *)
-  let candidates after =
-    let assigned =
-      List.filter_map
-        (fun (n, _, _) ->
-          let k = p.pos.(n) in
-          if k > after then Some k else None)
-        p.trail
-    in
-    List.merge Int.compare
-      (List.filter (fun k -> k > after) p.learn_base)
-      (List.sort Int.compare assigned)
-  in
-  let next = ref (candidates (-1)) in
-  while !picked < max_learn_gates && !next <> [] do
-    let k = List.hd !next in
-    next := List.tl !next;
-    let j = topo.(k) in
-    match Circuit.node c j with
-    | Circuit.Gate (g, fan) -> (
-      match Gate.controlling g with
-      | Some ctrl
-        when V3.equal p.work.(j) (Gate.controlled_output g)
-             && (not (Array.exists (fun i -> V3.equal p.work.(i) ctrl) fan))
-             && Array.fold_left
-                  (fun acc i ->
-                    if V3.is_binary p.work.(i) then acc else acc + 1)
-                  0 fan
-                >= 2 ->
-        incr picked;
-        let common = ref None in
-        Array.iter
-          (fun i ->
-            if not (V3.is_binary p.work.(i)) then begin
-              let mark = p.trail in
-              if try_assume p [ (i, ctrl, Assumed) ] then begin
-                let branch = ref [] in
-                let rec collect l =
-                  if l != mark then
-                    match l with
-                    | (n, v, _) :: tl ->
-                      branch := (n, v) :: !branch;
-                      collect tl
-                    | [] -> assert false
-                in
-                collect p.trail;
-                undo_to p mark;
-                common :=
-                  Some
-                    (match !common with
-                    | None -> !branch
-                    | Some prev ->
-                      (* a trail holds each net once, so [prev] is a map *)
-                      let prev_v = Hashtbl.create 64 in
-                      List.iter (fun (n, v) -> Hashtbl.replace prev_v n v) prev;
-                      List.filter
-                        (fun (n, v) ->
-                          match Hashtbl.find_opt prev_v n with
-                          | Some v' -> V3.equal v v'
-                          | None -> false)
-                        !branch)
+  let learned = ref 0 and picked = ref 0 in
+  let k = ref (next_unjustified p (-1)) in
+  while !picked < max_learn_gates && !k < max_int do
+    let j = p.c.Circuit.topo.(!k) in
+    (match Circuit.node p.c j with
+    | Circuit.Gate (g, fan) ->
+      incr picked;
+      let ctrl = Option.get (Gate.controlling g) in
+      let common = ref false and n_fixes = ref 0 in
+      for q = 0 to Array.length fan - 1 do
+        let i = fan.(q) in
+        if not (V3.is_binary p.work.(i)) then begin
+          let mark = p.top in
+          if assume p i ctrl then begin
+            let prev = p.gen in
+            p.gen <- p.gen + 1;
+            for t = mark to p.top - 1 do
+              let n = p.trail.(t) in
+              if not !common then begin
+                p.stamp.(n) <- p.gen;
+                p.stamp_v.(n) <- p.work.(n)
               end
-              else undo_to p mark
-            end)
-          fan;
-        (match !common with
-        | None ->
-          (* no input can supply the controlling value *)
-          raise Contradiction
-        | Some fixes ->
-          List.iter
-            (fun (n, v) ->
-              if not (V3.is_binary p.work.(n)) then begin
-                assign p n v (Learned j);
-                incr learned
-              end)
-            fixes;
-          settle p;
-          next := candidates k)
-      | _ -> ())
-    | _ -> ()
+              else if p.stamp.(n) = prev && V3.equal p.stamp_v.(n) p.work.(n)
+              then p.stamp.(n) <- p.gen;
+              p.fixes.(t - mark) <- n
+            done;
+            n_fixes := p.top - mark;
+            common := true
+          end;
+          undo_to p mark
+        end
+      done;
+      (* no input can supply the controlling value *)
+      if not !common then raise Contradiction;
+      for t = 0 to !n_fixes - 1 do
+        let n = p.fixes.(t) in
+        if p.stamp.(n) = p.gen && not (V3.is_binary p.work.(n)) then begin
+          assign p n p.stamp_v.(n) j why_learned;
+          incr learned
+        end
+      done;
+      settle p
+    | _ -> ());
+    k := next_unjustified p !k
   done;
   !learned
 
 (* One deterministic deduction step: propagation plus depth-1 learning;
-   [false] when the assumptions are contradictory. The refutations found
+   [false] when the assumption is contradictory. The refutations found
    by [analyze] and their re-derivation in [check] both go through this
    single entry point, so a shipped refutation always replays. *)
-let deduce p assumptions =
-  try_assume p assumptions
+let deduce p net v =
+  assume p net v
   &&
   match recursive_learn p with
   | _ -> true
@@ -641,8 +685,48 @@ let dominance_pairs (c : Circuit.t) index =
 (* Analysis driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The first [ne] edges of [codes], each [src * nl + dst] over [nl]
+   literals, as CSR rows, each sorted and free of duplicates: a stable
+   counting sort by destination, then one by source, written back into
+   [codes]. *)
+let csr nl codes ne =
+  let count = Array.make (nl + 1) 0 in
+  let scatter key from into value =
+    Array.fill count 0 (nl + 1) 0;
+    for e = 0 to ne - 1 do
+      let k = key from.(e) in
+      count.(k + 1) <- count.(k + 1) + 1
+    done;
+    for l = 1 to nl do
+      count.(l) <- count.(l) + count.(l - 1)
+    done;
+    for e = 0 to ne - 1 do
+      let k = key from.(e) in
+      into.(count.(k)) <- value from.(e);
+      count.(k) <- count.(k) + 1
+    done
+  in
+  let by_dst = Array.make (max ne 1) 0 in
+  scatter (fun e -> e mod nl) codes by_dst Fun.id;
+  scatter (fun e -> e / nl) by_dst codes (fun e -> e mod nl);
+  (* row [l] now ends at [count.(l)]; drop each row's duplicates,
+     compacting the rows to the left *)
+  let off = Array.make (nl + 1) 0 and w = ref 0 in
+  for l = 0 to nl - 1 do
+    let first = if l = 0 then 0 else count.(l - 1) in
+    off.(l) <- !w;
+    for k = first to count.(l) - 1 do
+      if k = first || codes.(k) <> codes.(k - 1) then begin
+        codes.(!w) <- codes.(k);
+        incr w
+      end
+    done
+  done;
+  off.(nl) <- !w;
+  (off, Array.sub codes 0 (max !w 1))
+
 let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let c = view.View.circuit in
   let n = Circuit.num_nets c in
   let p, base_reason = make_prop view in
@@ -661,7 +745,7 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
       impossible.(lit ~net:i ~value:true) <- true
     end
   done;
-  let seen = Array.make n false in
+  let scratch = cut_scratch n in
   let proofs = Array.make nf None in
   let n_proven = ref 0 in
   let prove i pr =
@@ -712,45 +796,89 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
       if V3.equal base.(s) (stuck_value f) then prove i Unexcitable
       else
         with_cone f (fun in_cone ->
-            match blocked_cut p obs_src in_cone seen (entry_of p in_cone f) with
+            match
+              blocked_cut p obs_src in_cone scratch (entry_of p in_cone f)
+            with
             | Some cut -> prove i (Unobservable cut)
             | None -> ()))
     faults;
   (* --- pass 2: one propagation per literal -------------------------- *)
-  let succ = Array.make (2 * n) [] in
+  (* Implication edges, each [src * 2n + dst] over literals, in a buffer
+     that doubles when full; sorted into the graph afterwards. *)
+  let edges = ref (Array.make 4096 0) and n_edges = ref 0 in
+  let add_edge a b =
+    if !n_edges = Array.length !edges then begin
+      let bigger = Array.make (2 * !n_edges) 0 in
+      Array.blit !edges 0 bigger 0 !n_edges;
+      edges := bigger
+    end;
+    !edges.(!n_edges) <- (a * 2 * n) + b;
+    incr n_edges
+  in
   let learned_total = ref 0 in
   (* Pass 2 proves nothing, so the faults open for FIRE are fixed here. *)
   let open_faults =
-    List.filter (fun i -> proofs.(i) = None) (List.init nf Fun.id)
+    Array.of_list
+      (List.filter (fun i -> proofs.(i) = None) (List.init nf Fun.id))
   in
   (* The open faults blocked under the current net's 0-branch, in
      ascending order; only they can become FIRE candidates. *)
-  let blocked0 = ref [] in
+  let blocked0 = Array.make (Array.length open_faults) 0 in
+  let n_blocked0 = ref 0 in
   let fire_candidates = ref [] in
   (* cheap, cone-unaware "is detection blocked" filter under the current
      branch assignment *)
-  let cheap = Array.map (cheap_entry c) faults in
   let obs = obs_support p obs_src in
-  let obs_ok w = obs.cnt.(w) > 0 in
+  let no_cone _ = false in
   let cheap_blocked i =
     let f = faults.(i) in
     V3.equal p.work.(Fault.site_net c f) (stuck_value f)
     ||
-    match cheap.(i) with
-    | Cheap_obs -> false
-    | Cheap_net e -> not (obs_ok e)
-    | Cheap_pin { node; pin; fan; ctrl } ->
-      let blocked = ref false in
-      for q = 0 to Array.length fan - 1 do
-        if q <> pin && V3.equal p.work.(fan.(q)) ctrl then blocked := true
-      done;
-      !blocked || not (obs_ok node)
+    match entry_of p no_cone f with
+    | Obs -> false
+    | Blocked _ -> true
+    | Net e -> obs.cnt.(e) = 0
+  in
+  (* Under a branch, [cheap_blocked i] can differ from its answer at the
+     base only when the branch assigns a net the fault reads (site, side
+     pins) or takes the support of its entry net away: a branch re-tests
+     just the [readers] of its trail and retracted nets, stamped with
+     the current [retest]. *)
+  let readers = Array.make n [] in
+  Array.iter
+    (fun i ->
+      List.iter
+        (fun w -> readers.(w) <- i :: readers.(w))
+        (match faults.(i).Fault.site with
+        | Fault.Stem s -> [ s ]
+        | Fault.Branch { node; _ } ->
+          node :: Array.to_list (Circuit.fanins c node)))
+    open_faults;
+  let base_blocked = Array.map cheap_blocked (Array.init nf Fun.id) in
+  let blocked_at_base =
+    Array.of_list
+      (List.filter (Array.get base_blocked) (Array.to_list open_faults))
+  in
+  let retest_stamp = Array.make nf 0 and retest = ref 0 in
+  let retested = Array.make nf 0 and n_retested = ref 0 in
+  let touch w =
+    List.iter
+      (fun i ->
+        if retest_stamp.(i) <> !retest then begin
+          retest_stamp.(i) <- !retest;
+          retested.(!n_retested) <- i;
+          incr n_retested
+        end)
+      readers.(w)
+  in
+  let blocked_now i =
+    if retest_stamp.(i) = !retest then cheap_blocked i else base_blocked.(i)
   in
   for m = 0 to n - 1 do
     if (not (V3.is_binary base.(m))) && not p.uncontrollable.(m) then begin
       let branch value =
-        let mark = p.trail in
-        let applied = try_assume p [ (m, V3.of_bool value, Assumed) ] in
+        let mark = p.top in
+        let applied = assume p m (V3.of_bool value) in
         let applied =
           applied
           && ((not learn)
@@ -768,49 +896,82 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
           false
         end
         else begin
-          (* record the closure as CSR successors + contrapositives *)
-          let rec edges tl =
-            if tl != mark then
-              match tl with
-              | (net, v', _) :: rest ->
-                if net <> m then begin
-                  let l' = lit ~net ~value:(V3.equal v' V3.One) in
-                  succ.(l) <- l' :: succ.(l);
-                  (* contraposition of a ternary implication only holds
-                     when the branch net cannot settle at X in a completed
-                     test: [m = b] forcing [x] excludes [m = b] under
-                     [not x], which pins [m] only if [m] must be binary *)
-                  if def_binary.(m) then
-                    succ.(l' lxor 1) <- (l lxor 1) :: succ.(l' lxor 1)
-                end;
-                edges rest
-              | [] -> assert false
-          in
-          edges p.trail;
+          (* record the closure as successors + contrapositives *)
+          for t = mark to p.top - 1 do
+            let net = p.trail.(t) in
+            if net <> m then begin
+              let l' = lit ~net ~value:(V3.equal p.work.(net) V3.One) in
+              add_edge l l';
+              (* contraposition of a ternary implication only holds when the
+                 branch net cannot settle at X in a completed test: [m = b]
+                 forcing [x] excludes [m = b] under [not x], which pins [m]
+                 only if [m] must be binary *)
+              if def_binary.(m) then add_edge (l' lxor 1) (l lxor 1)
+            end
+          done;
           (* FIRE filter under this branch (state still applied) *)
           if def_binary.(m) && !n_proven < nf then begin
-            let tested = if value then !blocked0 else open_faults in
-            if tested <> [] then begin
+            let tested =
+              if value then !n_blocked0 else Array.length open_faults
+            in
+            if tested > 0 then begin
               obs_retract p obs;
-              let blocked = List.filter cheap_blocked tested in
-              obs_restore obs;
-              if not value then blocked0 := blocked
-              else if blocked <> [] then
-                fire_candidates := (m, blocked) :: !fire_candidates
+              incr retest;
+              n_retested := 0;
+              for t = 0 to p.top - 1 do
+                touch p.trail.(t)
+              done;
+              for k = 0 to obs.n_retracted - 1 do
+                if obs.cnt.(obs.retracted.(k)) = 0 then touch obs.retracted.(k)
+              done;
+              if not value then begin
+                (* the untouched faults blocked at the base and the re-tested
+                   ones blocked now, in ascending order *)
+                n_blocked0 := 0;
+                let add i =
+                  if blocked_now i then begin
+                    blocked0.(!n_blocked0) <- i;
+                    incr n_blocked0
+                  end
+                in
+                Array.iter
+                  (fun i -> if retest_stamp.(i) <> !retest then add i)
+                  blocked_at_base;
+                for k = 0 to !n_retested - 1 do
+                  add retested.(k)
+                done;
+                let now = Array.sub blocked0 0 !n_blocked0 in
+                Array.sort Int.compare now;
+                Array.blit now 0 blocked0 0 !n_blocked0
+              end
+              else begin
+                let blocked = ref [] in
+                for k = !n_blocked0 - 1 downto 0 do
+                  if blocked_now blocked0.(k) then
+                    blocked := blocked0.(k) :: !blocked
+                done;
+                if !blocked <> [] then
+                  fire_candidates := (m, !blocked) :: !fire_candidates
+              end;
+              obs_restore obs
             end
           end;
           undo_to p mark;
           true
         end
       in
-      blocked0 := [];
+      n_blocked0 := 0;
       let ok0 = branch false in
       (* a conflicting 0-branch blocks every fault vacuously: candidates
          are whatever the 1-branch blocks *)
-      if (not ok0) && def_binary.(m) then blocked0 := open_faults;
+      if (not ok0) && def_binary.(m) then begin
+        Array.blit open_faults 0 blocked0 0 (Array.length open_faults);
+        n_blocked0 := Array.length open_faults
+      end;
       ignore (branch true : bool)
     end
   done;
+  let off, dst = csr (2 * n) !edges !n_edges in
   (* A literal whose accumulated implication set (its own closure plus
      contrapositives contributed by other branches) contains both values
      of some net is itself impossible: every edge is a theorem about
@@ -826,8 +987,8 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
   let refutations = Hashtbl.create 16 in
   (* assuming [m = mv] either conflicts or forces the negation of [l] *)
   let derives_not l m mv =
-    let mark = p.trail in
-    let ok = deduce p [ (m, mv, Assumed) ] in
+    let mark = p.top in
+    let ok = deduce p m mv in
     let r =
       (not ok) || V3.equal p.work.(l / 2) (V3.of_bool (l land 1 = 0))
     in
@@ -837,8 +998,8 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
   let refute l candidates =
     let net = l / 2 in
     let v = V3.of_bool (l land 1 = 1) in
-    let mark = p.trail in
-    let ok = deduce p [ (net, v, Assumed) ] in
+    let mark = p.top in
+    let ok = deduce p net v in
     if not ok then begin
       undo_to p mark;
       Some Direct
@@ -846,15 +1007,10 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
     else begin
       (* the literal's own deduction closure, for the [Via] first leg *)
       let own = Hashtbl.create 32 in
-      let rec walk tl =
-        if tl != mark then
-          match tl with
-          | (m, mv, _) :: rest ->
-            if m <> net then Hashtbl.replace own m mv;
-            walk rest
-          | [] -> assert false
-      in
-      walk p.trail;
+      for t = mark to p.top - 1 do
+        let m = p.trail.(t) in
+        if m <> net then Hashtbl.replace own m p.work.(m)
+      done;
       undo_to p mark;
       let rec pick = function
         | [] -> None
@@ -875,12 +1031,14 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
   in
   for l = 0 to (2 * n) - 1 do
     if not impossible.(l) then begin
-      let rec conflict_nets acc = function
-        | a :: (b :: _ as rest) ->
-          conflict_nets (if a lxor 1 = b then (a / 2) :: acc else acc) rest
-        | [ _ ] | [] -> acc
-      in
-      match conflict_nets [] (List.sort_uniq Int.compare succ.(l)) with
+      (* both literals of a net sit next to each other in a sorted row;
+         the candidates come out in descending net order *)
+      let conflicts = ref [] in
+      for k = off.(l) + 1 to off.(l + 1) - 1 do
+        if dst.(k - 1) lxor 1 = dst.(k) then
+          conflicts := (dst.(k - 1) / 2) :: !conflicts
+      done;
+      match !conflicts with
       | [] -> ()
       | candidates -> (
         impossible.(l) <- true;
@@ -893,9 +1051,9 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
   (* Each branch of [m] is assumed once for all of [m]'s candidates:
      [evidence] gives, in order, the faults of [is] the branch excludes. *)
   let evidence m value is =
-    let mark = p.trail in
+    let mark = p.top in
     let ev =
-      if not (try_assume p [ (m, V3.of_bool value, Assumed) ]) then
+      if not (assume p m (V3.of_bool value)) then
         List.map (fun i -> (i, Conflict)) is
       else
         List.filter_map
@@ -907,7 +1065,8 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
             else
               with_cone f (fun in_cone ->
                   match
-                    blocked_cut p obs_src in_cone seen (entry_of p in_cone f)
+                    blocked_cut p obs_src in_cone scratch
+                      (entry_of p in_cone f)
                   with
                   | Some cut -> Some (i, Cut cut)
                   | None -> None))
@@ -945,8 +1104,8 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
     if impossible_direct.(l) then begin
       (* replay so the shipped proof stands on its own even when the
          pass-2 conflict came out of learning *)
-      let mark = p.trail in
-      let ok = deduce p [ (l / 2, V3.of_bool (l land 1 = 1), Assumed) ] in
+      let mark = p.top in
+      let ok = deduce p (l / 2) (V3.of_bool (l land 1 = 1)) in
       undo_to p mark;
       if ok then None else Some Direct
     end
@@ -1011,15 +1170,6 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
     | None -> ()
   done;
   let untestable = !untestable in
-  let off = Array.make ((2 * n) + 1) 0 in
-  let lists = Array.map (fun l -> List.sort_uniq Int.compare l) succ in
-  for l = 0 to (2 * n) - 1 do
-    off.(l + 1) <- off.(l) + List.length lists.(l)
-  done;
-  let dst = Array.make (max off.(2 * n) 1) 0 in
-  for l = 0 to (2 * n) - 1 do
-    List.iteri (fun k d -> dst.(off.(l) + k) <- d) lists.(l)
-  done;
   let n_constants =
     Array.fold_left
       (fun acc r ->
@@ -1048,7 +1198,7 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
         impossible = n_impossible;
         untestable = List.length untestable;
         dominance_edges = List.length dominance;
-        seconds = Sys.time () -. t0;
+        seconds = Clock.now () -. t0;
       };
   }
 
@@ -1076,7 +1226,7 @@ let check t (u : untestable) =
   let p, _ = make_prop view in
   let obs_src = compute_obs_src view in
   let n = Circuit.num_nets c in
-  let seen = Array.make n false in
+  let scratch = cut_scratch n in
   let f = u.fault in
   let s = Fault.site_net c f in
   let sv = stuck_value f in
@@ -1086,9 +1236,9 @@ let check t (u : untestable) =
     Array.iter (fun w -> mem.(w) <- true) cone;
     fun w -> mem.(w)
   in
-  let conflicts assumptions =
-    let mark = p.trail in
-    let ok = deduce p assumptions in
+  let conflicts net v =
+    let mark = p.top in
+    let ok = deduce p net v in
     undo_to p mark;
     not ok
   in
@@ -1107,11 +1257,11 @@ let check t (u : untestable) =
       cut
   in
   let blocked_now in_cone =
-    blocked_cut p obs_src in_cone seen (entry_of p in_cone f) <> None
+    blocked_cut p obs_src in_cone scratch (entry_of p in_cone f) <> None
   in
   match u.proof with
   | Unexcitable ->
-    V3.equal p.base.(s) sv || conflicts [ (s, V3.bnot sv, Assumed) ]
+    V3.equal p.base.(s) sv || conflicts s (V3.bnot sv)
   | Unobservable cut ->
     let in_cone = in_cone_of f in
     valid_cut in_cone cut && blocked_now in_cone
@@ -1120,8 +1270,8 @@ let check t (u : untestable) =
     && (not (V3.is_binary p.base.(m)))
     &&
     let branch value ev =
-      let mark = p.trail in
-      let applied = try_assume p [ (m, V3.of_bool value, Assumed) ] in
+      let mark = p.top in
+      let applied = assume p m (V3.of_bool value) in
       let ok =
         match ev with
         | Conflict -> not applied
@@ -1160,19 +1310,19 @@ let check t (u : untestable) =
     in
     (* ... and really is refuted: re-derive each deduction leg *)
     let derives_neg m mv =
-      let mark = p.trail in
-      let ok = deduce p [ (m, mv, Assumed) ] in
+      let mark = p.top in
+      let ok = deduce p m mv in
       let r = (not ok) || V3.equal p.work.(net) (V3.bnot value) in
       undo_to p mark;
       r
     in
     requirement_ok
     && (match refutation with
-       | Direct -> conflicts [ (net, value, Assumed) ]
+       | Direct -> conflicts net value
        | Via { via; value = vv } ->
          let fwd =
-           let mark = p.trail in
-           let ok = deduce p [ (net, value, Assumed) ] in
+           let mark = p.top in
+           let ok = deduce p net value in
            let r = (not ok) || V3.equal p.work.(via) vv in
            undo_to p mark;
            r

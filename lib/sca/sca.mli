@@ -128,6 +128,8 @@ type stats = {
   dominance_edges : int;
       (** dominator/dominated pairs present in the target set *)
   seconds : float;
+      (** wall-clock time of {!analyze} ({!Fst_exec.Clock}, the clock of
+          the flow's phase gauges), not process CPU time *)
 }
 
 type t = private {

@@ -567,7 +567,17 @@ let serve_conn t fd =
    onto the connection. Lock order is write lock, then [t.lock]; nothing
    takes a write lock while holding [t.lock]. *)
 let rec heartbeat_loop t =
-  Thread.delay t.hb_interval;
+  (* sleep out the interval in slices of at most 50 ms, so a shutdown
+     does not wait for the next tick *)
+  let tick = Clock.now () +. t.hb_interval in
+  let rec nap () =
+    let left = tick -. Clock.now () in
+    if left > 0.0 && not (locked t (fun () -> t.stop)) then begin
+      Thread.delay (Float.min 0.05 left);
+      nap ()
+    end
+  in
+  nap ();
   let running =
     locked t (fun () ->
         if t.stop then None

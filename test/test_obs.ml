@@ -385,6 +385,126 @@ let test_engine_child_spans () =
   Alcotest.(check int) "one fsim.simulate per call" calls
     (count (String.equal "fsim.simulate"))
 
+(* --- the JSON parser ------------------------------------------------------ *)
+
+(* Random trees round-trip through [to_string] and [of_string]. Strings
+   are arbitrary bytes, weighted towards quotes, backslashes, control
+   characters (written as \u escapes) and non-ASCII bytes; floats have a
+   fractional part, since an integral float renders as an int. *)
+let json_gen =
+  let open Q.Gen in
+  let byte =
+    frequency
+      [
+        (3, char_range 'a' 'z');
+        (1, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\000' ]);
+        (1, map Char.chr (int_range 0 0x1f));
+        (1, map Char.chr (int_range 0x80 0xff));
+      ]
+  in
+  let str = string_size ~gen:byte (int_range 0 12) in
+  let num =
+    map2 (fun k f -> Float.of_int k +. f) (int_range (-1000) 1000)
+      (float_range 0.001 0.999)
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) num;
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map
+                   (fun l -> Json.List l)
+                   (list_size (int_range 0 4) (self (n / 3))) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 3)))) );
+             ])
+
+let prop_json_round_trip =
+  Q.Test.make ~name:"json of_string inverts to_string" ~count:500
+    (Q.make ~print:Json.to_string json_gen)
+    (fun v -> Json.of_string (Json.to_string v) = v)
+
+(* Inputs and what [of_string] made of them before the parser read by
+   index: the compact rendering of the value, or the [Parse_error]
+   message with its offset. *)
+let json_cases =
+  [
+    ("", Error "unexpected end of input at offset 0");
+    (" ", Error "unexpected end of input at offset 1");
+    ("nul", Error "expected null at offset 0");
+    ("tru", Error "expected true at offset 0");
+    ("fals", Error "expected false at offset 0");
+    ("nulll", Error "trailing garbage at offset 4");
+    ("tx", Error "expected true at offset 0");
+    ("@", Error "unexpected '@' at offset 0");
+    ("\000", Error "unexpected '\000' at offset 0");
+    ("+1", Error "unexpected '+' at offset 0");
+    ("--1", Error "bad number at offset 3");
+    ("-", Error "bad number at offset 1");
+    ("1.2.3", Error "bad number at offset 5");
+    ("1e", Error "bad number at offset 2");
+    ("01", Ok "1");
+    ("1x", Error "trailing garbage at offset 1");
+    ("[1]x", Error "trailing garbage at offset 3");
+    ("{\"a\":1} x", Error "trailing garbage at offset 8");
+    ("[", Error "unexpected end of input at offset 1");
+    ("[1", Error "expected ',' or ']' at offset 2");
+    ("[1,2", Error "expected ',' or ']' at offset 4");
+    ("[1 2]", Error "expected ',' or ']' at offset 3");
+    ("[,1]", Error "unexpected ',' at offset 1");
+    ("[1,]", Error "unexpected ']' at offset 3");
+    ("{", Error "expected '\"' at offset 1");
+    ("{\"a\"", Error "expected ':' at offset 4");
+    ("{\"a\" 1}", Error "expected ':' at offset 5");
+    ("{\"a\":}", Error "unexpected '}' at offset 5");
+    ("{\"a\":1,}", Error "expected '\"' at offset 7");
+    ("{a:1}", Error "expected '\"' at offset 1");
+    ("{\"a\":1 \"b\":2}", Error "expected ',' or '}' at offset 7");
+    ("\"", Error "unterminated string at offset 1");
+    ("\"abc", Error "unterminated string at offset 4");
+    ("\"a\\", Error "bad escape at offset 3");
+    ("\"a\\x\"", Error "bad escape at offset 3");
+    ("\"\\u12\"", Error "truncated \\u at offset 3");
+    ("\"\\u12g4\"", Error "bad \\u escape at offset 3");
+    ("\"\\u1_23\"", Ok "\"\196\163\"");
+    ("\"\\u00e9\"", Ok "\"\195\169\"");
+    ("\"\\uD800\"", Ok "\"\237\160\128\"");
+    ("\"\\u0041\\n\\t\\\"\\\\\\/\\b\\f\\r\"", Ok "\"A\\n\\t\\\"\\\\/\\u0008\\u000c\\r\"");
+    ("\"caf\195\169\"", Ok "\"caf\195\169\"");
+    ("\"tab\there\"", Ok "\"tab\\there\"");
+    ("  [ 1 , -2.5e3 , true , false , null , \"x\" , { } , [ ] ]  ", Ok "[1,-2500,true,false,null,\"x\",{},[]]");
+    ("99999999999999999999", Ok "1e+20");
+    ("1E400", Ok "null");
+    ("{\"a\":{\"b\":[1,{\"c\":\"\\u0000\"}]}}", Ok "{\"a\":{\"b\":[1,{\"c\":\"\\u0000\"}]}}");
+  ]
+
+let test_json_cases () =
+  List.iter
+    (fun (input, expected) ->
+      let got =
+        match Json.of_string input with
+        | v -> Ok (Json.to_string v)
+        | exception Json.Parse_error e -> Error e
+      in
+      let show = function Ok s -> "Ok " ^ s | Error e -> "Error " ^ e in
+      Alcotest.(check string) (String.escaped input) (show expected) (show got))
+    json_cases
+
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
@@ -406,4 +526,6 @@ let suite =
       test_seq_seconds_in_sink;
     Alcotest.test_case "engine calls carry trace/simulate spans" `Quick
       test_engine_child_spans;
+    Helpers.qcheck prop_json_round_trip;
+    Alcotest.test_case "json parse results and errors" `Quick test_json_cases;
   ]

@@ -281,6 +281,86 @@ let prop_unrolled_matches_oracle =
             faults)
         models)
 
+(* --- the incremental effect set ------------------------------------------ *)
+
+(* Implication keeps the set of nets carrying a fault effect up to date,
+   and detection reads that set. A random walk of assignments (binary
+   values and un-assignments, as a search makes them) is replayed on
+   comb views, scan-mode views (observation on flip-flop data pins) and
+   unrolled models; after every step the set and the verdict must equal
+   a scan of every net and every observation point. *)
+let effects_match_scan view faults rng =
+  let c = view.View.circuit in
+  let e = Podem.Probe.create view ~faults in
+  let effect n =
+    let g = Podem.Probe.good e n and f = Podem.Probe.faulty e n in
+    V3.is_binary g && V3.is_binary f && not (V3.equal g f)
+  in
+  (* what pin [pin] of [node] reads in the faulty machine: the stuck value
+     of the last listed branch fault on it, else its net *)
+  let pin_reads node pin =
+    List.fold_left
+      (fun acc (f : Fault.t) ->
+        match f.Fault.site with
+        | Fault.Branch b when b.node = node && b.pin = pin ->
+          V3.of_bool f.Fault.stuck
+        | Fault.Branch _ | Fault.Stem _ -> acc)
+      (Podem.Probe.faulty e (Circuit.fanins c node).(pin))
+      faults
+  in
+  let observed = function
+    | View.Onet n -> effect n
+    | View.Opin { node; pin } ->
+      let g = Podem.Probe.good e (Circuit.fanins c node).(pin)
+      and f = pin_reads node pin in
+      V3.is_binary g && V3.is_binary f && not (V3.equal g f)
+  in
+  let agree () =
+    let scanned =
+      List.filter effect (List.init (Circuit.num_nets c) Fun.id)
+    in
+    List.sort Int.compare (Podem.Probe.effect_nets e) = scanned
+    && Podem.Probe.detected e = Array.exists observed view.View.observe
+  in
+  let free = View.free_inputs view in
+  Podem.Probe.imply e;
+  let ok = ref (agree ()) in
+  for _ = 1 to 40 do
+    if !ok && Array.length free > 0 then begin
+      let v = Fst_gen.Rng.pick rng [| V3.Zero; V3.One; V3.X |] in
+      Podem.Probe.assign e (Fst_gen.Rng.pick rng free) v;
+      Podem.Probe.imply e;
+      ok := agree ()
+    end
+  done;
+  !ok
+
+let prop_effect_set_matches_scan =
+  Q.Test.make ~name:"incremental effect set = full scan" ~count:20
+    (Q.map Int64.of_int (Q.int_bound 1000000))
+    (fun seed ->
+      let rng = Fst_gen.Rng.create seed in
+      let comb =
+        comb_view (Helpers.random_comb_circuit rng ~inputs:6 ~gates:24)
+      in
+      let seq = Helpers.small_seq_circuit ~gates:40 ~ffs:6 seed in
+      let scan_mode = View.scan_mode seq ~constraints:[] () in
+      let _, models = unrolled_models seed in
+      let views =
+        comb :: scan_mode :: List.map (fun u -> u.Unroll.view) models
+      in
+      List.for_all
+        (fun view ->
+          let c = view.View.circuit in
+          let universe = Fault.universe c in
+          List.for_all
+            (fun faults -> effects_match_scan view faults rng)
+            (List.init 6 (fun k ->
+                 let f = Fst_gen.Rng.pick rng universe in
+                 if k mod 2 = 0 then [ f ]
+                 else [ f; Fst_gen.Rng.pick rng universe ])))
+        views)
+
 (* --- stop reasons -------------------------------------------------------- *)
 
 (* Each run stops for one reason, and the reason agrees with the result:
@@ -372,5 +452,6 @@ let suite =
     Alcotest.test_case "branch-only effect = oracle" `Quick
       test_branch_only_effect_matches_oracle;
     Helpers.qcheck prop_unrolled_matches_oracle;
+    Helpers.qcheck prop_effect_set_matches_scan;
     Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
   ]

@@ -714,6 +714,22 @@ let test_client_reply_bounded () =
       (Json.member "kind" j = Some (Json.String "pong"))
   | Error e -> Alcotest.fail ("next reply lost: " ^ e)
 
+(* A shutdown does not wait out the heartbeat interval: the heartbeat
+   thread sleeps in slices and sees the stop flag within one. *)
+let test_serve_prompt_shutdown () =
+  let dir = temp_dir "fst-stop" in
+  let addr = Protocol.Unix_sock (Filename.concat dir "sock") in
+  let server =
+    Server.create ~workers:1 ~jobs_cap:1 ~hb_interval:1.0 ~addr ()
+  in
+  let thread = Server.start server in
+  Client.close (connect_retry addr);
+  let t0 = Unix.gettimeofday () in
+  Server.shutdown server;
+  Thread.join thread;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 0.25 then Alcotest.failf "shutdown took %.3f s" dt
+
 (* An oversized frame gets an error naming the cap, and the same
    connection still answers a ping. *)
 let test_serve_oversized_frame () =
@@ -862,6 +878,8 @@ let suite =
       test_serve_job_table_bounded;
     Alcotest.test_case "serve sends no heartbeat after a result" `Quick
       test_serve_no_heartbeat_after_result;
+    Alcotest.test_case "serve stops within a heartbeat slice" `Quick
+      test_serve_prompt_shutdown;
     Alcotest.test_case "frame reads are bounded" `Quick
       test_read_frame_bounded;
     Alcotest.test_case "client reply reads are bounded" `Quick
