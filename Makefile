@@ -14,8 +14,7 @@ test:
 
 # Full local gate: compile everything (all warnings fatal in dev, see the
 # root dune env stanza), run the test suite, then smoke-run the micro
-# benchmark at a tiny scale so bench/ rot is caught early (it ends with
-# the fault-simulation back-end gate, see bench-smoke), lint every
+# benchmark at a tiny scale so bench/ rot is caught early, lint every
 # example netlist, and exercise the budget-degradation, checkpoint/resume,
 # and observability CLI paths.
 check: static-check build test lint-smoke bench-smoke degradation-smoke \
@@ -24,18 +23,22 @@ check: static-check build test lint-smoke bench-smoke degradation-smoke \
 
 # Type-check every library and executable (including ones @default would
 # skip); the dev env stanza promotes warnings to errors. Fault simulation
-# in lib/core goes through the one entry point, Fsim.Engine: a direct
-# Parallel or Serial detect call there fails the check (Diagnose's
-# Fsim.Serial.trace is allowed, since the engine has no trace entry).
+# in lib/core and bench/ goes through the one entry point, Fsim.Engine:
+# a Fsim.Parallel hook or a Serial detect call there fails the check
+# (Diagnose's Fsim.Serial.trace is allowed, since the engine has no
+# trace entry; the Parallel hooks and Serial are for the tests).
 # The frozen PODEM search and the interpreted good-machine simulator are
 # test references only: lib/ or bin/ naming Podem_oracle or Sim_oracle
 # fails the check. So does a lib/ module that no other .ml/.mli file in
 # lib/, bin/ or bench/ names: a module only tests or examples call has
-# no production caller and is deleted.
+# no production caller and is deleted. And so does an exported val of a
+# lib/*/*.mli whose name no .ml/.mli of another module in lib/, bin/,
+# bench/, perfbench/, test/ or examples/ contains as a word: an export
+# nothing outside its module uses is deleted or made private.
 static-check:
 	dune build @check
-	@if grep -rnE 'Fsim\.(Parallel\.|Serial\.detect)' lib/core; then \
-	  echo "static-check: lib/core must call Fsim.Engine, not a back-end"; \
+	@if grep -rnE 'Fsim\.(Parallel\.|Serial\.detect)' lib/core bench; then \
+	  echo "static-check: lib/core and bench/ must call Fsim.Engine, not a back-end"; \
 	  exit 1; \
 	fi
 	@if grep -rnE 'Podem_oracle|Sim_oracle' lib bin; then \
@@ -51,6 +54,23 @@ static-check:
 	done; \
 	if [ -n "$$dead" ]; then \
 	  echo "static-check: lib/ modules with no caller in lib/, bin/ or bench/:$$dead"; \
+	  exit 1; \
+	fi
+	@dead=`find lib bin bench perfbench test examples \
+	    \( -name '*.ml' -o -name '*.mli' \) | sort | xargs awk ' \
+	  FNR == 1 { m = FILENAME; sub(/\.mli?$$/, "", m) } \
+	  FILENAME ~ /^lib\/.*\.mli$$/ && /^ *val [a-z_]/ { \
+	    v = $$0; sub(/^ *val /, "", v); sub(/[^A-Za-z0-9_].*/, "", v); \
+	    vals[m ".mli: val " v] = v } \
+	  { s = $$0; \
+	    while (match(s, /[A-Za-z_][A-Za-z0-9_]*/)) { \
+	      w = substr(s, RSTART, RLENGTH); \
+	      if (!((m, w) in seen)) { seen[m, w] = 1; users[w]++ } \
+	      s = substr(s, RSTART + RLENGTH) } } \
+	  END { for (k in vals) if (users[vals[k]] < 2) print k }' | sort`; \
+	if [ -n "$$dead" ]; then \
+	  echo "static-check: exports nothing outside their module uses:"; \
+	  echo "$$dead"; \
 	  exit 1; \
 	fi
 
@@ -76,11 +96,10 @@ lint-smoke: build
 	  { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "lint-smoke: OK"
 
-# The micro benchmarks at smoke scale, then the fault-simulation
-# back-end gate: on every suite circuit Fsim.Serial and Fsim.Parallel
-# run detect_dropping on the same one-group fault subset of a
-# step-2-shaped workload; micro exits 1 if they disagree or Parallel is
-# slower than Serial.
+# The micro benchmarks at smoke scale, so bench/ rot is caught early.
+# They reach fault simulation through Fsim.Engine only; its agreement
+# with the Fsim.Serial reference on every suite circuit is a test
+# ("engine = serial on suite step-2 workloads").
 bench-smoke:
 	FST_SCALE=0.02 dune exec -- bench/main.exe micro
 

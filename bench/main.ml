@@ -1,9 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (DATE'98, "Functional Scan Chain Testing") on the synthetic
    ISCAS'89-like suite, plus the ablations listed in DESIGN.md and a set of
-   Bechamel micro-benchmarks. [micro] ends with the fault-simulation
-   back-end gate and exits 1 when it fails. Speed claims are measured
-   with perfbench/, not here.
+   Bechamel micro-benchmarks. Speed claims are measured with perfbench/,
+   not here.
 
    Usage:  main.exe [table1|table2|table3|fig5|ablate-alt|ablate-dist|
                      ablate-trunc|ablate-order|ablate-compact|ablate-rtpg|
@@ -327,7 +326,8 @@ let ablate_alt () =
       in
       let stim = Sequences.alternating prep.scanned prep.config ~repeats:3 in
       let out =
-        Fst_fsim.Fsim.Parallel.detect_all prep.scanned ~faults:affecting_faults
+        Fst_fsim.Fsim.Engine.detect_all ~jobs:1 prep.scanned
+          ~faults:affecting_faults
           ~observe:prep.scanned.Circuit.outputs stim
       in
       let det = Array.fold_left (fun a o -> if o = None then a else a + 1) 0 out in
@@ -647,97 +647,6 @@ let ablate_rtpg () =
     "\nRandom vectors alone (the paper's partial-scan option) reach most but not\nall hard faults; deterministic ATPG closes the gap."
 
 (* ------------------------------------------------------------------ *)
-(* Fault-simulation back-end gate: on every suite circuit, Serial and  *)
-(* Parallel must agree on the same one-group fault subset of a         *)
-(* step-2-shaped workload, and Parallel must not be slower.            *)
-(* ------------------------------------------------------------------ *)
-
-(* The alternating chain test plus random scan-mode blocks, simulated
-   with cross-block dropping. *)
-let fsim_workload prep =
-  let view =
-    View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints ()
-  in
-  let rng = Fst_gen.Rng.create 0xBE5CL in
-  let random_block () =
-    let ff_values, pi_values =
-      List.partition
-        (fun (net, _) -> Circuit.is_dff prep.scanned net)
-        (Fst_atpg.Rtpg.uniform rng view)
-    in
-    Sequences.of_comb_test prep.scanned prep.config ~ff_values ~pi_values
-  in
-  Sequences.alternating prep.scanned prep.config ~repeats:2
-  :: List.init 8 (fun _ -> random_block ())
-
-let fsim_gate () =
-  let module F = Fst_fsim.Fsim in
-  (* [race a b] times [a] and [b] alternately, [repeats] times each, and
-     judges each by its fastest run: at smoke scale a run takes well under
-     a millisecond, so one reading is at the mercy of whatever else the
-     host is doing, and alternating spreads a busy spell over both sides.
-     Each timed run starts from a settled heap, so a major GC slice owed
-     by the previous run's allocation is not billed to the next one. *)
-  let repeats = 5 in
-  let race a b =
-    let wall f =
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let ra, ta = wall a in
-    let rb, tb = wall b in
-    let best_a = ref ta and best_b = ref tb in
-    for _ = 2 to repeats do
-      best_a := Float.min !best_a (snd (wall a));
-      best_b := Float.min !best_b (snd (wall b))
-    done;
-    (ra, !best_a, rb, !best_b)
-  in
-  let errors =
-    List.concat_map
-      (fun prep ->
-        let name = prep.entry.Fst_gen.Suite.profile.Fst_gen.Gen.name in
-        let faults =
-          Fst_fault.Fault.collapse prep.scanned
-            (Fst_fault.Fault.universe prep.scanned)
-        in
-        (* Serial is ~62x the work per fault: both back-ends get one
-           group's worth of faults, so serial stays affordable. *)
-        let faults =
-          Array.sub faults 0 (min (Array.length faults) F.Parallel.max_group)
-        in
-        let stimuli = fsim_workload prep in
-        let observe = prep.scanned.Circuit.outputs in
-        let one (module E : F.ENGINE) () =
-          E.detect_dropping prep.scanned ~faults ~observe ~stimuli
-        in
-        let rs, serial_s, rp, parallel_s =
-          race (one (module F.Serial)) (one (module F.Parallel))
-        in
-        Printf.printf
-          "fsim gate %-8s %3d faults  serial %.6fs  parallel %.6fs\n" name
-          (Array.length faults) serial_s parallel_s;
-        (if rs <> rp then [ name ^ ": parallel fsim diverged from serial" ]
-         else [])
-        @
-        if parallel_s > serial_s then
-          [
-            Printf.sprintf
-              "%s: parallel %.6fs > serial %.6fs on the same %d faults" name
-              parallel_s serial_s (Array.length faults);
-          ]
-        else [])
-      (Lazy.force prepared_suite)
-  in
-  match errors with
-  | [] -> ()
-  | es ->
-    List.iter (fun e -> Printf.eprintf "fsim gate FAIL: %s\n" e) es;
-    exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the per-table kernels.                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -765,15 +674,10 @@ let micro () =
              ignore
                (Fst_atpg.Podem.run ~backtrack_limit:200 ~scoap view
                   ~faults:[ some_fault ])));
-      Test.make ~name:"table3/fsim-parallel-62"
-        (Staged.stage (fun () ->
-             ignore
-               (Fst_fsim.Fsim.Parallel.detect_all prep.scanned ~faults:chunk
-                  ~observe:prep.scanned.Circuit.outputs stim)));
-      (* The observability overhead pair: the Engine entry point with the
-         default null sink must cost the same as the raw backend (a single
-         branch); a live metrics sink adds a couple of counters per call. *)
-      Test.make ~name:"obs/fsim-engine-nullsink-62"
+      (* The observability overhead pair: the engine with the default
+         null sink (a single branch per call) and with a live metrics
+         sink, which adds a couple of counters per call. *)
+      Test.make ~name:"table3/fsim-engine-62"
         (Staged.stage (fun () ->
              ignore
                (Fst_fsim.Fsim.Engine.detect_all ~jobs:1 prep.scanned
@@ -784,10 +688,11 @@ let micro () =
                (Fst_fsim.Fsim.Engine.detect_all ~obs:live_sink ~jobs:1
                   prep.scanned ~faults:chunk
                   ~observe:prep.scanned.Circuit.outputs stim)));
-      Test.make ~name:"table3/fsim-serial-1"
+      Test.make ~name:"table3/fsim-engine-1"
         (Staged.stage (fun () ->
              ignore
-               (Fst_fsim.Fsim.Serial.detect prep.scanned ~fault:some_fault
+               (Fst_fsim.Fsim.Engine.detect_all ~jobs:1 prep.scanned
+                  ~faults:[| some_fault |]
                   ~observe:prep.scanned.Circuit.outputs stim)));
       Test.make ~name:"table1/tpi-insert"
         (Staged.stage (fun () -> ignore (Tpi.insert prep.before)));
@@ -831,18 +736,14 @@ let micro () =
         analysis)
     tests;
   Table.print t;
-  (match
-     ( List.assoc_opt "table3/fsim-parallel-62" !estimates,
-       List.assoc_opt "obs/fsim-engine-nullsink-62" !estimates,
-       List.assoc_opt "obs/fsim-engine-livesink-62" !estimates )
-   with
-  | Some raw, Some null_s, Some live when raw > 0.0 ->
-    Printf.printf
-      "\nobs overhead vs raw backend: null sink %+.2f%%, live metrics sink %+.2f%%\n"
-      (100.0 *. (null_s -. raw) /. raw)
-      (100.0 *. (live -. raw) /. raw)
-  | _ -> ());
-  fsim_gate ()
+  match
+    ( List.assoc_opt "table3/fsim-engine-62" !estimates,
+      List.assoc_opt "obs/fsim-engine-livesink-62" !estimates )
+  with
+  | Some null_s, Some live when null_s > 0.0 ->
+    Printf.printf "\nobs overhead of a live metrics sink: %+.2f%%\n"
+      (100.0 *. (live -. null_s) /. null_s)
+  | _ -> ()
 
 
 let usage () =

@@ -19,11 +19,6 @@ type t = {
   affecting : int;
 }
 
-let pp_category ppf = function
-  | Cat1 -> Fmt.string ppf "category-1"
-  | Cat2 -> Fmt.string ppf "category-2"
-  | Cat3 -> Fmt.string ppf "category-3"
-
 (* Shared, stamp-reset scratch for the per-fault propagation. *)
 type env = {
   c : Circuit.t;

@@ -45,5 +45,3 @@ type t = {
 (** [run c config faults] classifies every fault of [faults] against the
     scan chains of [config]. *)
 val run : Circuit.t -> Scan.config -> Fault.t array -> t
-
-val pp_category : category Fmt.t

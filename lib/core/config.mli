@@ -81,9 +81,7 @@ val with_on_error : on_error -> t -> t
 val with_sink : Fst_obs.Sink.t -> t -> t
 val with_preflight : bool -> t -> t
 
-(** ["fail-fast"] / ["keep-going"] — the CLI spellings. *)
-val on_error_to_string : on_error -> string
-
+(** Parses the CLI spellings ["fail-fast"] / ["keep-going"]. *)
 val on_error_of_string : string -> on_error option
 
 (** [fingerprint t] is a stable hex digest of the {e semantic} knobs

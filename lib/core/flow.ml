@@ -54,8 +54,6 @@ let atpg_aborts a = List.fold_left (fun n p -> n + p.atpg_aborts) 0 a.phases
 let cancelled_groups a =
   List.fold_left (fun n p -> n + p.cancelled_groups) 0 a.phases
 
-let failed_tasks a = List.fold_left (fun n p -> n + p.failed) 0 a.phases
-
 type atpg_stats = {
   podem_runs : int;
   podem_backtracks : int;
@@ -694,16 +692,22 @@ type step3_state = {
   mutable untestable3 : int;
   mutable group_circuits : int;
   mutable final_circuits : int;
-  alive : (int, unit) Hashtbl.t; (* remaining-fault index -> alive *)
+  alive : bool array; (* per remaining-fault index *)
 }
+
+(* The members of an alive set, ascending. *)
+let alive_ids alive =
+  let ids = ref [] in
+  for i = Array.length alive - 1 downto 0 do
+    if alive.(i) then ids := i :: !ids
+  done;
+  !ids
 
 (* Fault-simulates a realized sequence against every fault in [alive]
    (remaining-fault indices), removes the detections from it and returns
    them. *)
 let retire_detections ~sink ~jobs alive scanned ~remaining_faults ~stim =
-  let alive_ids =
-    Hashtbl.fold (fun i () acc -> i :: acc) alive [] |> List.sort Int.compare
-  in
+  let alive_ids = alive_ids alive in
   let faults_arr =
     Array.of_list (List.map (fun i -> remaining_faults.(i)) alive_ids)
   in
@@ -715,7 +719,7 @@ let retire_detections ~sink ~jobs alive scanned ~remaining_faults ~stim =
     (fun k i ->
       match outcome.(k) with
       | Some _ ->
-        Hashtbl.remove alive i;
+        alive.(i) <- false;
         true
       | None -> false)
     alive_ids
@@ -788,24 +792,24 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
       untestable3 = 0;
       group_circuits = 0;
       final_circuits = 0;
-      alive = Hashtbl.create 64;
+      alive = Array.make (Array.length remaining_arr) false;
     }
   in
   let cursor = ref 0 and seconds_before = ref 0.0 in
   (match progress with
-   | None -> List.iteri (fun k _ -> Hashtbl.replace st.alive k ()) remaining
+   | None -> Array.fill st.alive 0 (Array.length st.alive) true
    | Some p ->
      (* Resume mid-step-3: the groups are recomputed deterministically from
         the classification, so only the cursor, the alive set and the
         counters need restoring. *)
-     List.iter (fun k -> Hashtbl.replace st.alive k ()) p.alive_idx;
+     List.iter (fun k -> st.alive.(k) <- true) p.alive_idx;
      cursor := p.cursor;
      st.detected3 <- p.p_detected3;
      st.group_circuits <- p.p_group_circuits;
      seconds_before := p.seconds_before);
   let untestable_idx3 = ref [] in
   let any_alive fps =
-    List.exists (fun fp -> Hashtbl.mem st.alive fp.Group.index) fps
+    List.exists (fun fp -> st.alive.(fp.Group.index)) fps
   in
   let targets_of group =
     match group with
@@ -846,15 +850,12 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
      cohort moves to the failed bucket. Retries make this a last resort,
      and the already-committed detections stay trustworthy. *)
   let cohort_fail phase =
-    let alive_ids =
-      Hashtbl.fold (fun i () acc -> i :: acc) st.alive []
-      |> List.sort Int.compare
-    in
+    let alive_ids = alive_ids st.alive in
     let count = List.length alive_ids in
     List.iter
       (fun i ->
         fail_idx i;
-        Hashtbl.remove st.alive i)
+        st.alive.(i) <- false)
       alive_ids;
     (match phase with
      | `Step3 -> acct.s3_failed <- acct.s3_failed + count
@@ -871,9 +872,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     save_progress
       {
         cursor = !cursor;
-        alive_idx =
-          Hashtbl.fold (fun i () acc -> i :: acc) st.alive []
-          |> List.sort Int.compare;
+        alive_idx = alive_ids st.alive;
         p_detected3 = st.detected3;
         p_group_circuits = st.group_circuits;
         seconds_before = !seconds_before +. (Clock.now () -. t0);
@@ -886,7 +885,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     for g = !cursor to n_groups - 1 do
       let alive_targets =
         List.filter
-          (fun fp -> Hashtbl.mem st.alive fp.Group.index)
+          (fun fp -> st.alive.(fp.Group.index))
           (targets_of groups.(g))
       in
       if alive_targets <> [] then begin
@@ -902,12 +901,12 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
      member an earlier target already detected is never planned. All
      targets share the group's bounds, so they share its models too. *)
   let plan_group (bounds, targets) =
-    let alive = Hashtbl.copy st.alive in
+    let alive = Array.copy st.alive in
     let memo = Seq.memo () in
     List.filter_map
       (fun fp ->
         let i = fp.Group.index in
-        if not (Hashtbl.mem alive i) then None
+        if not alive.(i) then None
         else begin
           let dlf =
             Budget.fault_deadline budget Budget.Step3
@@ -944,12 +943,12 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
         match outcome with
         | Aborted { late } ->
           acct.s3_aborts <- acct.s3_aborts + 1;
-          if late && Hashtbl.mem st.alive i then flag_idx i
+          if late && st.alive.(i) then flag_idx i
         | Realized hits ->
           List.iter
             (fun h ->
-              if Hashtbl.mem st.alive h then begin
-                Hashtbl.remove st.alive h;
+              if st.alive.(h) then begin
+                st.alive.(h) <- false;
                 st.detected3 <- st.detected3 + 1
               end)
             hits)
@@ -980,7 +979,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
         let _, targets = wave_arr.(w) in
         let alive_targets =
           List.filter
-            (fun fp -> Hashtbl.mem st.alive fp.Group.index)
+            (fun fp -> st.alive.(fp.Group.index))
             targets
         in
         acct.s3_late <- true;
@@ -1032,9 +1031,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
      model where possible, otherwise target individually with a larger
      budget (the paper's "additional time"). *)
   let dl_fin = Budget.deadline budget Budget.Finals in
-  let finals =
-    Hashtbl.fold (fun i () acc -> i :: acc) st.alive [] |> List.sort Int.compare
-  in
+  let finals = alive_ids st.alive in
   (* A final target's models are built for it and dropped after it. A
      memo over consecutive targets with equal spans would keep every
      frame count's model live at once (1 + 2 + 4 + 8 frames by default,
@@ -1062,7 +1059,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
   in
   List.iter
     (fun i ->
-      if Hashtbl.mem st.alive i then begin
+      if st.alive.(i) then begin
         (try
            if Clock.expired dl_fin then begin
              acct.fin_late <- true;
@@ -1081,7 +1078,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
              with
              | Podem.Untestable, stats ->
                add_podem_stats ~sink acct stats;
-               Hashtbl.remove st.alive i;
+               st.alive.(i) <- false;
                st.untestable3 <- st.untestable3 + 1;
                untestable_idx3 := i :: !untestable_idx3
              | Podem.Test assignment, stats ->
@@ -1096,7 +1093,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                  Sequences.of_comb_test scanned config ~ff_values ~pi_values
                in
                retire_final stim;
-               if Hashtbl.mem st.alive i && not !engine_poisoned then
+               if st.alive.(i) && not !engine_poisoned then
                  attack_final i footprints.(i)
              | Podem.Aborted, stats ->
                add_podem_stats ~sink acct stats;
@@ -1114,13 +1111,11 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                ("error", Json.String (Printexc.to_string e));
              ];
            cohort_fail `Finals);
-        if keep_going && !engine_poisoned && Hashtbl.length st.alive > 0 then
+        if keep_going && !engine_poisoned && Array.mem true st.alive then
           cohort_fail `Finals
       end)
     finals;
-  let alive_idx =
-    Hashtbl.fold (fun i () acc -> i :: acc) st.alive [] |> List.sort Int.compare
-  in
+  let alive_idx = alive_ids st.alive in
   let undetected_idx, aborted_idx =
     List.partition (fun i -> not aborted_flag.(remaining_arr.(i))) alive_idx
   in

@@ -86,9 +86,6 @@ val budget_exhausted : aborts -> bool
 val atpg_aborts : aborts -> int
 val cancelled_groups : aborts -> int
 
-val failed_tasks : aborts -> int
-(** Sum of the per-phase [failed] counts. *)
-
 (** Aggregate ATPG engine statistics over the whole flow (previously
     computed by {!Fst_atpg.Podem}/{!Fst_atpg.Seq} and discarded).
     Accumulated deterministically: statistics produced on pool domains

@@ -27,8 +27,6 @@ let cancel t =
 let cancelled t =
   match t.cap with Some c -> Atomic.get c < infinity | None -> false
 
-let is_limited b = b.total <> None || b.cap <> None
-
 (* Cumulative share of the total allowance by which each phase must be
    done; the last entry is 1.0 by construction so the flow deadline and
    the finals deadline coincide. *)

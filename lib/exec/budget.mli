@@ -38,8 +38,6 @@ val cancel : t -> unit
 (** [cancelled b] is true once {!cancel} has been called on [b]. *)
 val cancelled : t -> bool
 
-val is_limited : t -> bool
-
 (** [deadline b phase] is the instant by which [phase] must be finished
     ({!Clock.never} for {!unlimited}). *)
 val deadline : t -> phase -> Clock.deadline

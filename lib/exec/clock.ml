@@ -8,4 +8,3 @@ let at t = t
 let expired d = now () > d
 let earliest a b = Float.min a b
 let remaining d = d -. now ()
-let is_never d = d = infinity

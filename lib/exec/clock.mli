@@ -34,5 +34,3 @@ val earliest : deadline -> deadline -> deadline
 (** [remaining d] is the seconds left until [d] (negative once expired,
     [infinity] for {!never}). *)
 val remaining : deadline -> float
-
-val is_never : deadline -> bool

@@ -50,7 +50,7 @@ let in_task = Domain.DLS.new_key (fun () -> false)
    cancelled token drains the queue instead of running it to completion;
    tasks already claimed run to the end of their chunk. *)
 let run_tasks ~obs ~label ~jobs ~chunk ~stop n
-    (run_one : wid:int -> int -> unit) =
+    (run_one : int -> unit) =
   if n > 0 then begin
     let nested = Domain.DLS.get in_task in
     let live = obs.Sink.enabled && not nested in
@@ -61,7 +61,7 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
       let t0 = if live then Clock.now () else 0.0 in
       let i = ref 0 in
       while !i < n && not (stop ()) do
-        run_one ~wid:0 !i;
+        run_one !i;
         incr i
       done;
       if live then begin
@@ -118,7 +118,7 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
             | _ -> None
           in
           for i = lo to hi do
-            run_one ~wid:k i
+            run_one i
           done;
           (match sp with
            | Some (tr, sp) -> ignore (Fst_obs.Trace.end_span tr sp)
@@ -196,35 +196,16 @@ let reraise_first n (slots : ('b, exn * Printexc.raw_backtrace) result option ar
     | Some (Ok _) | None -> ()
   done
 
-let map_array_init ?(obs = Sink.null) ?(label = "map") ?chunk ?work ~jobs
-    ~init f xs =
+let map_array ?(obs = Sink.null) ?(label = "map") ?chunk ?work ~jobs f xs =
   let n = Array.length xs in
   let jobs = effective_jobs ?work ~jobs n in
-  if jobs = 1 && not obs.Sink.enabled then begin
-    if n = 0 then [||]
-    else begin
-      let ctx = init () in
-      Array.map (f ctx) xs
-    end
-  end
+  if jobs = 1 && not obs.Sink.enabled then Array.map f xs
   else begin
     let slots = Array.make n None in
-    (* One context per domain slot, created on the worker that uses it
-       (so domain-local scratch is allocated on the owning domain's
-       heap); each slot is only ever touched by its own worker. *)
-    let contexts = Array.make jobs None in
-    let run_one ~wid i =
-      let ctx =
-        match contexts.(wid) with
-        | Some c -> c
-        | None ->
-          let c = init () in
-          contexts.(wid) <- Some c;
-          c
-      in
+    let run_one i =
       slots.(i) <-
         Some
-          (match f ctx xs.(i) with
+          (match f xs.(i) with
            | y -> Ok y
            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
@@ -267,7 +248,7 @@ let map_cancellable_isolated ?(obs = Sink.null) ?(label = "map") ?chunk
     else None
   in
   let slots = Array.make n None in
-  let run_one ~wid:_ i =
+  let run_one i =
     (* The chaos hook sits inside the retried thunk, so a one-shot
        injection is absorbed by the retry and only a plan that keeps
        firing produces a permanent failure. [Cancel] trips the shared

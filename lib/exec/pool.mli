@@ -1,7 +1,9 @@
 (** A stdlib-only work-stealing domain pool (OCaml 5 [Domain], no
-    domainslib), with one map per production caller: {!map_array_init}
-    for the fault simulator's shards and {!map_cancellable_isolated} for
-    step 3's per-group sequential-ATPG tasks.
+    domainslib), with one map per production caller: {!map_array} for
+    the fault simulator's shards and {!map_cancellable_isolated} for
+    step 3's per-group sequential-ATPG tasks. The pool keeps no state per
+    domain: a task that needs scratch takes it itself (the fault
+    simulator keeps its contexts with its cached compiled circuit).
 
     The task index space is split into one contiguous range per worker,
     each with a private atomic claim cursor: workers claim chunks from
@@ -73,26 +75,20 @@ val cancelled : token -> bool
     enclosing chunk already covers its time. With the null sink the
     only cost is one branch per chunk claim. *)
 
-(** [map_array_init ~jobs ~init f xs] is [Array.map (f ctx) xs],
-    computed on up to [jobs] domains, with a per-domain context [ctx]:
-    [init ()] runs at most once on each participating domain (lazily, on
-    first claim) and its result is passed to every task that domain
-    runs. Use it to reuse expensive domain-local scratch — e.g. a fault
-    simulator's good-trace buffers — across the tasks of one domain
-    without sharing mutable state between domains. [chunk] overrides the
-    work-queue claim granularity (default: about four chunks per
-    domain); [work] is the caller's estimate of the total cost (see
-    {!min_work}). If any task raises, every claimed task still runs to
-    completion and the exception of the lowest-index failing task is
-    re-raised (with its backtrace) on the calling domain. *)
-val map_array_init :
+(** [map_array ~jobs f xs] is [Array.map f xs], computed on up to
+    [jobs] domains. [chunk] overrides the work-queue claim granularity
+    (default: about four chunks per domain); [work] is the caller's
+    estimate of the total cost (see {!min_work}). If any task raises,
+    every claimed task still runs to completion and the exception of the
+    lowest-index failing task is re-raised (with its backtrace) on the
+    calling domain. *)
+val map_array :
   ?obs:Fst_obs.Sink.t ->
   ?label:string ->
   ?chunk:int ->
   ?work:int ->
   jobs:int ->
-  init:(unit -> 'c) ->
-  ('c -> 'a -> 'b) ->
+  ('a -> 'b) ->
   'a array ->
   'b array
 

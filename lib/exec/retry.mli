@@ -16,17 +16,11 @@ type policy = {
   sleep : float -> unit;  (** injectable; [Unix.sleepf] in production *)
 }
 
-(** Transient: {!Chaos.Injected}, [Sys_error], [Unix.Unix_error] —
-    failures that plausibly resolve on their own. Everything else
-    (logic errors) is poison: retrying a deterministic failure only
-    burns time. *)
-val default_transient : exn -> bool
-
-(** Capped exponential: 1ms, 2ms, 4ms, ... at most 50ms. *)
-val default_backoff : int -> float
-
-(** 3 attempts, {!default_transient}, {!default_backoff},
-    [Unix.sleepf]. *)
+(** 3 attempts, [Unix.sleepf], a capped exponential backoff (1ms, 2ms,
+    4ms, ... at most 50ms), and as transient {!Chaos.Injected},
+    [Sys_error] and [Unix.Unix_error] — failures that plausibly resolve
+    on their own. Everything else (logic errors) is poison: retrying a
+    deterministic failure only burns time. *)
 val default : policy
 
 (** {!default} with [attempts = 1]: classify-and-capture only. *)

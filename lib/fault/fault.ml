@@ -28,11 +28,6 @@ let site_net (c : Circuit.t) f =
   | Stem n -> n
   | Branch { node; pin } -> (Circuit.fanins c node).(pin)
 
-let observers (c : Circuit.t) f =
-  match f.site with
-  | Stem n -> Array.to_list c.Circuit.fanout.(n)
-  | Branch { node; _ } -> [ node ]
-
 let to_string c f =
   let value = if f.stuck then 1 else 0 in
   match f.site with
@@ -178,74 +173,8 @@ let collapse_classes (c : Circuit.t) faults =
 
 let collapse c faults = fst (collapse_classes c faults)
 
-(* Static fanout cones.
-
-   The seed of a fault's influence is the stem net for a stem fault and the
-   faulted consumer node (whose output net shares the node's id) for a
-   branch fault: a branch override is only visible through that node's
-   evaluation. Everything reachable from the seed through [Circuit.fanout]
-   — crossing flip-flops, which re-emit divergence on the next cycle — is
-   the complete set of nets the faulty machine can ever differ on. *)
-
-let cone_seed f =
-  match f.site with Stem n -> n | Branch { node; _ } -> node
-
-let seed = cone_seed
-
-let cone (c : Circuit.t) f =
-  let seen = Array.make (Circuit.num_nets c) false in
-  let seed = cone_seed f in
-  let q = Queue.create () in
-  seen.(seed) <- true;
-  Queue.add seed q;
-  let acc = ref [] in
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    acc := i :: !acc;
-    Array.iter
-      (fun j ->
-        if not seen.(j) then begin
-          seen.(j) <- true;
-          Queue.add j q
-        end)
-      c.Circuit.fanout.(i)
-  done;
-  let a = Array.of_list !acc in
-  Array.sort Stdlib.compare a;
-  a
-
-let cone_sizes (c : Circuit.t) (faults : t array) =
-  let seen = Array.make (Circuit.num_nets c) false in
-  let cache = Hashtbl.create 64 in
-  let size_of seed =
-    (* Reuse one [seen] array across seeds: undo the marks afterwards. *)
-    let touched = ref [] in
-    let stack = ref [] in
-    let push i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        touched := i :: !touched;
-        stack := i :: !stack
-      end
-    in
-    push seed;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | i :: rest ->
-        stack := rest;
-        Array.iter push c.Circuit.fanout.(i)
-    done;
-    List.iter (fun i -> seen.(i) <- false) !touched;
-    List.length !touched
-  in
-  Array.map
-    (fun f ->
-      let seed = cone_seed f in
-      match Hashtbl.find_opt cache seed with
-      | Some s -> s
-      | None ->
-        let s = size_of seed in
-        Hashtbl.add cache seed s;
-        s)
-    faults
+(* The seed of a fault's influence is the stem net for a stem fault and
+   the faulted consumer node (whose output net shares the node's id) for
+   a branch fault: a branch override is only visible through that node's
+   evaluation. *)
+let seed f = match f.site with Stem n -> n | Branch { node; _ } -> node

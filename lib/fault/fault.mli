@@ -22,11 +22,6 @@ val hash : t -> int
     a branch site, the net itself for a stem). *)
 val site_net : Circuit.t -> t -> int
 
-(** [observers c f] is the list of node ids whose input is directly altered
-    by [f]: every consumer of the net for a stem, the single consumer pin's
-    node for a branch. *)
-val observers : Circuit.t -> t -> int list
-
 val pp : Circuit.t -> t Fmt.t
 val to_string : Circuit.t -> t -> string
 
@@ -61,19 +56,10 @@ val collapse_classes : Circuit.t -> t array -> t array * int array
 
 (** [seed f] is the net id at which the fault's influence enters the
     circuit: the stem net, or the faulted consumer node for a branch
-    fault. The compiled simulation kernels map it through their net→slot
-    permutation to clip evaluation to the fault's cone. *)
+    fault. Everything reachable from it through [Circuit.fanout]
+    (crossing flip-flops, which re-emit divergence on the next cycle) is
+    the fault's static fanout cone: the complete set of nets the faulty
+    machine can ever differ on. The compiled simulation kernels map the
+    seed through their net→slot permutation to clip evaluation to the
+    cone. *)
 val seed : t -> int
-
-(** [cone c f] is the static fanout cone of [f]: every net reachable through
-    [Circuit.fanout] (crossing flip-flops) from the fault's seed — the stem
-    net, or the faulted consumer node for a branch fault — seed included,
-    sorted ascending. Nets outside the cone can never diverge from the
-    fault-free machine under [f]; this is the soundness envelope behind
-    the bit-parallel simulator's cone clipping. *)
-val cone : Circuit.t -> t -> int array
-
-(** [cone_sizes c faults] is [Array.length (cone c f)] per fault,
-    computed with a per-seed cache (faults sharing a seed share the
-    traversal). *)
-val cone_sizes : Circuit.t -> t array -> int array

@@ -5,68 +5,117 @@ open Fst_fault
 
 type stimulus = Compiled.stimulus
 
-module type ENGINE = sig
-  val detect_all :
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimulus ->
-    int option array
+(* The bit-parallel engine's per-worker scratch ([Parallel] below). A
+   group of up to 62 faulty machines shares one plane pair per slot;
+   per-gate overrides carry its output stem-injection masks and
+   branch-fault pin overrides (pool index, one-mask, zero-mask). *)
+type ov = { stem_m1 : int; stem_m0 : int; branch : (int * int * int) list }
 
-  val detect_dropping :
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimuli:stimulus list ->
-    (int * int) option array
-end
+type ctx = {
+  cc : Compiled.t;
+  ones : int array;
+  zeros : int array;
+  lat1 : int array;
+  lat0 : int array;
+  flag : Bytes.t; (* slot has maintained (possibly divergent) planes *)
+  mark : Bytes.t; (* scratch for boundary dedup in [make_group] *)
+  ov : ov option array; (* per gate; populated per group, then cleared *)
+  prog : int array; (* the current group's cone plane program *)
+  walker : Compiled.walker; (* the cone walk's scratch *)
+  ff_pos : int array; (* flip-flop -> position in the group's cone_ffs *)
+  s0_pos : int array; (* slot -> position in the group's stems0 *)
+}
+
+let make_ctx (cc : Compiled.t) =
+  {
+    cc;
+    ones = Array.make (cc.Compiled.n_slots + 1) 0;
+    zeros = Array.make (cc.Compiled.n_slots + 1) 0;
+    lat1 = Array.make (max 1 cc.Compiled.n_ffs) 0;
+    lat0 = Array.make (max 1 cc.Compiled.n_ffs) 0;
+    flag = Bytes.make (cc.Compiled.n_slots + 1) '\000';
+    mark = Bytes.make (cc.Compiled.n_slots + 1) '\000';
+    ov = Array.make (max 1 cc.Compiled.n_gates) None;
+    prog = Array.make (Compiled.program_words cc) 0;
+    walker = Compiled.walker cc;
+    ff_pos = Array.make (max 1 cc.Compiled.n_ffs) 0;
+    s0_pos = Array.make (max 1 cc.Compiled.n_slots) 0;
+  }
 
 (* Every back-end below runs on the compiled form of the circuit
    ([Fst_sim.Compiled]): flat levelized arrays, byte-coded values, no
    per-node dispatch. Compilation is cheap but not free, so the last
    compiled circuit is cached (keyed by physical equality — circuits are
-   immutable once frozen), together with a per-seed memo table the
-   pattern-packed path fills with each cone seed's good-trace read set.
+   immutable once frozen), together with per-seed memo tables (each cone
+   seed's size and good-trace read set) and a stack of idle [ctx] values.
    The mutex makes the cache safe to hit from pool domains; the compiled
    form itself is immutable and shared read-only. *)
 module Cc = struct
-  let lock = Mutex.create ()
+  type entry = {
+    c : Circuit.t;
+    cc : Compiled.t;
+    sizes : (int, int) Hashtbl.t;
+    reads : (int, int array) Hashtbl.t;
+    mutable idle : ctx list;
+  }
 
-  let cache : (Circuit.t * Compiled.t * (int, int array) Hashtbl.t) option ref
-      =
-    ref None
+  let lock = Mutex.create ()
+  let cache : entry option ref = ref None
 
   let get c =
-    Mutex.lock lock;
-    let cc =
-      match !cache with
-      | Some (c', cc, _) when c' == c -> cc
-      | Some _ | None ->
-        let cc = Compiled.of_circuit c in
-        cache := Some (c, cc, Hashtbl.create 64);
-        cc
-    in
-    Mutex.unlock lock;
-    cc
+    Mutex.protect lock (fun () ->
+        match !cache with
+        | Some e when e.c == c -> e.cc
+        | Some _ | None ->
+          let cc = Compiled.of_circuit c in
+          cache :=
+            Some { c; cc; sizes = Hashtbl.create 64; reads = Hashtbl.create 64;
+                   idle = [] };
+          cc)
 
-  (* [memo cc seed f] is [f seed], computed once per seed of the cached
-     compiled circuit ([f] must not reenter the cache). A circuit that
-     has meanwhile been evicted just computes. *)
-  let memo cc seed f =
-    Mutex.lock lock;
-    let v =
-      match !cache with
-      | Some (_, cc', tbl) when cc' == cc -> (
-        match Hashtbl.find_opt tbl seed with
-        | Some v -> v
-        | None ->
-          let v = f seed in
-          Hashtbl.add tbl seed v;
-          v)
-      | Some _ | None -> f seed
+  (* The cache entry of [cc], unless it has meanwhile been evicted. Call
+     with the lock held. *)
+  let entry cc =
+    match !cache with Some e when e.cc == cc -> Some e | Some _ | None -> None
+
+  (* [memo table cc seed f] is [f seed], computed once per seed of the
+     cached compiled circuit ([f] must not reenter the cache). A circuit
+     that has meanwhile been evicted just computes. *)
+  let memo table cc seed f =
+    Mutex.protect lock (fun () ->
+        match entry cc with
+        | Some e -> (
+          let tbl = table e in
+          match Hashtbl.find_opt tbl seed with
+          | Some v -> v
+          | None ->
+            let v = f seed in
+            Hashtbl.add tbl seed v;
+            v)
+        | None -> f seed)
+
+  (* [with_ctx cc f] runs [f] on an idle context of [cc], or a new one
+     when none is idle, and puts the context back afterwards while fewer
+     than one per core are idle. Every group [f] makes is dropped before
+     it returns; when [f] raises, a group may be left in the context, so
+     it is not put back. *)
+  let with_ctx cc f =
+    let idle =
+      Mutex.protect lock (fun () ->
+          match entry cc with
+          | Some ({ idle = ctx :: rest; _ } as e) ->
+            e.idle <- rest;
+            Some ctx
+          | Some _ | None -> None)
     in
-    Mutex.unlock lock;
-    v
+    let ctx = match idle with Some ctx -> ctx | None -> make_ctx cc in
+    let r = f ctx in
+    Mutex.protect lock (fun () ->
+        match entry cc with
+        | Some e when List.length e.idle < Fst_exec.Pool.default_jobs () ->
+          e.idle <- ctx :: e.idle
+        | Some _ | None -> ());
+    r
 end
 
 let obs_slots (cc : Compiled.t) observe =
@@ -272,35 +321,6 @@ module Parallel = struct
      grouped in cone-seed slot order so the cones of one group overlap as
      much as possible. *)
 
-  (* Per-gate overrides of one group: output stem-injection masks and
-     branch-fault pin overrides (pool index, one-mask, zero-mask). *)
-  type ov = { stem_m1 : int; stem_m0 : int; branch : (int * int * int) list }
-
-  type ctx = {
-    cc : Compiled.t;
-    ones : int array;
-    zeros : int array;
-    lat1 : int array;
-    lat0 : int array;
-    flag : Bytes.t; (* slot has maintained (possibly divergent) planes *)
-    mark : Bytes.t; (* scratch for boundary dedup in [make_group] *)
-    ov : ov option array; (* per gate; populated per group, then cleared *)
-    prog : int array; (* the current group's cone plane program *)
-  }
-
-  let ctx (cc : Compiled.t) =
-    {
-      cc;
-      ones = Array.make (cc.Compiled.n_slots + 1) 0;
-      zeros = Array.make (cc.Compiled.n_slots + 1) 0;
-      lat1 = Array.make (max 1 cc.Compiled.n_ffs) 0;
-      lat0 = Array.make (max 1 cc.Compiled.n_ffs) 0;
-      flag = Bytes.make (cc.Compiled.n_slots + 1) '\000';
-      mark = Bytes.make (cc.Compiled.n_slots + 1) '\000';
-      ov = Array.make (max 1 cc.Compiled.n_gates) None;
-      prog = Array.make (Compiled.program_words cc) 0;
-    }
-
   type group = {
     w : int;
     full : int;
@@ -319,24 +339,45 @@ module Parallel = struct
     assert (w > 0 && w <= max_group);
     let full = (1 lsl w) - 1 in
     let seeds = Array.map (fun f -> cc.Compiled.perm.(Fault.seed f)) faults in
-    let cone = Compiled.cone_slots cc ~seeds in
-    let gl = ref [] and fl = ref [] in
-    Array.iter
-      (fun s ->
-        let k = Compiled.slot_gate cc s in
-        if k >= 0 then gl := k :: !gl
-        else if cc.Compiled.ff_of_slot.(s) >= 0 then
-          fl := cc.Compiled.ff_of_slot.(s) :: !fl)
-      cone;
-    let cone_gates = Array.of_list (List.rev !gl) in
-    let cone_ffs = Array.of_list (List.rev !fl) in
-    let ff_pos k =
-      let p = ref (-1) in
-      Array.iteri (fun j f -> if f = k then p := j) cone_ffs;
-      assert (!p >= 0);
-      !p
+    (* The ascending cone holds its level-0 slots (flip-flops and stem
+       seeds) first, then the gate slots in gate order. *)
+    let cone = Compiled.cone_slots ~walker:ctx.walker cc ~seeds in
+    let n0 = ref 0 and nf = ref 0 in
+    while !n0 < Array.length cone && Compiled.slot_gate cc cone.(!n0) < 0 do
+      if cc.Compiled.ff_of_slot.(cone.(!n0)) >= 0 then incr nf;
+      incr n0
+    done;
+    let cone_gates =
+      Array.init (Array.length cone - !n0) (fun i ->
+          Compiled.slot_gate cc cone.(!n0 + i))
     in
-    let stems0 = Hashtbl.create 8 in
+    let cone_ffs = Array.make !nf 0 in
+    let j = ref 0 in
+    for i = 0 to !n0 - 1 do
+      let k = cc.Compiled.ff_of_slot.(cone.(i)) in
+      if k >= 0 then begin
+        cone_ffs.(!j) <- k;
+        ctx.ff_pos.(k) <- !j;
+        incr j
+      end
+    done;
+    (* Maintained planes: cone gates (written by the sweep), cone
+       flip-flops (latched; reset to all-X now) and, below, level-0 stem
+       slots (injected every cycle). *)
+    Array.iter
+      (fun k -> Bytes.set ctx.flag (Compiled.gate_slot cc k) '\001')
+      cone_gates;
+    Array.iter
+      (fun f ->
+        let s = cc.Compiled.ff_slot.(f) in
+        Bytes.set ctx.flag s '\001';
+        ctx.ones.(s) <- 0;
+        ctx.zeros.(s) <- 0)
+      cone_ffs;
+    (* Level-0 stem slots with their lanes' injection masks; [s0_pos]
+       maps a slot to its entry, valid when the entry names it back. *)
+    let s0_slot = Array.make w 0 and s0_m1 = Array.make w 0
+    and s0_m0 = Array.make w 0 and n_s0 = ref 0 in
     let set_ov k f =
       let cur =
         match ctx.ov.(k) with
@@ -360,12 +401,19 @@ module Parallel = struct
                 { o with stem_m1 = o.stem_m1 lor m1;
                   stem_m0 = o.stem_m0 lor m0 })
           else begin
-            let a1, a0 =
-              match Hashtbl.find_opt stems0 s with
-              | Some x -> x
-              | None -> (0, 0)
+            let p = ctx.s0_pos.(s) in
+            let p =
+              if p < !n_s0 && s0_slot.(p) = s then p
+              else begin
+                let p = !n_s0 in
+                s0_slot.(p) <- s;
+                ctx.s0_pos.(s) <- p;
+                incr n_s0;
+                p
+              end
             in
-            Hashtbl.replace stems0 s (a1 lor m1, a0 lor m0)
+            s0_m1.(p) <- s0_m1.(p) lor m1;
+            s0_m0.(p) <- s0_m0.(p) lor m0
           end
         | Fault.Branch { node; pin } ->
           let s = cc.Compiled.perm.(node) in
@@ -375,30 +423,19 @@ module Parallel = struct
                 { o with
                   branch =
                     (cc.Compiled.fanin_off.(k) + pin, m1, m0) :: o.branch })
-          else ff_ov := (ff_pos cc.Compiled.ff_of_slot.(s), m1, m0) :: !ff_ov)
+          else
+            ff_ov := (ctx.ff_pos.(cc.Compiled.ff_of_slot.(s)), m1, m0) :: !ff_ov)
       faults;
-    (* Maintained planes: cone gates (written by the sweep), cone
-       flip-flops (latched; reset to all-X now) and level-0 stem slots
-       (injected every cycle). *)
+    let stems0 =
+      Array.init !n_s0 (fun p -> (s0_slot.(p), s0_m1.(p), s0_m0.(p)))
+    in
     Array.iter
-      (fun k -> Bytes.set ctx.flag (Compiled.gate_slot cc k) '\001')
-      cone_gates;
-    Array.iter
-      (fun f ->
-        let s = cc.Compiled.ff_slot.(f) in
-        Bytes.set ctx.flag s '\001';
-        ctx.ones.(s) <- 0;
-        ctx.zeros.(s) <- 0)
-      cone_ffs;
-    let stems0_l = ref [] in
-    Hashtbl.iter
-      (fun s (m1, m0) ->
+      (fun (s, _, _) ->
         Bytes.set ctx.flag s '\001';
         if cc.Compiled.ff_of_slot.(s) < 0 then begin
           ctx.ones.(s) <- 0;
           ctx.zeros.(s) <- 0
-        end;
-        stems0_l := (s, m1, m0) :: !stems0_l)
+        end)
       stems0;
     (* The read boundary: slots without maintained planes that the gate
        loop (side fanins of cone gates) or [tick] (unmaintained
@@ -440,8 +477,8 @@ module Parallel = struct
            (fun o -> Bytes.get ctx.flag o <> '\000')
            (Array.to_list obs_all))
     in
-    { w; full; stems0 = Array.of_list !stems0_l; ff_ov = !ff_ov;
-      cone_gates; prog_len; cone_ffs; boundary; obs }
+    { w; full; stems0; ff_ov = !ff_ov; cone_gates; prog_len; cone_ffs;
+      boundary; obs }
 
   let drop_group ctx g =
     Array.iter
@@ -730,8 +767,8 @@ module Parallel = struct
 
   (* The columns a packed trace must record for [faults]: the union of
      their (memoized) read sets and the observed slots, ascending. *)
-  let packed_cols (cc : Compiled.t) ~faults ~obs =
-    let ctx = lazy (ctx cc) in
+  let packed_cols ctx ~faults ~obs =
+    let cc = ctx.cc in
     let mark = Bytes.make (cc.Compiled.n_slots + 1) '\000' in
     let cols = ref [] in
     let add s =
@@ -745,7 +782,7 @@ module Parallel = struct
       (fun f ->
         let seed = cc.Compiled.perm.(Fault.seed f) in
         Array.iter add
-          (Cc.memo cc seed (fun _ -> read_set (Lazy.force ctx) f)))
+          (Cc.memo (fun e -> e.Cc.reads) cc seed (fun _ -> read_set ctx f)))
       faults;
     let a = Array.of_list !cols in
     Array.sort Int.compare a;
@@ -753,15 +790,16 @@ module Parallel = struct
 
   (* Packed good traces per chunk of at most [max_group] blocks, each
      recording only the columns [faults] read. *)
-  let pack_chunks (cc : Compiled.t) ~faults ~obs (stims : stimulus array) =
-    let cols = packed_cols cc ~faults ~obs in
+  let pack_chunks ctx ~faults ~obs (stims : stimulus array) =
+    let cols = packed_cols ctx ~faults ~obs in
     let nb = Array.length stims in
     let chunks = ref [] in
     let base = ref 0 in
     while !base < nb do
       let w = min max_group (nb - !base) in
       chunks :=
-        (!base, Compiled.Planes.trace_packed cc ~cols (Array.sub stims !base w))
+        ( !base,
+          Compiled.Planes.trace_packed ctx.cc ~cols (Array.sub stims !base w) )
         :: !chunks;
       base := !base + w
     done;
@@ -782,7 +820,8 @@ module Parallel = struct
      snapshots cost at most 16 bytes per slot per cycle (only the read
      columns are recorded) — past a memory bound on that the
      fault-grouped path is used regardless. *)
-  let packed_worthwhile (cc : Compiled.t) ~faults ~stims =
+  let packed_worthwhile ctx ~faults ~stims =
+    let cc = ctx.cc in
     let nf = Array.length faults in
     let nb = Array.length stims in
     nb > 1
@@ -796,12 +835,17 @@ module Parallel = struct
     let total_cycles =
       Array.fold_left (fun a s -> a + Array.length s) 0 stims
     in
-    (* Count-only cone sizes ([Fault.cone_sizes] reuses one visit buffer
-       and caches by seed): materializing each fault's sorted slot array
-       here would cost more than the simulation the choice governs. *)
+    (* Count-only cone sizes, memoized per seed: materializing each
+       fault's sorted slot array here would cost more than the
+       simulation the choice governs. *)
     let sum_cones =
-      Array.fold_left ( + ) 0
-        (Fault.cone_sizes cc.Compiled.circuit faults)
+      Array.fold_left
+        (fun acc f ->
+          acc
+          + Cc.memo (fun e -> e.Cc.sizes) cc
+              cc.Compiled.perm.(Fault.seed f)
+              (fun seed -> Compiled.cone_size ctx.walker cc ~seed))
+        0 faults
     in
     let groups = n_groups nf in
     (* Grouping by cone seed keeps the union of a group's cones within a
@@ -815,10 +859,14 @@ module Parallel = struct
      needs, and returns the runner for any subset of those faults. The
      traces are immutable, so pool domains may share the runner. *)
   let dropping cc ~faults ~obs ~stims =
-    if packed_worthwhile cc ~faults ~stims then
-      let chunks = pack_chunks cc ~faults ~obs stims in
-      fun ctx faults -> run_dropping_packed ctx ~faults ~obs chunks
-    else
+    match
+      Cc.with_ctx cc (fun ctx ->
+          if packed_worthwhile ctx ~faults ~stims then
+            Some (pack_chunks ctx ~faults ~obs stims)
+          else None)
+    with
+    | Some chunks -> fun ctx faults -> run_dropping_packed ctx ~faults ~obs chunks
+    | None ->
       let blocks =
         Array.map
           (fun stim -> Compiled.trace cc (Compiled.compile_stim cc stim))
@@ -827,24 +875,16 @@ module Parallel = struct
       fun ctx faults -> run_dropping ctx ~faults ~obs blocks
 
   let packs c ~faults ~stimuli =
-    packed_worthwhile (Cc.get c) ~faults ~stims:(Array.of_list stimuli)
-
-  let detect_all c ~faults ~observe stim =
     let cc = Cc.get c in
-    let cstim = Compiled.compile_stim cc stim in
-    run_all (ctx cc) ~faults ~obs:(obs_slots cc observe)
-      (Compiled.trace cc cstim)
+    Cc.with_ctx cc (fun ctx ->
+        packed_worthwhile ctx ~faults ~stims:(Array.of_list stimuli))
 
   let detect_dropping_packed c ~faults ~observe ~stimuli =
     let cc = Cc.get c in
     let obs = obs_slots cc observe in
-    run_dropping_packed (ctx cc) ~faults ~obs
-      (pack_chunks cc ~faults ~obs (Array.of_list stimuli))
-
-  let detect_dropping c ~faults ~observe ~stimuli =
-    let cc = Cc.get c in
-    dropping cc ~faults ~obs:(obs_slots cc observe)
-      ~stims:(Array.of_list stimuli) (ctx cc) faults
+    Cc.with_ctx cc (fun ctx ->
+        run_dropping_packed ctx ~faults ~obs
+          (pack_chunks ctx ~faults ~obs (Array.of_list stimuli)))
 end
 
 module Engine = struct
@@ -895,19 +935,20 @@ module Engine = struct
     Array.init n (fun k ->
         Array.sub faults (k * size) (min size (nf - (k * size))))
 
-  (* Runs [f] over the shards of [faults] on the pool, with one
-     [Parallel] context per domain, and concatenates the per-shard
-     results back into input order. The pool's minimum-work estimate is
-     in gate evaluations: at most one whole-netlist sweep per group per
-     cycle, so tiny workloads run in the caller even with [jobs > 1]. *)
+  (* Runs [f] over the shards of [faults] on the pool, each shard on a
+     [Parallel] context taken from the cached circuit's idle stack, and
+     concatenates the per-shard results back into input order. The
+     pool's minimum-work estimate is in gate evaluations: at most one
+     whole-netlist sweep per group per cycle, so tiny workloads run in
+     the caller even with [jobs > 1]. *)
   let run ~obs ~jobs (cc : Compiled.t) ~faults ~cycles f =
     let work =
       Parallel.n_groups (Array.length faults) * max 1 cc.Compiled.n_gates
       * cycles
     in
-    Pool.map_array_init ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-      ~init:(fun () -> Parallel.ctx cc)
-      f (shards ~jobs faults)
+    Pool.map_array ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
+      (fun fs -> Cc.with_ctx cc (fun ctx -> f ctx fs))
+      (shards ~jobs faults)
     |> Array.to_list |> Array.concat
 
   (* Chaos hook at every engine entry: a [Raise] injection here exercises

@@ -2,7 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = seed }
 let state t = t.state
-let of_state s = { state = s }
 
 let next_int64 t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;

@@ -9,7 +9,6 @@
 type severity = Error | Warning | Info
 
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
 
 type location = {
   file : string option;  (** source file, when the netlist came from one *)

@@ -9,11 +9,6 @@ let rank = function Zero -> 0 | One -> 1 | X -> 2
 let compare a b = Int.compare (rank a) (rank b)
 let of_bool b = if b then One else Zero
 
-let to_bool = function
-  | Zero -> Some false
-  | One -> Some true
-  | X -> None
-
 let is_binary = function Zero | One -> true | X -> false
 
 let band a b =

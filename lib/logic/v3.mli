@@ -11,10 +11,6 @@ val compare : t -> t -> int
 (** [of_bool b] is [One] if [b], else [Zero]. *)
 val of_bool : bool -> t
 
-(** [to_bool v] is [Some true]/[Some false] for the binary values and [None]
-    for [X]. *)
-val to_bool : t -> bool option
-
 val is_binary : t -> bool
 
 (** Kleene conjunction: [Zero] dominates. *)

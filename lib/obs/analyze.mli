@@ -31,20 +31,15 @@ type span = { name : string; cat : string; tid : int; t0 : float; t1 : float }
 (** One complete trace event ([trace.json]), times in seconds relative
     to trace start. *)
 
-val run_of_json : Json.t -> (run, string) result
-(** Validates with {!Artifacts.validate_run} first. *)
-
 val load_run : string -> (run, string) result
-(** Read and parse one [run.json] file. *)
+(** Read and parse one [run.json] file, validated with
+    {!Artifacts.validate_run} first. *)
 
 val load_dir : string -> (run * span list, string) result
 (** Read an artifact directory: [run.json] (required) plus the spans of
     [trace.json] (missing/unparsable trace → no spans, not an error). *)
 
-(** {1 Spans & critical path} *)
-
-val spans_of_trace : Json.t -> span list
-val load_spans : string -> span list
+(** {1 Critical path} *)
 
 type critical_path = {
   cp_length_s : float;  (** longest chain of non-overlapping spans *)
@@ -124,6 +119,3 @@ val render_report : ?k:int -> run -> span list -> string
 
 val render_diff : diff_entry list -> string
 val diff_to_json : diff_entry list -> Json.t
-
-val fmt_s : float -> string
-(** Human-scaled seconds: ["1.20s"], ["3.4ms"], ["250µs"]. *)

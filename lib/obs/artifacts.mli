@@ -16,9 +16,6 @@
     result is bit-identical with or without it (pure-observer contract,
     pinned by a qcheck property). *)
 
-val schema_version : string
-(** ["fst-run/1"], stored under the ["schema"] key. *)
-
 type t
 
 val create : dir:string -> t
@@ -40,5 +37,5 @@ val quantile_of_buckets : (float * int) list -> int -> float -> float
     count [n] — same estimator as {!Metrics.Histogram.quantile}. *)
 
 val validate_run : Json.t -> (unit, string) result
-(** Structural check used by [fst jsonlint]: object, schema tag matches
-    {!schema_version}, all top-level keys present. *)
+(** Structural check used by [fst jsonlint]: object, the ["schema"] key
+    is ["fst-run/1"], all top-level keys present. *)

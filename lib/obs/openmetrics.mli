@@ -3,11 +3,9 @@
     Counters expose as [name_total], gauges as [name], float
     accumulators as [name_total] counters, histograms as cumulative
     [name_bucket{le="..."}] series (explicit [+Inf] bucket) plus
-    [name_count] / [name_sum]. Names are sanitized ([.] → [_]); the
+    [name_count] / [name_sum]. Names are sanitized (characters outside
+    [[a-zA-Z0-9_:]], such as [.], map to [_]); the
     exposition ends with the mandatory [# EOF] line. *)
-
-val sanitize : string -> string
-(** Map characters outside [[a-zA-Z0-9_:]] to [_]. *)
 
 val expose : Metrics.t -> string
 

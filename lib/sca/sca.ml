@@ -542,6 +542,27 @@ let bit_add bits w =
   let byte = Char.code (Bytes.get bits b) lor (1 lsl (w land 7)) in
   Bytes.set bits b (Char.chr byte)
 
+(* The fault's static fanout cone as a bitset: every net reachable from
+   the fault's seed through the fanout. A near-whole-netlist cone costs
+   n/8 bytes instead of a sorted array of n ints. [stack] is scratch of
+   [num_nets] ints. *)
+let cone_bits (c : Circuit.t) ~stack seed =
+  let bits = Bytes.make ((Circuit.num_nets c + 7) / 8) '\000' in
+  let top = ref 0 in
+  let visit w =
+    if not (bit_mem bits w) then begin
+      bit_add bits w;
+      stack.(!top) <- w;
+      incr top
+    end
+  in
+  visit seed;
+  while !top > 0 do
+    decr top;
+    Array.iter visit c.Circuit.fanout.(stack.(!top))
+  done;
+  bits
+
 let stuck_value (f : Fault.t) = V3.of_bool f.Fault.stuck
 let max_learn_gates = 2
 
@@ -754,28 +775,8 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
       incr n_proven
     end
   in
-  (* Cone membership ([Fault.cone]'s nets: everything reachable from the
-     fault's seed through the fanout), walked once per seed and cached
-     as a bitset: a near-whole-netlist cone costs n/8 bytes instead of a
-     sorted array of n ints. *)
+  (* Cone membership, walked once per seed and cached. *)
   let stack = Array.make n 0 in
-  let walk seed =
-    let bits = Bytes.make ((n + 7) / 8) '\000' in
-    let top = ref 0 in
-    let visit w =
-      if not (bit_mem bits w) then begin
-        bit_add bits w;
-        stack.(!top) <- w;
-        incr top
-      end
-    in
-    visit seed;
-    while !top > 0 do
-      decr top;
-      Array.iter visit c.Circuit.fanout.(stack.(!top))
-    done;
-    bits
-  in
   let cone_cache = Hashtbl.create 64 in
   let with_cone f k =
     let seed = Fault.seed f in
@@ -783,7 +784,7 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
       match Hashtbl.find_opt cone_cache seed with
       | Some bits -> bits
       | None ->
-        let bits = walk seed in
+        let bits = cone_bits c ~stack seed in
         Hashtbl.replace cone_cache seed bits;
         bits
     in
@@ -1230,12 +1231,8 @@ let check t (u : untestable) =
   let f = u.fault in
   let s = Fault.site_net c f in
   let sv = stuck_value f in
-  let in_cone_of f =
-    let cone = Fault.cone c f in
-    let mem = Array.make n false in
-    Array.iter (fun w -> mem.(w) <- true) cone;
-    fun w -> mem.(w)
-  in
+  let stack = Array.make n 0 in
+  let in_cone_of f = bit_mem (cone_bits c ~stack (Fault.seed f)) in
   let conflicts net v =
     let mark = p.top in
     let ok = deduce p net v in

@@ -14,7 +14,8 @@
     The analysis is deliberately conservative: it only ever {e proves}
     untestability; failing to prove a fault says nothing. All reasoning is
     on the fault-free (good) machine except propagation blocking, which is
-    made fault-aware through {!Fst_fault.Fault.cone}: a side input forced
+    made fault-aware through the fault's static fanout cone (every net
+    reachable from {!Fst_fault.Fault.seed}): a side input forced
     to a controlling value only blocks the fault effect when that side net
     lies outside the fault's cone (a reconvergent side could otherwise
     carry the effect itself and re-open the path). *)
@@ -47,10 +48,6 @@ type reason =
     is a theorem about completed tests; a literal whose edge set names
     both values of one net is marked {!impossible}. *)
 type graph = private { off : int array; dst : int array }
-
-val lit : net:int -> value:bool -> int
-(** [lit ~net ~value] is the literal id used by {!graph} and
-    {!impossible}. *)
 
 (** {1 Proofs} *)
 
@@ -138,7 +135,7 @@ type t = private {
   base_reason : reason option array;
   def_binary : bool array;
       (** net is binary under every completed input assignment *)
-  impossible : bool array;  (** indexed by {!lit} *)
+  impossible : bool array;  (** indexed by literal, as {!graph} *)
   graph : graph;
   untestable : untestable list;  (** subset of the [faults] argument *)
   dominance : (Fault.t * Fault.t) list;

@@ -314,42 +314,47 @@ let trace cc (stim : cstim) =
 
 (* ---- static cones in slot space ---------------------------------------- *)
 
-(* Everything reachable from [seeds] through the fanout CSR — crossing
-   flip-flop boundaries — sorted ascending (i.e. levelized). This is the
-   union soundness envelope of a packed fault group: slots outside it can
-   never diverge from the good trace. *)
-let cone_slots cc ~seeds =
-  let seen = Bytes.make cc.n_slots '\000' in
-  let stack = ref [] in
-  let count = ref 0 in
-  Array.iter
-    (fun s ->
-      if Bytes.get seen s = '\000' then begin
-        Bytes.set seen s '\001';
-        incr count;
-        stack := s :: !stack
-      end)
-    seeds;
-  let acc = ref [] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-      stack := rest;
-      acc := s :: !acc;
-      let lo = cc.fanout_off.(s) and hi = cc.fanout_off.(s + 1) in
-      for i = lo to hi - 1 do
-        let d = cc.fanout.(i) in
-        if Bytes.get seen d = '\000' then begin
-          Bytes.set seen d '\001';
-          incr count;
-          stack := d :: !stack
-        end
-      done
+(* One breadth-first walk over the fanout CSR — crossing flip-flop
+   boundaries — from [seeds]. A slot is visited when its stamp is not the
+   walk's epoch, so the scratch is reused walk after walk without
+   clearing; the queue ends up holding the whole cone in visiting order.
+   The cone is the union soundness envelope of a packed fault group:
+   slots outside it can never diverge from the good trace. *)
+type walker = { stamp : int array; mutable epoch : int; queue : int array }
+
+let walker cc =
+  { stamp = Array.make (max 1 cc.n_slots) 0; epoch = 0;
+    queue = Array.make (max 1 cc.n_slots) 0 }
+
+let walk cc w ~seeds =
+  w.epoch <- w.epoch + 1;
+  let epoch = w.epoch and stamp = w.stamp and queue = w.queue in
+  let tail = ref 0 in
+  let visit s =
+    if stamp.(s) <> epoch then begin
+      stamp.(s) <- epoch;
+      queue.(!tail) <- s;
+      incr tail
+    end
+  in
+  Array.iter visit seeds;
+  let head = ref 0 in
+  while !head < !tail do
+    let s = queue.(!head) in
+    incr head;
+    for i = cc.fanout_off.(s) to cc.fanout_off.(s + 1) - 1 do
+      visit cc.fanout.(i)
+    done
   done;
-  let a = Array.of_list !acc in
+  !tail
+
+let cone_slots ?walker:w cc ~seeds =
+  let w = match w with Some w -> w | None -> walker cc in
+  let a = Array.sub w.queue 0 (walk cc w ~seeds) in
   Array.sort Int.compare a;
   a
+
+let cone_size w cc ~seed = walk cc w ~seeds:[| seed |]
 
 (* ---- bit-plane kernel (pattern- and fault-parallel packing) ------------ *)
 

@@ -103,11 +103,25 @@ val trace : t -> cstim -> Bytes.t array
 
 (** {2 Static cones}
 
-    [cone_slots cc ~seeds] is every slot reachable from [seeds] through
-    the fanout CSR (crossing flip-flop boundaries), sorted ascending —
-    i.e. levelized. Slots outside it can never diverge from the good
-    machine under a fault whose effect enters at [seeds]. *)
-val cone_slots : t -> seeds:int array -> int array
+    The cone of [seeds] is every slot reachable from them through the
+    fanout CSR (crossing flip-flop boundaries). Slots outside it can
+    never diverge from the good machine under a fault whose effect
+    enters at [seeds]. *)
+
+(** Scratch of the cone walk (a visit stamp per slot and a queue),
+    reused walk after walk without clearing. A walker belongs to one
+    domain at a time. *)
+type walker
+
+val walker : t -> walker
+
+(** [cone_slots ?walker cc ~seeds] is the cone of [seeds], sorted
+    ascending — i.e. levelized. Without [walker] it walks on fresh
+    scratch. *)
+val cone_slots : ?walker:walker -> t -> seeds:int array -> int array
+
+(** [cone_size w cc ~seed] is the number of slots in the cone of [seed]. *)
+val cone_size : walker -> t -> seed:int -> int
 
 (** {2 Plane programs}
 
@@ -140,7 +154,6 @@ module Planes : sig
   type vec = { full : int; ones : int array; zeros : int array }
 
   val make : t -> lanes:int -> vec
-  val set_lane : vec -> int -> V3b.code -> bit:int -> unit
 
   (** [eval_gate_via cc ~full ~read k] evaluates gate [k] on planes,
       reading fanin pool index [i] through [read i = (ones, zeros)].
@@ -185,10 +198,8 @@ module Planes : sig
     rows0 : int array array;
   }
 
-  val max_lanes : int
-
   (** [trace_packed cc ~cols stims] records the [cols] slots (distinct
-      slot ids) of every cycle. Raises [Invalid_argument] on 0 or more
-      than [max_lanes] blocks. *)
+      slot ids) of every cycle. Raises [Invalid_argument] on 0 blocks or
+      more blocks than an int has bits to spare for lanes. *)
   val trace_packed : t -> cols:int array -> stimulus array -> packed
 end

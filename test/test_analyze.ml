@@ -251,9 +251,7 @@ let test_artifacts_round_trip () =
          phase gauge, an event. *)
       let xs = Array.init 50 (fun i -> i) in
       let r =
-        Pool.map_array_init ~obs:sink ~label:"sq" ~jobs:2 ~init:ignore
-          (fun () x -> x * x)
-          xs
+        Pool.map_array ~obs:sink ~label:"sq" ~jobs:2 (fun x -> x * x) xs
       in
       Alcotest.(check int) "pool result intact" 2401 r.(49);
       M.Gauge.set (M.gauge sink.Fst_obs.Sink.metrics "flow.step3.wall_s") 0.25;

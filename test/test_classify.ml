@@ -102,7 +102,7 @@ let prop_cat1_detected_by_alternating =
       let stim = Sequences.alternating scanned config ~repeats:3 in
       let cat1 = Array.map (fun i -> faults.(i)) r.Classify.easy in
       let out =
-        Fst_fsim.Fsim.Parallel.detect_all scanned ~faults:cat1
+        Fst_fsim.Fsim.Engine.detect_all ~jobs:1 scanned ~faults:cat1
           ~observe:scanned.Circuit.outputs stim
       in
       Array.for_all (fun o -> o <> None) out)

@@ -6,12 +6,7 @@ exception Boom of int
 
 let squares n = Array.init n (fun i -> i)
 
-(* [Array.map f xs] on the pool: its context-passing map with no
-   context. *)
-let map ?obs ?label ?chunk ?work ~jobs f xs =
-  Pool.map_array_init ?obs ?label ?chunk ?work ~jobs ~init:ignore
-    (fun () -> f)
-    xs
+let map = Pool.map_array
 
 let test_deterministic_order () =
   List.iter
@@ -68,14 +63,14 @@ let test_order_independent_of_duration () =
   Alcotest.(check (array int)) "input order" (squares n) got
 
 let prop_matches_sequential =
-  Q.Test.make ~name:"pool map_array_init = Array.map for any jobs" ~count:50
+  Q.Test.make ~name:"pool map_array = Array.map for any jobs" ~count:50
     Q.(pair (int_bound 7) (list_of_size (Gen.int_bound 50) small_int))
     (fun (jobs, xs) ->
       let xs = Array.of_list xs in
       let f x = (x * 31) lxor 5 in
       map ~jobs:(jobs + 1) f xs = Array.map f xs)
 
-(* --- work stealing, min-work fallback, per-domain contexts ------------- *)
+(* --- work stealing, min-work fallback ----------------------------------- *)
 
 (* Tests that need two domains to actually run concurrently are skipped
    on single-core machines, where the pool (correctly) clamps the worker
@@ -182,40 +177,6 @@ let test_jobs_clamped_to_cores () =
        (Pool.default_jobs ()))
     true
     (distinct >= 1 && distinct <= Pool.default_jobs ())
-
-(* [init] runs at most once per participating domain, and every task sees
-   its own domain's context. Tasks only record a mismatch; the assertion
-   runs on the calling domain, since Alcotest's Format state is not
-   domain-safe. *)
-let test_map_array_init_context_per_domain () =
-  let next = Atomic.make 0 in
-  let foreign = Atomic.make false in
-  let jobs = 3 in
-  let got =
-    Pool.map_array_init ~jobs
-      ~init:(fun () -> (Domain.self (), Atomic.fetch_and_add next 1))
-      (fun (dom, _id) x ->
-        if Domain.self () <> dom then Atomic.set foreign true;
-        x * 2)
-      (squares 100)
-  in
-  Alcotest.(check (array int))
-    "results" (Array.map (fun x -> x * 2) (squares 100)) got;
-  Alcotest.(check bool) "every context belongs to its task's domain" false
-    (Atomic.get foreign);
-  let inits = Atomic.get next in
-  Alcotest.(check bool)
-    (Printf.sprintf "1 <= %d inits <= jobs" inits)
-    true
-    (inits >= 1 && inits <= jobs);
-  (* Sequential path: exactly one context, created lazily. *)
-  let count = ref 0 in
-  ignore
-    (Pool.map_array_init ~jobs:1
-       ~init:(fun () -> incr count)
-       (fun () x -> x)
-       (squares 5));
-  Alcotest.(check int) "jobs=1 creates one context" 1 !count
 
 (* A map called from inside another map's task (step 3's per-group fault
    simulation) records no pool accounting of its own: the enclosing
@@ -546,8 +507,6 @@ let suite =
       test_min_work_runs_in_caller;
     Alcotest.test_case "jobs clamped to core count" `Quick
       test_jobs_clamped_to_cores;
-    Alcotest.test_case "map_array_init context per domain" `Quick
-      test_map_array_init_context_per_domain;
     Alcotest.test_case "nested map is not double counted" `Quick
       test_nested_map_not_double_counted;
     Alcotest.test_case "cancellable without stop = map" `Quick

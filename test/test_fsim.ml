@@ -88,8 +88,8 @@ let prop_serial_parallel_agree =
                      | _ -> V3.One )))
       in
       let par =
-        Fsim.Parallel.detect_all c ~faults:chosen ~observe:c.Circuit.outputs
-          stim
+        Fsim.Engine.detect_all ~jobs:1 c ~faults:chosen
+          ~observe:c.Circuit.outputs stim
       in
       let ok = ref true in
       Array.iteri
@@ -134,9 +134,8 @@ let workloads seed =
   [ random_workload ~n:4 seed; random_workload seed;
     random_workload ~n:150 seed ]
 
-(* Every implementation of the ENGINE semantics gives identical per-fault
-   detection cycles and drop (block, cycle) pairs on both operations;
-   [Serial] is the reference. *)
+(* The engine gives [Serial]'s per-fault detection cycles and drop
+   (block, cycle) pairs on both operations. *)
 let prop_engines_agree =
   Q.Test.make ~name:"serial, bit-parallel and engine results agree" ~count:15
     (Q.map Int64.of_int (Q.int_bound 100000))
@@ -149,12 +148,14 @@ let prop_engines_agree =
           let ser_drop =
             Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli
           in
-          ser_all = Fsim.Parallel.detect_all c ~faults ~observe stim
-          && ser_all = Fsim.Engine.detect_all c ~faults ~observe stim
-          && ser_drop
-             = Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli
+          ser_all = Fsim.Engine.detect_all c ~faults ~observe stim
           && ser_drop = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli)
         (workloads seed))
+
+(* The static fanout cone of [fault], in slots of [cc]. *)
+let cone_of cc fault =
+  Fst_sim.Compiled.cone_slots cc
+    ~seeds:[| cc.Fst_sim.Compiled.perm.(Fault.seed fault) |]
 
 (* Cone soundness: under any fault, a net outside the fault's static
    fanout cone never diverges from the fault-free machine — the envelope
@@ -168,11 +169,14 @@ let prop_cone_soundness =
       let all_nets = Array.init (Circuit.num_nets c) (fun i -> i) in
       let stim = List.hd stimuli in
       let good = Fsim.Serial.trace c ~fault:None ~observe:all_nets stim in
+      let cc = Fst_sim.Compiled.of_circuit c in
       Array.for_all
         (fun fault ->
-          let cone = Fault.cone c fault in
+          let cone = cone_of cc fault in
           let in_cone = Array.make (Circuit.num_nets c) false in
-          Array.iter (fun n -> in_cone.(n) <- true) cone;
+          Array.iter
+            (fun s -> in_cone.(cc.Fst_sim.Compiled.net_of.(s)) <- true)
+            cone;
           let bad =
             Fsim.Serial.trace c ~fault:(Some fault) ~observe:all_nets stim
           in
@@ -224,12 +228,13 @@ let prop_packed_dropping_agrees =
    packed path replays every fault over. The 186 widest-cone faults of a
    fixed circuit (cones of 70 of its 80 nets on average) go packed over
    62 blocks, one chunk, and fault-grouped over 63, two chunks. Either
-   way both dropping entry points give the serial answer. *)
+   way the engine gives the serial answer at one and two jobs. *)
 let test_dropping_branch_counts_chunks () =
   let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 2L in
   let rng = Fst_gen.Rng.create 9L in
   let universe = Fault.universe c in
-  let sizes = Fault.cone_sizes c universe in
+  let cc = Fst_sim.Compiled.of_circuit c in
+  let sizes = Array.map (fun f -> Array.length (cone_of cc f)) universe in
   let order = Array.init (Array.length universe) (fun i -> i) in
   Array.stable_sort (fun i j -> compare sizes.(j) sizes.(i)) order;
   let faults = Array.init 186 (fun k -> universe.(order.(k))) in
@@ -243,9 +248,10 @@ let test_dropping_branch_counts_chunks () =
         (Fsim.Parallel.packs c ~faults ~stimuli);
       let serial = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
       Alcotest.(check bool)
-        (Printf.sprintf "parallel = serial over %d blocks" nb)
+        (Printf.sprintf "engine = serial over %d blocks" nb)
         true
-        (Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli = serial);
+        (Fsim.Engine.detect_dropping ~jobs:1 c ~faults ~observe ~stimuli
+         = serial);
       Alcotest.(check bool)
         (Printf.sprintf "engine -j 2 = serial over %d blocks" nb)
         true
@@ -253,17 +259,16 @@ let test_dropping_branch_counts_chunks () =
          = serial))
     [ (62, true); (63, false) ]
 
-(* One [Parallel] context runs the groups of a call one after another,
-   each over the previous group's program buffer and override table. The
-   fault list is built so that the groups have different cones and the
-   middle one carries overrides where they are hardest: 62 faults whose
-   cone seeds are level-0 stems (group 1), then 62 faults on a random
-   multi-input gate [g0] and on the first and last gates of its cone —
-   stem and branch faults of both polarities, [g0]'s repeated over
-   several lanes — so the cone program starts and ends with an override
-   marker (group 2), then faults seeded past that cone (group 3). Every
-   operation must give the [Serial] answer and the answer of one fresh
-   context per group. *)
+(* The engine's context runs the groups of a call one after another,
+   each over the previous group's program buffer and override table, and
+   then the groups of the next call on the same circuit. The fault list
+   is built so that the groups have different cones and the middle one
+   carries overrides where they are hardest: 62 faults whose cone seeds
+   are level-0 stems (group 1), then 62 faults on a random multi-input
+   gate [g0] and on the first and last gates of its cone — stem and
+   branch faults of both polarities, [g0]'s repeated over several lanes
+   — so the cone program starts and ends with an override marker (group
+   2), then faults seeded past that cone (group 3). *)
 let override_workload seed =
   let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 seed in
   let cc = Fst_sim.Compiled.of_circuit c in
@@ -324,41 +329,70 @@ let override_workload seed =
   in
   (c, groups, List.init 3 (fun _ -> random_block rng c))
 
+(* Every call must give the [Serial] answer: the whole list, one call
+   per group, and one packed call per fault, with [detect_all] and
+   [detect_dropping] calls interleaved on circuit A, then B, then A
+   again (a new circuit replaces the idle contexts). *)
 let prop_ctx_reuse_across_groups =
   Q.Test.make ~name:"one context over consecutive override groups" ~count:12
     (Q.map Int64.of_int (Q.int_bound 100000))
     (fun seed ->
-      let c, groups, stimuli = override_workload seed in
-      let faults = Array.concat groups in
-      let observe = c.Circuit.outputs in
-      let stim = List.hd stimuli and one_block = [ List.hd stimuli ] in
-      (* A fresh context per group: one call per group. One block keeps
-         [detect_dropping] on the fault-grouped path. *)
-      let per_group f = Array.concat (List.map f groups) in
-      let all = Fsim.Serial.detect_all c ~faults ~observe stim in
-      let grouped =
-        Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli:one_block
+      let agrees (c, groups, stimuli) =
+        let faults = Array.concat groups in
+        let observe = c.Circuit.outputs in
+        let stim = List.hd stimuli and one_block = [ List.hd stimuli ] in
+        let per_group f = Array.concat (List.map f groups) in
+        let all = Fsim.Serial.detect_all c ~faults ~observe stim in
+        (* One block keeps [detect_dropping] on the fault-grouped path. *)
+        let grouped =
+          Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli:one_block
+        in
+        let packed = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
+        (not (Fsim.Parallel.packs c ~faults ~stimuli:one_block))
+        && all = Fsim.Engine.detect_all c ~faults ~observe stim
+        && grouped
+           = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli:one_block
+        && (all, grouped)
+           = ( per_group (fun faults ->
+                   Fsim.Engine.detect_all c ~faults ~observe stim),
+               per_group (fun faults ->
+                   Fsim.Engine.detect_dropping c ~faults ~observe
+                     ~stimuli:one_block) )
+        && packed
+           = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli
+        && packed
+           = Array.map
+               (fun f ->
+                 (Fsim.Parallel.detect_dropping_packed c ~faults:[| f |]
+                    ~observe ~stimuli).(0))
+               faults
       in
-      let packed = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
-      (not (Fsim.Parallel.packs c ~faults ~stimuli:one_block))
-      && all = Fsim.Parallel.detect_all c ~faults ~observe stim
-      && all
-         = per_group (fun faults ->
-               Fsim.Parallel.detect_all c ~faults ~observe stim)
-      && grouped
-         = Fsim.Parallel.detect_dropping c ~faults ~observe ~stimuli:one_block
-      && grouped
-         = per_group (fun faults ->
-               Fsim.Parallel.detect_dropping c ~faults ~observe
-                 ~stimuli:one_block)
-      && packed
-         = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli
-      && packed
-         = Array.map
-             (fun f ->
-               (Fsim.Parallel.detect_dropping_packed c ~faults:[| f |]
-                  ~observe ~stimuli).(0))
-             faults)
+      let a = override_workload seed
+      and b = override_workload (Int64.add seed 1L) in
+      List.for_all agrees [ a; b; a ])
+
+(* An engine call that raises midway through a fault group (a branch
+   fault on a primary input, which has no pins) must not leave that
+   group's maintained-plane flags to the next call: with [ff0] left
+   flagged, [g] would read a stale [ff0] instead of the good trace. *)
+let test_raising_call_leaves_no_group () =
+  let c, si, en, _ff0, _g, _ff1 = small_chain () in
+  let observe = c.Circuit.outputs in
+  let bogus = { Fault.site = Fault.Branch { node = si; pin = 0 }; stuck = true } in
+  (match
+     Fsim.Engine.detect_all c ~faults:[| bogus |] ~observe
+       (alternating_stim si en 4)
+   with
+   | _ -> Alcotest.fail "a branch fault on a primary input must raise"
+   | exception Invalid_argument _ -> ());
+  let stim =
+    Array.init 10 (fun t -> [ (si, V3.of_bool (t mod 2 = 0)); (en, V3.Zero) ])
+  in
+  let fault = { Fault.site = Fault.Stem en; stuck = true } in
+  Alcotest.(check (array (option int)))
+    "en s-a-1 after the raising call"
+    (Fsim.Serial.detect_all c ~faults:[| fault |] ~observe stim)
+    (Fsim.Engine.detect_all c ~faults:[| fault |] ~observe stim)
 
 let test_detect_dropping_blocks () =
   let c, si, en, ff0, _g, _ff1 = small_chain () in
@@ -371,7 +405,7 @@ let test_detect_dropping_blocks () =
   let blank = Array.init 6 (fun _ -> [ (si, V3.X) ]) in
   let active = alternating_stim si en 12 in
   let out =
-    Fsim.Parallel.detect_dropping c ~faults ~observe:c.Circuit.outputs
+    Fsim.Engine.detect_dropping c ~faults ~observe:c.Circuit.outputs
       ~stimuli:[ blank; active ]
   in
   (match out.(0) with
@@ -381,6 +415,49 @@ let test_detect_dropping_blocks () =
   match out.(1) with
   | Some (1, _) -> ()
   | Some _ | None -> Alcotest.fail "si stuck-at-1 should be caught in block 1"
+
+(* On every suite circuit at a small scale the engine gives the
+   [Serial] answer to one group of collapsed faults over a step-2-shaped
+   workload: the alternating chain test plus random scan-mode blocks,
+   simulated with cross-block dropping. *)
+let test_suite_step2_agrees () =
+  List.iter
+    (fun (e : Fst_gen.Suite.entry) ->
+      let name = e.Fst_gen.Suite.profile.Fst_gen.Gen.name in
+      match
+        Fst_tpi.Tpi.insert_checked ~chains:e.Fst_gen.Suite.chains
+          (Fst_gen.Gen.generate e.Fst_gen.Suite.profile)
+      with
+      | Error _ -> Alcotest.failf "%s: scan insertion failed" name
+      | Ok (scanned, config) ->
+        let faults = Fault.collapse scanned (Fault.universe scanned) in
+        let faults =
+          Array.sub faults 0 (min (Array.length faults) Fsim.Engine.max_group)
+        in
+        let view =
+          View.scan_mode scanned
+            ~constraints:config.Fst_tpi.Scan.constraints ()
+        in
+        let rng = Fst_gen.Rng.create 0xBE5CL in
+        let random_block () =
+          let ff_values, pi_values =
+            List.partition
+              (fun (net, _) -> Circuit.is_dff scanned net)
+              (Fst_atpg.Rtpg.uniform rng view)
+          in
+          Fst_core.Sequences.of_comb_test scanned config ~ff_values ~pi_values
+        in
+        let stimuli =
+          Fst_core.Sequences.alternating scanned config ~repeats:2
+          :: List.init 8 (fun _ -> random_block ())
+        in
+        let observe = scanned.Circuit.outputs in
+        Alcotest.(check bool)
+          (name ^ ": engine = serial")
+          true
+          (Fsim.Engine.detect_dropping scanned ~faults ~observe ~stimuli
+           = Fsim.Serial.detect_dropping scanned ~faults ~observe ~stimuli))
+    (Fst_gen.Suite.suite ~scale:0.02 ())
 
 let suite =
   [
@@ -393,7 +470,11 @@ let suite =
     Helpers.qcheck prop_jobs_invariant;
     Helpers.qcheck prop_packed_dropping_agrees;
     Helpers.qcheck prop_ctx_reuse_across_groups;
+    Alcotest.test_case "a raising call leaves no group behind" `Quick
+      test_raising_call_leaves_no_group;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;
     Alcotest.test_case "dropping branch counts block chunks" `Quick
       test_dropping_branch_counts_chunks;
+    Alcotest.test_case "engine = serial on suite step-2 workloads" `Quick
+      test_suite_step2_agrees;
   ]
