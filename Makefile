@@ -121,15 +121,24 @@ degradation-smoke: build
 	echo "degradation-smoke: OK"
 
 # A checkpointed run resumed from its file must print the same report as a
-# fresh uninterrupted run (timing lines filtered out).
+# fresh uninterrupted run (timing lines filtered out). It is resumed twice:
+# from its final checkpoint, and from a copy of the .prev rotation it
+# leaves behind (its last step-3 wave), which restores partial state.
+# Each resume must load its file rather than start fresh.
 resume-smoke: build
 	@tmp=`mktemp -d`; \
 	$(FST_EXE) $(SMOKE_FLOW) | grep -v "CPU" > $$tmp/fresh.txt; \
 	$(FST_EXE) $(SMOKE_FLOW) --checkpoint $$tmp/ck > /dev/null; \
-	$(FST_EXE) $(SMOKE_FLOW) --checkpoint $$tmp/ck --resume \
-	  | grep -v "CPU" > $$tmp/resumed.txt; \
-	diff $$tmp/fresh.txt $$tmp/resumed.txt || \
-	  { echo "resume-smoke: resumed report differs"; rm -rf $$tmp; exit 1; }; \
+	cp $$tmp/ck.prev $$tmp/wave; \
+	for ck in ck wave; do \
+	  $(FST_EXE) $(SMOKE_FLOW) --checkpoint $$tmp/$$ck --resume \
+	    2> $$tmp/resume.err | grep -v "CPU" > $$tmp/resumed.txt; \
+	  grep -q "resume: loaded checkpoint" $$tmp/resume.err || \
+	    { echo "resume-smoke: $$ck not loaded"; rm -rf $$tmp; exit 1; }; \
+	  diff $$tmp/fresh.txt $$tmp/resumed.txt || \
+	    { echo "resume-smoke: report resumed from $$ck differs"; \
+	      rm -rf $$tmp; exit 1; }; \
+	done; \
 	rm -rf $$tmp; echo "resume-smoke: OK"
 
 # The full observability path: the --obs-dir artifact set (trace,

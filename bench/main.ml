@@ -337,7 +337,7 @@ let ablate_alt () =
           Table.cell_int (Array.length affecting_faults);
           Table.cell_int det;
           Table.cell_int (Array.length affecting_faults - det);
-          Table.cell_int (List.length flow.Flow.undetected);
+          Table.cell_int (List.length (Flow.faults_with flow Flow.Undetected));
         ])
     smallest;
   Table.print t;

@@ -137,4 +137,4 @@ let () =
     "\n%d of %d faults affect the chain (%.1f%%); after the flow %d remain undetected.\n"
     (Flow.affecting r) (Flow.total_faults r)
     (100.0 *. float_of_int (Flow.affecting r) /. float_of_int (Flow.total_faults r))
-    (List.length r.Flow.undetected)
+    (List.length (Flow.faults_with r Flow.Undetected))

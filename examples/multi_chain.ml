@@ -98,4 +98,4 @@ let () =
     "\nFlow: step2 detected %d / untestable %d; step3 detected %d / untestable %d; undetected %d\n"
     r.Flow.step2.Flow.detected r.Flow.step2.Flow.untestable
     r.Flow.step3.Flow.detected r.Flow.step3.Flow.untestable
-    (List.length r.Flow.undetected)
+    (List.length (Flow.faults_with r Flow.Undetected))

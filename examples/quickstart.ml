@@ -62,12 +62,13 @@ let () =
     r.Flow.step3.Flow.detected r.Flow.step3.Flow.untestable
     r.Flow.step3.Flow.undetected;
 
+  let undetected = Flow.faults_with r Flow.Undetected in
   Printf.printf "\nFinal undetected chain-affecting faults: %d of %d (%.3f%%)\n"
-    (List.length r.Flow.undetected)
+    (List.length undetected)
     (Flow.affecting r)
     (100.0
-    *. float_of_int (List.length r.Flow.undetected)
+    *. float_of_int (List.length undetected)
     /. float_of_int (max 1 (Flow.affecting r)));
   List.iter
     (fun f -> Printf.printf "  undetected: %s\n" (Fst_fault.Fault.to_string scanned f))
-    r.Flow.undetected
+    undetected

@@ -1,5 +1,6 @@
 open Fst_netlist
 open Fst_core
+module Flow_report = Fst_report.Flow_report
 
 let spec =
   Spec.make ~name:"flow"
@@ -58,33 +59,20 @@ let spec =
       ]
     ~pos:Common.file_pos ()
 
-(* The flow's fault accounting as JSON, appended to run.json so the
-   analyzer can attribute aborts/failures per phase cohort. *)
-let flow_accounting r =
+(* The flow's fault accounting as JSON, appended to run.json as its
+   [flow] object for readers of the artifact set ([fst analyze] itself
+   does not read it). *)
+let flow_accounting (t : Flow_report.t) =
   let module J = Fst_obs.Json in
-  let a = r.Flow.aborts in
   J.Obj
     [
-      ( "detected",
-        J.Int (r.Flow.step2.Flow.detected + r.Flow.step3.Flow.detected) );
-      ("undetected", J.Int (List.length r.Flow.undetected));
-      ("untestable", J.Int (List.length r.Flow.untestable_faults));
-      ("untestable_static", J.Int (List.length r.Flow.untestable_static));
-      ("aborted_faults", J.Int a.Flow.aborted_faults);
-      ("failed_faults", J.Int a.Flow.failed_faults);
-      ( "phases",
-        J.List
-          (List.map
-             (fun (ph : Flow.phase_aborts) ->
-               J.Obj
-                 [
-                   ("phase", J.String ph.Flow.phase);
-                   ("budget_exhausted", J.Bool ph.Flow.budget_exhausted);
-                   ("atpg_aborts", J.Int ph.Flow.atpg_aborts);
-                   ("cancelled_groups", J.Int ph.Flow.cancelled_groups);
-                   ("failed", J.Int ph.Flow.failed);
-                 ])
-             a.Flow.phases) );
+      ("detected", J.Int (t.step2_detected + t.step3_detected));
+      ("undetected", J.Int (List.length t.undetected));
+      ("untestable", J.Int (t.step2_untestable + t.step3_untestable));
+      ("untestable_static", J.Int t.untestable_static);
+      ("aborted_faults", J.Int t.aborted_faults);
+      ("failed_faults", J.Int t.failed_faults);
+      ("phases", J.List (List.map Flow_report.phase_to_json t.phases));
     ]
 
 let run p =
@@ -147,25 +135,17 @@ let run p =
       scanned config
   in
   Fst_exec.Chaos.clear ();
-  print_string (Fst_report.Flow_report.to_text (Fst_report.Flow_report.of_result r));
+  let report = Flow_report.of_result r in
+  print_string (Flow_report.to_text report);
   (* Under chaos the run's one obligation is the partition invariant:
-     every hard fault is accounted for exactly once. *)
+     every hard fault is accounted for exactly once, which holds when
+     each report count equals its verdict count. *)
   if chaos <> None then begin
-    let hard = Array.length r.Flow.classify.Classify.hard in
-    let accounted =
-      r.Flow.step2.Flow.detected + r.Flow.step3.Flow.detected
-      + List.length r.Flow.untestable_faults
-      + List.length r.Flow.untestable_static
-      + List.length r.Flow.undetected
-      + List.length r.Flow.aborted + List.length r.Flow.failed
-    in
-    if accounted = hard then Printf.printf "chaos: invariant ok\n"
-    else
+    match Flow_report.verdict_mismatches report r with
+    | [] -> Printf.printf "chaos: invariant ok\n"
+    | bad ->
       Common.or_die
-        (Error
-           (Printf.sprintf
-              "chaos: invariant violated (%d accounted of %d hard faults)"
-              accounted hard))
+        (Error ("chaos: invariant violated: " ^ String.concat ", " bad))
   end;
   (match artifacts with
    | Some (dir, a) ->
@@ -184,7 +164,7 @@ let run p =
        | j -> j
      in
      Fst_obs.Artifacts.write ~config:config_json
-       ~extra:[ ("flow", flow_accounting r) ]
+       ~extra:[ ("flow", flow_accounting report) ]
        a;
      Printf.eprintf "obs: artifacts written to %s\n%!" dir
    | None -> ());

@@ -49,7 +49,7 @@ type t = {
   sca_prune : bool;
       (** phase-0 static analysis ({!Fst_sca.Sca}): prune statically
           proven untestable faults before step-2 ATPG (default [true];
-          the proven faults land in [Flow.result.untestable_static]) *)
+          the proven faults get the [Flow.Untestable_static] verdict) *)
   time_budget : float option;
       (** whole-flow wall-clock budget in seconds ([None] = unlimited) *)
   on_error : on_error;  (** failure policy (default [`Fail_fast]) *)

@@ -42,17 +42,7 @@ type phase_aborts = {
   failed : int;
 }
 
-type aborts = {
-  phases : phase_aborts list;
-  aborted_faults : int;
-  failed_faults : int;
-}
-
-let budget_exhausted a = List.exists (fun p -> p.budget_exhausted) a.phases
-let atpg_aborts a = List.fold_left (fun n p -> n + p.atpg_aborts) 0 a.phases
-
-let cancelled_groups a =
-  List.fold_left (fun n p -> n + p.cancelled_groups) 0 a.phases
+let budget_exhausted phases = List.exists (fun p -> p.budget_exhausted) phases
 
 type atpg_stats = {
   podem_runs : int;
@@ -65,6 +55,16 @@ type atpg_stats = {
   seq_backtracks : int;
 }
 
+type verdict =
+  | Detected_step2
+  | Detected_step3
+  | Untestable_static
+  | Untestable_step2
+  | Untestable_step3
+  | Undetected
+  | Aborted
+  | Failed
+
 type result = {
   scanned : Circuit.t;
   config : Scan.config;
@@ -73,39 +73,45 @@ type result = {
   classify_seconds : float;
   step2 : step2;
   step3 : step3;
-  undetected : Fault.t list;
-  untestable_faults : Fault.t list;
-  untestable_static : Fault.t list;
-  aborted : Fault.t list;
-  failed : Fault.t list;
-  aborts : aborts;
+  verdicts : verdict array;
+  aborts : phase_aborts list;
   atpg : atpg_stats;
 }
 
 let total_faults r = Array.length r.faults
 let affecting r = r.classify.Classify.affecting
 
+(* A pending fault awaits a later phase: [Undetected] once it has had its
+   full attempt, [Aborted] while the budget has denied it one. Phases
+   target, detect, deny and quarantine pending faults only, so every
+   other verdict is final. *)
+let pending = function Undetected | Aborted -> true | _ -> false
+
+(* The hard-fault indices whose verdict satisfies [p], ascending. *)
+let indices verdicts p =
+  let acc = ref [] in
+  for i = Array.length verdicts - 1 downto 0 do
+    if p verdicts.(i) then acc := i :: !acc
+  done;
+  !acc
+
+let count verdicts v =
+  Array.fold_left (fun n w -> if w = v then n + 1 else n) 0 verdicts
+
+let faults_where r p =
+  List.map
+    (fun i -> r.faults.(r.classify.Classify.hard.(i)))
+    (indices r.verdicts p)
+
+let faults_with r v = faults_where r (fun w -> w = v)
+
 (* Everything the chain-testing phase credits as detected: the category-1
-   faults (alternating sequence) plus the hard faults that neither stayed
-   undetected (or budget-aborted) nor were proven untestable. *)
+   faults (alternating sequence) plus the hard faults steps 2–3 detected. *)
 let chain_detected_faults r =
-  let open_set = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace open_set f ()) r.undetected;
-  List.iter (fun f -> Hashtbl.replace open_set f ()) r.aborted;
-  List.iter (fun f -> Hashtbl.replace open_set f ()) r.failed;
-  List.iter (fun f -> Hashtbl.replace open_set f ()) r.untestable_faults;
-  List.iter (fun f -> Hashtbl.replace open_set f ()) r.untestable_static;
-  let easy =
-    Array.to_list r.classify.Classify.easy
-    |> List.map (fun i -> r.faults.(i))
-  in
-  let hard_detected =
-    Array.to_list r.classify.Classify.hard
-    |> List.filter_map (fun i ->
-           let f = r.faults.(i) in
-           if Hashtbl.mem open_set f then None else Some f)
-  in
-  easy @ hard_detected
+  List.map (fun i -> r.faults.(i)) (Array.to_list r.classify.Classify.easy)
+  @ faults_where r (function
+      | Detected_step2 | Detected_step3 -> true
+      | _ -> false)
 
 (* Splits a combinational-model assignment into flip-flop state and
    primary-input parts. *)
@@ -222,86 +228,56 @@ let atpg_stats_of acct =
     seq_backtracks = acct.s_backtracks;
   }
 
-let aborts_of acct ~aborted_faults ~failed_faults =
-  {
-    phases =
-      [
-        { phase = "classify"; budget_exhausted = acct.cl_late;
-          atpg_aborts = 0; cancelled_groups = 0; failed = 0 };
-        { phase = "step2-atpg"; budget_exhausted = acct.s2a_late;
-          atpg_aborts = acct.s2a_aborts; cancelled_groups = 0;
-          failed = acct.s2a_failed };
-        { phase = "step2-fsim"; budget_exhausted = acct.s2f_late;
-          atpg_aborts = 0; cancelled_groups = 0;
-          failed = acct.s2f_failed };
-        { phase = "step3"; budget_exhausted = acct.s3_late;
-          atpg_aborts = acct.s3_aborts;
-          cancelled_groups = acct.s3_cancelled;
-          failed = acct.s3_failed };
-        { phase = "finals"; budget_exhausted = acct.fin_late;
-          atpg_aborts = acct.fin_aborts;
-          cancelled_groups = acct.fin_cancelled;
-          failed = acct.fin_failed };
-      ];
-    aborted_faults;
-    failed_faults;
-  }
+let aborts_of acct =
+  [
+    { phase = "classify"; budget_exhausted = acct.cl_late;
+      atpg_aborts = 0; cancelled_groups = 0; failed = 0 };
+    { phase = "step2-atpg"; budget_exhausted = acct.s2a_late;
+      atpg_aborts = acct.s2a_aborts; cancelled_groups = 0;
+      failed = acct.s2a_failed };
+    { phase = "step2-fsim"; budget_exhausted = acct.s2f_late;
+      atpg_aborts = 0; cancelled_groups = 0;
+      failed = acct.s2f_failed };
+    { phase = "step3"; budget_exhausted = acct.s3_late;
+      atpg_aborts = acct.s3_aborts;
+      cancelled_groups = acct.s3_cancelled;
+      failed = acct.s3_failed };
+    { phase = "finals"; budget_exhausted = acct.fin_late;
+      atpg_aborts = acct.fin_aborts;
+      cancelled_groups = acct.fin_cancelled;
+      failed = acct.fin_failed };
+  ]
 
 (* --- checkpoint state --------------------------------------------------- *)
 
 (* Bump whenever the marshalled layout below (or anything it embeds)
    changes; [Checkpoint.load] rejects other versions.
    v3: failed_flag + chaos counters + acct failed fields.
-   v4: phase-0 static-analysis summary ([c_sca]). *)
-let ckpt_version = 4
-
-(* What the flow keeps of the phase-0 static analysis: the per-hard-fault
-   untestability verdicts (everything later phases consult) and the
-   analysis statistics for the end-of-run metrics. The implication graph
-   itself is not persisted — the analysis is pure and deterministic, so a
-   resumed run that still needs the PODEM hints just recomputes it. *)
-type sca_summary = {
-  static_flag : bool array;  (* per hard fault: statically proven untestable *)
-  sca_stats : Fst_sca.Sca.stats;
-}
+   v4: phase-0 static-analysis summary ([c_sca]).
+   v5: one verdict array replaces the per-fault flags and index lists. *)
+let ckpt_version = 5
 
 type plan = {
   blocks : Fsim.stimulus list;
-  untestable2 : int list;  (* indices into the hard-fault array, ascending *)
-  attempted : int;  (* hard faults that actually got their PODEM attempt *)
   plan_atpg_seconds : float;
-  rng_state : int64;
-}
-
-type s2_state = {
-  s2_step2 : step2;
-  s2_remaining : int list;  (* indices into the hard-fault array, ascending *)
 }
 
 type s3_progress = {
   cursor : int;  (* groups already committed *)
-  alive_idx : int list;  (* step-3 indices still alive *)
-  p_detected3 : int;
   p_group_circuits : int;
   seconds_before : float;  (* step-3 wall clock spent before this resume *)
 }
 
-type finish = {
-  f_step3 : step3;
-  undetected_idx : int list;  (* indices into the remaining-fault array *)
-  aborted_idx : int list;
-  untestable3_idx : int list;
-}
-
 type ckpt = {
   mutable c_classify : (Classify.t * float) option;
-  mutable c_sca : sca_summary option;
+  (* The phase-0 analysis statistics, for the end-of-run metrics; its
+     proofs live in [verdicts]. *)
+  mutable c_sca : Fst_sca.Sca.stats option;
   mutable c_plan : plan option;
-  mutable c_s2 : s2_state option;
+  mutable c_s2 : step2 option;
   mutable c_s3 : s3_progress option;
-  mutable c_fin : finish option;
-  mutable aborted_flag : bool array;  (* per hard fault: denied an attempt *)
-  mutable failed_flag : bool array;  (* per hard fault: quarantined *)
+  mutable c_fin : step3 option;
+  mutable verdicts : verdict array;  (* indexed by position in the hard set *)
   (* Chaos hit counters at save time: restoring them on resume makes a
      killed-and-resumed run replay the rest of an injection plan from
      the same sequence numbers as the uninterrupted run ([Chaos]).
@@ -318,8 +294,7 @@ let fresh_ckpt () =
     c_s2 = None;
     c_s3 = None;
     c_fin = None;
-    aborted_flag = [||];
-    failed_flag = [||];
+    verdicts = [||];
     c_chaos = [||];
     acct = fresh_acct ();
   }
@@ -385,18 +360,21 @@ let phase_obs (sink : Sink.t) name f =
 
 (* --- Step 2: combinational ATPG + sequential fault simulation ---------- *)
 
-let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
-    ~static_flag view scoap scanned config ~hard_faults =
+(* Every fault that is not statically proven enters holding [Aborted]; its
+   attempt rewrites that, and the faults the deadline leaves unattempted
+   keep it. *)
+let plan_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts view scoap scanned
+    config ~hard_faults =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
   let dl = Budget.deadline budget Budget.Step2_atpg in
   let t0 = Clock.now () in
   let n = Array.length hard_faults in
-  let blocks = ref [] and untestable = ref [] in
+  let blocks = ref [] in
   let n_tests = ref 0 in
   let i = ref 0 in
   while !i < n && not (Clock.expired dl) do
-    if static_flag.(!i) then
+    if verdicts.(!i) = Untestable_static then
       (* Statically proven untestable (phase 0): no attempt is owed, so the
          fault is neither attempted here nor abortable below. *)
       incr i
@@ -416,6 +394,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
          with
          | Podem.Test assignment, stats ->
            add_podem_stats ~sink acct stats;
+           verdicts.(!i) <- Undetected;
            incr n_tests;
            let ff_values, pi_values = split_assignment scanned assignment in
            blocks :=
@@ -423,19 +402,21 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
              :: !blocks
          | Podem.Untestable, stats ->
            add_podem_stats ~sink acct stats;
-           untestable := !i :: !untestable
+           verdicts.(!i) <- Untestable_step2
          | Podem.Aborted, stats ->
            add_podem_stats ~sink acct stats;
            acct.s2a_aborts <- acct.s2a_aborts + 1;
            (* A deadline-tripped abort (as opposed to a backtrack-limit one)
-              means the fault was denied its full attempt. *)
-           if Clock.expired dl then begin
-             acct.p_ab_deadline <- acct.p_ab_deadline + 1;
-             aborted_flag.(!i) <- true
+              means the fault was denied its full attempt: it stays
+              [Aborted]. *)
+           if Clock.expired dl then
+             acct.p_ab_deadline <- acct.p_ab_deadline + 1
+           else begin
+             acct.p_ab_limit <- acct.p_ab_limit + 1;
+             verdicts.(!i) <- Undetected
            end
-           else acct.p_ab_limit <- acct.p_ab_limit + 1
        with e when keep_going ->
-         failed_flag.(!i) <- true;
+         verdicts.(!i) <- Failed;
          acct.s2a_failed <- acct.s2a_failed + 1;
          Sink.event sink ~kind:"fault_failed"
            [
@@ -450,13 +431,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
       incr i
     end
   done;
-  let attempted = !i in
-  if attempted < n then begin
-    acct.s2a_late <- true;
-    for k = attempted to n - 1 do
-      if not static_flag.(k) then aborted_flag.(k) <- true
-    done
-  end;
+  if !i < n then acct.s2a_late <- true;
   (* Deterministic random scan-mode tests appended after the ATPG set (the
      paper's random-vector option): they mop up aborted-ATPG faults during
      the same fault-simulation pass. The free inputs of the scan-mode view
@@ -481,13 +456,7 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
       in
       List.filteri (fun i _ -> i < keep) blocks
   in
-  {
-    blocks;
-    untestable2 = List.rev !untestable;
-    attempted;
-    plan_atpg_seconds = Clock.now () -. t0;
-    rng_state = Fst_gen.Rng.state rng;
-  }
+  { blocks; plan_atpg_seconds = Clock.now () -. t0 }
 
 type windows = {
   outcome : (int * int) option array;
@@ -584,21 +553,20 @@ let fsim_windows ~sink ~jobs ~keep_going ~budget_left ~failed_before c
   in
   { outcome; curve; late = !late; failed = !failed }
 
-let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
-    ~static_flag scanned ~hard_faults ~(plan : plan) =
+let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts scanned ~hard_faults
+    ~(plan : plan) =
   let dl = Budget.deadline budget Budget.Step2_fsim in
   let t1 = Clock.now () in
-  let n = Array.length hard_faults in
-  let untestable_set = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace untestable_set i ()) plan.untestable2;
-  (* Untestable faults — PODEM-proven and statically proven alike — are
-     excluded from simulation: they cannot be detected and would waste
-     machine slots. *)
+  (* Proven-untestable faults — PODEM-proven and statically proven alike —
+     are excluded from simulation: they cannot be detected and would waste
+     machine slots. Faults quarantined in step 2a are simulated: a
+     detection supersedes the quarantine, since the fault is provably
+     covered. *)
   let simulate =
     Array.of_list
-      (List.filter
-         (fun i -> (not (Hashtbl.mem untestable_set i)) && not static_flag.(i))
-         (List.init n (fun i -> i)))
+      (indices verdicts (function
+        | Untestable_static | Untestable_step2 -> false
+        | _ -> true))
   in
   let blocks = Array.of_list plan.blocks in
   let w =
@@ -610,50 +578,28 @@ let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~failed_flag
       blocks
   in
   if w.late then acct.s2f_late <- true;
-  Array.iter (fun k -> failed_flag.(simulate.(k)) <- true) w.failed;
+  (* A quarantined fault takes no part in step 3: it stays in the failed
+     bucket rather than getting further (possibly poisoned) attention. *)
+  Array.iter (fun k -> verdicts.(simulate.(k)) <- Failed) w.failed;
   acct.s2f_failed <- acct.s2f_failed + Array.length w.failed;
   let fsim_seconds = Clock.now () -. t1 in
-  let detected = Array.make n false in
   Array.iteri
-    (fun k i -> match w.outcome.(k) with
-       | Some _ ->
-         detected.(i) <- true;
-         (* A detection supersedes an earlier step-2 quarantine: the
-            fault is provably covered. *)
-         failed_flag.(i) <- false
-       | None -> ())
+    (fun k i ->
+      if Option.is_some w.outcome.(k) then verdicts.(i) <- Detected_step2)
     simulate;
-  let n_detected =
-    Array.fold_left (fun a b -> if b then a + 1 else a) 0 detected
-  in
-  let n_untestable = List.length plan.untestable2 in
-  let n_static =
-    Array.fold_left (fun a b -> if b then a + 1 else a) 0 static_flag
-  in
-  let remaining = ref [] in
-  (* Quarantined faults are excluded from step 3: a fault whose ATPG
-     crashed, or that sat in a failed simulation cohort, stays in the
-     failed bucket rather than getting further (possibly poisoned)
-     attention. Statically proven faults are settled and take no further
-     part either. *)
-  for i = n - 1 downto 0 do
-    if
-      (not detected.(i))
-      && (not (Hashtbl.mem untestable_set i))
-      && (not static_flag.(i))
-      && not failed_flag.(i)
-    then remaining := i :: !remaining
-  done;
-  ( {
-      detected = n_detected;
-      untestable = n_untestable;
-      undetected = n - n_detected - n_untestable - n_static;
-      vectors = Array.length blocks;
-      atpg_seconds = plan.plan_atpg_seconds;
-      fsim_seconds;
-      curve = w.curve;
-    },
-    !remaining )
+  let detected = count verdicts Detected_step2 in
+  let untestable = count verdicts Untestable_step2 in
+  {
+    detected;
+    untestable;
+    undetected =
+      Array.length verdicts - detected - untestable
+      - count verdicts Untestable_static;
+    vectors = Array.length blocks;
+    atpg_seconds = plan.plan_atpg_seconds;
+    fsim_seconds;
+    curve = w.curve;
+  }
 
 (* --- Step 3: grouped sequential ATPG ------------------------------------ *)
 
@@ -687,47 +633,28 @@ let predicates_of_bounds positions bounds =
   in
   (controllable, observable)
 
-type step3_state = {
-  mutable detected3 : int;
-  mutable untestable3 : int;
-  mutable group_circuits : int;
-  mutable final_circuits : int;
-  alive : bool array; (* per remaining-fault index *)
-}
-
-(* The members of an alive set, ascending. *)
-let alive_ids alive =
-  let ids = ref [] in
-  for i = Array.length alive - 1 downto 0 do
-    if alive.(i) then ids := i :: !ids
-  done;
-  !ids
-
-(* Fault-simulates a realized sequence against every fault in [alive]
-   (remaining-fault indices), removes the detections from it and returns
-   them. *)
-let retire_detections ~sink ~jobs alive scanned ~remaining_faults ~stim =
-  let alive_ids = alive_ids alive in
-  let faults_arr =
-    Array.of_list (List.map (fun i -> remaining_faults.(i)) alive_ids)
-  in
+(* Fault-simulates a realized sequence against every pending fault of
+   [verdicts], marks the detections [Detected_step3] and returns them. *)
+let retire_detections ~sink ~jobs verdicts scanned ~hard_faults ~stim =
+  let ids = indices verdicts pending in
   let outcome =
-    Fsim.Engine.detect_all ~obs:sink ~jobs scanned ~faults:faults_arr
+    Fsim.Engine.detect_all ~obs:sink ~jobs scanned
+      ~faults:(Array.of_list (List.map (fun i -> hard_faults.(i)) ids))
       ~observe:scanned.Circuit.outputs stim
   in
   List.filteri
     (fun k i ->
       match outcome.(k) with
       | Some _ ->
-        alive.(i) <- false;
+        verdicts.(i) <- Detected_step3;
         true
       | None -> false)
-    alive_ids
+    ids
 
 (* What one attempted step-3 target produced: an ATPG abort ([late] when
    the step-3 budget had already expired), or the faults its realized
    sequence detected. *)
-type target_outcome = Aborted of { late : bool } | Realized of int list
+type target_outcome = Target_aborted of { late : bool } | Realized of int list
 
 (* Sequential-ATPG planning for one fault: realize a detecting sequence on
    the bounded model, without touching any shared state (safe to run on a
@@ -736,89 +663,74 @@ type target_outcome = Aborted of { late : bool } | Realized of int list
    domain past its budget. [memo] holds the models of earlier targets
    with the same [bounds]; without one, each model is built for this
    target and dropped after it. *)
-let plan_sequence ~sink scanned config ~remaining_faults ~bounds ~positions
-    ~frames ~backtrack ~should_abort ?memo target_idx =
+let plan_sequence ~sink scanned config ~hard_faults ~bounds ~positions
+    ~frames ~backtrack ~should_abort ?memo target =
   let controllable, observable = predicates_of_bounds positions bounds in
-  let fault = remaining_faults.(target_idx) in
   match
     timed_atpg sink
-      (Printf.sprintf "seq[%d]" target_idx)
+      (Printf.sprintf "seq[%d]" target)
       (fun () ->
         Seq.run ~should_abort ?memo scanned
           ~constraints:config.Scan.constraints
-          ~controllable_ff:controllable ~observable_ff:observable ~fault
-          ~frames_list:frames ~backtrack_limit:backtrack)
+          ~controllable_ff:controllable ~observable_ff:observable
+          ~fault:hard_faults.(target) ~frames_list:frames
+          ~backtrack_limit:backtrack)
   with
   | Seq.Seq_aborted, stats -> (None, stats)
   | Seq.Seq_test test, stats ->
     (Some (Sequences.of_seq_test scanned config test), stats)
 
-let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
-    ~progress ~save_progress scanned config ~classify ~hard_index ~remaining
-    ~view ~scoap =
+let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
+    ~save_progress scanned config ~classify ~hard_faults ~view ~scoap =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
   let dl3 = Budget.deadline budget Budget.Step3 in
   let t0 = Clock.now () in
-  let remaining_arr = Array.of_list remaining in
-  let remaining_faults =
-    Array.map
-      (fun i -> classify.Classify.infos.(hard_index.(i)).Classify.fault)
-      remaining_arr
-  in
-  let footprints =
-    Array.of_list
-      (List.mapi
-         (fun k i ->
-           let info = classify.Classify.infos.(hard_index.(i)) in
-           let locations =
-             List.map
-               (fun (chain, seg, _) -> (chain, seg))
-               info.Classify.locations
-           in
-           Group.footprint_of ~index:k ~locations)
-         remaining)
+  let footprint i =
+    let info = classify.Classify.infos.(classify.Classify.hard.(i)) in
+    Group.footprint_of ~index:i
+      ~locations:
+        (List.map (fun (chain, seg, _) -> (chain, seg)) info.Classify.locations)
   in
   let maxsize = Sequences.max_chain_length config in
   let dist =
     Group.paper_params ~maxsize ~floor_scale:cfg.Config.dist_floor_scale
   in
-  let groups = Array.of_list (Group.make dist (Array.to_list footprints)) in
+  (* The groups cover the faults step 2 left pending. A resumed run
+     rebuilds them deterministically from the verdicts, where that cohort
+     is every fault still pending or settled by step 3. A poisoned wave
+     quarantines the pending cohort ([acct.s3_failed > 0]) among step 2's
+     quarantined faults, but it also ends the waves, so no group is left
+     to rebuild then. *)
+  let groups =
+    if acct.s3_failed > 0 then [||]
+    else
+      indices verdicts (fun v ->
+          pending v || v = Detected_step3 || v = Untestable_step3)
+      |> List.map footprint |> Group.make dist |> Array.of_list
+  in
   let n_groups = Array.length groups in
   let positions = positions_of config in
-  let st =
-    {
-      detected3 = 0;
-      untestable3 = 0;
-      group_circuits = 0;
-      final_circuits = 0;
-      alive = Array.make (Array.length remaining_arr) false;
-    }
-  in
-  let cursor = ref 0 and seconds_before = ref 0.0 in
-  (match progress with
-   | None -> Array.fill st.alive 0 (Array.length st.alive) true
-   | Some p ->
-     (* Resume mid-step-3: the groups are recomputed deterministically from
-        the classification, so only the cursor, the alive set and the
-        counters need restoring. *)
-     List.iter (fun k -> st.alive.(k) <- true) p.alive_idx;
-     cursor := p.cursor;
-     st.detected3 <- p.p_detected3;
-     st.group_circuits <- p.p_group_circuits;
-     seconds_before := p.seconds_before);
-  let untestable_idx3 = ref [] in
-  let any_alive fps =
-    List.exists (fun fp -> st.alive.(fp.Group.index)) fps
-  in
+  let cursor = ref 0 and group_circuits = ref 0 and seconds_before = ref 0.0 in
+  Option.iter
+    (fun p ->
+      cursor := p.cursor;
+      group_circuits := p.p_group_circuits;
+      seconds_before := p.seconds_before)
+    progress;
+  let final_circuits = ref 0 in
   let targets_of group =
     match group with
     | Group.Solo fp -> [ fp ]
     | Group.Shared { leader; members } -> leader :: members
     | Group.Cluster { members; _ } -> members
   in
-  let flag_idx i = aborted_flag.(remaining_arr.(i)) <- true in
-  let fail_idx i = failed_flag.(remaining_arr.(i)) <- true in
+  let pending_targets targets =
+    List.filter (fun fp -> pending verdicts.(fp.Group.index)) targets
+  in
+  (* A denied attempt: the fault is reported [Aborted] unless a later
+     attempt settles it. *)
+  let deny i = if pending verdicts.(i) then verdicts.(i) <- Aborted in
   let token = Pool.token () in
   (* The failure policy as a retry policy: under [`Fail_fast] nothing is
      retried and the first failure is re-raised; under [`Keep_going]
@@ -830,10 +742,10 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
   let retire_final stim =
     match
       Retry.run ~policy (fun () ->
-          retire_detections ~sink ~jobs:cfg.Config.jobs st.alive scanned
-            ~remaining_faults ~stim)
+          retire_detections ~sink ~jobs:cfg.Config.jobs verdicts scanned
+            ~hard_faults ~stim)
     with
-    | Stdlib.Ok hits -> st.detected3 <- st.detected3 + List.length hits
+    | Stdlib.Ok _ -> ()
     | Stdlib.Error (e, bt) ->
       if not keep_going then Printexc.raise_with_backtrace e bt;
       engine_poisoned := true;
@@ -844,76 +756,63 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
         ]
   in
   (* Cohort containment: once a group's task (planning or retirement) or
-     a finals retirement engine call permanently fails, every still-alive
+     a finals retirement engine call permanently fails, every pending
      fault's downstream outcome is suspect (the missing stimuli would
-     have retired an unknowable subset of them), so the whole remaining
+     have retired an unknowable subset of them), so the whole pending
      cohort moves to the failed bucket. Retries make this a last resort,
      and the already-committed detections stay trustworthy. *)
   let cohort_fail phase =
-    let alive_ids = alive_ids st.alive in
-    let count = List.length alive_ids in
-    List.iter
-      (fun i ->
-        fail_idx i;
-        st.alive.(i) <- false)
-      alive_ids;
+    let cohort = indices verdicts pending in
+    List.iter (fun i -> verdicts.(i) <- Failed) cohort;
+    let n = List.length cohort in
     (match phase with
-     | `Step3 -> acct.s3_failed <- acct.s3_failed + count
-     | `Finals -> acct.fin_failed <- acct.fin_failed + count);
+     | `Step3 -> acct.s3_failed <- acct.s3_failed + n
+     | `Finals -> acct.fin_failed <- acct.fin_failed + n);
     Sink.event sink ~kind:"cohort_failed"
       [
         ( "phase",
           Json.String (match phase with `Step3 -> "step3" | `Finals -> "finals")
         );
-        ("faults", Json.Int count);
+        ("faults", Json.Int n);
       ]
   in
   let checkpoint_wave () =
     save_progress
       {
         cursor = !cursor;
-        alive_idx = alive_ids st.alive;
-        p_detected3 = st.detected3;
-        p_group_circuits = st.group_circuits;
+        p_group_circuits = !group_circuits;
         seconds_before = !seconds_before +. (Clock.now () -. t0);
       }
   in
-  (* Accounts every group from the cursor onward as cancelled (with its
-     alive members denied) when the phase budget trips. *)
-  let drain_cancelled () =
+  (* A group whose task never ran: its pending members were denied their
+     attempt. *)
+  let cancel_group targets =
     acct.s3_late <- true;
-    for g = !cursor to n_groups - 1 do
-      let alive_targets =
-        List.filter
-          (fun fp -> st.alive.(fp.Group.index))
-          (targets_of groups.(g))
-      in
-      if alive_targets <> [] then begin
-        acct.s3_cancelled <- acct.s3_cancelled + 1;
-        List.iter (fun fp -> flag_idx fp.Group.index) alive_targets
-      end
-    done;
-    cursor := n_groups
+    match pending_targets targets with
+    | [] -> ()
+    | denied ->
+      acct.s3_cancelled <- acct.s3_cancelled + 1;
+      List.iter (fun fp -> deny fp.Group.index) denied
   in
-  (* One pool task per group, run against the alive set as of the wave's
-     start: the group's targets are attacked in order, and each realized
-     sequence is retired against a task-local copy of that set, so a
-     member an earlier target already detected is never planned. All
-     targets share the group's bounds, so they share its models too. *)
+  (* One pool task per group, run against a copy of the verdicts as of
+     the wave's start: the group's targets are attacked in order, and each
+     realized sequence is retired against that copy, so a member an
+     earlier target already detected is never planned. All targets share
+     the group's bounds, so they share its models too. *)
   let plan_group (bounds, targets) =
-    let alive = Array.copy st.alive in
+    let local = Array.copy verdicts in
     let memo = Seq.memo () in
     List.filter_map
       (fun fp ->
         let i = fp.Group.index in
-        if not alive.(i) then None
+        if not (pending local.(i)) then None
         else begin
           let dlf =
             Budget.fault_deadline budget Budget.Step3
               cfg.Config.seq_fault_seconds
           in
           let stim, stats =
-            plan_sequence ~sink scanned config ~remaining_faults ~bounds
+            plan_sequence ~sink scanned config ~hard_faults ~bounds
               ~positions ~frames:cfg.Config.frames
               ~backtrack:cfg.Config.seq_backtrack
               ~should_abort:(fun () ->
@@ -922,45 +821,46 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
           in
           let outcome =
             match stim with
-            | None -> Aborted { late = Clock.expired dl3 }
+            | None -> Target_aborted { late = Clock.expired dl3 }
             | Some stim ->
               Realized
-                (retire_detections ~sink ~jobs:1 alive scanned
-                   ~remaining_faults ~stim)
+                (retire_detections ~sink ~jobs:1 local scanned ~hard_faults
+                   ~stim)
           in
           Some (i, stats, outcome)
         end)
       targets
   in
   (* Commits one group's results on the main domain: only faults still
-     alive are credited, so a fault two groups of one wave both detect
+     pending are credited, so a fault two groups of one wave both detect
      counts once. *)
   let commit_group results =
-    st.group_circuits <- st.group_circuits + 1;
+    incr group_circuits;
     List.iter
       (fun (i, stats, outcome) ->
         add_seq_stats ~sink acct stats;
         match outcome with
-        | Aborted { late } ->
+        | Target_aborted { late } ->
           acct.s3_aborts <- acct.s3_aborts + 1;
-          if late && st.alive.(i) then flag_idx i
+          if late then deny i
         | Realized hits ->
           List.iter
-            (fun h ->
-              if st.alive.(h) then begin
-                st.alive.(h) <- false;
-                st.detected3 <- st.detected3 + 1
-              end)
+            (fun h -> if pending verdicts.(h) then verdicts.(h) <- Detected_step3)
             hits)
       results
   in
-  (* Waves of up to [jobs] groups with an alive target. The groups of a
+  (* Waves of up to [jobs] groups with a pending target. The groups of a
      wave are planned on the pool and committed in group order on the
      main domain, so the result for a fixed [jobs] is deterministic; at
      [jobs = 1] every group sees all earlier detections. A tripped budget
      cancels the wave's unclaimed groups cooperatively. *)
   while !cursor < n_groups do
-    if Clock.expired dl3 || Pool.cancelled token then drain_cancelled ()
+    if Clock.expired dl3 || Pool.cancelled token then begin
+      for g = !cursor to n_groups - 1 do
+        cancel_group (targets_of groups.(g))
+      done;
+      cursor := n_groups
+    end
     else begin
       let jobs = cfg.Config.jobs in
       let wave_no = !cursor in
@@ -969,25 +869,10 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
         let group = groups.(!cursor) in
         incr cursor;
         let targets = targets_of group in
-        if any_alive targets then
+        if pending_targets targets <> [] then
           wave := (Group.bounds_of_group group, targets) :: !wave
       done;
       let wave_arr = Array.of_list (List.rev !wave) in
-      (* The group's task never ran: its alive members were denied their
-         attempt. *)
-      let commit_cancelled w =
-        let _, targets = wave_arr.(w) in
-        let alive_targets =
-          List.filter
-            (fun fp -> st.alive.(fp.Group.index))
-            targets
-        in
-        acct.s3_late <- true;
-        if alive_targets <> [] then begin
-          acct.s3_cancelled <- acct.s3_cancelled + 1;
-          List.iter (fun fp -> flag_idx fp.Group.index) alive_targets
-        end
-      in
       let wave_poisoned = ref false in
       Sink.span sink
         ~name:(Printf.sprintf "step3.wave@%d" wave_no)
@@ -1014,7 +899,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                       failure, not an abort. *)
                    if keep_going && not (Clock.expired dl3) then
                      wave_poisoned := true
-                   else commit_cancelled w));
+                   else cancel_group (snd wave_arr.(w))));
       if !wave_poisoned then begin
         cohort_fail `Step3;
         cursor := n_groups
@@ -1022,7 +907,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
       checkpoint_wave ();
       if sink.Sink.enabled then
         Sink.tick sink ~phase:"step3" ~done_:!cursor ~total:n_groups
-          ~detected:st.detected3 ~failed:acct.s3_failed
+          ~detected:(count verdicts Detected_step3) ~failed:acct.s3_failed
           ~quarantined:acct.s3_failed_groups
           ~budget_left:(Clock.remaining dl3) ()
     end
@@ -1031,20 +916,20 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
      model where possible, otherwise target individually with a larger
      budget (the paper's "additional time"). *)
   let dl_fin = Budget.deadline budget Budget.Finals in
-  let finals = alive_ids st.alive in
   (* A final target's models are built for it and dropped after it. A
      memo over consecutive targets with equal spans would keep every
      frame count's model live at once (1 + 2 + 4 + 8 frames by default,
      nearly twice the largest model alone) and raise the peak heap. *)
-  let attack_final i fp =
+  let attack_final i =
     let dlf =
       Budget.fault_deadline budget Budget.Finals
         cfg.Config.final_fault_seconds
     in
-    st.final_circuits <- st.final_circuits + 1;
+    incr final_circuits;
     match
-      plan_sequence ~sink scanned config ~remaining_faults
-        ~bounds:fp.Group.spans ~positions ~frames:cfg.Config.final_frames
+      plan_sequence ~sink scanned config ~hard_faults
+        ~bounds:(footprint i).Group.spans ~positions
+        ~frames:cfg.Config.final_frames
         ~backtrack:cfg.Config.final_backtrack
         ~should_abort:(fun () -> Clock.expired dlf)
         i
@@ -1052,35 +937,32 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
     | None, stats ->
       add_seq_stats ~sink acct stats;
       acct.fin_aborts <- acct.fin_aborts + 1;
-      if Clock.expired dl_fin then flag_idx i
+      if Clock.expired dl_fin then deny i
     | Some stim, stats ->
       add_seq_stats ~sink acct stats;
       retire_final stim
   in
   List.iter
     (fun i ->
-      if st.alive.(i) then begin
+      if pending verdicts.(i) then begin
         (try
            if Clock.expired dl_fin then begin
              acct.fin_late <- true;
              acct.fin_cancelled <- acct.fin_cancelled + 1;
-             flag_idx i
+             deny i
            end
            else begin
-             let fault = remaining_faults.(i) in
              match
                timed_atpg sink
                  (Printf.sprintf "podem.final[%d]" i)
                  (fun () ->
                    Podem.run ~backtrack_limit:cfg.Config.final_backtrack
                      ~should_abort:(fun () -> Clock.expired dl_fin)
-                     ~scoap view ~faults:[ fault ])
+                     ~scoap view ~faults:[ hard_faults.(i) ])
              with
              | Podem.Untestable, stats ->
                add_podem_stats ~sink acct stats;
-               st.alive.(i) <- false;
-               st.untestable3 <- st.untestable3 + 1;
-               untestable_idx3 := i :: !untestable_idx3
+               verdicts.(i) <- Untestable_step3
              | Podem.Test assignment, stats ->
                add_podem_stats ~sink acct stats;
                (* The larger budget found a combinational test that step 2
@@ -1093,15 +975,15 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                  Sequences.of_comb_test scanned config ~ff_values ~pi_values
                in
                retire_final stim;
-               if st.alive.(i) && not !engine_poisoned then
-                 attack_final i footprints.(i)
+               if pending verdicts.(i) && not !engine_poisoned then
+                 attack_final i
              | Podem.Aborted, stats ->
                add_podem_stats ~sink acct stats;
                if Clock.expired dl_fin then
                  acct.p_ab_deadline <- acct.p_ab_deadline + 1
                else acct.p_ab_limit <- acct.p_ab_limit + 1;
                acct.fin_aborts <- acct.fin_aborts + 1;
-               attack_final i footprints.(i)
+               attack_final i
            end
          with e when keep_going ->
            Sink.event sink ~kind:"fault_failed"
@@ -1111,25 +993,18 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~aborted_flag ~failed_flag
                ("error", Json.String (Printexc.to_string e));
              ];
            cohort_fail `Finals);
-        if keep_going && !engine_poisoned && Array.mem true st.alive then
-          cohort_fail `Finals
+        if keep_going && !engine_poisoned && Array.exists pending verdicts
+        then cohort_fail `Finals
       end)
-    finals;
-  let alive_idx = alive_ids st.alive in
-  let undetected_idx, aborted_idx =
-    List.partition (fun i -> not aborted_flag.(remaining_arr.(i))) alive_idx
-  in
-  ( {
-      detected = st.detected3;
-      untestable = st.untestable3;
-      undetected = List.length undetected_idx;
-      group_circuits = st.group_circuits;
-      final_circuits = st.final_circuits;
-      seconds = !seconds_before +. (Clock.now () -. t0);
-    },
-    undetected_idx,
-    aborted_idx,
-    List.rev !untestable_idx3 )
+    (indices verdicts pending);
+  {
+    detected = count verdicts Detected_step3;
+    untestable = count verdicts Untestable_step3;
+    undetected = count verdicts Undetected;
+    group_circuits = !group_circuits;
+    final_circuits = !final_circuits;
+    seconds = !seconds_before +. (Clock.now () -. t0);
+  }
 
 (* --- orchestration ------------------------------------------------------ *)
 
@@ -1260,23 +1135,23 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
           if Clock.expired (Budget.deadline budget Budget.Classify) then
             ck.acct.cl_late <- true;
           ck.c_classify <- Some (c, s);
-          ck.aborted_flag <- Array.make (Array.length c.Classify.hard) false;
-          ck.failed_flag <- Array.make (Array.length c.Classify.hard) false;
+          ck.verdicts <- Array.make (Array.length c.Classify.hard) Aborted;
           save "classify";
           (c, s))
   in
-  let hard_index = classify.Classify.hard in
+  let verdicts = ck.verdicts in
   let hard_faults =
-    Array.map (fun i -> classify.Classify.infos.(i).Classify.fault) hard_index
+    Array.map
+      (fun i -> classify.Classify.infos.(i).Classify.fault)
+      classify.Classify.hard
   in
-  let n_hard = Array.length hard_faults in
   let view = View.scan_mode scanned ~constraints:config.Scan.constraints () in
   let scoap = Fst_testability.Scoap.compute view in
   (* Phase 0 (static): ternary constant propagation, the implication graph
      and the fault-independent untestability proofs ({!Fst_sca.Sca}) over
-     the scan-mode model. Pure and deterministic, so the checkpointed
-     summary and a fresh recomputation always agree. *)
-  let sca =
+     the scan-mode model. The implication graph itself is not persisted:
+     the analysis is pure and deterministic. *)
+  let sca_stats =
     if not cfg.Config.sca_prune then None
     else
       match ck.c_sca with
@@ -1289,16 +1164,13 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
               (fun (u : Fst_sca.Sca.untestable) ->
                 Hashtbl.replace tbl u.Fst_sca.Sca.fault ())
               t.Fst_sca.Sca.untestable;
-            let static_flag = Array.map (Hashtbl.mem tbl) hard_faults in
-            let s = { static_flag; sca_stats = t.Fst_sca.Sca.stats } in
-            ck.c_sca <- Some s;
+            Array.iteri
+              (fun i f ->
+                if Hashtbl.mem tbl f then verdicts.(i) <- Untestable_static)
+              hard_faults;
+            ck.c_sca <- Some t.Fst_sca.Sca.stats;
             save "sca";
-            Some s)
-  in
-  let static_flag =
-    match sca with
-    | Some s -> s.static_flag
-    | None -> Array.make n_hard false
+            Some t.Fst_sca.Sca.stats)
   in
   (* Phase 2a: combinational ATPG over the hard faults. *)
   let plan =
@@ -1307,71 +1179,45 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step2-atpg" (fun () ->
           let p =
-            plan_step2 ~cfg ~budget ~acct:ck.acct
-              ~aborted_flag:ck.aborted_flag ~failed_flag:ck.failed_flag
-              ~static_flag view scoap scanned config ~hard_faults
+            plan_step2 ~cfg ~budget ~acct:ck.acct ~verdicts view scoap scanned
+              config ~hard_faults
           in
           ck.c_plan <- Some p;
           save "step2-atpg";
           p)
   in
   (* Phase 2b: sequential fault simulation of the realized sequences. *)
-  let step2, remaining =
+  let step2 =
     match ck.c_s2 with
-    | Some s -> (s.s2_step2, s.s2_remaining)
+    | Some s -> s
     | None ->
       phase_obs sink "step2-fsim" (fun () ->
-          let step2, remaining =
-            fsim_step2 ~cfg ~budget ~acct:ck.acct
-              ~failed_flag:ck.failed_flag ~static_flag scanned ~hard_faults
-              ~plan
+          let s =
+            fsim_step2 ~cfg ~budget ~acct:ck.acct ~verdicts scanned
+              ~hard_faults ~plan
           in
-          ck.c_s2 <- Some { s2_step2 = step2; s2_remaining = remaining };
+          ck.c_s2 <- Some s;
           save "step2-fsim";
-          (step2, remaining))
+          s)
   in
-  let untestable2 = List.map (fun i -> hard_faults.(i)) plan.untestable2 in
   (* Phases 3 and 4: grouped sequential ATPG waves, then final targeting. *)
-  let remaining_faults =
-    Array.of_list
-      (List.map
-         (fun i -> classify.Classify.infos.(hard_index.(i)).Classify.fault)
-         remaining)
-  in
-  let step3, undetected_idx, aborted_idx, untestable3_idx =
+  let step3 =
     match ck.c_fin with
-    | Some f -> (f.f_step3, f.undetected_idx, f.aborted_idx, f.untestable3_idx)
+    | Some s -> s
     | None ->
       phase_obs sink "step3" (fun () ->
-          let step3, undetected_idx, aborted_idx, untestable3_idx =
-            run_step3 ~cfg ~budget ~acct:ck.acct
-              ~aborted_flag:ck.aborted_flag ~failed_flag:ck.failed_flag
-              ~progress:ck.c_s3
+          let s =
+            run_step3 ~cfg ~budget ~acct:ck.acct ~verdicts ~progress:ck.c_s3
               ~save_progress:(fun p ->
                 ck.c_s3 <- Some p;
                 save "step3-wave")
-              scanned config ~classify ~hard_index ~remaining ~view ~scoap
+              scanned config ~classify ~hard_faults ~view ~scoap
           in
-          ck.c_fin <-
-            Some
-              { f_step3 = step3; undetected_idx; aborted_idx; untestable3_idx };
+          ck.c_fin <- Some s;
           save "finished";
-          (step3, undetected_idx, aborted_idx, untestable3_idx))
+          s)
   in
-  (* Every hard fault the containment machinery quarantined, across all
-     phases: [failed_flag] is indexed by position in the hard set. *)
-  let failed_faults =
-    let acc = ref [] in
-    Array.iteri
-      (fun i f -> if ck.failed_flag.(i) then acc := f :: !acc)
-      hard_faults;
-    List.rev !acc
-  in
-  let aborts =
-    aborts_of ck.acct
-      ~aborted_faults:(List.length aborted_idx)
-      ~failed_faults:(List.length failed_faults)
-  in
+  let aborts = aborts_of ck.acct in
   if sink.Sink.enabled then begin
     (* The machine-readable counterpart of the report's [aborts:] lines. *)
     List.iter
@@ -1388,7 +1234,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
               ("cancelled_groups", Json.Int p.cancelled_groups);
               ("failed", Json.Int p.failed);
             ])
-      aborts.phases;
+      aborts;
     let m = sink.Sink.metrics in
     let set_c name v = Metrics.Counter.add (Metrics.counter m name) v in
     set_c "atpg.podem.runs" ck.acct.p_runs;
@@ -1400,25 +1246,17 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     set_c "atpg.seq.runs" ck.acct.s_runs;
     set_c "atpg.seq.backtracks" ck.acct.s_backtracks;
     set_c "flow.failed_groups" ck.acct.s3_failed_groups;
-    set_c "flow.failed_faults" (List.length failed_faults);
-    match sca with
+    set_c "flow.failed_faults" (count verdicts Failed);
+    match sca_stats with
     | None -> ()
     | Some s ->
-      set_c "sca.constants" s.sca_stats.Fst_sca.Sca.constants;
-      set_c "sca.implications" s.sca_stats.Fst_sca.Sca.implications;
-      set_c "sca.learned" s.sca_stats.Fst_sca.Sca.learned;
-      set_c "sca.impossible" s.sca_stats.Fst_sca.Sca.impossible;
-      set_c "sca.untestable" s.sca_stats.Fst_sca.Sca.untestable;
-      set_c "sca.untestable_static"
-        (Array.fold_left (fun a b -> if b then a + 1 else a) 0 static_flag)
+      set_c "sca.constants" s.Fst_sca.Sca.constants;
+      set_c "sca.implications" s.Fst_sca.Sca.implications;
+      set_c "sca.learned" s.Fst_sca.Sca.learned;
+      set_c "sca.impossible" s.Fst_sca.Sca.impossible;
+      set_c "sca.untestable" s.Fst_sca.Sca.untestable;
+      set_c "sca.untestable_static" (count verdicts Untestable_static)
   end;
-  let untestable_static =
-    let acc = ref [] in
-    for i = n_hard - 1 downto 0 do
-      if static_flag.(i) then acc := hard_faults.(i) :: !acc
-    done;
-    !acc
-  in
   {
     scanned;
     config;
@@ -1427,12 +1265,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     classify_seconds;
     step2;
     step3;
-    undetected = List.map (fun i -> remaining_faults.(i)) undetected_idx;
-    untestable_faults =
-      untestable2 @ List.map (fun i -> remaining_faults.(i)) untestable3_idx;
-    untestable_static;
-    aborted = List.map (fun i -> remaining_faults.(i)) aborted_idx;
-    failed = failed_faults;
+    verdicts;
     aborts;
     atpg = atpg_stats_of ck.acct;
   }

@@ -7,7 +7,7 @@
     + statically proves hard faults untestable where possible
       ({!Fst_sca.Sca}: constant propagation, the implication graph,
       FIRE-style single-net conflicts and dominance) and prunes them from
-      every subsequent phase — the [untestable_static] bucket
+      every subsequent phase — the [Untestable_static] verdict
       ([Config.sca_prune], on by default),
     + screens the remaining hard (category-2) faults with combinational
       ATPG on the scan-mode model followed by sequential fault simulation
@@ -71,26 +71,13 @@ type phase_aborts = {
           group or engine call) rather than being denied by the budget *)
 }
 
-type aborts = {
-  phases : phase_aborts list;  (** one entry per phase, in flow order *)
-  aborted_faults : int;
-      (** hard faults left alive at the end of the flow whose attempt was
-          denied by the budget — reported separately from [undetected] so
-          that detected + untestable + untestable_static + undetected +
-          aborted + failed always equals the number of hard faults *)
-  failed_faults : int;
-      (** hard faults in the [failed] bucket (0 under [`Fail_fast]) *)
-}
+(** [budget_exhausted phases]: some phase's deadline tripped. *)
+val budget_exhausted : phase_aborts list -> bool
 
-val budget_exhausted : aborts -> bool
-val atpg_aborts : aborts -> int
-val cancelled_groups : aborts -> int
-
-(** Aggregate ATPG engine statistics over the whole flow (previously
-    computed by {!Fst_atpg.Podem}/{!Fst_atpg.Seq} and discarded).
-    Accumulated deterministically: statistics produced on pool domains
-    are committed on the main domain in wave order, and the totals ride
-    inside checkpoints, so a resumed run reports the same numbers as an
+(** Aggregate ATPG engine statistics over the whole flow. Accumulated
+    deterministically: statistics produced on pool domains are committed
+    on the main domain in wave order, and the totals ride inside
+    checkpoints, so a resumed run reports the same numbers as an
     uninterrupted one. *)
 type atpg_stats = {
   podem_runs : int;  (** individual PODEM invocations *)
@@ -103,6 +90,31 @@ type atpg_stats = {
   seq_backtracks : int;
 }
 
+(** The one outcome of a hard (category-2) fault: the columns of the
+    paper's Table 3. Every hard fault has exactly one verdict, so the
+    buckets partition the hard faults by construction. *)
+type verdict =
+  | Detected_step2
+      (** by the step-2 fault simulation of the scan-mode tests *)
+  | Detected_step3
+      (** by a realized step-3 sequence (a group's or a final target's) *)
+  | Untestable_static
+      (** proven by the phase-0 static analysis ({!Fst_sca.Sca}) and pruned
+          before any ATPG was spent on it; never when [Config.sca_prune]
+          is off. Each has a machine-checkable proof
+          ({!Fst_sca.Sca.check}); rerun [Fst_sca.Sca.analyze] on the
+          scan-mode view to retrieve them. *)
+  | Untestable_step2  (** proven by step 2's combinational PODEM *)
+  | Untestable_step3  (** proven through step 3's relaxed model *)
+  | Undetected  (** survived the whole flow after its full attempt *)
+  | Aborted
+      (** survived, and the wall-clock budget denied it an attempt in
+          some phase *)
+  | Failed
+      (** quarantined by the [`Keep_going] containment machinery: its
+          attempt raised (directly, or through a cohort-failed group or
+          engine call). Never under [`Fail_fast]. *)
+
 type result = {
   scanned : Circuit.t;
   config : Scan.config;
@@ -111,29 +123,15 @@ type result = {
   classify_seconds : float;
   step2 : step2;
   step3 : step3;
-  undetected : Fault.t list;
-      (** survivors of the whole flow that received their full attempt *)
-  untestable_faults : Fault.t list;
-      (** faults proven untestable by ATPG (step-2 combinational proofs
-          plus the relaxed-model proofs of step 3); disjoint from
-          [untestable_static] *)
-  untestable_static : Fault.t list;
-      (** hard faults proven untestable by the phase-0 static analysis
-          ({!Fst_sca.Sca}) and pruned before any ATPG was spent on them.
-          Empty when [Config.sca_prune] is off. Each has a
-          machine-checkable proof ({!Fst_sca.Sca.check}); rerun
-          [Fst_sca.Sca.analyze] on the scan-mode view to retrieve them. *)
-  aborted : Fault.t list;
-      (** survivors whose attempt was denied by the wall-clock budget *)
-  failed : Fault.t list;
-      (** faults quarantined by the [`Keep_going] containment machinery:
-          the flow could not complete their attempt because something
-          raised, and the partition invariant counts them separately from
-          [undetected] (which received a full, clean attempt). Always []
-          under [`Fail_fast]. *)
-  aborts : aborts;
+  verdicts : verdict array;
+      (** per hard fault, indexed by position in [classify.hard] *)
+  aborts : phase_aborts list;  (** one entry per phase, in flow order *)
   atpg : atpg_stats;
 }
+
+(** [faults_with r v] is the hard faults whose verdict is [v], in
+    ascending [classify.hard] order. *)
+val faults_with : result -> verdict -> Fault.t list
 
 (** [run ?config ?budget ?checkpoint ?resume ?on_checkpoint scanned config]
     executes the flow on an already-scanned circuit.
@@ -154,7 +152,7 @@ type result = {
     {!Fst_exec.Budget.unlimited}) bounds the whole run in
     monotonic wall-clock time; when a phase overruns its cumulative share,
     the remaining work of that phase is cancelled cooperatively and
-    accounted in {!type-aborts}.
+    accounted in [aborts] and the [Aborted] verdict.
 
     [checkpoint] names a file to which the flow atomically persists its
     progress after every phase and every step-3 wave. With [resume = true]

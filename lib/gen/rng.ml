@@ -1,7 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = seed }
-let state t = t.state
 
 let next_int64 t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;

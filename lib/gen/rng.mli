@@ -7,10 +7,6 @@ type t
 
 val create : int64 -> t
 
-(** [state t] is the generator's cursor; [create (state t)] resumes the
-    stream exactly where [t] left it (used by flow checkpointing). *)
-val state : t -> int64
-
 (** [int t bound] is uniform in [0, bound). Requires [bound > 0]. *)
 val int : t -> int -> int
 

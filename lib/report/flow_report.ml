@@ -41,8 +41,13 @@ type t = {
   phases : phase_aborts list;
 }
 
+let verdict_count r v = List.length (Flow.faults_with r v)
+
 let of_result (r : Flow.result) =
-  let fault_name f = Fst_fault.Fault.to_string r.Flow.scanned f in
+  let fault_names v =
+    List.map (Fst_fault.Fault.to_string r.Flow.scanned) (Flow.faults_with r v)
+  in
+  let count = verdict_count r in
   let a = r.Flow.atpg in
   {
     circuit = r.Flow.scanned.Fst_netlist.Circuit.name;
@@ -50,7 +55,7 @@ let of_result (r : Flow.result) =
     affecting = Flow.affecting r;
     easy = Array.length r.Flow.classify.Classify.easy;
     hard = Array.length r.Flow.classify.Classify.hard;
-    untestable_static = List.length r.Flow.untestable_static;
+    untestable_static = count Flow.Untestable_static;
     step2_detected = r.Flow.step2.Flow.detected;
     step2_untestable = r.Flow.step2.Flow.untestable;
     step2_vectors = r.Flow.step2.Flow.vectors;
@@ -69,10 +74,10 @@ let of_result (r : Flow.result) =
     podem_aborted_deadline = a.Flow.podem_aborted_deadline;
     seq_runs = a.Flow.seq_runs;
     seq_backtracks = a.Flow.seq_backtracks;
-    undetected = List.map fault_name r.Flow.undetected;
-    failed = List.map fault_name r.Flow.failed;
-    aborted_faults = r.Flow.aborts.Flow.aborted_faults;
-    failed_faults = r.Flow.aborts.Flow.failed_faults;
+    undetected = fault_names Flow.Undetected;
+    failed = fault_names Flow.Failed;
+    aborted_faults = count Flow.Aborted;
+    failed_faults = count Flow.Failed;
     phases =
       List.map
         (fun (p : Flow.phase_aborts) ->
@@ -83,8 +88,25 @@ let of_result (r : Flow.result) =
             cancelled_groups = p.Flow.cancelled_groups;
             failed = p.Flow.failed;
           })
-        r.Flow.aborts.Flow.phases;
+        r.Flow.aborts;
   }
+
+let verdict_mismatches t r =
+  let count = verdict_count r in
+  List.filter_map
+    (fun (name, reported, v) ->
+      if reported = count v then None
+      else Some (Printf.sprintf "%s=%d verdicts=%d" name reported (count v)))
+    [
+      ("step2_detected", t.step2_detected, Flow.Detected_step2);
+      ("step2_untestable", t.step2_untestable, Flow.Untestable_step2);
+      ("step3_detected", t.step3_detected, Flow.Detected_step3);
+      ("step3_untestable", t.step3_untestable, Flow.Untestable_step3);
+      ("untestable_static", t.untestable_static, Flow.Untestable_static);
+      ("aborted_faults", t.aborted_faults, Flow.Aborted);
+      ("failed_faults", t.failed_faults, Flow.Failed);
+      ("undetected", List.length t.undetected, Flow.Undetected);
+    ]
 
 let budget_exhausted t = List.exists (fun p -> p.budget_exhausted) t.phases
 let atpg_aborts t = List.fold_left (fun n p -> n + p.atpg_aborts) 0 t.phases

@@ -59,6 +59,14 @@ type t = {
 
 val of_result : Fst_core.Flow.result -> t
 
+(** [verdict_mismatches t r] names each count of [t] that differs from
+    the number of hard faults of [r] with the matching
+    {!Fst_core.Flow.verdict}: step 2/3 detected and untestable,
+    [untestable_static], [aborted_faults], [failed_faults] and
+    [undetected]. Empty when [t] is [of_result r]; since every hard fault
+    has one verdict, the counts then partition the hard faults. *)
+val verdict_mismatches : t -> Fst_core.Flow.result -> string list
+
 (** Aggregates over [phases]. *)
 val budget_exhausted : t -> bool
 
@@ -71,6 +79,9 @@ val cancelled_groups : t -> int
 val to_text : t -> string
 
 val to_json : t -> Fst_obs.Json.t
+
+(** One [phases] entry of {!to_json}. *)
+val phase_to_json : phase_aborts -> Fst_obs.Json.t
 
 (** Inverse of {!to_json}; [Error] names the missing or ill-typed
     field. *)

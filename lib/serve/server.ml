@@ -186,8 +186,8 @@ let run_flow t job sink (cfg : Config.t) scanned scancfg =
   let report = Fst_report.Flow_report.of_result res in
   let clean =
     (not (Flow.budget_exhausted res.Flow.aborts))
-    && res.Flow.aborts.Flow.aborted_faults = 0
-    && res.Flow.aborts.Flow.failed_faults = 0
+    && report.Fst_report.Flow_report.aborted_faults = 0
+    && report.Fst_report.Flow_report.failed_faults = 0
     && not job.cancel_requested
   in
   (Fst_report.Flow_report.to_json report, clean)

@@ -359,8 +359,7 @@ let prop_obs_dir_pure_observer =
           quiet.Flow.step2.Flow.detected = loud.Flow.step2.Flow.detected
           && quiet.Flow.step2.Flow.vectors = loud.Flow.step2.Flow.vectors
           && quiet.Flow.step3.Flow.detected = loud.Flow.step3.Flow.detected
-          && quiet.Flow.undetected = loud.Flow.undetected
-          && quiet.Flow.untestable_faults = loud.Flow.untestable_faults
+          && quiet.Flow.verdicts = loud.Flow.verdicts
           && quiet.Flow.atpg = loud.Flow.atpg))
 
 let suite =

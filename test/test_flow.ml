@@ -32,7 +32,7 @@ let test_flow_jobs () =
     (r3.Flow.step3.Flow.detected + r3.Flow.step3.Flow.untestable
    + r3.Flow.step3.Flow.undetected);
   Alcotest.(check int) "undetected list matches" r3.Flow.step3.Flow.undetected
-    (List.length r3.Flow.undetected)
+    (List.length (Flow.faults_with r3 Flow.Undetected))
 
 let test_flow_bookkeeping () =
   let scanned, config = scan_small 7L in
@@ -43,13 +43,13 @@ let test_flow_bookkeeping () =
   Alcotest.(check int) "step2 partition" hard
     (r.Flow.step2.Flow.detected + r.Flow.step2.Flow.untestable
    + r.Flow.step2.Flow.undetected
-    + List.length r.Flow.untestable_static);
+    + List.length (Flow.faults_with r Flow.Untestable_static));
   (* Step-3 buckets partition the step-2 undetected. *)
   Alcotest.(check int) "step3 partition" r.Flow.step2.Flow.undetected
     (r.Flow.step3.Flow.detected + r.Flow.step3.Flow.untestable
    + r.Flow.step3.Flow.undetected);
   Alcotest.(check int) "undetected list" r.Flow.step3.Flow.undetected
-    (List.length r.Flow.undetected);
+    (List.length (Flow.faults_with r Flow.Undetected));
   Alcotest.(check int) "affecting accessor" r.Flow.classify.Classify.affecting
     (Flow.affecting r);
   Alcotest.(check int) "total accessor" (Array.length r.Flow.faults)
@@ -68,7 +68,7 @@ let prop_flow_coverage =
          used here, and a handful of scan-enable-network faults are only
          potentially detectable (see EXPERIMENTS.md). *)
       hard = 0
-      || float_of_int (List.length r.Flow.undetected)
+      || float_of_int (List.length (Flow.faults_with r Flow.Undetected))
          <= Float.max 3.0 (0.15 *. float_of_int hard))
 
 (* Figure 5's shape: the detection curve is monotone and most detections
@@ -109,10 +109,14 @@ let prop_untestable_resists_random =
     (fun seed ->
       let scanned, config = scan_small ~gates:150 ~ffs:8 seed in
       let r = Flow.run ~config:quick_config scanned config in
+      let untestable =
+        Flow.faults_with r Flow.Untestable_step2
+        @ Flow.faults_with r Flow.Untestable_step3
+      in
       Alcotest.(check int)
         "untestable counts match list"
         (r.Flow.step2.Flow.untestable + r.Flow.step3.Flow.untestable)
-        (List.length r.Flow.untestable_faults);
+        (List.length untestable);
       let rng = Fst_gen.Rng.create (Int64.add seed 77L) in
       let free =
         Array.to_list scanned.Circuit.inputs
@@ -139,13 +143,25 @@ let prop_untestable_resists_random =
           Fst_fsim.Fsim.Serial.detect scanned ~fault
             ~observe:scanned.Circuit.outputs stim
           = None)
-        r.Flow.untestable_faults)
+        untestable)
 
 (* --- wall-clock budgets and checkpoint/resume --------------------------- *)
 
-(* A near-zero budget must degrade cleanly: no exception, and every hard
-   fault accounted for exactly once across detected / untestable /
-   undetected / aborted. *)
+(* The report's counts — step 2/3 detected and untestable, statically
+   untestable, aborted, failed, undetected — each equal the number of
+   hard faults with the matching verdict. Every hard fault has one
+   verdict, so the buckets partition the hard faults. *)
+let report_mismatches r =
+  Fst_report.Flow_report.(verdict_mismatches (of_result r) r)
+
+let check_report_counts what r =
+  Alcotest.(check (list string))
+    (what ^ ": report counts = verdict counts")
+    [] (report_mismatches r)
+
+(* A near-zero budget must degrade cleanly: no exception, every hard
+   fault accounted for exactly once, and the denied ones reported
+   aborted. *)
 let test_zero_budget_accounting () =
   let scanned, config = scan_small 7L in
   let r =
@@ -154,19 +170,11 @@ let test_zero_budget_accounting () =
       scanned config
   in
   let hard = Array.length r.Flow.classify.Classify.hard in
-  Alcotest.(check int) "identity over hard faults" hard
-    (r.Flow.step2.Flow.detected + r.Flow.step2.Flow.untestable
-   + r.Flow.step3.Flow.detected + r.Flow.step3.Flow.untestable
-   + List.length r.Flow.untestable_static
-   + List.length r.Flow.undetected
-   + List.length r.Flow.aborted);
+  check_report_counts "zero budget" r;
   Alcotest.(check bool) "budget reported exhausted" true
     (Flow.budget_exhausted r.Flow.aborts);
-  Alcotest.(check int) "aborted count matches list"
-    (List.length r.Flow.aborted)
-    r.Flow.aborts.Flow.aborted_faults;
   Alcotest.(check bool) "something was actually denied" true
-    (hard = 0 || r.Flow.aborts.Flow.aborted_faults > 0)
+    (hard = 0 || Flow.faults_with r Flow.Aborted <> [])
 
 (* An unlimited budget must report no aborts at all in the accounting. *)
 let test_unlimited_budget_clean_accounting () =
@@ -174,10 +182,9 @@ let test_unlimited_budget_clean_accounting () =
   let r = Flow.run ~config:quick_config scanned config in
   Alcotest.(check bool) "no phase exhausted" false
     (Flow.budget_exhausted r.Flow.aborts);
-  Alcotest.(check int) "no aborted faults" 0
-    r.Flow.aborts.Flow.aborted_faults;
   Alcotest.(check (list string)) "aborted list empty" []
-    (List.map (Fst_fault.Fault.to_string scanned) r.Flow.aborted)
+    (List.map (Fst_fault.Fault.to_string scanned)
+       (Flow.faults_with r Flow.Aborted))
 
 exception Killed
 
@@ -192,6 +199,16 @@ let counts r =
 
 let fault_names scanned fs =
   List.map (Fst_fault.Fault.to_string scanned) fs
+
+(* The whole per-fault outcome of a resumed run against the
+   uninterrupted one. *)
+let check_verdicts what ~reference r =
+  Alcotest.(check bool) (what ^ ": verdicts identical") true
+    (r.Flow.verdicts = reference.Flow.verdicts)
+
+let remove_checkpoint path =
+  (try Sys.remove path with Sys_error _ -> ());
+  try Sys.remove (Checkpoint.prev_path path) with Sys_error _ -> ()
 
 (* Kill-and-resume round trip: interrupt the flow right after each stage's
    checkpoint lands, resume from the file, and require the resumed jobs=1
@@ -225,24 +242,87 @@ let test_kill_and_resume_round_trip () =
         Flow.run ~config:config_q ~checkpoint:path ~resume:true scanned
           config
       in
-      Sys.remove path;
+      remove_checkpoint path;
       Alcotest.(check bool)
         (stage ^ ": counts identical")
         true
         (counts resumed = counts reference);
-      Alcotest.(check (list string))
-        (stage ^ ": undetected identical")
-        (fault_names scanned reference.Flow.undetected)
-        (fault_names scanned resumed.Flow.undetected);
-      Alcotest.(check (list string))
-        (stage ^ ": untestable identical")
-        (fault_names scanned reference.Flow.untestable_faults)
-        (fault_names scanned resumed.Flow.untestable_faults);
+      check_verdicts stage ~reference resumed;
       Alcotest.(check bool)
         (stage ^ ": curve identical")
         true
         (resumed.Flow.step2.Flow.curve = reference.Flow.step2.Flow.curve))
     [ "classify"; "step2-atpg"; "step2-fsim"; "step3-wave" ]
+
+(* Kill-and-resume with budget-denied faults: the budget is cancelled
+   once phase 0 is checkpointed, so every fault it did not prove is
+   denied its attempt. A run killed after a later stage and resumed with
+   the same (cancelled) budget reports the uninterrupted run's verdicts,
+   [Aborted] ones included. *)
+let test_kill_and_resume_aborted () =
+  let scanned, config = scan_small 7L in
+  let config_q = Config.(quick_config |> with_jobs 1) in
+  let cancelled_run ?(config_q = config_q) ?checkpoint ?(kill = "") budget =
+    Flow.run ~config:config_q ~budget ?checkpoint
+      ~on_checkpoint:(fun s ->
+        if s = "sca" then Fst_exec.Budget.cancel budget;
+        if s = kill then raise Killed)
+      scanned config
+  in
+  let reference = cancelled_run (Fst_exec.Budget.cancellable ()) in
+  Alcotest.(check bool) "aborted bucket non-empty" true
+    (Flow.faults_with reference Flow.Aborted <> []);
+  List.iter
+    (fun stage ->
+      let path = Filename.temp_file "fst-ckpt" ".bin" in
+      let budget = Fst_exec.Budget.cancellable () in
+      let killed =
+        match cancelled_run ~checkpoint:path ~kill:stage budget with
+        | _ -> false
+        | exception Killed -> true
+      in
+      Alcotest.(check bool) (stage ^ " reached") true killed;
+      let resumed =
+        Flow.run ~config:config_q ~budget ~checkpoint:path ~resume:true
+          scanned config
+      in
+      remove_checkpoint path;
+      check_verdicts stage ~reference resumed;
+      Alcotest.(check bool)
+        (stage ^ ": counts identical")
+        true
+        (counts resumed = counts reference);
+      Alcotest.(check bool)
+        (stage ^ ": abort accounting identical")
+        true
+        (resumed.Flow.aborts = reference.Flow.aborts))
+    [ "step2-atpg"; "step2-fsim"; "finished" ];
+  (* Resumed without the cancellation, the faults step 2a was denied get
+     their full attempts in the later phases; without random blocks and
+     with step 3 crippled some survive them, and those stay [Aborted]. *)
+  let crippled =
+    Config.(
+      config_q |> with_random_blocks 0 |> with_seq_backtrack 1
+      |> with_final_backtrack 1 |> with_frames [ 1 ]
+      |> with_final_frames [ 1 ])
+  in
+  let path = Filename.temp_file "fst-ckpt" ".bin" in
+  (match
+     cancelled_run ~config_q:crippled ~checkpoint:path ~kill:"step2-atpg"
+       (Fst_exec.Budget.cancellable ())
+   with
+  | _ -> Alcotest.fail "step2-atpg not reached"
+  | exception Killed -> ());
+  let resumed =
+    Flow.run ~config:crippled ~checkpoint:path ~resume:true scanned config
+  in
+  remove_checkpoint path;
+  Alcotest.(check bool) "later phases detect" true
+    (resumed.Flow.step2.Flow.detected + resumed.Flow.step3.Flow.detected > 0);
+  Alcotest.(check int) "no survivor undetected" 0
+    (List.length (Flow.faults_with resumed Flow.Undetected));
+  Alcotest.(check bool) "survivors aborted" true
+    (Flow.faults_with resumed Flow.Aborted <> [])
 
 (* A checkpoint written for one circuit must be ignored when resuming on
    another: the run falls back to a fresh flow instead of mixing state. *)
@@ -269,30 +349,10 @@ let keep_going_config = Config.(quick_config |> with_jobs 1 |> with_on_error `Ke
 
 (* Buckets over the whole flow, as name sets. *)
 let bucket_names r =
-  let scanned = r.Flow.scanned in
-  let detected =
-    let excluded = Hashtbl.create 64 in
-    List.iter
-      (fun f -> Hashtbl.replace excluded (Fst_fault.Fault.to_string scanned f) ())
-      (r.Flow.undetected @ r.Flow.untestable_faults @ r.Flow.aborted
-     @ r.Flow.failed);
-    Array.to_list r.Flow.classify.Classify.hard
-    |> List.map (fun i ->
-           Fst_fault.Fault.to_string scanned
-             r.Flow.classify.Classify.infos.(i).Classify.fault)
-    |> List.filter (fun nm -> not (Hashtbl.mem excluded nm))
-  in
-  ( detected,
-    fault_names scanned r.Flow.failed,
-    fault_names scanned r.Flow.aborted )
-
-let partition_holds r =
-  Array.length r.Flow.classify.Classify.hard
-  = r.Flow.step2.Flow.detected + r.Flow.step3.Flow.detected
-    + List.length r.Flow.untestable_faults
-    + List.length r.Flow.untestable_static
-    + List.length r.Flow.undetected
-    + List.length r.Flow.aborted + List.length r.Flow.failed
+  let names p = fault_names r.Flow.scanned (Flow.faults_with r p) in
+  ( names Flow.Detected_step2 @ names Flow.Detected_step3,
+    names Flow.Failed,
+    names Flow.Aborted )
 
 (* With chaos off, [`Keep_going] at jobs=1 is bit-identical to
    [`Fail_fast]: both policies run the one step-3 schedule and differ
@@ -319,15 +379,9 @@ let test_keep_going_chaos_off_identical () =
     (kg.Flow.atpg = ff.Flow.atpg);
   Alcotest.(check bool) "abort accounting identical" true
     (kg.Flow.aborts = ff.Flow.aborts);
-  Alcotest.(check (list string)) "undetected identical"
-    (fault_names scanned ff.Flow.undetected)
-    (fault_names scanned kg.Flow.undetected);
-  Alcotest.(check (list string)) "untestable identical"
-    (fault_names scanned ff.Flow.untestable_faults)
-    (fault_names scanned kg.Flow.untestable_faults);
+  check_verdicts "keep-going" ~reference:ff kg;
   Alcotest.(check (list string)) "no failed bucket" []
-    (fault_names scanned kg.Flow.failed);
-  Alcotest.(check int) "accounting agrees" 0 kg.Flow.aborts.Flow.failed_faults
+    (fault_names scanned (Flow.faults_with kg Flow.Failed))
 
 (* Under [`Fail_fast] a failing step-3 task surfaces its own exception,
    whatever the wave width. *)
@@ -394,7 +448,7 @@ let prop_chaos_invariant_and_agreement =
       in
       let detected, failed, aborted = bucket_names r in
       let clean_detected, _, _ = bucket_names clean in
-      partition_holds r
+      report_mismatches r = []
       && List.for_all (fun nm -> List.mem nm clean_detected) detected
       && List.for_all
            (fun nm ->
@@ -475,17 +529,13 @@ let test_corrupt_checkpoint_resume () =
           ~on_resume:(fun o -> recovered := o = `Loaded Checkpoint.Recovered)
           scanned config
       in
-      (try Sys.remove path with Sys_error _ -> ());
-      (try Sys.remove (Checkpoint.prev_path path) with Sys_error _ -> ());
+      remove_checkpoint path;
       Alcotest.(check bool) (what ^ ": recovered from .prev") true !recovered;
       Alcotest.(check bool)
         (what ^ ": counts identical")
         true
         (counts resumed = counts reference);
-      Alcotest.(check (list string))
-        (what ^ ": undetected identical")
-        (fault_names scanned reference.Flow.undetected)
-        (fault_names scanned resumed.Flow.undetected))
+      check_verdicts what ~reference resumed)
     [
       ("truncate", corrupt_truncate);
       ("bit-flip", corrupt_flip);
@@ -537,17 +587,65 @@ let test_chaos_kill_and_resume_deterministic () =
         Flow.run ~config:config_q ~checkpoint:path ~resume:true scanned
           config)
   in
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (Checkpoint.prev_path path) with Sys_error _ -> ());
-  Alcotest.(check bool) "partition holds" true (partition_holds resumed);
+  remove_checkpoint path;
+  check_report_counts "resumed" resumed;
   Alcotest.(check bool) "counts identical" true
     (counts resumed = counts reference);
-  Alcotest.(check (list string)) "failed bucket identical"
-    (fault_names scanned reference.Flow.failed)
-    (fault_names scanned resumed.Flow.failed);
-  Alcotest.(check (list string)) "undetected identical"
-    (fault_names scanned reference.Flow.undetected)
-    (fault_names scanned resumed.Flow.undetected)
+  check_verdicts "chaos" ~reference resumed
+
+(* A step-3 wave whose task fails for good quarantines the pending cohort
+   and ends the waves. A run killed at that wave's checkpoint and resumed
+   under the same plan reports the uninterrupted run's verdicts. *)
+let test_poisoned_wave_resume () =
+  let scanned, config = scan_small 7L in
+  let cfg =
+    Config.(
+      keep_going_config |> with_comb_backtrack 1 |> with_random_blocks 2)
+  in
+  (* The first step-3 task raises on all three of its attempts. *)
+  let plan =
+    List.init 3 (fun a ->
+        { Chaos.site = Chaos.Pool_task; at = a; action = Chaos.Raise })
+  in
+  let run_with_chaos f =
+    Chaos.install plan;
+    Fun.protect ~finally:Chaos.clear f
+  in
+  let waves = ref 0 in
+  let reference =
+    run_with_chaos (fun () ->
+        Flow.run ~config:cfg
+          ~on_checkpoint:(fun s -> if s = "step3-wave" then incr waves)
+          scanned config)
+  in
+  Alcotest.(check bool) "a step-3 cohort failed" true
+    (List.exists
+       (fun p -> p.Flow.phase = "step3" && p.Flow.failed > 0)
+       reference.Flow.aborts);
+  let path = Filename.temp_file "fst-ckpt" ".bin" in
+  let seen = ref 0 in
+  (try
+     run_with_chaos (fun () ->
+         ignore
+           (Flow.run ~config:cfg ~checkpoint:path
+              ~on_checkpoint:(fun s ->
+                if s = "step3-wave" then begin
+                  incr seen;
+                  if !seen = !waves then raise Killed
+                end)
+              scanned config))
+   with Killed -> ());
+  Alcotest.(check int) "killed at the last wave" !waves !seen;
+  let resumed =
+    run_with_chaos (fun () ->
+        Flow.run ~config:cfg ~checkpoint:path ~resume:true scanned config)
+  in
+  remove_checkpoint path;
+  check_verdicts "poisoned wave" ~reference resumed;
+  Alcotest.(check bool) "counts identical" true
+    (counts resumed = counts reference);
+  Alcotest.(check bool) "abort accounting identical" true
+    (resumed.Flow.aborts = reference.Flow.aborts)
 
 (* --- step-2 windows ------------------------------------------------------ *)
 
@@ -727,4 +825,8 @@ let suite =
       `Quick test_windows_chaos_contained;
     Alcotest.test_case "run lowers the GC space overhead" `Quick
       test_run_lowers_space_overhead;
+    Alcotest.test_case "kill-and-resume keeps budget-aborted verdicts" `Quick
+      test_kill_and_resume_aborted;
+    Alcotest.test_case "resume after a poisoned step-3 wave" `Quick
+      test_poisoned_wave_resume;
   ]

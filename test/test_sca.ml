@@ -148,12 +148,16 @@ let prop_prune_pure_observer =
       let off =
         Flow.run ~config:Config.(quick |> with_sca_prune false) scanned config
       in
-      let sorted l = List.sort Fault.compare l in
+      let untestable r =
+        List.sort Fault.compare
+          (List.concat_map (Flow.faults_with r)
+             Flow.[ Untestable_static; Untestable_step2; Untestable_step3 ])
+      in
       on.Flow.step2.Flow.detected = off.Flow.step2.Flow.detected
       && on.Flow.step3.Flow.detected = off.Flow.step3.Flow.detected
-      && sorted on.Flow.undetected = sorted off.Flow.undetected
-      && sorted (on.Flow.untestable_faults @ on.Flow.untestable_static)
-         = sorted (off.Flow.untestable_faults @ off.Flow.untestable_static))
+      && Flow.faults_with on Flow.Undetected
+         = Flow.faults_with off Flow.Undetected
+      && untestable on = untestable off)
 
 (* Consistency: the propagation closure of any non-impossible literal never
    implies both values of one net. *)
