@@ -22,8 +22,10 @@
 # and whether it passed: a traced run that breaks the workload's
 # phase-share guard reads correct=0. A summary gives each side's minimum
 # and median share of the phase the workload stresses (step-2 fsim on
-# fsim-tail, step 3 on atpg-chains; serve-mix has no guard) and its
-# count of correct traced runs.
+# fsim-tail, step 3 on atpg-chains; serve-mix has no guard), the maximum
+# share of the phase whose ceiling the workload guards too (step 3 on
+# fsim-tail, step-2 fsim on atpg-chains), and its count of correct
+# traced runs.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -157,7 +159,8 @@ traced() {
   echo "traced seed $3 $1" \
     "step2-fsim_pct=$(num "$line" flow.step2-fsim_pct)" \
     "step3_pct=$(num "$line" flow.step3_pct)$serve correct=$ok"
-  echo "$1 $ok $(num "$line" "$stressed" %.4f)" >> "$tmp/traced"
+  echo "$1 $ok $(num "$line" "$stressed" %.4f) $(num "$line" "$other" %.4f)" \
+    >> "$tmp/traced"
 }
 # num LINE NAME [FORMAT]: metric NAME of a result line, printed with
 # FORMAT (default one decimal).
@@ -167,9 +170,9 @@ num() {
     awk -v f="${3:-%.1f}" '{ printf f, $1 }'
 }
 case $workload in
-  fsim-tail) stressed=flow.step2-fsim_pct ;;
-  atpg-chains) stressed=flow.step3_pct ;;
-  *) stressed= ;;
+  fsim-tail) stressed=flow.step2-fsim_pct other=flow.step3_pct ;;
+  atpg-chains) stressed=flow.step3_pct other=flow.step2-fsim_pct ;;
+  *) stressed= other= ;;
 esac
 : > "$tmp/traced"
 k=1
@@ -183,14 +186,17 @@ while [ "$k" -le "$seeds" ]; do
   fi
   k=$((k + 1))
 done
-awk -v seeds="$seeds" -v stressed="${stressed#flow.}" '
-  { n[$1]++; ok[$1] += $2; if ($3 != "") v[$1, n[$1]] = $3 }
+awk -v seeds="$seeds" -v stressed="${stressed#flow.}" -v other="${other#flow.}" '
+  { n[$1]++; ok[$1] += $2; if ($3 != "") v[$1, n[$1]] = $3
+    if ($4 != "") w[$1, n[$1]] = $4 }
   END {
     for (s = 1; s <= 2; s++) {
       side = s == 1 ? "parent" : "change"
-      m = 0
-      for (i = 1; i <= n[side]; i++)
+      m = 0; top = ""
+      for (i = 1; i <= n[side]; i++) {
         if ((side, i) in v) a[++m] = v[side, i] + 0
+        if ((side, i) in w && (top == "" || w[side, i] + 0 > top)) top = w[side, i] + 0
+      }
       for (i = 2; i <= m; i++)
         for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
           t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
@@ -200,6 +206,7 @@ awk -v seeds="$seeds" -v stressed="${stressed#flow.}" '
         med = m % 2 ? a[(m + 1) / 2] : (a[m / 2] + a[m / 2 + 1]) / 2
         share = sprintf(" %s min %.1f median %.1f,", stressed, a[1], med)
       }
+      if (other != "" && top != "") share = share sprintf(" %s max %.1f,", other, top)
       printf "traced %s:%s correct %d/%d\n", side, share, ok[side], seeds
     }
   }

@@ -30,7 +30,13 @@ type env = {
   stamp : int array;
   updates : int array;
   mutable cur : int;
-  mutable changed : int list;
+  mutable changed : int array; (* the nets this propagation [set], ... *)
+  mutable n_changed : int; (* ... in [changed.(0 .. n_changed - 1)] *)
+  (* The propagation's FIFO of nets to re-evaluate, duplicates kept: a
+     ring of [Array.length ring] slots from [head], [size] long. *)
+  mutable ring : int array;
+  mutable head : int;
+  mutable size : int;
 }
 
 let build_env c config =
@@ -62,71 +68,130 @@ let build_env c config =
     stamp = Array.make n (-1);
     updates = Array.make n 0;
     cur = -1;
-    changed = [];
+    changed = Array.make 64 0;
+    n_changed = 0;
+    ring = Array.make 64 0;
+    head = 0;
+    size = 0;
   }
 
-let get env n = if env.stamp.(n) = env.cur then env.fv.(n) else env.good.(n)
+let[@inline] get env n =
+  if env.stamp.(n) = env.cur then env.fv.(n) else env.good.(n)
+
+(* [a] with room for [need] entries: doubled, the first [keep] kept. *)
+let grow a ~need ~keep =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 keep;
+    b
+  end
 
 let set env n v =
   if env.stamp.(n) <> env.cur then begin
     env.stamp.(n) <- env.cur;
     env.updates.(n) <- 0;
-    env.changed <- n :: env.changed
+    let k = env.n_changed in
+    env.changed <- grow env.changed ~need:(k + 1) ~keep:k;
+    env.changed.(k) <- n;
+    env.n_changed <- k + 1
   end;
   env.fv.(n) <- v
 
+let[@inline] push env n =
+  let cap = Array.length env.ring in
+  if env.size = cap then begin
+    (* Unroll the ring from [head] into a doubled one. *)
+    let ring = Array.make (2 * cap) 0 in
+    Array.blit env.ring env.head ring 0 (cap - env.head);
+    Array.blit env.ring 0 ring (cap - env.head) env.head;
+    env.ring <- ring;
+    env.head <- 0
+  end;
+  let k = env.head + env.size in
+  let cap = Array.length env.ring in
+  env.ring.(if k >= cap then k - cap else k) <- n;
+  env.size <- env.size + 1
+
+let[@inline] pop env =
+  let n = env.ring.(env.head) in
+  let h = env.head + 1 in
+  env.head <- (if h = Array.length env.ring then 0 else h);
+  env.size <- env.size - 1;
+  n
+
+(* The value pin [pin] of node [i] reads from net [net]. *)
+let[@inline] pin_value env ~branch_node ~branch_pin ~branch_val i pin net =
+  if i = branch_node && pin = branch_pin then branch_val else get env net
+
 (* Steady-state faulty value of node [i] under the scan-mode constants;
    flip-flops are transparent (the analysis is over the scan-mode fixpoint,
-   as in the paper's Figure 3 where implications cross flip-flops). *)
+   as in the paper's Figure 3 where implications cross flip-flops). Pin
+   [branch_pin] of node [branch_node] reads [branch_val]. A gate's value
+   follows from which values its pins carry and the parity of its ones
+   ([Gate.of_inputs]), gathered in one pass with no allocation. *)
 let eval_faulty env ~stem_net ~stem_val ~branch_node ~branch_pin ~branch_val i =
-  let read node pin net =
-    if node = branch_node && pin = branch_pin then branch_val else get env net
-  in
   let v =
-    match Circuit.node env.c i with
+    match env.c.Circuit.nodes.(i) with
     | Circuit.Input -> env.good.(i)
     | Circuit.Const k -> k
-    | Circuit.Dff d -> read i 0 d
-    | Circuit.Gate (g, fi) -> Gate.eval g (Array.mapi (fun pin f -> read i pin f) fi)
+    | Circuit.Dff d -> pin_value env ~branch_node ~branch_pin ~branch_val i 0 d
+    | Circuit.Gate (g, fi) ->
+      let zero = ref false and one = ref false and x = ref false
+      and odd = ref false in
+      for pin = 0 to Array.length fi - 1 do
+        match pin_value env ~branch_node ~branch_pin ~branch_val i pin fi.(pin) with
+        | V3.Zero -> zero := true
+        | V3.One ->
+          one := true;
+          odd := not !odd
+        | V3.X -> x := true
+      done;
+      Gate.of_inputs g ~zero:!zero ~one:!one ~x:!x ~odd:!odd
   in
   if i = stem_net then stem_val else v
 
+let enqueue_consumers env n =
+  let fo = env.c.Circuit.fanout.(n) in
+  for k = 0 to Array.length fo - 1 do
+    push env fo.(k)
+  done
+
 let propagate env (fault : Fault.t) =
   env.cur <- env.cur + 1;
-  env.changed <- [];
+  env.n_changed <- 0;
   let stem_net, stem_val, branch_node, branch_pin, branch_val =
     match fault.Fault.site with
     | Fault.Stem n -> (n, V3.of_bool fault.Fault.stuck, -1, -1, V3.X)
     | Fault.Branch { node; pin } ->
       (-1, V3.X, node, pin, V3.of_bool fault.Fault.stuck)
   in
-  let queue = Queue.create () in
-  let enqueue_consumers n =
-    Array.iter (fun consumer -> Queue.add consumer queue) env.c.Circuit.fanout.(n)
-  in
+  env.head <- 0;
+  env.size <- 0;
   (match fault.Fault.site with
    | Fault.Stem n ->
      if not (V3.equal env.good.(n) stem_val) then begin
        set env n stem_val;
-       enqueue_consumers n
+       enqueue_consumers env n
      end
-   | Fault.Branch { node; _ } -> Queue.add node queue);
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
+   | Fault.Branch { node; _ } -> push env node);
+  while env.size > 0 do
+    let i = pop env in
     let old = get env i in
     let v =
       eval_faulty env ~stem_net ~stem_val ~branch_node ~branch_pin ~branch_val i
     in
-    if not (V3.equal v old) then begin
+    (* [V3.t] has constant constructors only, so [!=] compares values. *)
+    if v != old then begin
       (* Widen oscillating feedback (possible through flip-flop loops in
          the steady-state view) to unknown; conservative for category 2. *)
       let v =
         if env.stamp.(i) = env.cur && env.updates.(i) >= 2 then V3.X else v
       in
-      if not (V3.equal v old) then begin
+      if v != old then begin
         set env i v;
         env.updates.(i) <- env.updates.(i) + 1;
-        enqueue_consumers i
+        enqueue_consumers env i
       end
     end
   done
@@ -134,22 +199,22 @@ let propagate env (fault : Fault.t) =
 let locations_of env (fault : Fault.t) =
   let locs = ref [] in
   let add chain seg kind = locs := (chain, seg, kind) :: !locs in
-  List.iter
-    (fun n ->
-      let v = get env n in
-      if V3.is_binary v then
-        List.iter (fun (chain, seg) -> add chain seg Forced_constant) env.chain_locs.(n);
-      List.iter
-        (fun (chain, seg, _node, _pin, is_xor) ->
-          match v with
-          | V3.X -> add chain seg Side_unknown
-          | V3.Zero | V3.One ->
-            (* A binary flip of an xor-family side input inverts the
-               segment without forcing constants. *)
-            if is_xor && V3.is_binary env.good.(n) && not (V3.equal v env.good.(n))
-            then add chain seg Side_inverted)
-        env.side_of.(n))
-    env.changed;
+  for k = 0 to env.n_changed - 1 do
+    let n = env.changed.(k) in
+    let v = get env n in
+    if V3.is_binary v then
+      List.iter (fun (chain, seg) -> add chain seg Forced_constant) env.chain_locs.(n);
+    List.iter
+      (fun (chain, seg, _node, _pin, is_xor) ->
+        match v with
+        | V3.X -> add chain seg Side_unknown
+        | V3.Zero | V3.One ->
+          (* A binary flip of an xor-family side input inverts the
+             segment without forcing constants. *)
+          if is_xor && V3.is_binary env.good.(n) && not (V3.equal v env.good.(n))
+          then add chain seg Side_inverted)
+      env.side_of.(n)
+  done;
   (* A branch fault sitting directly on an xor-family side pin inverts the
      segment without changing any net value. *)
   (match fault.Fault.site with

@@ -8,15 +8,16 @@
     (faulty value [X]) does not count, as in the paper.
 
     {!Engine} is the one entry point: 62 faulty machines per pass,
-    bit-parallel and cone-clipped, with the fault list sharded across a
-    domain pool ({!Fst_exec.Pool}) when [jobs > 1]. Results are per input
+    bit-parallel and driven by their divergence from the good machine,
+    with the fault list sharded across a domain pool ({!Fst_exec.Pool})
+    when [jobs > 1]. Results are per input
     fault, in input order, independent of grouping and of [jobs].
     {!Serial} (one faulty machine at a time) is the reference the
     property tests compare against, and the trace recorder diagnosis
     uses; {!Parallel} only exposes two hooks of the engine to the tests.
 
-    The engine's scratch (plane arrays, override table, plane-program
-    buffer, cone-walk stamps) lives in a context per concurrent task.
+    The engine's scratch (plane arrays, gate queue, undo log, fault-site
+    masks, cone-walk stamps) lives in a context per concurrent task.
     Idle contexts are kept, at most one per core, with the cached
     compiled form of the last circuit simulated, and dropped when another
     circuit is simulated. A task takes one (or builds one when none is
@@ -67,22 +68,22 @@ module Serial : sig
     (int * int) option array
 end
 
-(** Hooks into {!Engine}'s cone-clipped bit-parallel simulation, for the
-    tests: up to 62 faulty machines per pass, three-valued (two
-    bit-planes per net). A group only maintains planes for the slots
-    inside its members' union fanout cone (faults are grouped in
-    cone-seed order to maximize overlap); everything outside the cone is
-    read off the shared fault-free trace, broadcast to all lanes. *)
+(** Hooks into {!Engine}'s bit-parallel simulation, for the tests: up to
+    62 faulty machines per pass, three-valued (two bit-planes per net).
+    A cycle evaluates only the gates with a fanin that differs from the
+    good machine in a live lane (or that carry a fault site); every other
+    net reads the good machine's planes. When many flip-flops differ the
+    cycle evaluates every gate instead. *)
 module Parallel : sig
   (** Pattern-parallel variant of dropping simulation: the {e lanes} are
       stimulus blocks instead of faults — the fault-free machine is
       packed once per chunk of up to 62 blocks and each fault replays
-      its cone against all blocks of a chunk simultaneously, returning
+      its effects against all blocks of a chunk simultaneously, returning
       the lowest-index detecting block and its first cycle, exactly like
-      the serial block scan. The packed trace records only the columns
-      the faults read (each cone's read boundary, a level-0 stem slot,
-      the observed slots); each cone seed's read set is memoized with the
-      cached compiled circuit. Wins when the faults are few per block — a
+      the serial block scan. The packed trace holds every net and is
+      recorded in slices of at most 32 cycles; between two slices each
+      fault keeps the planes of its differing flip-flops. Wins when the
+      faults are few per block — a
       fault list of any length over a window of many blocks, such as
       step 2 of the flow; {!Engine.detect_dropping} switches to it
       automatically when the estimated plane evaluations say so. *)
@@ -94,15 +95,15 @@ module Parallel : sig
     (int * int) option array
 
   (** Whether {!Engine.detect_dropping} takes the pattern-packed branch on
-      these faults and stimuli: it does when replaying each fault's cone
-      over every chunk of 62 blocks is estimated to cost fewer plane
-      evaluations than sweeping each fault group's union cone over every
-      block. Cone sizes are memoized per seed with the cached compiled
-      circuit. *)
+      these faults and stimuli: it does when replaying each fault's
+      static cone over every chunk of 62 blocks is estimated to cost
+      fewer plane evaluations than sweeping each fault group's union cone
+      over every block. Cone sizes are memoized per seed with the cached
+      compiled circuit. *)
   val packs : Circuit.t -> faults:Fault.t array -> stimuli:stimulus list -> bool
 end
 
-(** The fault-simulation entry point: cone-clipped bit-parallel
+(** The fault-simulation entry point: divergence-driven bit-parallel
     simulation plus multicore dispatch. With [jobs = 1] (the default) it
     runs in the caller; with
     [jobs > 1] the fault list is sharded into whole 62-wide groups that
@@ -114,10 +115,12 @@ module Engine : sig
   (** With a live [obs] sink each call counts
       [fsim.<entry>.calls] / [.faults], fills a [.call_s] duration
       histogram, emits an [fsim.<entry>] trace span with two child spans
-      — [fsim.trace] (recording the good machine: the scalar trace, or
-      the packed traces of a pattern-parallel dropping call) and
-      [fsim.simulate] (the faults against it) — and threads the sink into
-      the pool (per-domain busy accounting). With the default
+      — [fsim.trace] (recording the good machine: the scalar traces, or
+      for a pattern-parallel dropping call just the choice of that path)
+      and [fsim.simulate] (the faults against it; a pattern-parallel call
+      records its packed trace in there, one [fsim.slice] span per slice)
+      — and threads the sink into the pool (per-domain busy accounting).
+      The metric handles are resolved once per registry. With the default
       {!Fst_obs.Sink.null} the instrumentation is a single branch per
       call — the inner simulation loops are never touched. *)
 

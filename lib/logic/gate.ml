@@ -50,6 +50,15 @@ let eval g fanins =
   | Not -> V3.bnot fanins.(0)
   | Buf -> fanins.(0)
 
+let of_inputs g ~zero ~one ~x ~odd =
+  let v =
+    match g with
+    | And | Nand -> if zero then V3.Zero else if x then V3.X else V3.One
+    | Or | Nor -> if one then V3.One else if x then V3.X else V3.Zero
+    | Xor | Xnor | Not | Buf -> if x then V3.X else if odd then V3.One else V3.Zero
+  in
+  if inverting g then V3.bnot v else v
+
 let eval_list g fanins = eval g (Array.of_list fanins)
 
 let to_string = function

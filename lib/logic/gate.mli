@@ -28,6 +28,13 @@ val inverting : t -> bool
 (** [eval g fanins] evaluates [g] over three-valued fanin values. *)
 val eval : t -> V3.t array -> V3.t
 
+(** [of_inputs g ~zero ~one ~x ~odd] is [eval g] over fanins among which
+    some are 0 ([zero]), some 1 ([one]), some X ([x]), and an odd number
+    are 1 ([odd]): all [eval] depends on. A caller that gathers these
+    four flags in its own loop evaluates a gate without building the
+    fanin array. *)
+val of_inputs : t -> zero:bool -> one:bool -> x:bool -> odd:bool -> V3.t
+
 (** [eval_list g fanins] is [eval] over a list. *)
 val eval_list : t -> V3.t list -> V3.t
 

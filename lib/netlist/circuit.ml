@@ -260,6 +260,11 @@ let make ~name ~nodes ~net_names ~outputs =
   let dffs = collect_kind nodes (function Dff _ -> true | _ -> false) in
   { name; nodes; net_names; outputs; inputs; dffs; fanout; topo; level }
 
+let assemble ~name ~nodes ~net_names ~outputs ~fanout ~topo ~level =
+  let inputs = collect_kind nodes (function Input -> true | _ -> false) in
+  let dffs = collect_kind nodes (function Dff _ -> true | _ -> false) in
+  { name; nodes; net_names; outputs; inputs; dffs; fanout; topo; level }
+
 let num_nets c = Array.length c.nodes
 
 let gate_count c =

@@ -42,6 +42,23 @@ val make :
   outputs:int array ->
   t
 
+(** [assemble ~name ~nodes ~net_names ~outputs ~fanout ~topo ~level]
+    builds a circuit from parts its caller derived itself, without the
+    checks and the derivations of {!make}: the caller vouches that the
+    node table is valid and that [fanout], [topo] and [level] are what
+    [make] would compute, up to the choice of topological order. Time-frame
+    models ([Unroll] in sequential ATPG) are built this way from their original
+    circuit. *)
+val assemble :
+  name:string ->
+  nodes:node array ->
+  net_names:string array ->
+  outputs:int array ->
+  fanout:int array array ->
+  topo:int array ->
+  level:int array ->
+  t
+
 (** [combinational_cycles nodes] enumerates the cyclic strongly-connected
     components of the gate subgraph of a raw node table (which [make] would
     reject). One representative cycle is returned per cyclic SCC — the

@@ -135,17 +135,17 @@ let assign p n v node pin =
 (* [Gate.eval] in place over the values [w] of [fan], except that pin
    [skip] reads [sv]. *)
 let eval_gate w g fan skip sv =
-  let op, unit =
-    match g with
-    | Gate.And | Gate.Nand -> (V3.band, V3.One)
-    | Gate.Or | Gate.Nor -> (V3.bor, V3.Zero)
-    | Gate.Xor | Gate.Xnor | Gate.Not | Gate.Buf -> (V3.bxor, V3.Zero)
-  in
-  let acc = ref unit in
+  let zero = ref false and one = ref false and x = ref false
+  and odd = ref false in
   for k = 0 to Array.length fan - 1 do
-    acc := op !acc (if k = skip then sv else w.(fan.(k)))
+    match if k = skip then sv else w.(fan.(k)) with
+    | V3.Zero -> zero := true
+    | V3.One ->
+      one := true;
+      odd := not !odd
+    | V3.X -> x := true
   done;
-  if Gate.inverting g then V3.bnot !acc else !acc
+  Gate.of_inputs g ~zero:!zero ~one:!one ~x:!x ~odd:!odd
 
 (* Forward: the gate's output follows from its fanins (a conflict with an
    already-known output surfaces inside [assign]). *)
@@ -475,7 +475,7 @@ let obs_support p obs_src =
         (Array.fold_left (fun a fo -> a + Array.length fo) 0 c.Circuit.fanout)
         0;
     n_retracted = 0;
-    bucket = Array.make (1 + Array.fold_left max 0 c.Circuit.level) (-1);
+    bucket = Array.make (1 + Array.fold_left Int.max 0 c.Circuit.level) (-1);
     next = Array.make n (-1);
     pending = Bytes.make n '\000';
     top_level = 0;

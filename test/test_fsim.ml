@@ -260,15 +260,15 @@ let test_dropping_branch_counts_chunks () =
     [ (62, true); (63, false) ]
 
 (* The engine's context runs the groups of a call one after another,
-   each over the previous group's program buffer and override table, and
-   then the groups of the next call on the same circuit. The fault list
-   is built so that the groups have different cones and the middle one
-   carries overrides where they are hardest: 62 faults whose cone seeds
-   are level-0 stems (group 1), then 62 faults on a random multi-input
-   gate [g0] and on the first and last gates of its cone — stem and
-   branch faults of both polarities, [g0]'s repeated over several lanes
-   — so the cone program starts and ends with an override marker (group
-   2), then faults seeded past that cone (group 3). *)
+   each over the previous group's fault-site masks, queue and carried
+   flip-flops, and then the groups of the next call on the same circuit.
+   The fault list is built so that the groups have different cones and
+   the middle one carries fault sites where they are hardest: 62 faults
+   whose cone seeds are level-0 stems (group 1), then 62 faults on a
+   random multi-input gate [g0] and on the first and last gates of its
+   cone — stem and branch faults of both polarities, [g0]'s repeated
+   over several lanes — so the cone starts and ends with a masked gate
+   (group 2), then faults seeded past that cone (group 3). *)
 let override_workload seed =
   let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 seed in
   let cc = Fst_sim.Compiled.of_circuit c in
@@ -373,8 +373,8 @@ let prop_ctx_reuse_across_groups =
 
 (* An engine call that raises midway through a fault group (a branch
    fault on a primary input, which has no pins) must not leave that
-   group's maintained-plane flags to the next call: with [ff0] left
-   flagged, [g] would read a stale [ff0] instead of the good trace. *)
+   group's fault sites to the next call: with a site left on [ff0], [g]
+   would read a stale [ff0] instead of the good trace. *)
 let test_raising_call_leaves_no_group () =
   let c, si, en, _ff0, _g, _ff1 = small_chain () in
   let observe = c.Circuit.outputs in
@@ -459,6 +459,44 @@ let test_suite_step2_agrees () =
            = Fsim.Serial.detect_dropping scanned ~faults ~observe ~stimuli))
     (Fst_gen.Suite.suite ~scale:0.02 ())
 
+(* Reconvergence: a lane whose faulty machine differs from the good one
+   at cycle [t] and is back in sync at [t + 1] reads the good machine's
+   values again — no flip-flop keeps its stale faulty planes, and none
+   loses them between two slices of a packed trace. Long blocks (past
+   four 32-cycle slices) with few X values let fault effects enter the
+   flip-flops, wash out and come back many times. The packed path, the
+   grouped [detect_all] path and the grouped dropping path must each
+   give the [Serial] answer. *)
+let prop_reconvergence =
+  Q.Test.make ~name:"a lane back in sync reads good values again" ~count:12
+    (Q.map Int64.of_int (Q.int_bound 100000))
+    (fun seed ->
+      let c = Helpers.small_seq_circuit ~gates:60 ~ffs:8 seed in
+      let rng = Fst_gen.Rng.create (Int64.add seed 13L) in
+      let universe = Fault.universe c in
+      let faults =
+        Array.init (min 40 (Array.length universe)) (fun _ ->
+            Fst_gen.Rng.pick rng universe)
+      in
+      let block cycles =
+        Array.init cycles (fun _ ->
+            Array.to_list c.Circuit.inputs
+            |> List.map (fun pi ->
+                   ( pi,
+                     match Fst_gen.Rng.int rng 8 with
+                     | 0 -> V3.X
+                     | k -> V3.of_bool (k land 1 = 1) )))
+      in
+      let stimuli = [ block 150; block 140; block 100 ] in
+      let observe = c.Circuit.outputs in
+      let long = List.hd stimuli in
+      Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli
+      = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli
+      && Fsim.Serial.detect_all c ~faults ~observe long
+         = Fsim.Engine.detect_all c ~faults ~observe long
+      && Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli:[ long ]
+         = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli:[ long ])
+
 let suite =
   [
     Alcotest.test_case "serial detects stuck chain" `Quick test_serial_detects_stuck_chain;
@@ -477,4 +515,5 @@ let suite =
       test_dropping_branch_counts_chunks;
     Alcotest.test_case "engine = serial on suite step-2 workloads" `Quick
       test_suite_step2_agrees;
+    Helpers.qcheck prop_reconvergence;
   ]

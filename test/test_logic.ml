@@ -144,6 +144,33 @@ let test_gate_string_roundtrip () =
       | None -> Alcotest.fail "gate name did not parse")
     Gate.all
 
+(* [Gate.of_inputs] over the flags of a fanin vector is [Gate.eval] of
+   it, for every gate and every three-valued vector of 1 to 4 fanins
+   the gate accepts. *)
+let test_of_inputs_matches_eval () =
+  let rec vectors n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map (fun v -> List.map (fun r -> v :: r) (vectors (n - 1)))
+        Helpers.all_v3
+  in
+  List.iter
+    (fun g ->
+      for n = 1 to 4 do
+        if Gate.arity_ok g n then
+          List.iter
+            (fun vs ->
+              let has v = List.exists (V3.equal v) vs in
+              let odd =
+                List.length (List.filter (V3.equal V3.One) vs) mod 2 = 1
+              in
+              Helpers.check_v3 (Gate.to_string g) (Gate.eval_list g vs)
+                (Gate.of_inputs g ~zero:(has V3.Zero) ~one:(has V3.One)
+                   ~x:(has V3.X) ~odd))
+            (vectors n)
+      done)
+    Gate.all
+
 let suite =
   [
     check_binary_agrees "band" V3.band ( && );
@@ -159,4 +186,5 @@ let suite =
     Alcotest.test_case "inversion parity" `Quick test_inverting_matches_eval;
     Alcotest.test_case "v3b packed calculus" `Quick test_v3b_agrees_with_v3;
     Alcotest.test_case "gate name roundtrip" `Quick test_gate_string_roundtrip;
+    Alcotest.test_case "gate of flags = eval" `Quick test_of_inputs_matches_eval;
   ]

@@ -160,10 +160,11 @@ let prop_compiled_equals_interpreted =
         want;
       !ok)
 
-(* The column-compacted pattern-packed plane trace agrees lane by lane
-   with the scalar compiled trace of each stimulus block (the good rows
-   [Fsim.Serial] compares against) on every recorded column, and maps
-   every other slot to no column. *)
+(* The pattern-packed plane trace, recorded slice by slice, agrees lane
+   by lane with the scalar compiled trace of each stimulus block (the
+   good rows [Fsim.Serial] compares against) on every slot. Blocks run
+   past one slice on half of the seeds, so the good machine is resumed
+   across slice boundaries. *)
 let prop_packed_trace_matches_scalar =
   Q.Test.make ~name:"packed plane trace matches per-block scalar trace"
     ~count:25
@@ -171,42 +172,52 @@ let prop_packed_trace_matches_scalar =
     (fun seed ->
       let c = Helpers.small_seq_circuit ~gates:80 ~ffs:6 seed in
       let rng = Fst_gen.Rng.create (Int64.add seed 23L) in
+      let long = Fst_gen.Rng.int rng 2 = 0 in
       let blocks =
-        Array.init 5 (fun b -> random_stim rng c (4 + (b mod 3) * 3))
+        Array.init 5 (fun b ->
+            random_stim rng c
+              (if long then 40 + (b * 31) else 4 + (b mod 3 * 3)))
       in
       let cc = Compiled.of_circuit c in
-      let every = Fst_gen.Rng.int rng 3 = 0 in
-      let cols =
-        Array.of_list
-          (List.filter
-             (fun _ -> every || Fst_gen.Rng.int rng 3 = 0)
-             (List.init cc.Compiled.n_slots (fun s -> s)))
+      let packed = Compiled.Planes.trace_packed cc blocks in
+      let rows =
+        Array.map (fun stim -> Compiled.trace cc (Compiled.compile_stim cc stim))
+          blocks
       in
-      let packed = Compiled.Planes.trace_packed cc ~cols blocks in
-      let col = packed.Compiled.Planes.col in
       let ok = ref true in
-      for s = 0 to cc.Compiled.n_slots do
-        if (col.(s) >= 0) <> Array.mem s cols then ok := false
-      done;
-      Array.iteri
-        (fun b stim ->
-          let rows = Compiled.trace cc (Compiled.compile_stim cc stim) in
-          let bit = 1 lsl b in
+      let slices = ref 0 in
+      while
+        packed.Compiled.Planes.first + packed.Compiled.Planes.len
+        < packed.Compiled.Planes.cycles
+      do
+        Compiled.Planes.next_slice cc packed;
+        incr slices;
+        let first = packed.Compiled.Planes.first in
+        if packed.Compiled.Planes.len > Compiled.Planes.slice_cycles then
+          ok := false;
+        for j = 0 to packed.Compiled.Planes.len - 1 do
           Array.iteri
-            (fun t row ->
-              Array.iter
-                (fun s ->
-                  let j = col.(s) in
-                  let o = packed.Compiled.Planes.rows1.(t).(j) land bit <> 0 in
-                  let z = packed.Compiled.Planes.rows0.(t).(j) land bit <> 0 in
+            (fun b block_rows ->
+              let bit = 1 lsl b in
+              if first + j < Array.length block_rows then
+                for s = 0 to cc.Compiled.n_slots - 1 do
+                  let row = packed.Compiled.Planes.rows.(j) in
+                  let o = row.(2 * s) land bit <> 0 in
+                  let z = row.((2 * s) + 1) land bit <> 0 in
                   let code =
                     if o then V3b.one else if z then V3b.zero else V3b.x
                   in
-                  if code <> Compiled.get row s then ok := false)
-                cols)
-            rows)
-        blocks;
-      !ok)
+                  if code <> Compiled.get block_rows.(first + j) s then
+                    ok := false
+                done)
+            rows
+        done
+      done;
+      let cycles = Array.fold_left (fun m b -> max m (Array.length b)) 0 blocks in
+      !ok
+      && !slices
+         = (cycles + Compiled.Planes.slice_cycles - 1)
+           / Compiled.Planes.slice_cycles)
 
 let suite =
   [

@@ -127,6 +127,63 @@ let test_fault_mapping_counts () =
   Alcotest.(check int) "stem maps to one site per frame" frames
     (List.length (Unroll.map_fault u stem))
 
+(* The model [Unroll.build] replicates frame by frame is the circuit
+   [Circuit.make] builds from the same node table: same nodes, names,
+   fanout (in order), levels, inputs and flip-flops, and a topological
+   order that is a permutation of the nets with every gate after its
+   fanins. Random constraints and random controllable and observable
+   flip-flops cover frame 0's unknown sources, constant inputs and
+   partial capture buffers. *)
+let prop_replicated_model_is_valid =
+  Q.Test.make ~name:"replicated model = Circuit.make" ~count:40
+    (Q.pair (Q.map Int64.of_int (Q.int_bound 100000)) (Q.int_range 1 8))
+    (fun (seed, frames) ->
+      let c = Helpers.small_seq_circuit ~gates:50 ~ffs:5 seed in
+      let rng = Fst_gen.Rng.create (Int64.add seed 5L) in
+      let constraints =
+        List.filter_map
+          (fun pi ->
+            if Fst_gen.Rng.int rng 3 = 0 then
+              Some (pi, V3.of_bool (Fst_gen.Rng.bool rng))
+            else None)
+          (Array.to_list c.Circuit.inputs)
+      in
+      let pick () =
+        let set = Array.map (fun _ -> Fst_gen.Rng.bool rng) c.Circuit.nodes in
+        fun ff -> set.(ff)
+      in
+      let u =
+        Unroll.build c ~frames ~constraints ~controllable_ff:(pick ())
+          ~observable_ff:(pick ())
+      in
+      let uc = u.Unroll.view.View.circuit in
+      let made =
+        Circuit.make ~name:uc.Circuit.name ~nodes:uc.Circuit.nodes
+          ~net_names:uc.Circuit.net_names ~outputs:uc.Circuit.outputs
+      in
+      let n = Circuit.num_nets uc in
+      let pos = Array.make n (-1) in
+      Array.iteri (fun k i -> pos.(i) <- k) uc.Circuit.topo;
+      let topological =
+        Array.length uc.Circuit.topo = n
+        && Array.for_all (fun p -> p >= 0) pos
+        && Array.for_all
+             (fun i ->
+               Array.for_all (fun f -> pos.(f) < pos.(i))
+                 (match uc.Circuit.nodes.(i) with
+                  | Circuit.Gate (_, fi) -> fi
+                  | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> [||]))
+             uc.Circuit.topo
+      in
+      topological
+      && uc.Circuit.nodes = made.Circuit.nodes
+      && uc.Circuit.net_names = made.Circuit.net_names
+      && uc.Circuit.fanout = made.Circuit.fanout
+      && uc.Circuit.level = made.Circuit.level
+      && uc.Circuit.inputs = made.Circuit.inputs
+      && uc.Circuit.dffs = made.Circuit.dffs
+      && uc.Circuit.outputs = made.Circuit.outputs)
+
 let suite =
   [
     Helpers.qcheck prop_unroll_matches_sequential;
@@ -134,4 +191,5 @@ let suite =
     Alcotest.test_case "constrained pi becomes const" `Quick test_constrained_pi_becomes_const;
     Alcotest.test_case "capture buffers observed" `Quick test_capture_buffers_observed;
     Alcotest.test_case "fault mapping counts" `Quick test_fault_mapping_counts;
+    Helpers.qcheck prop_replicated_model_is_valid;
   ]
