@@ -467,8 +467,8 @@ type windows = {
 
 (* Step-2 fault simulation steps by windows of up to [max_group] blocks:
    one dropping engine call per window on the faults still pending, so
-   the good machine of a window is recorded once (pattern-packed, the
-   engine's choice) instead of once per block. Cross-block dropping makes
+   the good machine of a window is recorded once (pattern-packed) instead
+   of once per block. Cross-block dropping makes
    every fault's first detecting (block, cycle) the same as a per-block
    scan. The budget is polled between windows, so a tripped deadline
    keeps every detection made so far. *)

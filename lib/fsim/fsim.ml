@@ -6,7 +6,7 @@ open Fst_fault
 type stimulus = Compiled.stimulus
 
 (* The bit-parallel engine's per-worker scratch ([Parallel] below). A
-   group of up to 62 faulty machines shares one plane pair per slot,
+   pass of up to 62 faulty machines shares one plane pair per slot,
    laid out as [Compiled.Planes]. A cycle starts from the good machine's
    planes, [good]. A sparse cycle works on them in place: it evaluates
    only the gates queued in [pending] (the gates with a fanin that
@@ -19,10 +19,8 @@ type ctx = {
   cc : Compiled.t;
   mutable good : int array;
       (* the good planes of the cycle: a packed good-trace row, or
-         [bcast] *)
-  bcast : int array;
-      (* the good planes of a scalar good-trace row, or a private copy of
-         a packed row *)
+         [row_copy] *)
+  row_copy : int array; (* a private copy of a packed good-trace row *)
   own : int array;
   undo : int array; (* [s; ones; zeros] per overwritten good value *)
   mutable n_undo : int;
@@ -40,7 +38,7 @@ type ctx = {
   mutable hits : int;
   observed : Bytes.t; (* slot -> observed by the current call *)
   mutable obs : int array; (* the observed slots *)
-  (* The current group's fault sites: stem masks per slot (gate or
+  (* The current pass's fault sites: stem masks per slot (gate or
      level-0), branch masks per fanin pool index ([Compiled.fanin]) and per
      flip-flop data pin. [site] flags the slots with a stem mask and the
      gates with a branch mask; [site_order] holds those gates ascending. *)
@@ -71,11 +69,11 @@ type ctx = {
 
 let make_ctx (cc : Compiled.t) =
   let n = cc.Compiled.n_slots + 1 and nff = max 1 cc.Compiled.n_ffs in
-  let bcast = Array.make (2 * n) 0 in
+  let row_copy = Array.make (2 * n) 0 in
   {
     cc;
-    good = bcast;
-    bcast;
+    good = row_copy;
+    row_copy;
     own = Array.make (2 * n) 0;
     undo = Array.make (3 * n) 0;
     n_undo = 0;
@@ -112,21 +110,15 @@ let make_ctx (cc : Compiled.t) =
     walker = Compiled.walker cc;
   }
 
-(* Every back-end below runs on the compiled form of the circuit
+(* Both simulators below run on the compiled form of the circuit
    ([Fst_sim.Compiled]): flat levelized arrays, byte-coded values, no
    per-node dispatch. Compilation is cheap but not free, so the last
    compiled circuit is cached (keyed by physical equality — circuits are
-   immutable once frozen), together with a per-seed memo table (each
-   cone seed's size) and a stack of idle [ctx] values.
+   immutable once frozen), together with a stack of idle [ctx] values.
    The mutex makes the cache safe to hit from pool domains; the compiled
    form itself is immutable and shared read-only. *)
 module Cc = struct
-  type entry = {
-    c : Circuit.t;
-    cc : Compiled.t;
-    sizes : (int, int) Hashtbl.t;
-    mutable idle : ctx list;
-  }
+  type entry = { c : Circuit.t; cc : Compiled.t; mutable idle : ctx list }
 
   let lock = Mutex.create ()
   let cache : entry option ref = ref None
@@ -137,8 +129,7 @@ module Cc = struct
         | Some e when e.c == c -> e.cc
         | Some _ | None ->
           let cc = Compiled.of_circuit c in
-          cache :=
-            Some { c; cc; sizes = Hashtbl.create 64; idle = [] };
+          cache := Some { c; cc; idle = [] };
           cc)
 
   (* The cache entry of [cc], unless it has meanwhile been evicted. Call
@@ -146,27 +137,11 @@ module Cc = struct
   let entry cc =
     match !cache with Some e when e.cc == cc -> Some e | Some _ | None -> None
 
-  (* [memo table cc seed f] is [f seed], computed once per seed of the
-     cached compiled circuit ([f] must not reenter the cache). A circuit
-     that has meanwhile been evicted just computes. *)
-  let memo table cc seed f =
-    Mutex.protect lock (fun () ->
-        match entry cc with
-        | Some e -> (
-          let tbl = table e in
-          match Hashtbl.find_opt tbl seed with
-          | Some v -> v
-          | None ->
-            let v = f seed in
-            Hashtbl.add tbl seed v;
-            v)
-        | None -> f seed)
-
   (* [with_ctx cc f] runs [f] on an idle context of [cc], or a new one
      when none is idle, and puts the context back afterwards while fewer
-     than one per core are idle. Every group [f] makes is dropped before
-     it returns; when [f] raises, a group may be left in the context, so
-     it is not put back. *)
+     than one per core are idle. Every pass [f] installs is dropped
+     before it returns; when [f] raises, a pass may be left in the
+     context, so it is not put back. *)
   let with_ctx cc f =
     let idle =
       Mutex.protect lock (fun () ->
@@ -381,7 +356,7 @@ end
 module Parallel = struct
   let max_group = 62
 
-  (* Divergence-driven bit-parallel simulation. A group of up to
+  (* Divergence-driven bit-parallel simulation. A pass of up to
      [max_group] faulty machines (lanes) runs against the good machine of
      its stimulus. Each cycle starts from the fault sites and from the
      flip-flops whose latched planes differ from the good machine, and
@@ -391,8 +366,8 @@ module Parallel = struct
      again, so the work per cycle follows the fault effects, not the
      fault's static cone. When many flip-flops differ, chasing the
      effects gate by gate costs more than evaluating every gate, and the
-     cycle runs dense instead. Faults are grouped in cone-seed slot order
-     so the effects of one group overlap as much as possible. *)
+     cycle runs dense instead. Faults share a pass in cone-seed slot
+     order so the effects of one pass overlap as much as possible. *)
 
   (* Installs the fault sites of one lane mask: [m1]/[m0] are the lanes
      the fault forces to 1/0. A branch fault on a net that is neither a
@@ -432,7 +407,7 @@ module Parallel = struct
         ctx.ffm0.(f) <- ctx.ffm0.(f) lor m0
       end
 
-  (* Installs the fault sites of a group: fault [i] forces the lanes of
+  (* Installs the fault sites of a pass: fault [i] forces the lanes of
      [mask i]. *)
   let install ctx faults ~mask =
     Array.iteri
@@ -443,7 +418,7 @@ module Parallel = struct
       faults;
     ctx.site_order <- Array.of_list (List.sort Int.compare ctx.site_gates)
 
-  (* Clears the group's fault sites and its carried flip-flops. *)
+  (* Clears the pass's fault sites and its carried flip-flops. *)
   let drop_sites ctx =
     let clear s =
       Bytes.set ctx.site s '\000';
@@ -751,7 +726,7 @@ module Parallel = struct
      differing flip-flops. *)
   let dense_from = 8
 
-  (* One cycle of the group against the good planes in [ctx.good];
+  (* One cycle of the pass against the good planes in [ctx.good];
      returns the live lanes it detects. The flip-flops whose latched
      planes differ are carried to the next cycle. *)
   let cycle ctx ~alive =
@@ -771,41 +746,8 @@ module Parallel = struct
     ctx.n_cur <- ctx.n_nxt;
     ctx.hits land alive
 
-  let seeds (cc : Compiled.t) faults =
-    Array.map (fun f -> cc.Compiled.perm.(Fault.seed f)) faults
-
-  (* One group against one stimulus block's good rows; [record lane t]
-     fires on the first detection of each lane. A group none of whose
-     cone reaches an observed slot is skipped outright. *)
-  let run_group ctx faults rows record =
-    let cc = ctx.cc in
-    let w = Array.length faults in
-    assert (w > 0 && w <= max_group);
-    if Compiled.reaches ctx.walker cc ~seeds:(seeds cc faults) ctx.observed
-    then begin
-      install ctx faults ~mask:(fun lane -> 1 lsl lane);
-      ctx.full <- (1 lsl w) - 1;
-      ctx.good <- ctx.bcast;
-      let alive = ref ctx.full in
-      let n = Array.length rows in
-      let t = ref 0 in
-      while !alive <> 0 && !t < n do
-        Compiled.Planes.broadcast rows.(!t) ~full:ctx.full ctx.bcast
-          ~upto:cc.Compiled.n_slots;
-        let hits = cycle ctx ~alive:!alive in
-        if hits <> 0 then begin
-          for lane = 0 to w - 1 do
-            if hits land (1 lsl lane) <> 0 then record lane !t
-          done;
-          alive := !alive land lnot hits
-        end;
-        incr t
-      done;
-      drop_sites ctx
-    end
-
-  (* Fault order for grouping: by cone-seed slot (cone overlap within a
-     group), ties by input index (determinism). *)
+  (* Fault order for the passes: by cone-seed slot (cone overlap within
+     a pass), ties by input index (determinism). *)
   let group_order (cc : Compiled.t) faults idxs =
     let key i = cc.Compiled.perm.(Fault.seed faults.(i)) in
     let a = Array.copy idxs in
@@ -817,79 +759,39 @@ module Parallel = struct
       a;
     a
 
-  let run_all ctx ~faults rows =
-    let nf = Array.length faults in
-    let result = Array.make nf None in
-    if nf > 0 then begin
-      let order = group_order ctx.cc faults (Array.init nf (fun i -> i)) in
-      let pos = ref 0 in
-      while !pos < nf do
-        let w = min max_group (nf - !pos) in
-        let chunk_ids = Array.sub order !pos w in
-        let chunk = Array.map (fun i -> faults.(i)) chunk_ids in
-        run_group ctx chunk rows (fun lane t ->
-            let i = chunk_ids.(lane) in
-            if result.(i) = None then result.(i) <- Some t);
-        pos := !pos + w
-      done
-    end;
-    result
+  (* --- the lane layout -------------------------------------------------- *)
 
-  (* [blocks] holds the good rows of each stimulus block. *)
-  let run_dropping ctx ~faults blocks =
-    let nf = Array.length faults in
-    let result = Array.make nf None in
-    let pending =
-      ref (group_order ctx.cc faults (Array.init nf (fun i -> i)))
-    in
-    Array.iteri
-      (fun block rows ->
-        let np = Array.length !pending in
-        if np > 0 then begin
-          let pos = ref 0 in
-          while !pos < np do
-            let w = min max_group (np - !pos) in
-            let chunk_ids = Array.sub !pending !pos w in
-            let chunk = Array.map (fun i -> faults.(i)) chunk_ids in
-            run_group ctx chunk rows (fun lane t ->
-                let i = chunk_ids.(lane) in
-                if result.(i) = None then result.(i) <- Some (block, t));
-            pos := !pos + w
-          done;
-          pending :=
-            Array.of_seq
-              (Seq.filter (fun i -> result.(i) = None) (Array.to_seq !pending))
-        end)
-      blocks;
-    result
-
-  (* --- pattern-parallel packing ---------------------------------------- *)
-
-  (* For the alternating/converted sequence sets the lanes are stimulus
-     blocks instead of faults: the good machine of a chunk of up to
-     [max_group] blocks is packed into planes, and each fault runs alone
-     over all blocks of the chunk simultaneously. The dropping result is
-     the lowest-index lane that detects, with its first cycle — identical
-     to the serial block scan. The packed good trace is recorded slice by
-     slice ([Compiled.Planes.next_slice]); between two slices each fault
-     keeps its live lanes, its best detection so far and the planes of
-     its differing flip-flops. *)
-  type lane_state = {
+  (* A call takes its blocks in chunks of [k = min max_group (blocks
+     left)]. The good machine of a chunk is packed once with each block in
+     [m = max_group / k] lanes ([Compiled.Planes.trace_packed]: block [j]
+     in lanes [j, j + k, ...]), and each pass over the chunk holds up to
+     [m] pending faults, in [group_order]: fault [i] of a pass owns lanes
+     [i * k .. i * k + k - 1], one per block. So 62 blocks run one fault a
+     pass, and one block runs 62 faults a pass. A fault's answer is its
+     lowest detecting lane, with its first cycle — the serial block scan's
+     answer. The packed trace is recorded slice by slice
+     ([Compiled.Planes.next_slice]); between two slices a pass keeps its
+     live lanes, each fault's best detection so far and the planes of its
+     differing flip-flops. *)
+  type pass = {
+    faults : int array; (* the pass's faults, as indices of the call's *)
     mutable alive : int;
-    mutable best : int; (* lowest detecting lane so far, or -1 *)
-    mutable best_t : int;
+    best : int array; (* per fault, its lowest detecting block, or -1 *)
+    best_t : int array;
     mutable carry : int array; (* [f; ones; zeros] per differing flip-flop *)
   }
 
-  (* Runs [fault] over the current slice of [p]; [live.(j)] is the mask
-     of the lanes whose block is still running at cycle [p.first + j].
-     A sparse cycle works on the slice's row in place, and puts it back;
+  (* Runs [pass] over the current slice of [p]; [live.(j)] is the mask of
+     the lanes whose block is still running at cycle [p.first + j]. A
+     sparse cycle works on the slice's row in place, and puts it back;
      when other shards read the row [concurrent]ly, it works on a copy. *)
-  let advance ctx (p : Compiled.Planes.packed) ~concurrent ~live fault st =
-    let m = (1 lsl p.Compiled.Planes.lanes) - 1 in
-    install ctx [| fault |] ~mask:(fun _ -> m);
-    ctx.full <- m;
-    let carry = st.carry in
+  let advance ctx (p : Compiled.Planes.packed) ~concurrent ~live faults pass =
+    let k = p.Compiled.Planes.blocks in
+    let own = (1 lsl k) - 1 in
+    install ctx (Array.map (fun i -> faults.(i)) pass.faults) ~mask:(fun i ->
+        own lsl (i * k));
+    ctx.full <- (1 lsl p.Compiled.Planes.lanes) - 1;
+    let carry = pass.carry in
     ctx.n_cur <- Array.length carry / 3;
     for j = 0 to ctx.n_cur - 1 do
       ctx.cur_k.(j) <- carry.(3 * j);
@@ -898,34 +800,37 @@ module Parallel = struct
     done;
     let first = p.Compiled.Planes.first in
     let j = ref 0 in
-    while st.alive <> 0 && !j < p.Compiled.Planes.len do
-      st.alive <- st.alive land live.(!j);
-      if st.alive <> 0 then begin
+    while pass.alive <> 0 && !j < p.Compiled.Planes.len do
+      pass.alive <- pass.alive land live.(!j);
+      if pass.alive <> 0 then begin
         let row = p.Compiled.Planes.rows.(!j) in
         if concurrent then begin
-          ctx.good <- ctx.bcast;
+          ctx.good <- ctx.row_copy;
           for i = 0 to Array.length row - 1 do
-            Array.unsafe_set ctx.bcast i (Array.unsafe_get row i)
+            Array.unsafe_set ctx.row_copy i (Array.unsafe_get row i)
           done
         end
         else ctx.good <- row;
-        let hits = cycle ctx ~alive:st.alive in
-        if hits <> 0 then begin
-          (* The lowest detecting lane bounds the answer; only lower
-             lanes can still improve it. *)
-          let rec low b = if hits land (1 lsl b) <> 0 then b else low (b + 1) in
-          let b = low 0 in
-          if st.best < 0 || b < st.best then begin
-            st.best <- b;
-            st.best_t <- first + !j
+        let hits = ref (cycle ctx ~alive:pass.alive) in
+        (* A fault's lowest detecting lane bounds its answer: its own
+           higher lanes drop, and only lower ones can still improve it. *)
+        let l = ref 0 in
+        while !hits <> 0 do
+          if !hits land (1 lsl !l) <> 0 then begin
+            let i = !l / k in
+            pass.best.(i) <- !l - (i * k);
+            pass.best_t.(i) <- first + !j;
+            let mine = own lsl (i * k) in
+            pass.alive <- pass.alive land lnot (mine land - (1 lsl !l));
+            hits := !hits land lnot mine
           end;
-          st.alive <- st.alive land ((1 lsl b) - 1)
-        end
+          incr l
+        done
       end;
       incr j
     done;
-    st.carry <-
-      (if st.alive = 0 then [||]
+    pass.carry <-
+      (if pass.alive = 0 then [||]
        else
          Array.init (3 * ctx.n_cur) (fun i ->
              let j = i / 3 in
@@ -935,12 +840,12 @@ module Parallel = struct
              | _ -> ctx.cur0.(j)));
     drop_sites ctx
 
-  (* The packed dropping simulation of [faults] over [stims]. [map f
-     positions] runs [f ctx shard] over shards of the positions of the
-     still-running faults, each shard on a context whose observed slots
+  (* The dropping simulation of [faults] over [stims]: per fault, its
+     first detecting block and cycle. [map f items] runs [f ctx shard]
+     over shards of [items], each shard on a context whose observed slots
      are flagged; [slice f] records one slice. [concurrent] says whether
      the shards may run at the same time. *)
-  let run_packed cc ~faults ~(stims : stimulus array) ~map ~slice ~concurrent =
+  let run cc ~faults ~(stims : Compiled.cstim array) ~map ~slice ~concurrent =
     let nf = Array.length faults in
     let result = Array.make nf None in
     let nb = Array.length stims in
@@ -950,25 +855,33 @@ module Parallel = struct
         (fun ctx shard ->
           Array.map
             (fun i ->
-              Compiled.reaches ctx.walker cc ~seeds:(seeds cc [| faults.(i) |])
+              Compiled.reaches ctx.walker cc
+                ~seeds:[| cc.Compiled.perm.(Fault.seed faults.(i)) |]
                 ctx.observed)
             shard)
-        (Array.init nf (fun i -> i))
+        (Array.init nf Fun.id)
     in
     let pending =
-      ref (Array.of_seq (Seq.filter (fun i -> reach.(i)) (Seq.init nf Fun.id)))
+      ref
+        (group_order cc faults
+           (Array.of_seq (Seq.filter (fun i -> reach.(i)) (Seq.init nf Fun.id))))
     in
     let base = ref 0 in
     while !base < nb && Array.length !pending > 0 do
-      let w = min max_group (nb - !base) in
-      let p = Compiled.Planes.trace_packed cc (Array.sub stims !base w) in
-      let full = (1 lsl w) - 1 in
-      let states =
-        Array.map
-          (fun _ -> { alive = full; best = -1; best_t = 0; carry = [||] })
-          !pending
+      let k = min max_group (nb - !base) in
+      let np = Array.length !pending in
+      let m = min (max_group / k) np in
+      let p =
+        Compiled.Planes.trace_packed cc (Array.sub stims !base k) ~copies:m
       in
-      let running = ref (Array.init (Array.length !pending) (fun j -> j)) in
+      let passes =
+        Array.init ((np + m - 1) / m) (fun q ->
+            let n = min m (np - (q * m)) in
+            { faults = Array.sub !pending (q * m) n;
+              alive = (1 lsl (n * k)) - 1; best = Array.make n (-1);
+              best_t = Array.make n 0; carry = [||] })
+      in
+      let running = ref (Array.init (Array.length passes) Fun.id) in
       while
         Array.length !running > 0
         && p.Compiled.Planes.first + p.Compiled.Planes.len
@@ -978,101 +891,38 @@ module Parallel = struct
         let first = p.Compiled.Planes.first in
         let live =
           Array.init p.Compiled.Planes.len (fun j ->
-              let m = ref 0 in
+              let mask = ref 0 in
               Array.iteri
-                (fun b n -> if n > first + j then m := !m lor (1 lsl b))
+                (fun l n -> if n > first + j then mask := !mask lor (1 lsl l))
                 p.Compiled.Planes.lane_len;
-              !m)
+              !mask)
         in
         ignore
           (map ~cycles:p.Compiled.Planes.len
              (fun ctx shard ->
                Array.iter
-                 (fun j ->
-                   advance ctx p ~concurrent ~live faults.(!pending.(j))
-                     states.(j))
+                 (fun q -> advance ctx p ~concurrent ~live faults passes.(q))
                  shard;
                [||])
              !running);
         running :=
           Array.of_seq
-            (Seq.filter (fun j -> states.(j).alive <> 0) (Array.to_seq !running))
+            (Seq.filter (fun q -> passes.(q).alive <> 0) (Array.to_seq !running))
       done;
-      Array.iteri
-        (fun j i ->
-          let st = states.(j) in
-          if st.best >= 0 then result.(i) <- Some (!base + st.best, st.best_t))
-        !pending;
+      Array.iter
+        (fun pass ->
+          Array.iteri
+            (fun i f ->
+              if pass.best.(i) >= 0 then
+                result.(f) <- Some (!base + pass.best.(i), pass.best_t.(i)))
+            pass.faults)
+        passes;
       pending :=
         Array.of_seq
           (Seq.filter (fun i -> result.(i) = None) (Array.to_seq !pending));
-      base := !base + w
+      base := !base + k
     done;
     result
-
-  (* Groups of at most [max_group] faults needed for [nf] faults. *)
-  let n_groups nf = (nf + max_group - 1) / max_group
-
-  (* The packed path pays one plane trace of every block and then runs
-     every fault alone over [max_cycles] packed cycles of each chunk of
-     [max_group] blocks; the fault-grouped path runs each ≤62-wide group
-     over every block's cycles. Packing wins when the faults per block
-     are few or their cones are small, whatever the length of the fault
-     list — with wide cones (a 62-fault group unioning to the whole
-     netlist) the per-fault runs cost an order of magnitude more, so the
-     choice is made on estimated plane-eval counts over the static cones,
-     not on fault count. A slice of the packed trace costs 16 bytes per
-     slot per cycle — past a memory bound on that the fault-grouped path
-     is used regardless. *)
-  let packed_worthwhile ctx ~faults ~stims =
-    let cc = ctx.cc in
-    let nf = Array.length faults in
-    let nb = Array.length stims in
-    nb > 1
-    && nf > 0
-    &&
-    let max_cycles =
-      Array.fold_left (fun m s -> max m (Array.length s)) 0 stims
-    in
-    16 * (cc.Compiled.n_slots + 1)
-    * min max_cycles Compiled.Planes.slice_cycles
-    < 256_000_000
-    &&
-    let total_cycles =
-      Array.fold_left (fun a s -> a + Array.length s) 0 stims
-    in
-    (* Count-only cone sizes, memoized per seed: materializing each
-       fault's sorted slot array here would cost more than the
-       simulation the choice governs. *)
-    let sum_cones =
-      Array.fold_left
-        (fun acc f ->
-          acc
-          + Cc.memo (fun e -> e.Cc.sizes) cc
-              cc.Compiled.perm.(Fault.seed f)
-              (fun seed -> Compiled.cone_size ctx.walker cc ~seed))
-        0 faults
-    in
-    let groups = n_groups nf in
-    (* Grouping by cone seed keeps the union of a group's cones within a
-       small multiple (taken as 8) of a member cone, capped by the
-       netlist itself. *)
-    let union = min cc.Compiled.n_slots (8 * (sum_cones / nf)) in
-    sum_cones * max_cycles * n_groups nb < groups * union * total_cycles
-
-  let packs c ~faults ~stimuli =
-    let cc = Cc.get c in
-    Cc.with_ctx cc (fun ctx ->
-        packed_worthwhile ctx ~faults ~stims:(Array.of_list stimuli))
-
-  let detect_dropping_packed c ~faults ~observe ~stimuli =
-    let cc = Cc.get c in
-    let obs = obs_slots cc observe in
-    let map ~cycles:_ f xs =
-      Cc.with_ctx cc (fun ctx -> with_observed ctx obs (fun () -> f ctx xs))
-    in
-    run_packed cc ~faults ~stims:(Array.of_list stimuli) ~map ~concurrent:false
-      ~slice:(fun f -> f ())
 end
 
 module Engine = struct
@@ -1113,7 +963,7 @@ module Engine = struct
       h
 
   (* One branch when the sink is off; the clock is read only on live
-     sinks. A call is two stages — [trace] records the good machine,
+     sinks. A call is two stages — [trace] prepares the good machine,
      [simulate] runs the faults against it — and a live sink traces each
      as a child span of the call's. The inner simulation loops in
      [Parallel] are never touched. *)
@@ -1134,38 +984,18 @@ module Engine = struct
       r
     end
 
-  (* Pool tasks are whole 62-wide groups, so sharding never splits a
-     group; about four shards per domain feeds the work-stealing queue
-     without shrinking groups. Sized for the workers that will actually
-     run (the pool clamps [jobs] to the core count) — over-sharding for
-     phantom domains only multiplies underfilled tail groups and
-     per-shard setup. *)
+  (* About four shards per domain that will actually run (the pool
+     clamps [jobs] to the core count) feed the work-stealing queue;
+     over-sharding for phantom domains only multiplies per-shard setup. A
+     shard never splits a pass: the items are whole passes (or faults,
+     for the cone check). *)
   let shards ~jobs items =
     let n_items = Array.length items in
     let target = max 1 (min jobs (Pool.default_jobs ()) * 4) in
-    let groups = Parallel.n_groups n_items in
-    let size = Parallel.max_group * max 1 ((groups + target - 1) / target) in
+    let size = max 1 ((n_items + target - 1) / target) in
     let n = (n_items + size - 1) / size in
     Array.init n (fun k ->
         Array.sub items (k * size) (min size (n_items - (k * size))))
-
-  (* Runs [f] over the shards of [items] on the pool, each shard on a
-     [Parallel] context taken from the cached circuit's idle stack with
-     the observed slots [obs_s] flagged, and concatenates the per-shard
-     results back into input order. [work] is the pool's minimum-work
-     estimate in gate evaluations (at most one whole-netlist sweep per
-     group per cycle), so tiny workloads run in the caller even with
-     [jobs > 1]. *)
-  let run ~obs ~jobs (cc : Compiled.t) ~obs_s ~work items f =
-    Pool.map_array ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
-      (fun shard ->
-        Cc.with_ctx cc (fun ctx ->
-            Parallel.with_observed ctx obs_s (fun () -> f ctx shard)))
-      (shards ~jobs items)
-    |> Array.to_list |> Array.concat
-
-  let sweeps (cc : Compiled.t) ~groups ~cycles =
-    groups * max 1 cc.Compiled.n_gates * cycles
 
   (* Chaos hook at every engine entry: a [Raise] injection here exercises
      the callers' retry/containment paths; [Cancel] has no local meaning
@@ -1175,70 +1005,49 @@ module Engine = struct
     match Fst_exec.Chaos.point Fst_exec.Chaos.Engine with
     | `Ok | `Cancel -> ()
 
-  (* An empty fault list records no trace and simulates nothing. *)
-  let detect_all ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe stim =
+  (* One dropping run under [e]'s instrumentation. The [trace] stage
+     compiles the circuit and the blocks; the packed good trace itself is
+     recorded slice by slice as the passes advance (each slice in an
+     [fsim.slice] span). Each [map] runs its shards on the pool, each on a
+     context taken from the cached circuit's idle stack with the observed
+     slots flagged, and concatenates the per-shard results back into
+     input order. Its [work] is the pool's minimum-work estimate in gate
+     evaluations (at most one whole-netlist sweep per item per cycle), so
+     tiny workloads run in the caller even with [jobs > 1]. An empty fault
+     list compiles and simulates nothing. *)
+  let dropping ~obs ~jobs e c ~faults ~observe stims =
     chaos_entry ();
     let jobs = max 1 jobs in
-    observe_call obs detect_all_entry ~faults
+    observe_call obs e ~faults
       ~trace:(fun () ->
         if Array.length faults = 0 then None
         else
           let cc = Cc.get c in
-          Some (cc, Compiled.trace cc (Compiled.compile_stim cc stim)))
+          Some (cc, Array.map (Compiled.compile_stim cc) stims))
       ~simulate:(function
         | None -> [||]
-        | Some (cc, rows) ->
-          let work =
-            sweeps cc ~groups:(Parallel.n_groups (Array.length faults))
-              ~cycles:(Array.length stim)
+        | Some (cc, stims) ->
+          let obs_s = obs_slots cc observe in
+          let map ~cycles f items =
+            Pool.map_array ~obs ~label:"fsim" ~chunk:1
+              ~work:(Array.length items * max 1 cc.Compiled.n_gates * cycles)
+              ~jobs
+              (fun shard ->
+                Cc.with_ctx cc (fun ctx ->
+                    Parallel.with_observed ctx obs_s (fun () -> f ctx shard)))
+              (shards ~jobs items)
+            |> Array.to_list |> Array.concat
           in
-          run ~obs ~jobs cc ~obs_s:(obs_slots cc observe) ~work faults
-            (fun ctx fs -> Parallel.run_all ctx ~faults:fs rows))
+          Parallel.run cc ~faults ~stims ~map
+            ~concurrent:(min jobs (Pool.default_jobs ()) > 1)
+            ~slice:(fun f -> Sink.span obs ~name:"fsim.slice" ~cat:"fsim" f))
 
-  (* The good machine a dropping call runs against: the scalar rows of
-     every block for the fault-grouped path, or nothing yet for the
-     pattern-packed path, which records its packed trace slice by slice
-     as the faults advance (each slice in an [fsim.slice] span). *)
-  type good = Grouped of Bytes.t array array | Packed
+  let detect_all ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe stim =
+    Array.map (Option.map snd)
+      (dropping ~obs ~jobs detect_all_entry c ~faults ~observe [| stim |])
 
   let detect_dropping ?(obs = Sink.null) ?(jobs = 1) c ~faults ~observe
       ~stimuli =
-    chaos_entry ();
-    let jobs = max 1 jobs in
-    let stims = Array.of_list stimuli in
-    observe_call obs detect_dropping_entry ~faults
-      ~trace:(fun () ->
-        if Array.length faults = 0 then None
-        else
-          let cc = Cc.get c in
-          if
-            Cc.with_ctx cc (fun ctx ->
-                Parallel.packed_worthwhile ctx ~faults ~stims)
-          then Some (cc, Packed)
-          else
-            Some
-              ( cc,
-                Grouped
-                  (Array.map
-                     (fun stim ->
-                       Compiled.trace cc (Compiled.compile_stim cc stim))
-                     stims) ))
-      ~simulate:(function
-        | None -> [||]
-        | Some (cc, Grouped blocks) ->
-          let work =
-            sweeps cc ~groups:(Parallel.n_groups (Array.length faults))
-              ~cycles:(Array.fold_left (fun a s -> a + Array.length s) 0 stims)
-          in
-          run ~obs ~jobs cc ~obs_s:(obs_slots cc observe) ~work faults
-            (fun ctx fs -> Parallel.run_dropping ctx ~faults:fs blocks)
-        | Some (cc, Packed) ->
-          let obs_s = obs_slots cc observe in
-          Parallel.run_packed cc ~faults ~stims
-            ~concurrent:(min jobs (Pool.default_jobs ()) > 1)
-            ~map:(fun ~cycles f items ->
-              run ~obs ~jobs cc ~obs_s
-                ~work:(sweeps cc ~groups:(Array.length items) ~cycles)
-                items f)
-            ~slice:(fun f -> Sink.span obs ~name:"fsim.slice" ~cat:"fsim" f))
+    dropping ~obs ~jobs detect_dropping_entry c ~faults ~observe
+      (Array.of_list stimuli)
 end

@@ -7,22 +7,22 @@
     complementary binary value in the faulty machine. A potential detection
     (faulty value [X]) does not count, as in the paper.
 
-    {!Engine} is the one entry point: 62 faulty machines per pass,
-    bit-parallel and driven by their divergence from the good machine,
-    with the fault list sharded across a domain pool ({!Fst_exec.Pool})
-    when [jobs > 1]. Results are per input
-    fault, in input order, independent of grouping and of [jobs].
-    {!Serial} (one faulty machine at a time) is the reference the
-    property tests compare against, and the trace recorder diagnosis
-    uses; {!Parallel} only exposes two hooks of the engine to the tests.
+    {!Engine} is the one entry point: 62 faulty machines per pass, each
+    lane a (fault, block) pair, bit-parallel and driven by their
+    divergence from the good machine, with the passes sharded across a
+    domain pool ({!Fst_exec.Pool}) when [jobs > 1]. Results are per
+    input fault, in input order, independent of the layout and of
+    [jobs]. {!Serial} (one faulty machine at a time) is the reference
+    the property tests compare against, and the trace recorder diagnosis
+    uses.
 
     The engine's scratch (plane arrays, gate queue, undo log, fault-site
     masks, cone-walk stamps) lives in a context per concurrent task.
     Idle contexts are kept, at most one per core, with the cached
     compiled form of the last circuit simulated, and dropped when another
     circuit is simulated. A task takes one (or builds one when none is
-    idle) and puts it back when its last fault group has been dropped; a
-    task that raises does not put its context back. *)
+    idle) and puts it back when its last pass has been dropped; a task
+    that raises does not put its context back. *)
 
 open Fst_logic
 open Fst_netlist
@@ -68,69 +68,46 @@ module Serial : sig
     (int * int) option array
 end
 
-(** Hooks into {!Engine}'s bit-parallel simulation, for the tests: up to
-    62 faulty machines per pass, three-valued (two bit-planes per net).
+(** The fault-simulation entry point: divergence-driven bit-parallel
+    simulation plus multicore dispatch. A call takes its blocks in
+    chunks of [k = min 62 (blocks left)] and packs the good machine of a
+    chunk once, each block in [62 / k] lanes. A pass runs [62 / k]
+    faults over the chunk, fault [i] on lanes [i * k .. i * k + k - 1]:
+    one fault over 62 blocks, 31 faults over 2, 62 faults over one.
     A cycle evaluates only the gates with a fanin that differs from the
     good machine in a live lane (or that carry a fault site); every other
-    net reads the good machine's planes. When many flip-flops differ the
-    cycle evaluates every gate instead. *)
-module Parallel : sig
-  (** Pattern-parallel variant of dropping simulation: the {e lanes} are
-      stimulus blocks instead of faults — the fault-free machine is
-      packed once per chunk of up to 62 blocks and each fault replays
-      its effects against all blocks of a chunk simultaneously, returning
-      the lowest-index detecting block and its first cycle, exactly like
-      the serial block scan. The packed trace holds every net and is
-      recorded in slices of at most 32 cycles; between two slices each
-      fault keeps the planes of its differing flip-flops. Wins when the
-      faults are few per block — a
-      fault list of any length over a window of many blocks, such as
-      step 2 of the flow; {!Engine.detect_dropping} switches to it
-      automatically when the estimated plane evaluations say so. *)
-  val detect_dropping_packed :
-    Circuit.t ->
-    faults:Fault.t array ->
-    observe:int array ->
-    stimuli:stimulus list ->
-    (int * int) option array
-
-  (** Whether {!Engine.detect_dropping} takes the pattern-packed branch on
-      these faults and stimuli: it does when replaying each fault's
-      static cone over every chunk of 62 blocks is estimated to cost
-      fewer plane evaluations than sweeping each fault group's union cone
-      over every block. Cone sizes are memoized per seed with the cached
-      compiled circuit. *)
-  val packs : Circuit.t -> faults:Fault.t array -> stimuli:stimulus list -> bool
-end
-
-(** The fault-simulation entry point: divergence-driven bit-parallel
-    simulation plus multicore dispatch. With [jobs = 1] (the default) it
-    runs in the caller; with
-    [jobs > 1] the fault list is sharded into whole 62-wide groups that
-    run on a domain pool, and the per-shard results are merged back in
-    input order — the result is identical for every [jobs] value because
-    faulty machines never interact. Tiny workloads run in the caller
-    regardless of [jobs] (the pool's minimum-work threshold). *)
+    net reads the good machine's planes, recorded in slices of at most
+    32 cycles. When many flip-flops differ the cycle evaluates every
+    gate instead. A fault that detects on a block stops running on the
+    later blocks of its chunk. With [jobs = 1] (the default) it runs in
+    the caller; with [jobs > 1] the passes are sharded across a domain
+    pool, and the per-shard results are merged back in input order —
+    the result is identical for every [jobs] value because faulty
+    machines never interact. Tiny workloads run in the caller regardless
+    of [jobs] (the pool's minimum-work threshold). *)
 module Engine : sig
   (** With a live [obs] sink each call counts
       [fsim.<entry>.calls] / [.faults], fills a [.call_s] duration
       histogram, emits an [fsim.<entry>] trace span with two child spans
-      — [fsim.trace] (recording the good machine: the scalar traces, or
-      for a pattern-parallel dropping call just the choice of that path)
-      and [fsim.simulate] (the faults against it; a pattern-parallel call
-      records its packed trace in there, one [fsim.slice] span per slice)
-      — and threads the sink into the pool (per-domain busy accounting).
+      — [fsim.trace] (compiling the circuit and the blocks) and
+      [fsim.simulate] (the faults against the good machine, whose packed
+      trace is recorded in there, one [fsim.slice] span per slice) — and
+      threads the sink into the pool (per-domain busy accounting).
       The metric handles are resolved once per registry. With the default
       {!Fst_obs.Sink.null} the instrumentation is a single branch per
       call — the inner simulation loops are never touched. *)
 
-  (** Machines per bit-parallel pass (62). A dropping call over at most
-      this many blocks records each good trace in one packed pass, so
-      callers that poll between calls step by windows of this width. *)
+  (** Lanes per bit-parallel pass (62), and so the most blocks a call
+      packs into one good trace: a dropping call over at most this many
+      blocks records each block's good machine once and runs each fault
+      over all of them in one pass, so callers that poll between calls
+      step by windows of this width. *)
   val max_group : int
 
   (** [detect_all c ~faults ~observe stim] maps each fault to its first
-      detection cycle, as {!Serial.detect_all}. *)
+      detection cycle, as {!Serial.detect_all}: a one-block dropping
+      run, 62 faults a pass, counted under its own [fsim.detect_all]
+      entry. *)
   val detect_all :
     ?obs:Fst_obs.Sink.t ->
     ?jobs:int ->

@@ -323,7 +323,7 @@ let trace cc (stim : cstim) =
    walk's epoch, so the scratch is reused walk after walk without
    clearing; the queue ends up holding the whole cone in visiting order.
    Slots outside the cone can never diverge from the good trace; the
-   fault simulator walks a group's cone to skip a group whose cone
+   fault simulator walks each fault's cone to skip a fault whose cone
    reaches no observed slot. *)
 type walker = { stamp : int array; mutable epoch : int; queue : int array }
 
@@ -365,7 +365,6 @@ let cone_slots ?walker:w cc ~seeds =
   Array.sort Int.compare a;
   a
 
-let cone_size w cc ~seed = walk cc w ~seeds:[| seed |] ~targets:no_targets
 let reaches w cc ~seeds targets = walk cc w ~seeds ~targets < 0
 
 (* ---- bit-plane kernel (pattern- and fault-parallel packing) ------------ *)
@@ -447,8 +446,9 @@ module Planes = struct
       ignore (eval_gate prog ~full planes (Array.unsafe_get at (s - n0)) (2 * s))
     done
 
-  (* A loop over the bytes, not a lookup: a code is one or zero in every
-     lane, or in none. *)
+  (* The planes of slots [0 .. upto-1] set to the scalar values of [row]
+     in every lane of [full]. A loop over the bytes, not a lookup: a code
+     is one or zero in every lane, or in none. *)
   let broadcast row ~full planes ~upto =
     let one = Char.chr V3b.one and zero = Char.chr V3b.zero in
     for s = 0 to upto - 1 do
@@ -457,20 +457,22 @@ module Planes = struct
       Array.unsafe_set planes ((2 * s) + 1) (full land - Bool.to_int (c = zero))
     done
 
-  (* Pattern-parallel good trace: lane [b] simulates stimulus block [b]
-     (up to word width lanes per sweep). One full-netlist plane sweep
-     replaces [lanes] scalar sweeps. The trace is recorded in slices of
-     at most [slice_cycles] cycles: row [t - first] of the slice buffers
+  (* Pattern-parallel good trace: lane [j + i * blocks] simulates block
+     [j], for [i < copies] (up to word width lanes per sweep), and each
+     cycle applies a block's assignments once, under the mask of its
+     lanes. One full-netlist plane sweep replaces [blocks] scalar sweeps,
+     whatever the number of copies. The trace is recorded in slices of at
+     most [slice_cycles] cycles: row [t - first] of the slice buffers
      holds the planes of every slot after cycle [t]'s evaluation, and
      [next_slice] resumes the paused good machine — the planes of its
      level-0 slots — to overwrite them with the following cycles. A cycle
-     is evaluated in its row. The buffers cost 16 bytes per slot per
-     buffered cycle, whatever the length of the blocks. A lane whose
-     block is shorter than the longest one keeps ticking harmlessly;
-     readers mask it with [lane_len]. *)
-  type machine = { state : int array; stims : cstim array }
+     is evaluated in its row. A lane whose block is shorter than the
+     longest one keeps ticking harmlessly; readers mask it with
+     [lane_len]. *)
+  type machine = { state : int array; stims : cstim array; masks : int array }
 
   type packed = {
+    blocks : int;
     lanes : int;
     cycles : int;
     lane_len : int array;
@@ -481,31 +483,47 @@ module Planes = struct
   }
 
   let max_lanes = Sys.int_size - 1
-  let slice_cycles = 32
 
-  let trace_packed cc (stims : stimulus array) =
-    let lanes = Array.length stims in
-    if lanes = 0 || lanes > max_lanes then
+  (* A slice buffer costs 16 bytes per slot per cycle: at most 32 cycles,
+     fewer where that would pass 256 MB. *)
+  let slice_cycles ~n_slots = min 32 (max 1 (256_000_000 / (16 * (n_slots + 1))))
+
+  let trace_packed cc (stims : cstim array) ~copies =
+    let blocks = Array.length stims in
+    let lanes = blocks * copies in
+    if blocks = 0 || copies < 1 || lanes > max_lanes then
       invalid_arg "Compiled.Planes.trace_packed: bad lane count";
-    let lane_len = Array.map Array.length stims in
+    let lane_len = Array.init lanes (fun l -> Array.length stims.(l mod blocks)) in
     let cycles = Array.fold_left max 0 lane_len in
     let width = 2 * (cc.n_slots + 1) in
     let state = Array.make (2 * cc.n_level0) 0 in
     broadcast cc.init ~full:((1 lsl lanes) - 1) state ~upto:cc.n_level0;
+    let masks =
+      Array.init blocks (fun j ->
+          let m = ref 0 in
+          for i = 0 to copies - 1 do
+            m := !m lor (1 lsl (j + (i * blocks)))
+          done;
+          !m)
+    in
     {
+      blocks;
       lanes;
       cycles;
       lane_len;
-      rows = Array.init (min slice_cycles cycles) (fun _ -> Array.make width 0);
+      rows =
+        Array.init
+          (min (slice_cycles ~n_slots:cc.n_slots) cycles)
+          (fun _ -> Array.make width 0);
       first = 0;
       len = 0;
-      good = { state; stims = Array.map (compile_stim cc) stims };
+      good = { state; stims; masks };
     }
 
   let next_slice cc p =
     let first = p.first + p.len in
-    let len = min slice_cycles (p.cycles - first) in
-    let { state; stims } = p.good in
+    let len = min (Array.length p.rows) (p.cycles - first) in
+    let { state; stims; masks } = p.good in
     let full = (1 lsl p.lanes) - 1 in
     for j = 0 to len - 1 do
       let t = first + j in
@@ -513,21 +531,22 @@ module Planes = struct
          assignment to a gate's net is overwritten by its evaluation. *)
       Array.iteri
         (fun b stim ->
-          if t < Array.length stim then
+          if t < Array.length stim then begin
+            let lanes = masks.(b) in
+            let keep = lnot lanes in
             Array.iter
               (fun a ->
                 let s = a lsr 2 and code = a land 3 in
                 if s < cc.n_level0 then begin
-                  let bit = 1 lsl b in
-                  let keep = lnot bit in
                   state.(2 * s) <-
                     (state.(2 * s) land keep)
-                    lor (bit land - Bool.to_int (code = V3b.one));
+                    lor (lanes land - Bool.to_int (code = V3b.one));
                   state.((2 * s) + 1) <-
                     (state.((2 * s) + 1) land keep)
-                    lor (bit land - Bool.to_int (code = V3b.zero))
+                    lor (lanes land - Bool.to_int (code = V3b.zero))
                 end)
-              stim.(t))
+              stim.(t)
+          end)
         stims;
       let row = p.rows.(j) in
       for i = 0 to (2 * cc.n_level0) - 1 do

@@ -123,9 +123,6 @@ val walker : t -> walker
     scratch. *)
 val cone_slots : ?walker:walker -> t -> seeds:int array -> int array
 
-(** [cone_size w cc ~seed] is the number of slots in the cone of [seed]. *)
-val cone_size : walker -> t -> seed:int -> int
-
 (** [reaches w cc ~seeds targets] is whether the cone of [seeds] holds a
     slot whose byte in [targets] is nonzero. The walk stops at the first
     such slot. *)
@@ -136,9 +133,10 @@ val reaches : walker -> t -> seeds:int array -> Bytes.t -> bool
     Word-level three-valued planes, one interleaved pair per slot: bit
     [b] of word [2s] (the ones plane of slot [s]) means lane [b] carries
     1, of word [2s + 1] (its zeros plane) that lane [b] carries 0;
-    neither means X. [full] is the mask of the lanes in use. The fault
-    simulator packs faulty machines into the lanes, the good trace below
-    stimulus blocks. *)
+    neither means X. [full] is the mask of the lanes in use. The good
+    trace below packs stimulus blocks into the lanes, and the fault
+    simulator runs one faulty machine per (fault, block) lane against
+    it. *)
 module Planes : sig
   (** [eval_range cc ~full planes ~lo ~hi] evaluates the gates at slots
       [lo .. hi-1] in order, each from the planes of its fanins. *)
@@ -148,39 +146,40 @@ module Planes : sig
       [gates.(0) .. gates.(n-1)] in that order. *)
   val eval_list : t -> full:int -> int array -> int array -> n:int -> unit
 
-  (** [broadcast row ~full planes ~upto] sets the planes of slots [0 ..
-      upto-1] to the scalar values of [row] in every lane of [full]. *)
-  val broadcast : Bytes.t -> full:int -> int array -> upto:int -> unit
-
   (** The good machine of a set of blocks, paused between two cycles. *)
   type machine
 
-  (** A good trace recorded slice by slice. After {!next_slice}, row [j]
-      of [rows] holds the planes of every slot after cycle [first + j]'s
-      settle, for [j < len]. Lanes past their own block length keep
-      ticking and must be masked by the reader using [lane_len]. *)
+  (** A good trace recorded slice by slice, lane [j + i * blocks] running
+      block [j]. After {!next_slice}, row [j] of [rows] holds the planes
+      of every slot after cycle [first + j]'s settle, for [j < len].
+      Lanes past their own block length keep ticking and must be masked
+      by the reader using [lane_len]. *)
   type packed = private {
-    lanes : int;
+    blocks : int;
+    lanes : int;  (** [blocks] times the number of copies *)
     cycles : int;  (** max block length *)
-    lane_len : int array;
+    lane_len : int array;  (** per lane, the length of its block *)
     rows : int array array;
     mutable first : int;
     mutable len : int;
     good : machine;
   }
 
-  (** Most cycles a slice holds (32). *)
-  val slice_cycles : int
+  (** [slice_cycles ~n_slots] is the most cycles a slice of a circuit of
+      [n_slots] slots holds: 32, or fewer where 32 rows of [16 * (n_slots
+      + 1)] bytes would pass 256 MB, and at least 1. *)
+  val slice_cycles : n_slots:int -> int
 
-  (** [trace_packed cc stims] is the good machine of [stims] at cycle 0,
-      with an empty slice ([first = 0], [len = 0]). Its buffers hold
-      [min slice_cycles cycles] rows of [2 * (n_slots + 1)] words.
-      Raises [Invalid_argument] on 0 blocks or more blocks than an int
-      has bits to spare for lanes. *)
-  val trace_packed : t -> stimulus array -> packed
+  (** [trace_packed cc stims ~copies] is the good machine of [stims] at
+      cycle 0, each block in [copies] lanes, with an empty slice ([first
+      = 0], [len = 0]). Its buffers hold [min (slice_cycles ~n_slots)
+      cycles] rows of [2 * (n_slots + 1)] words. Raises
+      [Invalid_argument] on 0 blocks, on fewer than one copy, or on more
+      lanes than an int has bits to spare. *)
+  val trace_packed : t -> cstim array -> copies:int -> packed
 
   (** [next_slice cc p] resumes the good machine at cycle
-      [p.first + p.len] and records the next [min slice_cycles (cycles -
-      that)] cycles over the previous slice. *)
+      [p.first + p.len] and records the following cycles over the
+      previous slice, as many as its buffers hold or as remain. *)
   val next_slice : t -> packed -> unit
 end

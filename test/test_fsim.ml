@@ -101,10 +101,10 @@ let prop_serial_parallel_agree =
         chosen;
       !ok)
 
-(* A random 12-cycle stimulus block over [c]'s inputs, X on a quarter
-   of the values. *)
-let random_block rng (c : Circuit.t) =
-  Array.init 12 (fun _ ->
+(* A random stimulus block over [c]'s inputs, 12 cycles by default, X on
+   a quarter of the values. *)
+let random_block ?(cycles = 12) rng (c : Circuit.t) =
+  Array.init cycles (fun _ ->
       Array.to_list c.Circuit.inputs
       |> List.map (fun pi ->
              ( pi,
@@ -125,11 +125,9 @@ let random_workload ?(n = 100) seed =
   in
   (c, chosen, List.init 3 (fun _ -> random_block rng c))
 
-(* The engine-interface workloads cover both dropping branches. Four
-   faults over three blocks take the pattern-packed branch (on all but a
-   few seeds, where the cones span most of the circuit); the default 100
-   and a list longer than two groups (more than 2 x 62 faults) take the
-   fault-grouped one. *)
+(* The engine-interface workloads: over three blocks a pass holds 20
+   faults, so four faults take one pass, the default 100 five passes and
+   150 (more than two lists of 62) eight. *)
 let workloads seed =
   [ random_workload ~n:4 seed; random_workload seed;
     random_workload ~n:150 seed ]
@@ -159,7 +157,7 @@ let cone_of cc fault =
 
 (* Cone soundness: under any fault, a net outside the fault's static
    fanout cone never diverges from the fault-free machine — the envelope
-   that lets the bit-parallel groups read every out-of-cone net off the
+   that lets the bit-parallel passes read every out-of-cone net off the
    shared good trace. *)
 let prop_cone_soundness =
   Q.Test.make ~name:"nets outside the static cone never diverge" ~count:15
@@ -193,8 +191,7 @@ let prop_cone_soundness =
         chosen)
 
 (* Multicore dispatch is invisible: any [jobs] value gives the
-   single-core result on both engine operations, on both dropping
-   branches. *)
+   single-core result on both engine operations. *)
 let prop_jobs_invariant =
   Q.Test.make ~name:"engine jobs>1 agrees with jobs=1" ~count:15
     (Q.pair
@@ -211,9 +208,8 @@ let prop_jobs_invariant =
              = Fsim.Engine.detect_dropping ~jobs c ~faults ~observe ~stimuli)
         (workloads seed))
 
-(* The pattern-parallel packed dropping path (lanes = stimulus blocks)
-   returns exactly the serial block-scan answer: the lowest detecting
-   block and its first cycle, per fault. *)
+(* Dropping returns exactly the serial block-scan answer: the lowest
+   detecting block and its first cycle, per fault. *)
 let prop_packed_dropping_agrees =
   Q.Test.make ~name:"pattern-packed dropping agrees with serial" ~count:15
     (Q.map Int64.of_int (Q.int_bound 100000))
@@ -221,49 +217,47 @@ let prop_packed_dropping_agrees =
       let c, chosen, stimuli = random_workload seed in
       let observe = c.Circuit.outputs in
       Fsim.Serial.detect_dropping c ~faults:chosen ~observe ~stimuli
-      = Fsim.Parallel.detect_dropping_packed c ~faults:chosen ~observe
-          ~stimuli)
+      = Fsim.Engine.detect_dropping c ~faults:chosen ~observe ~stimuli)
 
-(* The dropping switch counts the chunks of [max_group] blocks the
-   packed path replays every fault over. The 186 widest-cone faults of a
-   fixed circuit (cones of 70 of its 80 nets on average) go packed over
-   62 blocks, one chunk, and fault-grouped over 63, two chunks. Either
-   way the engine gives the serial answer at one and two jobs. *)
-let test_dropping_branch_counts_chunks () =
+(* Every lane width: a call over [nb] blocks packs chunks of [k = min 62
+   (blocks left)] blocks and runs [62 / k] faults a pass, so the block
+   counts below cover one fault a pass (62), two (31, 2), one fault over
+   fewer than 62 lanes (32, 61), 62 faults (1), a one-block tail chunk
+   (63, 125), an empty block and no block at all. 130 faults make every
+   width take more than one pass; blocks of 1 to 16 cycles end at
+   different cycles of a pass, whose lanes must stop at their block's
+   end. The engine gives the serial answer at one
+   and two jobs. *)
+let test_dropping_every_width () =
   let c = Helpers.small_seq_circuit ~gates:60 ~ffs:6 2L in
   let rng = Fst_gen.Rng.create 9L in
   let universe = Fault.universe c in
-  let cc = Fst_sim.Compiled.of_circuit c in
-  let sizes = Array.map (fun f -> Array.length (cone_of cc f)) universe in
-  let order = Array.init (Array.length universe) (fun i -> i) in
-  Array.stable_sort (fun i j -> compare sizes.(j) sizes.(i)) order;
-  let faults = Array.init 186 (fun k -> universe.(order.(k))) in
+  let faults = Array.init 130 (fun _ -> Fst_gen.Rng.pick rng universe) in
   let observe = c.Circuit.outputs in
   List.iter
-    (fun (nb, packed) ->
-      let stimuli = List.init nb (fun _ -> random_block rng c) in
-      Alcotest.(check bool)
-        (Printf.sprintf "packed over %d blocks" nb)
-        packed
-        (Fsim.Parallel.packs c ~faults ~stimuli);
+    (fun (name, stimuli) ->
       let serial = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
-      Alcotest.(check bool)
-        (Printf.sprintf "engine = serial over %d blocks" nb)
-        true
-        (Fsim.Engine.detect_dropping ~jobs:1 c ~faults ~observe ~stimuli
-         = serial);
-      Alcotest.(check bool)
-        (Printf.sprintf "engine -j 2 = serial over %d blocks" nb)
-        true
-        (Fsim.Engine.detect_dropping ~jobs:2 c ~faults ~observe ~stimuli
-         = serial))
-    [ (62, true); (63, false) ]
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "engine -j %d = serial over %s" jobs name)
+            true
+            (Fsim.Engine.detect_dropping ~jobs c ~faults ~observe ~stimuli
+             = serial))
+        [ 1; 2 ])
+    (("no block", []) :: ("an empty block", [ [||] ])
+    :: List.map
+         (fun nb ->
+           ( Printf.sprintf "%d blocks" nb,
+             List.init nb (fun _ ->
+                 random_block ~cycles:(1 + Fst_gen.Rng.int rng 16) rng c) ))
+         [ 1; 2; 31; 32; 61; 62; 63; 125 ])
 
-(* The engine's context runs the groups of a call one after another,
-   each over the previous group's fault-site masks, queue and carried
-   flip-flops, and then the groups of the next call on the same circuit.
-   The fault list is built so that the groups have different cones and
-   the middle one carries fault sites where they are hardest: 62 faults
+(* The engine's context runs the passes of a call one after another,
+   each over the previous pass's fault-site masks, queue and carried
+   flip-flops, and then the passes of the next call on the same circuit.
+   The fault list is built in three groups with different cones, the
+   middle one carrying fault sites where they are hardest: 62 faults
    whose cone seeds are level-0 stems (group 1), then 62 faults on a
    random multi-input gate [g0] and on the first and last gates of its
    cone — stem and branch faults of both polarities, [g0]'s repeated
@@ -330,9 +324,10 @@ let override_workload seed =
   (c, groups, List.init 3 (fun _ -> random_block rng c))
 
 (* Every call must give the [Serial] answer: the whole list, one call
-   per group, and one packed call per fault, with [detect_all] and
+   per group, and one call per fault, with [detect_all] and
    [detect_dropping] calls interleaved on circuit A, then B, then A
-   again (a new circuit replaces the idle contexts). *)
+   again (a new circuit replaces the idle contexts). One block runs 62
+   faults a pass, three blocks 20, and a one-fault call one. *)
 let prop_ctx_reuse_across_groups =
   Q.Test.make ~name:"one context over consecutive override groups" ~count:12
     (Q.map Int64.of_int (Q.int_bound 100000))
@@ -343,13 +338,11 @@ let prop_ctx_reuse_across_groups =
         let stim = List.hd stimuli and one_block = [ List.hd stimuli ] in
         let per_group f = Array.concat (List.map f groups) in
         let all = Fsim.Serial.detect_all c ~faults ~observe stim in
-        (* One block keeps [detect_dropping] on the fault-grouped path. *)
         let grouped =
           Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli:one_block
         in
         let packed = Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli in
-        (not (Fsim.Parallel.packs c ~faults ~stimuli:one_block))
-        && all = Fsim.Engine.detect_all c ~faults ~observe stim
+        all = Fsim.Engine.detect_all c ~faults ~observe stim
         && grouped
            = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli:one_block
         && (all, grouped)
@@ -358,23 +351,22 @@ let prop_ctx_reuse_across_groups =
                per_group (fun faults ->
                    Fsim.Engine.detect_dropping c ~faults ~observe
                      ~stimuli:one_block) )
-        && packed
-           = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli
+        && packed = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli
         && packed
            = Array.map
                (fun f ->
-                 (Fsim.Parallel.detect_dropping_packed c ~faults:[| f |]
-                    ~observe ~stimuli).(0))
+                 (Fsim.Engine.detect_dropping c ~faults:[| f |] ~observe
+                    ~stimuli).(0))
                faults
       in
       let a = override_workload seed
       and b = override_workload (Int64.add seed 1L) in
       List.for_all agrees [ a; b; a ])
 
-(* An engine call that raises midway through a fault group (a branch
-   fault on a primary input, which has no pins) must not leave that
-   group's fault sites to the next call: with a site left on [ff0], [g]
-   would read a stale [ff0] instead of the good trace. *)
+(* An engine call that raises midway through a pass (a branch fault on a
+   primary input, which has no pins) must not leave that pass's fault
+   sites to the next call: with a site left on [ff0], [g] would read a
+   stale [ff0] instead of the good trace. *)
 let test_raising_call_leaves_no_group () =
   let c, si, en, _ff0, _g, _ff1 = small_chain () in
   let observe = c.Circuit.outputs in
@@ -464,9 +456,9 @@ let test_suite_step2_agrees () =
    values again — no flip-flop keeps its stale faulty planes, and none
    loses them between two slices of a packed trace. Long blocks (past
    four 32-cycle slices) with few X values let fault effects enter the
-   flip-flops, wash out and come back many times. The packed path, the
-   grouped [detect_all] path and the grouped dropping path must each
-   give the [Serial] answer. *)
+   flip-flops, wash out and come back many times. Dropping over three
+   blocks (20 faults a pass), [detect_all] and dropping over one block
+   (40 faults a pass) must each give the [Serial] answer. *)
 let prop_reconvergence =
   Q.Test.make ~name:"a lane back in sync reads good values again" ~count:12
     (Q.map Int64.of_int (Q.int_bound 100000))
@@ -491,7 +483,7 @@ let prop_reconvergence =
       let observe = c.Circuit.outputs in
       let long = List.hd stimuli in
       Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli
-      = Fsim.Parallel.detect_dropping_packed c ~faults ~observe ~stimuli
+      = Fsim.Engine.detect_dropping c ~faults ~observe ~stimuli
       && Fsim.Serial.detect_all c ~faults ~observe long
          = Fsim.Engine.detect_all c ~faults ~observe long
       && Fsim.Serial.detect_dropping c ~faults ~observe ~stimuli:[ long ]
@@ -511,8 +503,8 @@ let suite =
     Alcotest.test_case "a raising call leaves no group behind" `Quick
       test_raising_call_leaves_no_group;
     Alcotest.test_case "dropping across blocks" `Quick test_detect_dropping_blocks;
-    Alcotest.test_case "dropping branch counts block chunks" `Quick
-      test_dropping_branch_counts_chunks;
+    Alcotest.test_case "dropping at every lane width" `Quick
+      test_dropping_every_width;
     Alcotest.test_case "engine = serial on suite step-2 workloads" `Quick
       test_suite_step2_agrees;
     Helpers.qcheck prop_reconvergence;

@@ -162,9 +162,11 @@ let prop_compiled_equals_interpreted =
 
 (* The pattern-packed plane trace, recorded slice by slice, agrees lane
    by lane with the scalar compiled trace of each stimulus block (the
-   good rows [Fsim.Serial] compares against) on every slot. Blocks run
-   past one slice on half of the seeds, so the good machine is resumed
-   across slice boundaries. *)
+   good rows [Fsim.Serial] compares against) on every slot. Each block
+   runs in a random number of lanes, [b], [b + 5], ..., as the fault
+   simulator lays out a chunk of 5 blocks. Blocks run past one slice on
+   half of the seeds, so the good machine is resumed across slice
+   boundaries. *)
 let prop_packed_trace_matches_scalar =
   Q.Test.make ~name:"packed plane trace matches per-block scalar trace"
     ~count:25
@@ -173,18 +175,18 @@ let prop_packed_trace_matches_scalar =
       let c = Helpers.small_seq_circuit ~gates:80 ~ffs:6 seed in
       let rng = Fst_gen.Rng.create (Int64.add seed 23L) in
       let long = Fst_gen.Rng.int rng 2 = 0 in
+      let copies = 1 + Fst_gen.Rng.int rng 12 in
       let blocks =
         Array.init 5 (fun b ->
             random_stim rng c
               (if long then 40 + (b * 31) else 4 + (b mod 3 * 3)))
       in
       let cc = Compiled.of_circuit c in
-      let packed = Compiled.Planes.trace_packed cc blocks in
-      let rows =
-        Array.map (fun stim -> Compiled.trace cc (Compiled.compile_stim cc stim))
-          blocks
-      in
-      let ok = ref true in
+      let cstims = Array.map (Compiled.compile_stim cc) blocks in
+      let packed = Compiled.Planes.trace_packed cc cstims ~copies in
+      let rows = Array.map (Compiled.trace cc) cstims in
+      let slice = Compiled.Planes.slice_cycles ~n_slots:cc.Compiled.n_slots in
+      let ok = ref (packed.Compiled.Planes.lanes = 5 * copies) in
       let slices = ref 0 in
       while
         packed.Compiled.Planes.first + packed.Compiled.Planes.len
@@ -193,37 +195,46 @@ let prop_packed_trace_matches_scalar =
         Compiled.Planes.next_slice cc packed;
         incr slices;
         let first = packed.Compiled.Planes.first in
-        if packed.Compiled.Planes.len > Compiled.Planes.slice_cycles then
-          ok := false;
+        if packed.Compiled.Planes.len > slice then ok := false;
         for j = 0 to packed.Compiled.Planes.len - 1 do
-          Array.iteri
-            (fun b block_rows ->
-              let bit = 1 lsl b in
-              if first + j < Array.length block_rows then
-                for s = 0 to cc.Compiled.n_slots - 1 do
-                  let row = packed.Compiled.Planes.rows.(j) in
-                  let o = row.(2 * s) land bit <> 0 in
-                  let z = row.((2 * s) + 1) land bit <> 0 in
-                  let code =
-                    if o then V3b.one else if z then V3b.zero else V3b.x
-                  in
-                  if code <> Compiled.get block_rows.(first + j) s then
-                    ok := false
-                done)
-            rows
+          for lane = 0 to packed.Compiled.Planes.lanes - 1 do
+            let block_rows = rows.(lane mod 5) in
+            let bit = 1 lsl lane in
+            if first + j < Array.length block_rows then
+              for s = 0 to cc.Compiled.n_slots - 1 do
+                let row = packed.Compiled.Planes.rows.(j) in
+                let o = row.(2 * s) land bit <> 0 in
+                let z = row.((2 * s) + 1) land bit <> 0 in
+                let code =
+                  if o then V3b.one else if z then V3b.zero else V3b.x
+                in
+                if code <> Compiled.get block_rows.(first + j) s then
+                  ok := false
+              done
+          done
         done
       done;
       let cycles = Array.fold_left (fun m b -> max m (Array.length b)) 0 blocks in
-      !ok
-      && !slices
-         = (cycles + Compiled.Planes.slice_cycles - 1)
-           / Compiled.Planes.slice_cycles)
+      !ok && !slices = (cycles + slice - 1) / slice)
+
+(* A slice holds 32 cycles until 32 rows of 16 bytes a slot would pass
+   256 MB (500,000 slots), then fewer, and never none. *)
+let test_slice_cycles () =
+  List.iter
+    (fun (n_slots, want) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d slots" n_slots)
+        want
+        (Compiled.Planes.slice_cycles ~n_slots))
+    [ (1, 32); (1_791, 32); (499_999, 32); (500_000, 31); (1_000_000, 15);
+      (16_000_000, 1); (100_000_000, 1) ]
 
 let suite =
   [
     Alcotest.test_case "shift register" `Quick test_shift_register;
     Helpers.qcheck prop_compiled_equals_interpreted;
     Helpers.qcheck prop_packed_trace_matches_scalar;
+    Alcotest.test_case "slice length bounds its buffers" `Quick test_slice_cycles;
     Alcotest.test_case "comb eval" `Quick test_comb_eval;
     Alcotest.test_case "const nets" `Quick test_const_nets;
     Alcotest.test_case "set_input guard" `Quick test_set_input_guard;
