@@ -13,8 +13,8 @@ test:
 	dune runtest
 
 # Full local gate: compile everything (all warnings fatal in dev, see the
-# root dune env stanza), run the test suite, then smoke-run the micro
-# benchmark at a tiny scale so bench/ rot is caught early, lint every
+# root dune env stanza), run the test suite, then smoke-run the Table 3
+# harness at a tiny scale so bench/ rot is caught early, lint every
 # example netlist, and exercise the budget-degradation, checkpoint/resume,
 # and observability CLI paths.
 check: static-check build test lint-smoke bench-smoke degradation-smoke \
@@ -98,12 +98,13 @@ lint-smoke: build
 	  { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "lint-smoke: OK"
 
-# The micro benchmarks at smoke scale, so bench/ rot is caught early.
-# They reach fault simulation through Fsim.Engine only; its agreement
-# with the Fsim.Serial reference on every suite circuit is a test
-# ("engine = serial on suite step-2 workloads").
+# The Table 3 harness at smoke scale, so bench/ rot is caught early: it
+# runs the whole flow (classify, PODEM, the fault-simulation engine) on
+# every suite circuit. Fault simulation goes through Fsim.Engine only;
+# its agreement with the Fsim.Serial reference on every suite circuit is
+# a test ("engine = serial on suite step-2 workloads").
 bench-smoke:
-	FST_SCALE=0.02 dune exec -- bench/main.exe micro
+	FST_SCALE=0.02 dune exec -- bench/main.exe table3
 
 FST_EXE := ./_build/default/bin/fst.exe
 SMOKE_FLOW := flow -n s1423 --scale 0.25 -j 1
@@ -207,9 +208,11 @@ chaos-smoke: build
 
 # The run-artifact round trip: `fst flow --obs-dir` must emit a
 # machine-valid artifact set (run.json schema + OpenMetrics exposition
-# checked by jsonlint), `fst analyze` must render the report and pass
-# the regression gate against an identical baseline, and a baseline
-# doctored to make the current run look slower must fail it.
+# checked by jsonlint), `fst analyze` must render the report with its
+# per-worker `domains:` section (from the pool's trace spans) at -j 2 and
+# at -j 1, and pass the regression gate against an identical baseline,
+# and a baseline doctored to make the current run look slower must fail
+# it.
 analyze-smoke: build
 	@tmp=`mktemp -d`; \
 	$(FST_EXE) gen --gates 400 --ffs 24 -o $$tmp/gen.net > /dev/null; \
@@ -219,15 +222,24 @@ analyze-smoke: build
 	    > /dev/null 2> /dev/null || \
 	    { echo "analyze-smoke: flow --obs-dir failed on $$f"; \
 	      rm -rf $$tmp; exit 1; }; \
-	  $(FST_EXE) jsonlint $$tmp/obs/run.json --expect fst-run/1 \
-	    --expect '"phases"' --expect '"timeline"' || \
+	  $(FST_EXE) jsonlint $$tmp/obs/run.json --expect fst-run/2 \
+	    --expect '"phases"' || \
 	    { rm -rf $$tmp; exit 1; }; \
 	  $(FST_EXE) jsonlint $$tmp/obs/metrics.prom --expect '# EOF' \
 	    --expect atpg_podem_runs_total || { rm -rf $$tmp; exit 1; }; \
 	  $(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start || \
 	    { rm -rf $$tmp; exit 1; }; \
-	  $(FST_EXE) analyze $$tmp/obs > /dev/null || \
+	  $(FST_EXE) analyze $$tmp/obs > $$tmp/report.txt || \
 	    { echo "analyze-smoke: report failed on $$f"; rm -rf $$tmp; exit 1; }; \
+	  grep -q '^domains:' $$tmp/report.txt || \
+	    { echo "analyze-smoke: no domains section at -j 2 on $$f"; \
+	      rm -rf $$tmp; exit 1; }; \
+	  rm -rf $$tmp/obs1; \
+	  $(FST_EXE) flow $$f -c 1 -j 1 --obs-dir $$tmp/obs1 \
+	    > /dev/null 2> /dev/null && \
+	  $(FST_EXE) analyze $$tmp/obs1 | grep -q '^domains:' || \
+	    { echo "analyze-smoke: no domains section at -j 1 on $$f"; \
+	      rm -rf $$tmp; exit 1; }; \
 	  cp -r $$tmp/obs $$tmp/base; \
 	  $(FST_EXE) analyze $$tmp/obs --baseline $$tmp/base > /dev/null || \
 	    { echo "analyze-smoke: self-diff reported a regression on $$f"; \

@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (DATE'98, "Functional Scan Chain Testing") on the synthetic
-   ISCAS'89-like suite, plus the ablations listed in DESIGN.md and a set of
-   Bechamel micro-benchmarks. Speed claims are measured with perfbench/,
-   not here.
+   ISCAS'89-like suite, plus the ablations listed in DESIGN.md. Speed
+   claims are measured with perfbench/, not here.
 
    Usage:  main.exe [table1|table2|table3|fig5|ablate-alt|ablate-dist|
                      ablate-trunc|ablate-order|ablate-compact|ablate-rtpg|
-                     coverage|micro|all]
+                     coverage|all]
    The suite size is controlled by FST_SCALE (default 0.10; 1.0 =
    published circuit sizes). *)
 
@@ -546,7 +545,7 @@ let ablate_compact () =
   in
   let cls = Classify.run prep.scanned prep.config faults in
   let view =
-    View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints ()
+    View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints
   in
   let scoap = Fst_testability.Scoap.compute view in
   let blocks = ref [] in
@@ -610,7 +609,7 @@ let ablate_rtpg () =
   let cls = Classify.run prep.scanned prep.config faults in
   let hard_faults = Array.map (fun i -> faults.(i)) cls.Classify.hard in
   let view =
-    View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints ()
+    View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints
   in
   let blocks_of generator n =
     let rng = Fst_gen.Rng.create 0xABCDL in
@@ -646,110 +645,10 @@ let ablate_rtpg () =
   print_endline
     "\nRandom vectors alone (the paper's partial-scan option) reach most but not\nall hard faults; deterministic ATPG closes the gap."
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the per-table kernels.                 *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let prep = prepare (Fst_gen.Suite.find ~scale:(min scale 0.1) "s1423") in
-  let faults =
-    Fst_fault.Fault.collapse prep.scanned (Fst_fault.Fault.universe prep.scanned)
-  in
-  let some_fault = faults.(Array.length faults / 2) in
-  let stim = Sequences.alternating prep.scanned prep.config ~repeats:2 in
-  let chunk = Array.sub faults 0 (min 62 (Array.length faults)) in
-  let view =
-    View.scan_mode prep.scanned ~constraints:prep.config.Scan.constraints ()
-  in
-  let scoap = Fst_testability.Scoap.compute view in
-  let live_sink = Fst_obs.Sink.create ~metrics:(Fst_obs.Metrics.create ()) () in
-  let tests =
-    [
-      Test.make ~name:"table2/classify-universe"
-        (Staged.stage (fun () ->
-             ignore (Classify.run prep.scanned prep.config faults)));
-      Test.make ~name:"table3/podem-one-fault"
-        (Staged.stage (fun () ->
-             ignore
-               (Fst_atpg.Podem.run ~backtrack_limit:200 ~scoap view
-                  ~faults:[ some_fault ])));
-      (* The observability overhead pair: the engine with the default
-         null sink (a single branch per call) and with a live metrics
-         sink, which adds a couple of counters per call. *)
-      Test.make ~name:"table3/fsim-engine-62"
-        (Staged.stage (fun () ->
-             ignore
-               (Fst_fsim.Fsim.Engine.detect_all ~jobs:1 prep.scanned
-                  ~faults:chunk ~observe:prep.scanned.Circuit.outputs stim)));
-      Test.make ~name:"obs/fsim-engine-livesink-62"
-        (Staged.stage (fun () ->
-             ignore
-               (Fst_fsim.Fsim.Engine.detect_all ~obs:live_sink ~jobs:1
-                  prep.scanned ~faults:chunk
-                  ~observe:prep.scanned.Circuit.outputs stim)));
-      Test.make ~name:"table3/fsim-engine-1"
-        (Staged.stage (fun () ->
-             ignore
-               (Fst_fsim.Fsim.Engine.detect_all ~jobs:1 prep.scanned
-                  ~faults:[| some_fault |]
-                  ~observe:prep.scanned.Circuit.outputs stim)));
-      Test.make ~name:"table1/tpi-insert"
-        (Staged.stage (fun () -> ignore (Tpi.insert prep.before)));
-      Test.make ~name:"fig5/realize-comb-test"
-        (Staged.stage (fun () ->
-             ignore
-               (Sequences.of_comb_test prep.scanned prep.config ~ff_values:[]
-                  ~pi_values:[])));
-    ]
-  in
-  let t =
-    Table.create ~title:"Micro-benchmarks (Bechamel, monotonic clock)"
-      [ ("kernel", Table.Left); ("time/run", Table.Right) ]
-  in
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let cfg =
-        Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-      in
-      let results =
-        Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test
-      in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-      in
-      let analysis = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          let cell =
-            match Analyze.OLS.estimates result with
-            | Some [ ns ] ->
-              estimates := (name, ns) :: !estimates;
-              if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-              else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-              else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-              else Printf.sprintf "%.0f ns" ns
-            | Some _ | None -> "n/a"
-          in
-          Table.row t [ name; cell ])
-        analysis)
-    tests;
-  Table.print t;
-  match
-    ( List.assoc_opt "table3/fsim-engine-62" !estimates,
-      List.assoc_opt "obs/fsim-engine-livesink-62" !estimates )
-  with
-  | Some null_s, Some live when null_s > 0.0 ->
-    Printf.printf "\nobs overhead of a live metrics sink: %+.2f%%\n"
-      (100.0 *. (live -. null_s) /. null_s)
-  | _ -> ()
-
-
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|fig5|ablate-alt|ablate-dist|ablate-trunc|ablate-order|ablate-compact|ablate-rtpg|coverage|micro|all]"
+     [table1|table2|table3|fig5|ablate-alt|ablate-dist|ablate-trunc|ablate-order|ablate-compact|ablate-rtpg|coverage|all]"
 
 let () =
   let target = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -767,7 +666,6 @@ let () =
   | "ablate-compact" -> ablate_compact ()
   | "ablate-rtpg" -> ablate_rtpg ()
   | "coverage" -> coverage_table ()
-  | "micro" -> micro ()
   | "all" ->
     table1 ();
     table2 ();
@@ -779,6 +677,5 @@ let () =
     ablate_order ();
     ablate_compact ();
     ablate_rtpg ();
-    coverage_table ();
-    micro ()
+    coverage_table ()
   | _ -> usage ()

@@ -50,8 +50,9 @@ let spec =
         Spec.value_arg [ "--obs-dir" ] ~docv:"DIR"
           ~doc:"Write the full run-artifact set to DIR: trace.json \
                 (Perfetto), events.jsonl, metrics.prom (OpenMetrics), and \
-                run.json (per-phase wall, histogram quantiles, per-domain \
-                timelines, abort accounting) for fst analyze.";
+                run.json (per-phase wall, histogram quantiles, abort \
+                accounting) for fst analyze; per-worker pool chunks are \
+                trace spans.";
         Spec.flag_arg [ "--no-sca" ]
           ~doc:"Disable phase-0 static analysis: no statically-proven \
                 untestable bucket. Every hard fault goes through ATPG, as \

@@ -39,7 +39,7 @@ let run p =
     Fst_fault.Fault.collapse scanned (Fst_fault.Fault.universe scanned)
   in
   let view =
-    Fst_netlist.View.scan_mode scanned ~constraints:config.Scan.constraints ()
+    Fst_netlist.View.scan_mode scanned ~constraints:config.Scan.constraints
   in
   let t = Fst_sca.Sca.analyze view ~faults in
   let s = t.Fst_sca.Sca.stats in

@@ -1145,7 +1145,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
       (fun i -> classify.Classify.infos.(i).Classify.fault)
       classify.Classify.hard
   in
-  let view = View.scan_mode scanned ~constraints:config.Scan.constraints () in
+  let view = View.scan_mode scanned ~constraints:config.Scan.constraints in
   let scoap = Fst_testability.Scoap.compute view in
   (* Phase 0 (static): ternary constant propagation, the implication graph
      and the fault-independent untestability proofs ({!Fst_sca.Sca}) over

@@ -17,7 +17,7 @@ type result = {
    loadable state free, primary outputs plus flip-flop data pins (the
    captured response) observable. *)
 let functional_view (scanned : Circuit.t) (config : Scan.config) =
-  View.scan_mode scanned ~constraints:[ (config.Scan.scan_mode, V3.Zero) ] ()
+  View.scan_mode scanned ~constraints:[ (config.Scan.scan_mode, V3.Zero) ]
 
 (* PODEM backtrack limit, and the seeded random capture blocks appended
    after the deterministic tests. *)

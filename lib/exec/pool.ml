@@ -10,7 +10,7 @@ let cancelled t = Atomic.get t
 
 module Sink = Fst_obs.Sink
 module Metrics = Fst_obs.Metrics
-module Timeline = Fst_obs.Timeline
+module Trace = Fst_obs.Trace
 
 (* Below this much estimated work (caller-scaled cost units; the fault
    simulator passes gate-evaluations), spawning domains costs more than
@@ -33,8 +33,8 @@ let retire_worker (obs : Sink.t) k ~busy ~wall =
 
 (* True on a domain while it runs pool tasks. A map nested inside a task
    (step 3's per-group fault simulation) runs within that task's chunk,
-   whose span, segment and busy time already cover it, so it records no
-   pool accounting of its own. *)
+   whose span and busy time already cover it, so it records no pool
+   accounting of its own. *)
 let in_task = Domain.DLS.new_key (fun () -> false)
 
 (* Work-stealing task loop. The index space is split into one contiguous
@@ -45,10 +45,16 @@ let in_task = Domain.DLS.new_key (fun () -> false)
    cursor may overshoot its range end under concurrent steals; the claim
    is simply empty then, so overshoot is harmless. Each slot of [results]
    is written by exactly one domain; [Domain.join] publishes those writes
-   to the caller. [stop] is polled before every claim (own or stolen, and
-   between tasks on the sequential path), so a tripped deadline or a
-   cancelled token drains the queue instead of running it to completion;
-   tasks already claimed run to the end of their chunk. *)
+   to the caller. [stop] is polled before every claim (own or stolen), so
+   a tripped deadline or a cancelled token drains the queue instead of
+   running it to completion; tasks already claimed run to the end of their
+   chunk. One worker runs on the calling domain; [jobs - 1] helpers are
+   spawned beside it.
+
+   With a live sink, each executed chunk is recorded once: one [pool]
+   trace span on its worker's tid (args [wid], [stolen]) and one
+   observation of [pool.<label>.chunk_s], both from the same two clock
+   reads that feed the worker's [pool.domain<k>.busy_s]. *)
 let run_tasks ~obs ~label ~jobs ~chunk ~stop n
     (run_one : int -> unit) =
   if n > 0 then begin
@@ -57,129 +63,91 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
     Domain.DLS.set in_task true;
     Fun.protect ~finally:(fun () -> Domain.DLS.set in_task nested)
     @@ fun () ->
-    if jobs <= 1 then begin
-      let t0 = if live then Clock.now () else 0.0 in
-      let i = ref 0 in
-      while !i < n && not (stop ()) do
-        run_one !i;
-        incr i
-      done;
-      if live then begin
-        let t1 = Clock.now () in
-        let dt = t1 -. t0 in
-        (match obs.Sink.timeline with
-         | Some tl -> Timeline.record tl ~wid:0 ~label ~t0 ~t1 ~stolen:false
-         | None -> ());
-        retire_worker obs 0 ~busy:dt ~wall:dt
-      end
-    end
-    else begin
-      let w = jobs in
-      let range_lo = Array.init (w + 1) (fun k -> k * n / w) in
-      let cursor = Array.init w (fun k -> Atomic.make range_lo.(k)) in
-      let chunks_c =
-        if live then
-          Some (Metrics.counter obs.Sink.metrics ("pool." ^ label ^ ".chunks"))
-        else None
+    let w = max 1 jobs in
+    let range_lo = Array.init (w + 1) (fun k -> k * n / w) in
+    let cursor = Array.init w (fun k -> Atomic.make range_lo.(k)) in
+    let metric make suffix =
+      if live then Some (make obs.Sink.metrics ("pool." ^ label ^ suffix))
+      else None
+    in
+    let chunks_c = metric Metrics.counter ".chunks" in
+    let steals_c = metric Metrics.counter ".steals" in
+    let chunk_h = metric Metrics.histogram ".chunk_s" in
+    let trace = if live then obs.Sink.trace else None in
+    let worker k =
+      Domain.DLS.set in_task true;
+      let wall0 = if live then Clock.now () else 0.0 in
+      let busy = ref 0.0 in
+      (* Claims one chunk from [victim]'s range; [None] when dry. *)
+      let try_claim victim =
+        let hi = range_lo.(victim + 1) in
+        if Atomic.get cursor.(victim) >= hi then None
+        else
+          let lo = Atomic.fetch_and_add cursor.(victim) chunk in
+          if lo < hi then Some (lo, min (lo + chunk) hi - 1) else None
       in
-      let steals_c =
-        if live then
-          Some (Metrics.counter obs.Sink.metrics ("pool." ^ label ^ ".steals"))
-        else None
-      in
-      let chunk_h =
-        if live then
-          Some
-            (Metrics.histogram obs.Sink.metrics ("pool." ^ label ^ ".chunk_s"))
-        else None
-      in
-      let worker k =
-        Domain.DLS.set in_task true;
-        let wall0 = if live then Clock.now () else 0.0 in
-        let busy = ref 0.0 in
-        (* Claims one chunk from [victim]'s range; [None] when dry. *)
-        let try_claim victim =
-          let hi = range_lo.(victim + 1) in
-          if Atomic.get cursor.(victim) >= hi then None
-          else
-            let lo = Atomic.fetch_and_add cursor.(victim) chunk in
-            if lo < hi then Some (lo, min (lo + chunk) hi - 1) else None
-        in
-        let run_chunk ~stolen lo hi =
-          let t0 = if live then Clock.now () else 0.0 in
-          let sp =
-            match obs.Sink.trace with
-            | Some tr when live ->
-              Some
-                ( tr,
-                  Fst_obs.Trace.begin_span tr
-                    ~name:(Printf.sprintf "%s[%d..%d]" label lo hi)
-                    ~cat:"pool" )
-            | _ -> None
-          in
-          for i = lo to hi do
-            run_one i
-          done;
-          (match sp with
-           | Some (tr, sp) -> ignore (Fst_obs.Trace.end_span tr sp)
+      let run_chunk ~stolen lo hi =
+        let t0 = if live then Clock.now () else 0.0 in
+        for i = lo to hi do
+          run_one i
+        done;
+        if live then begin
+          let dt = Clock.now () -. t0 in
+          busy := !busy +. dt;
+          (match trace with
+           | Some tr ->
+             Trace.complete tr
+               ~args:
+                 [ ("wid", Fst_obs.Json.Int k);
+                   ("stolen", Fst_obs.Json.Bool stolen) ]
+               ~name:(Printf.sprintf "%s[%d..%d]" label lo hi)
+               ~cat:"pool" ~start_s:t0 ~dur_s:dt
            | None -> ());
-          if live then begin
-            let t1 = Clock.now () in
-            let dt = t1 -. t0 in
-            busy := !busy +. dt;
-            (match obs.Sink.timeline with
-             | Some tl -> Timeline.record tl ~wid:k ~label ~t0 ~t1 ~stolen
-             | None -> ());
-            (match chunks_c with
-             | Some c -> Metrics.Counter.incr c
-             | None -> ());
-            match chunk_h with
-            | Some h -> Metrics.Histogram.observe h dt
-            | None -> ()
-          end
-        in
-        let rec loop () =
-          if not (stop ()) then begin
-            let claimed = ref false in
-            let v = ref 0 in
-            while (not !claimed) && !v < w do
-              let victim = (k + !v) mod w in
-              (match try_claim victim with
-               | Some (lo, hi) ->
-                 claimed := true;
-                 let stolen = victim <> k in
-                 if stolen then begin
-                   match steals_c with
-                   | Some c -> Metrics.Counter.incr c
-                   | None -> ()
-                 end;
-                 run_chunk ~stolen lo hi
-               | None -> ());
-              incr v
-            done;
-            if !claimed then loop ()
-          end
-        in
-        loop ();
-        if live then retire_worker obs k ~busy:!busy ~wall:(Clock.now () -. wall0)
+          Option.iter Metrics.Counter.incr chunks_c;
+          Option.iter (fun h -> Metrics.Histogram.observe h dt) chunk_h
+        end
       in
-      let helpers =
-        Array.init (w - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+      let rec loop () =
+        if not (stop ()) then begin
+          let claimed = ref false in
+          let v = ref 0 in
+          while (not !claimed) && !v < w do
+            let victim = (k + !v) mod w in
+            (match try_claim victim with
+             | Some (lo, hi) ->
+               claimed := true;
+               let stolen = victim <> k in
+               if stolen then Option.iter Metrics.Counter.incr steals_c;
+               run_chunk ~stolen lo hi
+             | None -> ());
+            incr v
+          done;
+          if !claimed then loop ()
+        end
       in
-      worker 0;
-      Array.iter Domain.join helpers
-    end
+      loop ();
+      if live then retire_worker obs k ~busy:!busy ~wall:(Clock.now () -. wall0)
+    in
+    let helpers =
+      Array.init (w - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+    in
+    worker 0;
+    Array.iter Domain.join helpers
   end
 
 let never_stop () = false
 
+(* One worker claims one task at a time, so the stop condition is
+   checked between consecutive tasks. *)
 let chunk_of ?chunk ~jobs n =
-  match chunk with
-  | Some c when c > 0 -> c
-  | Some _ | None ->
-    (* Small chunks keep the queue balanced when task costs vary; four
-       chunks per domain is enough to amortize the atomic claim. *)
-    if jobs <= 1 then n else max 1 (n / (jobs * 4))
+  if jobs <= 1 then 1
+  else
+    match chunk with
+    | Some c when c > 0 -> c
+    | Some _ | None ->
+      (* Small chunks keep the queue balanced when task costs vary; four
+         chunks per domain is enough to amortize the atomic claim. *)
+      max 1 (n / (jobs * 4))
 
 (* The effective worker count: never more than tasks, never more than
    hardware cores (extra domains only add minor-GC barrier thrash), and

@@ -13,9 +13,10 @@
     in input order regardless of completion order, so output is
     deterministic for any [jobs] value.
 
-    [jobs <= 1] runs everything sequentially on the calling domain — no
-    domains are spawned and behavior is exactly that of [Array.map]. The
-    same in-caller fallback triggers when the caller's total estimated
+    [jobs <= 1] runs the same worker loop with one worker, on the calling
+    domain: no domains are spawned, tasks run in index order one claim
+    at a time, and the result is exactly that of [Array.map]. The
+    same one-worker fallback triggers when the caller's total estimated
     [work] is below {!min_work}: spawning domains for a few milliseconds
     of simulation costs more than it returns. [jobs] above
     {!default_jobs} (the hardware core count) is clamped down to it:
@@ -65,12 +66,12 @@ val cancelled : token -> bool
     [pool.domain<k>.busy_frac] gauge; per region it counts
     [pool.<label>.chunks] and [pool.<label>.steals] (chunks claimed from
     another worker's range) and fills a [pool.<label>.chunk_s] duration
-    histogram; and when the sink carries a trace buffer, each claimed
-    chunk becomes a span on its worker's tid. When the sink carries a
-    {!Fst_obs.Timeline}, every executed chunk is additionally recorded
-    as a [{wid; label; t0; t1; stolen}] segment (the jobs ≤ 1 path
-    records one segment for the whole run), which is what feeds
-    per-domain utilization and idle-gap analysis in [run.json]. A map
+    histogram; and when the sink carries a trace buffer, each executed
+    chunk becomes one span of category [pool] on its worker's tid, with
+    args [wid] (the domain slot) and [stolen]. Span, histogram
+    observation and busy seconds come from the same two clock reads, so
+    [fst analyze]'s per-worker section, derived from the spans, agrees
+    with the metrics. Every [jobs] value records the same way. A map
     called from inside another map's task records none of this: the
     enclosing chunk already covers its time. With the null sink the
     only cost is one branch per chunk claim. *)

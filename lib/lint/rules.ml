@@ -570,7 +570,7 @@ let sca ctx ~limits (config : Scan.config) =
   let module Sca = Fst_sca.Sca in
   let module Fault = Fst_fault.Fault in
   let c = ctx.c in
-  let view = View.scan_mode c ~constraints:config.Scan.constraints () in
+  let view = View.scan_mode c ~constraints:config.Scan.constraints in
   let faults = Fault.collapse c (Fault.universe c) in
   let t = Sca.analyze view ~faults in
   let cap = limits.max_testability_reports in
@@ -648,7 +648,7 @@ let sca ctx ~limits (config : Scan.config) =
    hard to control or observe, independent of any scan configuration. *)
 let testability ctx ~limits =
   let c = ctx.c in
-  let view = View.scan_mode c ~constraints:[] () in
+  let view = View.scan_mode c ~constraints:[] in
   let scoap = Fst_testability.Scoap.compute view in
   let gates = ref [] in
   for i = Circuit.num_nets c - 1 downto 0 do

@@ -33,7 +33,7 @@ let make (c : Circuit.t) ~free ~fixed ~observe =
     fixed;
   { circuit = c; free = free_arr; fixed = fixed_arr; observe = Array.of_list observe }
 
-let scan_mode (c : Circuit.t) ~constraints ?(extra_observe = []) () =
+let scan_mode (c : Circuit.t) ~constraints =
   let constrained = List.map fst constraints in
   let free_pis =
     Array.to_list c.Circuit.inputs
@@ -43,7 +43,6 @@ let scan_mode (c : Circuit.t) ~constraints ?(extra_observe = []) () =
   let observe =
     List.map (fun o -> Onet o) (Array.to_list c.Circuit.outputs)
     @ List.map (fun ff -> Opin { node = ff; pin = 0 }) (Array.to_list c.Circuit.dffs)
-    @ extra_observe
   in
   make c ~free ~fixed:constraints ~observe
 

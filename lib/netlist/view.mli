@@ -32,14 +32,12 @@ val make :
   observe:obs_point list ->
   t
 
-(** [scan_mode c ~constraints ~extra_observe] is the standard scan-mode
-    combinational model: every primary input not bound by [constraints] and
-    every flip-flop output is free; constrained inputs are fixed; the
-    observation points are the primary outputs, every flip-flop data pin,
-    and [extra_observe]. *)
-val scan_mode :
-  Circuit.t -> constraints:(int * V3.t) list -> ?extra_observe:obs_point list ->
-  unit -> t
+(** [scan_mode c ~constraints] is the standard scan-mode combinational
+    model: every primary input not bound by [constraints] and every
+    flip-flop output is free; constrained inputs are fixed; the
+    observation points are the primary outputs and every flip-flop data
+    pin. *)
+val scan_mode : Circuit.t -> constraints:(int * V3.t) list -> t
 
 val obs_source_net : t -> obs_point -> int
 val free_inputs : t -> int array

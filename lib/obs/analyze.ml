@@ -6,22 +6,12 @@
 
 type hist = { count : int; sum : float; p50 : float; p90 : float; p99 : float }
 
-type dom = {
-  wid : int;
-  busy_s : float;
-  chunks : int;
-  steals : int;
-  busy_frac : float;
-}
-
 type run = {
   wall_s : float;
   phases : (string * float) list;
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * hist) list;
-  domains : dom list;
-  segs : Timeline.seg list;
   config : Json.t;
 }
 
@@ -53,21 +43,6 @@ let hist_of_json j =
       Some { count; sum; p50; p90; p99 }
   | _ -> None
 
-let dom_of_json j =
-  let f k = Option.bind (Json.member k j) num in
-  let i k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  match (i "wid", f "busy_s", f "busy_frac") with
-  | Some wid, Some busy_s, Some busy_frac ->
-      Some
-        {
-          wid;
-          busy_s;
-          chunks = Option.value ~default:0 (i "chunks");
-          steals = Option.value ~default:0 (i "steals");
-          busy_frac;
-        }
-  | _ -> None
-
 let run_of_json j =
   match Artifacts.validate_run j with
   | Error e -> Error e
@@ -83,16 +58,6 @@ let run_of_json j =
               kvs
         | _ -> []
       in
-      let domains =
-        match Json.member "domains" j with
-        | Some (Json.List l) -> List.filter_map dom_of_json l
-        | _ -> []
-      in
-      let segs =
-        match Json.member "timeline" j with
-        | Some tl -> Timeline.of_json tl
-        | None -> []
-      in
       Ok
         {
           wall_s;
@@ -100,8 +65,6 @@ let run_of_json j =
           counters = obj_ints (Json.member "counters" j);
           gauges = obj_nums (Json.member "gauges" j);
           histograms;
-          domains;
-          segs;
           config = Option.value ~default:Json.Null (Json.member "config" j);
         }
 
@@ -119,7 +82,14 @@ let load_run path =
 
 (* ---- spans (trace.json) -------------------------------------------- *)
 
-type span = { name : string; cat : string; tid : int; t0 : float; t1 : float }
+type span = {
+  name : string;
+  cat : string;
+  tid : int;
+  t0 : float;
+  t1 : float;
+  args : (string * Json.t) list;
+}
 
 let spans_of_trace j =
   (* Complete events only; ts/dur are microseconds relative to trace
@@ -138,6 +108,11 @@ let spans_of_trace j =
                 match Json.member "tid" e with Some (Json.Int t) -> t | _ -> 0
               in
               let t0 = ts /. 1e6 in
+              let args =
+                match Json.member "args" e with
+                | Some (Json.Obj kvs) -> kvs
+                | _ -> []
+              in
               Some
                 {
                   name;
@@ -145,6 +120,7 @@ let spans_of_trace j =
                   tid;
                   t0;
                   t1 = t0 +. (dur /. 1e6);
+                  args;
                 }
           | _ -> None)
         evs
@@ -165,11 +141,37 @@ let load_dir dir =
 
 type critical_path = {
   cp_length_s : float;  (** longest chain of non-overlapping spans *)
-  cp_total_s : float;  (** sum of all span durations (total work) *)
+  cp_total_s : float;  (** busy time summed over tids (total work) *)
   cp_window_s : float;  (** max end - min start over all spans *)
   cp_chain : span list;  (** the chain itself, chronological *)
   cp_amdahl : float;  (** total / length: parallel speedup ceiling *)
 }
+
+(* Total work: the length of the union of each tid's spans, summed over
+   tids, so a span nested in another on its tid (an fsim call inside its
+   phase) is not counted twice. A chain of pairwise non-overlapping spans
+   fits inside the union of all spans, so it never exceeds this. *)
+let busy_time spans =
+  let by_tid = Hashtbl.create 8 in
+  List.iter
+    (fun s ->
+      Hashtbl.replace by_tid s.tid
+        (s :: Option.value ~default:[] (Hashtbl.find_opt by_tid s.tid)))
+    spans;
+  Hashtbl.fold
+    (fun _ l acc ->
+      match List.sort (fun a b -> Float.compare a.t0 b.t0) l with
+      | [] -> acc
+      | first :: rest ->
+        let total, lo, hi =
+          List.fold_left
+            (fun (total, lo, hi) s ->
+              if s.t0 > hi then (total +. (hi -. lo), s.t0, s.t1)
+              else (total, lo, Float.max hi s.t1))
+            (0.0, first.t0, first.t1) rest
+        in
+        acc +. total +. (hi -. lo))
+    by_tid 0.0
 
 (* Longest chain of pairwise non-overlapping spans, by DP over spans
    sorted by end time: cp(i) = dur(i) + max { cp(j) | end(j) <= start(i) }.
@@ -228,7 +230,7 @@ let critical_path spans =
           best_idx.(i) <- best_idx.(i - 1)
         end
       done;
-      let total = Array.fold_left (fun a s -> a +. (s.t1 -. s.t0)) 0.0 arr in
+      let total = busy_time spans in
       let lo_t =
         Array.fold_left (fun a s -> Float.min a s.t0) infinity arr
       in
@@ -326,48 +328,50 @@ type util = {
   u_gaps : (float * float) list;  (** idle gaps above the threshold *)
 }
 
-let utilization ?(gap_s = 0.001) (segs : Timeline.seg list) =
-  if segs = [] then []
-  else begin
+(* One worker's executed chunk, read from a [pool] span's args. *)
+let pool_chunk s =
+  match (s.cat, List.assoc_opt "wid" s.args) with
+  | "pool", Some (Json.Int wid) ->
+    Some (wid, s, List.assoc_opt "stolen" s.args = Some (Json.Bool true))
+  | _ -> None
+
+let utilization ?(gap_s = 0.001) spans =
+  match List.filter_map pool_chunk spans with
+  | [] -> []
+  | chunks ->
     let window_lo =
-      List.fold_left (fun a (s : Timeline.seg) -> Float.min a s.t0) infinity segs
+      List.fold_left (fun a (_, s, _) -> Float.min a s.t0) infinity chunks
     in
     let window_hi =
-      List.fold_left (fun a (s : Timeline.seg) -> Float.max a s.t1) neg_infinity
-        segs
+      List.fold_left (fun a (_, s, _) -> Float.max a s.t1) neg_infinity chunks
     in
     let window = window_hi -. window_lo in
     let by_wid = Hashtbl.create 8 in
     List.iter
-      (fun (s : Timeline.seg) ->
-        let l = Option.value ~default:[] (Hashtbl.find_opt by_wid s.wid) in
-        Hashtbl.replace by_wid s.wid (s :: l))
-      segs;
+      (fun ((wid, _, _) as c) ->
+        let l = Option.value ~default:[] (Hashtbl.find_opt by_wid wid) in
+        Hashtbl.replace by_wid wid (c :: l))
+      chunks;
     Hashtbl.fold (fun wid l acc -> (wid, l) :: acc) by_wid []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map (fun (wid, l) ->
            let l =
-             List.sort
-               (fun (a : Timeline.seg) (b : Timeline.seg) ->
-                 Float.compare a.t0 b.t0)
-               l
+             List.sort (fun (_, a, _) (_, b, _) -> Float.compare a.t0 b.t0) l
            in
            let busy =
-             List.fold_left
-               (fun a (s : Timeline.seg) -> a +. (s.t1 -. s.t0))
-               0.0 l
+             List.fold_left (fun a (_, s, _) -> a +. (s.t1 -. s.t0)) 0.0 l
            in
            let steals =
              List.fold_left
-               (fun a (s : Timeline.seg) -> a + if s.stolen then 1 else 0)
+               (fun a (_, _, stolen) -> if stolen then a + 1 else a)
                0 l
            in
-           (* idle gaps: before first seg, between segs, after last —
+           (* idle gaps: before first chunk, between chunks, after last —
               relative to the shared observation window *)
            let gaps = ref [] in
            let cursor = ref window_lo in
            List.iter
-             (fun (s : Timeline.seg) ->
+             (fun (_, s, _) ->
                if s.t0 -. !cursor > gap_s then
                  gaps := (!cursor, s.t0) :: !gaps;
                cursor := Float.max !cursor s.t1)
@@ -382,7 +386,6 @@ let utilization ?(gap_s = 0.001) (segs : Timeline.seg list) =
              u_steals = steals;
              u_gaps = List.rev !gaps;
            })
-  end
 
 (* ---- diff ------------------------------------------------------------ *)
 
@@ -476,7 +479,7 @@ let render_report ?(k = 10) (run : run) (spans : span list) =
       add "  %-14s %10s  %5.1f%%\n" name (fmt_s v)
         (if ptot > 0.0 then v /. ptot *. 100.0 else 0.0))
     run.phases;
-  let utils = utilization run.segs in
+  let utils = utilization spans in
   if utils <> [] then begin
     add "\ndomains:\n";
     List.iter

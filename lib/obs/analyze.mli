@@ -8,26 +8,23 @@
 
 type hist = { count : int; sum : float; p50 : float; p90 : float; p99 : float }
 
-type dom = {
-  wid : int;
-  busy_s : float;
-  chunks : int;
-  steals : int;
-  busy_frac : float;
-}
-
 type run = {
   wall_s : float;
   phases : (string * float) list;  (** bare phase name → wall seconds *)
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * hist) list;
-  domains : dom list;
-  segs : Timeline.seg list;
   config : Json.t;
 }
 
-type span = { name : string; cat : string; tid : int; t0 : float; t1 : float }
+type span = {
+  name : string;
+  cat : string;
+  tid : int;
+  t0 : float;
+  t1 : float;
+  args : (string * Json.t) list;
+}
 (** One complete trace event ([trace.json]), times in seconds relative
     to trace start. *)
 
@@ -43,7 +40,9 @@ val load_dir : string -> (run * span list, string) result
 
 type critical_path = {
   cp_length_s : float;  (** longest chain of non-overlapping spans *)
-  cp_total_s : float;  (** sum of all span durations (total work) *)
+  cp_total_s : float;
+      (** total work: per tid, the length of the union of its spans, so
+          nested spans count once; summed over tids *)
   cp_window_s : float;  (** max end − min start over all spans *)
   cp_chain : span list;  (** the chain, chronological *)
   cp_amdahl : float;  (** total / length — parallel speedup ceiling *)
@@ -83,9 +82,14 @@ type util = {
   u_gaps : (float * float) list;  (** idle gaps longer than [gap_s] *)
 }
 
-val utilization : ?gap_s:float -> Timeline.seg list -> util list
-(** Per-worker busy time, fraction of the run-wide window, and idle-gap
-    detection ([gap_s] default 1 ms), sorted by worker id. *)
+val utilization : ?gap_s:float -> span list -> util list
+(** Per-worker busy time, fraction of the window the [pool] spans cover,
+    chunk and steal counts, and idle-gap detection ([gap_s] default
+    1 ms), sorted by worker id. Reads only spans of category [pool]
+    ({!Fst_exec.Pool} writes one per executed chunk), taking the worker
+    from their [wid] arg and the steal flag from [stolen]; busy seconds
+    and counts therefore match the run's [pool.domain<k>.busy_s] and
+    [pool.<label>.chunks]/[steals] metrics. *)
 
 (** {1 Structured diff & regression gate} *)
 

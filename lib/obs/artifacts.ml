@@ -3,13 +3,13 @@
      trace.json    Chrome trace_event (Perfetto-loadable)
      events.jsonl  structured event log, flushed per line
      metrics.prom  OpenMetrics text exposition
-     run.json      the summary Analyze consumes (schema "fst-run/1")
+     run.json      the summary Analyze consumes (schema "fst-run/2")
 
    The handle owns every channel of the sink it hands out, so the flow
    stays a pure observer: the caller threads [sink h] through the run
    and calls [write] once at the end. *)
 
-let schema_version = "fst-run/1"
+let schema_version = "fst-run/2"
 
 type t = {
   dir : string;
@@ -17,7 +17,6 @@ type t = {
   trace : Trace.t;
   events : Events.t;
   events_oc : out_channel;
-  timeline : Timeline.t;
   t_start : float;
 }
 
@@ -41,13 +40,11 @@ let create ~dir =
     trace = Trace.create ();
     events = Events.to_channel events_oc;
     events_oc;
-    timeline = Timeline.create ();
     t_start = Unix.gettimeofday ();
   }
 
-let sink ?progress ?atpg_span_s t =
-  Sink.create ~metrics:t.metrics ~trace:t.trace ~events:t.events
-    ?progress ~timeline:t.timeline ?atpg_span_s ()
+let sink ?progress t =
+  Sink.create ~metrics:t.metrics ~trace:t.trace ~events:t.events ?progress ()
 
 (* ---- run.json ------------------------------------------------------ *)
 
@@ -103,34 +100,6 @@ let phases_of_snapshot snap =
       | _ -> None)
     snap
 
-(* Per-worker attribution from the timeline: busy = sum of segment
-   durations, wall = the run's whole observation window (shared by all
-   workers, so fractions are comparable), steals counted per worker. *)
-let domains_of_timeline segs ~window =
-  let tbl : (int, float * int * int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Timeline.seg) ->
-      let busy, chunks, steals =
-        Option.value ~default:(0.0, 0, 0) (Hashtbl.find_opt tbl s.wid)
-      in
-      Hashtbl.replace tbl s.wid
-        ( busy +. (s.t1 -. s.t0),
-          chunks + 1,
-          steals + if s.stolen then 1 else 0 ))
-    segs;
-  Hashtbl.fold (fun wid v acc -> (wid, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map (fun (wid, (busy, chunks, steals)) ->
-         Json.Obj
-           [
-             ("wid", Json.Int wid);
-             ("busy_s", json_float busy);
-             ("chunks", Json.Int chunks);
-             ("steals", Json.Int steals);
-             ( "busy_frac",
-               json_float (if window > 0.0 then busy /. window else 0.0) );
-           ])
-
 let run_json ?(config = Json.Null) ?(extra = []) t =
   let wall = Unix.gettimeofday () -. t.t_start in
   let snap = Metrics.snapshot t.metrics in
@@ -154,10 +123,6 @@ let run_json ?(config = Json.Null) ?(extra = []) t =
       (function n, Metrics.Histogram_v h -> Some (n, hist_json h) | _ -> None)
       snap
   in
-  let segs = Timeline.segments t.timeline in
-  let window =
-    List.fold_left (fun acc (s : Timeline.seg) -> Float.max acc s.t1) 0.0 segs
-  in
   Json.Obj
     ([
        ("schema", Json.String schema_version);
@@ -168,8 +133,6 @@ let run_json ?(config = Json.Null) ?(extra = []) t =
        ("gauges", Json.Obj gauges);
        ("fcounters", Json.Obj fcounters);
        ("histograms", Json.Obj histograms);
-       ("domains", Json.List (domains_of_timeline segs ~window));
-       ("timeline", Timeline.to_json t.timeline);
      ]
     @ extra)
 
@@ -189,7 +152,7 @@ let write ?config ?extra t =
 let run_json_keys =
   [
     "schema"; "wall_s"; "config"; "phases"; "counters"; "gauges";
-    "fcounters"; "histograms"; "domains"; "timeline";
+    "fcounters"; "histograms";
   ]
 
 let validate_run json =

@@ -9,8 +9,10 @@
     - [run.json] — the summary {!Analyze} consumes: schema tag, total
       wall, caller-supplied config blob, per-phase wall seconds (from
       the flow's [flow.<phase>.wall_s] gauges), counter/gauge/fcounter
-      snapshots, histograms with p50/p90/p99 log-bucket quantiles, and
-      per-domain busy/steal attribution from the pool {!Timeline}.
+      snapshots, and histograms with p50/p90/p99 log-bucket quantiles.
+      Schema tag ["fst-run/2"]. Per-worker pool attribution is not
+      repeated here: {!Analyze} derives it from the [pool] spans of
+      [trace.json].
 
     The sink handed out by {!sink} is an ordinary {!Sink.t}; the flow
     result is bit-identical with or without it (pure-observer contract,
@@ -21,8 +23,8 @@ type t
 val create : dir:string -> t
 (** Creates [dir] (and parents) and opens [events.jsonl]. *)
 
-val sink : ?progress:Progress.t -> ?atpg_span_s:float -> t -> Sink.t
-(** A live sink wired to this handle's metrics/trace/events/timeline. *)
+val sink : ?progress:Progress.t -> t -> Sink.t
+(** A live sink wired to this handle's metrics/trace/events. *)
 
 val run_json : ?config:Json.t -> ?extra:(string * Json.t) list -> t -> Json.t
 (** The [run.json] document as of now; [extra] appends caller fields
@@ -38,4 +40,4 @@ val quantile_of_buckets : (float * int) list -> int -> float -> float
 
 val validate_run : Json.t -> (unit, string) result
 (** Structural check used by [fst jsonlint]: object, the ["schema"] key
-    is ["fst-run/1"], all top-level keys present. *)
+    is ["fst-run/2"], all top-level keys present. *)

@@ -1,13 +1,15 @@
+(* Seconds between heartbeat lines within one phase. *)
+let interval = 1.0
+
 type t = {
-  interval : float;
   lock : Mutex.t;
   mutable last : float; (* 0.0 = never printed *)
   mutable phase_start : float;
   mutable phase : string;
 }
 
-let create ?(interval = 1.0) () =
-  { interval; lock = Mutex.create (); last = 0.0; phase_start = 0.0; phase = "" }
+let create () =
+  { lock = Mutex.create (); last = 0.0; phase_start = 0.0; phase = "" }
 
 let tick t ?(failed = 0) ?(quarantined = 0) ~phase ~done_ ~total ~detected
     ~budget_left () =
@@ -19,7 +21,7 @@ let tick t ?(failed = 0) ?(quarantined = 0) ~phase ~done_ ~total ~detected
     (* force a print on phase entry *)
     t.last <- 0.0
   end;
-  let due = t.last = 0.0 || now -. t.last >= t.interval in
+  let due = t.last = 0.0 || now -. t.last >= interval in
   if due then t.last <- now;
   let phase_start = t.phase_start in
   Mutex.unlock t.lock;

@@ -1,7 +1,7 @@
 (** Progress heartbeat: a rate-limited one-line status printer.
 
     [tick] is cheap to call from inner loops — it reads the clock and
-    returns unless [interval] seconds have passed since the last line
+    returns unless a second has passed since the last line
     (the very first tick always prints, so short runs still show a
     heartbeat). Lines go to [stderr] and look like:
 
@@ -9,8 +9,7 @@
 
 type t
 
-val create : ?interval:float -> unit -> t
-(** [interval] defaults to 1 second. *)
+val create : unit -> t
 
 val tick :
   t ->

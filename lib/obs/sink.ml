@@ -4,7 +4,6 @@ type t = {
   trace : Trace.t option;
   events : Events.t option;
   progress : Progress.t option;
-  timeline : Timeline.t option;
   atpg_span_s : float;
 }
 
@@ -15,16 +14,14 @@ let null =
     trace = None;
     events = None;
     progress = None;
-    timeline = None;
     atpg_span_s = infinity;
   }
 
-let create ?metrics ?trace ?events ?progress ?timeline
-    ?(atpg_span_s = 0.001) () =
+let create ?metrics ?trace ?events ?progress ?(atpg_span_s = 0.001) () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  { enabled = true; metrics; trace; events; progress; timeline; atpg_span_s }
+  { enabled = true; metrics; trace; events; progress; atpg_span_s }
 
 let span t ~name ~cat f =
   match t.trace with

@@ -21,9 +21,6 @@ type t = {
   trace : Trace.t option;
   events : Events.t option;
   progress : Progress.t option;
-  timeline : Timeline.t option;
-      (** per-worker chunk attribution from {!Fst_exec.Pool}; feeds the
-          per-domain utilization section of [run.json] *)
   atpg_span_s : float;
       (** individual ATPG calls shorter than this are not traced
           (default 1 ms) *)
@@ -38,7 +35,6 @@ val create :
   ?trace:Trace.t ->
   ?events:Events.t ->
   ?progress:Progress.t ->
-  ?timeline:Timeline.t ->
   ?atpg_span_s:float ->
   unit ->
   t

@@ -26,28 +26,12 @@ let push t ev =
   t.n <- t.n + 1;
   Mutex.unlock t.lock
 
-type span = { s_name : string; s_cat : string; s_ts : float; s_tid : int }
-
-let begin_span t ~name ~cat =
-  { s_name = name; s_cat = cat; s_ts = us_since t; s_tid = (Domain.self () :> int) }
-
-let end_span ?(args = []) t sp =
-  let dur = us_since t -. sp.s_ts in
-  push t
-    {
-      name = sp.s_name;
-      cat = sp.s_cat;
-      ph = "X";
-      ts = sp.s_ts;
-      dur;
-      tid = sp.s_tid;
-      args;
-    };
-  dur *. 1e-6
-
-let with_span ?args t ~name ~cat f =
-  let sp = begin_span t ~name ~cat in
-  Fun.protect ~finally:(fun () -> ignore (end_span ?args t sp)) f
+let with_span ?(args = []) t ~name ~cat f =
+  let ts = us_since t and tid = (Domain.self () :> int) in
+  Fun.protect
+    ~finally:(fun () ->
+      push t { name; cat; ph = "X"; ts; dur = us_since t -. ts; tid; args })
+    f
 
 let complete ?(args = []) t ~name ~cat ~start_s ~dur_s =
   push t

@@ -11,15 +11,6 @@ type t
 
 val create : unit -> t
 
-type span
-(** An open span: start timestamp + identity. Pure data — end it on the
-    same domain that began it so the tid is honest. *)
-
-val begin_span : t -> name:string -> cat:string -> span
-
-val end_span : ?args:(string * Json.t) list -> t -> span -> float
-(** Records the complete event; returns the span duration in seconds. *)
-
 val with_span :
   ?args:(string * Json.t) list ->
   t ->

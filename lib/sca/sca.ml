@@ -746,7 +746,7 @@ let csr nl codes ne =
   off.(nl) <- !w;
   (off, Array.sub codes 0 (max !w 1))
 
-let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
+let analyze (view : View.t) ~(faults : Fault.t array) =
   let t0 = Clock.now () in
   let c = view.View.circuit in
   let n = Circuit.num_nets c in
@@ -882,13 +882,12 @@ let analyze ?(learn = true) (view : View.t) ~(faults : Fault.t array) =
         let applied = assume p m (V3.of_bool value) in
         let applied =
           applied
-          && ((not learn)
-             ||
-             match recursive_learn p with
-             | k ->
-               learned_total := !learned_total + k;
-               true
-             | exception Contradiction -> false)
+          &&
+          match recursive_learn p with
+          | k ->
+            learned_total := !learned_total + k;
+            true
+          | exception Contradiction -> false
         in
         let l = lit ~net:m ~value in
         if not applied then begin

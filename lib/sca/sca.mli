@@ -143,11 +143,11 @@ type t = private {
   stats : stats;
 }
 
-val analyze : ?learn:bool -> View.t -> faults:Fault.t array -> t
+val analyze : View.t -> faults:Fault.t array -> t
 (** [analyze view ~faults] runs the full static analysis over the given
-    fault targets (normally the collapsed hard-fault set). [learn]
-    (default [true]) enables depth-1 recursive learning. Deterministic:
-    depends only on the view and the fault array. *)
+    fault targets (normally the collapsed hard-fault set), depth-1
+    recursive learning included. Deterministic: depends only on the view
+    and the fault array. *)
 
 val impossible : t -> int -> V3.t -> bool
 (** [impossible t net v] is [true] when the good machine can never hold

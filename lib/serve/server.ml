@@ -202,7 +202,7 @@ let run_sca scanned (scancfg : Scan.config) =
   in
   let view =
     Fst_netlist.View.scan_mode scanned
-      ~constraints:scancfg.Scan.constraints ()
+      ~constraints:scancfg.Scan.constraints
   in
   let a = Fst_sca.Sca.analyze view ~faults in
   (Fst_sca.Sca.to_json a, true)

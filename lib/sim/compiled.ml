@@ -359,8 +359,8 @@ let walk cc w ~seeds ~targets =
   done;
   if !found then -1 else !tail
 
-let cone_slots ?walker:w cc ~seeds =
-  let w = match w with Some w -> w | None -> walker cc in
+let cone_slots cc ~seeds =
+  let w = walker cc in
   let a = Array.sub w.queue 0 (walk cc w ~seeds ~targets:no_targets) in
   Array.sort Int.compare a;
   a

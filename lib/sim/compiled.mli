@@ -118,10 +118,9 @@ type walker
 
 val walker : t -> walker
 
-(** [cone_slots ?walker cc ~seeds] is the cone of [seeds], sorted
-    ascending — i.e. levelized. Without [walker] it walks on fresh
-    scratch. *)
-val cone_slots : ?walker:walker -> t -> seeds:int array -> int array
+(** [cone_slots cc ~seeds] is the cone of [seeds], sorted ascending —
+    i.e. levelized — walked on fresh scratch. *)
+val cone_slots : t -> seeds:int array -> int array
 
 (** [reaches w cc ~seeds targets] is whether the cone of [seeds] holds a
     slot whose byte in [targets] is nonzero. The walk stops at the first

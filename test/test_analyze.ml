@@ -10,14 +10,13 @@ module Json = Fst_obs.Json
 module A = Fst_obs.Analyze
 module Artifacts = Fst_obs.Artifacts
 module Openmetrics = Fst_obs.Openmetrics
-module Timeline = Fst_obs.Timeline
 module Pool = Fst_exec.Pool
 
 let eps = 1e-9
 
 (* --- critical path ----------------------------------------------------- *)
 
-let span name tid t0 t1 = { A.name; cat = "t"; tid; t0; t1 }
+let span name tid t0 t1 = { A.name; cat = "t"; tid; t0; t1; args = [] }
 
 let test_critical_path_chain () =
   (* a(0..2) then b(3..5.5) form the chain; c(0..4) overlaps both. *)
@@ -29,6 +28,20 @@ let test_critical_path_chain () =
   Alcotest.(check (list string)) "chain" [ "a"; "b" ]
     (List.map (fun s -> s.A.name) cp.A.cp_chain);
   Alcotest.(check (float eps)) "amdahl" (8.5 /. 4.5) cp.A.cp_amdahl
+
+(* A phase span and the calls nested in it on one tid are one stretch of
+   work: the total counts each instant of a tid once, so a single-domain
+   run has no parallel headroom. *)
+let test_critical_path_nested_one_tid () =
+  let spans =
+    [ span "phase" 0 0.0 10.0; span "call" 0 1.0 4.0; span "call" 0 5.0 9.0;
+      span "inner" 0 2.0 3.0 ]
+  in
+  let cp = A.critical_path spans in
+  Alcotest.(check (float eps)) "total counts nesting once" 10.0
+    cp.A.cp_total_s;
+  Alcotest.(check (float eps)) "length" 10.0 cp.A.cp_length_s;
+  Alcotest.(check (float eps)) "amdahl" 1.0 cp.A.cp_amdahl
 
 let test_critical_path_empty () =
   let cp = A.critical_path [] in
@@ -110,8 +123,6 @@ let mk_run ?(wall = 1.0) ?(phases = []) ?(counters = []) () =
     counters;
     gauges = [];
     histograms = [];
-    domains = [];
-    segs = [];
     config = Json.Null;
   }
 
@@ -156,15 +167,30 @@ let test_counters_informational () =
 
 (* --- utilization & self time ------------------------------------------- *)
 
-let seg wid t0 t1 stolen = { Timeline.wid; label = "w"; t0; t1; stolen }
+(* A pool chunk span as Pool writes it: category [pool], the worker in
+   [wid], the steal flag in [stolen]; its tid is the domain's, not the
+   worker slot. *)
+let chunk wid t0 t1 stolen =
+  {
+    A.name = "w[0..0]";
+    cat = "pool";
+    tid = 10 + wid;
+    t0;
+    t1;
+    args = [ ("wid", Json.Int wid); ("stolen", Json.Bool stolen) ];
+  }
 
 let test_utilization_gaps () =
-  let segs =
-    [ seg 0 0.0 1.0 false; seg 0 3.0 4.0 false; seg 1 0.0 4.0 true ]
+  let spans =
+    [ chunk 0 0.0 1.0 false; chunk 0 3.0 4.0 false; chunk 1 0.0 4.0 true;
+      (* not pool work: a phase span covering the idle gap *)
+      span "phase" 10 0.0 6.0 ]
   in
-  match A.utilization ~gap_s:0.5 segs with
+  match A.utilization ~gap_s:0.5 spans with
   | [ u0; u1 ] ->
     Alcotest.(check int) "wid order" 0 u0.A.u_wid;
+    Alcotest.(check int) "wid from args" 1 u1.A.u_wid;
+    Alcotest.(check int) "chunks0" 2 u0.A.u_chunks;
     Alcotest.(check (float eps)) "busy0" 2.0 u0.A.u_busy_s;
     Alcotest.(check (float eps)) "frac0" 0.5 u0.A.u_busy_frac;
     Alcotest.(check int) "one idle gap" 1 (List.length u0.A.u_gaps);
@@ -247,7 +273,7 @@ let test_artifacts_round_trip () =
   with_temp_dir (fun dir ->
       let a = Artifacts.create ~dir in
       let sink = Artifacts.sink a in
-      (* Feed every channel: a pool map (timeline + domain gauges), a
+      (* Feed every channel: a pool map (chunk spans + domain gauges), a
          phase gauge, an event. *)
       let xs = Array.init 50 (fun i -> i) in
       let r =
@@ -263,19 +289,32 @@ let test_artifacts_round_trip () =
           Alcotest.(check bool) (f ^ " exists") true
             (Sys.file_exists (Filename.concat dir f)))
         [ "run.json"; "trace.json"; "events.jsonl"; "metrics.prom" ];
+      let raw =
+        Json.of_string
+          (In_channel.with_open_bin (Filename.concat dir "run.json")
+             In_channel.input_all)
+      in
+      Alcotest.(check bool) "schema fst-run/2" true
+        (Json.member "schema" raw = Some (Json.String "fst-run/2"));
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " key gone") true
+            (Json.member k raw = None))
+        [ "domains"; "timeline" ];
       match A.load_dir dir with
       | Error e -> Alcotest.failf "load_dir: %s" e
-      | Ok (run, _spans) ->
+      | Ok (run, spans) ->
         Alcotest.(check (option (float eps))) "phase survives" (Some 0.25)
           (List.assoc_opt "step3" run.A.phases);
-        Alcotest.(check bool) "timeline recorded" true (run.A.segs <> []);
+        Alcotest.(check bool) "pool spans recorded" true
+          (List.exists (fun s -> s.A.cat = "pool") spans);
         Alcotest.(check bool) "utilization derivable" true
-          (A.utilization run.A.segs <> []);
+          (A.utilization spans <> []);
         (* and the self-diff is clean *)
         Alcotest.(check int) "self-diff has no regressions" 0
           (List.length (A.regressions (A.diff run run))))
 
-(* `fst analyze --baseline` takes an artifact directory or its fst-run/1
+(* `fst analyze --baseline` takes an artifact directory or its fst-run/2
    run.json and nothing else: a file in the retired bench-summary shape
    fails with the run.json schema error (exit 1), and the circuit
    selector option that went with it is unknown (exit 2). *)
@@ -314,6 +353,54 @@ let test_cli_baseline_is_run_json () =
            ~needle:("fst analyze: unknown option " ^ selector) stderr);
       let code, _, _ = Helpers.run_fst [ "analyze"; obs; "--baseline"; obs ] in
       Alcotest.(check int) "obs-dir baseline still accepted" 0 code)
+
+(* The domains section is derived from the pool spans alone, and agrees
+   with the pool's own metrics: per worker, busy seconds equal
+   [pool.domain<k>.busy_s]; over all workers, chunks and steals equal the
+   [pool.<label>.chunks]/[steals] counters. At one job too, where the map
+   runs on the calling domain. *)
+let test_utilization_matches_pool_metrics () =
+  List.iter
+    (fun jobs ->
+      with_temp_dir (fun dir ->
+          let a = Artifacts.create ~dir in
+          let sink = Artifacts.sink a in
+          let m = sink.Fst_obs.Sink.metrics in
+          let spin x =
+            let acc = ref x in
+            for k = 1 to 20_000 do
+              acc := (!acc * 31) + k
+            done;
+            !acc
+          in
+          ignore
+            (Pool.map_array ~obs:sink ~label:"sq" ~jobs spin
+               (Array.init 64 (fun i -> i)));
+          Artifacts.write a;
+          match A.load_dir dir with
+          | Error e -> Alcotest.failf "load_dir: %s" e
+          | Ok (_, spans) ->
+            let utils = A.utilization spans in
+            let tag s = Printf.sprintf "%s jobs=%d" s jobs in
+            Alcotest.(check bool) (tag "domains present") true (utils <> []);
+            List.iter
+              (fun u ->
+                Alcotest.(check (float 1e-6))
+                  (tag (Printf.sprintf "busy d%d" u.A.u_wid))
+                  (M.Fcounter.value
+                     (M.fcounter m
+                        (Printf.sprintf "pool.domain%d.busy_s" u.A.u_wid)))
+                  u.A.u_busy_s)
+              utils;
+            let sum f = List.fold_left (fun acc u -> acc + f u) 0 utils in
+            let counter name = M.Counter.value (M.counter m name) in
+            Alcotest.(check int) (tag "chunks")
+              (counter "pool.sq.chunks")
+              (sum (fun u -> u.A.u_chunks));
+            Alcotest.(check int) (tag "steals")
+              (counter "pool.sq.steals")
+              (sum (fun u -> u.A.u_steals))))
+    [ 1; 2 ]
 
 let test_validate_run_rejects () =
   (match Artifacts.validate_run (Json.Obj [ ("schema", Json.String "x") ]) with
@@ -366,6 +453,8 @@ let suite =
   [
     Alcotest.test_case "critical path chain" `Quick test_critical_path_chain;
     Alcotest.test_case "critical path empty" `Quick test_critical_path_empty;
+    Alcotest.test_case "critical path counts nested spans once" `Quick
+      test_critical_path_nested_one_tid;
     Helpers.qcheck prop_critical_path_bounds;
     Helpers.qcheck prop_quantile_one_log_bucket;
     Alcotest.test_case "quantile empty + sum" `Quick test_quantile_empty_and_sum;
@@ -382,6 +471,8 @@ let suite =
     Alcotest.test_case "openmetrics rejects malformed" `Quick
       test_openmetrics_rejects;
     Alcotest.test_case "artifacts round trip" `Quick test_artifacts_round_trip;
+    Alcotest.test_case "utilization matches pool metrics" `Quick
+      test_utilization_matches_pool_metrics;
     Alcotest.test_case "validate_run rejects" `Quick test_validate_run_rejects;
     Alcotest.test_case "cli baseline is an obs dir or run.json" `Quick
       test_cli_baseline_is_run_json;

@@ -178,15 +178,32 @@ let test_jobs_clamped_to_cores () =
     true
     (distinct >= 1 && distinct <= Pool.default_jobs ())
 
+(* The [pool] spans of a trace, as (name, args). *)
+let pool_spans trace =
+  let module Json = Fst_obs.Json in
+  match Json.member "traceEvents" (Fst_obs.Trace.to_json trace) with
+  | Some (Json.List evs) ->
+    List.filter_map
+      (fun e ->
+        match (Json.member "cat" e, Json.member "name" e) with
+        | Some (Json.String "pool"), Some (Json.String name) ->
+          let args =
+            match Json.member "args" e with Some (Json.Obj kvs) -> kvs | _ -> []
+          in
+          Some (name, args)
+        | _ -> None)
+      evs
+  | _ -> []
+
 (* A map called from inside another map's task (step 3's per-group fault
    simulation) records no pool accounting of its own: the enclosing
-   chunk's segment and busy time already cover it. *)
+   chunk's span and busy time already cover it. *)
 let test_nested_map_not_double_counted () =
   List.iter
     (fun jobs ->
-      let timeline = Fst_obs.Timeline.create () in
+      let trace = Fst_obs.Trace.create () in
       let metrics = Fst_obs.Metrics.create () in
-      let obs = Fst_obs.Sink.create ~metrics ~timeline () in
+      let obs = Fst_obs.Sink.create ~metrics ~trace () in
       let got =
         Pool.map_cancellable_isolated ~obs ~label:"outer" ~jobs ~chunk:1
           (fun x ->
@@ -200,15 +217,29 @@ let test_nested_map_not_double_counted () =
         (Array.for_all2
            (fun o x -> o = Pool.Task.Ok (6 * x))
            got (squares 6));
+      let spans = pool_spans trace in
       let labels =
         List.sort_uniq String.compare
           (List.map
-             (fun (s : Fst_obs.Timeline.seg) -> s.Fst_obs.Timeline.label)
-             (Fst_obs.Timeline.segments timeline))
+             (fun (name, _) -> List.hd (String.split_on_char '[' name))
+             spans)
       in
       Alcotest.(check (list string))
-        (Printf.sprintf "only the outer map is on the timeline jobs=%d" jobs)
-        [ "outer" ] labels)
+        (Printf.sprintf "only the outer map has pool spans jobs=%d" jobs)
+        [ "outer" ] labels;
+      Alcotest.(check int)
+        (Printf.sprintf "one span per outer chunk jobs=%d" jobs)
+        6 (List.length spans);
+      Alcotest.(check int)
+        (Printf.sprintf "outer chunks counted jobs=%d" jobs)
+        6
+        (Fst_obs.Metrics.Counter.value
+           (Fst_obs.Metrics.counter metrics "pool.outer.chunks"));
+      Alcotest.(check int)
+        (Printf.sprintf "inner map counts nothing jobs=%d" jobs)
+        0
+        (Fst_obs.Metrics.Counter.value
+           (Fst_obs.Metrics.counter metrics "pool.inner.chunks")))
     [ 1; 2 ]
 
 (* --- cooperative cancellation ------------------------------------------ *)

@@ -428,7 +428,7 @@ let test_suite_step2_agrees () =
         in
         let view =
           View.scan_mode scanned
-            ~constraints:config.Fst_tpi.Scan.constraints ()
+            ~constraints:config.Fst_tpi.Scan.constraints
         in
         let rng = Fst_gen.Rng.create 0xBE5CL in
         let random_block () =

@@ -344,7 +344,7 @@ let prop_effect_set_matches_scan =
         comb_view (Helpers.random_comb_circuit rng ~inputs:6 ~gates:24)
       in
       let seq = Helpers.small_seq_circuit ~gates:40 ~ffs:6 seed in
-      let scan_mode = View.scan_mode seq ~constraints:[] () in
+      let scan_mode = View.scan_mode seq ~constraints:[] in
       let _, models = unrolled_models seed in
       let views =
         comb :: scan_mode :: List.map (fun u -> u.Unroll.view) models

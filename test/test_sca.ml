@@ -20,7 +20,7 @@ let redundant_circuit () =
    target (collapsing would fold [r s-a-0] into its class
    representative). *)
 let analyze_all c ~constraints =
-  let view = View.scan_mode c ~constraints () in
+  let view = View.scan_mode c ~constraints in
   let faults = Fault.universe c in
   (Sca.analyze view ~faults, faults)
 
@@ -29,7 +29,7 @@ let scan_small ?(gates = 120) ?(ffs = 8) seed =
   Tpi.insert ~options:{ Tpi.default_options with Tpi.chains = 1 } c
 
 let scan_view scanned (config : Scan.config) =
-  View.scan_mode scanned ~constraints:config.Scan.constraints ()
+  View.scan_mode scanned ~constraints:config.Scan.constraints
 
 let test_redundant_proven () =
   let c, _, _, r = redundant_circuit () in

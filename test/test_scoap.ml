@@ -116,7 +116,7 @@ let test_scan_mode_view_roles () =
     Fst_tpi.Tpi.insert ~options:{ Fst_tpi.Tpi.default_options with Fst_tpi.Tpi.chains = 1; justify_depth = 2 } c
   in
   let view =
-    View.scan_mode scanned ~constraints:config.Fst_tpi.Scan.constraints ()
+    View.scan_mode scanned ~constraints:config.Fst_tpi.Scan.constraints
   in
   (* Flip-flop outputs are pseudo inputs. *)
   Array.iter
