@@ -158,7 +158,7 @@ obs-smoke: build
 	  --expect '"cat":"phase"' || { rm -rf $$tmp; exit 1; }; \
 	$(FST_EXE) jsonlint $$tmp/obs/metrics.prom \
 	  --expect atpg_podem_backtracks_total \
-	  --expect pool_domain0_busy_frac || \
+	  --expect pool_domain0_busy_s || \
 	  { rm -rf $$tmp; exit 1; }; \
 	$(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start \
 	  --expect phase_end || { rm -rf $$tmp; exit 1; }; \

@@ -107,6 +107,9 @@ let () =
 
   (* Now the chain itself must be tested. *)
   let r = Flow.run tpi_scanned tpi_config in
+  let count = Flow.count r in
+  let detected2 = count Flow.Detected_step2
+  and untestable2 = count Flow.Untestable_step2 in
   let t =
     Table.create ~title:"Functional scan chain testing"
       [ ("stage", Table.Left); ("detected", Table.Right); ("untestable", Table.Right); ("left", Table.Right) ]
@@ -121,16 +124,18 @@ let () =
   Table.row t
     [
       "comb ATPG + seq fault simulation";
-      Table.cell_int r.Flow.step2.Flow.detected;
-      Table.cell_int r.Flow.step2.Flow.untestable;
-      Table.cell_int r.Flow.step2.Flow.undetected;
+      Table.cell_int detected2;
+      Table.cell_int untestable2;
+      Table.cell_int
+        (Array.length r.Flow.verdicts - detected2 - untestable2
+        - count Flow.Untestable_static);
     ];
   Table.row t
     [
       "sequential ATPG (grouped models)";
-      Table.cell_int r.Flow.step3.Flow.detected;
-      Table.cell_int r.Flow.step3.Flow.untestable;
-      Table.cell_int r.Flow.step3.Flow.undetected;
+      Table.cell_int (count Flow.Detected_step3);
+      Table.cell_int (count Flow.Untestable_step3);
+      Table.cell_int (count Flow.Undetected);
     ];
   Table.print t;
   Printf.printf

@@ -96,6 +96,8 @@ let () =
   in
   Printf.printf
     "\nFlow: step2 detected %d / untestable %d; step3 detected %d / untestable %d; undetected %d\n"
-    r.Flow.step2.Flow.detected r.Flow.step2.Flow.untestable
-    r.Flow.step3.Flow.detected r.Flow.step3.Flow.untestable
-    (List.length (Flow.faults_with r Flow.Undetected))
+    (Flow.count r Flow.Detected_step2)
+    (Flow.count r Flow.Untestable_step2)
+    (Flow.count r Flow.Detected_step3)
+    (Flow.count r Flow.Untestable_step3)
+    (Flow.count r Flow.Undetected)

@@ -52,15 +52,20 @@ let () =
   Printf.printf "  category 3 (chain untouched): %d\n"
     (total - r.Flow.classify.Classify.affecting);
 
+  (* Every count is a count of verdicts: each hard fault has one. *)
+  let count = Flow.count r in
+  let detected2 = count Flow.Detected_step2
+  and untestable2 = count Flow.Untestable_step2 in
   Printf.printf "\nStep 2 — combinational ATPG + sequential fault simulation:\n";
   Printf.printf "  %d detected, %d proven untestable, %d left for step 3\n"
-    r.Flow.step2.Flow.detected r.Flow.step2.Flow.untestable
-    r.Flow.step2.Flow.undetected;
+    detected2 untestable2
+    (Array.length r.Flow.verdicts - detected2 - untestable2
+    - count Flow.Untestable_static);
 
   Printf.printf "Step 3 — sequential ATPG on chain-aware reduced models:\n";
   Printf.printf "  %d detected, %d proven untestable, %d undetected\n"
-    r.Flow.step3.Flow.detected r.Flow.step3.Flow.untestable
-    r.Flow.step3.Flow.undetected;
+    (count Flow.Detected_step3) (count Flow.Untestable_step3)
+    (count Flow.Undetected);
 
   let undetected = Flow.faults_with r Flow.Undetected in
   Printf.printf "\nFinal undetected chain-affecting faults: %d of %d (%.3f%%)\n"

@@ -16,9 +16,6 @@ module Json = Fst_obs.Json
 exception Preflight_failed of Fst_lint.Diagnostic.t list
 
 type step2 = {
-  detected : int;
-  untestable : int;
-  undetected : int;
   vectors : int;
   atpg_seconds : float;
   fsim_seconds : float;
@@ -26,9 +23,6 @@ type step2 = {
 }
 
 type step3 = {
-  detected : int;
-  untestable : int;
-  undetected : int;
   group_circuits : int;
   final_circuits : int;
   seconds : float;
@@ -41,8 +35,6 @@ type phase_aborts = {
   cancelled_groups : int;
   failed : int;
 }
-
-let budget_exhausted phases = List.exists (fun p -> p.budget_exhausted) phases
 
 type atpg_stats = {
   podem_runs : int;
@@ -95,8 +87,10 @@ let indices verdicts p =
   done;
   !acc
 
-let count verdicts v =
+let tally verdicts v =
   Array.fold_left (fun n w -> if w = v then n + 1 else n) 0 verdicts
+
+let count r v = tally r.verdicts v
 
 let faults_where r p =
   List.map
@@ -118,88 +112,86 @@ let chain_detected_faults r =
 let split_assignment c assignment =
   List.partition (fun (net, _) -> Circuit.is_dff c net) assignment
 
-(* --- abort accounting --------------------------------------------------- *)
+(* --- the ledger ------------------------------------------------------- *)
 
-(* Mutable per-phase accounting, threaded through the phases and stored in
-   every checkpoint so a resumed run keeps what the interrupted one already
-   spent or skipped. *)
-type acct = {
-  mutable cl_late : bool;
-  mutable s2a_late : bool;
-  mutable s2a_aborts : int;
-  mutable s2a_failed : int;
-  mutable s2f_late : bool;
-  mutable s2f_failed : int;
-  mutable s3_late : bool;
-  mutable s3_aborts : int;
-  mutable s3_cancelled : int;
-  mutable s3_failed : int;
-  mutable s3_failed_groups : int;
-  mutable fin_late : bool;
-  mutable fin_aborts : int;
-  mutable fin_cancelled : int;
-  mutable fin_failed : int;
-  (* Aggregate ATPG engine statistics (satellite: they used to be computed
-     and thrown away). PODEM/Seq stats from pool domains are committed
-     here on the main domain in deterministic wave order, and the record
-     rides inside every checkpoint so a resumed run keeps the totals. *)
-  mutable p_runs : int;
-  mutable p_backtracks : int;
-  mutable p_decisions : int;
-  mutable p_implications : int;
-  mutable p_ab_limit : int;
-  mutable p_ab_deadline : int;
-  mutable s_runs : int;
-  mutable s_backtracks : int;
+(* A run's accounting beside its verdicts: one [phase_aborts] per budget
+   phase, in flow order, and the ATPG totals. It rides in every
+   checkpoint, so a resumed run keeps what the interrupted one already
+   spent, skipped or quarantined. Statistics produced on pool domains are
+   committed here on the main domain in wave order. *)
+type ledger = {
+  phases : phase_aborts array;  (* indexed by [slot] *)
+  mutable atpg : atpg_stats;
+  mutable failed_groups : int;  (* step-3 group tasks that failed for good *)
 }
 
-let fresh_acct () =
+let flow_phases = Budget.[ Classify; Step2_atpg; Step2_fsim; Step3; Finals ]
+let slot phase = Option.get (List.find_index (( = ) phase) flow_phases)
+
+let fresh_ledger () =
   {
-    cl_late = false;
-    s2a_late = false;
-    s2a_aborts = 0;
-    s2a_failed = 0;
-    s2f_late = false;
-    s2f_failed = 0;
-    s3_late = false;
-    s3_aborts = 0;
-    s3_cancelled = 0;
-    s3_failed = 0;
-    s3_failed_groups = 0;
-    fin_late = false;
-    fin_aborts = 0;
-    fin_cancelled = 0;
-    fin_failed = 0;
-    p_runs = 0;
-    p_backtracks = 0;
-    p_decisions = 0;
-    p_implications = 0;
-    p_ab_limit = 0;
-    p_ab_deadline = 0;
-    s_runs = 0;
-    s_backtracks = 0;
+    phases =
+      Array.of_list
+        (List.map
+           (fun p ->
+             {
+               phase = Budget.phase_name p;
+               budget_exhausted = false;
+               atpg_aborts = 0;
+               cancelled_groups = 0;
+               failed = 0;
+             })
+           flow_phases);
+    atpg =
+      {
+        podem_runs = 0;
+        podem_backtracks = 0;
+        podem_decisions = 0;
+        podem_implications = 0;
+        podem_aborted_limit = 0;
+        podem_aborted_deadline = 0;
+        seq_runs = 0;
+        seq_backtracks = 0;
+      };
+    failed_groups = 0;
   }
+
+let entry ledger phase = ledger.phases.(slot phase)
+
+let bump ledger phase f =
+  let k = slot phase in
+  ledger.phases.(k) <- f ledger.phases.(k)
+
+let late p = { p with budget_exhausted = true }
+let one_abort p = { p with atpg_aborts = p.atpg_aborts + 1 }
+let one_cancel p = { p with cancelled_groups = p.cancelled_groups + 1 }
+let add_failed n p = { p with failed = p.failed + n }
 
 (* PODEM stop reasons go straight to the sink as [atpg.stop.<reason>]
    counters, step 3's model count as the [atpg.seq.models] counter, and
    its model-build and search seconds as the [atpg.seq.build_s] and
    [atpg.seq.search_s] fcounters: they explain the search and are kept
-   out of [acct], so the report and the checkpoint layout do not carry
-   them. *)
+   out of the ledger, so the report and the checkpoint layout do not
+   carry them. *)
 let count_stop (sink : Sink.t) stop n =
   if sink.Sink.enabled && n > 0 then
     Metrics.Counter.add
       (Metrics.counter sink.Sink.metrics ("atpg.stop." ^ Podem.stop_name stop))
       n
 
-let add_podem_stats ~sink acct (s : Podem.stats) =
+let add_podem_stats ~sink ledger (s : Podem.stats) =
   count_stop sink s.Podem.stop 1;
-  acct.p_runs <- acct.p_runs + 1;
-  acct.p_backtracks <- acct.p_backtracks + s.Podem.backtracks;
-  acct.p_decisions <- acct.p_decisions + s.Podem.decisions;
-  acct.p_implications <- acct.p_implications + s.Podem.implications
+  let a = ledger.atpg in
+  ledger.atpg <-
+    {
+      a with
+      podem_runs = a.podem_runs + 1;
+      podem_backtracks = a.podem_backtracks + s.Podem.backtracks;
+      podem_decisions = a.podem_decisions + s.Podem.decisions;
+      podem_implications = a.podem_implications + s.Podem.implications;
+    }
 
-let add_seq_stats ~sink acct (s : Seq.stats) =
+let add_seq_stats ~sink ledger (s : Seq.stats) =
   List.iter
     (fun stop -> count_stop sink stop s.Seq.stops.(Podem.stop_index stop))
     Podem.all_stops;
@@ -213,40 +205,13 @@ let add_seq_stats ~sink acct (s : Seq.stats) =
       (Metrics.counter sink.Sink.metrics "atpg.seq.models")
       s.Seq.models_built
   end;
-  acct.s_runs <- acct.s_runs + s.Seq.runs;
-  acct.s_backtracks <- acct.s_backtracks + s.Seq.backtracks
-
-let atpg_stats_of acct =
-  {
-    podem_runs = acct.p_runs;
-    podem_backtracks = acct.p_backtracks;
-    podem_decisions = acct.p_decisions;
-    podem_implications = acct.p_implications;
-    podem_aborted_limit = acct.p_ab_limit;
-    podem_aborted_deadline = acct.p_ab_deadline;
-    seq_runs = acct.s_runs;
-    seq_backtracks = acct.s_backtracks;
-  }
-
-let aborts_of acct =
-  [
-    { phase = "classify"; budget_exhausted = acct.cl_late;
-      atpg_aborts = 0; cancelled_groups = 0; failed = 0 };
-    { phase = "step2-atpg"; budget_exhausted = acct.s2a_late;
-      atpg_aborts = acct.s2a_aborts; cancelled_groups = 0;
-      failed = acct.s2a_failed };
-    { phase = "step2-fsim"; budget_exhausted = acct.s2f_late;
-      atpg_aborts = 0; cancelled_groups = 0;
-      failed = acct.s2f_failed };
-    { phase = "step3"; budget_exhausted = acct.s3_late;
-      atpg_aborts = acct.s3_aborts;
-      cancelled_groups = acct.s3_cancelled;
-      failed = acct.s3_failed };
-    { phase = "finals"; budget_exhausted = acct.fin_late;
-      atpg_aborts = acct.fin_aborts;
-      cancelled_groups = acct.fin_cancelled;
-      failed = acct.fin_failed };
-  ]
+  let a = ledger.atpg in
+  ledger.atpg <-
+    {
+      a with
+      seq_runs = a.seq_runs + s.Seq.runs;
+      seq_backtracks = a.seq_backtracks + s.Seq.backtracks;
+    }
 
 (* --- checkpoint state --------------------------------------------------- *)
 
@@ -254,8 +219,10 @@ let aborts_of acct =
    changes; [Checkpoint.load] rejects other versions.
    v3: failed_flag + chaos counters + acct failed fields.
    v4: phase-0 static-analysis summary ([c_sca]).
-   v5: one verdict array replaces the per-fault flags and index lists. *)
-let ckpt_version = 5
+   v5: one verdict array replaces the per-fault flags and index lists.
+   v6: the ledger replaces the flat accounting record; [step2] and
+   [step3] lose their verdict counts. *)
+let ckpt_version = 6
 
 type plan = {
   blocks : Fsim.stimulus list;
@@ -283,7 +250,7 @@ type ckpt = {
      the same sequence numbers as the uninterrupted run ([Chaos]).
      Empty when the harness is disarmed. *)
   mutable c_chaos : int array;
-  acct : acct;
+  ledger : ledger;
 }
 
 let fresh_ckpt () =
@@ -296,7 +263,7 @@ let fresh_ckpt () =
     c_fin = None;
     verdicts = [||];
     c_chaos = [||];
-    acct = fresh_acct ();
+    ledger = fresh_ledger ();
   }
 
 (* A checkpoint is only valid against the exact circuit, scan configuration
@@ -358,12 +325,48 @@ let phase_obs (sink : Sink.t) name f =
     r
   end
 
+(* What one combinational PODEM attempt produced: a test realized as a
+   scan-mode stimulus, an untestability proof, or an abort ([late] when
+   the deadline ended it rather than the backtrack limit). *)
+type comb_outcome =
+  | Comb_test of Fsim.stimulus
+  | Comb_untestable
+  | Comb_aborted of { late : bool }
+
+(* One combinational PODEM attempt on the scan-mode view, as step 2 and
+   the finals make it: its statistics go to the ledger, an abort counts
+   against [phase] and as a backtrack-limit or a deadline abort, and a
+   test is realized as a scan-mode stimulus. *)
+let attempt_comb ~sink ~ledger ~phase ~name ~backtrack ~dl view scoap scanned
+    config fault =
+  let result, stats =
+    timed_atpg sink name (fun () ->
+        Podem.run ~backtrack_limit:backtrack
+          ~should_abort:(fun () -> Clock.expired dl)
+          ~scoap view ~faults:[ fault ])
+  in
+  add_podem_stats ~sink ledger stats;
+  match result with
+  | Podem.Test assignment ->
+    let ff_values, pi_values = split_assignment scanned assignment in
+    Comb_test (Sequences.of_comb_test scanned config ~ff_values ~pi_values)
+  | Podem.Untestable -> Comb_untestable
+  | Podem.Aborted ->
+    let late = Clock.expired dl in
+    let a = ledger.atpg in
+    ledger.atpg <-
+      (if late then
+         { a with podem_aborted_deadline = a.podem_aborted_deadline + 1 }
+       else { a with podem_aborted_limit = a.podem_aborted_limit + 1 });
+    bump ledger phase one_abort;
+    Comb_aborted { late }
+
 (* --- Step 2: combinational ATPG + sequential fault simulation ---------- *)
 
 (* Every fault that is not statically proven enters holding [Aborted]; its
    attempt rewrites that, and the faults the deadline leaves unattempted
    keep it. *)
-let plan_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts view scoap scanned
+let plan_step2 ~(cfg : Config.t) ~budget ~ledger ~verdicts view scoap scanned
     config ~hard_faults =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
@@ -385,39 +388,24 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts view scoap scanned
          it always did. *)
       (try
          match
-           timed_atpg sink
-             (Printf.sprintf "podem[%d]" !i)
-             (fun () ->
-               Podem.run ~backtrack_limit:cfg.Config.comb_backtrack
-                 ~should_abort:(fun () -> Clock.expired dl)
-                 ~scoap view ~faults:[ hard_faults.(!i) ])
+           attempt_comb ~sink ~ledger ~phase:Budget.Step2_atpg
+             ~name:(Printf.sprintf "podem[%d]" !i)
+             ~backtrack:cfg.Config.comb_backtrack ~dl view scoap scanned
+             config hard_faults.(!i)
          with
-         | Podem.Test assignment, stats ->
-           add_podem_stats ~sink acct stats;
+         | Comb_test stim ->
            verdicts.(!i) <- Undetected;
            incr n_tests;
-           let ff_values, pi_values = split_assignment scanned assignment in
-           blocks :=
-             Sequences.of_comb_test scanned config ~ff_values ~pi_values
-             :: !blocks
-         | Podem.Untestable, stats ->
-           add_podem_stats ~sink acct stats;
-           verdicts.(!i) <- Untestable_step2
-         | Podem.Aborted, stats ->
-           add_podem_stats ~sink acct stats;
-           acct.s2a_aborts <- acct.s2a_aborts + 1;
+           blocks := stim :: !blocks
+         | Comb_untestable -> verdicts.(!i) <- Untestable_step2
+         | Comb_aborted { late } ->
            (* A deadline-tripped abort (as opposed to a backtrack-limit one)
               means the fault was denied its full attempt: it stays
               [Aborted]. *)
-           if Clock.expired dl then
-             acct.p_ab_deadline <- acct.p_ab_deadline + 1
-           else begin
-             acct.p_ab_limit <- acct.p_ab_limit + 1;
-             verdicts.(!i) <- Undetected
-           end
+           if not late then verdicts.(!i) <- Undetected
        with e when keep_going ->
          verdicts.(!i) <- Failed;
-         acct.s2a_failed <- acct.s2a_failed + 1;
+         bump ledger Budget.Step2_atpg (add_failed 1);
          Sink.event sink ~kind:"fault_failed"
            [
              ("phase", Json.String "step2-atpg");
@@ -426,12 +414,13 @@ let plan_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts view scoap scanned
            ]);
       if sink.Sink.enabled then
         Sink.tick sink ~phase:"step2-atpg" ~done_:(!i + 1) ~total:n
-          ~detected:!n_tests ~failed:acct.s2a_failed
+          ~detected:!n_tests
+          ~failed:(entry ledger Budget.Step2_atpg).failed
           ~budget_left:(Clock.remaining dl) ();
       incr i
     end
   done;
-  if !i < n then acct.s2a_late <- true;
+  if !i < n then bump ledger Budget.Step2_atpg late;
   (* Deterministic random scan-mode tests appended after the ATPG set (the
      paper's random-vector option): they mop up aborted-ATPG faults during
      the same fault-simulation pass. The free inputs of the scan-mode view
@@ -553,8 +542,8 @@ let fsim_windows ~sink ~jobs ~keep_going ~budget_left ~failed_before c
   in
   { outcome; curve; late = !late; failed = !failed }
 
-let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts scanned ~hard_faults
-    ~(plan : plan) =
+let fsim_step2 ~(cfg : Config.t) ~budget ~ledger ~verdicts scanned
+    ~hard_faults ~(plan : plan) =
   let dl = Budget.deadline budget Budget.Step2_fsim in
   let t1 = Clock.now () in
   (* Proven-untestable faults — PODEM-proven and statically proven alike —
@@ -573,28 +562,21 @@ let fsim_step2 ~(cfg : Config.t) ~budget ~acct ~verdicts scanned ~hard_faults
     fsim_windows ~sink:cfg.Config.sink ~jobs:cfg.Config.jobs
       ~keep_going:(cfg.Config.on_error = `Keep_going)
       ~budget_left:(fun () -> Clock.remaining dl)
-      ~failed_before:acct.s2a_failed scanned
+      ~failed_before:(entry ledger Budget.Step2_atpg).failed scanned
       ~faults:(Array.map (fun i -> hard_faults.(i)) simulate)
       blocks
   in
-  if w.late then acct.s2f_late <- true;
+  if w.late then bump ledger Budget.Step2_fsim late;
   (* A quarantined fault takes no part in step 3: it stays in the failed
      bucket rather than getting further (possibly poisoned) attention. *)
   Array.iter (fun k -> verdicts.(simulate.(k)) <- Failed) w.failed;
-  acct.s2f_failed <- acct.s2f_failed + Array.length w.failed;
+  bump ledger Budget.Step2_fsim (add_failed (Array.length w.failed));
   let fsim_seconds = Clock.now () -. t1 in
   Array.iteri
     (fun k i ->
       if Option.is_some w.outcome.(k) then verdicts.(i) <- Detected_step2)
     simulate;
-  let detected = count verdicts Detected_step2 in
-  let untestable = count verdicts Untestable_step2 in
   {
-    detected;
-    untestable;
-    undetected =
-      Array.length verdicts - detected - untestable
-      - count verdicts Untestable_static;
     vectors = Array.length blocks;
     atpg_seconds = plan.plan_atpg_seconds;
     fsim_seconds;
@@ -680,7 +662,7 @@ let plan_sequence ~sink scanned config ~hard_faults ~bounds ~positions
   | Seq.Seq_test test, stats ->
     (Some (Sequences.of_seq_test scanned config test), stats)
 
-let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
+let run_step3 ~(cfg : Config.t) ~budget ~ledger ~verdicts ~progress
     ~save_progress scanned config ~classify ~hard_faults ~view ~scoap =
   let sink = cfg.Config.sink in
   let keep_going = cfg.Config.on_error = `Keep_going in
@@ -699,11 +681,11 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
   (* The groups cover the faults step 2 left pending. A resumed run
      rebuilds them deterministically from the verdicts, where that cohort
      is every fault still pending or settled by step 3. A poisoned wave
-     quarantines the pending cohort ([acct.s3_failed > 0]) among step 2's
+     quarantines the pending cohort (step 3's [failed] > 0) among step 2's
      quarantined faults, but it also ends the waves, so no group is left
      to rebuild then. *)
   let groups =
-    if acct.s3_failed > 0 then [||]
+    if (entry ledger Budget.Step3).failed > 0 then [||]
     else
       indices verdicts (fun v ->
           pending v || v = Detected_step3 || v = Untestable_step3)
@@ -765,14 +747,10 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
     let cohort = indices verdicts pending in
     List.iter (fun i -> verdicts.(i) <- Failed) cohort;
     let n = List.length cohort in
-    (match phase with
-     | `Step3 -> acct.s3_failed <- acct.s3_failed + n
-     | `Finals -> acct.fin_failed <- acct.fin_failed + n);
+    bump ledger phase (add_failed n);
     Sink.event sink ~kind:"cohort_failed"
       [
-        ( "phase",
-          Json.String (match phase with `Step3 -> "step3" | `Finals -> "finals")
-        );
+        ("phase", Json.String (Budget.phase_name phase));
         ("faults", Json.Int n);
       ]
   in
@@ -787,11 +765,11 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
   (* A group whose task never ran: its pending members were denied their
      attempt. *)
   let cancel_group targets =
-    acct.s3_late <- true;
+    bump ledger Budget.Step3 late;
     match pending_targets targets with
     | [] -> ()
     | denied ->
-      acct.s3_cancelled <- acct.s3_cancelled + 1;
+      bump ledger Budget.Step3 one_cancel;
       List.iter (fun fp -> deny fp.Group.index) denied
   in
   (* One pool task per group, run against a copy of the verdicts as of
@@ -838,10 +816,10 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
     incr group_circuits;
     List.iter
       (fun (i, stats, outcome) ->
-        add_seq_stats ~sink acct stats;
+        add_seq_stats ~sink ledger stats;
         match outcome with
         | Target_aborted { late } ->
-          acct.s3_aborts <- acct.s3_aborts + 1;
+          bump ledger Budget.Step3 one_abort;
           if late then deny i
         | Realized hits ->
           List.iter
@@ -885,7 +863,7 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
                  | Pool.Task.Ok results -> commit_group results
                  | Pool.Task.Failed (e, bt) ->
                    if not keep_going then Printexc.raise_with_backtrace e bt;
-                   acct.s3_failed_groups <- acct.s3_failed_groups + 1;
+                   ledger.failed_groups <- ledger.failed_groups + 1;
                    wave_poisoned := true;
                    Sink.event sink ~kind:"group_failed"
                      [
@@ -901,14 +879,15 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
                      wave_poisoned := true
                    else cancel_group (snd wave_arr.(w))));
       if !wave_poisoned then begin
-        cohort_fail `Step3;
+        cohort_fail Budget.Step3;
         cursor := n_groups
       end;
       checkpoint_wave ();
       if sink.Sink.enabled then
         Sink.tick sink ~phase:"step3" ~done_:!cursor ~total:n_groups
-          ~detected:(count verdicts Detected_step3) ~failed:acct.s3_failed
-          ~quarantined:acct.s3_failed_groups
+          ~detected:(tally verdicts Detected_step3)
+          ~failed:(entry ledger Budget.Step3).failed
+          ~quarantined:ledger.failed_groups
           ~budget_left:(Clock.remaining dl3) ()
     end
   done;
@@ -935,11 +914,11 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
         i
     with
     | None, stats ->
-      add_seq_stats ~sink acct stats;
-      acct.fin_aborts <- acct.fin_aborts + 1;
+      add_seq_stats ~sink ledger stats;
+      bump ledger Budget.Finals one_abort;
       if Clock.expired dl_fin then deny i
     | Some stim, stats ->
-      add_seq_stats ~sink acct stats;
+      add_seq_stats ~sink ledger stats;
       retire_final stim
   in
   List.iter
@@ -947,43 +926,25 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
       if pending verdicts.(i) then begin
         (try
            if Clock.expired dl_fin then begin
-             acct.fin_late <- true;
-             acct.fin_cancelled <- acct.fin_cancelled + 1;
+             bump ledger Budget.Finals (fun p -> one_cancel (late p));
              deny i
            end
            else begin
              match
-               timed_atpg sink
-                 (Printf.sprintf "podem.final[%d]" i)
-                 (fun () ->
-                   Podem.run ~backtrack_limit:cfg.Config.final_backtrack
-                     ~should_abort:(fun () -> Clock.expired dl_fin)
-                     ~scoap view ~faults:[ hard_faults.(i) ])
+               attempt_comb ~sink ~ledger ~phase:Budget.Finals
+                 ~name:(Printf.sprintf "podem.final[%d]" i)
+                 ~backtrack:cfg.Config.final_backtrack ~dl:dl_fin view scoap
+                 scanned config hard_faults.(i)
              with
-             | Podem.Untestable, stats ->
-               add_podem_stats ~sink acct stats;
-               verdicts.(i) <- Untestable_step3
-             | Podem.Test assignment, stats ->
-               add_podem_stats ~sink acct stats;
+             | Comb_untestable -> verdicts.(i) <- Untestable_step3
+             | Comb_test stim ->
                (* The larger budget found a combinational test that step 2
                   missed; realize and confirm it sequentially before falling
                   back to the restricted sequential model. *)
-               let ff_values, pi_values =
-                 split_assignment scanned assignment
-               in
-               let stim =
-                 Sequences.of_comb_test scanned config ~ff_values ~pi_values
-               in
                retire_final stim;
                if pending verdicts.(i) && not !engine_poisoned then
                  attack_final i
-             | Podem.Aborted, stats ->
-               add_podem_stats ~sink acct stats;
-               if Clock.expired dl_fin then
-                 acct.p_ab_deadline <- acct.p_ab_deadline + 1
-               else acct.p_ab_limit <- acct.p_ab_limit + 1;
-               acct.fin_aborts <- acct.fin_aborts + 1;
-               attack_final i
+             | Comb_aborted _ -> attack_final i
            end
          with e when keep_going ->
            Sink.event sink ~kind:"fault_failed"
@@ -992,15 +953,12 @@ let run_step3 ~(cfg : Config.t) ~budget ~acct ~verdicts ~progress
                ("fault", Json.Int i);
                ("error", Json.String (Printexc.to_string e));
              ];
-           cohort_fail `Finals);
+           cohort_fail Budget.Finals);
         if keep_going && !engine_poisoned && Array.exists pending verdicts
-        then cohort_fail `Finals
+        then cohort_fail Budget.Finals
       end)
     (indices verdicts pending);
   {
-    detected = count verdicts Detected_step3;
-    untestable = count verdicts Untestable_step3;
-    undetected = count verdicts Undetected;
     group_circuits = !group_circuits;
     final_circuits = !final_circuits;
     seconds = !seconds_before +. (Clock.now () -. t0);
@@ -1133,7 +1091,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
           let c = Classify.run scanned config faults in
           let s = Clock.now () -. t0 in
           if Clock.expired (Budget.deadline budget Budget.Classify) then
-            ck.acct.cl_late <- true;
+            bump ck.ledger Budget.Classify late;
           ck.c_classify <- Some (c, s);
           ck.verdicts <- Array.make (Array.length c.Classify.hard) Aborted;
           save "classify";
@@ -1179,8 +1137,8 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step2-atpg" (fun () ->
           let p =
-            plan_step2 ~cfg ~budget ~acct:ck.acct ~verdicts view scoap scanned
-              config ~hard_faults
+            plan_step2 ~cfg ~budget ~ledger:ck.ledger ~verdicts view scoap
+              scanned config ~hard_faults
           in
           ck.c_plan <- Some p;
           save "step2-atpg";
@@ -1193,7 +1151,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step2-fsim" (fun () ->
           let s =
-            fsim_step2 ~cfg ~budget ~acct:ck.acct ~verdicts scanned
+            fsim_step2 ~cfg ~budget ~ledger:ck.ledger ~verdicts scanned
               ~hard_faults ~plan
           in
           ck.c_s2 <- Some s;
@@ -1207,8 +1165,8 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "step3" (fun () ->
           let s =
-            run_step3 ~cfg ~budget ~acct:ck.acct ~verdicts ~progress:ck.c_s3
-              ~save_progress:(fun p ->
+            run_step3 ~cfg ~budget ~ledger:ck.ledger ~verdicts
+              ~progress:ck.c_s3 ~save_progress:(fun p ->
                 ck.c_s3 <- Some p;
                 save "step3-wave")
               scanned config ~classify ~hard_faults ~view ~scoap
@@ -1217,7 +1175,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
           save "finished";
           s)
   in
-  let aborts = aborts_of ck.acct in
+  let aborts = Array.to_list ck.ledger.phases and atpg = ck.ledger.atpg in
   if sink.Sink.enabled then begin
     (* The machine-readable counterpart of the report's [aborts:] lines. *)
     List.iter
@@ -1237,16 +1195,16 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
       aborts;
     let m = sink.Sink.metrics in
     let set_c name v = Metrics.Counter.add (Metrics.counter m name) v in
-    set_c "atpg.podem.runs" ck.acct.p_runs;
-    set_c "atpg.podem.backtracks" ck.acct.p_backtracks;
-    set_c "atpg.podem.decisions" ck.acct.p_decisions;
-    set_c "atpg.podem.implications" ck.acct.p_implications;
-    set_c "atpg.podem.aborted_limit" ck.acct.p_ab_limit;
-    set_c "atpg.podem.aborted_deadline" ck.acct.p_ab_deadline;
-    set_c "atpg.seq.runs" ck.acct.s_runs;
-    set_c "atpg.seq.backtracks" ck.acct.s_backtracks;
-    set_c "flow.failed_groups" ck.acct.s3_failed_groups;
-    set_c "flow.failed_faults" (count verdicts Failed);
+    set_c "atpg.podem.runs" atpg.podem_runs;
+    set_c "atpg.podem.backtracks" atpg.podem_backtracks;
+    set_c "atpg.podem.decisions" atpg.podem_decisions;
+    set_c "atpg.podem.implications" atpg.podem_implications;
+    set_c "atpg.podem.aborted_limit" atpg.podem_aborted_limit;
+    set_c "atpg.podem.aborted_deadline" atpg.podem_aborted_deadline;
+    set_c "atpg.seq.runs" atpg.seq_runs;
+    set_c "atpg.seq.backtracks" atpg.seq_backtracks;
+    set_c "flow.failed_groups" ck.ledger.failed_groups;
+    set_c "flow.failed_faults" (tally verdicts Failed);
     match sca_stats with
     | None -> ()
     | Some s ->
@@ -1255,7 +1213,7 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
       set_c "sca.learned" s.Fst_sca.Sca.learned;
       set_c "sca.impossible" s.Fst_sca.Sca.impossible;
       set_c "sca.untestable" s.Fst_sca.Sca.untestable;
-      set_c "sca.untestable_static" (count verdicts Untestable_static)
+      set_c "sca.untestable_static" (tally verdicts Untestable_static)
   end;
   {
     scanned;
@@ -1267,5 +1225,5 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     step3;
     verdicts;
     aborts;
-    atpg = atpg_stats_of ck.acct;
+    atpg;
   }

@@ -34,10 +34,8 @@ open Fst_tpi
     {!Fst_lint.Diagnostic.compare} order). *)
 exception Preflight_failed of Fst_lint.Diagnostic.t list
 
+(** Step 2's effort; its outcome is in [verdicts]. *)
 type step2 = {
-  detected : int;
-  untestable : int;
-  undetected : int;
   vectors : int;  (** test sequences generated (after truncation) *)
   atpg_seconds : float;
   fsim_seconds : float;
@@ -45,16 +43,15 @@ type step2 = {
       (** (vectors simulated, cumulative detected) when captured *)
 }
 
+(** Step 3's effort (groups and final targets); its outcome is in
+    [verdicts]. *)
 type step3 = {
-  detected : int;
-  untestable : int;
-  undetected : int;
   group_circuits : int;  (** models built for groups 1–3 *)
   final_circuits : int;  (** models built for the final faults *)
   seconds : float;
 }
 
-(** Per-phase abort accounting under a wall-clock budget. *)
+(** One phase's abort accounting under a wall-clock budget. *)
 type phase_aborts = {
   phase : string;  (** {!Fst_exec.Budget.phase_name} of the phase *)
   budget_exhausted : bool;
@@ -70,9 +67,6 @@ type phase_aborts = {
           their attempt raised (directly, or through a cohort-failed
           group or engine call) rather than being denied by the budget *)
 }
-
-(** [budget_exhausted phases]: some phase's deadline tripped. *)
-val budget_exhausted : phase_aborts list -> bool
 
 (** Aggregate ATPG engine statistics over the whole flow. Accumulated
     deterministically: statistics produced on pool domains are committed
@@ -115,6 +109,13 @@ type verdict =
           attempt raised (directly, or through a cohort-failed group or
           engine call). Never under [`Fail_fast]. *)
 
+(** A run's outcome and its ledger. The outcome is [verdicts], one per
+    hard fault; every count of the paper's Table 3 is a count of
+    verdicts ({!count}). The ledger is [aborts] and [atpg]: what each
+    phase was denied, aborted or quarantined, and what the ATPG engines
+    spent. The flow keeps both in one place and persists them in every
+    checkpoint, so a resumed run reports what an uninterrupted one
+    would. *)
 type result = {
   scanned : Circuit.t;
   config : Scan.config;
@@ -125,9 +126,17 @@ type result = {
   step3 : step3;
   verdicts : verdict array;
       (** per hard fault, indexed by position in [classify.hard] *)
-  aborts : phase_aborts list;  (** one entry per phase, in flow order *)
+  aborts : phase_aborts list;
+      (** one entry per {!Fst_exec.Budget.phase}, in flow order: classify,
+          step2-atpg, step2-fsim, step3, finals *)
   atpg : atpg_stats;
 }
+
+(** [count r v] is the number of hard faults whose verdict is [v]. No
+    verdict is given [Detected_step2], [Untestable_step2] or
+    [Untestable_static] after step 2, so the hard faults step 2 left
+    undetected are those with none of these three. *)
+val count : result -> verdict -> int
 
 (** [faults_with r v] is the hard faults whose verdict is [v], in
     ascending [classify.hard] order. *)

@@ -18,18 +18,17 @@ module Trace = Fst_obs.Trace
 let min_work = 200_000
 
 (* Per-worker accounting, folded into the shared registry once when the
-   worker retires: cumulative busy / wall seconds per domain slot plus a
-   derived busy fraction gauge. Only touched when the sink is live. *)
+   worker retires: cumulative busy / wall seconds per domain slot. Only
+   touched when the sink is live. *)
 let retire_worker (obs : Sink.t) k ~busy ~wall =
   let m = obs.Sink.metrics in
-  let b = Metrics.fcounter m (Printf.sprintf "pool.domain%d.busy_s" k) in
-  let w = Metrics.fcounter m (Printf.sprintf "pool.domain%d.wall_s" k) in
-  Metrics.Fcounter.add b busy;
-  Metrics.Fcounter.add w wall;
-  let bt = Metrics.Fcounter.value b and wt = Metrics.Fcounter.value w in
-  Metrics.Gauge.set
-    (Metrics.gauge m (Printf.sprintf "pool.domain%d.busy_frac" k))
-    (if wt > 0.0 then bt /. wt else 0.0)
+  let add what v =
+    Metrics.Fcounter.add
+      (Metrics.fcounter m (Printf.sprintf "pool.domain%d.%s" k what))
+      v
+  in
+  add "busy_s" busy;
+  add "wall_s" wall
 
 (* True on a domain while it runs pool tasks. A map nested inside a task
    (step 3's per-group fault simulation) runs within that task's chunk,
@@ -52,7 +51,8 @@ let in_task = Domain.DLS.new_key (fun () -> false)
    spawned beside it.
 
    With a live sink, each executed chunk is recorded once: one [pool]
-   trace span on its worker's tid (args [wid], [stolen]) and one
+   trace span named [label] on its worker's tid (args [wid], [stolen],
+   and the chunk's index range [lo], [hi]) and one
    observation of [pool.<label>.chunk_s], both from the same two clock
    reads that feed the worker's [pool.domain<k>.busy_s]. *)
 let run_tasks ~obs ~label ~jobs ~chunk ~stop n
@@ -99,8 +99,10 @@ let run_tasks ~obs ~label ~jobs ~chunk ~stop n
              Trace.complete tr
                ~args:
                  [ ("wid", Fst_obs.Json.Int k);
-                   ("stolen", Fst_obs.Json.Bool stolen) ]
-               ~name:(Printf.sprintf "%s[%d..%d]" label lo hi)
+                   ("stolen", Fst_obs.Json.Bool stolen);
+                   ("lo", Fst_obs.Json.Int lo);
+                   ("hi", Fst_obs.Json.Int hi) ]
+               ~name:label
                ~cat:"pool" ~start_s:t0 ~dur_s:dt
            | None -> ());
           Option.iter Metrics.Counter.incr chunks_c;

@@ -41,7 +41,7 @@ val min_work : int
     estimated [work] is below {!min_work}. Exposed so benchmarks and
     reports can record requested vs effective parallelism — on a
     single-core machine [jobs:8] runs with one worker, and domain slots
-    [1..7] never exist (the [busy_frac [1,0,...,0]] shape). *)
+    [1..7] never exist. *)
 val effective_jobs : ?work:int -> jobs:int -> int -> int
 
 (** {1 Cooperative cancellation}
@@ -62,13 +62,13 @@ val cancelled : token -> bool
     Every map takes an optional [obs] sink ({!Fst_obs.Sink}, default
     {!Fst_obs.Sink.null}) and a [label] naming the parallel region.
     With a live sink the pool records, per domain slot [k], cumulative
-    [pool.domain<k>.busy_s] / [wall_s] float counters and a derived
-    [pool.domain<k>.busy_frac] gauge; per region it counts
+    [pool.domain<k>.busy_s] / [wall_s] float counters; per region it counts
     [pool.<label>.chunks] and [pool.<label>.steals] (chunks claimed from
     another worker's range) and fills a [pool.<label>.chunk_s] duration
     histogram; and when the sink carries a trace buffer, each executed
-    chunk becomes one span of category [pool] on its worker's tid, with
-    args [wid] (the domain slot) and [stolen]. Span, histogram
+    chunk becomes one span of category [pool], named [label], on its
+    worker's tid, with args [wid] (the domain slot), [stolen], and the
+    chunk's first and last task index [lo] and [hi]. Span, histogram
     observation and busy seconds come from the same two clock reads, so
     [fst analyze]'s per-worker section, derived from the spans, agrees
     with the metrics. Every [jobs] value records the same way. A map

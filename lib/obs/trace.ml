@@ -1,9 +1,8 @@
 type event = {
   name : string;
   cat : string;
-  ph : string;
   ts : float; (* microseconds since trace creation *)
-  dur : float; (* microseconds; 0 for instants *)
+  dur : float; (* microseconds *)
   tid : int;
   args : (string * Json.t) list;
 }
@@ -26,11 +25,11 @@ let push t ev =
   t.n <- t.n + 1;
   Mutex.unlock t.lock
 
-let with_span ?(args = []) t ~name ~cat f =
+let with_span t ~name ~cat f =
   let ts = us_since t and tid = (Domain.self () :> int) in
   Fun.protect
     ~finally:(fun () ->
-      push t { name; cat; ph = "X"; ts; dur = us_since t -. ts; tid; args })
+      push t { name; cat; ts; dur = us_since t -. ts; tid; args = [] })
     f
 
 let complete ?(args = []) t ~name ~cat ~start_s ~dur_s =
@@ -38,21 +37,8 @@ let complete ?(args = []) t ~name ~cat ~start_s ~dur_s =
     {
       name;
       cat;
-      ph = "X";
       ts = (start_s -. t.epoch) *. 1e6;
       dur = dur_s *. 1e6;
-      tid = (Domain.self () :> int);
-      args;
-    }
-
-let instant ?(args = []) t ~name ~cat =
-  push t
-    {
-      name;
-      cat;
-      ph = "i";
-      ts = us_since t;
-      dur = 0.0;
       tid = (Domain.self () :> int);
       args;
     }
@@ -72,13 +58,13 @@ let to_json t =
       [
         ("name", Json.String e.name);
         ("cat", Json.String e.cat);
-        ("ph", Json.String e.ph);
+        ("ph", Json.String "X");
         ("ts", Json.Float e.ts);
         ("pid", Json.Int 1);
         ("tid", Json.Int e.tid);
+        ("dur", Json.Float e.dur);
       ]
     in
-    let base = if e.ph = "X" then base @ [ ("dur", Json.Float e.dur) ] else base in
     let base =
       if e.args = [] then base else base @ [ ("args", Json.Obj e.args) ]
     in

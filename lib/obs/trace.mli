@@ -11,17 +11,8 @@ type t
 
 val create : unit -> t
 
-val with_span :
-  ?args:(string * Json.t) list ->
-  t ->
-  name:string ->
-  cat:string ->
-  (unit -> 'a) ->
-  'a
+val with_span : t -> name:string -> cat:string -> (unit -> 'a) -> 'a
 (** Bracket [f] in a span; the span is recorded even if [f] raises. *)
-
-val instant : ?args:(string * Json.t) list -> t -> name:string -> cat:string -> unit
-(** A zero-duration marker ("ph":"i"). *)
 
 val complete :
   ?args:(string * Json.t) list ->

@@ -2,7 +2,7 @@ module Flow = Fst_core.Flow
 module Classify = Fst_core.Classify
 module Json = Fst_obs.Json
 
-type phase_aborts = {
+type phase_aborts = Flow.phase_aborts = {
   phase : string;
   budget_exhausted : bool;
   atpg_aborts : int;
@@ -41,13 +41,11 @@ type t = {
   phases : phase_aborts list;
 }
 
-let verdict_count r v = List.length (Flow.faults_with r v)
-
 let of_result (r : Flow.result) =
   let fault_names v =
     List.map (Fst_fault.Fault.to_string r.Flow.scanned) (Flow.faults_with r v)
   in
-  let count = verdict_count r in
+  let count = Flow.count r in
   let a = r.Flow.atpg in
   {
     circuit = r.Flow.scanned.Fst_netlist.Circuit.name;
@@ -56,13 +54,13 @@ let of_result (r : Flow.result) =
     easy = Array.length r.Flow.classify.Classify.easy;
     hard = Array.length r.Flow.classify.Classify.hard;
     untestable_static = count Flow.Untestable_static;
-    step2_detected = r.Flow.step2.Flow.detected;
-    step2_untestable = r.Flow.step2.Flow.untestable;
+    step2_detected = count Flow.Detected_step2;
+    step2_untestable = count Flow.Untestable_step2;
     step2_vectors = r.Flow.step2.Flow.vectors;
     step2_cpu_s =
       r.Flow.step2.Flow.atpg_seconds +. r.Flow.step2.Flow.fsim_seconds;
-    step3_detected = r.Flow.step3.Flow.detected;
-    step3_untestable = r.Flow.step3.Flow.untestable;
+    step3_detected = count Flow.Detected_step3;
+    step3_untestable = count Flow.Untestable_step3;
     step3_group_circuits = r.Flow.step3.Flow.group_circuits;
     step3_final_circuits = r.Flow.step3.Flow.final_circuits;
     step3_cpu_s = r.Flow.step3.Flow.seconds;
@@ -78,21 +76,11 @@ let of_result (r : Flow.result) =
     failed = fault_names Flow.Failed;
     aborted_faults = count Flow.Aborted;
     failed_faults = count Flow.Failed;
-    phases =
-      List.map
-        (fun (p : Flow.phase_aborts) ->
-          {
-            phase = p.Flow.phase;
-            budget_exhausted = p.Flow.budget_exhausted;
-            atpg_aborts = p.Flow.atpg_aborts;
-            cancelled_groups = p.Flow.cancelled_groups;
-            failed = p.Flow.failed;
-          })
-        r.Flow.aborts;
+    phases = r.Flow.aborts;
   }
 
 let verdict_mismatches t r =
-  let count = verdict_count r in
+  let count = Flow.count r in
   List.filter_map
     (fun (name, reported, v) ->
       if reported = count v then None

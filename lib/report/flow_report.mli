@@ -17,8 +17,8 @@
     produces the same bytes, which is what makes "a cache hit returns a
     bit-identical report" a testable contract. *)
 
-(** Per-phase abort accounting, mirroring {!Fst_core.Flow.phase_aborts}. *)
-type phase_aborts = {
+(** One phase's abort accounting: the flow's own record. *)
+type phase_aborts = Fst_core.Flow.phase_aborts = {
   phase : string;
   budget_exhausted : bool;
   atpg_aborts : int;

@@ -185,7 +185,7 @@ let run_flow t job sink (cfg : Config.t) scanned scancfg =
   let res = Flow.run ~config:cfg ~budget scanned scancfg in
   let report = Fst_report.Flow_report.of_result res in
   let clean =
-    (not (Flow.budget_exhausted res.Flow.aborts))
+    (not (Fst_report.Flow_report.budget_exhausted report))
     && report.Fst_report.Flow_report.aborted_faults = 0
     && report.Fst_report.Flow_report.failed_faults = 0
     && not job.cancel_requested

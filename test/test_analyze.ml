@@ -402,6 +402,62 @@ let test_utilization_matches_pool_metrics () =
               (sum (fun u -> u.A.u_steals))))
     [ 1; 2 ]
 
+(* Pool spans are named by their region, so the hotspot table has one
+   row per parallel region, and each span's [lo]/[hi] args say which
+   tasks its chunk ran: together they cover every task once. *)
+let test_pool_hotspots_by_region () =
+  List.iter
+    (fun jobs ->
+      with_temp_dir (fun dir ->
+          let a = Artifacts.create ~dir in
+          let sink = Artifacts.sink a in
+          let xs = Array.init 64 (fun i -> i) in
+          let map label f = ignore (Pool.map_array ~obs:sink ~label ~jobs f xs) in
+          map "sq" (fun x -> x * x);
+          map "cube" (fun x -> x * x * x);
+          Artifacts.write a;
+          match A.load_dir dir with
+          | Error e -> Alcotest.failf "load_dir: %s" e
+          | Ok (_, spans) ->
+            let tag s = Printf.sprintf "%s jobs=%d" s jobs in
+            let pool = List.filter (fun s -> s.A.cat = "pool") spans in
+            let rows =
+              List.filter_map
+                (fun ns ->
+                  if List.exists (fun s -> s.A.name = ns.A.ns_name) pool then
+                    Some (ns.A.ns_name, ns.A.ns_count)
+                  else None)
+                (A.self_times spans)
+            in
+            let chunks label =
+              let m = sink.Fst_obs.Sink.metrics in
+              M.Counter.value (M.counter m ("pool." ^ label ^ ".chunks"))
+            in
+            Alcotest.(check (list (pair string int)))
+              (tag "one pool row per label")
+              [ ("cube", chunks "cube"); ("sq", chunks "sq") ]
+              (List.sort compare rows);
+            List.iter
+              (fun label ->
+                let covered = Array.make 64 0 in
+                List.iter
+                  (fun s ->
+                    if s.A.name = label then
+                      let arg k = List.assoc_opt k s.A.args in
+                      match (arg "lo", arg "hi") with
+                      | Some (Json.Int lo), Some (Json.Int hi) ->
+                        for i = lo to hi do
+                          covered.(i) <- covered.(i) + 1
+                        done
+                      | _ -> Alcotest.failf "%s span without lo/hi" label)
+                  pool;
+                Alcotest.(check bool)
+                  (tag (label ^ " chunks cover every task once"))
+                  true
+                  (Array.for_all (( = ) 1) covered))
+              [ "sq"; "cube" ]))
+    [ 1; 2 ]
+
 let test_validate_run_rejects () =
   (match Artifacts.validate_run (Json.Obj [ ("schema", Json.String "x") ]) with
   | Ok () -> Alcotest.fail "bad schema accepted"
@@ -443,11 +499,10 @@ let prop_obs_dir_pure_observer =
               scanned config
           in
           Artifacts.write a;
-          quiet.Flow.step2.Flow.detected = loud.Flow.step2.Flow.detected
-          && quiet.Flow.step2.Flow.vectors = loud.Flow.step2.Flow.vectors
-          && quiet.Flow.step3.Flow.detected = loud.Flow.step3.Flow.detected
+          quiet.Flow.step2.Flow.vectors = loud.Flow.step2.Flow.vectors
           && quiet.Flow.verdicts = loud.Flow.verdicts
-          && quiet.Flow.atpg = loud.Flow.atpg))
+          && quiet.Flow.atpg = loud.Flow.atpg
+          && quiet.Flow.aborts = loud.Flow.aborts))
 
 let suite =
   [
@@ -473,6 +528,8 @@ let suite =
     Alcotest.test_case "artifacts round trip" `Quick test_artifacts_round_trip;
     Alcotest.test_case "utilization matches pool metrics" `Quick
       test_utilization_matches_pool_metrics;
+    Alcotest.test_case "pool hotspots are keyed by region" `Quick
+      test_pool_hotspots_by_region;
     Alcotest.test_case "validate_run rejects" `Quick test_validate_run_rejects;
     Alcotest.test_case "cli baseline is an obs dir or run.json" `Quick
       test_cli_baseline_is_run_json;

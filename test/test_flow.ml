@@ -13,6 +13,21 @@ let quick_config =
     |> with_final_backtrack 500 |> with_frames [ 1; 2 ]
     |> with_final_frames [ 1; 2; 4 ])
 
+(* The hard faults step 2 left undetected: neither detected nor proven
+   untestable, statically or by PODEM. *)
+let step2_left r =
+  Array.length r.Flow.verdicts
+  - Flow.count r Flow.Detected_step2
+  - Flow.count r Flow.Untestable_step2
+  - Flow.count r Flow.Untestable_static
+
+(* Without a budget or a failure, step 3 settles each fault step 2 left:
+   detected, proven untestable or undetected. *)
+let step3_settled r =
+  Flow.count r Flow.Detected_step3
+  + Flow.count r Flow.Untestable_step3
+  + Flow.count r Flow.Undetected
+
 (* Multicore dispatch: step 2 is bit-identical for any [jobs]; step 3's
    wave scheduling may only move credit between buckets, never lose
    faults. *)
@@ -20,36 +35,26 @@ let test_flow_jobs () =
   let scanned, config = scan_small 11L in
   let r1 = Flow.run ~config:Config.(quick_config |> with_jobs 1) scanned config in
   let r3 = Flow.run ~config:Config.(quick_config |> with_jobs 3) scanned config in
-  Alcotest.(check int) "step2 detected" r1.Flow.step2.Flow.detected
-    r3.Flow.step2.Flow.detected;
-  Alcotest.(check int) "step2 untestable" r1.Flow.step2.Flow.untestable
-    r3.Flow.step2.Flow.untestable;
-  Alcotest.(check int) "step2 undetected" r1.Flow.step2.Flow.undetected
-    r3.Flow.step2.Flow.undetected;
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check int) what (Flow.count r1 v) (Flow.count r3 v))
+    [
+      ("step2 detected", Flow.Detected_step2);
+      ("step2 untestable", Flow.Untestable_step2);
+      ("statically untestable", Flow.Untestable_static);
+    ];
   Alcotest.(check int) "step2 vectors" r1.Flow.step2.Flow.vectors
     r3.Flow.step2.Flow.vectors;
-  Alcotest.(check int) "step3 partition" r3.Flow.step2.Flow.undetected
-    (r3.Flow.step3.Flow.detected + r3.Flow.step3.Flow.untestable
-   + r3.Flow.step3.Flow.undetected);
-  Alcotest.(check int) "undetected list matches" r3.Flow.step3.Flow.undetected
-    (List.length (Flow.faults_with r3 Flow.Undetected))
+  Alcotest.(check int) "step3 partition" (step2_left r3) (step3_settled r3)
 
 let test_flow_bookkeeping () =
   let scanned, config = scan_small 7L in
   let r = Flow.run ~config:quick_config scanned config in
   let hard = Array.length r.Flow.classify.Classify.hard in
-  (* Step-2 buckets plus the phase-0 static bucket partition the hard
-     faults. *)
-  Alcotest.(check int) "step2 partition" hard
-    (r.Flow.step2.Flow.detected + r.Flow.step2.Flow.untestable
-   + r.Flow.step2.Flow.undetected
-    + List.length (Flow.faults_with r Flow.Untestable_static));
+  Alcotest.(check int) "one verdict per hard fault" hard
+    (Array.length r.Flow.verdicts);
   (* Step-3 buckets partition the step-2 undetected. *)
-  Alcotest.(check int) "step3 partition" r.Flow.step2.Flow.undetected
-    (r.Flow.step3.Flow.detected + r.Flow.step3.Flow.untestable
-   + r.Flow.step3.Flow.undetected);
-  Alcotest.(check int) "undetected list" r.Flow.step3.Flow.undetected
-    (List.length (Flow.faults_with r Flow.Undetected));
+  Alcotest.(check int) "step3 partition" (step2_left r) (step3_settled r);
   Alcotest.(check int) "affecting accessor" r.Flow.classify.Classify.affecting
     (Flow.affecting r);
   Alcotest.(check int) "total accessor" (Array.length r.Flow.faults)
@@ -85,7 +90,7 @@ let test_curve_monotone () =
   done;
   Alcotest.(check bool) "monotone" true !mono;
   Alcotest.(check int) "final point is the detected count"
-    r.Flow.step2.Flow.detected
+    (Flow.count r Flow.Detected_step2)
     (snd curve.(Array.length curve - 1))
 
 let test_truncation_reduces_vectors () =
@@ -99,7 +104,7 @@ let test_truncation_reduces_vectors () =
   Alcotest.(check bool) "fewer vectors" true
     (truncated.Flow.step2.Flow.vectors <= full.Flow.step2.Flow.vectors);
   Alcotest.(check bool) "not fewer undetected after step2" true
-    (truncated.Flow.step2.Flow.undetected >= full.Flow.step2.Flow.undetected)
+    (step2_left truncated >= step2_left full)
 
 (* Every fault the flow reports as undetectable really resists a pile of
    random scan-mode test sequences. *)
@@ -115,7 +120,8 @@ let prop_untestable_resists_random =
       in
       Alcotest.(check int)
         "untestable counts match list"
-        (r.Flow.step2.Flow.untestable + r.Flow.step3.Flow.untestable)
+        (Flow.count r Flow.Untestable_step2
+        + Flow.count r Flow.Untestable_step3)
         (List.length untestable);
       let rng = Fst_gen.Rng.create (Int64.add seed 77L) in
       let free =
@@ -154,6 +160,9 @@ let prop_untestable_resists_random =
 let report_mismatches r =
   Fst_report.Flow_report.(verdict_mismatches (of_result r) r)
 
+let budget_exhausted r =
+  Fst_report.Flow_report.(budget_exhausted (of_result r))
+
 let check_report_counts what r =
   Alcotest.(check (list string))
     (what ^ ": report counts = verdict counts")
@@ -171,8 +180,7 @@ let test_zero_budget_accounting () =
   in
   let hard = Array.length r.Flow.classify.Classify.hard in
   check_report_counts "zero budget" r;
-  Alcotest.(check bool) "budget reported exhausted" true
-    (Flow.budget_exhausted r.Flow.aborts);
+  Alcotest.(check bool) "budget reported exhausted" true (budget_exhausted r);
   Alcotest.(check bool) "something was actually denied" true
     (hard = 0 || Flow.faults_with r Flow.Aborted <> [])
 
@@ -180,20 +188,28 @@ let test_zero_budget_accounting () =
 let test_unlimited_budget_clean_accounting () =
   let scanned, config = scan_small 7L in
   let r = Flow.run ~config:quick_config scanned config in
-  Alcotest.(check bool) "no phase exhausted" false
-    (Flow.budget_exhausted r.Flow.aborts);
+  Alcotest.(check bool) "no phase exhausted" false (budget_exhausted r);
   Alcotest.(check (list string)) "aborted list empty" []
     (List.map (Fst_fault.Fault.to_string scanned)
        (Flow.faults_with r Flow.Aborted))
 
 exception Killed
 
+(* Every verdict's count, and the step-2/3 effort. *)
 let counts r =
-  ( r.Flow.step2.Flow.detected,
-    r.Flow.step2.Flow.untestable,
+  ( List.map (Flow.count r)
+      Flow.
+        [
+          Detected_step2;
+          Detected_step3;
+          Untestable_static;
+          Untestable_step2;
+          Untestable_step3;
+          Undetected;
+          Aborted;
+          Failed;
+        ],
     r.Flow.step2.Flow.vectors,
-    r.Flow.step3.Flow.detected,
-    r.Flow.step3.Flow.untestable,
     r.Flow.step3.Flow.group_circuits,
     r.Flow.step3.Flow.final_circuits )
 
@@ -248,6 +264,14 @@ let test_kill_and_resume_round_trip () =
         true
         (counts resumed = counts reference);
       check_verdicts stage ~reference resumed;
+      Alcotest.(check bool)
+        (stage ^ ": atpg counters identical")
+        true
+        (resumed.Flow.atpg = reference.Flow.atpg);
+      Alcotest.(check bool)
+        (stage ^ ": abort accounting identical")
+        true
+        (resumed.Flow.aborts = reference.Flow.aborts);
       Alcotest.(check bool)
         (stage ^ ": curve identical")
         true
@@ -318,7 +342,9 @@ let test_kill_and_resume_aborted () =
   in
   remove_checkpoint path;
   Alcotest.(check bool) "later phases detect" true
-    (resumed.Flow.step2.Flow.detected + resumed.Flow.step3.Flow.detected > 0);
+    (Flow.count resumed Flow.Detected_step2
+     + Flow.count resumed Flow.Detected_step3
+    > 0);
   Alcotest.(check int) "no survivor undetected" 0
     (List.length (Flow.faults_with resumed Flow.Undetected));
   Alcotest.(check bool) "survivors aborted" true
@@ -373,7 +399,8 @@ let test_keep_going_chaos_off_identical () =
   let kg =
     Flow.run ~config:(Config.with_on_error `Keep_going cfg) scanned config
   in
-  Alcotest.(check bool) "step 3 detects" true (ff.Flow.step3.Flow.detected > 0);
+  Alcotest.(check bool) "step 3 detects" true
+    (Flow.count ff Flow.Detected_step3 > 0);
   Alcotest.(check bool) "counts identical" true (counts kg = counts ff);
   Alcotest.(check bool) "atpg counters identical" true
     (kg.Flow.atpg = ff.Flow.atpg);

@@ -153,8 +153,8 @@ let prop_prune_pure_observer =
           (List.concat_map (Flow.faults_with r)
              Flow.[ Untestable_static; Untestable_step2; Untestable_step3 ])
       in
-      on.Flow.step2.Flow.detected = off.Flow.step2.Flow.detected
-      && on.Flow.step3.Flow.detected = off.Flow.step3.Flow.detected
+      Flow.count on Flow.Detected_step2 = Flow.count off Flow.Detected_step2
+      && Flow.count on Flow.Detected_step3 = Flow.count off Flow.Detected_step3
       && Flow.faults_with on Flow.Undetected
          = Flow.faults_with off Flow.Undetected
       && untestable on = untestable off)
