@@ -158,6 +158,7 @@ obs-smoke: build
 	  --expect '"cat":"phase"' || { rm -rf $$tmp; exit 1; }; \
 	$(FST_EXE) jsonlint $$tmp/obs/metrics.prom \
 	  --expect atpg_podem_backtracks_total \
+	  --expect fsim_steady_state_calls \
 	  --expect pool_domain0_busy_s || \
 	  { rm -rf $$tmp; exit 1; }; \
 	$(FST_EXE) jsonlint $$tmp/obs/events.jsonl --expect phase_start \

@@ -1,11 +1,19 @@
 (** Section 3 of the paper: finding the faults that affect the functional
     scan chain.
 
-    For every fault, the forward implication cone under scan-mode constants
-    is computed (event-driven three-valued propagation of the faulty
-    machine against the good scan-mode values). The chain locations the
-    fault touches are collected and the fault is placed in one of three
-    categories:
+    For every fault, its steady state under the scan-mode constants is
+    computed against the good scan-mode values (constrained inputs set,
+    free inputs and flip-flops X) by {!Fst_fsim.Fsim.Engine.steady_state}:
+    from the good values, the faulty machine repeats sweeps in which the
+    gates whose fanins changed are re-evaluated in level order and then
+    every flip-flop whose data changed latches it, all flip-flops at
+    once at the end of the sweep. A flip-flop that changes a third time
+    is widened to X (an oscillation through a flip-flop loop), and the
+    fixpoint is reached when no flip-flop changes. A gate is evaluated
+    once per sweep, so a reconvergent glitch never counts as a change.
+    The chain nets and side inputs whose steady-state value differs from
+    the good one give the fault's locations, and the fault is placed in
+    one of three categories:
 
     - {b Category 1}: a net on the scan chain becomes a constant 0/1 — the
       alternating sequence detects it. (Extension over the paper: a binary
@@ -43,5 +51,13 @@ type t = {
 }
 
 (** [run c config faults] classifies every fault of [faults] against the
-    scan chains of [config]. *)
-val run : Circuit.t -> Scan.config -> Fault.t array -> t
+    scan chains of [config]. [obs] and [jobs] go to the engine call, as
+    for every {!Fst_fsim.Fsim.Engine} caller; the result does not depend
+    on [jobs]. *)
+val run :
+  ?obs:Fst_obs.Sink.t ->
+  ?jobs:int ->
+  Circuit.t ->
+  Scan.config ->
+  Fault.t array ->
+  t

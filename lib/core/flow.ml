@@ -1088,7 +1088,9 @@ let run ?config:(cfg : Config.t option) ?budget ?checkpoint ?(resume = false)
     | None ->
       phase_obs sink "classify" (fun () ->
           let t0 = Clock.now () in
-          let c = Classify.run scanned config faults in
+          let c =
+            Classify.run ~obs:sink ~jobs:cfg.Config.jobs scanned config faults
+          in
           let s = Clock.now () -. t0 in
           if Clock.expired (Budget.deadline budget Budget.Classify) then
             bump ck.ledger Budget.Classify late;

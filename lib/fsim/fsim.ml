@@ -28,7 +28,7 @@ type ctx = {
   l0_good : int array;
       (* the good planes of a level-0 slot written this cycle, laid out
          as [good] *)
-  l0_stamp : int array; (* level-0 slot -> the stamp of that write *)
+  saved : int array; (* slot -> the stamp its good planes were saved at *)
   pending : int array;
       (* the queued gates, 32 a word: gate [k] is bit [k land 31] of word
          [k lsr 5] *)
@@ -79,7 +79,7 @@ let make_ctx (cc : Compiled.t) =
     n_undo = 0;
     batch = Array.make n 0;
     l0_good = Array.make (2 * n) 0;
-    l0_stamp = Array.make n (-1);
+    saved = Array.make n (-1);
     pending = Array.make ((cc.Compiled.n_gates lsr 5) + 1) 0;
     latched = Array.make nff (-1);
     stamp = 0;
@@ -444,15 +444,6 @@ module Parallel = struct
     ctx.site_ffs <- [];
     ctx.n_cur <- 0
 
-  (* [with_observed ctx obs f] flags the observed slots for [f]. *)
-  let with_observed ctx obs f =
-    Array.iter (fun s -> Bytes.set ctx.observed s '\001') obs;
-    ctx.obs <- obs;
-    let r = f () in
-    Array.iter (fun s -> Bytes.set ctx.observed s '\000') obs;
-    ctx.obs <- [||];
-    r
-
   let[@inline] set_bit a k =
     let w = k lsr 5 in
     Array.unsafe_set a w (Array.unsafe_get a w lor (1 lsl (k land 31)))
@@ -503,8 +494,8 @@ module Parallel = struct
   (* Level-0 slot [s] is about to be written: keep its good planes, once
      a cycle. *)
   let keep_good0 ctx s =
-    if ctx.l0_stamp.(s) <> ctx.stamp then begin
-      ctx.l0_stamp.(s) <- ctx.stamp;
+    if ctx.saved.(s) <> ctx.stamp then begin
+      ctx.saved.(s) <- ctx.stamp;
       let g1 = ctx.good.(2 * s) and g0 = ctx.good.((2 * s) + 1) in
       ctx.l0_good.(2 * s) <- g1;
       ctx.l0_good.((2 * s) + 1) <- g0;
@@ -726,6 +717,19 @@ module Parallel = struct
      differing flip-flops. *)
   let dense_from = 8
 
+  (* The flip-flops queued for the next cycle become the current ones, and
+     the next queue is empty. *)
+  let swap_ffs ctx =
+    let k = ctx.cur_k and c1 = ctx.cur1 and c0 = ctx.cur0 in
+    ctx.cur_k <- ctx.nxt_k;
+    ctx.cur1 <- ctx.nxt1;
+    ctx.cur0 <- ctx.nxt0;
+    ctx.nxt_k <- k;
+    ctx.nxt1 <- c1;
+    ctx.nxt0 <- c0;
+    ctx.n_cur <- ctx.n_nxt;
+    ctx.n_nxt <- 0
+
   (* One cycle of the pass against the good planes in [ctx.good];
      returns the live lanes it detects. The flip-flops whose latched
      planes differ are carried to the next cycle. *)
@@ -736,14 +740,7 @@ module Parallel = struct
     ctx.n_undo <- 0;
     if ctx.n_cur >= dense_from then dense_cycle ctx ~alive
     else sparse_cycle ctx ~alive;
-    let k = ctx.cur_k and c1 = ctx.cur1 and c0 = ctx.cur0 in
-    ctx.cur_k <- ctx.nxt_k;
-    ctx.cur1 <- ctx.nxt1;
-    ctx.cur0 <- ctx.nxt0;
-    ctx.nxt_k <- k;
-    ctx.nxt1 <- c1;
-    ctx.nxt0 <- c0;
-    ctx.n_cur <- ctx.n_nxt;
+    swap_ffs ctx;
     ctx.hits land alive
 
   (* Fault order for the passes: by cone-seed slot (cone overlap within
@@ -923,6 +920,173 @@ module Parallel = struct
       base := !base + k
     done;
     result
+
+  (* --- the scan-mode steady state ----------------------------------------- *)
+
+  (* A steady-state pass runs up to [max_group] faults, one lane each, on
+     [ctx.own]: the good scan-mode planes in every lane, never reset
+     within a pass. A sweep evaluates the queued gates in ascending slot
+     (level) order; a changed slot queues its consumer gates, and its
+     consumer flip-flops, which latch together at the sweep's end in the
+     lanes whose data changed ([moved]). [undo] is the dirty list: each
+     slot's good planes, logged on its first change. A flip-flop lane
+     changing a third time ([once], [twice]) is widened to X. *)
+  type ff_lanes = { moved : int array; once : int array; twice : int array }
+
+  let queue_ff ctx ff f lanes =
+    ff.moved.(f) <- ff.moved.(f) lor lanes;
+    if ctx.latched.(f) <> ctx.stamp then begin
+      ctx.latched.(f) <- ctx.stamp;
+      ctx.nxt_k.(ctx.n_nxt) <- f;
+      ctx.n_nxt <- ctx.n_nxt + 1
+    end
+
+  (* Slot [s] changed from [o1]/[o0]; [since] is the pass's first stamp. *)
+  let changed ctx ff ~since planes s o1 o0 =
+    let cc = ctx.cc in
+    if ctx.saved.(s) < since then begin
+      ctx.saved.(s) <- ctx.stamp;
+      log_undo ctx s o1 o0
+    end;
+    let lanes = (planes.(2 * s) lxor o1) lor (planes.((2 * s) + 1) lxor o0) in
+    for i = cc.Compiled.fanout_off.(s) to cc.Compiled.fanout_off.(s + 1) - 1 do
+      let c = cc.Compiled.fanout.(i) in
+      let f = cc.Compiled.ff_of_slot.(c) in
+      if f < 0 then set_bit ctx.pending (c - cc.Compiled.n_level0)
+      else queue_ff ctx ff f lanes
+    done
+
+  let write ctx ff ~since planes s v1 v0 =
+    let o1 = planes.(2 * s) and o0 = planes.((2 * s) + 1) in
+    planes.(2 * s) <- v1;
+    planes.((2 * s) + 1) <- v0;
+    if v1 <> o1 || v0 <> o0 then changed ctx ff ~since planes s o1 o0
+
+  let sweep ctx ff ~since planes =
+    let cc = ctx.cc and pending = ctx.pending in
+    let w = ref 0 in
+    while !w < Array.length pending do
+      let x = pending.(!w) in
+      if x = 0 then incr w
+      else begin
+        pending.(!w) <- x land (x - 1);
+        let s = cc.Compiled.n_level0 + (!w lsl 5) + bit_index (x land - x) in
+        let o1 = planes.(2 * s) and o0 = planes.((2 * s) + 1) in
+        if Bytes.get ctx.site s <> '\000' then eval_site ctx planes s
+        else Compiled.Planes.eval_range cc ~full:ctx.full planes ~lo:s ~hi:(s + 1);
+        if planes.(2 * s) <> o1 || planes.((2 * s) + 1) <> o0 then
+          changed ctx ff ~since planes s o1 o0
+      end
+    done
+
+  (* The sweep's end: each queued flip-flop takes its data planes, under
+     its pin and output masks, in its moved lanes (widened to X on a third
+     change), all before any is written. *)
+  let latch_queued ctx ff ~since planes =
+    let cc = ctx.cc in
+    for j = 0 to ctx.n_nxt - 1 do
+      let f = ctx.nxt_k.(j) in
+      let d = 2 * cc.Compiled.ff_data.(f) and s = cc.Compiled.ff_slot.(f) in
+      let m = ff.moved.(f) and p1 = ctx.ffm1.(f) and p0 = ctx.ffm0.(f) in
+      let o1 = planes.(2 * s) and o0 = planes.((2 * s) + 1) in
+      let v1 = (((planes.(d) land lnot p0) lor p1) land m) lor (o1 land lnot m)
+      and v0 = (((planes.(d + 1) land lnot p1) lor p0) land m) lor (o0 land lnot m) in
+      let v1 = (v1 land lnot ctx.ov0.(s)) lor ctx.ov1.(s)
+      and v0 = (v0 land lnot ctx.ov1.(s)) lor ctx.ov0.(s) in
+      let x = lnot (((v1 lxor o1) lor (v0 lxor o0)) land ff.twice.(f)) in
+      let ch = ((v1 land x) lxor o1) lor ((v0 land x) lxor o0) in
+      ff.moved.(f) <- 0;
+      ff.twice.(f) <- ff.twice.(f) lor (ff.once.(f) land ch);
+      ff.once.(f) <- ff.once.(f) lor ch;
+      ctx.nxt1.(j) <- v1 land x;
+      ctx.nxt0.(j) <- v0 land x
+    done;
+    swap_ffs ctx;
+    ctx.stamp <- ctx.stamp + 1;
+    for j = 0 to ctx.n_cur - 1 do
+      write ctx ff ~since planes cc.Compiled.ff_slot.(ctx.cur_k.(j)) ctx.cur1.(j)
+        ctx.cur0.(j)
+    done
+
+  (* One pass, fault [i] on lane [i]: per fault, [f] of the fault and of
+     the observed nets whose final value differs from the good one, with
+     that value. *)
+  let steady_pass ctx ff f (faults : Fault.t array) =
+    let cc = ctx.cc and planes = ctx.own in
+    install ctx faults ~mask:(fun i -> 1 lsl i);
+    ctx.stamp <- ctx.stamp + 1;
+    let since = ctx.stamp in
+    ctx.n_undo <- 0;
+    List.iter
+      (fun s ->
+        let m1 = ctx.ov1.(s) and m0 = ctx.ov0.(s) in
+        write ctx ff ~since planes s
+          ((planes.(2 * s) land lnot m0) lor m1)
+          ((planes.((2 * s) + 1) land lnot m1) lor m0))
+      ctx.site_stems0;
+    List.iter (fun s -> set_bit ctx.pending (s - cc.Compiled.n_level0)) ctx.site_gates;
+    List.iter (fun f -> queue_ff ctx ff f (ctx.ffm1.(f) lor ctx.ffm0.(f))) ctx.site_ffs;
+    sweep ctx ff ~since planes;
+    while ctx.n_nxt > 0 do
+      latch_queued ctx ff ~since planes;
+      sweep ctx ff ~since planes
+    done;
+    (* The observed dirty slots, as undo offsets in [batch]; then each
+       fault's list, built and handed to [f] one lane at a time. *)
+    let undo = ctx.undo and nb = ref 0 and lanes = ref 0 in
+    for u = 0 to (ctx.n_undo / 3) - 1 do
+      let s = undo.(3 * u) in
+      if Bytes.get ctx.observed s <> '\000' then begin
+        ctx.batch.(!nb) <- 3 * u;
+        incr nb;
+        lanes :=
+          !lanes
+          lor (planes.(2 * s) lxor undo.((3 * u) + 1))
+          lor (planes.((2 * s) + 1) lxor undo.((3 * u) + 2))
+      end
+    done;
+    let r =
+      Array.mapi
+        (fun i fault ->
+          let l = ref [] in
+          if !lanes land (1 lsl i) <> 0 then
+            for k = 0 to !nb - 1 do
+              let u = ctx.batch.(k) in
+              let s = undo.(u) in
+              let v1 = planes.(2 * s) and v0 = planes.((2 * s) + 1) in
+              if ((v1 lxor undo.(u + 1)) lor (v0 lxor undo.(u + 2))) land (1 lsl i) <> 0
+              then
+                l :=
+                  ( cc.Compiled.net_of.(s),
+                    if v1 land (1 lsl i) <> 0 then V3.One
+                    else if v0 land (1 lsl i) <> 0 then V3.Zero
+                    else V3.X )
+                  :: !l
+            done;
+          f fault !l)
+        faults
+    in
+    for u = 0 to (ctx.n_undo / 3) - 1 do
+      let s = undo.(3 * u) in
+      planes.(2 * s) <- undo.((3 * u) + 1);
+      planes.((2 * s) + 1) <- undo.((3 * u) + 2);
+      let f = cc.Compiled.ff_of_slot.(s) in
+      if f >= 0 then begin
+        ff.once.(f) <- 0;
+        ff.twice.(f) <- 0
+      end
+    done;
+    drop_sites ctx;
+    r
+
+  (* Runs [passes] from [good], the scalar good scan-mode row. *)
+  let steady ctx good f passes =
+    let n = max 1 ctx.cc.Compiled.n_ffs in
+    ctx.full <- (1 lsl max_group) - 1;
+    Compiled.Planes.broadcast good ~full:ctx.full ctx.own
+      ~upto:ctx.cc.Compiled.n_slots;
+    let ff = { moved = Array.make n 0; once = Array.make n 0; twice = Array.make n 0 } in
+    Array.map (steady_pass ctx ff f) passes
 end
 
 module Engine = struct
@@ -948,6 +1112,7 @@ module Engine = struct
 
   let detect_all_entry = entry "detect_all"
   let detect_dropping_entry = entry "detect_dropping"
+  let steady_state_entry = entry "steady_state"
 
   let handles e m =
     match Atomic.get e.cached with
@@ -1005,16 +1170,31 @@ module Engine = struct
     match Fst_exec.Chaos.point Fst_exec.Chaos.Engine with
     | `Ok | `Cancel -> ()
 
+  (* [map_shards ~obs ~jobs cc observed ~work f items] runs [f ctx shard]
+     over shards of [items] on the pool, each on a context taken from the
+     cached circuit's idle stack with the [observed] slots flagged, and
+     concatenates the per-shard results back into input order. [work] is
+     the pool's minimum-work estimate in gate evaluations, so tiny
+     workloads run in the caller even with [jobs > 1]. *)
+  let map_shards ~obs ~jobs cc observed ~work f items =
+    Pool.map_array ~obs ~label:"fsim" ~chunk:1 ~work ~jobs
+      (fun shard ->
+        Cc.with_ctx cc (fun ctx ->
+            Array.iter (fun s -> Bytes.set ctx.observed s '\001') observed;
+            ctx.obs <- observed;
+            let r = f ctx shard in
+            Array.iter (fun s -> Bytes.set ctx.observed s '\000') observed;
+            ctx.obs <- [||];
+            r))
+      (shards ~jobs items)
+    |> Array.to_list |> Array.concat
+
   (* One dropping run under [e]'s instrumentation. The [trace] stage
      compiles the circuit and the blocks; the packed good trace itself is
      recorded slice by slice as the passes advance (each slice in an
-     [fsim.slice] span). Each [map] runs its shards on the pool, each on a
-     context taken from the cached circuit's idle stack with the observed
-     slots flagged, and concatenates the per-shard results back into
-     input order. Its [work] is the pool's minimum-work estimate in gate
-     evaluations (at most one whole-netlist sweep per item per cycle), so
-     tiny workloads run in the caller even with [jobs > 1]. An empty fault
-     list compiles and simulates nothing. *)
+     [fsim.slice] span). A [map]'s work is at most one whole-netlist sweep
+     per item per cycle. An empty fault list compiles and simulates
+     nothing. *)
   let dropping ~obs ~jobs e c ~faults ~observe stims =
     chaos_entry ();
     let jobs = max 1 jobs in
@@ -1027,16 +1207,10 @@ module Engine = struct
       ~simulate:(function
         | None -> [||]
         | Some (cc, stims) ->
-          let obs_s = obs_slots cc observe in
           let map ~cycles f items =
-            Pool.map_array ~obs ~label:"fsim" ~chunk:1
+            map_shards ~obs ~jobs cc (obs_slots cc observe)
               ~work:(Array.length items * max 1 cc.Compiled.n_gates * cycles)
-              ~jobs
-              (fun shard ->
-                Cc.with_ctx cc (fun ctx ->
-                    Parallel.with_observed ctx obs_s (fun () -> f ctx shard)))
-              (shards ~jobs items)
-            |> Array.to_list |> Array.concat
+              f items
           in
           Parallel.run cc ~faults ~stims ~map
             ~concurrent:(min jobs (Pool.default_jobs ()) > 1)
@@ -1050,4 +1224,37 @@ module Engine = struct
       ~stimuli =
     dropping ~obs ~jobs detect_dropping_entry c ~faults ~observe
       (Array.of_list stimuli)
+
+  (* Passes of [max_group] faults in [group_order], sharded like a
+     dropping run's. No chaos hook: classification has no retry or
+     containment path. *)
+  let steady_state ?(obs = Sink.null) ?(jobs = 1) c ~constraints ~faults
+      ~watch f =
+    let jobs = max 1 jobs and nf = Array.length faults in
+    observe_call obs steady_state_entry ~faults
+      ~trace:(fun () ->
+        let cc = Cc.get c in
+        let good = Compiled.make_vec cc in
+        List.iter
+          (fun (n, v) -> Compiled.set good cc.Compiled.perm.(n) (V3b.of_v3 v))
+          constraints;
+        Compiled.eval cc good;
+        (cc, good))
+      ~simulate:(fun (cc, good) ->
+        let order = Parallel.group_order cc faults (Array.init nf Fun.id) in
+        let passes =
+          Array.init ((nf + max_group - 1) / max_group) (fun q ->
+              Array.sub order (q * max_group) (min max_group (nf - (q * max_group))))
+        in
+        let outs =
+          map_shards ~obs ~jobs cc (obs_slots cc watch)
+            ~work:(Array.length passes * max 1 cc.Compiled.n_gates)
+            (fun ctx shard ->
+              Parallel.steady ctx good f (Array.map (Array.map (Array.get faults)) shard))
+            passes
+          |> Array.to_list |> Array.concat
+        in
+        let at = Array.make nf 0 in
+        Array.iteri (fun k i -> at.(i) <- k) order;
+        Array.map (Array.get outs) at)
 end

@@ -12,8 +12,10 @@
     divergence from the good machine, with the passes sharded across a
     domain pool ({!Fst_exec.Pool}) when [jobs > 1]. Results are per
     input fault, in input order, independent of the layout and of
-    [jobs]. {!Serial} (one faulty machine at a time) is the reference
-    the property tests compare against, and the trace recorder diagnosis
+    [jobs]. Besides detection it runs classification's scan-mode steady
+    state ({!Engine.steady_state}) on the same lanes and fault sites.
+    {!Serial} (one faulty machine at a time) is the reference the
+    property tests compare against, and the trace recorder diagnosis
     uses.
 
     The engine's scratch (plane arrays, gate queue, undo log, fault-site
@@ -69,7 +71,10 @@ module Serial : sig
 end
 
 (** The fault-simulation entry point: divergence-driven bit-parallel
-    simulation plus multicore dispatch. A call takes its blocks in
+    simulation plus multicore dispatch. Three entries: {!detect_all} and
+    {!detect_dropping} simulate stimuli against the good machine's
+    trace; {!steady_state} iterates each faulty machine under constant
+    inputs to its fixpoint. A detection call takes its blocks in
     chunks of [k = min 62 (blocks left)] and packs the good machine of a
     chunk once, each block in [62 / k] lanes. A pass runs [62 / k]
     faults over the chunk, fault [i] on lanes [i * k .. i * k + k - 1]:
@@ -89,9 +94,10 @@ module Engine : sig
   (** With a live [obs] sink each call counts
       [fsim.<entry>.calls] / [.faults], fills a [.call_s] duration
       histogram, emits an [fsim.<entry>] trace span with two child spans
-      — [fsim.trace] (compiling the circuit and the blocks) and
-      [fsim.simulate] (the faults against the good machine, whose packed
-      trace is recorded in there, one [fsim.slice] span per slice) — and
+      — [fsim.trace] (compiling the circuit and the blocks, or settling
+      the good scan-mode values) and [fsim.simulate] (the faults against
+      the good machine, whose packed trace is recorded in there, one
+      [fsim.slice] span per slice) — and
       threads the sink into the pool (per-domain busy accounting).
       The metric handles are resolved once per registry. With the default
       {!Fst_obs.Sink.null} the instrumentation is a single branch per
@@ -128,4 +134,23 @@ module Engine : sig
     observe:int array ->
     stimuli:stimulus list ->
     (int * int) option array
+
+  (** [steady_state c ~constraints ~faults ~watch f] is, per fault,
+      [f fault changes]: [changes] are the [watch] nets whose scan-mode
+      steady state differs from the good machine's ([constraints]
+      applied, free inputs and flip-flops X), with their faulty values,
+      in no set order. Each sweep re-evaluates the gates whose fanins
+      changed in level order, then the flip-flops whose data changed
+      latch it together; a flip-flop changing a third time becomes X, and
+      it stops when none changes. 62 faults a pass, one lane each; [f]
+      runs as each pass ends, on a pool domain when [jobs > 1]. *)
+  val steady_state :
+    ?obs:Fst_obs.Sink.t ->
+    ?jobs:int ->
+    Circuit.t ->
+    constraints:(int * V3.t) list ->
+    faults:Fault.t array ->
+    watch:int array ->
+    (Fault.t -> (int * V3.t) list -> 'a) ->
+    'a array
 end

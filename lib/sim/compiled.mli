@@ -145,6 +145,10 @@ module Planes : sig
       [gates.(0) .. gates.(n-1)] in that order. *)
   val eval_list : t -> full:int -> int array -> int array -> n:int -> unit
 
+  (** [broadcast row ~full planes ~upto] sets the planes of slots [0 ..
+      upto-1] to the scalar values of [row] in every lane of [full]. *)
+  val broadcast : Bytes.t -> full:int -> int array -> upto:int -> unit
+
   (** The good machine of a set of blocks, paused between two cycles. *)
   type machine
 

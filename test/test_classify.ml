@@ -163,6 +163,68 @@ let test_affecting_fraction_sane () =
   Alcotest.(check int) "easy+hard = affecting" r.Classify.affecting
     (Array.length r.Classify.easy + Array.length r.Classify.hard)
 
+(* A reconvergence glitch is not an oscillation. On this circuit pi4
+   s-a-0 forces chain 0's segments 2 to 6 to constants. A propagation
+   that widens a net to X on its third update, whatever caused it, turns
+   a glitch on the way to segment 4's side input into an unknown and
+   calls the fault category 2. The alternating sequence does detect
+   it. *)
+let test_glitch_is_not_unknown () =
+  let c =
+    Fst_gen.Gen.generate
+      { Fst_gen.Gen.name = "r477_60"; gates = 60; ffs = 6; pis = 6; pos = 4;
+        seed = 477L }
+  in
+  let scanned, config =
+    match Tpi.insert_checked ~chains:1 c with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Tpi.insert_error_message e)
+  in
+  let fault =
+    { Fault.site = Fault.Stem (Circuit.find_net scanned "pi4"); stuck = false }
+  in
+  let info = (Classify.run scanned config [| fault |]).Classify.infos.(0) in
+  Alcotest.(check bool) "category 1" true (info.Classify.category = Classify.Cat1);
+  Alcotest.(check (list (triple int int bool)))
+    "forced constants at chain 0, segments 2-6"
+    (List.init 5 (fun k -> (0, k + 2, true)))
+    (List.map
+       (fun (ch, seg, k) -> (ch, seg, k = Classify.Forced_constant))
+       info.Classify.locations);
+  let stim = Sequences.alternating scanned config ~repeats:2 in
+  Alcotest.(check bool) "the alternating sequence detects it" true
+    ((Fst_fsim.Fsim.Engine.detect_all ~jobs:1 scanned ~faults:[| fault |]
+        ~observe:scanned.Circuit.outputs stim).(0)
+    <> None)
+
+(* [Classify.run] is the oracle's fixpoint: the same category and
+   locations for every fault of random circuits with one or two chains,
+   at one and two jobs. *)
+let prop_classify_matches_oracle =
+  Q.Test.make ~name:"classification matches the scalar oracle" ~count:12
+    Q.(pair (int_bound 100000) (int_range 1 2))
+    (fun (seed, chains) ->
+      let gates = 40 + (seed mod 120) in
+      let c =
+        Fst_gen.Gen.generate
+          { Fst_gen.Gen.name = "cls"; gates; ffs = 4 + (seed mod 9);
+            pis = 3 + (seed mod 5); pos = 2 + (seed mod 3);
+            seed = Int64.of_int seed }
+      in
+      match Tpi.insert_checked ~chains c with
+      | Error _ -> Q.assume_fail ()
+      | Ok (scanned, config) ->
+        let faults = Fault.collapse scanned (Fault.universe scanned) in
+        let expected = Classify_oracle.run scanned config faults in
+        List.for_all
+          (fun jobs ->
+            let r = Classify.run ~jobs scanned config faults in
+            Array.for_all2
+              (fun info (cat, locs) ->
+                info.Classify.category = cat && info.Classify.locations = locs)
+              r.Classify.infos expected)
+          [ 1; 2 ])
+
 let suite =
   [
     Alcotest.test_case "figure2 categories" `Quick test_figure2_categories;
@@ -172,4 +234,6 @@ let suite =
     Helpers.qcheck prop_cat1_detected_by_alternating;
     Helpers.qcheck prop_cat3_chain_untouched;
     Alcotest.test_case "affecting fraction sane" `Quick test_affecting_fraction_sane;
+    Alcotest.test_case "a glitch is not an unknown" `Quick test_glitch_is_not_unknown;
+    Helpers.qcheck prop_classify_matches_oracle;
   ]

@@ -345,7 +345,8 @@ let test_seq_seconds_in_sink () =
 
 (* A traced flow splits every fault-simulation engine call into its
    good-trace and simulation layers: one [fsim.trace] and one
-   [fsim.simulate] child span per [fsim.<entry>] span. *)
+   [fsim.simulate] child span per [fsim.<entry>] span, classification's
+   [fsim.steady_state] included. *)
 let test_engine_child_spans () =
   let scanned, config = scan_small 11L in
   let trace = Trace.create () in
@@ -367,11 +368,15 @@ let test_engine_child_spans () =
   in
   let count p = List.length (List.filter p names) in
   let calls =
-    count (fun n -> n = "fsim.detect_all" || n = "fsim.detect_dropping")
+    count (fun n ->
+        n = "fsim.detect_all" || n = "fsim.detect_dropping"
+        || n = "fsim.steady_state")
   in
   Alcotest.(check bool) "engine calls traced" true (calls > 0);
   Alcotest.(check bool) "a windowed dropping call" true
     (count (String.equal "fsim.detect_dropping") > 0);
+  Alcotest.(check int) "classification is one steady-state call" 1
+    (count (String.equal "fsim.steady_state"));
   Alcotest.(check int) "one fsim.trace per call" calls
     (count (String.equal "fsim.trace"));
   Alcotest.(check int) "one fsim.simulate per call" calls
