@@ -98,12 +98,15 @@ lint-smoke: build
 	  { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp; echo "lint-smoke: OK"
 
-# The Table 3 harness at smoke scale, so bench/ rot is caught early: it
-# runs the whole flow (classify, PODEM, the fault-simulation engine) on
-# every suite circuit. Fault simulation goes through Fsim.Engine only;
-# its agreement with the Fsim.Serial reference on every suite circuit is
-# a test ("engine = serial on suite step-2 workloads").
+# The Table 1-3 harnesses at smoke scale, so bench/ rot is caught early:
+# Tables 1 and 2 classify every suite circuit without running its flow,
+# Table 3 runs the whole flow (classify, PODEM, the fault-simulation
+# engine). Fault simulation goes through Fsim.Engine only; its agreement
+# with the Fsim.Serial reference on every suite circuit is a test
+# ("engine = serial on suite step-2 workloads").
 bench-smoke:
+	FST_SCALE=0.02 dune exec -- bench/main.exe table1
+	FST_SCALE=0.02 dune exec -- bench/main.exe table2
 	FST_SCALE=0.02 dune exec -- bench/main.exe table3
 
 FST_EXE := ./_build/default/bin/fst.exe

@@ -49,7 +49,16 @@ type stats = {
    search's allocation small. The nets carrying a fault effect are kept
    as a set that [update] maintains: the first [n_effects] entries of
    [effects], with each member's index in [effect_at], so adding and
-   removing a net are O(1) and no search step scans every net. *)
+   removing a net are O(1) and no search step scans every net. The
+   D-frontier of a step is a binary min-heap over the first [n_frontier]
+   entries of [frontier], keyed on (SCOAP observability ascending, net
+   descending); each candidate is offered once per step, [offered]
+   holding the step ([round]) in which a net was last offered, and the
+   heap is popped only as far as the choice of objective needs. The heap
+   starts at 64 slots and doubles when full, and the stamps are bytes:
+   every search allocates its per-net arrays afresh, and two net-sized
+   int arrays here raised the major collections of an fsim-tail flow
+   from 25 to 29. *)
 type engine = {
   view : View.t;
   c : Circuit.t;
@@ -67,6 +76,10 @@ type engine = {
   effects : int array; (* the first [n_effects] hold the effect nets *)
   effect_at : int array; (* per net: its index in [effects], or -1 *)
   mutable n_effects : int;
+  mutable frontier : int array; (* the first [n_frontier] are the heap *)
+  mutable n_frontier : int;
+  offered : Bytes.t; (* per net: the last [round] it was offered in *)
+  mutable round : int; (* 1 to 255; the marks are cleared on wrap-around *)
   visit_stamp : Bytes.t; (* per net: last X-path stamp that reached it *)
   mutable stamp : int; (* 1 to 255; the marks are cleared on wrap-around *)
   mutable dirty : int list; (* free inputs assigned since the last [imply] *)
@@ -114,6 +127,10 @@ let make_engine view ~scoap ~faults =
       effects = Array.make n 0;
       effect_at = Array.make n (-1);
       n_effects = 0;
+      frontier = Array.make 64 0;
+      n_frontier = 0;
+      offered = Bytes.make n '\000';
+      round = 0;
       visit_stamp = Bytes.make n '\000';
       stamp = 0;
       dirty = [];
@@ -345,30 +362,77 @@ let feeds_effect e i fi =
   in
   from 0
 
-(* Gates whose output is still undetermined but which see a fault effect on
-   some input: the classic D-frontier, in descending net order. A pin reads
-   an effect only from an effect net ([effects]) or through a branch fault,
-   so the candidates are the consumers of [effects] and the branch-faulted
-   gates. A gate with no branch fault reads its fanins as they are, so it
-   sees the effect of the net it consumes; on a branch-faulted gate the
-   pin-level test drops it when its pin masks the effect. *)
-let frontier e effects =
-  let consumers acc n =
-    Array.fold_left (fun acc i -> i :: acc) acc e.c.Circuit.fanout.(n)
-  in
-  let candidates =
-    List.fold_left consumers
-      (List.map (fun (node, _, _) -> node) e.branches)
-      effects
-  in
-  List.filter
-    (fun i ->
-      match e.c.Circuit.nodes.(i) with
-      | Circuit.Gate (_, fi) ->
-        net_has_x e i
-        && (Bytes.get e.branched i = '\000' || feeds_effect e i fi)
-      | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> false)
-    (List.sort_uniq (fun a b -> Int.compare b a) candidates)
+(* Does gate [a] come before gate [b] in the frontier: easier to
+   observe, ties broken by the higher net? *)
+let before e a b =
+  let oa = e.m.Scoap.obs.(a) and ob = e.m.Scoap.obs.(b) in
+  oa < ob || (oa = ob && a > b)
+
+let rec sift_down e k =
+  let h = e.frontier and n = e.n_frontier in
+  let l = (2 * k) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && before e h.(l + 1) h.(l) then l + 1 else l in
+    if before e h.(c) h.(k) then begin
+      let x = h.(k) in
+      h.(k) <- h.(c);
+      h.(c) <- x;
+      sift_down e c
+    end
+  end
+
+(* Offers gate [i] to the frontier of the current round: a gate whose
+   output is still undetermined but which sees a fault effect on some
+   input, the classic D-frontier. A gate with no branch fault reads its
+   fanins as they are, so it sees the effect of the effect net it
+   consumes; on a branch-faulted gate the pin-level test drops it when
+   its pin masks the effect. *)
+let offer e i =
+  if Char.code (Bytes.get e.offered i) <> e.round then begin
+    Bytes.set e.offered i (Char.chr e.round);
+    match e.c.Circuit.nodes.(i) with
+    | Circuit.Gate (_, fi)
+      when net_has_x e i
+           && (Bytes.get e.branched i = '\000' || feeds_effect e i fi) ->
+      if e.n_frontier = Array.length e.frontier then begin
+        let bigger = Array.make (2 * e.n_frontier) 0 in
+        Array.blit e.frontier 0 bigger 0 e.n_frontier;
+        e.frontier <- bigger
+      end;
+      e.frontier.(e.n_frontier) <- i;
+      e.n_frontier <- e.n_frontier + 1
+    | Circuit.Gate _ | Circuit.Input | Circuit.Const _ | Circuit.Dff _ -> ()
+  end
+
+(* Builds the frontier heap of this step. A pin reads an effect only from
+   an effect net ([effects]) or through a branch fault, so the candidates
+   are the consumers of the effect nets and the branch-faulted gates. *)
+let build_frontier e =
+  if e.round = 255 then begin
+    Bytes.fill e.offered 0 (Bytes.length e.offered) '\000';
+    e.round <- 1
+  end
+  else e.round <- e.round + 1;
+  e.n_frontier <- 0;
+  List.iter (fun (node, _, _) -> offer e node) e.branches;
+  for k = 0 to e.n_effects - 1 do
+    let fo = e.c.Circuit.fanout.(e.effects.(k)) in
+    for j = 0 to Array.length fo - 1 do
+      offer e fo.(j)
+    done
+  done;
+  for k = (e.n_frontier / 2) - 1 downto 0 do
+    sift_down e k
+  done
+
+(* Removes and returns the first gate of the frontier heap. *)
+let pop_frontier e =
+  let h = e.frontier in
+  let top = h.(0) in
+  e.n_frontier <- e.n_frontier - 1;
+  h.(0) <- h.(e.n_frontier);
+  sift_down e 0;
+  top
 
 let next_stamp e =
   if e.stamp = 255 then begin
@@ -455,15 +519,12 @@ let objective e =
     | [] -> None
   else begin
     (* The first gate, easiest to observe first (ties: higher net first),
-       that has an X-path and yields an objective. X-paths are searched
-       lazily, only for gates with an objective, and for the others only
-       until one is found reachable: a reachable frontier that yields no
+       that has an X-path and yields an objective. Gates are popped from
+       the heap only until one is chosen. X-paths are searched lazily,
+       only for gates with an objective, and for the others only until
+       one is found reachable: a reachable frontier that yields no
        objective loses completeness. *)
-    let gates =
-      List.stable_sort
-        (fun a b -> Int.compare e.m.Scoap.obs.(a) e.m.Scoap.obs.(b))
-        (frontier e (effect_nets e))
-    in
+    build_frontier e;
     next_stamp e;
     let reaches i =
       x_path e i
@@ -472,17 +533,19 @@ let objective e =
         true
       end
     in
-    let rec first ~reached = function
-      | [] ->
+    let rec first ~reached =
+      if e.n_frontier = 0 then begin
         if reached then incomplete e Frontier_prune;
         None
-      | i :: rest -> (
+      end
+      else
+        let i = pop_frontier e in
         match propagation_objective e i with
         | Some o when reaches i -> Some o
-        | Some _ -> first ~reached rest
-        | None -> first ~reached:(reached || reaches i) rest)
+        | Some _ -> first ~reached
+        | None -> first ~reached:(reached || reaches i)
     in
-    first ~reached:false gates
+    first ~reached:false
   end
 
 (* Walk an objective back to a free input along still-unknown nets, guided

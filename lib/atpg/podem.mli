@@ -7,11 +7,11 @@
     full sweep, each step re-evaluates only the fanout cones of the inputs
     whose assignment changed, in level order. It never conflicts, so
     backtracking is driven by objective failure (fault unexcitable, empty
-    D-frontier, no X-path). The D-frontier is enumerated once per step
-    from the nets that carry a fault effect (their gate consumers, plus the
-    gates with a branch fault on a pin), not by scanning every gate.
-    Frontier gates are tried in observability order and their X-paths
-    searched lazily, only as far as the choice of objective needs them.
+    D-frontier, no X-path). The D-frontier is built once per step from
+    the nets that carry a fault effect (their gate consumers, plus the
+    gates with a branch fault on a pin), not by scanning every gate, as a
+    heap in observability order. Frontier gates are popped, and their
+    X-paths searched, only as far as the choice of objective needs them.
     The search is complete unless a rare multi-site
     frontier case forces a heuristic prune, in which case exhaustion
     reports {!Aborted} rather than {!Untestable}. *)

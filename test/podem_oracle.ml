@@ -4,7 +4,12 @@ open Fst_fault
 module Scoap = Fst_testability.Scoap
 
 type result = Test of (int * V3.t) list | Untestable | Aborted
-type stats = { backtracks : int; decisions : int; implications : int }
+type stats = {
+  backtracks : int;
+  decisions : int;
+  implications : int;
+  stop : Fst_atpg.Podem.stop;
+}
 
 (* Values are kept as two flat planes (good machine, faulty machine); the
    faulty plane embeds stem-fault injections, while branch faults are
@@ -23,7 +28,7 @@ type engine = {
   obs_target : bool array; (* per net: source of an observation point *)
   visit_stamp : int array;
   mutable stamp : int;
-  mutable exhaustive : bool;
+  mutable exhaustion : Fst_atpg.Podem.stop; (* first reason lost *)
   mutable backtracks : int;
   mutable decisions : int;
   mutable implications : int;
@@ -47,7 +52,7 @@ let make_engine view ~scoap ~faults =
       obs_target = Array.make n false;
       visit_stamp = Array.make n (-1);
       stamp = 0;
-      exhaustive = true;
+      exhaustion = Fst_atpg.Podem.Exhausted;
       backtracks = 0;
       decisions = 0;
       implications = 0;
@@ -243,6 +248,10 @@ let propagation_objective e i =
       fi;
     (match !best with Some (f, v, _) -> Some (f, v) | None -> None)
 
+(* Records the first reason the search stopped being complete. *)
+let incomplete e why =
+  if e.exhaustion = Fst_atpg.Podem.Exhausted then e.exhaustion <- why
+
 let objective e =
   if not (effect_somewhere e) then
     (* Fault not excited anywhere: drive some site to the opposite value. *)
@@ -267,7 +276,8 @@ let objective e =
     in
     let rec first_objective = function
       | [] ->
-        if gates <> [] && reachable <> [] then e.exhaustive <- false;
+        if gates <> [] && reachable <> [] then
+          incomplete e Fst_atpg.Podem.Frontier_prune;
         None
       | i :: rest -> (
         match propagation_objective e i with
@@ -377,7 +387,7 @@ let run ?(backtrack_limit = 1000) ?should_abort ?scoap view ~faults =
   let stack = ref [] in
   let rec step () =
     imply e;
-    if detected e then Test (extract_test e)
+    if detected e then (Test (extract_test e), Fst_atpg.Podem.Found)
     else
       match objective e with
       | Some (net, v) -> (
@@ -391,17 +401,21 @@ let run ?(backtrack_limit = 1000) ?should_abort ?scoap view ~faults =
           (* A backtrace dead-end only shows that this particular objective
              cannot be justified, not that the subtree is test-free:
              abandoning it costs completeness. *)
-          e.exhaustive <- false;
+          incomplete e Fst_atpg.Podem.Dead_end;
           backtrack ())
       | None -> backtrack ()
   and backtrack () =
-    if e.backtracks >= backtrack_limit then Aborted
+    if e.backtracks >= backtrack_limit then
+      (Aborted, Fst_atpg.Podem.Backtrack_limit)
     else if
       (match should_abort with Some f -> f () | None -> false)
-    then Aborted
+    then (Aborted, Fst_atpg.Podem.Abort_hook)
     else
       match !stack with
-      | [] -> if e.exhaustive then Untestable else Aborted
+      | [] ->
+        ( (if e.exhaustion = Fst_atpg.Podem.Exhausted then Untestable
+           else Aborted),
+          e.exhaustion )
       | d :: rest ->
         if d.flipped then begin
           e.assigned.(d.pi) <- V3.X;
@@ -415,10 +429,11 @@ let run ?(backtrack_limit = 1000) ?should_abort ?scoap view ~faults =
           step ()
         end
   in
-  let result = step () in
+  let result, stop = step () in
   ( result,
     {
       backtracks = e.backtracks;
       decisions = e.decisions;
       implications = e.implications;
+      stop;
     } )

@@ -141,9 +141,10 @@ let test_stats_accounting () =
 
 (* [Podem_oracle] is the search as it was before implication became
    event-driven and X-path checks lazy. The current search must make the
-   same decisions: the same result and test, and the same backtrack,
-   decision and implication counts, at every backtrack limit. *)
-let agrees_with_oracle ~scoap view faults =
+   same decisions: the same result and test, the same backtrack,
+   decision and implication counts and the same stop reason, at every
+   backtrack limit. *)
+let agrees_with_oracle ?(limits = [ 1; 4; 50 ]) ~scoap view faults =
   List.for_all
     (fun limit ->
       let r, st = Podem.run ~backtrack_limit:limit ~scoap view ~faults in
@@ -157,8 +158,9 @@ let agrees_with_oracle ~scoap view faults =
        | (Podem.Test _ | Podem.Untestable | Podem.Aborted), _ -> false)
       && st.Podem.backtracks = so.Podem_oracle.backtracks
       && st.Podem.decisions = so.Podem_oracle.decisions
-      && st.Podem.implications = so.Podem_oracle.implications)
-    [ 1; 4; 50 ]
+      && st.Podem.implications = so.Podem_oracle.implications
+      && st.Podem.stop = so.Podem_oracle.stop)
+    limits
 
 (* Every collapsed fault alone, then each with a random partner from the
    whole universe, so branch faults on several gates, or on two pins of
@@ -246,6 +248,153 @@ let test_branch_only_effect_matches_oracle () =
     Alcotest.(check bool) "side input d = 1" true
       (List.mem (d, V3.One) assignment)
   | (Podem.Untestable | Podem.Aborted), _ -> Alcotest.fail "expected a test"
+
+(* The frontier is a heap popped in (observability, descending net)
+   order, each candidate offered once per step. Small random circuits
+   seldom reach the cases below, so each is built by hand. *)
+
+let test_run ~scoap view faults =
+  match Podem.run ~scoap view ~faults with
+  | Podem.Test assignment, st -> (assignment, st)
+  | (Podem.Untestable | Podem.Aborted), _ -> Alcotest.fail "expected a test"
+
+(* a s-a-0 reaches g1 = AND(a, b) and g2 = AND(a, c), both observed: the
+   two frontier gates tie on observability, so the higher net, g2, is
+   popped first and the test sets c, not b. *)
+let test_tied_frontier_matches_oracle () =
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let bi = Builder.add_input ~name:"b" b in
+  let ci = Builder.add_input ~name:"c" b in
+  let g1 = Builder.add_gate ~name:"g1" b Gate.And [ a; bi ] in
+  let g2 = Builder.add_gate ~name:"g2" b Gate.And [ a; ci ] in
+  Builder.mark_output b g1;
+  Builder.mark_output b g2;
+  let c = Builder.freeze b in
+  let view = comb_view c in
+  let scoap = Fst_testability.Scoap.compute view in
+  let obs = scoap.Fst_testability.Scoap.obs in
+  Alcotest.(check bool) "tied on observability, g2 the higher net" true
+    (obs.(g1) = obs.(g2) && g2 > g1);
+  let faults = [ { Fault.site = Fault.Stem a; stuck = false } ] in
+  Alcotest.(check bool) "same search as the oracle" true
+    (agrees_with_oracle ~scoap view faults);
+  let assignment, _ = test_run ~scoap view faults in
+  Alcotest.(check bool) "propagates through g2 (c = 1)" true
+    (List.mem (a, V3.One) assignment && List.mem (ci, V3.One) assignment);
+  Alcotest.(check bool) "b untouched" false (List.mem_assoc bi assignment)
+
+(* a s-a-0 with y = XOR(a, n, a, n, a, n, a, n, d), n = BUF a, observed,
+   and z = AND(a, e) behind a buffer. y reads the two effect nets on
+   eight pins, so it is offered eight times a step and enters the
+   frontier once. It is the easier to observe, so the search first sets
+   d, which settles y with the effects cancelled, then goes through z
+   (e = 1): three decisions, no backtrack. *)
+let test_shared_frontier_gate_matches_oracle () =
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let d = Builder.add_input ~name:"d" b in
+  let ei = Builder.add_input ~name:"e" b in
+  let n = Builder.add_gate ~name:"n" b Gate.Buf [ a ] in
+  let y =
+    Builder.add_gate ~name:"y" b Gate.Xor [ a; n; a; n; a; n; a; n; d ]
+  in
+  let z = Builder.add_gate ~name:"z" b Gate.And [ a; ei ] in
+  let zo = Builder.add_gate ~name:"zo" b Gate.Buf [ z ] in
+  Builder.mark_output b y;
+  Builder.mark_output b zo;
+  let c = Builder.freeze b in
+  let view = comb_view c in
+  let scoap = Fst_testability.Scoap.compute view in
+  let fault = { Fault.site = Fault.Stem a; stuck = false } in
+  Alcotest.(check bool) "same search as the oracle" true
+    (agrees_with_oracle ~scoap view [ fault ]);
+  let assignment, st = test_run ~scoap view [ fault ] in
+  Alcotest.(check bool) "test detects" true
+    (run_assignment_detects c fault assignment);
+  Alcotest.(check bool) "d tried, then e = 1" true
+    (List.mem_assoc d assignment && List.mem (ei, V3.One) assignment);
+  Alcotest.(check (pair int int)) "decisions, backtracks" (3, 0)
+    (st.Podem.decisions, st.Podem.backtracks)
+
+(* g = AND(a, n, d) with n = BUF a, the branch g.a s-a-1 and a s-a-0.
+   The search excites a = 1: g's pin 0 reads the stuck 1, equal to a's
+   good value, so it masks the effect, but pin 1 reads n's. The
+   branch-faulted gate stays in the frontier through its second pin,
+   and the test sets d = 1. *)
+let test_partly_masked_branch_matches_oracle () =
+  let b = Builder.create () in
+  let a = Builder.add_input ~name:"a" b in
+  let d = Builder.add_input ~name:"d" b in
+  let n = Builder.add_gate ~name:"n" b Gate.Buf [ a ] in
+  let g = Builder.add_gate ~name:"g" b Gate.And [ a; n; d ] in
+  Builder.mark_output b g;
+  let c = Builder.freeze b in
+  let view = comb_view c in
+  let scoap = Fst_testability.Scoap.compute view in
+  let faults =
+    [
+      { Fault.site = Fault.Branch { node = g; pin = 0 }; stuck = true };
+      { Fault.site = Fault.Stem a; stuck = false };
+    ]
+  in
+  Alcotest.(check bool) "same search as the oracle" true
+    (agrees_with_oracle ~scoap view faults);
+  let assignment, _ = test_run ~scoap view faults in
+  Alcotest.(check bool) "excites a = 1, propagates through g (d = 1)" true
+    (List.mem (a, V3.One) assignment && List.mem (d, V3.One) assignment)
+
+(* A step-3 target of the atpg-chains suite that hits the flow's
+   backtrack limit: scan_mode s-a-0 on s38584 at scale 0.025 (8 chains
+   asked for, 7 built), every chain uncontrollable and observable from
+   position 4, at the flow's frame counts and limit. Every run must
+   equal the oracle's, and one must stop at the limit. *)
+let test_suite_target_at_limit_matches_oracle () =
+  let entry = Fst_gen.Suite.find ~scale:0.025 "s38584" in
+  let scanned, config =
+    match
+      Fst_tpi.Tpi.insert_checked ~chains:entry.Fst_gen.Suite.chains
+        (Fst_gen.Gen.generate entry.Fst_gen.Suite.profile)
+    with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail (Fst_tpi.Tpi.insert_error_message e)
+  in
+  let position = Hashtbl.create 64 in
+  Array.iter
+    (fun ch ->
+      Array.iteri
+        (fun pos ff -> Hashtbl.replace position ff pos)
+        ch.Fst_tpi.Scan.ffs)
+    config.Fst_tpi.Scan.chains;
+  let fault =
+    { Fault.site = Fault.Stem config.Fst_tpi.Scan.scan_mode; stuck = false }
+  in
+  let limit = Fst_core.Config.default.Fst_core.Config.seq_backtrack in
+  let stops =
+    List.map
+      (fun frames ->
+        let u =
+          Unroll.build scanned ~frames
+            ~constraints:config.Fst_tpi.Scan.constraints
+            ~controllable_ff:(fun _ -> false)
+            ~observable_ff:(fun ff ->
+              match Hashtbl.find_opt position ff with
+              | Some pos -> pos >= 4
+              | None -> false)
+        in
+        let view = u.Unroll.view in
+        let scoap = Fst_testability.Scoap.compute view in
+        let faults = Unroll.map_fault u fault in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d frames: same search as the oracle" frames)
+          true
+          (agrees_with_oracle ~limits:[ limit ] ~scoap view faults);
+        let _, st = Podem.run ~backtrack_limit:limit ~scoap view ~faults in
+        st.Podem.stop)
+      Fst_core.Config.default.Fst_core.Config.frames
+  in
+  Alcotest.(check bool) "a run stops at the backtrack limit" true
+    (List.mem Podem.Backtrack_limit stops)
 
 (* Unrolled models with random controllable and observable flip-flop
    sets: every fault is multi-site, one site per frame. *)
@@ -451,6 +600,14 @@ let suite =
       test_masking_branch_matches_oracle;
     Alcotest.test_case "branch-only effect = oracle" `Quick
       test_branch_only_effect_matches_oracle;
+    Alcotest.test_case "tied frontier = oracle" `Quick
+      test_tied_frontier_matches_oracle;
+    Alcotest.test_case "shared frontier gate = oracle" `Quick
+      test_shared_frontier_gate_matches_oracle;
+    Alcotest.test_case "partly masked branch = oracle" `Quick
+      test_partly_masked_branch_matches_oracle;
+    Alcotest.test_case "suite target at the limit = oracle" `Quick
+      test_suite_target_at_limit_matches_oracle;
     Helpers.qcheck prop_unrolled_matches_oracle;
     Helpers.qcheck prop_effect_set_matches_scan;
     Alcotest.test_case "stop reasons" `Quick test_stop_reasons;
